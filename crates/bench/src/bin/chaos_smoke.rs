@@ -107,7 +107,7 @@ fn main() {
         // within one selection instead of quarantining half the space.
         max_eval_attempts: plan.flaky_max_failures + 2,
         seed: testkit::test_seed(),
-        threads: 1,
+        workers: 1,
         ..Default::default()
     };
 

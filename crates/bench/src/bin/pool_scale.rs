@@ -129,7 +129,7 @@ fn run_pool(targets: usize, adaptive: bool, subset: bool, iterations: usize, see
         max_iterations: iterations,
         tau: 9.0,
         seed,
-        threads: 1,
+        workers: 1,
         adaptive_pool: adaptive,
         pool_refine_scale: 0.5,
         pool_refine_ceiling: 4.0,

@@ -11,17 +11,16 @@
 //!    sweep itself) must be ≥ 2× shorter than the serial sweep's. On
 //!    smaller machines the measurement still prints but the gate is
 //!    skipped — CI runs this on 4-core runners.
-//! 2. **Sweep determinism**: every (block, workers) combination — block
-//!    = 1, a non-divisor, block > pool — returns the serial sweep's
-//!    exact bits.
+//! 2. **Sweep determinism**: every worker count (1, 2, 4, 8) returns the
+//!    serial sweep's exact bits, and so does the scalar per-query path.
 //! 3. **Cache speedup + equivalence**: after incremental conditioning,
 //!    the cached sweep (which pays only the appended-row tail per
 //!    candidate) must be ≥ 2× faster than the from-scratch serial sweep
 //!    and bit-identical to it. This gate is algorithmic — it does not
 //!    depend on core count.
 //! 4. **Trace determinism**: the tuner's canonical trace is
-//!    byte-identical across `predict_workers` (parallel vs serial sweep)
-//!    and `predict_block` settings.
+//!    byte-identical across `workers` budgets (parallel vs serial fits
+//!    and sweeps).
 //!
 //! Usage: `cargo run --release -p bench --bin predict_scale -- [--smoke]`.
 //! `--smoke` shrinks the pool and trims the trace sweep for CI. Exits
@@ -87,9 +86,9 @@ fn bits_equal(a: &[(f64, f64)], b: &[(f64, f64)]) -> bool {
         })
 }
 
-/// Runs the tuner scenario with the given predict settings and returns
-/// its canonical trace.
-fn tuner_trace(seed: u64, predict_workers: usize, predict_block: usize) -> String {
+/// Runs the tuner scenario at the given `workers` budget and returns its
+/// canonical trace.
+fn tuner_trace(seed: u64, workers: usize) -> String {
     let scenario = benchgen::Scenario::two_with_counts(seed, 120, 160).with_source_budget(60);
     let space = ObjectiveSpace::PowerDelay;
     let candidates = scenario.target_candidates();
@@ -100,9 +99,7 @@ fn tuner_trace(seed: u64, predict_workers: usize, predict_block: usize) -> Strin
         max_iterations: 6,
         refit_every: 4,
         seed,
-        threads: 1,
-        predict_workers,
-        predict_block,
+        workers,
         ..Default::default()
     };
     let mut oracle = VecOracle::new(scenario.target_table(space));
@@ -133,12 +130,12 @@ fn main() {
     // ------------------------------------------- gate 1: worker speedup
     let (serial_s, serial_out) = best_of(|| {
         model
-            .predict_latent_batch_with_block(&queries, gp::PREDICT_BLOCK)
+            .predict_latent_batch(&queries, 1)
             .expect("serial sweep")
     });
     let (par_s, par_out) = best_of(|| {
         model
-            .predict_latent_batch_par(&queries, gp::PREDICT_BLOCK, 4)
+            .predict_latent_batch(&queries, 4)
             .expect("parallel sweep")
     });
     let par_speedup = serial_s / par_s.max(1e-12);
@@ -164,28 +161,29 @@ fn main() {
         violations.push("4-worker sweep output differs from the serial sweep".into());
     }
     let mut determinism_ok = true;
-    // block = 1 is quadratic in pool size on the merge side; probe the
-    // degenerate blocks on a prefix and the realistic block on the full
-    // pool.
-    let prefix = &queries[..pool.min(512)];
-    let prefix_base = model
-        .predict_latent_batch_with_block(prefix, gp::PREDICT_BLOCK)
-        .expect("serial prefix sweep");
-    for block in [1, 7, prefix.len() - 1, prefix.len() + 5] {
-        for workers in [1, 2, 4, 8] {
-            let par = model
-                .predict_latent_batch_par(prefix, block, workers)
-                .expect("parallel prefix sweep");
-            if !bits_equal(&par, &prefix_base) {
-                determinism_ok = false;
-                violations.push(format!(
-                    "sweep output at block={block} workers={workers} differs from serial"
-                ));
-            }
+    for workers in [2, 8] {
+        let par = model
+            .predict_latent_batch(&queries, workers)
+            .expect("parallel sweep");
+        if !bits_equal(&par, &serial_out) {
+            determinism_ok = false;
+            violations.push(format!(
+                "sweep output at workers={workers} differs from serial"
+            ));
         }
     }
+    // The scalar path on a prefix spanning a partial last chunk.
+    let prefix = &queries[..pool.min(2 * gp::PREDICT_BLOCK + 5)];
+    let scalar: Vec<(f64, f64)> = prefix
+        .iter()
+        .map(|x| model.predict_latent(x).expect("scalar predict"))
+        .collect();
+    if !bits_equal(&scalar, &serial_out[..prefix.len()]) {
+        determinism_ok = false;
+        violations.push("scalar predictions differ from the serial sweep".into());
+    }
     if determinism_ok {
-        println!("gate 2 OK: sweep bits invariant across block and worker settings");
+        println!("gate 2 OK: sweep bits invariant across worker counts and the scalar path");
     }
 
     // ------------------------------- gate 3: cache speedup + equivalence
@@ -197,7 +195,7 @@ fn main() {
     let mut cache = PredictCache::new();
     cache.begin_sweep();
     let _ = cached_model
-        .predict_latent_batch_cached(&ids, &queries, gp::PREDICT_BLOCK, 1, &mut cache)
+        .predict_latent_batch_cached(&ids, &queries, 1, &mut cache)
         .expect("cache-priming sweep");
     let dim = queries[0].len();
     let (ax, ay) = bench::perfrun::synth_task(3, dim, seed ^ 0x517c, 0.55);
@@ -206,13 +204,13 @@ fn main() {
         .expect("incremental conditioning");
     let (scratch_s, scratch_out) = best_of(|| {
         cached_model
-            .predict_latent_batch_with_block(&queries, gp::PREDICT_BLOCK)
+            .predict_latent_batch(&queries, 1)
             .expect("post-conditioning serial sweep")
     });
     let (cached_s, cached_out) = best_of(|| {
         cache.begin_sweep();
         cached_model
-            .predict_latent_batch_cached(&ids, &queries, gp::PREDICT_BLOCK, 1, &mut cache)
+            .predict_latent_batch_cached(&ids, &queries, 1, &mut cache)
             .expect("cached sweep")
     });
     let cached_speedup = scratch_s / cached_s.max(1e-12);
@@ -231,39 +229,21 @@ fn main() {
     }
 
     // ----------------------------------------- gate 4: trace determinism
-    // (workers, block) settings whose canonical traces must all match;
-    // the first entry is the serial reference.
-    let sweep: &[(usize, usize)] = if smoke {
-        &[(1, gp::PREDICT_BLOCK), (4, gp::PREDICT_BLOCK), (4, 17)]
-    } else {
-        &[
-            (1, gp::PREDICT_BLOCK),
-            (2, gp::PREDICT_BLOCK),
-            (4, gp::PREDICT_BLOCK),
-            (8, gp::PREDICT_BLOCK),
-            (4, 1),
-            (4, 17),
-        ]
-    };
-    let traces: Vec<((usize, usize), String)> = sweep
-        .iter()
-        .map(|&(w, b)| ((w, b), tuner_trace(seed, w, b)))
-        .collect();
+    // `workers` budgets whose canonical traces must all match; the first
+    // entry is the serial reference.
+    let sweep: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
+    let traces: Vec<(usize, String)> = sweep.iter().map(|&w| (w, tuner_trace(seed, w))).collect();
     let mut trace_ok = true;
-    for ((w, b), trace) in traces.iter().skip(1) {
+    for (w, trace) in traces.iter().skip(1) {
         if trace != &traces[0].1 {
             trace_ok = false;
             violations.push(format!(
-                "canonical trace at predict_workers={w} predict_block={b} differs \
-                 from the serial reference"
+                "canonical trace at workers={w} differs from the serial reference"
             ));
         }
     }
     if trace_ok {
-        println!(
-            "gate 4 OK: canonical trace byte-identical across {} predict settings",
-            sweep.len()
-        );
+        println!("gate 4 OK: canonical trace byte-identical across workers {sweep:?}");
     }
 
     if violations.is_empty() {

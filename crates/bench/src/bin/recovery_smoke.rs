@@ -16,7 +16,7 @@
 //!    passes every invariant) and its hypervolume error stays within
 //!    1.05× of the fault-free run.
 //! 4. **Determinism under degradation:** the degraded run's canonical
-//!    trace is byte-identical across `eval_workers` 1 and 4, and a
+//!    trace is byte-identical across `workers` 1 and 4, and a
 //!    mid-run resume with the plan re-armed lands on the same outcome.
 //! 5. **Liveness:** a universally hanging oracle behind the watchdog
 //!    still completes, every hang surfacing as a deterministic timeout.
@@ -121,7 +121,7 @@ fn main() {
         refit_every: 5,
         degraded_fit_budget: 64,
         seed: testkit::test_seed(),
-        threads: 1,
+        workers: 1,
         ..Default::default()
     };
 
@@ -265,7 +265,7 @@ fn main() {
     let run_degraded_concurrent = |workers: usize| {
         let cfg = PpaTunerConfig {
             batch_size: 4,
-            eval_workers: workers,
+            workers,
             ..config.clone()
         };
         let _armed = inject_fit_faults(plan.clone());
@@ -289,7 +289,7 @@ fn main() {
     } else {
         println!(
             "degraded determinism: canonical traces byte-identical across \
-             eval_workers 1 and 4 ({} degraded fits each)",
+             workers 1 and 4 ({} degraded fits each)",
             serial.degraded_fits
         );
     }
@@ -333,7 +333,6 @@ fn main() {
     let oracle = WatchdogOracle::new(HangingOracle::new(truth.clone(), hangs, 5.0), 0.05);
     let cfg = PpaTunerConfig {
         batch_size: 4,
-        eval_workers: 4,
         max_eval_attempts: 3,
         ..config.clone()
     };

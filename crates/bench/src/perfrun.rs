@@ -213,7 +213,7 @@ pub fn bench_size(spec: &SizeSpec, seed: u64, smoke: bool) -> SizeResult {
     acc += batch[0].0;
 
     // --- Predict sweep: the data-parallel and cached-incremental paths
-    // vs the serial from-scratch blocked batch, all three on the same
+    // vs the serial from-scratch batch, all three on the same
     // conditioned model — the steady state the tuner's warm iterations
     // live in (refits are rare; conditioning appends a few rows).
     let sweep_q = spec.cond_k.clamp(1, 4);
@@ -226,25 +226,25 @@ pub fn bench_size(spec: &SizeSpec, seed: u64, smoke: bool) -> SizeResult {
     // timed cached sweep below then pays only the q-row tail per
     // candidate, exactly as the tuner's next iteration would.
     let _ = sweep_model
-        .predict_latent_batch_cached(&ids, &queries, gp::PREDICT_BLOCK, 1, &mut cache)
+        .predict_latent_batch_cached(&ids, &queries, 1, &mut cache)
         .expect("cache-priming sweep");
     sweep_model
         .condition_on(&ax[..sweep_q], &ay[..sweep_q])
         .expect("sweep conditioning");
     let t = Instant::now();
     let sweep_serial_out = sweep_model
-        .predict_latent_batch_with_block(&queries, gp::PREDICT_BLOCK)
+        .predict_latent_batch(&queries, 1)
         .expect("serial sweep");
     let sweep_serial = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let sweep_par_out = sweep_model
-        .predict_latent_batch_par(&queries, gp::PREDICT_BLOCK, sweep_workers)
+        .predict_latent_batch(&queries, sweep_workers)
         .expect("parallel sweep");
     let sweep_par = t.elapsed().as_secs_f64();
     cache.begin_sweep();
     let t = Instant::now();
     let sweep_cached_out = sweep_model
-        .predict_latent_batch_cached(&ids, &queries, gp::PREDICT_BLOCK, sweep_workers, &mut cache)
+        .predict_latent_batch_cached(&ids, &queries, sweep_workers, &mut cache)
         .expect("cached sweep");
     let sweep_cached = t.elapsed().as_secs_f64();
     // The three paths promise identical bits; assert it where the timing
@@ -349,7 +349,6 @@ pub fn run_tuner_scenario(
         max_iterations: if smoke { 4 } else { 12 },
         refit_every: if smoke { 4 } else { 8 },
         seed,
-        threads: 1,
         ..Default::default()
     };
     PpaTuner::new(config)

@@ -14,7 +14,9 @@
 //!   `β_s`, `β_t` and per-task output standardization so tasks of
 //!   different output scale (e.g. a 3× larger design) remain comparable;
 //! - [`optimize`]: a Nelder–Mead simplex minimizer and multi-start
-//!   hyper-parameter fitting by maximizing the marginal likelihood.
+//!   hyper-parameter fitting by maximizing the marginal likelihood;
+//! - [`fan_out`]: the deterministic parallel map every CPU fan-out of the
+//!   workspace (restart searches, predict sweeps, oracle waves) runs on.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@
 pub mod cache;
 pub mod counters;
 mod error;
+mod fanout;
 mod gp;
 pub mod kernel;
 pub mod optimize;
@@ -48,7 +51,11 @@ mod transfer;
 
 pub use counters::GpCounters;
 pub use error::GpError;
+pub use fanout::fan_out;
 pub use gp::GpRegressor;
+/// The vector primitives of [`linalg`], re-exported so downstream crates
+/// share one distance implementation without depending on `linalg`.
+pub use linalg::vecops;
 pub use predict_cache::PredictCache;
 pub use transfer::{SubsetPredictor, TaskData, TransferGp, TransferGpConfig, PREDICT_BLOCK};
 

@@ -1,10 +1,13 @@
 //! Hyper-parameter optimization: a Nelder–Mead simplex minimizer and
 //! multi-start marginal-likelihood training for the transfer GP.
 
+use std::time::Instant;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::FitCache;
+use crate::fan_out;
 use crate::transfer::{TaskData, TransferGp, TransferGpConfig};
 use crate::Result;
 
@@ -219,6 +222,11 @@ pub struct FitReport {
     pub log_marginal: f64,
     /// Diagonal jitter the returned model's factorization needed.
     pub jitter: f64,
+    /// Worker seconds this fit took: its distance cache, its restart
+    /// searches and its final model build, summed over whichever threads
+    /// ran them (so a parallel fit can report more than its wall-clock).
+    /// A measurement, not a result: it varies run to run.
+    pub duration_s: f64,
 }
 
 /// Draws the multi-start initial points for a transfer-GP search:
@@ -226,7 +234,7 @@ pub struct FitReport {
 /// randomized from `rng` (same stream as the sequential search always
 /// used). Drawing the starts **up front** is what lets restarts — and
 /// whole per-objective fits in the tuner — run on worker threads while
-/// staying bit-reproducible at any thread count: the RNG is consumed
+/// staying bit-reproducible at any worker count: the RNG is consumed
 /// sequentially here, never inside a thread.
 pub fn restart_starts<R: Rng + ?Sized>(dim: usize, restarts: usize, rng: &mut R) -> Vec<Vec<f64>> {
     (0..restarts.max(1))
@@ -252,17 +260,132 @@ pub fn restart_starts<R: Rng + ?Sized>(dim: usize, restarts: usize, rng: &mut R)
         .collect()
 }
 
-/// Runs the multi-start search from pre-drawn initial points (see
-/// [`restart_starts`]), optionally spreading restarts across `threads`
-/// scoped worker threads.
+/// One hyper-parameter search of [`fit_transfer_gps`]: a source/target
+/// task pair and its pre-drawn restart starts (see [`restart_starts`]).
+#[derive(Debug, Clone, Copy)]
+pub struct FitJob<'a> {
+    /// Source-task data.
+    pub source: &'a TaskData,
+    /// Target-task data.
+    pub target: &'a TaskData,
+    /// Initial points, one per restart (at least one).
+    pub starts: &'a [Vec<f64>],
+}
+
+/// Runs several multi-start searches at once — in the tuner, one per QoR
+/// objective — as (job × restart) tasks over `workers` threads
+/// ([`fan_out`]), returning one result per job, in job order.
 ///
-/// Every objective evaluation goes through a [`FitCache`] built once per
-/// call: candidate kernels are re-weighted from the cached pairwise
-/// squared-difference tensor instead of cloning the data and rebuilding
-/// from raw points. Restarts are independent (each Nelder–Mead run owns
-/// its simplex and eval counter) and the winner is selected in restart
-/// order with a first-wins tie-break, so the result is bit-identical for
-/// any `threads` value.
+/// Each job's [`FitCache`] is built once and shared by its restarts:
+/// every objective evaluation re-weights the cached pairwise
+/// squared-difference tensor instead of rebuilding kernels from raw
+/// points. A job's winner is the lowest MAP objective in restart order
+/// (ties keep the earlier restart); its final model is fitted from the
+/// raw data. Every task computes what a serial loop would and the merge
+/// is by position, so results are bit-identical at any `workers` value.
+///
+/// # Errors
+///
+/// Per job: data-validation errors from building its distance cache, and
+/// fitting errors of its final model (the search itself treats failed
+/// factorizations as infinitely bad candidates).
+///
+/// # Panics
+///
+/// Panics when a job has no starts.
+pub fn fit_transfer_gps(
+    jobs: &[FitJob<'_>],
+    dim: usize,
+    budget: FitBudget,
+    workers: usize,
+) -> Vec<Result<(TransferGp, FitReport)>> {
+    assert!(
+        jobs.iter().all(|job| !job.starts.is_empty()),
+        "need at least one restart start"
+    );
+    let opts = NelderMeadOptions {
+        max_evals: budget.evals_per_restart,
+        ..Default::default()
+    };
+    let caches = fan_out(jobs.len(), workers, |j| {
+        timed(|| FitCache::new(jobs[j].source, jobs[j].target, dim))
+    });
+    let tasks: Vec<(usize, usize)> = jobs
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| caches[j].0.is_ok())
+        .flat_map(|(j, job)| (0..job.starts.len()).map(move |r| (j, r)))
+        .collect();
+    let searches = fan_out(tasks.len(), workers, |t| {
+        let (j, r) = tasks[t];
+        let cache = caches[j].0.as_ref().expect("tasks only cover built caches");
+        timed(|| {
+            let evals = std::cell::Cell::new(0usize);
+            let (theta, value) = nelder_mead(
+                |theta| {
+                    evals.set(evals.get() + 1);
+                    let cfg = decode(theta, dim);
+                    // MAP objective: a log-normal prior on the lengthscales
+                    // keeps the few-shot fit from collapsing onto noise.
+                    cache.objective(&cfg) + lengthscale_penalty(&cfg.lengthscales)
+                },
+                &jobs[j].starts[r],
+                opts,
+            );
+            (theta, value, evals.get())
+        })
+    });
+
+    fan_out(jobs.len(), workers, |j| {
+        let (cache, cache_s) = &caches[j];
+        cache.as_ref().map_err(Clone::clone)?;
+        // Best-of in restart order (tasks are job-major; ties keep the
+        // earlier restart), exactly as the sequential loop resolved them.
+        let mut best: Option<&(Vec<f64>, f64, usize)> = None;
+        let (mut evals, mut busy_s) = (0, *cache_s);
+        for (&(k, _), (search, search_s)) in tasks.iter().zip(&searches) {
+            if k == j {
+                evals += search.2;
+                busy_s += search_s;
+                if best.is_none_or(|b| search.1 < b.1) {
+                    best = Some(search);
+                }
+            }
+        }
+        let (theta, best_objective, _) = best.expect("every job runs a restart");
+        let (model, final_s) = timed(|| {
+            TransferGp::fit(
+                jobs[j].source.clone(),
+                jobs[j].target.clone(),
+                decode(theta, dim),
+            )
+        });
+        let model = model?;
+        let report = FitReport {
+            restarts: jobs[j].starts.len(),
+            evals,
+            cached_evals: evals,
+            fresh_evals: 1,
+            best_objective: *best_objective,
+            log_marginal: model.log_marginal_likelihood(),
+            jitter: model.jitter(),
+            duration_s: busy_s + final_s,
+        };
+        Ok((model, report))
+    })
+}
+
+/// `f()` and the seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
+}
+
+/// Runs one multi-start search from pre-drawn initial points (see
+/// [`restart_starts`]): [`fit_transfer_gps`] with a single job, its
+/// restarts spread over `workers` threads. Bit-identical for any
+/// `workers` value.
 ///
 /// # Errors
 ///
@@ -278,75 +401,16 @@ pub fn fit_transfer_gp_from_starts(
     dim: usize,
     budget: FitBudget,
     starts: &[Vec<f64>],
-    threads: usize,
+    workers: usize,
 ) -> Result<(TransferGp, FitReport)> {
-    assert!(!starts.is_empty(), "need at least one restart start");
-    let cache = FitCache::new(source, target, dim)?;
-    let opts = NelderMeadOptions {
-        max_evals: budget.evals_per_restart,
-        ..Default::default()
+    let job = FitJob {
+        source,
+        target,
+        starts,
     };
-    let run_restart = |x0: &[f64]| -> (Vec<f64>, f64, usize) {
-        let evals = std::cell::Cell::new(0usize);
-        let (theta, value) = nelder_mead(
-            |theta| {
-                evals.set(evals.get() + 1);
-                let cfg = decode(theta, dim);
-                // MAP objective: a log-normal prior on the lengthscales
-                // keeps the few-shot fit from collapsing onto noise.
-                cache.objective(&cfg) + lengthscale_penalty(&cfg.lengthscales)
-            },
-            x0,
-            opts,
-        );
-        (theta, value, evals.get())
-    };
-
-    let workers = threads.max(1).min(starts.len());
-    let results: Vec<(Vec<f64>, f64, usize)> = if workers <= 1 {
-        starts.iter().map(|x0| run_restart(x0)).collect()
-    } else {
-        let mut slots: Vec<Option<(Vec<f64>, f64, usize)>> = vec![None; starts.len()];
-        let chunk = starts.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let run_restart = &run_restart;
-            for (out, xs) in slots.chunks_mut(chunk).zip(starts.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, x0) in out.iter_mut().zip(xs) {
-                        *slot = Some(run_restart(x0));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every restart slot is filled"))
-            .collect()
-    };
-
-    // Best-of selection in restart order (ties keep the earlier restart),
-    // exactly as the sequential loop always resolved them.
-    let mut best_theta: Option<(Vec<f64>, f64)> = None;
-    let mut total_evals = 0usize;
-    for (theta, value, evals) in results {
-        total_evals += evals;
-        match &best_theta {
-            Some((_, bv)) if *bv <= value => {}
-            _ => best_theta = Some((theta, value)),
-        }
-    }
-    let (theta, best_objective) = best_theta.expect("at least one restart ran");
-    let model = TransferGp::fit(source.clone(), target.clone(), decode(&theta, dim))?;
-    let report = FitReport {
-        restarts: starts.len(),
-        evals: total_evals,
-        cached_evals: total_evals,
-        fresh_evals: 1,
-        best_objective,
-        log_marginal: model.log_marginal_likelihood(),
-        jitter: model.jitter(),
-    };
-    Ok((model, report))
+    fit_transfer_gps(&[job], dim, budget, workers)
+        .pop()
+        .expect("one result per job")
 }
 
 /// Trains a [`TransferGp`] by maximizing the log marginal likelihood of
@@ -533,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn search_is_thread_count_invariant() {
+    fn search_is_worker_count_invariant() {
         let f = |x: f64| (4.0 * x).sin();
         let source = TaskData::new(
             (0..20).map(|i| vec![i as f64 / 19.0]).collect(),
@@ -550,20 +614,85 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let starts = restart_starts(1, budget.restarts, &mut rng);
 
+        // Reports agree on everything but the wall-clock measurement.
+        let result = |r: FitReport| FitReport {
+            duration_s: 0.0,
+            ..r
+        };
         let (m1, r1) =
             fit_transfer_gp_from_starts(&source, &target, 1, budget, &starts, 1).unwrap();
-        for threads in [2, 4, 16] {
-            let (mt, rt) =
-                fit_transfer_gp_from_starts(&source, &target, 1, budget, &starts, threads).unwrap();
-            assert_eq!(m1.config(), mt.config(), "threads={threads}");
-            assert_eq!(r1, rt, "threads={threads}");
+        for workers in [2, 4, 16] {
+            let (mw, rw) =
+                fit_transfer_gp_from_starts(&source, &target, 1, budget, &starts, workers).unwrap();
+            assert_eq!(m1.config(), mw.config(), "workers={workers}");
+            assert_eq!(result(r1), result(rw), "workers={workers}");
         }
 
         // And the RNG-drawing entry point matches the pre-drawn path.
         let mut rng2 = StdRng::seed_from_u64(7);
         let (m2, r2) = fit_transfer_gp_reported(&source, &target, 1, budget, &mut rng2).unwrap();
         assert_eq!(m1.config(), m2.config());
-        assert_eq!(r1, r2);
+        assert_eq!(result(r1), result(r2));
+    }
+
+    #[test]
+    fn batched_jobs_match_one_at_a_time_fits() {
+        let source = TaskData::new(
+            (0..16).map(|i| vec![i as f64 / 15.0]).collect(),
+            (0..16).map(|i| (3.0 * i as f64 / 15.0).sin()).collect(),
+        );
+        let targets: Vec<TaskData> = (0..3)
+            .map(|k| {
+                let xs = [0.1, 0.45, 0.8];
+                TaskData::new(
+                    xs.iter().map(|&x| vec![x]).collect(),
+                    xs.iter()
+                        .map(|&x| (3.0 * x).sin() + 0.1 * k as f64)
+                        .collect(),
+                )
+            })
+            .collect();
+        let budget = FitBudget {
+            restarts: 3,
+            evals_per_restart: 30,
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        let starts: Vec<Vec<Vec<f64>>> = (0..3)
+            .map(|_| restart_starts(1, budget.restarts, &mut rng))
+            .collect();
+        let jobs: Vec<FitJob<'_>> = (0..3)
+            .map(|k| FitJob {
+                source: &source,
+                target: &targets[k],
+                starts: &starts[k],
+            })
+            .collect();
+        for workers in [1, 2, 8] {
+            let batched = fit_transfer_gps(&jobs, 1, budget, workers);
+            assert_eq!(batched.len(), 3);
+            for (k, got) in batched.into_iter().enumerate() {
+                let (mb, rb) = got.unwrap();
+                let (ms, rs) =
+                    fit_transfer_gp_from_starts(&source, &targets[k], 1, budget, &starts[k], 1)
+                        .unwrap();
+                assert_eq!(mb.config(), ms.config(), "job {k} workers={workers}");
+                assert_eq!(rb.evals, rs.evals, "job {k} workers={workers}");
+                assert_eq!(rb.best_objective, rs.best_objective);
+                assert!(rb.duration_s >= 0.0);
+            }
+        }
+        // A job whose data fails validation fails alone.
+        let bad = TaskData::new(vec![vec![0.1, 0.2]], vec![1.0]);
+        let mixed = [
+            jobs[0],
+            FitJob {
+                target: &bad,
+                ..jobs[1]
+            },
+        ];
+        let out = fit_transfer_gps(&mixed, 1, budget, 2);
+        assert!(out[0].is_ok());
+        assert!(out[1].is_err());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use linalg::{Cholesky, Matrix};
 
+use crate::fan_out;
 use crate::kernel::{Kernel, SquaredExponential, Task, TransferKernel};
 use crate::predict_cache::{CacheEntry, PredictCache};
 use crate::standardize::Standardizer;
@@ -18,12 +19,11 @@ use crate::{GpError, Result};
 /// automatically.
 static FIT_EPOCH: AtomicU64 = AtomicU64::new(0);
 
-/// Default number of query columns handled per multi-RHS triangular
-/// solve in [`TransferGp::predict_latent_batch`]. At 256 columns the
-/// `K*` and `L⁻¹K*` panels for a table-2-sized factor fit in L2 cache;
-/// larger panels thrash and erase the multi-RHS win. Per-query results
-/// are independent of the block size; callers with unusual cache
-/// geometries can override it through the `_with_block` entry points.
+/// Number of query columns handled per multi-RHS triangular solve in the
+/// batch predict paths — and so the unit of work their worker threads
+/// claim. At 256 columns the `K*` and `L⁻¹K*` panels for a
+/// table-2-sized factor fit in L2 cache; larger panels thrash and erase
+/// the multi-RHS win. Per-query results do not depend on it.
 pub const PREDICT_BLOCK: usize = 256;
 
 /// Training data of one task: inputs (unit-cube encoded parameter
@@ -492,85 +492,47 @@ impl TransferGp {
     }
 
     /// Batch prediction for target-task queries, via the multi-RHS path
-    /// of [`TransferGp::predict_latent_batch`] plus the observation-noise
-    /// floor of [`TransferGp::predict`].
+    /// of [`TransferGp::predict_latent_batch`] (on the calling thread)
+    /// plus the observation-noise floor of [`TransferGp::predict`].
     ///
     /// # Errors
     ///
     /// Fails on any dimension mismatch.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
-        self.predict_batch_with_block(xs, PREDICT_BLOCK)
-    }
-
-    /// [`TransferGp::predict_batch`] with an explicit solve block size.
-    /// Results are bit-identical for every valid `block`; only the
-    /// panel-at-a-time walk of the Cholesky factor changes.
-    ///
-    /// # Errors
-    ///
-    /// [`GpError::InvalidHyperparameter`] when `block` is 0, plus the
-    /// dimension checks of [`TransferGp::predict_batch`].
-    pub fn predict_batch_with_block(
-        &self,
-        xs: &[Vec<f64>],
-        block: usize,
-    ) -> Result<Vec<(f64, f64)>> {
         let noise = self.std_target.inverse_var(self.noise_target);
         Ok(self
-            .predict_latent_batch_with_block(xs, block)?
+            .predict_latent_batch(xs, 1)?
             .into_iter()
             .map(|(mean, var)| (mean, var + noise))
             .collect())
     }
 
     /// Batch form of [`TransferGp::predict_latent`]: assembles the
-    /// cross-covariance matrix `K*` for a block of queries at a time and
-    /// runs one multi-RHS triangular solve per block instead of one
-    /// forward substitution per query, so a candidate sweep walks the
-    /// Cholesky factor once per block instead of once per point. Blocks
-    /// are capped at [`PREDICT_BLOCK`] columns so `K*` and `L⁻¹K*` stay
-    /// resident in cache even for very large sweeps.
+    /// cross-covariance matrix `K*` for a [`PREDICT_BLOCK`]-column chunk
+    /// of queries at a time and runs one multi-RHS triangular solve per
+    /// chunk instead of one forward substitution per query, so a candidate
+    /// sweep walks the Cholesky factor once per chunk instead of once per
+    /// point. The chunks are spread over `workers` threads with
+    /// [`fan_out`] and merged in chunk order.
     ///
     /// Per query the arithmetic (accumulation order of the mean dot
     /// product and of `‖L⁻¹k*‖²`) is exactly that of the scalar path, so
     /// results are bit-identical to calling [`TransferGp::predict_latent`]
-    /// in a loop — and independent of how callers chunk `xs`.
+    /// in a loop — at every worker count, and however callers split `xs`.
     ///
     /// # Errors
     ///
     /// Returns [`GpError::DimensionMismatch`] for queries of the wrong
     /// dimension.
-    pub fn predict_latent_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
-        self.predict_latent_batch_with_block(xs, PREDICT_BLOCK)
-    }
-
-    /// [`TransferGp::predict_latent_batch`] with an explicit solve block
-    /// size. Results are bit-identical for every valid `block`.
-    ///
-    /// # Errors
-    ///
-    /// [`GpError::InvalidHyperparameter`] when `block` is 0;
-    /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
-    pub fn predict_latent_batch_with_block(
-        &self,
-        xs: &[Vec<f64>],
-        block: usize,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.check_batch_args(xs, block)?;
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in xs.chunks(block) {
-            self.predict_latent_block(chunk, &mut out)?;
-        }
-        Ok(out)
+    pub fn predict_latent_batch(&self, xs: &[Vec<f64>], workers: usize) -> Result<Vec<(f64, f64)>> {
+        check_dims(self.kernel.base().dim(), xs)?;
+        predict_chunks(xs, workers, |chunk| self.predict_latent_block(chunk))
     }
 
     /// One block of [`TransferGp::predict_latent_batch`]: assemble `K*`,
     /// solve `L V = K*` for all columns at once, then reduce each column
     /// with the exact scalar-path accumulation order.
-    fn predict_latent_block(&self, xs: &[Vec<f64>], out: &mut Vec<(f64, f64)>) -> Result<()> {
-        if xs.is_empty() {
-            return Ok(());
-        }
+    fn predict_latent_block(&self, xs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
         let n = self.x_source.len();
         let p = n + self.x_target.len();
         let k_star = Matrix::from_fn(p, xs.len(), |i, q| {
@@ -582,6 +544,7 @@ impl TransferGp {
             self.kernel.eval_task(xi, ti, &xs[q], Task::Target)
         });
         let v = self.chol.solve_lower_only_multi(&k_star)?;
+        let mut out = Vec::with_capacity(xs.len());
         for (q, x) in xs.iter().enumerate() {
             let mut mean_z = 0.0;
             for (i, &a) in self.alpha.iter().enumerate() {
@@ -599,47 +562,11 @@ impl TransferGp {
                 self.std_target.inverse_var(var_z),
             ));
         }
-        Ok(())
-    }
-
-    /// Data-parallel form of
-    /// [`TransferGp::predict_latent_batch_with_block`]: the `block`-sized
-    /// chunks are fanned out over at most `workers` scoped threads with
-    /// an atomic-cursor work queue and merged in chunk order. Because the
-    /// chunk decomposition is exactly the serial `xs.chunks(block)` walk
-    /// and per-chunk arithmetic never crosses chunk boundaries, the
-    /// output is **bitwise identical** for every worker count (including
-    /// 1, which skips the fan-out) and every valid `block`.
-    ///
-    /// # Errors
-    ///
-    /// [`GpError::InvalidHyperparameter`] when `block` is 0;
-    /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
-    pub fn predict_latent_batch_par(
-        &self,
-        xs: &[Vec<f64>],
-        block: usize,
-        workers: usize,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.check_batch_args(xs, block)?;
-        let n_chunks = xs.len().div_ceil(block);
-        crate::counters::add_predict_chunks(n_chunks as u64);
-        let chunks = run_chunks_par(n_chunks, workers, |c| {
-            let lo = c * block;
-            let hi = (lo + block).min(xs.len());
-            let mut out = Vec::with_capacity(hi - lo);
-            self.predict_latent_block(&xs[lo..hi], &mut out)
-                .map(|()| out)
-        });
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in chunks {
-            out.extend(chunk?);
-        }
         Ok(out)
     }
 
     /// Cached-incremental predict sweep: like
-    /// [`TransferGp::predict_latent_batch_par`], but candidate solve
+    /// [`TransferGp::predict_latent_batch`], but candidate solve
     /// state (`k* = k(X, x*)`, `v = L⁻¹k*`) persists in `cache` between
     /// sweeps, keyed by the caller's stable candidate `ids`. When the
     /// model has only been *conditioned* since a candidate's last sweep
@@ -648,8 +575,8 @@ impl TransferGp {
     /// O(P·n·q) per sweep instead of O(P·n²) over P undecided candidates.
     ///
     /// Results are **bitwise identical** to
-    /// [`TransferGp::predict_latent_batch_with_block`] at any worker
-    /// count and any hit/miss mix: cached prefixes are bit-stable because
+    /// [`TransferGp::predict_latent_batch`] at any worker count and any
+    /// hit/miss mix: cached prefixes are bit-stable because
     /// [`Cholesky::extend`] never rewrites old factor rows, the tail
     /// substitution replays the exact from-scratch recurrence, and means
     /// and variances are reduced from factor-space state afresh each call
@@ -663,7 +590,6 @@ impl TransferGp {
     ///
     /// # Errors
     ///
-    /// [`GpError::InvalidHyperparameter`] when `block` is 0;
     /// [`GpError::InvalidTrainingData`] when `ids` and `xs` disagree in
     /// length; [`GpError::DimensionMismatch`] for queries of the wrong
     /// dimension.
@@ -671,11 +597,10 @@ impl TransferGp {
         &self,
         ids: &[u64],
         xs: &[Vec<f64>],
-        block: usize,
         workers: usize,
         cache: &mut PredictCache,
     ) -> Result<Vec<(f64, f64)>> {
-        self.check_batch_args(xs, block)?;
+        check_dims(self.kernel.base().dim(), xs)?;
         if ids.len() != xs.len() {
             return Err(GpError::InvalidTrainingData {
                 reason: "candidate ids and queries must have equal length",
@@ -685,8 +610,8 @@ impl TransferGp {
             cache.clear_stale(self.fit_epoch);
         }
         let p = self.x_source.len() + self.x_target.len();
-        let n_chunks = xs.len().div_ceil(block);
-        crate::counters::add_predict_chunks(n_chunks as u64);
+        let chunks: Vec<&[Vec<f64>]> = xs.chunks(PREDICT_BLOCK).collect();
+        crate::counters::add_predict_chunks(chunks.len() as u64);
 
         // Drain this sweep's entries from the map serially, pre-split
         // into per-chunk owned batches each worker takes whole. An entry
@@ -699,33 +624,30 @@ impl TransferGp {
                 .map(|(e, _)| e)
                 .filter(|e| e.k_star.len() <= p)
         });
-        let mut chunk_inputs: Vec<Mutex<Vec<Option<CacheEntry>>>> = Vec::with_capacity(n_chunks);
-        for c in 0..n_chunks {
-            let len = ((c + 1) * block).min(xs.len()) - c * block;
-            chunk_inputs.push(Mutex::new(taken.by_ref().take(len).collect()));
-        }
+        let chunk_inputs: Vec<Mutex<Vec<Option<CacheEntry>>>> = chunks
+            .iter()
+            .map(|chunk| Mutex::new(taken.by_ref().take(chunk.len()).collect()))
+            .collect();
 
-        let chunks = run_chunks_par(n_chunks, workers, |c| {
-            let lo = c * block;
-            let hi = (lo + block).min(xs.len());
+        let outs = fan_out(chunks.len(), workers, |c| {
             let entries = std::mem::take(
                 &mut *chunk_inputs[c]
                     .lock()
                     .expect("predict chunk input poisoned"),
             );
-            self.predict_chunk_cached(&xs[lo..hi], entries)
+            self.predict_chunk_cached(chunks[c], entries)
         });
 
         let sweep = cache.sweep();
         let mut out = Vec::with_capacity(xs.len());
         let (mut hits, mut misses) = (0u64, 0u64);
-        for (c, chunk) in chunks.into_iter().enumerate() {
+        let mut ids = ids.iter();
+        for chunk in outs {
             let (chunk_out, entries, h, m) = chunk?;
             hits += h;
             misses += m;
-            let lo = c * block;
-            for (j, entry) in entries.into_iter().enumerate() {
-                cache.entries.insert(ids[lo + j], (entry, sweep));
+            for (entry, &id) in entries.into_iter().zip(ids.by_ref()) {
+                cache.entries.insert(id, (entry, sweep));
             }
             out.extend(chunk_out);
         }
@@ -819,26 +741,6 @@ impl TransferGp {
         Ok((out, final_entries, hits, miss_idx.len() as u64))
     }
 
-    /// Shared validation of the batch predict entry points.
-    fn check_batch_args(&self, xs: &[Vec<f64>], block: usize) -> Result<()> {
-        if block == 0 {
-            return Err(GpError::InvalidHyperparameter {
-                name: "predict_block",
-                value: 0.0,
-            });
-        }
-        let dim = self.kernel.base().dim();
-        for x in xs {
-            if x.len() != dim {
-                return Err(GpError::DimensionMismatch {
-                    expected: dim,
-                    got: x.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Log marginal likelihood of the joint (standardized) data.
     pub fn log_marginal_likelihood(&self) -> f64 {
         let n = self.z_joint.len() as f64;
@@ -924,7 +826,7 @@ impl TransferGp {
             let last = *chosen.last().expect("chosen is non-empty");
             let mut best = None;
             for (i, slot) in min_d2.iter_mut().enumerate() {
-                let d2 = sq_dist(point_of(i), point_of(last));
+                let d2 = linalg::vecops::sq_dist(point_of(i), point_of(last));
                 if d2 < *slot {
                     *slot = d2;
                 }
@@ -973,50 +875,34 @@ impl TransferGp {
     }
 }
 
-/// Squared Euclidean distance between two points of equal dimension.
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
+/// Rejects queries whose dimension is not `dim`.
+fn check_dims(dim: usize, xs: &[Vec<f64>]) -> Result<()> {
+    match xs.iter().find(|x| x.len() != dim) {
+        Some(x) => Err(GpError::DimensionMismatch {
+            expected: dim,
+            got: x.len(),
+        }),
+        None => Ok(()),
+    }
 }
 
-/// Runs `run(0..n_chunks)` across at most `workers` scoped threads with
-/// an atomic-cursor work-stealing queue (the `run_concurrent` idiom from
-/// the oracle fan-out), collecting results into preallocated per-chunk
-/// slots and returning them in chunk order. Determinism: every chunk is
-/// computed by exactly one worker from the same inputs a serial loop
-/// would see, and the merge is by position — so the output is bitwise
-/// independent of the worker count and of claim interleaving. With one
-/// worker (or one chunk) the fan-out is skipped entirely.
-fn run_chunks_par<T, F>(n_chunks: usize, workers: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.max(1).min(n_chunks);
-    if workers <= 1 {
-        return (0..n_chunks).map(run).collect();
+/// Cuts `xs` into [`PREDICT_BLOCK`]-sized chunks, predicts each with
+/// `block` over `workers` threads ([`fan_out`]), and concatenates the
+/// results in chunk order. The chunk decomposition is fixed and a chunk's
+/// arithmetic never depends on its neighbours, so the output is the same
+/// bits at every worker count.
+fn predict_chunks(
+    xs: &[Vec<f64>],
+    workers: usize,
+    block: impl Fn(&[Vec<f64>]) -> Result<Vec<(f64, f64)>> + Sync,
+) -> Result<Vec<(f64, f64)>> {
+    let chunks: Vec<&[Vec<f64>]> = xs.chunks(PREDICT_BLOCK).collect();
+    crate::counters::add_predict_chunks(chunks.len() as u64);
+    let mut out = Vec::with_capacity(xs.len());
+    for chunk in fan_out(chunks.len(), workers, |c| block(chunks[c])) {
+        out.extend(chunk?);
     }
-    let slots: Vec<Mutex<Option<T>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
-                }
-                let result = run(c);
-                *slots[c].lock().expect("predict chunk slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("predict chunk slot poisoned")
-                .expect("every predict chunk slot is filled")
-        })
-        .collect()
+    Ok(out)
 }
 
 /// A subset-of-data approximation of a [`TransferGp`] posterior: the
@@ -1056,8 +942,8 @@ impl SubsetPredictor {
     /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
     pub fn predict_latent(&self, x: &[f64]) -> Result<(f64, f64)> {
         let query = [x.to_vec()];
-        let out = self.predict_latent_batch_with_block(&query, 1)?;
-        Ok(out[0])
+        check_dims(self.kernel.base().dim(), &query)?;
+        Ok(self.predict_latent_block(&query)?[0])
     }
 
     /// Predictive mean and observation variance (latent + `β_t⁻¹`), the
@@ -1071,95 +957,31 @@ impl SubsetPredictor {
         Ok((mean, var + self.std_target.inverse_var(self.noise_target)))
     }
 
-    /// Batch form of [`SubsetPredictor::predict_latent`], blocked like
-    /// [`TransferGp::predict_latent_batch_with_block`]; results are
-    /// independent of `block`.
+    /// Batch form of [`SubsetPredictor::predict_latent`], chunked and
+    /// fanned out over `workers` threads exactly like
+    /// [`TransferGp::predict_latent_batch`] — bitwise identical at any
+    /// worker count. The subset posterior is rebuilt each refit, so there
+    /// is no cached variant; parallelism is the whole win here.
     ///
     /// # Errors
     ///
-    /// [`GpError::InvalidHyperparameter`] when `block` is 0;
     /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
-    pub fn predict_latent_batch_with_block(
-        &self,
-        xs: &[Vec<f64>],
-        block: usize,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.check_batch_args(xs, block)?;
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in xs.chunks(block) {
-            self.predict_latent_block(chunk, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// Data-parallel form of
-    /// [`SubsetPredictor::predict_latent_batch_with_block`], with the
-    /// same chunk decomposition and position-order merge as
-    /// [`TransferGp::predict_latent_batch_par`] — bitwise identical at
-    /// any worker count and any valid `block`. The subset posterior is
-    /// rebuilt each refit, so there is no cached variant; parallelism is
-    /// the whole win here.
-    ///
-    /// # Errors
-    ///
-    /// [`GpError::InvalidHyperparameter`] when `block` is 0;
-    /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
-    pub fn predict_latent_batch_par(
-        &self,
-        xs: &[Vec<f64>],
-        block: usize,
-        workers: usize,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.check_batch_args(xs, block)?;
-        let n_chunks = xs.len().div_ceil(block);
-        crate::counters::add_predict_chunks(n_chunks as u64);
-        let chunks = run_chunks_par(n_chunks, workers, |c| {
-            let lo = c * block;
-            let hi = (lo + block).min(xs.len());
-            let mut out = Vec::with_capacity(hi - lo);
-            self.predict_latent_block(&xs[lo..hi], &mut out)
-                .map(|()| out)
-        });
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in chunks {
-            out.extend(chunk?);
-        }
-        Ok(out)
-    }
-
-    /// Shared validation of the batch predict entry points.
-    fn check_batch_args(&self, xs: &[Vec<f64>], block: usize) -> Result<()> {
-        if block == 0 {
-            return Err(GpError::InvalidHyperparameter {
-                name: "predict_block",
-                value: 0.0,
-            });
-        }
-        let dim = self.kernel.base().dim();
-        for x in xs {
-            if x.len() != dim {
-                return Err(GpError::DimensionMismatch {
-                    expected: dim,
-                    got: x.len(),
-                });
-            }
-        }
-        Ok(())
+    pub fn predict_latent_batch(&self, xs: &[Vec<f64>], workers: usize) -> Result<Vec<(f64, f64)>> {
+        check_dims(self.kernel.base().dim(), xs)?;
+        predict_chunks(xs, workers, |chunk| self.predict_latent_block(chunk))
     }
 
     /// One block: assemble the anchor cross-covariance, one multi-RHS
     /// triangular solve, scalar-order per-query reductions (the same
     /// accumulation order as the exact path, so chunking is invisible).
-    fn predict_latent_block(&self, xs: &[Vec<f64>], out: &mut Vec<(f64, f64)>) -> Result<()> {
-        if xs.is_empty() {
-            return Ok(());
-        }
+    fn predict_latent_block(&self, xs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
         let m = self.anchors.len();
         let k_star = Matrix::from_fn(m, xs.len(), |i, q| {
             self.kernel
                 .eval_task(&self.anchors[i], self.tasks[i], &xs[q], Task::Target)
         });
         let v = self.chol.solve_lower_only_multi(&k_star)?;
+        let mut out = Vec::with_capacity(xs.len());
         for (q, x) in xs.iter().enumerate() {
             let mut mean_z = 0.0;
             for (i, &a) in self.alpha.iter().enumerate() {
@@ -1177,7 +999,7 @@ impl SubsetPredictor {
                 self.std_target.inverse_var(var_z),
             ));
         }
-        Ok(())
+        Ok(out)
     }
 }
 
@@ -1397,6 +1219,13 @@ mod tests {
         assert!((vi - vf).abs() <= 1e-10 * vf.abs().max(1.0));
     }
 
+    /// A query sweep spanning several [`PREDICT_BLOCK`] chunks, the last
+    /// one partial, so worker counts above 1 really fan out.
+    fn multi_chunk_queries() -> Vec<Vec<f64>> {
+        let n = 2 * PREDICT_BLOCK + 37;
+        (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
+    }
+
     #[test]
     fn batch_prediction_is_bitwise_identical_to_scalar() {
         let tgp = TransferGp::fit(
@@ -1405,8 +1234,8 @@ mod tests {
             TransferGpConfig::default_for_dim(1),
         )
         .unwrap();
-        let queries: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64 / 22.0]).collect();
-        let latent = tgp.predict_latent_batch(&queries).unwrap();
+        let queries = multi_chunk_queries();
+        let latent = tgp.predict_latent_batch(&queries, 1).unwrap();
         let noisy = tgp.predict_batch(&queries).unwrap();
         for (q, query) in queries.iter().enumerate() {
             let (ms, vs) = tgp.predict_latent(query).unwrap();
@@ -1416,39 +1245,16 @@ mod tests {
             assert_eq!(noisy[q].0, mn, "noisy mean #{q}");
             assert_eq!(noisy[q].1, vn, "noisy variance #{q}");
         }
-        // Chunking cannot change results.
-        let halves: Vec<(f64, f64)> = queries
+        // How callers split the sweep cannot change results.
+        let pieces: Vec<(f64, f64)> = queries
             .chunks(5)
-            .flat_map(|c| tgp.predict_latent_batch(c).unwrap())
+            .flat_map(|c| tgp.predict_latent_batch(c, 1).unwrap())
             .collect();
-        assert_eq!(halves, latent);
+        assert_eq!(pieces, latent);
         // Empty and invalid input handling.
-        assert!(tgp.predict_latent_batch(&[]).unwrap().is_empty());
-        assert!(tgp.predict_latent_batch(&[vec![0.1, 0.2]]).is_err());
-    }
-
-    #[test]
-    fn block_size_is_invariant_bit_for_bit() {
-        let tgp = TransferGp::fit(
-            source_dense(),
-            target_sparse(0.1),
-            TransferGpConfig::default_for_dim(1),
-        )
-        .unwrap();
-        let queries: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64 / 49.0]).collect();
-        let reference = tgp.predict_latent_batch(&queries).unwrap();
-        for block in [1, 3, 64, 256, 1000] {
-            let got = tgp
-                .predict_latent_batch_with_block(&queries, block)
-                .unwrap();
-            assert_eq!(got, reference, "latent block {block} drifted");
-            let noisy = tgp.predict_batch_with_block(&queries, block).unwrap();
-            let noisy_ref = tgp.predict_batch(&queries).unwrap();
-            assert_eq!(noisy, noisy_ref, "noisy block {block} drifted");
-        }
-        // Block 0 is rejected, not looped forever.
-        assert!(tgp.predict_latent_batch_with_block(&queries, 0).is_err());
-        assert!(tgp.predict_batch_with_block(&queries, 0).is_err());
+        assert!(tgp.predict_latent_batch(&[], 4).unwrap().is_empty());
+        assert!(tgp.predict_latent_batch(&[vec![0.1, 0.2]], 1).is_err());
+        assert!(tgp.predict_batch(&[vec![0.1, 0.2]]).is_err());
     }
 
     #[test]
@@ -1503,7 +1309,7 @@ mod tests {
     }
 
     #[test]
-    fn subset_predictor_is_deterministic_and_blocked() {
+    fn subset_predictor_is_deterministic() {
         let tgp = TransferGp::fit(
             source_dense(),
             target_sparse(0.1),
@@ -1513,9 +1319,9 @@ mod tests {
         let a = tgp.subset_predictor(12).unwrap();
         let b = tgp.subset_predictor(12).unwrap();
         let queries: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 29.0]).collect();
-        let pa = a.predict_latent_batch_with_block(&queries, 7).unwrap();
-        let pb = b.predict_latent_batch_with_block(&queries, 256).unwrap();
-        assert_eq!(pa, pb, "subset path not deterministic/chunk-invariant");
+        let pa = a.predict_latent_batch(&queries, 1).unwrap();
+        let pb = b.predict_latent_batch(&queries, 1).unwrap();
+        assert_eq!(pa, pb, "subset path not deterministic");
         // Scalar path agrees bit-for-bit with the batch path.
         for (q, query) in queries.iter().enumerate() {
             assert_eq!(a.predict_latent(query).unwrap(), pa[q]);
@@ -1525,42 +1331,29 @@ mod tests {
         assert!(vn > pa[3].1, "predict adds observation noise");
         // Invalid inputs.
         assert!(a.predict_latent(&[0.1, 0.2]).is_err());
-        assert!(a.predict_latent_batch_with_block(&queries, 0).is_err());
+        assert!(a.predict_latent_batch(&[vec![0.1, 0.2]], 2).is_err());
         assert!(tgp.subset_predictor(0).is_err());
         assert!(format!("{a:?}").contains("SubsetPredictor"));
     }
 
     #[test]
-    fn parallel_predict_is_bitwise_worker_and_block_invariant() {
+    fn parallel_predict_is_bitwise_worker_invariant() {
         let tgp = TransferGp::fit(
             source_dense(),
             target_sparse(0.1),
             TransferGpConfig::default_for_dim(1),
         )
         .unwrap();
-        let queries: Vec<Vec<f64>> = (0..53).map(|i| vec![i as f64 / 52.0]).collect();
-        let reference = tgp.predict_latent_batch(&queries).unwrap();
-        for block in [1, 3, 7, 53, 200] {
-            for workers in [1, 2, 4, 8] {
-                let got = tgp
-                    .predict_latent_batch_par(&queries, block, workers)
-                    .unwrap();
-                assert_eq!(got, reference, "block {block} workers {workers} drifted");
-            }
-        }
+        let queries = multi_chunk_queries();
+        let reference = tgp.predict_latent_batch(&queries, 1).unwrap();
         let sod = tgp.subset_predictor(12).unwrap();
-        let sod_ref = sod.predict_latent_batch_with_block(&queries, 256).unwrap();
-        for workers in [1, 2, 4, 8] {
-            let got = sod.predict_latent_batch_par(&queries, 5, workers).unwrap();
+        let sod_ref = sod.predict_latent_batch(&queries, 1).unwrap();
+        for workers in [0, 2, 3, 4, 8] {
+            let got = tgp.predict_latent_batch(&queries, workers).unwrap();
+            assert_eq!(got, reference, "exact workers {workers} drifted");
+            let got = sod.predict_latent_batch(&queries, workers).unwrap();
             assert_eq!(got, sod_ref, "subset workers {workers} drifted");
         }
-        // Validation still applies on the parallel entry points.
-        assert!(tgp.predict_latent_batch_par(&queries, 0, 4).is_err());
-        assert!(tgp
-            .predict_latent_batch_par(&[vec![0.1, 0.2]], 8, 4)
-            .is_err());
-        assert!(sod.predict_latent_batch_par(&queries, 0, 4).is_err());
-        assert!(tgp.predict_latent_batch_par(&[], 8, 4).unwrap().is_empty());
     }
 
     #[test]
@@ -1573,16 +1366,16 @@ mod tests {
             noise_target: 1e-3,
         };
         let mut model = TransferGp::fit(source_dense(), target_sparse(0.1), cfg).unwrap();
-        let queries: Vec<Vec<f64>> = (0..41).map(|i| vec![i as f64 / 40.0]).collect();
+        let queries = multi_chunk_queries();
         let ids: Vec<u64> = (0..queries.len() as u64).collect();
         let mut cache = PredictCache::new();
 
         // Sweep 1: all misses. Must match the uncached path bit for bit.
         cache.begin_sweep();
         let got = model
-            .predict_latent_batch_cached(&ids, &queries, 7, 4, &mut cache)
+            .predict_latent_batch_cached(&ids, &queries, 4, &mut cache)
             .unwrap();
-        let scratch = model.predict_latent_batch(&queries).unwrap();
+        let scratch = model.predict_latent_batch(&queries, 1).unwrap();
         assert_eq!(got, scratch, "all-miss sweep drifted from scratch");
         assert_eq!(cache.len(), queries.len());
 
@@ -1594,11 +1387,11 @@ mod tests {
         model
             .condition_on(&[vec![0.11], vec![0.77]], &[f(0.11) + 0.1, f(0.77) + 0.1])
             .unwrap();
-        let scratch = model.predict_latent_batch(&queries).unwrap();
+        let scratch = model.predict_latent_batch(&queries, 1).unwrap();
         for workers in [1, 2, 4, 8] {
             cache.begin_sweep();
             let got = model
-                .predict_latent_batch_cached(&ids, &queries, 7, workers, &mut cache)
+                .predict_latent_batch_cached(&ids, &queries, workers, &mut cache)
                 .unwrap();
             assert_eq!(got, scratch, "hit sweep (workers {workers}) drifted");
         }
@@ -1609,19 +1402,19 @@ mod tests {
         let sub_q: Vec<Vec<f64>> = queries.iter().cloned().step_by(3).collect();
         cache.begin_sweep();
         let got = model
-            .predict_latent_batch_cached(&sub_ids, &sub_q, 4, 2, &mut cache)
+            .predict_latent_batch_cached(&sub_ids, &sub_q, 2, &mut cache)
             .unwrap();
-        let scratch = model.predict_latent_batch(&sub_q).unwrap();
+        let scratch = model.predict_latent_batch(&sub_q, 1).unwrap();
         assert_eq!(got, scratch, "mixed sweep drifted");
         cache.begin_sweep();
         assert_eq!(cache.len(), sub_ids.len(), "untouched entries must evict");
 
         // Validation.
         assert!(model
-            .predict_latent_batch_cached(&ids[..3], &queries, 7, 2, &mut cache)
+            .predict_latent_batch_cached(&ids[..3], &queries, 2, &mut cache)
             .is_err());
         assert!(model
-            .predict_latent_batch_cached(&ids, &queries, 0, 2, &mut cache)
+            .predict_latent_batch_cached(&[0], &[vec![0.1, 0.2]], 2, &mut cache)
             .is_err());
     }
 
@@ -1635,7 +1428,7 @@ mod tests {
         let mut cache = PredictCache::new();
         cache.begin_sweep();
         model
-            .predict_latent_batch_cached(&ids, &queries, 4, 1, &mut cache)
+            .predict_latent_batch_cached(&ids, &queries, 1, &mut cache)
             .unwrap();
         assert_eq!(cache.len(), 9);
 
@@ -1654,9 +1447,9 @@ mod tests {
         assert_ne!(refit.fit_epoch(), epoch0);
         cache.begin_sweep();
         let got = refit
-            .predict_latent_batch_cached(&ids, &queries, 4, 1, &mut cache)
+            .predict_latent_batch_cached(&ids, &queries, 1, &mut cache)
             .unwrap();
-        let scratch = refit.predict_latent_batch(&queries).unwrap();
+        let scratch = refit.predict_latent_batch(&queries, 1).unwrap();
         assert_eq!(got, scratch, "post-refit sweep drifted");
     }
 

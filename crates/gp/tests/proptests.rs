@@ -107,12 +107,12 @@ proptest! {
     }
 
     #[test]
-    fn parallel_predict_is_chunk_and_worker_invariant(
-        xt in points(6, 2), xs in points(8, 2), q in points(13, 2),
-        block in 1usize..20, workers in 1usize..9) {
-        // 13 queries with block drawn from 1..20 covers block = 1,
-        // non-divisor blocks, and block > pool; every (block, workers)
-        // combination must return the serial sweep's exact bits.
+    fn parallel_predict_is_worker_invariant(
+        xt in points(6, 2), xs in points(8, 2),
+        n in 0usize..(3 * PREDICT_BLOCK), workers in 0usize..9) {
+        // Sweeps of up to three PREDICT_BLOCK chunks, the last usually
+        // partial; every worker count must return the scalar path's exact
+        // bits, exact and subset-of-data alike.
         let f = |p: &[f64]| p[0] + 0.5 * p[1];
         let cfg = TransferGpConfig {
             lengthscales: vec![0.4; 2],
@@ -124,12 +124,22 @@ proptest! {
         let target = TaskData::new(xt.clone(), xt.iter().map(|p| f(p)).collect());
         let source = TaskData::new(xs.clone(), xs.iter().map(|p| f(p)).collect());
         let model = TransferGp::fit(source, target, cfg).unwrap();
-        let base = model.predict_latent_batch_with_block(&q, PREDICT_BLOCK).unwrap();
-        let par = model.predict_latent_batch_par(&q, block, workers).unwrap();
-        prop_assert_eq!(base.len(), par.len());
-        for ((bm, bv), (pm, pv)) in base.iter().zip(&par) {
-            prop_assert!(bm.to_bits() == pm.to_bits() && bv.to_bits() == pv.to_bits(),
-                "block={} workers={}: ({}, {}) vs ({}, {})", block, workers, bm, bv, pm, pv);
+        let sod = model.subset_predictor(5).unwrap();
+        let q: Vec<Vec<f64>> = (0..n)
+            .map(|i| vec![(i as f64 * 0.618_034).fract(), (i as f64 * 0.414_214).fract()])
+            .collect();
+        let exact = model.predict_latent_batch(&q, workers).unwrap();
+        let subset = sod.predict_latent_batch(&q, workers).unwrap();
+        prop_assert_eq!(exact.len(), n);
+        prop_assert_eq!(subset.len(), n);
+        for (i, x) in q.iter().enumerate() {
+            for (path, got, want) in [
+                ("exact", exact[i], model.predict_latent(x).unwrap()),
+                ("subset", subset[i], sod.predict_latent(x).unwrap()),
+            ] {
+                prop_assert!(got.0.to_bits() == want.0.to_bits() && got.1.to_bits() == want.1.to_bits(),
+                    "{} query {} of {} at workers={}: {:?} vs {:?}", path, i, n, workers, got, want);
+            }
         }
     }
 

@@ -40,7 +40,9 @@ use crate::tuner::{IterationRecord, PpaTunerConfig, SourceData};
 
 /// Current checkpoint format version. Bumped on any incompatible change;
 /// resume refuses other versions rather than misinterpreting them.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Version 2 replaced the configuration's `threads`, `eval_workers`,
+/// `predict_workers` and `predict_block` with the single `workers`.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// The result of one oracle attempt, after sanitization.
 ///
@@ -115,9 +117,10 @@ pub struct Checkpoint {
     /// The iteration resume will execute next (the checkpoint was written
     /// at the end of iteration `next_iteration − 1`).
     pub next_iteration: usize,
-    /// The configuration the run used. Resume requires an identical
-    /// configuration: a different τ, seed, or budget would silently
-    /// diverge from the log.
+    /// The configuration the run used. Resume requires the same
+    /// configuration up to `workers`: a different τ, seed, or budget would
+    /// silently diverge from the log, while the thread budget never
+    /// changes a result.
     pub config: PpaTunerConfig,
     /// Digest of the candidate matrix the run was started with.
     pub candidates_digest: u64,
@@ -140,8 +143,8 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Validates that this checkpoint belongs to the run being resumed:
-    /// same format version, identical configuration, and the same
-    /// candidate/source data (by digest).
+    /// same format version, the same configuration (`workers` aside), and
+    /// the same candidate/source data (by digest).
     ///
     /// # Errors
     ///
@@ -153,12 +156,15 @@ impl Checkpoint {
         source: &SourceData,
     ) -> Result<(), String> {
         if self.version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "checkpoint version {} unsupported (expected {CHECKPOINT_VERSION})",
-                self.version
-            ));
+            let version = u64::from(self.version);
+            return Err(CheckpointError::Unsupported { version }.to_string());
         }
-        if &self.config != config {
+        // `workers` only trades wall-clock, never a result.
+        let same_run = PpaTunerConfig {
+            workers: config.workers,
+            ..self.config.clone()
+        };
+        if &same_run != config {
             return Err("checkpoint configuration differs from the tuner's".into());
         }
         let cd = digest_matrix(candidates);
@@ -216,23 +222,45 @@ impl Checkpoint {
         sealed.to_json()
     }
 
-    /// Parses a checkpoint from its JSON form and verifies the content
-    /// digest when one is present (`digest != 0`).
+    /// Parses a checkpoint from its JSON form, checks its format version,
+    /// and verifies the content digest when one is present
+    /// (`digest != 0`).
     ///
     /// # Errors
     ///
-    /// A description of the parse failure or digest mismatch.
+    /// A description of the parse failure, version mismatch, or digest
+    /// mismatch.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let ckpt: Checkpoint =
-            serde_json::from_str(s).map_err(|e| format!("malformed checkpoint: {e}"))?;
+        Checkpoint::parse(s).map_err(|e| match e {
+            CheckpointError::Corrupt { reason } => reason,
+            e => e.to_string(),
+        })
+    }
+
+    /// [`Checkpoint::from_json`] with the failure classified. The version
+    /// is read before anything version-specific is checked: another
+    /// format's bytes re-serialize differently, so its digest cannot
+    /// match, and it must be refused as unsupported rather than mistaken
+    /// for a torn write.
+    fn parse(s: &str) -> Result<Self, CheckpointError> {
+        let corrupt = |reason: String| CheckpointError::Corrupt { reason };
+        let value: serde_json::Value =
+            serde_json::from_str(s).map_err(|e| corrupt(format!("malformed checkpoint: {e}")))?;
+        match value.get("version").and_then(serde_json::Value::as_u64) {
+            Some(v) if v == u64::from(CHECKPOINT_VERSION) => {}
+            Some(version) => return Err(CheckpointError::Unsupported { version }),
+            None => return Err(corrupt("checkpoint has no format version".into())),
+        }
+        let ckpt: Checkpoint = serde_json::from_value(&value)
+            .map_err(|e| corrupt(format!("malformed checkpoint: {e}")))?;
         if ckpt.digest != 0 {
             let expected = ckpt.content_digest();
             if ckpt.digest != expected {
-                return Err(format!(
+                return Err(corrupt(format!(
                     "checkpoint digest mismatch: stored {:#x}, content hashes to {:#x} \
                      (torn or tampered write)",
                     ckpt.digest, expected
-                ));
+                )));
             }
         }
         Ok(ckpt)
@@ -278,9 +306,10 @@ pub fn source_digest(source: &SourceData) -> u64 {
 /// branch on: *corrupt data* can be degraded around (scan back to an
 /// older entry, or accept losing progress), while an *I/O failure* means
 /// the storage itself is unhealthy and retrying or aborting is the only
-/// sound move. Refuse-with-reason for foreign checkpoints (wrong version,
-/// config, or data digest) is unchanged — that check lives in
-/// [`Checkpoint::validate`], after a load succeeds.
+/// sound move. An intact checkpoint of another format version is neither:
+/// it is refused outright, since older entries of the same chain share
+/// its format. Refuse-with-reason for foreign checkpoints (config or data
+/// digest) lives in [`Checkpoint::validate`], after a load succeeds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CheckpointError {
@@ -295,6 +324,13 @@ pub enum CheckpointError {
     Io {
         /// The failing operation and OS error.
         reason: String,
+    },
+    /// The stored bytes are a checkpoint of another format version
+    /// ([`CHECKPOINT_VERSION`]). Not corrupt, so never skipped by a chain
+    /// scan-back; resume refuses it.
+    Unsupported {
+        /// The version found.
+        version: u64,
     },
 }
 
@@ -311,6 +347,10 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Corrupt { reason } => write!(f, "corrupt checkpoint: {reason}"),
             CheckpointError::Io { reason } => write!(f, "checkpoint I/O failure: {reason}"),
+            CheckpointError::Unsupported { version } => write!(
+                f,
+                "checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
+            ),
         }
     }
 }
@@ -438,14 +478,16 @@ fn sync_parent_dir(path: &Path) -> Result<(), CheckpointError> {
 
 /// Reads and parses one checkpoint file. `Ok(None)` when the file does
 /// not exist; parse/digest failures are [`CheckpointError::Corrupt`],
-/// everything else [`CheckpointError::Io`].
+/// another format version [`CheckpointError::Unsupported`], everything
+/// else [`CheckpointError::Io`].
 fn read_checkpoint_file(path: &Path) -> Result<Option<Checkpoint>, CheckpointError> {
     match std::fs::read_to_string(path) {
-        Ok(s) => Checkpoint::from_json(&s)
-            .map(Some)
-            .map_err(|reason| CheckpointError::Corrupt {
+        Ok(s) => Checkpoint::parse(&s).map(Some).map_err(|e| match e {
+            CheckpointError::Corrupt { reason } => CheckpointError::Corrupt {
                 reason: format!("{}: {reason}", path.display()),
-            }),
+            },
+            e => e,
+        }),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(io_failure("reading", path, e)),
     }
@@ -600,7 +642,9 @@ impl CheckpointStore for ChainCheckpointStore {
                     skipped += 1;
                     first_damage.get_or_insert(reason);
                 }
-                Err(e @ CheckpointError::Io { .. }) => return Err(e),
+                // I/O failures and foreign formats stop the scan: neither
+                // is damage an older entry could route around.
+                Err(e) => return Err(e),
             }
         }
         if skipped > 0 {
@@ -704,6 +748,56 @@ mod tests {
         assert!(ckpt
             .validate(&PpaTunerConfig::default(), &candidates, &other_source)
             .is_err());
+    }
+
+    #[test]
+    fn validate_ignores_the_worker_count() {
+        let ckpt = sample_checkpoint();
+        let candidates = vec![vec![0.5], vec![1.0]];
+        for workers in [1, 4, 64] {
+            let config = PpaTunerConfig {
+                workers,
+                ..PpaTunerConfig::default()
+            };
+            assert!(ckpt
+                .validate(&config, &candidates, &SourceData::empty())
+                .is_ok());
+        }
+    }
+
+    /// A sealed checkpoint as the previous format wrote it: version 1,
+    /// the four retired thread settings in place of `workers`.
+    fn version_1_json() -> String {
+        let json = sample_checkpoint().sealed_json();
+        let v1 = json
+            .replace(
+                &format!("\"version\":{CHECKPOINT_VERSION}"),
+                "\"version\":1",
+            )
+            .replace(
+                "\"workers\":0",
+                "\"threads\":8,\"eval_workers\":1,\"predict_block\":256,\"predict_workers\":0",
+            );
+        assert_ne!(v1, json);
+        v1
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_refused_as_unsupported() {
+        let e = Checkpoint::from_json(&version_1_json()).unwrap_err();
+        assert!(e.contains("version 1 unsupported"), "{e}");
+        assert!(!e.contains("digest"), "{e}");
+
+        // In a chain, the old-format entry stops recovery with the version
+        // error instead of being skipped as torn.
+        let dir = chain_dir("v1");
+        let store = ChainCheckpointStore::new(&dir, 4);
+        store.save(&sample_checkpoint()).unwrap();
+        std::fs::write(dir.join("ckpt-00000001.json"), version_1_json()).unwrap();
+        let err = store.recover().unwrap_err();
+        assert!(!err.is_corrupt(), "{err}");
+        assert!(err.to_string().contains("version 1 unsupported"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

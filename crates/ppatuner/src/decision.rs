@@ -170,12 +170,7 @@ fn pair_redundancy(
     if shadowed {
         return 1.0;
     }
-    let dist = candidates[i]
-        .iter()
-        .zip(&candidates[j])
-        .map(|(&a, &b)| (a - b) * (a - b))
-        .sum::<f64>()
-        .sqrt();
+    let dist = gp::vecops::dist(&candidates[i], &candidates[j]);
     (1.0 - dist / radius).max(0.0)
 }
 

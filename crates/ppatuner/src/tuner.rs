@@ -1,15 +1,14 @@
 //! The PPATuner loop (Algorithm 1 of the paper).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use gp::optimize::{fit_transfer_gp_from_starts, restart_starts, FitBudget};
+use gp::optimize::{fit_transfer_gps, restart_starts, FitBudget, FitJob, FitReport};
 use gp::{GpCounters, PredictCache, SubsetPredictor, TaskData, TransferGp};
 use obs::{Event, Observer, OpenSpan, Tracer, NULL_SINK};
 use serde::{Deserialize, Serialize};
@@ -140,13 +139,11 @@ pub struct PpaTunerConfig {
     /// trials via parallel licenses). Above 1, selection switches from
     /// argmax-diameter (Eq. 13) to the diverse top-q batch rule
     /// ([`select_batch`](crate::select_batch)) and each batch is
-    /// evaluated as one concurrent wave.
+    /// evaluated as one concurrent wave: through a
+    /// [`ConcurrentOracle`](crate::ConcurrentOracle), every member of a
+    /// wave runs on its own thread, since tool runs wait on licenses, not
+    /// cores, and `batch_size` already is the license count.
     pub batch_size: usize,
-    /// Worker threads fanning one evaluation wave out over a
-    /// [`ConcurrentOracle`](crate::ConcurrentOracle). 1 evaluates waves
-    /// sequentially; results are identical at any worker count, so this
-    /// only trades wall-clock. Ignored by the serial `run*` entry points.
-    pub eval_workers: usize,
     /// Diversity penalty strength γ ∈ [0, 1) of the batch selection rule:
     /// a pick's score is `diam · (1 − γ·red)` where `red` measures
     /// redundancy against already-picked members. 0 recovers pure
@@ -163,8 +160,14 @@ pub struct PpaTunerConfig {
     pub fit_budget: FitBudget,
     /// RNG seed (initial sampling + hyper-parameter restarts).
     pub seed: u64,
-    /// Threads used for batched GP prediction.
-    pub threads: usize,
+    /// Thread budget of every CPU fan-out of the loop: the
+    /// (objective × restart) hyper-parameter searches and the predict
+    /// sweeps. 0 (the default) sizes it to the machine's available
+    /// parallelism; 1 keeps everything on the calling thread. Results are
+    /// bitwise identical at every value — this only trades wall-clock —
+    /// so resume accepts a checkpoint taken at another worker count.
+    #[serde(default)]
+    pub workers: usize,
     /// When the iteration cap is hit before every candidate is decided,
     /// also include the surrogate's predicted front (non-dominated
     /// predictive means over still-active candidates) in the final
@@ -229,22 +232,6 @@ pub struct PpaTunerConfig {
     /// Anchor count of the subset-of-data predictor (ignored while the
     /// exact path is active).
     pub sod_subset: usize,
-    /// Query block size of batched GP prediction. Results are
-    /// bit-identical at any block size; this only tunes the
-    /// cache-locality/latency trade-off of large query sets. It is also
-    /// the chunk granularity of the data-parallel predict sweep: the pool
-    /// is cut into `predict_block`-sized chunks which
-    /// [`predict_workers`](PpaTunerConfig::predict_workers) threads claim
-    /// off a work queue, so roughly `pool / predict_block` chunks bound
-    /// the usable parallelism.
-    pub predict_block: usize,
-    /// Worker threads of the data-parallel predict sweep. 0 (the
-    /// default) auto-sizes to the machine's available parallelism, capped
-    /// at 8; 1 keeps the sweep serial. Results are bitwise identical at
-    /// every worker count — this only trades wall-clock (see
-    /// [`predict_block`](PpaTunerConfig::predict_block) for the chunk
-    /// granularity the workers operate at).
-    pub predict_workers: usize,
     /// Consecutive iterations the surrogate may run degraded (served by a
     /// last-good model after a numerical calibration failure — see the
     /// `DegradedFit` trace event) before the run aborts with
@@ -263,13 +250,12 @@ impl Default for PpaTunerConfig {
             initial_samples: 20,
             max_iterations: 300,
             batch_size: 1,
-            eval_workers: 1,
             batch_diversity: 0.5,
             diversity_radius: 0.25,
             refit_every: 25,
             fit_budget: FitBudget::default(),
             seed: 0,
-            threads: 8,
+            workers: 0,
             include_predicted_front: true,
             max_eval_attempts: 3,
             backoff_base_s: 1.0,
@@ -282,8 +268,6 @@ impl Default for PpaTunerConfig {
             pool_max_size: 4096,
             sod_threshold: usize::MAX,
             sod_subset: 256,
-            predict_block: gp::PREDICT_BLOCK,
-            predict_workers: 0,
             degraded_fit_budget: 8,
         }
     }
@@ -312,12 +296,6 @@ impl PpaTunerConfig {
         if self.batch_size == 0 {
             return Err(TunerError::InvalidConfig {
                 name: "batch_size",
-                value: 0.0,
-            });
-        }
-        if self.eval_workers == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "eval_workers",
                 value: 0.0,
             });
         }
@@ -387,18 +365,12 @@ impl PpaTunerConfig {
                 value: 0.0,
             });
         }
-        if self.predict_block == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "predict_block",
-                value: 0.0,
-            });
-        }
         // 0 means auto-size; anything past 4096 is a typo'd value, not a
-        // machine (and would allocate that many chunk slots per sweep).
-        if self.predict_workers > 4096 {
+        // machine.
+        if self.workers > 4096 {
             return Err(TunerError::InvalidConfig {
-                name: "predict_workers",
-                value: self.predict_workers as f64,
+                name: "workers",
+                value: self.workers as f64,
             });
         }
         // A zero budget would make the very first degraded iteration
@@ -412,16 +384,12 @@ impl PpaTunerConfig {
         Ok(())
     }
 
-    /// The effective predict-sweep worker count: `predict_workers`, with
-    /// 0 auto-sized to the machine's available parallelism capped at 8.
-    pub(crate) fn effective_predict_workers(&self) -> usize {
-        if self.predict_workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            self.predict_workers
+    /// The thread budget `workers` resolves to: 0 becomes the machine's
+    /// available parallelism.
+    fn fan_out_workers(&self) -> usize {
+        match self.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            w => w,
         }
     }
 
@@ -576,11 +544,10 @@ impl PpaTuner {
     }
 
     /// Like [`PpaTuner::run_observed`], but drives a thread-safe
-    /// [`ConcurrentOracle`], fanning each selection batch out over
-    /// `eval_workers` worker threads. With a natively concurrent oracle
-    /// this overlaps tool runs in wall-clock; results, traces, and span
-    /// IDs are identical to the serial path and invariant to the worker
-    /// count — only timing fields differ.
+    /// [`ConcurrentOracle`], running every member of a selection batch on
+    /// its own thread. With a natively concurrent oracle this overlaps
+    /// tool runs in wall-clock; results, traces, and span IDs are
+    /// identical to the serial path — only timing fields differ.
     ///
     /// # Errors
     ///
@@ -818,7 +785,7 @@ impl PpaTuner {
             while init_idx.len() < init_count {
                 let last = *init_idx.last().expect("non-empty");
                 for (i, d) in dist.iter_mut().enumerate() {
-                    let dd = sq_dist(&candidates[i], &candidates[last]);
+                    let dd = gp::vecops::sq_dist(&candidates[i], &candidates[last]);
                     if dd < *d {
                         *d = dd;
                     }
@@ -1018,7 +985,7 @@ impl PpaTuner {
         // the next sweep boundary. Results are bit-identical either way.
         let mut predict_caches: Vec<PredictCache> =
             (0..n_obj).map(|_| PredictCache::new()).collect();
-        let predict_workers = self.config.effective_predict_workers();
+        let workers = self.config.fan_out_workers();
 
         // ------------------------------------------------------- the loop
         for t in 0..self.config.max_iterations {
@@ -1085,54 +1052,37 @@ impl PpaTuner {
                     })
                     .collect();
                 // Pre-draw every objective's restart starts sequentially
-                // (objective order), then fan the independent searches out
-                // across threads: the RNG stream — and therefore the result
-                // — is identical at any thread count.
+                // (objective order), then fan the independent (objective ×
+                // restart) searches out: the RNG stream — and therefore
+                // the result — is identical at any worker count.
                 let starts: Vec<Vec<Vec<f64>>> = (0..n_obj)
                     .map(|_| restart_starts(dim, self.config.fit_budget.restarts, &mut rng))
                     .collect();
-                let budget = self.config.fit_budget;
-                let fit_threads = self.config.threads.max(1);
-                let restart_threads = (fit_threads / n_obj).max(1);
-                type FitOut = gp::Result<(TransferGp, gp::optimize::FitReport, f64)>;
                 // Injected numerical faults (chaos suites) are decided
                 // here on the coordinator thread — a pure hash of
-                // (iteration, objective) — so the scoped fit workers stay
+                // (iteration, objective) — so the fit workers stay
                 // oblivious to the thread-local plan and replay re-derives
-                // identical decisions.
+                // identical decisions. Faulted objectives are not fitted.
                 let injected: Vec<Option<gp::GpError>> = (0..n_obj)
                     .map(|k| supervisor::injected_fault(supervisor::FitStage::Refit, t, k))
                     .collect();
-                let fit_one = |k: usize| -> FitOut {
-                    if let Some(e) = injected[k].clone() {
-                        return Err(e);
-                    }
-                    let fit_start = Instant::now();
-                    let (m, report) = fit_transfer_gp_from_starts(
-                        &source_tasks[k],
-                        &target_tasks[k],
-                        dim,
-                        budget,
-                        &starts[k],
-                        restart_threads,
-                    )?;
-                    Ok((m, report, fit_start.elapsed().as_secs_f64()))
-                };
-                let outs: Vec<FitOut> = if fit_threads == 1 || n_obj == 1 {
-                    (0..n_obj).map(fit_one).collect()
-                } else {
-                    let mut slots: Vec<Option<FitOut>> = (0..n_obj).map(|_| None).collect();
-                    std::thread::scope(|s| {
-                        let fit_one = &fit_one;
-                        for (k, slot) in slots.iter_mut().enumerate() {
-                            s.spawn(move || *slot = Some(fit_one(k)));
-                        }
-                    });
-                    slots
-                        .into_iter()
-                        .map(|o| o.expect("every fit slot is filled"))
-                        .collect()
-                };
+                let jobs: Vec<FitJob<'_>> = (0..n_obj)
+                    .filter(|&k| injected[k].is_none())
+                    .map(|k| FitJob {
+                        source: &source_tasks[k],
+                        target: &target_tasks[k],
+                        starts: &starts[k],
+                    })
+                    .collect();
+                let mut fitted =
+                    fit_transfer_gps(&jobs, dim, self.config.fit_budget, workers).into_iter();
+                let outs: Vec<gp::Result<(TransferGp, FitReport)>> = injected
+                    .into_iter()
+                    .map(|fault| match fault {
+                        Some(e) => Err(e),
+                        None => fitted.next().expect("one fit per unfaulted objective"),
+                    })
+                    .collect();
                 // Last-good surrogates, one slot per objective, for the
                 // degraded fallback below. None before the bootstrap fit.
                 let mut prev_models: Vec<Option<TransferGp>> = match models_opt.take() {
@@ -1142,7 +1092,7 @@ impl PpaTuner {
                 let mut models: Vec<TransferGp> = Vec::with_capacity(n_obj);
                 for (k, out) in outs.into_iter().enumerate() {
                     match out {
-                        Ok((model, report, fit_duration)) => {
+                        Ok((model, report)) => {
                             if live && observer.enabled() {
                                 let cfg = model.config();
                                 observer.emit(&Event::GpFit {
@@ -1159,7 +1109,7 @@ impl PpaTuner {
                                     fresh_evals: report.fresh_evals,
                                     log_marginal: model.log_marginal_likelihood(),
                                     jitter: model.jitter(),
-                                    duration_s: fit_duration,
+                                    duration_s: report.duration_s,
                                 });
                             }
                             conditioned_upto[k] = evaluated.len();
@@ -1351,8 +1301,7 @@ impl PpaTuner {
                 &candidates,
                 &active,
                 self.config.tau,
-                predict_workers,
-                self.config.predict_block,
+                workers,
                 &mut predict_caches,
             )?;
             for (pos, &i) in active.iter().enumerate() {
@@ -1387,8 +1336,7 @@ impl PpaTuner {
                         &candidates,
                         &fresh,
                         self.config.tau,
-                        predict_workers,
-                        self.config.predict_block,
+                        workers,
                         &mut predict_caches,
                     )?;
                     for (pos, &i) in fresh.iter().enumerate() {
@@ -1677,11 +1625,7 @@ impl PpaTuner {
                     let mut mus: Vec<Vec<f64>> = vec![Vec::with_capacity(n_obj); undecided.len()];
                     for model in models {
                         for (q, (mu, _)) in model
-                            .predict_latent_batch_par(
-                                &queries,
-                                self.config.predict_block,
-                                predict_workers,
-                            )?
+                            .predict_latent_batch(&queries, workers)?
                             .into_iter()
                             .enumerate()
                         {
@@ -2153,47 +2097,6 @@ fn member_attempts(
     MemberOutcome { attempts }
 }
 
-/// Fans one wave out over `workers` threads sharing work through an
-/// atomic cursor (work-stealing over batch positions). Workers only
-/// *evaluate*; all outcome processing happens in the deterministic merge,
-/// so completion order is irrelevant.
-fn run_wave_parallel(
-    oracle: &dyn ConcurrentOracle,
-    members: &[usize],
-    ctx: &WaveCtx<'_>,
-    max_attempts: usize,
-    workers: usize,
-) -> Vec<MemberOutcome> {
-    let slots: Vec<Mutex<Option<MemberOutcome>>> =
-        members.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(members.len()) {
-            s.spawn(|| loop {
-                let pos = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&candidate) = members.get(pos) else {
-                    break;
-                };
-                let out = member_attempts(
-                    |i| oracle.evaluate_at(i, &ctx.candidates[i]),
-                    candidate,
-                    ctx,
-                    max_attempts,
-                );
-                *slots[pos].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .expect("every wave slot is filled")
-        })
-        .collect()
-}
-
 /// Merges one member's raw attempt results into the run, in batch order:
 /// allocates the per-attempt `eval_attempt` span IDs (late, at merge time
 /// — so IDs match the sequential path and are worker-count independent),
@@ -2284,10 +2187,12 @@ fn merge_member(
 ///   iteration — hence whole-batch — boundaries, so a wave is replayed in
 ///   full or not at all.
 /// - **Live**: members run their full retry sequences against frozen
-///   sanitization inputs ([`WaveCtx`]) — in parallel through a
-///   [`ConcurrentOracle`] when `eval_workers > 1`, sequentially otherwise
-///   — and the results are merged in batch order. Outcomes, events, span
-///   IDs, and the evaluation log are identical at any worker count.
+///   sanitization inputs ([`WaveCtx`]) — each on its own thread through a
+///   [`ConcurrentOracle`] ([`gp::fan_out`]; completion order is
+///   irrelevant because workers only *evaluate*), sequentially through a
+///   serial oracle — and the results are merged in batch order.
+///   Outcomes, events, span IDs, and the evaluation log are identical
+///   either way.
 ///
 /// At `batch_size > 1` a `batch_eval` span (child of `parent`) wraps the
 /// member `eval_attempt` spans; at 1 the wave is a single member hanging
@@ -2336,14 +2241,15 @@ fn evaluate_wave(
         }
     }
     let outcomes: Vec<MemberOutcome> = match driver.oracle.concurrent_handle() {
-        Some(oracle) if config.eval_workers > 1 && members.len() > 1 => run_wave_parallel(
-            oracle,
-            members,
-            ctx,
-            config.max_eval_attempts,
-            config.eval_workers,
-        ),
-        _ => members
+        Some(oracle) => gp::fan_out(members.len(), members.len(), |pos| {
+            member_attempts(
+                |i| oracle.evaluate_at(i, &ctx.candidates[i]),
+                members[pos],
+                ctx,
+                config.max_eval_attempts,
+            )
+        }),
+        None => members
             .iter()
             .map(|&candidate| {
                 member_attempts(
@@ -2645,7 +2551,6 @@ impl Surrogates<'_> {
         &self,
         ids: &[u64],
         queries: &[Vec<f64>],
-        block: usize,
         workers: usize,
         caches: &mut [PredictCache],
     ) -> gp::Result<Vec<Vec<(f64, f64)>>> {
@@ -2653,13 +2558,11 @@ impl Surrogates<'_> {
             Surrogates::Exact(models) => models
                 .iter()
                 .zip(caches)
-                .map(|(m, cache)| {
-                    m.predict_latent_batch_cached(ids, queries, block, workers, cache)
-                })
+                .map(|(m, cache)| m.predict_latent_batch_cached(ids, queries, workers, cache))
                 .collect(),
             Surrogates::Subset(preds) => preds
                 .iter()
-                .map(|p| p.predict_latent_batch_par(queries, block, workers))
+                .map(|p| p.predict_latent_batch(queries, workers))
                 .collect(),
         }
     }
@@ -2667,20 +2570,19 @@ impl Surrogates<'_> {
 
 /// Predicts `[μ − √τ·σ, μ + √τ·σ]` boxes for the active candidates via
 /// the cached/data-parallel batch path of the active surrogate (exact or
-/// subset-of-data). The gp layer fans `predict_block`-sized chunks over
-/// `workers` scoped threads and serves repeat candidates from the
-/// per-objective caches.
+/// subset-of-data). The gp layer fans fixed-size query chunks over
+/// `workers` threads and serves repeat candidates from the per-objective
+/// caches.
 ///
-/// Batch prediction is bit-identical however the queries are chunked,
-/// blocked, or cached, so the boxes — and everything downstream of them —
-/// do not depend on the worker count, block size, or cache state.
+/// Batch prediction is bit-identical however the queries are chunked or
+/// cached, so the boxes — and everything downstream of them — do not
+/// depend on the worker count or cache state.
 fn predict_boxes(
     surrogates: &Surrogates<'_>,
     candidates: &[Vec<f64>],
     active: &[usize],
     tau: f64,
     workers: usize,
-    block: usize,
     caches: &mut [PredictCache],
 ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
     let n_obj = surrogates.len();
@@ -2690,7 +2592,7 @@ fn predict_boxes(
     // they double as cache keys across iterations.
     let ids: Vec<u64> = active.iter().map(|&i| i as u64).collect();
     let preds: Vec<Vec<(f64, f64)>> =
-        surrogates.predict_latent_batch(&ids, &queries, block, workers, caches)?;
+        surrogates.predict_latent_batch(&ids, &queries, workers, caches)?;
 
     let mut out = Vec::with_capacity(queries.len());
     for q in 0..queries.len() {
@@ -2705,11 +2607,6 @@ fn predict_boxes(
         out.push((lo, hi));
     }
     Ok(out)
-}
-
-/// Squared Euclidean distance (local helper; avoids a linalg dependency).
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 #[cfg(test)]
@@ -2764,7 +2661,7 @@ mod tests {
                 restarts: 1,
                 evals_per_restart: 60,
             },
-            threads: 2,
+            workers: 2,
             seed: 7,
             ..Default::default()
         }
@@ -2838,13 +2735,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_results() {
+    fn worker_count_does_not_change_results() {
         let (candidates, truth) = toy(80);
         let source = shifted_source(&candidates, &truth);
-        let run = |threads: usize| {
+        let run = |workers: usize| {
             let mut oracle = VecOracle::new(truth.clone());
             let cfg = PpaTunerConfig {
-                threads,
+                workers,
                 fit_budget: FitBudget {
                     restarts: 3,
                     evals_per_restart: 40,
@@ -2855,16 +2752,19 @@ mod tests {
                 .run(&source, &candidates, &mut oracle)
                 .unwrap()
         };
+        // 0 = auto-sized; every count must reproduce the serial run
+        // exactly (fit tasks and predict chunks are fixed, workers only
+        // change who computes each one).
         let base = run(1);
-        for threads in [2, 4, 8] {
-            let other = run(threads);
+        for workers in [0, 2, 4, 8] {
+            let other = run(workers);
             assert_eq!(
                 base.pareto_indices, other.pareto_indices,
-                "threads={threads}"
+                "workers={workers}"
             );
-            assert_eq!(base.runs, other.runs, "threads={threads}");
-            assert_eq!(base.iterations, other.iterations, "threads={threads}");
-            assert_eq!(base.evaluated, other.evaluated, "threads={threads}");
+            assert_eq!(base.runs, other.runs, "workers={workers}");
+            assert_eq!(base.iterations, other.iterations, "workers={workers}");
+            assert_eq!(base.evaluated, other.evaluated, "workers={workers}");
         }
     }
 
@@ -3873,16 +3773,9 @@ mod tests {
                 },
             ),
             (
-                "predict_block",
+                "workers",
                 PpaTunerConfig {
-                    predict_block: 0,
-                    ..quick_config()
-                },
-            ),
-            (
-                "predict_workers",
-                PpaTunerConfig {
-                    predict_workers: 4097,
+                    workers: 4097,
                     ..quick_config()
                 },
             ),
@@ -3891,56 +3784,6 @@ mod tests {
                 TunerError::InvalidConfig { name: got, .. } => assert_eq!(got, name),
                 other => panic!("expected InvalidConfig for {name}, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn predict_block_size_does_not_change_results() {
-        let (candidates, truth) = toy(50);
-        let source = shifted_source(&candidates, &truth);
-        let run = |block: usize| {
-            let mut oracle = VecOracle::new(truth.clone());
-            let cfg = PpaTunerConfig {
-                predict_block: block,
-                ..quick_config()
-            };
-            PpaTuner::new(cfg)
-                .run(&source, &candidates, &mut oracle)
-                .unwrap()
-        };
-        let base = run(gp::PREDICT_BLOCK);
-        for block in [1, 7, 1024] {
-            let other = run(block);
-            assert_eq!(base.evaluated, other.evaluated, "block={block}");
-            assert_eq!(base.pareto_indices, other.pareto_indices, "block={block}");
-        }
-    }
-
-    #[test]
-    fn predict_worker_count_does_not_change_results() {
-        let (candidates, truth) = toy(50);
-        let source = shifted_source(&candidates, &truth);
-        let run = |workers: usize| {
-            let mut oracle = VecOracle::new(truth.clone());
-            let cfg = PpaTunerConfig {
-                predict_workers: workers,
-                ..quick_config()
-            };
-            PpaTuner::new(cfg)
-                .run(&source, &candidates, &mut oracle)
-                .unwrap()
-        };
-        // 0 = auto-sized; every explicit count must reproduce it exactly
-        // (chunk decomposition is fixed by predict_block, workers only
-        // change who computes each chunk).
-        let base = run(0);
-        for workers in [1, 2, 4, 8] {
-            let other = run(workers);
-            assert_eq!(base.evaluated, other.evaluated, "workers={workers}");
-            assert_eq!(
-                base.pareto_indices, other.pareto_indices,
-                "workers={workers}"
-            );
         }
     }
 

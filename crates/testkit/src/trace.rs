@@ -48,101 +48,135 @@ pub struct GoldenRun {
     pub table: Vec<Vec<f64>>,
 }
 
+/// The reduced Scenario Two every golden run tunes, with the shared
+/// configuration and seed.
+struct GoldenScenario {
+    scenario: benchgen::Scenario,
+    space: pdsim::ObjectiveSpace,
+    source: SourceData,
+    candidates: Vec<Vec<f64>>,
+    table: Vec<Vec<f64>>,
+    config: PpaTunerConfig,
+}
+
+fn golden_scenario() -> GoldenScenario {
+    let scenario = benchgen::Scenario::two_with_counts(9, 120, 100).with_source_budget(60);
+    let space = pdsim::ObjectiveSpace::PowerDelay;
+    let (sx, sy) = scenario.source_xy(space);
+    GoldenScenario {
+        source: SourceData::new(sx, sy).expect("golden scenario source data"),
+        candidates: scenario.target_candidates(),
+        table: scenario.target_table(space),
+        config: PpaTunerConfig {
+            initial_samples: 10,
+            max_iterations: 20,
+            // The default τ = 1.5 (≈1.2σ regions) trades accuracy for
+            // speed; the golden scenario widens the regions so the
+            // δ-accuracy law of Eq. 12 — which assumes the regions cover
+            // the truth — holds deterministically and the invariant checker
+            // can assert it. The matching longer budget lets classification
+            // still conclude.
+            tau: 3.0,
+            seed: crate::test_seed(),
+            workers: 1,
+            ..Default::default()
+        },
+        scenario,
+        space,
+    }
+}
+
+/// Tunes the golden scenario at `batch_size` and `workers` through the
+/// serial entry point and a table oracle, recording the trace.
+fn run_serial(batch_size: usize, workers: usize) -> GoldenRun {
+    let g = golden_scenario();
+    let config = PpaTunerConfig {
+        batch_size,
+        workers,
+        ..g.config
+    };
+    let mut oracle = VecOracle::new(g.table.clone());
+    let sink = RecordingSink::new();
+    let result = PpaTuner::new(config)
+        .run_observed(&g.source, &g.candidates, &mut oracle, &sink)
+        .expect("golden scenario tuning run");
+    GoldenRun {
+        events: sink.events(),
+        result,
+        table: g.table,
+    }
+}
+
 /// Runs the reference golden scenario: a reduced Scenario Two tuned with
-/// a fixed configuration, `threads: 1`, and the shared [`crate::test_seed`].
-/// Deterministic — the same binary produces the same event stream on
-/// every run (the workspace's `deterministic_given_seed` test guards the
-/// tuner side of that contract).
+/// a fixed configuration, `workers: 1`, and the shared
+/// [`crate::test_seed`]. Deterministic — the same binary produces the
+/// same event stream on every run (the workspace's
+/// `deterministic_given_seed` test guards the tuner side of that
+/// contract).
 ///
 /// # Panics
 ///
 /// Panics when scenario construction or the tuning run fails; both are
 /// deterministic, so a panic here is a real regression.
 pub fn run_golden() -> GoldenRun {
-    run_golden_with_threads(1)
+    run_golden_with_workers(1)
 }
 
-/// [`run_golden`] with an explicit thread count. The trace is required to
-/// be identical for every value — restart starts are pre-drawn from the
-/// sequential RNG stream and batch prediction is chunk-invariant — so the
-/// golden snapshot doubles as a thread-determinism regression gate.
+/// [`run_golden`] with an explicit `workers` budget. The trace is
+/// required to be identical for every value — restart starts are
+/// pre-drawn from the sequential RNG stream and batch prediction is
+/// chunk-invariant — so the golden snapshot doubles as a
+/// worker-determinism regression gate.
 ///
 /// # Panics
 ///
 /// Same conditions as [`run_golden`].
-pub fn run_golden_with_threads(threads: usize) -> GoldenRun {
-    let scenario = benchgen::Scenario::two_with_counts(9, 120, 100).with_source_budget(60);
-    let space = pdsim::ObjectiveSpace::PowerDelay;
-    let candidates = scenario.target_candidates();
-    let table = scenario.target_table(space);
-    let (sx, sy) = scenario.source_xy(space);
-    let source = SourceData::new(sx, sy).expect("golden scenario source data");
-    let config = PpaTunerConfig {
-        initial_samples: 10,
-        max_iterations: 20,
-        // The default τ = 1.5 (≈1.2σ regions) trades accuracy for speed;
-        // the golden scenario widens the regions so the δ-accuracy law of
-        // Eq. 12 — which assumes the regions cover the truth — holds
-        // deterministically and the invariant checker can assert it. The
-        // matching longer budget lets classification still conclude.
-        tau: 3.0,
-        seed: crate::test_seed(),
-        threads,
-        ..Default::default()
-    };
-    let mut oracle = VecOracle::new(table.clone());
-    let sink = RecordingSink::new();
-    let result = PpaTuner::new(config)
-        .run_observed(&source, &candidates, &mut oracle, &sink)
-        .expect("golden scenario tuning run");
-    GoldenRun {
-        events: sink.events(),
-        result,
-        table,
-    }
+pub fn run_golden_with_workers(workers: usize) -> GoldenRun {
+    run_serial(1, workers)
 }
 
 /// The golden scenario tuned in q-batch mode through the concurrent
 /// entry point: same scenario, configuration, and seed as [`run_golden`]
-/// but with `batch_size: q` and `eval_workers: workers`, driven through
+/// but with `batch_size: q` and `workers: workers`, driven through
 /// [`ppatuner::PpaTuner::run_concurrent`] on a [`SharedOracle`].
 ///
-/// The trace is required to be identical for every `workers` value —
-/// wave results are merged in deterministic batch order regardless of
-/// which worker produced them — and at `q = 1` it must be byte-identical
-/// to [`run_golden`]'s serial trace.
+/// The trace is required to be identical for every `workers` value and
+/// to [`run_golden_serial_batch`] — wave results are merged in
+/// deterministic batch order regardless of which thread produced them —
+/// and at `q = 1` it must be byte-identical to [`run_golden`]'s trace.
 ///
 /// # Panics
 ///
 /// Panics when scenario construction or the tuning run fails; both are
 /// deterministic, so a panic here is a real regression.
 pub fn run_golden_batch(q: usize, workers: usize) -> GoldenRun {
-    let scenario = benchgen::Scenario::two_with_counts(9, 120, 100).with_source_budget(60);
-    let space = pdsim::ObjectiveSpace::PowerDelay;
-    let candidates = scenario.target_candidates();
-    let table = scenario.target_table(space);
-    let (sx, sy) = scenario.source_xy(space);
-    let source = SourceData::new(sx, sy).expect("golden scenario source data");
+    let g = golden_scenario();
     let config = PpaTunerConfig {
-        initial_samples: 10,
-        max_iterations: 20,
-        tau: 3.0, // matches run_golden; see the comment there
-        seed: crate::test_seed(),
-        threads: 1,
         batch_size: q,
-        eval_workers: workers,
-        ..Default::default()
+        workers,
+        ..g.config
     };
-    let oracle = SharedOracle::new(VecOracle::new(table.clone()));
+    let oracle = SharedOracle::new(VecOracle::new(g.table.clone()));
     let sink = RecordingSink::new();
     let result = PpaTuner::new(config)
-        .run_concurrent(&source, &candidates, &oracle, &sink)
+        .run_concurrent(&g.source, &g.candidates, &oracle, &sink)
         .expect("golden batch scenario tuning run");
     GoldenRun {
         events: sink.events(),
         result,
-        table,
+        table: g.table,
     }
+}
+
+/// [`run_golden_batch`] through the serial entry point
+/// ([`ppatuner::PpaTuner::run_observed`]): the same waves, evaluated one
+/// member at a time.
+///
+/// # Panics
+///
+/// Same conditions as [`run_golden_batch`].
+pub fn run_golden_serial_batch(q: usize) -> GoldenRun {
+    run_serial(q, 1)
 }
 
 /// The golden scenario with the adaptive candidate pool and the
@@ -162,28 +196,19 @@ pub fn run_golden_batch(q: usize, workers: usize) -> GoldenRun {
 /// Panics when scenario construction or the tuning run fails; both are
 /// deterministic, so a panic here is a real regression.
 pub fn run_golden_pool() -> GoldenRun {
-    let scenario = benchgen::Scenario::two_with_counts(9, 120, 100).with_source_budget(60);
-    let space = pdsim::ObjectiveSpace::PowerDelay;
-    let candidates = scenario.target_candidates();
-    let table = scenario.target_table(space);
-    let (sx, sy) = scenario.source_xy(space);
-    let source = SourceData::new(sx, sy).expect("golden scenario source data");
+    let g = golden_scenario();
     let config = PpaTunerConfig {
-        initial_samples: 10,
-        max_iterations: 20,
-        tau: 3.0, // matches run_golden; see the comment there
-        seed: crate::test_seed(),
-        threads: 1,
         adaptive_pool: true,
         pool_refine_scale: 0.05,
         pool_max_refines: 4,
         pool_max_size: 160,
         sod_threshold: 64,
         sod_subset: 48,
-        ..Default::default()
+        ..g.config
     };
-    let joint = scenario.joint().clone();
-    let flow = pdsim::PdFlow::new(scenario.target().id().design());
+    let joint = g.scenario.joint().clone();
+    let flow = pdsim::PdFlow::new(g.scenario.target().id().design());
+    let space = g.space;
     let mut oracle = FnOracle::new(move |x: &[f64]| {
         let config = joint
             .decode(x)
@@ -194,12 +219,12 @@ pub fn run_golden_pool() -> GoldenRun {
     });
     let sink = RecordingSink::new();
     let result = PpaTuner::new(config)
-        .run_observed(&source, &candidates, &mut oracle, &sink)
+        .run_observed(&g.source, &g.candidates, &mut oracle, &sink)
         .expect("golden pool scenario tuning run");
     GoldenRun {
         events: sink.events(),
         result,
-        table,
+        table: g.table,
     }
 }
 

@@ -5,18 +5,18 @@
 //! Three claims are pinned here, on top of the serial chaos suite:
 //!
 //! 1. **Worker-count invariance under faults**: a faulty q = 4 run
-//!    records the same canonical trace at 1, 2, and 8 workers. Retries,
-//!    backoff bookkeeping, and quarantines happen per member inside the
-//!    wave, and merges are in batch order, so thread scheduling can
-//!    never leak into the trace.
+//!    records the same canonical trace at 1, 2, 4, and 8 workers.
+//!    Retries, backoff bookkeeping, and quarantines happen per member
+//!    inside the wave (each member on its own thread), and merges are in
+//!    batch order, so thread scheduling can never leak into the trace.
 //! 2. **Fault containment**: an always-failing batch member is
 //!    quarantined without corrupting or starving its siblings — every
 //!    accepted evaluation still carries the exact golden QoR, and the
 //!    invariant checker's RunEnd attempt-conservation law holds.
 //! 3. **Serial/concurrent equivalence**: the same faulty scenario run
 //!    through `run_observed` (serial oracle) and `run_concurrent`
-//!    (shared oracle, many workers) produces identical canonical traces
-//!    at the same `batch_size`.
+//!    (shared oracle, one thread per wave member) produces identical
+//!    canonical traces at the same `batch_size`.
 
 use gp::optimize::FitBudget;
 use obs::RecordingSink;
@@ -59,10 +59,9 @@ fn batch_config(seed: u64, q: usize, workers: usize) -> PpaTunerConfig {
             restarts: 1,
             evals_per_restart: 40,
         },
-        threads: 1,
         seed,
         batch_size: q,
-        eval_workers: workers,
+        workers,
         max_eval_attempts: 4,
         ..Default::default()
     }
@@ -116,7 +115,7 @@ fn faulty_batch_runs_are_worker_count_invariant() {
             Err(e) => panic!("case {case}: tuner failed on {plan:?}: {e}"),
         };
         let (trace1, result1, truth) = base;
-        for workers in [2usize, 8] {
+        for workers in [2usize, 4, 8] {
             let (trace_w, result_w, _) = run_faulty_concurrent(&plan, seed, 4, workers)
                 .unwrap_or_else(|e| panic!("case {case}: {workers} workers failed: {e}"));
             assert_eq!(

@@ -51,7 +51,7 @@ fn chaos_config(seed: u64) -> PpaTunerConfig {
             restarts: 1,
             evals_per_restart: 40,
         },
-        threads: 1,
+        workers: 1,
         seed,
         ..Default::default()
     }

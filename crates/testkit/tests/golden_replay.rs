@@ -8,7 +8,7 @@
 use testkit::invariants::check_trace;
 use testkit::trace::{
     canonical_jsonl, check_or_bless, run_golden, run_golden_batch, run_golden_pool,
-    run_golden_with_threads,
+    run_golden_serial_batch, run_golden_with_workers,
 };
 
 #[test]
@@ -54,16 +54,18 @@ fn golden_run_is_reproducible_within_process() {
 }
 
 #[test]
-fn golden_trace_is_thread_count_invariant() {
+fn golden_trace_is_worker_count_invariant() {
     // Restart starts are pre-drawn from the sequential RNG stream and
     // batched prediction is chunk-invariant, so the parallel fitting and
     // prediction paths must replay the golden scenario event-for-event.
-    let single = canonical_jsonl(&run_golden_with_threads(1).events);
-    let multi = canonical_jsonl(&run_golden_with_threads(4).events);
-    assert_eq!(
-        single, multi,
-        "thread count changed the golden scenario's trace"
-    );
+    let single = canonical_jsonl(&run_golden_with_workers(1).events);
+    for workers in [2, 4, 8] {
+        let multi = canonical_jsonl(&run_golden_with_workers(workers).events);
+        assert_eq!(
+            single, multi,
+            "workers = {workers} changed the golden scenario's trace"
+        );
+    }
 }
 
 #[test]
@@ -129,14 +131,24 @@ fn golden_batch_q4_trace_satisfies_invariants() {
 #[test]
 fn golden_batch_trace_is_worker_count_invariant() {
     // Wave merges happen in deterministic batch order, so the recorded
-    // trace — span IDs included — must not depend on how many worker
-    // threads raced through the oracle.
+    // trace — span IDs included — must depend neither on the workers
+    // budget nor on whether the wave members raced through a shared
+    // oracle or ran one at a time through the serial entry point.
     let w1 = run_golden_batch(4, 1);
-    let w2 = run_golden_batch(4, 2);
-    let w8 = run_golden_batch(4, 8);
     let t1 = canonical_jsonl(&w1.events);
-    assert_eq!(t1, canonical_jsonl(&w2.events), "1 vs 2 workers diverged");
+    for workers in [2, 4] {
+        let tw = canonical_jsonl(&run_golden_batch(4, workers).events);
+        assert_eq!(t1, tw, "1 vs {workers} workers diverged");
+    }
+    let w8 = run_golden_batch(4, 8);
     assert_eq!(t1, canonical_jsonl(&w8.events), "1 vs 8 workers diverged");
+    let serial = run_golden_serial_batch(4);
+    assert_eq!(
+        t1,
+        canonical_jsonl(&serial.events),
+        "serial run and run_concurrent diverged"
+    );
+    assert_eq!(serial.result.evaluated, w1.result.evaluated);
     // Structural result fields agree too (durations legitimately differ).
     assert_eq!(w1.result.pareto_indices, w8.result.pareto_indices);
     assert_eq!(w1.result.evaluated, w8.result.evaluated);

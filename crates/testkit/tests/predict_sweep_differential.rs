@@ -1,8 +1,8 @@
 //! Differential suite for the predict-sweep fast paths: the cached
 //! incremental predict ([`gp::TransferGp::predict_latent_batch_cached`])
 //! and the data-parallel batch predict
-//! ([`gp::TransferGp::predict_latent_batch_par`]) against testkit's
-//! dense reference posterior and against each other.
+//! ([`gp::TransferGp::predict_latent_batch`] at `workers > 1`) against
+//! testkit's dense reference posterior and against each other.
 //!
 //! Two layers of guarantees are pinned:
 //!
@@ -12,12 +12,10 @@
 //!   from-scratch dense-inverse posterior of the same (conditioned)
 //!   training set within [`testkit::diff::DIFF_TOL`].
 //! - **Bitwise equivalence**: the cached sweep and the parallel sweep
-//!   return exactly the bits of the serial from-scratch
-//!   `predict_latent_batch_with_block` — at every worker count and every
-//!   block size, including `block = 1`, blocks that do not divide the
-//!   query count, and `block > pool`. The tuner's determinism contract
-//!   (traces independent of `predict_workers` and cache warmth) rests on
-//!   this.
+//!   return exactly the bits of the scalar `predict_latent` path — at
+//!   every worker count, on sweeps spanning several `PREDICT_BLOCK`
+//!   chunks with a partial last one. The tuner's determinism contract
+//!   (traces independent of `workers` and cache warmth) rests on this.
 //!
 //! Each case re-seeds its own generator from the shared
 //! [`testkit::test_seed`] and the case index, so a failure message alone
@@ -62,16 +60,15 @@ fn cached_predict_driver(cases: u64, queries_per_case: usize) {
             .expect("fast transfer GP fits well-conditioned fuzz input");
         let queries = gen::gp_queries(&mut rng, &target, dim, queries_per_case);
         let ids: Vec<u64> = (0..queries.len() as u64).collect();
-        let block = rng.gen_range(1..=queries.len() + 2);
         let workers = rng.gen_range(1..=4usize);
 
         let mut cache = PredictCache::new();
         cache.begin_sweep();
         let cold = fast
-            .predict_latent_batch_cached(&ids, &queries, block, workers, &mut cache)
+            .predict_latent_batch_cached(&ids, &queries, workers, &mut cache)
             .expect("cold cached sweep");
         let scratch = fast
-            .predict_latent_batch_with_block(&queries, block)
+            .predict_latent_batch(&queries, 1)
             .expect("serial from-scratch batch");
         assert_bitwise("cold cached sweep", case, &cold, &scratch);
         assert_eq!(
@@ -116,10 +113,10 @@ fn cached_predict_driver(cases: u64, queries_per_case: usize) {
 
         cache.begin_sweep();
         let warm = fast
-            .predict_latent_batch_cached(&ids, &queries, block, workers, &mut cache)
+            .predict_latent_batch_cached(&ids, &queries, workers, &mut cache)
             .expect("warm cached sweep");
         let scratch = fast
-            .predict_latent_batch_with_block(&queries, block)
+            .predict_latent_batch(&queries, 1)
             .expect("serial from-scratch batch after conditioning");
         assert_bitwise("warm cached sweep", case, &warm, &scratch);
 
@@ -152,10 +149,9 @@ fn cached_predict_driver(cases: u64, queries_per_case: usize) {
     }
 }
 
-/// The parallel sweep must return the serial sweep's exact bits at every
-/// worker count and block size — including `block = 1`, block sizes that
-/// do not divide the pool, and `block > pool` — on both the exact and
-/// the subset-of-data surrogate.
+/// Every sweep — exact, cached, and subset-of-data — must return the
+/// scalar path's exact bits at every worker count, on a pool of
+/// `pool` queries (several `PREDICT_BLOCK` chunks, the last partial).
 fn parallel_invariance_driver(cases: u64, pool: usize) {
     for case in 0..cases {
         let mut rng = gen::case_rng(testkit::test_seed(), case);
@@ -165,37 +161,33 @@ fn parallel_invariance_driver(cases: u64, pool: usize) {
         let fast = gp::TransferGp::fit(source.clone(), target.clone(), config.clone())
             .expect("fast transfer GP fits well-conditioned fuzz input");
         let queries = gen::gp_queries(&mut rng, &target, dim, pool);
-        let base = fast
-            .predict_latent_batch_with_block(&queries, gp::PREDICT_BLOCK)
-            .expect("serial reference batch");
+        let ids: Vec<u64> = (0..queries.len() as u64).collect();
         let sod = fast
             .subset_predictor((source.len() + target.len()).div_ceil(2))
             .expect("subset predictor builds on fuzz input");
-        let sod_base = sod
-            .predict_latent_batch_with_block(&queries, gp::PREDICT_BLOCK)
-            .expect("serial subset reference batch");
-        // block = 1, a non-divisor of the pool, and block > pool.
-        for block in [1, 3, pool - 1, pool + 5] {
-            for workers in [1, 2, 4, 8] {
-                let par = fast
-                    .predict_latent_batch_par(&queries, block, workers)
-                    .expect("parallel batch");
-                assert_bitwise(
-                    &format!("exact par block={block} workers={workers}"),
-                    case,
-                    &par,
-                    &base,
-                );
-                let par = sod
-                    .predict_latent_batch_par(&queries, block, workers)
-                    .expect("parallel subset batch");
-                assert_bitwise(
-                    &format!("sod par block={block} workers={workers}"),
-                    case,
-                    &par,
-                    &sod_base,
-                );
-            }
+        let base: Vec<(f64, f64)> = queries
+            .iter()
+            .map(|x| fast.predict_latent(x).expect("scalar predict"))
+            .collect();
+        let sod_base: Vec<(f64, f64)> = queries
+            .iter()
+            .map(|x| sod.predict_latent(x).expect("scalar subset predict"))
+            .collect();
+        for workers in [1, 2, 4, 8] {
+            let par = fast
+                .predict_latent_batch(&queries, workers)
+                .expect("parallel batch");
+            assert_bitwise(&format!("exact workers={workers}"), case, &par, &base);
+            let mut cache = PredictCache::new();
+            cache.begin_sweep();
+            let cached = fast
+                .predict_latent_batch_cached(&ids, &queries, workers, &mut cache)
+                .expect("cached batch");
+            assert_bitwise(&format!("cached workers={workers}"), case, &cached, &base);
+            let par = sod
+                .predict_latent_batch(&queries, workers)
+                .expect("parallel subset batch");
+            assert_bitwise(&format!("sod workers={workers}"), case, &par, &sod_base);
         }
     }
 }
@@ -207,7 +199,7 @@ fn cached_incremental_predict_matches_dense_reference() {
 
 #[test]
 fn parallel_predict_is_chunk_and_worker_invariant() {
-    parallel_invariance_driver(60, 17);
+    parallel_invariance_driver(60, 2 * gp::PREDICT_BLOCK + 17);
 }
 
 // --- deep stress variants (nightly-style: `cargo test -- --include-ignored`)
@@ -221,5 +213,5 @@ fn deep_cached_incremental_predict() {
 #[test]
 #[ignore = "10x-depth stress suite, run via --include-ignored"]
 fn deep_parallel_invariance() {
-    parallel_invariance_driver(600, 29);
+    parallel_invariance_driver(600, 3 * gp::PREDICT_BLOCK + 29);
 }

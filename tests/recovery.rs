@@ -63,7 +63,7 @@ fn fixture() -> &'static Fixture {
             initial_samples: 8,
             max_iterations: 12,
             seed: testkit::test_seed(),
-            threads: 1,
+            workers: 1,
             ..Default::default()
         };
         let store = CaptureStore::default();
@@ -233,8 +233,8 @@ proptest! {
 /// A hung worker becomes a deterministic watchdog timeout: every first
 /// attempt stalls past the deadline, the watchdog converts each stall
 /// into `EvalError::Timeout`, the retry succeeds, and the canonical
-/// trace — watchdog firings included — is byte-identical whether one
-/// worker or four served the waves.
+/// trace — watchdog firings included — is byte-identical whether the
+/// loop's fan-outs ran on one worker or four.
 #[test]
 fn watchdog_timeouts_are_worker_count_invariant() {
     // The golden batch scenario — the one configuration the invariant
@@ -253,9 +253,8 @@ fn watchdog_timeouts_are_worker_count_invariant() {
             tau: 3.0, // matches run_golden; see the comment there
             max_eval_attempts: 3,
             seed: testkit::test_seed(),
-            threads: 1,
             batch_size: 4,
-            eval_workers: workers,
+            workers,
             ..Default::default()
         };
         let hangs: Vec<(usize, usize)> = (0..truth.len()).map(|i| (i, 1)).collect();

@@ -50,7 +50,7 @@ fn setup() -> Setup {
             initial_samples: 10,
             max_iterations: 15,
             seed: testkit::test_seed(),
-            threads: 1,
+            workers: 1,
             ..Default::default()
         },
     }
@@ -204,7 +204,6 @@ fn concurrent_resume_replays_whole_batches_with_identical_spans() {
     let s = setup();
     let config = PpaTunerConfig {
         batch_size: 4,
-        eval_workers: 4,
         ..s.config.clone()
     };
     // Only the events that pin batch structure: which members each wave
@@ -269,6 +268,75 @@ fn concurrent_resume_replays_whole_batches_with_identical_spans() {
             "checkpoint {k}: resumed batch events are not a suffix of the full trace"
         );
     }
+}
+
+/// The `workers` budget never changes a result, so a run checkpointed on
+/// one thread resumes on four — to the identical result. A checkpoint in
+/// the previous format (version 1, with the retired thread settings) is
+/// refused with a version error, not mistaken for a torn write.
+#[test]
+fn resume_accepts_another_worker_count_and_refuses_old_versions() {
+    let s = setup();
+    let store = CaptureStore::default();
+    let mut oracle = VecOracle::new(s.truth.clone());
+    let full = PpaTuner::new(s.config.clone())
+        .run_checkpointed(
+            &s.source,
+            &s.candidates,
+            &mut oracle,
+            &obs::NULL_SINK,
+            &store,
+        )
+        .expect("uninterrupted run succeeds");
+    let checkpoints = store.all.borrow();
+    let mid = &checkpoints[checkpoints.len() / 2];
+    assert_eq!(mid.config.workers, 1);
+
+    let dir = std::env::temp_dir().join(format!("ppatuner_resume_workers_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = FileCheckpointStore::new(dir.join("mid.json"));
+    file.save(mid).expect("checkpoint persists");
+    let wide = PpaTunerConfig {
+        workers: 4,
+        ..s.config.clone()
+    };
+    let mut oracle = VecOracle::new(s.truth.clone());
+    let resumed = PpaTuner::new(wide.clone())
+        .resume(
+            &s.source,
+            &s.candidates,
+            &mut oracle,
+            &obs::NULL_SINK,
+            &file,
+        )
+        .expect("resume at another worker count succeeds");
+    assert_identical(&full, &resumed, "workers 1 -> 4");
+
+    let v1 = std::fs::read_to_string(file.path())
+        .expect("checkpoint file")
+        .replace(
+            &format!("\"version\":{}", ppatuner::CHECKPOINT_VERSION),
+            "\"version\":1",
+        )
+        .replace(
+            "\"workers\":1",
+            "\"threads\":1,\"eval_workers\":1,\"predict_block\":256,\"predict_workers\":0",
+        );
+    std::fs::write(file.path(), v1).expect("rewrite as version 1");
+    let mut oracle = VecOracle::new(s.truth.clone());
+    let err = PpaTuner::new(wide)
+        .resume(
+            &s.source,
+            &s.candidates,
+            &mut oracle,
+            &obs::NULL_SINK,
+            &file,
+        )
+        .expect_err("a version-1 checkpoint must be refused");
+    let msg = err.to_string();
+    assert!(msg.contains("version 1 unsupported"), "{msg}");
+    assert!(!msg.contains("torn"), "{msg}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A checkpoint from a different configuration (different seed, so a

@@ -23,7 +23,7 @@ fn quick_config(salt: u64) -> PpaTunerConfig {
             restarts: 1,
             evals_per_restart: 40,
         },
-        threads: 1,
+        workers: 1,
         seed: testkit::test_seed() ^ salt,
         ..Default::default()
     }
