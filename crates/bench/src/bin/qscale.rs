@@ -146,7 +146,7 @@ fn run_config(q: usize, workers: usize) -> RunOutput {
     let oracle = SleepyOracle::new(scenario.target_table(space));
     let sink = RecordingSink::new();
     let result = PpaTuner::new(config)
-        .run_concurrent(&source, &candidates, &oracle, &sink)
+        .run_observed(&source, &candidates, &oracle, &sink)
         .expect("qscale run succeeds");
     let (busy_sum, busy_union) = busy_stats(oracle.busy_intervals());
     RunOutput {

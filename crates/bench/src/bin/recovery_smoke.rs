@@ -272,7 +272,7 @@ fn main() {
         let oracle = ppatuner::SharedOracle::new(VecOracle::new(truth.clone()));
         let sink = RecordingSink::new();
         let result = PpaTuner::new(cfg)
-            .run_concurrent(&source, &candidates, &oracle, &sink)
+            .run_observed(&source, &candidates, &oracle, &sink)
             .expect("degraded concurrent run completes");
         (result, sink.events())
     };
@@ -337,7 +337,7 @@ fn main() {
         ..config.clone()
     };
     let sink = RecordingSink::new();
-    match PpaTuner::new(cfg).run_concurrent(&source, &candidates, &oracle, &sink) {
+    match PpaTuner::new(cfg).run_observed(&source, &candidates, &oracle, &sink) {
         Ok(result) => {
             let fired = sink.count("WatchdogFired");
             println!(

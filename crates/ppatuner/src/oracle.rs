@@ -292,11 +292,48 @@ pub trait ConcurrentOracle: Sync {
     fn runs(&self) -> usize;
 }
 
+/// How a run reaches the tool: the one oracle argument of every
+/// [`PpaTuner`](crate::PpaTuner) entry point.
+///
+/// `&mut impl QorOracle` converts into [`OracleRef::Serial`], whose wave
+/// members run one after another on the calling thread;
+/// `&impl ConcurrentOracle` converts into [`OracleRef::Concurrent`], whose
+/// wave members each run on their own thread. Results, traces and span IDs
+/// are identical either way; only wall-clock overlap differs.
+pub enum OracleRef<'a> {
+    /// An exclusive sequential oracle.
+    Serial(&'a mut dyn QorOracle),
+    /// A shared thread-safe oracle a wave can fan out over.
+    Concurrent(&'a dyn ConcurrentOracle),
+}
+
+impl OracleRef<'_> {
+    /// Tool runs so far, including failed attempts.
+    pub(crate) fn runs(&self) -> usize {
+        match self {
+            OracleRef::Serial(o) => o.runs(),
+            OracleRef::Concurrent(o) => o.runs(),
+        }
+    }
+}
+
+impl<'a, O: QorOracle + 'a> From<&'a mut O> for OracleRef<'a> {
+    fn from(oracle: &'a mut O) -> Self {
+        OracleRef::Serial(oracle)
+    }
+}
+
+impl<'a, O: ConcurrentOracle + 'a> From<&'a O> for OracleRef<'a> {
+    fn from(oracle: &'a O) -> Self {
+        OracleRef::Concurrent(oracle)
+    }
+}
+
 /// Adapts any sequential [`QorOracle`] into a [`ConcurrentOracle`] by
 /// serializing evaluations behind a mutex.
 ///
-/// This keeps table- and closure-backed oracles usable with the
-/// concurrent entry points (`PpaTuner::run_concurrent`) without giving up
+/// This keeps table- and closure-backed oracles usable with a concurrent
+/// run (`PpaTuner::run_observed(.., &shared, ..)`) without giving up
 /// their exact sequential semantics: per-candidate attempt counts and
 /// run totals are interleaving-independent, so results match the serial
 /// path bit for bit. Real overlap requires a natively concurrent oracle.

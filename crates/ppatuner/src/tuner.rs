@@ -18,7 +18,7 @@ use crate::checkpoint::{
     StateSnapshot, CHECKPOINT_VERSION,
 };
 use crate::decision::{classify, select_batch, Status};
-use crate::oracle::{ConcurrentOracle, EvalError, QorOracle, WATCHDOG_STAGE};
+use crate::oracle::{EvalError, OracleRef, WATCHDOG_STAGE};
 use crate::pool::AdaptivePool;
 use crate::region::UncertaintyRegion;
 use crate::supervisor;
@@ -197,7 +197,7 @@ pub struct PpaTunerConfig {
     /// [`pool_refine_scale`](PpaTunerConfig::pool_refine_scale) times the
     /// cell's own diameter, appending the new sibling centers as fresh
     /// candidates. Requires an oracle that can evaluate arbitrary
-    /// coordinates ([`QorOracle::evaluate_at`], e.g.
+    /// coordinates ([`QorOracle::evaluate_at`](crate::QorOracle::evaluate_at), e.g.
     /// [`FnOracle`](crate::FnOracle)) — a purely index-table oracle
     /// aborts with an out-of-range error once a grown candidate is
     /// selected.
@@ -499,17 +499,23 @@ impl PpaTuner {
     /// configurations of the target task), pulling golden QoR values from
     /// `oracle` and transferring knowledge from `source`.
     ///
+    /// `oracle` is `&mut impl QorOracle` (wave members run one at a time)
+    /// or `&impl ConcurrentOracle` (every member of a selection wave runs
+    /// on its own thread, overlapping tool runs in wall-clock); see
+    /// [`OracleRef`]. Results, traces and span IDs are identical either
+    /// way — only timing fields differ.
+    ///
     /// # Errors
     ///
     /// - [`TunerError::InvalidInput`] for an empty/inconsistent candidate
     ///   set or source;
     /// - [`TunerError::InvalidConfig`] for out-of-range options;
     /// - [`TunerError::Surrogate`] when GP fitting fails irrecoverably.
-    pub fn run<O: QorOracle>(
+    pub fn run<'o>(
         &self,
         source: &SourceData,
         candidates: &[Vec<f64>],
-        oracle: &mut O,
+        oracle: impl Into<OracleRef<'o>>,
     ) -> Result<TuneResult> {
         self.run_observed(source, candidates, oracle, &NULL_SINK)
     }
@@ -526,124 +532,38 @@ impl PpaTuner {
     /// # Errors
     ///
     /// Same as [`PpaTuner::run`].
-    pub fn run_observed<O: QorOracle>(
+    pub fn run_observed<'o>(
         &self,
         source: &SourceData,
         candidates: &[Vec<f64>],
-        oracle: &mut O,
+        oracle: impl Into<OracleRef<'o>>,
         observer: &dyn Observer,
     ) -> Result<TuneResult> {
-        self.run_core(
-            source,
-            candidates,
-            OracleRef::Serial(oracle),
-            observer,
-            None,
-            None,
-        )
-    }
-
-    /// Like [`PpaTuner::run_observed`], but drives a thread-safe
-    /// [`ConcurrentOracle`], running every member of a selection batch on
-    /// its own thread. With a natively concurrent oracle this overlaps
-    /// tool runs in wall-clock; results, traces, and span IDs are
-    /// identical to the serial path — only timing fields differ.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PpaTuner::run`].
-    pub fn run_concurrent(
-        &self,
-        source: &SourceData,
-        candidates: &[Vec<f64>],
-        oracle: &dyn ConcurrentOracle,
-        observer: &dyn Observer,
-    ) -> Result<TuneResult> {
-        self.run_core(
-            source,
-            candidates,
-            OracleRef::Concurrent(oracle),
-            observer,
-            None,
-            None,
-        )
-    }
-
-    /// [`PpaTuner::run_concurrent`] with per-iteration checkpointing (see
-    /// [`PpaTuner::run_checkpointed`]). Checkpoints land at iteration
-    /// boundaries, which are always whole-batch boundaries — a resumed
-    /// run replays complete batches, never half of one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PpaTuner::run_checkpointed`].
-    pub fn run_concurrent_checkpointed(
-        &self,
-        source: &SourceData,
-        candidates: &[Vec<f64>],
-        oracle: &dyn ConcurrentOracle,
-        observer: &dyn Observer,
-        store: &dyn CheckpointStore,
-    ) -> Result<TuneResult> {
-        self.run_core(
-            source,
-            candidates,
-            OracleRef::Concurrent(oracle),
-            observer,
-            Some(store),
-            None,
-        )
-    }
-
-    /// [`PpaTuner::resume`] over a [`ConcurrentOracle`]: replays the
-    /// checkpoint's evaluation log (whole batches — checkpoints sit at
-    /// batch boundaries), then continues live with concurrent fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PpaTuner::resume`].
-    pub fn resume_concurrent(
-        &self,
-        source: &SourceData,
-        candidates: &[Vec<f64>],
-        oracle: &dyn ConcurrentOracle,
-        observer: &dyn Observer,
-        store: &dyn CheckpointStore,
-    ) -> Result<TuneResult> {
-        let ckpt = recover_checkpoint(store, observer)?;
-        let snapshot_degraded = ckpt.as_ref().map_or(0, |c| c.snapshot.degraded_fits);
-        self.run_core(
-            source,
-            candidates,
-            OracleRef::Concurrent(oracle),
-            observer,
-            Some(store),
-            ckpt,
-        )
-        .map_err(|e| explain_degraded_divergence(e, snapshot_degraded))
+        self.run_core(source, candidates, oracle.into(), observer, None, None)
     }
 
     /// Like [`PpaTuner::run_observed`], but persists a [`Checkpoint`] to
     /// `store` at the end of every iteration, so an interrupted run can
-    /// be continued with [`PpaTuner::resume`]. Any previous checkpoint in
-    /// the store is overwritten.
+    /// be continued with [`PpaTuner::resume`]. Checkpoints land at
+    /// iteration boundaries, which are always whole-wave boundaries. Any
+    /// previous checkpoint in the store is overwritten.
     ///
     /// # Errors
     ///
     /// Same as [`PpaTuner::run`], plus [`TunerError::Checkpoint`] when
     /// the store rejects a save.
-    pub fn run_checkpointed<O: QorOracle>(
+    pub fn run_checkpointed<'o>(
         &self,
         source: &SourceData,
         candidates: &[Vec<f64>],
-        oracle: &mut O,
+        oracle: impl Into<OracleRef<'o>>,
         observer: &dyn Observer,
         store: &dyn CheckpointStore,
     ) -> Result<TuneResult> {
         self.run_core(
             source,
             candidates,
-            OracleRef::Serial(oracle),
+            oracle.into(),
             observer,
             Some(store),
             None,
@@ -656,27 +576,29 @@ impl PpaTuner {
     ///
     /// Resume works by deterministic replay: the loop re-executes from
     /// the start with the same seed, serving oracle calls from the
-    /// checkpoint's evaluation log (failures included) instead of the
-    /// live tool, which reproduces the checkpointed state exactly —
-    /// verified against the checkpoint's snapshot before live evaluation
-    /// takes over. Trace events are only emitted for the live portion, so
-    /// concatenating the interrupted run's trace with the resumed one
-    /// yields one seamless run. Given the same `config`, `source`,
-    /// `candidates`, and a fresh oracle over the same ground truth, the
-    /// final [`TuneResult`] is identical to the uninterrupted run's
-    /// (modulo wall-clock timing fields).
+    /// checkpoint's evaluation log (failures included, whole waves at a
+    /// time) instead of the live tool, which reproduces the checkpointed
+    /// state exactly — verified against the checkpoint's snapshot before
+    /// live evaluation takes over. Trace events are only emitted for the
+    /// live portion, so concatenating the interrupted run's trace with the
+    /// resumed one yields one seamless run. Given the same `config`,
+    /// `source`, `candidates`, and a fresh oracle over the same ground
+    /// truth, the final [`TuneResult`] is identical to the uninterrupted
+    /// run's (modulo wall-clock timing fields), through either oracle
+    /// kind.
     ///
     /// # Errors
     ///
     /// Same as [`PpaTuner::run_checkpointed`], plus
     /// [`TunerError::Checkpoint`] when the stored checkpoint has a
     /// different version/configuration/data, or its log diverges from
-    /// what the deterministic replay re-derives.
-    pub fn resume<O: QorOracle>(
+    /// what the deterministic replay re-derives (including a log that
+    /// ends inside a wave).
+    pub fn resume<'o>(
         &self,
         source: &SourceData,
         candidates: &[Vec<f64>],
-        oracle: &mut O,
+        oracle: impl Into<OracleRef<'o>>,
         observer: &dyn Observer,
         store: &dyn CheckpointStore,
     ) -> Result<TuneResult> {
@@ -685,7 +607,7 @@ impl PpaTuner {
         self.run_core(
             source,
             candidates,
-            OracleRef::Serial(oracle),
+            oracle.into(),
             observer,
             Some(store),
             ckpt,
@@ -693,9 +615,9 @@ impl PpaTuner {
         .map_err(|e| explain_degraded_divergence(e, snapshot_degraded))
     }
 
-    /// The actual loop. `store` enables per-iteration checkpointing;
-    /// `resume_from` replays a previous run's evaluation log before going
-    /// live.
+    /// The loop: Algorithm 1's phases over one [`RunState`]. `store`
+    /// enables per-iteration checkpointing; `resume_from` replays a
+    /// previous run's evaluation log before going live.
     fn run_core(
         &self,
         source: &SourceData,
@@ -706,7 +628,154 @@ impl PpaTuner {
         resume_from: Option<Checkpoint>,
     ) -> Result<TuneResult> {
         let run_start = Instant::now();
-        self.config.validate()?;
+        let mut state = RunState::new(
+            &self.config,
+            source,
+            candidates,
+            oracle,
+            observer,
+            store,
+            resume_from,
+        )?;
+        state.initialize()?;
+        for t in 0..self.config.max_iterations {
+            state.go_live_if_drained(t)?;
+            if !state.statuses.contains(&Status::Undecided) {
+                break;
+            }
+            state.iterations = t + 1;
+            let iter_start = Instant::now();
+            let iter_span = state.tracer.open("iteration", Some(&state.run_span));
+            let iter_resources = GpCounters::snapshot();
+            if state.tracing() {
+                observer.emit(&iter_span.start_event());
+            }
+            // Attempts logged before this iteration: whether it logged any
+            // decides whether it is a checkpoint boundary.
+            let log_mark = state.log.len();
+            let gp_fit_s = state.calibrate(t, &iter_span)?;
+            let predict_s = state.predict(t)?;
+            // When classification just settled the last undecided
+            // candidate, or selection finds nothing informative to
+            // measure, the iteration is still recorded and checkpointed
+            // like any other before the loop stops, so a resumed run can
+            // skip straight past it.
+            let stop =
+                state.classify(t, &iter_span) || !state.select_and_evaluate(t, &iter_span)?;
+            state.record(t, iter_start, &iter_resources, gp_fit_s, predict_s);
+            state.checkpoint(t, log_mark, &iter_span)?;
+            if state.tracing() {
+                observer.emit(&state.tracer.end_event(&iter_span));
+            }
+            if stop {
+                break;
+            }
+        }
+        // A run whose last checkpoint is also its last iteration replays
+        // its whole loop; the snapshot is verified here instead.
+        state.go_live_if_drained(state.iterations)?;
+        state.verify_front(run_start)
+    }
+}
+
+/// Everything one run of Algorithm 1 carries from phase to phase. Each
+/// phase is one method; [`PpaTuner::run_core`] calls them in order.
+///
+/// Resume is deterministic replay: while `live` is false, every wave is
+/// served from the checkpoint's evaluation log instead of the oracle, and
+/// run-structure events and checkpoint writes are suppressed. The log
+/// drains exactly at the checkpoint's iteration boundary, where
+/// [`RunState::go_live_if_drained`] verifies the re-derived state against
+/// the checkpoint's snapshot and switches to live evaluation.
+struct RunState<'a, 'o> {
+    config: &'a PpaTunerConfig,
+    source: &'a SourceData,
+    /// Its own lifetime: an `OracleRef` is invariant in it.
+    oracle: OracleRef<'o>,
+    observer: &'a dyn Observer,
+    /// The checkpoint store and the digests of the caller's candidates
+    /// and source data, which stay the run's identity however the pool
+    /// grows.
+    store: Option<(&'a dyn CheckpointStore, u64, u64)>,
+    /// The iteration the resumed checkpoint continues at and its
+    /// snapshot, verified once replay drains.
+    resume: Option<(usize, StateSnapshot)>,
+    /// Recorded attempts not yet replayed.
+    replay: VecDeque<EvalRecord>,
+    replayed_runs: usize,
+    /// Every attempt so far, replayed or live (the next checkpoint's
+    /// replay script, so failures are recorded too).
+    log: Vec<EvalRecord>,
+    live: bool,
+    /// Wave events of the initialization, held back until `RunStart` can
+    /// be emitted (the run is not characterized until the first QoR
+    /// arrives); `None` from then on.
+    init_events: Option<Vec<Event>>,
+    /// Causal spans. IDs are allocated unconditionally along the run
+    /// structure but emitted only while live, so a resumed run's live
+    /// span IDs continue exactly where the interrupted trace stopped.
+    tracer: Tracer,
+    run_span: OpenSpan,
+    rng: StdRng,
+    workers: usize,
+    /// The caller's candidates, followed by what the adaptive pool grows.
+    candidates: Vec<Vec<f64>>,
+    /// Objective count; 0 until the first accepted QoR fixes it.
+    n_obj: usize,
+    evaluated: Vec<(usize, Vec<f64>)>,
+    evaluated_flag: Vec<bool>,
+    statuses: Vec<Status>,
+    /// Uncertainty regions; empty until initialization ends, which also
+    /// keeps the outlier gate off during initialization.
+    regions: Vec<UncertaintyRegion>,
+    obs_span: ObservedSpan,
+    delta: Vec<f64>,
+    /// Fixed hypervolume reference of the trace's `IterationEnd` events.
+    hv_reference: Vec<f64>,
+    source_tasks: Vec<TaskData>,
+    pool: Option<AdaptivePool>,
+    /// Per-objective surrogates, persistent across iterations: full
+    /// hyper-parameter refits replace them, warm iterations extend them
+    /// in place (`condition_on`) with the observations made since.
+    models: Option<Vec<TransferGp>>,
+    /// How many entries of `evaluated` each objective's model has seen.
+    /// Per-objective because a degraded (frozen) model lags its peers
+    /// until a later calibration catches it up on everything it missed.
+    conditioned_upto: Vec<usize>,
+    /// Per-objective predict caches, persistent like the models: warm
+    /// iterations only append rows to the joint factor, so each undecided
+    /// candidate's forward-substitution prefix survives and the sweep
+    /// pays only the new tail. Refits invalidate via the fit epoch.
+    /// Results are bit-identical either way.
+    predict_caches: Vec<PredictCache>,
+    /// Degraded-mode supervisor: calibrations served by a last-good model
+    /// in total, and in consecutive iterations (past
+    /// `degraded_fit_budget`, the run aborts). Replay re-derives both, so
+    /// an injected fault plan must be re-armed on resume; the snapshot
+    /// check catches a forgotten one.
+    degraded_total: usize,
+    degraded_streak: usize,
+    last_degraded_cause: String,
+    quarantined: Vec<usize>,
+    eval_failures: usize,
+    eval_retries: usize,
+    history: Vec<IterationRecord>,
+    iterations: usize,
+}
+
+impl<'a, 'o> RunState<'a, 'o> {
+    /// Validates the inputs and sets up an empty run (or the replay of
+    /// `resume_from`).
+    fn new(
+        config: &'a PpaTunerConfig,
+        source: &'a SourceData,
+        candidates: &[Vec<f64>],
+        oracle: OracleRef<'o>,
+        observer: &'a dyn Observer,
+        store: Option<&'a dyn CheckpointStore>,
+        resume_from: Option<Checkpoint>,
+    ) -> Result<Self> {
+        config.validate()?;
         if candidates.is_empty() {
             return Err(TunerError::InvalidInput {
                 reason: "candidate set must not be empty",
@@ -728,935 +797,986 @@ impl PpaTuner {
                 reason: "candidates must be finite (no NaN/inf)",
             });
         }
-        // From here on the candidate list is owned: the adaptive pool
-        // appends refinement candidates to it. Digests and checkpoint
-        // validation below run against this initial (caller) state —
-        // growth only ever appends, and replays deterministically, so
-        // the caller's candidates stay the run's identity.
-        let mut candidates: Vec<Vec<f64>> = candidates.to_vec();
-
-        // Checkpoint plumbing. `driver` serves oracle attempts — from the
-        // resume log while it lasts, live afterwards — and records every
-        // outcome so later checkpoints carry the complete history. `live`
-        // gates run-structure events (and checkpoint writes) off while
-        // replay reproduces already-traced iterations.
-        let digests = store.map(|_| (digest_matrix(&candidates), source_digest(source)));
         if let Some(ckpt) = &resume_from {
-            ckpt.validate(&self.config, &candidates, source)
+            ckpt.validate(config, candidates, source)
                 .map_err(|reason| TunerError::Checkpoint { reason })?;
         }
-        let resume_state = resume_from.map(|c| (c.next_iteration, c.snapshot, c.eval_log));
-        let mut driver = EvalDriver {
-            oracle,
-            replay: resume_state
-                .as_ref()
-                .map(|(_, _, log)| log.iter().cloned().collect())
-                .unwrap_or_default(),
-            replayed_runs: 0,
-            log: Vec::new(),
+        let (resume, replay) = match resume_from {
+            Some(c) => (Some((c.next_iteration, c.snapshot)), c.eval_log.into()),
+            None => (None, VecDeque::new()),
         };
-        let mut live = !driver.replaying();
-        // Causal spans. IDs are allocated unconditionally along the run
-        // structure (a relaxed atomic add — negligible for NULL_SINK runs)
-        // but emitted only for live, enabled observers. A resumed run
-        // therefore re-allocates the replayed portion's IDs silently, and
-        // its live span IDs continue exactly where the interrupted trace
-        // stopped — concatenated traces stay one seamless span tree.
         let tracer = Tracer::new();
         let run_span = tracer.open("run", None);
-        let mut eval_failures = 0usize;
-        let mut eval_retries = 0usize;
-        let mut quarantined_order: Vec<usize> = Vec::new();
-
         let n = candidates.len();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        Ok(RunState {
+            config,
+            source,
+            oracle,
+            observer,
+            store: store.map(|s| (s, digest_matrix(candidates), source_digest(source))),
+            resume,
+            live: replay.is_empty(),
+            replay,
+            replayed_runs: 0,
+            log: Vec::new(),
+            init_events: Some(Vec::new()),
+            tracer,
+            run_span,
+            rng: StdRng::seed_from_u64(config.seed),
+            workers: config.fan_out_workers(),
+            candidates: candidates.to_vec(),
+            n_obj: 0,
+            evaluated: Vec::new(),
+            evaluated_flag: vec![false; n],
+            statuses: vec![Status::Undecided; n],
+            regions: Vec::new(),
+            obs_span: ObservedSpan::new(0),
+            delta: Vec::new(),
+            hv_reference: Vec::new(),
+            source_tasks: Vec::new(),
+            pool: None,
+            models: None,
+            conditioned_upto: Vec::new(),
+            predict_caches: Vec::new(),
+            degraded_total: 0,
+            degraded_streak: 0,
+            last_degraded_cause: String::new(),
+            quarantined: Vec::new(),
+            eval_failures: 0,
+            eval_retries: 0,
+            history: Vec::new(),
+            iterations: 0,
+        })
+    }
 
-        // ------------------------------------------------- initialization
-        // Greedy maximin selection seeded by a random pick: the random
-        // sampling of the paper with better space coverage for the same
-        // budget (pure-random ablation: shuffle and truncate instead).
-        let init_count = self.config.initial_samples.min(n);
-        let mut init_idx: Vec<usize> = Vec::with_capacity(init_count);
-        {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.shuffle(&mut rng);
-            init_idx.push(order[0]);
-            let mut dist = vec![f64::INFINITY; n];
-            while init_idx.len() < init_count {
-                let last = *init_idx.last().expect("non-empty");
-                for (i, d) in dist.iter_mut().enumerate() {
-                    let dd = gp::vecops::sq_dist(&candidates[i], &candidates[last]);
-                    if dd < *d {
-                        *d = dd;
-                    }
-                }
-                let next = (0..n)
-                    .filter(|i| !init_idx.contains(i))
-                    .max_by(|&a, &b| {
-                        dist[a]
-                            .partial_cmp(&dist[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("candidates remain");
-                init_idx.push(next);
-            }
+    /// Whether run-structure events go out: live (not replaying) and
+    /// observed.
+    fn tracing(&self) -> bool {
+        self.live && self.observer.enabled()
+    }
+
+    /// Emits a wave event, or holds it back while initialization runs.
+    fn emit(&mut self, event: Event) {
+        match &mut self.init_events {
+            Some(held) => held.push(event),
+            None => self.observer.emit(&event),
         }
+    }
 
-        let mut evaluated: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut evaluated_flag = vec![false; n];
-        // Attempt-level events are buffered until RunStart can be emitted
-        // (the run isn't fully characterized until the first QoR arrives).
-        let mut init_events: Vec<Event> = Vec::new();
-        let mut init_quarantined: Vec<(usize, usize)> = Vec::new();
-        let mut n_obj_opt: Option<usize> = None;
-        for chunk in init_idx.chunks(self.config.batch_size.max(1)) {
-            let outs = {
-                let ctx = WaveCtx {
-                    iteration: 0,
-                    candidates: &candidates,
-                    n_obj: n_obj_opt,
-                    gate: None,
-                };
-                evaluate_wave(
-                    &mut driver,
-                    chunk,
-                    &ctx,
-                    &self.config,
-                    live && observer.enabled(),
-                    &mut |e| init_events.push(e),
-                    &tracer,
-                    &run_span,
-                )?
-            };
-            for (&i, out) in chunk.iter().zip(outs) {
-                eval_retries += out.attempts.saturating_sub(1);
-                eval_failures += out.failures;
-                match out.qor {
-                    Some(y) => {
-                        match n_obj_opt {
-                            // The first accepted QoR of a wave fixes the
-                            // objective count; siblings of that same wave
-                            // were sanitized before it was known, so they
-                            // are dimension-checked here instead.
-                            None => n_obj_opt = Some(y.len()),
-                            Some(m) if y.len() != m => return Err(TunerError::InvalidInput {
-                                reason:
-                                    "oracle returned inconsistent objective counts within a batch",
-                            }),
-                            Some(_) => {}
-                        }
-                        evaluated_flag[i] = true;
-                        evaluated.push((i, y));
-                    }
-                    None => {
-                        if live && observer.enabled() {
-                            init_events.push(Event::CandidateQuarantined {
-                                iteration: 0,
-                                candidate: i,
-                                attempts: out.attempts,
-                            });
-                        }
-                        init_quarantined.push((i, out.attempts));
-                    }
+    /// Total tool runs: replayed attempts plus the live oracle's counter.
+    /// Matches the original run's `oracle.runs()` when resume was handed
+    /// a fresh oracle.
+    fn runs(&self) -> usize {
+        self.replayed_runs + self.oracle.runs()
+    }
+
+    /// Initialization: a greedy maximin design seeded by a random pick
+    /// (the random sampling of the paper with better space coverage for
+    /// the same budget), evaluated in batch-sized waves. The accepted
+    /// observations fix the objective count, δ, the hypervolume reference
+    /// and the per-objective state of the loop.
+    fn initialize(&mut self) -> Result<()> {
+        let init_count = self.config.initial_samples.min(self.candidates.len());
+        let init_idx = maximin_design(&self.candidates, init_count, &mut self.rng);
+        let run_span = self.run_span.clone();
+        for chunk in init_idx.chunks(self.config.batch_size) {
+            for (&i, qor) in chunk.iter().zip(self.wave(chunk, 0, &run_span)?) {
+                let Some(y) = qor else { continue };
+                // The first accepted QoR fixes the objective count;
+                // siblings of that same wave were sanitized before it was
+                // known, so they are dimension-checked here instead.
+                if self.n_obj == 0 {
+                    self.n_obj = y.len();
+                } else if y.len() != self.n_obj {
+                    return Err(TunerError::InvalidInput {
+                        reason: "oracle returned inconsistent objective counts within a batch",
+                    });
                 }
+                self.evaluated_flag[i] = true;
+                self.evaluated.push((i, y));
             }
         }
         // Two successes are the floor for observed ranges (δ, the
         // hypervolume reference) and a fittable target task.
-        let n_obj = match n_obj_opt {
-            Some(m) if evaluated.len() >= 2 => m,
-            _ => {
-                return Err(TunerError::InvalidInput {
-                    reason: "fewer than two initialization evaluations succeeded",
-                })
-            }
-        };
-        if let Some(m) = source.objectives() {
-            if m != n_obj {
-                return Err(TunerError::InvalidInput {
-                    reason: "source and oracle objective counts differ",
-                });
-            }
+        if self.evaluated.len() < 2 {
+            return Err(TunerError::InvalidInput {
+                reason: "fewer than two initialization evaluations succeeded",
+            });
+        }
+        let n_obj = self.n_obj;
+        if self.source.objectives().is_some_and(|m| m != n_obj) {
+            return Err(TunerError::InvalidInput {
+                reason: "source and oracle objective counts differ",
+            });
         }
 
         // The run is now fully characterized: announce it, then flush the
-        // buffered initialization attempts into the trace (iteration 0).
-        if live && observer.enabled() {
-            observer.emit(&Event::RunStart {
-                candidates: n,
+        // held initialization attempts into the trace (iteration 0).
+        let held = self.init_events.take().unwrap_or_default();
+        if self.tracing() {
+            self.observer.emit(&Event::RunStart {
+                candidates: self.candidates.len(),
                 objectives: n_obj,
-                dim,
+                dim: self.candidates[0].len(),
                 initial_samples: init_count,
                 max_iterations: self.config.max_iterations,
                 seed: self.config.seed,
             });
-            // The run span opens right after RunStart, before the buffered
+            // The run span opens right after RunStart, before the held
             // initialization attempts that are its children.
-            observer.emit(&run_span.start_event());
-            for e in &init_events {
-                observer.emit(e);
+            self.observer.emit(&self.run_span.start_event());
+            for e in &held {
+                self.observer.emit(e);
             }
         }
-        drop(init_events);
 
         // Per-objective observed ranges of the initialization sample.
         let init_ranges: Vec<(f64, f64)> = (0..n_obj)
             .map(|k| {
-                let vals: Vec<f64> = evaluated.iter().map(|(_, y)| y[k]).collect();
+                let vals: Vec<f64> = self.evaluated.iter().map(|(_, y)| y[k]).collect();
                 let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
                 let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 (lo, hi)
             })
             .collect();
-
-        // Absolute δ from the observed initialization ranges.
-        let delta: Vec<f64> = init_ranges
+        self.delta = init_ranges
             .iter()
             .map(|&(lo, hi)| (hi - lo).max(f64::MIN_POSITIVE) * self.config.delta_rel)
             .collect();
-
-        // Fixed hypervolume reference for trace reporting: slightly worse
-        // than the initialization nadir, so incremental hypervolume is
-        // monotone and comparable across iterations of the same run.
-        let hv_reference: Vec<f64> = init_ranges
+        // Slightly worse than the initialization nadir, so incremental
+        // hypervolume is monotone and comparable across iterations.
+        self.hv_reference = init_ranges
             .iter()
             .map(|&(lo, hi)| hi + 0.1 * (hi - lo).max(f64::MIN_POSITIVE))
             .collect();
 
-        let mut regions: Vec<UncertaintyRegion> = (0..n)
+        self.regions = (0..self.candidates.len())
             .map(|_| UncertaintyRegion::unbounded(n_obj))
             .collect();
-        for (i, y) in &evaluated {
-            regions[*i].collapse_to(y);
-        }
-        let mut statuses = vec![Status::Undecided; n];
-        for &(i, _) in &init_quarantined {
-            statuses[i] = Status::Quarantined;
-            quarantined_order.push(i);
-        }
-
         // Running per-objective span of accepted observations: the floor
         // of the outlier gate's allowance, so a tight (or collapsed)
         // region can never reject values of the magnitude the tool
         // actually produces.
-        let mut obs_span = ObservedSpan::new(n_obj);
-        for (_, y) in &evaluated {
-            obs_span.absorb(y);
+        self.obs_span = ObservedSpan::new(n_obj);
+        for (i, y) in &self.evaluated {
+            self.regions[*i].collapse_to(y);
+            self.obs_span.absorb(y);
         }
-
-        let source_tasks: Vec<TaskData> = (0..n_obj).map(|k| source.task_data(k)).collect();
-
+        self.source_tasks = (0..n_obj).map(|k| self.source.task_data(k)).collect();
         // The adaptive pool (when enabled) wraps the candidates in a
         // bisection cell tree; refinement happens inside the loop once
         // uncertainty regions carry evidence.
-        let mut pool = if self.config.adaptive_pool {
-            Some(AdaptivePool::new(&candidates)?)
+        if self.config.adaptive_pool {
+            self.pool = Some(AdaptivePool::new(&self.candidates)?);
+        }
+        self.conditioned_upto = vec![0; n_obj];
+        self.predict_caches = (0..n_obj).map(|_| PredictCache::new()).collect();
+        Ok(())
+    }
+
+    /// Model calibration (Algorithm 1, lines 4–6): a full hyper-parameter
+    /// refit every `refit_every` iterations, a warm `condition_on`
+    /// extension in between, each with the degraded-mode fallback.
+    /// Returns the phase's wall-clock seconds.
+    fn calibrate(&mut self, t: usize, iter_span: &OpenSpan) -> Result<f64> {
+        let fit_phase = Instant::now();
+        let fit_span = self.tracer.open("gp_fit", Some(iter_span));
+        if self.tracing() {
+            self.observer.emit(&fit_span.start_event());
+        }
+        let degraded_before = self.degraded_total;
+        if self.models.is_none() || t.is_multiple_of(self.config.refit_every.max(1)) {
+            self.refit(t)?;
+        } else {
+            self.condition(t)?;
+        }
+        if self.degraded_total > degraded_before {
+            self.degraded_streak += 1;
+            if self.degraded_streak > self.config.degraded_fit_budget {
+                return Err(TunerError::DegradationBudgetExhausted {
+                    consecutive: self.degraded_streak,
+                    cause: std::mem::take(&mut self.last_degraded_cause),
+                });
+            }
+        } else {
+            self.degraded_streak = 0;
+        }
+        let gp_fit_s = fit_phase.elapsed().as_secs_f64();
+        if self.tracing() {
+            self.observer.emit(&self.tracer.end_event(&fit_span));
+        }
+        Ok(gp_fit_s)
+    }
+
+    /// Replaces every objective's surrogate by a fresh hyper-parameter
+    /// fit. An objective whose fit fails recoverably keeps its last-good
+    /// model instead: refit on the current data with its hyper-parameters,
+    /// or frozen when that fails too.
+    fn refit(&mut self, t: usize) -> Result<()> {
+        let n_obj = self.n_obj;
+        let dim = self.candidates[0].len();
+        // One shared encoded copy of the evaluated configurations; each
+        // objective's task view only materializes its own QoR column.
+        let target_x: Arc<Vec<Vec<f64>>> = Arc::new(
+            self.evaluated
+                .iter()
+                .map(|(i, _)| self.candidates[*i].clone())
+                .collect(),
+        );
+        let target_tasks: Vec<TaskData> = (0..n_obj)
+            .map(|k| {
+                TaskData::from_shared(
+                    Arc::clone(&target_x),
+                    self.evaluated.iter().map(|(_, y)| y[k]).collect(),
+                )
+            })
+            .collect();
+        // Pre-draw every objective's restart starts sequentially
+        // (objective order), then fan the independent (objective ×
+        // restart) searches out: the RNG stream — and therefore the
+        // result — is identical at any worker count.
+        let starts: Vec<Vec<Vec<f64>>> = (0..n_obj)
+            .map(|_| restart_starts(dim, self.config.fit_budget.restarts, &mut self.rng))
+            .collect();
+        // Injected numerical faults (chaos suites) are decided here on the
+        // coordinator thread — a pure hash of (iteration, objective) — so
+        // the fit workers stay oblivious to the thread-local plan and
+        // replay re-derives identical decisions. Faulted objectives are
+        // not fitted.
+        let injected: Vec<Option<gp::GpError>> = (0..n_obj)
+            .map(|k| supervisor::injected_fault(supervisor::FitStage::Refit, t, k))
+            .collect();
+        let jobs: Vec<FitJob<'_>> = (0..n_obj)
+            .filter(|&k| injected[k].is_none())
+            .map(|k| FitJob {
+                source: &self.source_tasks[k],
+                target: &target_tasks[k],
+                starts: &starts[k],
+            })
+            .collect();
+        let mut fitted =
+            fit_transfer_gps(&jobs, dim, self.config.fit_budget, self.workers).into_iter();
+        let outs: Vec<gp::Result<(TransferGp, FitReport)>> = injected
+            .into_iter()
+            .map(|fault| match fault {
+                Some(e) => Err(e),
+                None => fitted.next().expect("one fit per unfaulted objective"),
+            })
+            .collect();
+        // Last-good surrogates, one slot per objective. None before the
+        // bootstrap fit.
+        let mut prev_models: Vec<Option<TransferGp>> = match self.models.take() {
+            Some(v) => v.into_iter().map(Some).collect(),
+            None => (0..n_obj).map(|_| None).collect(),
+        };
+        let mut models: Vec<TransferGp> = Vec::with_capacity(n_obj);
+        for (k, out) in outs.into_iter().enumerate() {
+            match out {
+                Ok((model, report)) => {
+                    if self.tracing() {
+                        let event = gp_fit_event(t, k, &model, Some(&report), report.duration_s);
+                        self.observer.emit(&event);
+                    }
+                    self.conditioned_upto[k] = self.evaluated.len();
+                    models.push(model);
+                }
+                Err(e) if e.is_recoverable() && prev_models[k].is_some() => {
+                    let prev = prev_models[k].take().expect("just checked");
+                    let fallback =
+                        match supervisor::injected_fault(supervisor::FitStage::Fallback, t, k) {
+                            Some(fe) => Err(fe),
+                            None => prev.refit_data_only(
+                                self.source_tasks[k].clone(),
+                                target_tasks[k].clone(),
+                            ),
+                        };
+                    let (model, mode) = match fallback {
+                        Ok(m) => {
+                            self.conditioned_upto[k] = self.evaluated.len();
+                            (m, DEGRADED_REFIT_REUSED)
+                        }
+                        // Frozen: the conditioning mark stays put, so the
+                        // next successful calibration catches this
+                        // objective up on what it missed.
+                        Err(_) => (prev, DEGRADED_FROZEN),
+                    };
+                    self.degrade(t, k, &e, mode);
+                    models.push(model);
+                }
+                // Structural failure, or no last-good model to degrade to
+                // (the bootstrap fit): abort.
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.models = Some(models);
+        Ok(())
+    }
+
+    /// Warm iteration: extends each persistent surrogate with the
+    /// observations made since its factorization — a rank-k Cholesky
+    /// append instead of a from-scratch refit. A numerically rejected
+    /// extension freezes that objective's model for this iteration
+    /// (`condition_on` leaves it untouched on error); its conditioning
+    /// mark stays put so a later calibration catches it up.
+    fn condition(&mut self, t: usize) -> Result<()> {
+        let mut models = self.models.take().expect("warm path follows a refit");
+        for (k, model) in models.iter_mut().enumerate() {
+            let fit_start = Instant::now();
+            let fresh = &self.evaluated[self.conditioned_upto[k]..];
+            let new_x: Vec<Vec<f64>> = fresh
+                .iter()
+                .map(|(i, _)| self.candidates[*i].clone())
+                .collect();
+            let new_y: Vec<f64> = fresh.iter().map(|(_, y)| y[k]).collect();
+            let outcome = match supervisor::injected_fault(supervisor::FitStage::Condition, t, k) {
+                Some(e) => Err(e),
+                None => model.condition_on(&new_x, &new_y),
+            };
+            match outcome {
+                Ok(()) => {
+                    self.conditioned_upto[k] = self.evaluated.len();
+                    if self.tracing() {
+                        let duration_s = fit_start.elapsed().as_secs_f64();
+                        self.observer
+                            .emit(&gp_fit_event(t, k, model, None, duration_s));
+                    }
+                }
+                Err(e) if e.is_recoverable() => self.degrade(t, k, &e, DEGRADED_FROZEN),
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.models = Some(models);
+        Ok(())
+    }
+
+    /// Degraded mode: objective `k`'s calibration failed with `cause` and
+    /// a last-good model serves the iteration in `mode`. A `DegradedFit`
+    /// event replaces the objective's `GpFit`, so clean traces are
+    /// untouched.
+    fn degrade(&mut self, t: usize, k: usize, cause: &gp::GpError, mode: &str) {
+        self.degraded_total += 1;
+        self.last_degraded_cause = cause.to_string();
+        if self.tracing() {
+            self.observer.emit(&Event::DegradedFit {
+                iteration: t,
+                objective: k,
+                cause: cause.to_string(),
+                mode: mode.to_string(),
+                consecutive: self.degraded_streak + 1,
+            });
+        }
+    }
+
+    /// Predicts `μ ± √τ·σ` boxes for the active, unmeasured candidates and
+    /// intersects them into the regions — through the exact posterior, or
+    /// the subset-of-data path once the training set outgrows
+    /// `sod_threshold` — then grows the adaptive pool and boxes its new
+    /// candidates. Returns the phase's wall-clock seconds.
+    fn predict(&mut self, t: usize) -> Result<f64> {
+        let predict_phase = Instant::now();
+        let tracing = self.tracing();
+        let models = self.models.as_deref().expect("models exist past fitting");
+        // Subset predictors are rebuilt from the freshly calibrated models
+        // each iteration, so they never lag the exact posterior's data.
+        let train_size = self.source.len() + self.evaluated.len();
+        let sod: Option<Vec<SubsetPredictor>> = if train_size > self.config.sod_threshold {
+            Some(
+                models
+                    .iter()
+                    .map(|m| m.subset_predictor(self.config.sod_subset))
+                    .collect::<gp::Result<_>>()?,
+            )
         } else {
             None
         };
+        let surrogates = match &sod {
+            Some(preds) => Surrogates::Subset(preds),
+            None => Surrogates::Exact(models),
+        };
+        let active: Vec<usize> = (0..self.candidates.len())
+            .filter(|&i| self.statuses[i].is_active() && !self.evaluated_flag[i])
+            .collect();
+        // PredictMode is only in the trace when the SoD feature is
+        // actually configured — legacy traces stay byte-identical.
+        if tracing && self.config.sod_threshold != usize::MAX {
+            self.observer.emit(&Event::PredictMode {
+                iteration: t,
+                train_size,
+                subset_size: sod
+                    .as_ref()
+                    .and_then(|preds| preds.first())
+                    .map_or(train_size, SubsetPredictor::subset_size),
+                queries: active.len(),
+                mode: if sod.is_some() { "subset" } else { "exact" }.into(),
+            });
+        }
+        // One sweep per iteration: entries untouched since the last sweep
+        // belong to classified/pruned candidates and are evicted; the
+        // active-set and pool-refinement predicts share the new stamp.
+        for cache in &mut self.predict_caches {
+            cache.begin_sweep();
+        }
+        let (tau, workers) = (self.config.tau, self.workers);
+        let boxes = predict_boxes(
+            &surrogates,
+            &self.candidates,
+            &active,
+            tau,
+            workers,
+            &mut self.predict_caches,
+        )?;
+        for (pos, &i) in active.iter().enumerate() {
+            let (lo, hi) = &boxes[pos];
+            self.regions[i].intersect(lo, hi);
+        }
 
-        let mut history = Vec::new();
-        let mut iterations = 0;
-        // Per-objective surrogates, persistent across iterations: full
-        // hyper-parameter refits replace them, warm iterations extend them
-        // in place (`condition_on`) with the observations made since.
-        let mut models_opt: Option<Vec<TransferGp>> = None;
-        // How many entries of `evaluated` each objective's persistent
-        // model has seen. Per-objective because a degraded (frozen) model
-        // lags its peers until a later calibration catches it up on
-        // everything it missed.
-        let mut conditioned_upto = vec![0usize; n_obj];
-        // Degraded-mode supervisor state. `degraded_streak` counts
-        // *consecutive* iterations in which at least one objective was
-        // served by a last-good model after a numerical calibration
-        // failure; a fully clean calibration resets it, and exceeding
-        // `degraded_fit_budget` aborts with a typed error. Replay
-        // re-derives both deterministically (an injected fault plan must
-        // be re-armed on resume — `verify_resumed_state` compares the
-        // total against the snapshot to catch a forgotten one).
-        let mut degraded_total = 0usize;
-        let mut degraded_streak = 0usize;
-        let mut last_degraded_cause = String::new();
-        // Per-objective predict caches, persistent like the models: warm
-        // iterations only append rows to the joint factor, so each
-        // undecided candidate's forward-substitution prefix survives and
-        // the sweep pays only the q-row tail. Refits invalidate via the
-        // fit epoch; candidates that stop being queried are evicted at
-        // the next sweep boundary. Results are bit-identical either way.
-        let mut predict_caches: Vec<PredictCache> =
-            (0..n_obj).map(|_| PredictCache::new()).collect();
-        let workers = self.config.fan_out_workers();
-
-        // ------------------------------------------------------- the loop
-        for t in 0..self.config.max_iterations {
-            // Replay drains exactly at the checkpoint's iteration
-            // boundary; verify the re-derived state against the snapshot
-            // before switching to live evaluation and event emission.
-            if !live && !driver.replaying() {
-                if let Some((next_iteration, snapshot, _)) = &resume_state {
-                    verify_resumed_state(
-                        t,
-                        *next_iteration,
-                        snapshot,
-                        &statuses,
-                        evaluated.len(),
-                        driver.runs(),
-                        &rng,
-                        &delta,
-                        degraded_total,
-                    )?;
+        // Adaptive refinement: split the cells whose representative's
+        // region stayed wide relative to the cell itself, then box the new
+        // representatives immediately so this iteration's classification
+        // and selection see them.
+        if let Some(pool) = self.pool.as_mut() {
+            let before = self.candidates.len();
+            let outcome = pool.refine(
+                &mut self.candidates,
+                &self.regions,
+                &self.statuses,
+                self.config.pool_refine_scale,
+                self.config.pool_refine_ceiling,
+                self.config.pool_max_refines,
+                self.config.pool_max_size,
+            );
+            if outcome.splits > 0 {
+                for _ in before..self.candidates.len() {
+                    self.regions.push(UncertaintyRegion::unbounded(self.n_obj));
+                    self.statuses.push(Status::Undecided);
+                    self.evaluated_flag.push(false);
                 }
-                live = true;
+                let fresh: Vec<usize> = (before..self.candidates.len()).collect();
+                let fresh_boxes = predict_boxes(
+                    &surrogates,
+                    &self.candidates,
+                    &fresh,
+                    tau,
+                    workers,
+                    &mut self.predict_caches,
+                )?;
+                for (pos, &i) in fresh.iter().enumerate() {
+                    let (lo, hi) = &fresh_boxes[pos];
+                    self.regions[i].intersect(lo, hi);
+                }
             }
-            let undecided_exists = statuses.contains(&Status::Undecided);
-            if !undecided_exists {
+            if tracing {
+                self.observer.emit(&Event::PoolRefine {
+                    iteration: t,
+                    splits: outcome.splits,
+                    leaves: outcome.leaves,
+                    pool_size: self.candidates.len(),
+                    effective_pool: outcome.effective_pool,
+                });
+            }
+        }
+        Ok(predict_phase.elapsed().as_secs_f64())
+    }
+
+    /// Decision-making (Algorithm 1, lines 7–9; Eqs. 11–12). Returns
+    /// whether no candidate is left undecided.
+    fn classify(&mut self, t: usize, iter_span: &OpenSpan) -> bool {
+        let span = self.tracer.open("classify", Some(iter_span));
+        classify(&self.regions, &mut self.statuses, &self.delta);
+        let (undecided, pareto, dropped, _) = status_counts(&self.statuses);
+        if self.tracing() {
+            self.observer.emit(&span.start_event());
+            self.observer.emit(&Event::Classify {
+                iteration: t,
+                pareto,
+                dropped,
+                undecided,
+                delta: self.delta.clone(),
+            });
+            self.observer.emit(&Event::RegionSnapshot {
+                iteration: t,
+                statuses: self.statuses.iter().map(status_char).collect(),
+                diameters: self
+                    .regions
+                    .iter()
+                    .map(UncertaintyRegion::diameter)
+                    .collect(),
+            });
+            self.observer.emit(&self.tracer.end_event(&span));
+        }
+        undecided == 0
+    }
+
+    /// Selection (Algorithm 1, lines 10–11): a diverse batch of the
+    /// longest-diameter active candidates (`select_batch`; at batch size 1
+    /// exactly Eq. 13's argmax), evaluated as one wave. When a selected
+    /// candidate exhausts its failure budget it is quarantined and the
+    /// iteration re-selects from the remaining eligible candidates (each
+    /// fallback wave gets its own selection event), so injected faults
+    /// cost retries, not iterations. Returns whether anything was
+    /// selected.
+    fn select_and_evaluate(&mut self, t: usize, iter_span: &OpenSpan) -> Result<bool> {
+        let mut want = self.config.batch_size;
+        let mut selected_any = false;
+        while want > 0 {
+            // Allocated before the emptiness check so replayed and live
+            // executions of the same wave agree on span IDs; an empty
+            // wave's span is simply never emitted.
+            let select_span = self.tracer.open("select", Some(iter_span));
+            let picks = select_batch(
+                &self.candidates,
+                &self.regions,
+                &self.statuses,
+                &self.evaluated_flag,
+                want,
+                self.config.batch_diversity,
+                self.config.diversity_radius,
+            );
+            if picks.is_empty() {
                 break;
             }
-            iterations = t + 1;
-            let iter_start = Instant::now();
-            let iter_span = tracer.open("iteration", Some(&run_span));
-            let iter_resources = GpCounters::snapshot();
-            if live && observer.enabled() {
-                observer.emit(&iter_span.start_event());
-            }
-            // Attempts logged before this iteration: used to decide
-            // whether this iteration is a valid checkpoint boundary.
-            let log_mark = driver.log.len();
-
-            // ---- model calibration (Algorithm 1, lines 4-6)
-            let fit_phase = Instant::now();
-            let fit_span = tracer.open("gp_fit", Some(&iter_span));
-            if live && observer.enabled() {
-                observer.emit(&fit_span.start_event());
-            }
-            let needs_refit = models_opt.is_none() || t % self.config.refit_every.max(1) == 0;
-            // Set when any objective's calibration fell back to a
-            // last-good model this iteration (degraded mode).
-            let mut iter_degraded = false;
-            if needs_refit {
-                // One shared encoded copy of the evaluated configurations;
-                // each objective's task view only materializes its own
-                // QoR column.
-                let target_x: Arc<Vec<Vec<f64>>> = Arc::new(
-                    evaluated
-                        .iter()
-                        .map(|(i, _)| candidates[*i].clone())
-                        .collect(),
-                );
-                let target_tasks: Vec<TaskData> = (0..n_obj)
-                    .map(|k| {
-                        TaskData::from_shared(
-                            Arc::clone(&target_x),
-                            evaluated.iter().map(|(_, y)| y[k]).collect(),
-                        )
-                    })
-                    .collect();
-                // Pre-draw every objective's restart starts sequentially
-                // (objective order), then fan the independent (objective ×
-                // restart) searches out: the RNG stream — and therefore
-                // the result — is identical at any worker count.
-                let starts: Vec<Vec<Vec<f64>>> = (0..n_obj)
-                    .map(|_| restart_starts(dim, self.config.fit_budget.restarts, &mut rng))
-                    .collect();
-                // Injected numerical faults (chaos suites) are decided
-                // here on the coordinator thread — a pure hash of
-                // (iteration, objective) — so the fit workers stay
-                // oblivious to the thread-local plan and replay re-derives
-                // identical decisions. Faulted objectives are not fitted.
-                let injected: Vec<Option<gp::GpError>> = (0..n_obj)
-                    .map(|k| supervisor::injected_fault(supervisor::FitStage::Refit, t, k))
-                    .collect();
-                let jobs: Vec<FitJob<'_>> = (0..n_obj)
-                    .filter(|&k| injected[k].is_none())
-                    .map(|k| FitJob {
-                        source: &source_tasks[k],
-                        target: &target_tasks[k],
-                        starts: &starts[k],
-                    })
-                    .collect();
-                let mut fitted =
-                    fit_transfer_gps(&jobs, dim, self.config.fit_budget, workers).into_iter();
-                let outs: Vec<gp::Result<(TransferGp, FitReport)>> = injected
-                    .into_iter()
-                    .map(|fault| match fault {
-                        Some(e) => Err(e),
-                        None => fitted.next().expect("one fit per unfaulted objective"),
-                    })
-                    .collect();
-                // Last-good surrogates, one slot per objective, for the
-                // degraded fallback below. None before the bootstrap fit.
-                let mut prev_models: Vec<Option<TransferGp>> = match models_opt.take() {
-                    Some(v) => v.into_iter().map(Some).collect(),
-                    None => (0..n_obj).map(|_| None).collect(),
-                };
-                let mut models: Vec<TransferGp> = Vec::with_capacity(n_obj);
-                for (k, out) in outs.into_iter().enumerate() {
-                    match out {
-                        Ok((model, report)) => {
-                            if live && observer.enabled() {
-                                let cfg = model.config();
-                                observer.emit(&Event::GpFit {
-                                    iteration: t,
-                                    objective: k,
-                                    refit: true,
-                                    lengthscales: cfg.lengthscales.clone(),
-                                    signal_var: cfg.signal_var,
-                                    noise_target: cfg.noise_target,
-                                    lambda: model.lambda(),
-                                    restarts: report.restarts,
-                                    evals: report.evals,
-                                    cached_evals: report.cached_evals,
-                                    fresh_evals: report.fresh_evals,
-                                    log_marginal: model.log_marginal_likelihood(),
-                                    jitter: model.jitter(),
-                                    duration_s: report.duration_s,
-                                });
-                            }
-                            conditioned_upto[k] = evaluated.len();
-                            models.push(model);
-                        }
-                        Err(e) if e.is_recoverable() && prev_models[k].is_some() => {
-                            // Degraded mode: the last-good surrogate for
-                            // this objective absorbs the failure. First
-                            // choice is a data-only refit reusing its
-                            // hyper-parameters (fresh observations still
-                            // enter the model); if that fails too, the
-                            // previous model serves one more iteration
-                            // frozen. A DegradedFit event replaces the
-                            // objective's GpFit, so clean traces are
-                            // untouched.
-                            let prev = prev_models[k].take().expect("just checked");
-                            let fallback = match supervisor::injected_fault(
-                                supervisor::FitStage::Fallback,
-                                t,
-                                k,
-                            ) {
-                                Some(fe) => Err(fe),
-                                None => prev.refit_data_only(
-                                    source_tasks[k].clone(),
-                                    target_tasks[k].clone(),
-                                ),
-                            };
-                            let (model, mode) = match fallback {
-                                Ok(m) => {
-                                    conditioned_upto[k] = evaluated.len();
-                                    (m, DEGRADED_REFIT_REUSED)
-                                }
-                                // Frozen: conditioned_upto[k] stays put, so
-                                // the next successful calibration catches
-                                // this objective up on what it missed.
-                                Err(_) => (prev, DEGRADED_FROZEN),
-                            };
-                            degraded_total += 1;
-                            iter_degraded = true;
-                            last_degraded_cause = e.to_string();
-                            if live && observer.enabled() {
-                                observer.emit(&Event::DegradedFit {
-                                    iteration: t,
-                                    objective: k,
-                                    cause: e.to_string(),
-                                    mode: mode.to_string(),
-                                    consecutive: degraded_streak + 1,
-                                });
-                            }
-                            models.push(model);
-                        }
-                        // Structural failure, or no last-good model to
-                        // degrade to (the bootstrap fit): abort as before.
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                models_opt = Some(models);
-            } else {
-                // Warm iteration: extend each persistent surrogate with the
-                // observations made since its factorization — a rank-k
-                // Cholesky append instead of a from-scratch refit. A
-                // numerically rejected extension freezes that objective's
-                // model for this iteration (degraded mode); its
-                // conditioning mark stays put so a later calibration
-                // catches it up.
-                let models = models_opt.as_mut().expect("warm path follows a refit");
-                for (k, model) in models.iter_mut().enumerate() {
-                    let fit_start = Instant::now();
-                    let new_x: Vec<Vec<f64>> = evaluated[conditioned_upto[k]..]
-                        .iter()
-                        .map(|(i, _)| candidates[*i].clone())
-                        .collect();
-                    let new_y: Vec<f64> = evaluated[conditioned_upto[k]..]
-                        .iter()
-                        .map(|(_, y)| y[k])
-                        .collect();
-                    let outcome =
-                        match supervisor::injected_fault(supervisor::FitStage::Condition, t, k) {
-                            Some(e) => Err(e),
-                            None => model.condition_on(&new_x, &new_y),
-                        };
-                    match outcome {
-                        Ok(()) => {
-                            conditioned_upto[k] = evaluated.len();
-                            if live && observer.enabled() {
-                                let cfg = model.config();
-                                observer.emit(&Event::GpFit {
-                                    iteration: t,
-                                    objective: k,
-                                    refit: false,
-                                    lengthscales: cfg.lengthscales.clone(),
-                                    signal_var: cfg.signal_var,
-                                    noise_target: cfg.noise_target,
-                                    lambda: model.lambda(),
-                                    restarts: 0,
-                                    evals: 0,
-                                    cached_evals: 0,
-                                    fresh_evals: 0,
-                                    log_marginal: model.log_marginal_likelihood(),
-                                    jitter: model.jitter(),
-                                    duration_s: fit_start.elapsed().as_secs_f64(),
-                                });
-                            }
-                        }
-                        Err(e) if e.is_recoverable() => {
-                            // `condition_on` leaves the model untouched on
-                            // error, so "frozen" needs no restore step.
-                            degraded_total += 1;
-                            iter_degraded = true;
-                            last_degraded_cause = e.to_string();
-                            if live && observer.enabled() {
-                                observer.emit(&Event::DegradedFit {
-                                    iteration: t,
-                                    objective: k,
-                                    cause: e.to_string(),
-                                    mode: DEGRADED_FROZEN.to_string(),
-                                    consecutive: degraded_streak + 1,
-                                });
-                            }
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-            }
-            if iter_degraded {
-                degraded_streak += 1;
-                if degraded_streak > self.config.degraded_fit_budget {
-                    return Err(TunerError::DegradationBudgetExhausted {
-                        consecutive: degraded_streak,
-                        cause: std::mem::take(&mut last_degraded_cause),
-                    });
-                }
-            } else {
-                degraded_streak = 0;
-            }
-            let gp_fit_s = fit_phase.elapsed().as_secs_f64();
-            if live && observer.enabled() {
-                observer.emit(&tracer.end_event(&fit_span));
-            }
-            let models = models_opt.as_ref().expect("models exist past fitting");
-
-            // Predict boxes for active, un-evaluated candidates — through
-            // the exact posterior, or the subset-of-data path once the
-            // training set outgrows `sod_threshold`. Subset predictors
-            // are rebuilt from the freshly fitted/conditioned models each
-            // iteration, so they never lag the exact posterior's data.
-            let predict_phase = Instant::now();
-            let train_size = source.len() + evaluated.len();
-            let sod: Option<Vec<SubsetPredictor>> = if train_size > self.config.sod_threshold {
-                Some(
-                    models
-                        .iter()
-                        .map(|m| m.subset_predictor(self.config.sod_subset))
-                        .collect::<gp::Result<_>>()?,
-                )
-            } else {
-                None
-            };
-            let surrogates = match &sod {
-                Some(preds) => Surrogates::Subset(preds),
-                None => Surrogates::Exact(models),
-            };
-            let active: Vec<usize> = (0..candidates.len())
-                .filter(|&i| statuses[i].is_active() && !evaluated_flag[i])
-                .collect();
-            // PredictMode is only in the trace when the SoD feature is
-            // actually configured — legacy traces stay byte-identical.
-            if live && observer.enabled() && self.config.sod_threshold != usize::MAX {
-                observer.emit(&Event::PredictMode {
-                    iteration: t,
-                    train_size,
-                    subset_size: sod
-                        .as_ref()
-                        .and_then(|preds| preds.first())
-                        .map_or(train_size, SubsetPredictor::subset_size),
-                    queries: active.len(),
-                    mode: if sod.is_some() { "subset" } else { "exact" }.into(),
-                });
-            }
-            // One sweep per iteration: entries untouched since the last
-            // sweep belong to classified/pruned candidates and are
-            // evicted; the active-set and pool-refinement predicts below
-            // share the new stamp.
-            for cache in &mut predict_caches {
-                cache.begin_sweep();
-            }
-            let boxes = predict_boxes(
-                &surrogates,
-                &candidates,
-                &active,
-                self.config.tau,
-                workers,
-                &mut predict_caches,
-            )?;
-            for (pos, &i) in active.iter().enumerate() {
-                let (lo, hi) = &boxes[pos];
-                regions[i].intersect(lo, hi);
-            }
-
-            // ---- adaptive refinement: split the cells whose
-            // representative's region stayed wide relative to the cell
-            // itself, then box the new representatives immediately so this
-            // iteration's classification and selection see them.
-            if let Some(pool) = pool.as_mut() {
-                let before = candidates.len();
-                let outcome = pool.refine(
-                    &mut candidates,
-                    &regions,
-                    &statuses,
-                    self.config.pool_refine_scale,
-                    self.config.pool_refine_ceiling,
-                    self.config.pool_max_refines,
-                    self.config.pool_max_size,
-                );
-                if outcome.splits > 0 {
-                    for _ in before..candidates.len() {
-                        regions.push(UncertaintyRegion::unbounded(n_obj));
-                        statuses.push(Status::Undecided);
-                        evaluated_flag.push(false);
-                    }
-                    let fresh: Vec<usize> = (before..candidates.len()).collect();
-                    let fresh_boxes = predict_boxes(
-                        &surrogates,
-                        &candidates,
-                        &fresh,
-                        self.config.tau,
-                        workers,
-                        &mut predict_caches,
-                    )?;
-                    for (pos, &i) in fresh.iter().enumerate() {
-                        let (lo, hi) = &fresh_boxes[pos];
-                        regions[i].intersect(lo, hi);
-                    }
-                }
-                if live && observer.enabled() {
-                    observer.emit(&Event::PoolRefine {
+            selected_any = true;
+            let members: Vec<usize> = picks.iter().map(|p| p.index).collect();
+            if self.tracing() {
+                self.observer.emit(&select_span.start_event());
+                let diameters = picks.iter().map(|p| p.diameter).collect();
+                self.observer.emit(&if self.config.batch_size > 1 {
+                    Event::BatchSelect {
                         iteration: t,
-                        splits: outcome.splits,
-                        leaves: outcome.leaves,
-                        pool_size: candidates.len(),
-                        effective_pool: outcome.effective_pool,
+                        q: want,
+                        chosen: members.clone(),
+                        diameters,
+                        scores: picks.iter().map(|p| p.score).collect(),
+                    }
+                } else {
+                    Event::Select {
+                        iteration: t,
+                        chosen: members.clone(),
+                        diameters,
+                    }
+                });
+                self.observer.emit(&self.tracer.end_event(&select_span));
+            }
+            for (&i, qor) in members.iter().zip(self.wave(&members, t, iter_span)?) {
+                if let Some(y) = qor {
+                    self.regions[i].collapse_to(&y);
+                    self.evaluated_flag[i] = true;
+                    self.obs_span.absorb(&y);
+                    self.evaluated.push((i, y));
+                    want -= 1;
+                }
+            }
+        }
+        Ok(selected_any)
+    }
+
+    /// Evaluates one wave of distinct candidates — an initialization
+    /// chunk, a selection batch or a verification chunk — and returns
+    /// each member's accepted QoR in batch order (`None` once a member's
+    /// failure budget ran out). The only place that counts retries and
+    /// failures and quarantines a candidate.
+    ///
+    /// - **Replay** (not live): every member's attempts are read back from
+    ///   the checkpoint log. Checkpoints land at iteration — hence
+    ///   whole-wave — boundaries, so a log that ends inside a wave is
+    ///   damaged or foreign and refused.
+    /// - **Live**: members run their full retry sequences against frozen
+    ///   sanitization inputs ([`WaveCtx`]) — each on its own thread
+    ///   through a concurrent oracle ([`gp::fan_out`]; completion order is
+    ///   irrelevant because workers only *evaluate*), one after another
+    ///   through a serial one.
+    ///
+    /// Either way the outcomes are merged in batch order
+    /// ([`RunState::merge_member`]), so events, span IDs and the log do not
+    /// depend on the oracle kind or thread timing. At `batch_size > 1` a
+    /// `batch_eval` span (child of `parent`) wraps the members'
+    /// `eval_attempt` spans; at 1 they hang directly under `parent`.
+    fn wave(
+        &mut self,
+        members: &[usize],
+        iteration: usize,
+        parent: &OpenSpan,
+    ) -> Result<Vec<Option<Vec<f64>>>> {
+        let batch_span =
+            (self.config.batch_size > 1).then(|| self.tracer.open("batch_eval", Some(parent)));
+        let tracing = self.tracing();
+        let outcomes: Vec<MemberOutcome> = if self.live {
+            if let Some(span) = batch_span.as_ref().filter(|_| tracing) {
+                self.emit(span.start_event());
+            }
+            self.evaluate_live(members)
+        } else {
+            members
+                .iter()
+                .map(|&candidate| self.replay_member(candidate, iteration))
+                .collect::<Result<_>>()?
+        };
+        let attempt_parent = batch_span.as_ref().unwrap_or(parent);
+        let mut accepted = Vec::with_capacity(members.len());
+        for (&candidate, member) in members.iter().zip(outcomes) {
+            accepted.push(self.merge_member(member, candidate, iteration, attempt_parent)?);
+        }
+        if let Some(span) = batch_span.as_ref().filter(|_| tracing) {
+            let end = self.tracer.end_event(span);
+            self.emit(end);
+        }
+        for (&candidate, qor) in members.iter().zip(&accepted) {
+            if qor.is_none() {
+                self.statuses[candidate] = Status::Quarantined;
+                self.quarantined.push(candidate);
+                if tracing {
+                    self.emit(Event::CandidateQuarantined {
+                        iteration,
+                        candidate,
+                        attempts: self.config.max_eval_attempts,
                     });
                 }
             }
-            let predict_s = predict_phase.elapsed().as_secs_f64();
+        }
+        Ok(accepted)
+    }
 
-            // ---- decision-making (lines 7-9)
-            let classify_span = tracer.open("classify", Some(&iter_span));
-            classify(&regions, &mut statuses, &delta);
-            // Counted once per iteration here, then maintained through the
-            // quarantine transitions below — `IterationEnd` and the
-            // history row never re-scan the status vector.
-            let mut counts = status_counts(&statuses);
-            if live && observer.enabled() {
-                observer.emit(&classify_span.start_event());
-                observer.emit(&Event::Classify {
-                    iteration: t,
-                    pareto: counts.1,
-                    dropped: counts.2,
-                    undecided: counts.0,
-                    delta: delta.clone(),
-                });
-                observer.emit(&Event::RegionSnapshot {
-                    iteration: t,
-                    statuses: statuses.iter().map(status_char).collect(),
-                    diameters: regions.iter().map(UncertaintyRegion::diameter).collect(),
-                });
-                observer.emit(&tracer.end_event(&classify_span));
+    /// Runs every member's retry sequence against the oracle.
+    fn evaluate_live(&mut self, members: &[usize]) -> Vec<MemberOutcome> {
+        let ctx = WaveCtx {
+            candidates: &self.candidates,
+            n_obj: (self.n_obj > 0).then_some(self.n_obj),
+            gate: (!self.regions.is_empty()).then_some((
+                &self.regions[..],
+                &self.obs_span,
+                self.config.outlier_gate,
+            )),
+        };
+        let max_attempts = self.config.max_eval_attempts;
+        match &mut self.oracle {
+            OracleRef::Concurrent(oracle) => {
+                let oracle = *oracle;
+                gp::fan_out(members.len(), members.len(), |pos| {
+                    let eval = |i: usize| oracle.evaluate_at(i, &ctx.candidates[i]);
+                    member_attempts(eval, members[pos], &ctx, max_attempts)
+                })
             }
+            OracleRef::Serial(oracle) => members
+                .iter()
+                .map(|&candidate| {
+                    let eval = |i: usize| oracle.evaluate_at(i, &ctx.candidates[i]);
+                    member_attempts(eval, candidate, &ctx, max_attempts)
+                })
+                .collect(),
+        }
+    }
 
-            // When classification just settled the last undecided
-            // candidate (or selection below finds nothing informative to
-            // measure), the iteration is still recorded and checkpointed
-            // like any other before the loop stops, so a resumed run can
-            // skip straight past it.
-            let mut stop = counts.0 == 0;
+    /// Reads one member's recorded attempts back from the replay log,
+    /// ending where the live retry policy would have.
+    fn replay_member(&mut self, candidate: usize, iteration: usize) -> Result<MemberOutcome> {
+        let mut attempts = Vec::with_capacity(1);
+        while attempts.len() < self.config.max_eval_attempts {
+            let Some(rec) = self.replay.pop_front() else {
+                return Err(TunerError::Checkpoint {
+                    reason: format!(
+                        "replay divergence: the log ends inside a wave of iteration {iteration}"
+                    ),
+                });
+            };
+            if rec.candidate != candidate {
+                return Err(TunerError::Checkpoint {
+                    reason: format!(
+                        "replay divergence: log holds candidate {}, the run requested {}",
+                        rec.candidate, candidate
+                    ),
+                });
+            }
+            self.replayed_runs += 1;
+            let outcome = match rec.outcome {
+                EvalOutcome::Accepted { qor } => Ok(qor),
+                EvalOutcome::Failed { error } => Err(error),
+            };
+            let last = ends_member(&outcome);
+            attempts.push((outcome, 0.0));
+            if last {
+                break;
+            }
+        }
+        Ok(MemberOutcome { attempts })
+    }
 
-            // ---- selection (lines 10-11): a diverse batch of the
-            // longest-diameter active candidates (`select_batch`; at
-            // batch size 1 this is exactly Eq. 13's argmax), evaluated as
-            // one concurrent wave. When a selected candidate exhausts its
-            // failure budget it is quarantined, and the iteration falls
-            // back to re-selecting from the remaining eligible candidates
-            // within the same iteration (each fallback wave gets its own
-            // selection event), so injected faults cost retries, not
-            // iterations.
-            let mut want = self.config.batch_size;
-            let mut selected_any = false;
-            while !stop && want > 0 {
-                // Allocated before the emptiness check so replayed and
-                // live executions of the same wave agree on span IDs; an
-                // empty wave's span is simply never emitted.
-                let select_span = tracer.open("select", Some(&iter_span));
-                let picks = select_batch(
-                    &candidates,
-                    &regions,
-                    &statuses,
-                    &evaluated_flag,
-                    want,
-                    self.config.batch_diversity,
-                    self.config.diversity_radius,
-                );
-                if picks.is_empty() {
-                    break;
+    /// Merges one member's attempts into the run, in batch order: allocates
+    /// the per-attempt `eval_attempt` span IDs (late, at merge time — so
+    /// IDs are worker-count independent and replay re-derives them),
+    /// emits the attempt events while live, counts retries and failures,
+    /// and appends every attempt to the log. Returns the accepted QoR.
+    fn merge_member(
+        &mut self,
+        member: MemberOutcome,
+        candidate: usize,
+        iteration: usize,
+        parent: &OpenSpan,
+    ) -> Result<Option<Vec<f64>>> {
+        let tracing = self.tracing();
+        for (k, (outcome, duration_s)) in member.attempts.into_iter().enumerate() {
+            let attempt = k + 1;
+            if attempt > 1 {
+                self.eval_retries += 1;
+                if tracing {
+                    self.emit(Event::EvalRetry {
+                        iteration,
+                        candidate,
+                        attempt,
+                        backoff_s: self.config.retry_backoff_s(attempt),
+                    });
                 }
-                selected_any = true;
-                if live && observer.enabled() {
-                    observer.emit(&select_span.start_event());
-                    if self.config.batch_size > 1 {
-                        observer.emit(&Event::BatchSelect {
-                            iteration: t,
-                            q: want,
-                            chosen: picks.iter().map(|p| p.index).collect(),
-                            diameters: picks.iter().map(|p| p.diameter).collect(),
-                            scores: picks.iter().map(|p| p.score).collect(),
+            }
+            let span = self.tracer.open("eval_attempt", Some(parent));
+            if tracing {
+                self.emit(span.start_event());
+            }
+            let outcome = match outcome {
+                // A caller bug (out-of-range index) aborts the run without
+                // being logged as an attempt.
+                Err(e) if !e.is_transient() => return Err(TunerError::Evaluation(e)),
+                outcome => outcome,
+            };
+            self.log.push(EvalRecord {
+                candidate,
+                outcome: match &outcome {
+                    Ok(qor) => EvalOutcome::Accepted { qor: qor.clone() },
+                    Err(error) => EvalOutcome::Failed {
+                        error: error.clone(),
+                    },
+                },
+            });
+            let error = match outcome {
+                Ok(qor) => {
+                    if tracing {
+                        self.emit(Event::ToolEval {
+                            iteration,
+                            candidate,
+                            qor: qor.clone(),
+                            duration_s,
                         });
-                    } else {
-                        observer.emit(&Event::Select {
-                            iteration: t,
-                            chosen: picks.iter().map(|p| p.index).collect(),
-                            diameters: picks.iter().map(|p| p.diameter).collect(),
+                        let end = self.tracer.end_event(&span);
+                        self.emit(end);
+                    }
+                    return Ok(Some(qor));
+                }
+                Err(e) => e,
+            };
+            self.eval_failures += 1;
+            if tracing {
+                // A watchdog-produced timeout (the dedicated stage marker,
+                // not a flow-stage name) is announced right before the
+                // `EvalFailed` it explains; `deadline_s` is the configured
+                // deadline, not wall-clock.
+                if let EvalError::Timeout { stage, elapsed_s } = &error {
+                    if stage == WATCHDOG_STAGE {
+                        self.emit(Event::WatchdogFired {
+                            iteration,
+                            candidate,
+                            attempt,
+                            deadline_s: *elapsed_s,
                         });
                     }
-                    observer.emit(&tracer.end_event(&select_span));
                 }
-                let members: Vec<usize> = picks.iter().map(|p| p.index).collect();
-                let outs = {
-                    let ctx = WaveCtx {
-                        iteration: t,
-                        candidates: &candidates,
-                        n_obj: Some(n_obj),
-                        gate: Some((&regions, &obs_span, self.config.outlier_gate)),
-                    };
-                    evaluate_wave(
-                        &mut driver,
-                        &members,
-                        &ctx,
-                        &self.config,
-                        observer.enabled(),
-                        &mut |e| observer.emit(&e),
-                        &tracer,
-                        &iter_span,
-                    )?
-                };
-                for (&i, out) in members.iter().zip(outs) {
-                    eval_retries += out.attempts.saturating_sub(1);
-                    eval_failures += out.failures;
-                    match out.qor {
-                        Some(y) => {
-                            regions[i].collapse_to(&y);
-                            evaluated_flag[i] = true;
-                            obs_span.absorb(&y);
-                            evaluated.push((i, y));
-                            want -= 1;
-                        }
-                        None => {
-                            // Maintain the once-per-iteration counts
-                            // through the status transition (a selected
-                            // candidate is Undecided or Pareto, but the
-                            // match is total for safety).
-                            match statuses[i] {
-                                Status::Undecided => counts.0 -= 1,
-                                Status::Pareto => counts.1 -= 1,
-                                Status::Dropped => counts.2 -= 1,
-                                Status::Quarantined => counts.3 -= 1,
-                            }
-                            counts.3 += 1;
-                            statuses[i] = Status::Quarantined;
-                            quarantined_order.push(i);
-                            if !out.replayed && observer.enabled() {
-                                observer.emit(&Event::CandidateQuarantined {
-                                    iteration: t,
-                                    candidate: i,
-                                    attempts: out.attempts,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            if !stop && !selected_any {
-                // Everything informative has been measured.
-                stop = true;
-            }
-
-            if live && observer.enabled() {
-                let d = GpCounters::snapshot().since(&iter_resources);
-                observer.emit(&Event::ResourceSample {
-                    iteration: t,
-                    chol_flops: d.linalg.chol_flops,
-                    chol_panels: d.linalg.chol_panels,
-                    tri_solve_rhs: d.linalg.tri_solve_rhs,
-                    fitcache_hits: d.fitcache_hits,
-                    fitcache_misses: d.fitcache_misses,
-                    kernel_assemblies: d.kernel_assemblies,
-                    predict_cache_hits: d.predict_cache_hits,
-                    predict_cache_misses: d.predict_cache_misses,
-                    predict_cache_evictions: d.predict_cache_evictions,
-                    predict_chunks: d.predict_chunks,
+                self.emit(Event::EvalFailed {
+                    iteration,
+                    candidate,
+                    attempt,
+                    kind: error.kind().to_string(),
+                    detail: error.to_string(),
                 });
+                let end = self.tracer.end_event(&span);
+                self.emit(end);
             }
+        }
+        Ok(None)
+    }
 
-            let ctx = IterationOutcome {
+    /// Closes iteration `t`'s bookkeeping: the `ResourceSample`, the
+    /// history row, and `IterationEnd` with the incremental hypervolume of
+    /// the evaluated set. Replayed iterations rebuild the history without
+    /// re-emitting events.
+    fn record(
+        &mut self,
+        t: usize,
+        iter_start: Instant,
+        iter_resources: &GpCounters,
+        gp_fit_s: f64,
+        predict_s: f64,
+    ) {
+        let tracing = self.tracing();
+        if tracing {
+            let d = GpCounters::snapshot().since(iter_resources);
+            self.observer.emit(&Event::ResourceSample {
                 iteration: t,
-                runs: driver.runs(),
-                duration_s: iter_start.elapsed().as_secs_f64(),
+                chol_flops: d.linalg.chol_flops,
+                chol_panels: d.linalg.chol_panels,
+                tri_solve_rhs: d.linalg.tri_solve_rhs,
+                fitcache_hits: d.fitcache_hits,
+                fitcache_misses: d.fitcache_misses,
+                kernel_assemblies: d.kernel_assemblies,
+                predict_cache_hits: d.predict_cache_hits,
+                predict_cache_misses: d.predict_cache_misses,
+                predict_cache_evictions: d.predict_cache_evictions,
+                predict_chunks: d.predict_chunks,
+            });
+        }
+        let (undecided, pareto, dropped, quarantined) = status_counts(&self.statuses);
+        let row = IterationRecord {
+            iteration: t,
+            undecided,
+            pareto,
+            dropped,
+            quarantined,
+            runs: self.runs(),
+            duration_s: iter_start.elapsed().as_secs_f64(),
+            gp_fit_s,
+            predict_s,
+        };
+        if tracing {
+            let pts: Vec<Vec<f64>> = self.evaluated.iter().map(|(_, y)| y.clone()).collect();
+            let hypervolume =
+                pareto::hypervolume::hypervolume(&pts, &self.hv_reference).unwrap_or(0.0);
+            self.observer.emit(&Event::IterationEnd {
+                iteration: t,
+                runs: row.runs,
+                pareto,
+                dropped,
+                undecided,
+                hypervolume,
+                duration_s: row.duration_s,
                 gp_fit_s,
                 predict_s,
-            };
-            record(
-                observer,
-                live,
-                &mut history,
-                counts,
-                &evaluated,
-                &hv_reference,
-                ctx,
-            );
+            });
+        }
+        self.history.push(row);
+    }
 
-            // Persist the full resumable state at the iteration boundary.
-            // Live iterations only (replayed ones would rewrite what the
-            // checkpoint already holds), and only iterations that logged
-            // at least one attempt: resume replays the eval log, so the
-            // log must drain exactly at the checkpointed boundary — an
-            // eval-less iteration would drain one iteration early and
-            // fail state verification.
-            // The span is allocated whenever this iteration *would*
-            // checkpoint — `driver.log.len() > log_mark` holds equally
-            // during replay, so resumed runs re-derive the same IDs.
-            let ckpt_span = if store.is_some() && driver.log.len() > log_mark {
-                Some(tracer.open("checkpoint", Some(&iter_span)))
+    /// Persists the full resumable state at iteration `t`'s boundary —
+    /// live iterations only (replayed ones would rewrite what the
+    /// checkpoint already holds), and only iterations that logged at
+    /// least one attempt: resume replays the eval log, so the log must
+    /// drain exactly at the checkpointed boundary.
+    fn checkpoint(&mut self, t: usize, log_mark: usize, iter_span: &OpenSpan) -> Result<()> {
+        let Some((store, candidates_digest, source_digest)) = self.store else {
+            return Ok(());
+        };
+        if self.log.len() == log_mark {
+            return Ok(());
+        }
+        // Allocated whenever this iteration would checkpoint, replayed or
+        // not, so resumed runs re-derive the same span IDs.
+        let span = self.tracer.open("checkpoint", Some(iter_span));
+        if !self.live {
+            return Ok(());
+        }
+        let mut checkpoint = Checkpoint {
+            version: CHECKPOINT_VERSION,
+            next_iteration: t + 1,
+            config: self.config.clone(),
+            candidates_digest,
+            source_digest,
+            eval_log: self.log.clone(),
+            snapshot: self.snapshot(),
+            digest: 0,
+        };
+        checkpoint.seal();
+        store
+            .save(&checkpoint)
+            .map_err(|e| TunerError::Checkpoint {
+                reason: e.to_string(),
+            })?;
+        if self.observer.enabled() {
+            self.observer.emit(&span.start_event());
+            self.observer.emit(&Event::Checkpoint {
+                iteration: t,
+                runs: self.runs(),
+                evals_logged: self.log.len(),
+            });
+            self.observer.emit(&self.tracer.end_event(&span));
+        }
+        Ok(())
+    }
+
+    /// The loop state a checkpoint stores, and what resume verifies.
+    fn snapshot(&self) -> StateSnapshot {
+        StateSnapshot {
+            statuses: self.statuses.iter().map(status_char).collect(),
+            evaluated: self.evaluated.len(),
+            runs: self.runs(),
+            rng_state: self.rng.state().to_vec(),
+            delta: self.delta.clone(),
+            regions: self.regions.clone(),
+            history: self.history.clone(),
+            degraded_fits: self.degraded_total,
+        }
+    }
+
+    /// Switches to live evaluation once replay has consumed the whole log,
+    /// after comparing the re-derived state at iteration `t` against the
+    /// checkpoint's snapshot: any divergence means the checkpoint does not
+    /// belong to this run (or determinism broke), and live evaluation must
+    /// not proceed.
+    fn go_live_if_drained(&mut self, t: usize) -> Result<()> {
+        if self.live || !self.replay.is_empty() {
+            return Ok(());
+        }
+        if let Some((next_iteration, expected)) = &self.resume {
+            let got = self.snapshot();
+            let mismatch = if t != *next_iteration {
+                Some(format!(
+                    "replay drained at iteration {t}, checkpoint expected {next_iteration}"
+                ))
+            } else if got.statuses != expected.statuses {
+                Some("candidate statuses diverged from the checkpoint snapshot".into())
+            } else if got.evaluated != expected.evaluated {
+                Some(format!(
+                    "replay produced {} observations, checkpoint recorded {}",
+                    got.evaluated, expected.evaluated
+                ))
+            } else if got.runs != expected.runs {
+                Some(format!(
+                    "replay produced {} tool runs, checkpoint recorded {} \
+                     (was the oracle fresh?)",
+                    got.runs, expected.runs
+                ))
+            } else if got.rng_state != expected.rng_state {
+                Some("RNG state diverged from the checkpoint snapshot".into())
+            } else if got.delta != expected.delta {
+                Some("δ thresholds diverged from the checkpoint snapshot".into())
+            } else if got.degraded_fits != expected.degraded_fits {
+                Some(format!(
+                    "replay produced {} degraded fits, checkpoint recorded {} \
+                     (was the fit-fault plan re-armed?)",
+                    got.degraded_fits, expected.degraded_fits
+                ))
             } else {
                 None
             };
-            if let (Some(store), Some((candidates_digest, src_digest)), true) =
-                (store, digests, live && driver.log.len() > log_mark)
-            {
-                let mut checkpoint = Checkpoint {
-                    version: CHECKPOINT_VERSION,
-                    next_iteration: t + 1,
-                    config: self.config.clone(),
-                    candidates_digest,
-                    source_digest: src_digest,
-                    eval_log: driver.log.clone(),
-                    snapshot: StateSnapshot {
-                        statuses: statuses.iter().map(status_char).collect(),
-                        evaluated: evaluated.len(),
-                        runs: driver.runs(),
-                        rng_state: rng.state().to_vec(),
-                        delta: delta.clone(),
-                        regions: regions.clone(),
-                        history: history.clone(),
-                        degraded_fits: degraded_total,
-                    },
-                    digest: 0,
-                };
-                checkpoint.seal();
-                store
-                    .save(&checkpoint)
-                    .map_err(|e| TunerError::Checkpoint {
-                        reason: e.to_string(),
-                    })?;
-                if observer.enabled() {
-                    if let Some(span) = &ckpt_span {
-                        observer.emit(&span.start_event());
-                    }
-                    observer.emit(&Event::Checkpoint {
-                        iteration: t,
-                        runs: driver.runs(),
-                        evals_logged: driver.log.len(),
-                    });
-                    if let Some(span) = &ckpt_span {
-                        observer.emit(&tracer.end_event(span));
-                    }
-                }
-            }
-            if live && observer.enabled() {
-                observer.emit(&tracer.end_event(&iter_span));
-            }
-            if stop {
-                break;
+            if let Some(reason) = mismatch {
+                return Err(TunerError::Checkpoint { reason });
             }
         }
+        self.live = true;
+        Ok(())
+    }
 
-        // A run that completed before being checkpointed again replays
-        // its whole loop; whatever follows (verification) is live work.
-        if !live && !driver.replaying() {
-            live = true;
-        }
-
+    /// Closing step of the paper's flow: the predicted Pareto set — the
+    /// classified Pareto members, the surrogate's predicted front when the
+    /// loop stopped early, and the measured front — is fed through the PD
+    /// tool, and the final answer is its non-dominated subset on golden
+    /// values.
+    fn verify_front(mut self, run_start: Instant) -> Result<TuneResult> {
         // Final classification pass so late evaluations settle the sets.
-        classify(&regions, &mut statuses, &delta);
-        let search_runs = driver.runs();
-
-        // Closing step of the paper's flow: the predicted Pareto set is
-        // fed through the PD tool for verification. Candidate set = the
-        // classified Pareto members plus the measured front; verification
-        // evaluates any member not yet measured, and the final answer is
-        // the non-dominated subset on golden values.
-        let mut final_candidates: Vec<usize> = (0..candidates.len())
-            .filter(|&i| statuses[i] == Status::Pareto)
-            .collect();
-        // When the loop stopped before full classification, add the
-        // surrogate's predicted front over the still-active candidates.
-        if self.config.include_predicted_front {
-            if let Some(models) = &models_opt {
-                let undecided: Vec<usize> = (0..candidates.len())
-                    .filter(|&i| statuses[i] == Status::Undecided && !evaluated_flag[i])
-                    .collect();
-                if !undecided.is_empty() {
-                    let queries: Vec<Vec<f64>> =
-                        undecided.iter().map(|&i| candidates[i].clone()).collect();
-                    let mut mus: Vec<Vec<f64>> = vec![Vec::with_capacity(n_obj); undecided.len()];
-                    for model in models {
-                        for (q, (mu, _)) in model
-                            .predict_latent_batch(&queries, workers)?
-                            .into_iter()
-                            .enumerate()
-                        {
-                            mus[q].push(mu);
-                        }
-                    }
-                    for j in pareto::front::pareto_front(&mus) {
-                        let idx = undecided[j];
-                        if !final_candidates.contains(&idx) {
-                            final_candidates.push(idx);
-                        }
-                    }
-                }
-            }
-        }
-        {
-            let pts: Vec<Vec<f64>> = evaluated.iter().map(|(_, y)| y.clone()).collect();
-            for j in pareto::front::pareto_front(&pts) {
-                let idx = evaluated[j].0;
-                if !final_candidates.contains(&idx) {
-                    final_candidates.push(idx);
-                }
-            }
-        }
-        // Verification evaluates unmeasured members in batch-sized waves
-        // (same fan-out as the loop); `truth` keeps `final_candidates`
+        classify(&self.regions, &mut self.statuses, &self.delta);
+        let search_runs = self.runs();
+        let final_candidates = self.final_candidates()?;
+        // Unmeasured members are evaluated in batch-sized waves (same
+        // fan-out as the loop); `truth_vals` keeps `final_candidates`
         // order regardless of the chunking.
         let mut truth_vals: Vec<Option<Vec<f64>>> = Vec::with_capacity(final_candidates.len());
         let mut to_verify: Vec<(usize, usize)> = Vec::new();
         for (slot, &i) in final_candidates.iter().enumerate() {
-            match evaluated.iter().find(|(j, _)| *j == i) {
+            match self.evaluated.iter().find(|(j, _)| *j == i) {
                 Some((_, y)) => truth_vals.push(Some(y.clone())),
                 None => {
                     truth_vals.push(None);
@@ -1664,46 +1784,15 @@ impl PpaTuner {
                 }
             }
         }
-        for chunk in to_verify.chunks(self.config.batch_size.max(1)) {
+        let run_span = self.run_span.clone();
+        for chunk in to_verify.chunks(self.config.batch_size) {
             let members: Vec<usize> = chunk.iter().map(|&(_, i)| i).collect();
-            let outs = {
-                let ctx = WaveCtx {
-                    iteration: iterations,
-                    candidates: &candidates,
-                    n_obj: Some(n_obj),
-                    gate: Some((&regions, &obs_span, self.config.outlier_gate)),
-                };
-                evaluate_wave(
-                    &mut driver,
-                    &members,
-                    &ctx,
-                    &self.config,
-                    observer.enabled(),
-                    &mut |e| observer.emit(&e),
-                    &tracer,
-                    &run_span,
-                )?
-            };
-            for (&(slot, i), out) in chunk.iter().zip(outs) {
-                eval_retries += out.attempts.saturating_sub(1);
-                eval_failures += out.failures;
-                match out.qor {
-                    Some(y) => truth_vals[slot] = Some(y),
-                    None => {
-                        // A predicted-front member we could not verify:
-                        // exclude it from the reported set rather than
-                        // vouching for an unmeasured point.
-                        statuses[i] = Status::Quarantined;
-                        quarantined_order.push(i);
-                        if !out.replayed && observer.enabled() {
-                            observer.emit(&Event::CandidateQuarantined {
-                                iteration: iterations,
-                                candidate: i,
-                                attempts: out.attempts,
-                            });
-                        }
-                    }
-                }
+            // A member that could not be verified is quarantined by the
+            // wave and left out of the reported set rather than vouched
+            // for unmeasured.
+            let accepted = self.wave(&members, self.iterations, &run_span)?;
+            for (&(slot, _), qor) in chunk.iter().zip(accepted) {
+                truth_vals[slot] = qor;
             }
         }
         let truth: Vec<(usize, Vec<f64>)> = final_candidates
@@ -1717,31 +1806,135 @@ impl PpaTuner {
             .map(|j| truth[j].0)
             .collect();
 
+        let verification_runs = self.runs() - search_runs;
         let result = TuneResult {
             pareto_indices,
             runs: search_runs,
-            verification_runs: driver.runs() - search_runs,
-            iterations,
-            history,
-            delta,
-            evaluated,
-            quarantined: quarantined_order,
-            eval_failures,
-            eval_retries,
-            degraded_fits: degraded_total,
+            verification_runs,
+            iterations: self.iterations,
+            history: self.history,
+            delta: self.delta,
+            evaluated: self.evaluated,
+            quarantined: self.quarantined,
+            eval_failures: self.eval_failures,
+            eval_retries: self.eval_retries,
+            degraded_fits: self.degraded_total,
         };
-        if live && observer.enabled() {
-            observer.emit(&Event::RunEnd {
+        if self.live && self.observer.enabled() {
+            self.observer.emit(&Event::RunEnd {
                 iterations: result.iterations,
                 runs: result.runs,
                 verification_runs: result.verification_runs,
                 pareto: result.pareto_indices.len(),
                 duration_s: run_start.elapsed().as_secs_f64(),
             });
-            observer.emit(&tracer.end_event(&run_span));
+            self.observer.emit(&self.tracer.end_event(&self.run_span));
         }
-        observer.flush();
+        self.observer.flush();
         Ok(result)
+    }
+
+    /// The verification set: the classified Pareto members, then (when
+    /// the loop stopped before full classification and
+    /// `include_predicted_front` is set) the surrogate's predicted front
+    /// over the still-undecided candidates, then the measured front.
+    fn final_candidates(&self) -> Result<Vec<usize>> {
+        let mut out: Vec<usize> = (0..self.candidates.len())
+            .filter(|&i| self.statuses[i] == Status::Pareto)
+            .collect();
+        if let Some(models) = self
+            .models
+            .as_ref()
+            .filter(|_| self.config.include_predicted_front)
+        {
+            let undecided: Vec<usize> = (0..self.candidates.len())
+                .filter(|&i| self.statuses[i] == Status::Undecided && !self.evaluated_flag[i])
+                .collect();
+            if !undecided.is_empty() {
+                let queries: Vec<Vec<f64>> = undecided
+                    .iter()
+                    .map(|&i| self.candidates[i].clone())
+                    .collect();
+                let mut mus: Vec<Vec<f64>> = vec![Vec::with_capacity(self.n_obj); undecided.len()];
+                for model in models {
+                    let preds = model.predict_latent_batch(&queries, self.workers)?;
+                    for (q, (mu, _)) in preds.into_iter().enumerate() {
+                        mus[q].push(mu);
+                    }
+                }
+                for j in pareto::front::pareto_front(&mus) {
+                    if !out.contains(&undecided[j]) {
+                        out.push(undecided[j]);
+                    }
+                }
+            }
+        }
+        let pts: Vec<Vec<f64>> = self.evaluated.iter().map(|(_, y)| y.clone()).collect();
+        for j in pareto::front::pareto_front(&pts) {
+            let idx = self.evaluated[j].0;
+            if !out.contains(&idx) {
+                out.push(idx);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Greedy maximin selection of `count` initial candidates, seeded by a
+/// random pick (pure-random ablation: shuffle and truncate instead).
+fn maximin_design(candidates: &[Vec<f64>], count: usize, rng: &mut StdRng) -> Vec<usize> {
+    let n = candidates.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(rng);
+    let mut picked = Vec::with_capacity(count);
+    picked.push(order[0]);
+    let mut dist = vec![f64::INFINITY; n];
+    while picked.len() < count {
+        let last = *picked.last().expect("non-empty");
+        for (i, d) in dist.iter_mut().enumerate() {
+            let dd = gp::vecops::sq_dist(&candidates[i], &candidates[last]);
+            if dd < *d {
+                *d = dd;
+            }
+        }
+        let next = (0..n)
+            .filter(|i| !picked.contains(i))
+            .max_by(|&a, &b| {
+                dist[a]
+                    .partial_cmp(&dist[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .expect("candidates remain");
+        picked.push(next);
+    }
+    picked
+}
+
+/// The `GpFit` event of objective `k`'s calibrated model: a full refit
+/// when `report` is given, a warm `condition_on` extension otherwise.
+fn gp_fit_event(
+    iteration: usize,
+    objective: usize,
+    model: &TransferGp,
+    report: Option<&FitReport>,
+    duration_s: f64,
+) -> Event {
+    let cfg = model.config();
+    Event::GpFit {
+        iteration,
+        objective,
+        refit: report.is_some(),
+        lengthscales: cfg.lengthscales.clone(),
+        signal_var: cfg.signal_var,
+        noise_target: cfg.noise_target,
+        lambda: model.lambda(),
+        restarts: report.map_or(0, |r| r.restarts),
+        evals: report.map_or(0, |r| r.evals),
+        cached_evals: report.map_or(0, |r| r.cached_evals),
+        fresh_evals: report.map_or(0, |r| r.fresh_evals),
+        log_marginal: model.log_marginal_likelihood(),
+        jitter: model.jitter(),
+        duration_s,
     }
 }
 
@@ -1772,257 +1965,6 @@ fn status_counts(statuses: &[Status]) -> (usize, usize, usize, usize) {
     (undecided, pareto, dropped, quarantined)
 }
 
-/// How the loop reaches the tool: an exclusive sequential oracle (the
-/// classic entry points) or a shared thread-safe front end the wave
-/// executor can fan out over. Both produce identical results — the
-/// concurrent variant only buys wall-clock overlap.
-enum OracleRef<'a> {
-    Serial(&'a mut dyn QorOracle),
-    Concurrent(&'a dyn ConcurrentOracle),
-}
-
-impl<'a> OracleRef<'a> {
-    fn evaluate_at(&mut self, index: usize, x: &[f64]) -> std::result::Result<Vec<f64>, EvalError> {
-        match self {
-            OracleRef::Serial(o) => o.evaluate_at(index, x),
-            OracleRef::Concurrent(o) => o.evaluate_at(index, x),
-        }
-    }
-
-    fn runs(&self) -> usize {
-        match self {
-            OracleRef::Serial(o) => o.runs(),
-            OracleRef::Concurrent(o) => o.runs(),
-        }
-    }
-
-    /// The shared handle when true fan-out is possible. Returns the
-    /// full-lifetime reference, so a wave can evaluate through it while
-    /// the driver is otherwise untouched until the merge.
-    fn concurrent_handle(&self) -> Option<&'a dyn ConcurrentOracle> {
-        match self {
-            OracleRef::Serial(_) => None,
-            OracleRef::Concurrent(o) => Some(*o),
-        }
-    }
-}
-
-/// Serves oracle attempts — replaying a checkpoint's evaluation log while
-/// it lasts, live afterwards — and records every outcome (the log IS the
-/// resume script, so failures are recorded too).
-struct EvalDriver<'a> {
-    oracle: OracleRef<'a>,
-    replay: VecDeque<EvalRecord>,
-    replayed_runs: usize,
-    log: Vec<EvalRecord>,
-}
-
-impl EvalDriver<'_> {
-    fn replaying(&self) -> bool {
-        !self.replay.is_empty()
-    }
-
-    /// Total tool runs: replayed attempts plus the live oracle's counter.
-    /// Matches the original run's `oracle.runs()` when resume was handed
-    /// a fresh oracle.
-    fn runs(&self) -> usize {
-        self.replayed_runs + self.oracle.runs()
-    }
-
-    /// One attempt for `candidate`. Returns the (sanitized) outcome and
-    /// whether it came from the replay log. Non-transient errors
-    /// (out-of-range index) abort the run instead of being logged.
-    fn attempt(
-        &mut self,
-        candidate: usize,
-        x: &[f64],
-        sanitize: &dyn Fn(&[f64]) -> std::result::Result<(), String>,
-    ) -> Result<(std::result::Result<Vec<f64>, EvalError>, bool)> {
-        let (outcome, replayed) = if let Some(rec) = self.replay.pop_front() {
-            if rec.candidate != candidate {
-                return Err(TunerError::Checkpoint {
-                    reason: format!(
-                        "replay divergence: log holds candidate {}, the run requested {}",
-                        rec.candidate, candidate
-                    ),
-                });
-            }
-            self.replayed_runs += 1;
-            let outcome = match rec.outcome {
-                EvalOutcome::Accepted { qor } => Ok(qor),
-                EvalOutcome::Failed { error } => Err(error),
-            };
-            (outcome, true)
-        } else {
-            let outcome = match self.oracle.evaluate_at(candidate, x) {
-                Ok(y) => match sanitize(&y) {
-                    Ok(()) => Ok(y),
-                    Err(detail) => Err(EvalError::InvalidQor { detail }),
-                },
-                Err(e) => {
-                    if !e.is_transient() {
-                        return Err(TunerError::Evaluation(e));
-                    }
-                    Err(e)
-                }
-            };
-            (outcome, false)
-        };
-        self.log.push(EvalRecord {
-            candidate,
-            outcome: match &outcome {
-                Ok(qor) => EvalOutcome::Accepted { qor: qor.clone() },
-                Err(error) => EvalOutcome::Failed {
-                    error: error.clone(),
-                },
-            },
-        });
-        Ok((outcome, replayed))
-    }
-
-    /// Records a live outcome produced outside [`EvalDriver::attempt`]:
-    /// concurrent wave workers evaluate without touching the driver, and
-    /// the deterministic batch-order merge logs their results here.
-    fn record_live(
-        &mut self,
-        candidate: usize,
-        outcome: &std::result::Result<Vec<f64>, EvalError>,
-    ) {
-        self.log.push(EvalRecord {
-            candidate,
-            outcome: match outcome {
-                Ok(qor) => EvalOutcome::Accepted { qor: qor.clone() },
-                Err(error) => EvalOutcome::Failed {
-                    error: error.clone(),
-                },
-            },
-        });
-    }
-}
-
-/// What `evaluate_with_retry` concluded for one candidate.
-struct RetryOutcome {
-    /// The accepted QoR, or `None` when the failure budget ran out.
-    qor: Option<Vec<f64>>,
-    /// Attempts consumed (≥ 1).
-    attempts: usize,
-    /// How many of those attempts failed.
-    failures: usize,
-    /// Whether the final attempt was served from the replay log (the
-    /// budget aligns with checkpoint boundaries, so a retry sequence is
-    /// replayed in full or not at all).
-    replayed: bool,
-}
-
-/// Emits `WatchdogFired` directly before the `EvalFailed` it explains,
-/// when (and only when) the failure is a watchdog-produced timeout — the
-/// dedicated [`WATCHDOG_STAGE`] marker distinguishes it from real tool
-/// timeouts, whose stages are flow-stage names. Like `EvalFailed`, the
-/// event is created at the deterministic batch-order merge, so traces
-/// stay worker-count-invariant; `elapsed_s` is the configured deadline,
-/// not wall-clock.
-fn emit_watchdog_fired(
-    e: &EvalError,
-    iteration: usize,
-    candidate: usize,
-    attempt: usize,
-    emit: &mut dyn FnMut(Event),
-) {
-    if let EvalError::Timeout { stage, elapsed_s } = e {
-        if stage == WATCHDOG_STAGE {
-            emit(Event::WatchdogFired {
-                iteration,
-                candidate,
-                attempt,
-                deadline_s: *elapsed_s,
-            });
-        }
-    }
-}
-
-/// Runs one candidate's evaluation with up to `max_eval_attempts`
-/// attempts, sanitizing each result and emitting `EvalRetry`,
-/// `EvalFailed`, `ToolEval`, and per-attempt `eval_attempt` span events
-/// for live attempts (replayed attempts were already traced by the
-/// original run, but their span IDs are still allocated so a resumed
-/// run's IDs line up with the interrupted trace).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_with_retry(
-    driver: &mut EvalDriver<'_>,
-    candidate: usize,
-    x: &[f64],
-    iteration: usize,
-    config: &PpaTunerConfig,
-    sanitize: &dyn Fn(&[f64]) -> std::result::Result<(), String>,
-    enabled: bool,
-    emit: &mut dyn FnMut(Event),
-    tracer: &Tracer,
-    parent: &OpenSpan,
-) -> Result<RetryOutcome> {
-    let mut failures = 0;
-    let mut replayed = false;
-    for attempt in 1..=config.max_eval_attempts {
-        // Whether this attempt comes from the replay log is known before
-        // `driver.attempt` runs: a replaying driver replays, a drained
-        // one evaluates live.
-        let live_attempt = enabled && !driver.replaying();
-        if attempt > 1 && live_attempt {
-            emit(Event::EvalRetry {
-                iteration,
-                candidate,
-                attempt,
-                backoff_s: config.retry_backoff_s(attempt),
-            });
-        }
-        let span = tracer.open("eval_attempt", Some(parent));
-        if live_attempt {
-            emit(span.start_event());
-        }
-        let start = Instant::now();
-        let (outcome, from_replay) = driver.attempt(candidate, x, sanitize)?;
-        replayed = from_replay;
-        match outcome {
-            Ok(qor) => {
-                if enabled && !from_replay {
-                    emit(Event::ToolEval {
-                        iteration,
-                        candidate,
-                        qor: qor.clone(),
-                        duration_s: start.elapsed().as_secs_f64(),
-                    });
-                    emit(tracer.end_event(&span));
-                }
-                return Ok(RetryOutcome {
-                    qor: Some(qor),
-                    attempts: attempt,
-                    failures,
-                    replayed,
-                });
-            }
-            Err(e) => {
-                failures += 1;
-                if enabled && !from_replay {
-                    emit_watchdog_fired(&e, iteration, candidate, attempt, emit);
-                    emit(Event::EvalFailed {
-                        iteration,
-                        candidate,
-                        attempt,
-                        kind: e.kind().to_string(),
-                        detail: e.to_string(),
-                    });
-                    emit(tracer.end_event(&span));
-                }
-            }
-        }
-    }
-    Ok(RetryOutcome {
-        qor: None,
-        attempts: config.max_eval_attempts,
-        failures,
-        replayed,
-    })
-}
-
 /// Sanitization inputs of one evaluation wave, frozen at wave start.
 ///
 /// Workers must not observe state that other members of the same wave
@@ -2031,9 +1973,8 @@ fn evaluate_with_retry(
 /// matter which worker runs it or in what order — the root of
 /// worker-count invariance.
 struct WaveCtx<'a> {
-    iteration: usize,
     /// The full (possibly pool-grown) candidate list, so workers can hand
-    /// each member's coordinates to [`QorOracle::evaluate_at`].
+    /// each member's coordinates to [`QorOracle::evaluate_at`](crate::QorOracle::evaluate_at).
     candidates: &'a [Vec<f64>],
     /// Established objective count (`None` only for the first
     /// initialization wave, before any QoR has been accepted).
@@ -2054,20 +1995,27 @@ impl WaveCtx<'_> {
     }
 }
 
-/// Raw per-attempt results of one batch member: what a wave worker
-/// produces without touching the driver or the tracer. The deterministic
-/// batch-order merge ([`merge_member`]) later turns them into span IDs,
-/// events, and log records.
+/// Per-attempt results of one wave member, live or read back from the
+/// replay log: what [`RunState::merge_member`] turns into span IDs,
+/// events and log records.
 struct MemberOutcome {
     /// `(outcome, duration_s)` per attempt, in attempt order. Ends early
     /// on the first acceptance or non-transient error.
     attempts: Vec<(std::result::Result<Vec<f64>, EvalError>, f64)>,
 }
 
-/// Runs one member's full retry sequence against `eval` (live only; the
-/// replay path never reaches this). The retry policy — sanitize accepted
-/// QoR, retry transient failures up to the budget, stop on acceptance or
-/// a non-transient error — matches [`evaluate_with_retry`] exactly.
+/// Whether an attempt ends its member's retry sequence: an acceptance, or
+/// an error retrying cannot fix.
+fn ends_member(outcome: &std::result::Result<Vec<f64>, EvalError>) -> bool {
+    match outcome {
+        Ok(_) => true,
+        Err(e) => !e.is_transient(),
+    }
+}
+
+/// Runs one member's full retry sequence against `eval`: sanitize
+/// accepted QoR, retry transient failures up to the budget, stop on
+/// acceptance or a non-transient error.
 fn member_attempts(
     mut eval: impl FnMut(usize) -> std::result::Result<Vec<f64>, EvalError>,
     candidate: usize,
@@ -2085,202 +2033,13 @@ fn member_attempts(
             Err(e) => Err(e),
         };
         let duration_s = start.elapsed().as_secs_f64();
-        let stop = match &outcome {
-            Ok(_) => true,
-            Err(e) => !e.is_transient(),
-        };
+        let last = ends_member(&outcome);
         attempts.push((outcome, duration_s));
-        if stop {
+        if last {
             break;
         }
     }
     MemberOutcome { attempts }
-}
-
-/// Merges one member's raw attempt results into the run, in batch order:
-/// allocates the per-attempt `eval_attempt` span IDs (late, at merge time
-/// — so IDs match the sequential path and are worker-count independent),
-/// emits the attempt events in the classic order, and appends the
-/// outcomes to the driver's log. Event sequence and log contents are
-/// bit-identical to [`evaluate_with_retry`] on the same outcomes.
-#[allow(clippy::too_many_arguments)]
-fn merge_member(
-    driver: &mut EvalDriver<'_>,
-    member: MemberOutcome,
-    candidate: usize,
-    iteration: usize,
-    config: &PpaTunerConfig,
-    enabled: bool,
-    emit: &mut dyn FnMut(Event),
-    tracer: &Tracer,
-    parent: &OpenSpan,
-) -> Result<RetryOutcome> {
-    let mut failures = 0;
-    for (k, (outcome, duration_s)) in member.attempts.into_iter().enumerate() {
-        let attempt = k + 1;
-        if attempt > 1 && enabled {
-            emit(Event::EvalRetry {
-                iteration,
-                candidate,
-                attempt,
-                backoff_s: config.retry_backoff_s(attempt),
-            });
-        }
-        let span = tracer.open("eval_attempt", Some(parent));
-        if enabled {
-            emit(span.start_event());
-        }
-        match outcome {
-            Ok(qor) => {
-                driver.record_live(candidate, &Ok(qor.clone()));
-                if enabled {
-                    emit(Event::ToolEval {
-                        iteration,
-                        candidate,
-                        qor: qor.clone(),
-                        duration_s,
-                    });
-                    emit(tracer.end_event(&span));
-                }
-                return Ok(RetryOutcome {
-                    qor: Some(qor),
-                    attempts: attempt,
-                    failures,
-                    replayed: false,
-                });
-            }
-            Err(e) => {
-                if !e.is_transient() {
-                    // Matches the serial driver: a caller bug aborts the
-                    // run without being logged as an attempt.
-                    return Err(TunerError::Evaluation(e));
-                }
-                driver.record_live(candidate, &Err(e.clone()));
-                failures += 1;
-                if enabled {
-                    emit_watchdog_fired(&e, iteration, candidate, attempt, emit);
-                    emit(Event::EvalFailed {
-                        iteration,
-                        candidate,
-                        attempt,
-                        kind: e.kind().to_string(),
-                        detail: e.to_string(),
-                    });
-                    emit(tracer.end_event(&span));
-                }
-            }
-        }
-    }
-    Ok(RetryOutcome {
-        qor: None,
-        attempts: config.max_eval_attempts,
-        failures,
-        replayed: false,
-    })
-}
-
-/// Evaluates one selection wave (a batch of distinct candidates) and
-/// returns each member's [`RetryOutcome`], in batch order.
-///
-/// - **Replay** (resume): members are served sequentially from the
-///   checkpoint log via the classic retry path. Checkpoints land at
-///   iteration — hence whole-batch — boundaries, so a wave is replayed in
-///   full or not at all.
-/// - **Live**: members run their full retry sequences against frozen
-///   sanitization inputs ([`WaveCtx`]) — each on its own thread through a
-///   [`ConcurrentOracle`] ([`gp::fan_out`]; completion order is
-///   irrelevant because workers only *evaluate*), sequentially through a
-///   serial oracle — and the results are merged in batch order.
-///   Outcomes, events, span IDs, and the evaluation log are identical
-///   either way.
-///
-/// At `batch_size > 1` a `batch_eval` span (child of `parent`) wraps the
-/// member `eval_attempt` spans; at 1 the wave is a single member hanging
-/// directly under `parent`, byte-identical to the historical trace.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_wave(
-    driver: &mut EvalDriver<'_>,
-    members: &[usize],
-    ctx: &WaveCtx<'_>,
-    config: &PpaTunerConfig,
-    enabled: bool,
-    emit: &mut dyn FnMut(Event),
-    tracer: &Tracer,
-    parent: &OpenSpan,
-) -> Result<Vec<RetryOutcome>> {
-    let batch_span = if config.batch_size > 1 {
-        Some(tracer.open("batch_eval", Some(parent)))
-    } else {
-        None
-    };
-    let attempt_parent = batch_span.as_ref().unwrap_or(parent);
-    if driver.replaying() {
-        // Per-attempt liveness gating inside `evaluate_with_retry`
-        // handles the boundary exactly like the classic path.
-        let mut outs = Vec::with_capacity(members.len());
-        for &candidate in members {
-            let sanitize = |y: &[f64]| ctx.sanitize(candidate, y);
-            outs.push(evaluate_with_retry(
-                driver,
-                candidate,
-                &ctx.candidates[candidate],
-                ctx.iteration,
-                config,
-                &sanitize,
-                enabled,
-                emit,
-                tracer,
-                attempt_parent,
-            )?);
-        }
-        return Ok(outs);
-    }
-    if enabled {
-        if let Some(span) = &batch_span {
-            emit(span.start_event());
-        }
-    }
-    let outcomes: Vec<MemberOutcome> = match driver.oracle.concurrent_handle() {
-        Some(oracle) => gp::fan_out(members.len(), members.len(), |pos| {
-            member_attempts(
-                |i| oracle.evaluate_at(i, &ctx.candidates[i]),
-                members[pos],
-                ctx,
-                config.max_eval_attempts,
-            )
-        }),
-        None => members
-            .iter()
-            .map(|&candidate| {
-                member_attempts(
-                    |i| driver.oracle.evaluate_at(i, &ctx.candidates[i]),
-                    candidate,
-                    ctx,
-                    config.max_eval_attempts,
-                )
-            })
-            .collect(),
-    };
-    let mut outs = Vec::with_capacity(members.len());
-    for (&candidate, member) in members.iter().zip(outcomes) {
-        outs.push(merge_member(
-            driver,
-            member,
-            candidate,
-            ctx.iteration,
-            config,
-            enabled,
-            emit,
-            tracer,
-            attempt_parent,
-        )?);
-    }
-    if enabled {
-        if let Some(span) = &batch_span {
-            emit(tracer.end_event(span));
-        }
-    }
-    Ok(outs)
 }
 
 /// Running per-objective `[min, max]` of accepted observations, the span
@@ -2397,58 +2156,6 @@ fn recover_checkpoint(
     Ok(recovery.checkpoint)
 }
 
-/// Compares the state replay re-derived against the checkpoint's
-/// snapshot; any divergence means the checkpoint does not belong to this
-/// run (or determinism broke) and live evaluation must not proceed.
-#[allow(clippy::too_many_arguments)]
-fn verify_resumed_state(
-    t: usize,
-    next_iteration: usize,
-    snapshot: &StateSnapshot,
-    statuses: &[Status],
-    evaluated: usize,
-    runs: usize,
-    rng: &StdRng,
-    delta: &[f64],
-    degraded_fits: usize,
-) -> Result<()> {
-    let status_string: String = statuses.iter().map(status_char).collect();
-    let mismatch = if t != next_iteration {
-        Some(format!(
-            "replay drained at iteration {t}, checkpoint expected {next_iteration}"
-        ))
-    } else if status_string != snapshot.statuses {
-        Some("candidate statuses diverged from the checkpoint snapshot".into())
-    } else if evaluated != snapshot.evaluated {
-        Some(format!(
-            "replay produced {evaluated} observations, checkpoint recorded {}",
-            snapshot.evaluated
-        ))
-    } else if runs != snapshot.runs {
-        Some(format!(
-            "replay produced {runs} tool runs, checkpoint recorded {} \
-             (was the oracle fresh?)",
-            snapshot.runs
-        ))
-    } else if rng.state().to_vec() != snapshot.rng_state {
-        Some("RNG state diverged from the checkpoint snapshot".into())
-    } else if delta != snapshot.delta {
-        Some("δ thresholds diverged from the checkpoint snapshot".into())
-    } else if degraded_fits != snapshot.degraded_fits {
-        Some(format!(
-            "replay produced {degraded_fits} degraded fits, checkpoint recorded {} \
-             (was the fit-fault plan re-armed?)",
-            snapshot.degraded_fits
-        ))
-    } else {
-        None
-    };
-    match mismatch {
-        Some(reason) => Err(TunerError::Checkpoint { reason }),
-        None => Ok(()),
-    }
-}
-
 /// A replay that diverges before the drain boundary surfaces as a bare
 /// candidate mismatch, even when the real culprit is a forgotten fault
 /// plan: clean refits produce different models, which select different
@@ -2467,58 +2174,6 @@ fn explain_degraded_divergence(err: TunerError, snapshot_degraded: usize) -> Tun
             }
         }
         other => other,
-    }
-}
-
-/// Timing and bookkeeping of one finished iteration, bundled so `record`
-/// stays below the argument-count lint.
-struct IterationOutcome {
-    iteration: usize,
-    runs: usize,
-    duration_s: f64,
-    gp_fit_s: f64,
-    predict_s: f64,
-}
-
-/// Appends the iteration to the trajectory and emits `IterationEnd` (with
-/// the incremental hypervolume of the evaluated set) to the observer.
-/// `live` is false while a resumed run is replaying already-traced
-/// iterations: history is still rebuilt, events are not re-emitted.
-fn record(
-    observer: &dyn Observer,
-    live: bool,
-    history: &mut Vec<IterationRecord>,
-    counts: (usize, usize, usize, usize),
-    evaluated: &[(usize, Vec<f64>)],
-    hv_reference: &[f64],
-    ctx: IterationOutcome,
-) {
-    let (undecided, pareto, dropped, quarantined) = counts;
-    history.push(IterationRecord {
-        iteration: ctx.iteration,
-        undecided,
-        pareto,
-        dropped,
-        quarantined,
-        runs: ctx.runs,
-        duration_s: ctx.duration_s,
-        gp_fit_s: ctx.gp_fit_s,
-        predict_s: ctx.predict_s,
-    });
-    if live && observer.enabled() {
-        let pts: Vec<Vec<f64>> = evaluated.iter().map(|(_, y)| y.clone()).collect();
-        let hypervolume = pareto::hypervolume::hypervolume(&pts, hv_reference).unwrap_or(0.0);
-        observer.emit(&Event::IterationEnd {
-            iteration: ctx.iteration,
-            runs: ctx.runs,
-            pareto,
-            dropped,
-            undecided,
-            hypervolume,
-            duration_s: ctx.duration_s,
-            gp_fit_s: ctx.gp_fit_s,
-            predict_s: ctx.predict_s,
-        });
     }
 }
 

@@ -135,10 +135,11 @@ pub fn run_golden_with_workers(workers: usize) -> GoldenRun {
     run_serial(1, workers)
 }
 
-/// The golden scenario tuned in q-batch mode through the concurrent
-/// entry point: same scenario, configuration, and seed as [`run_golden`]
-/// but with `batch_size: q` and `workers: workers`, driven through
-/// [`ppatuner::PpaTuner::run_concurrent`] on a [`SharedOracle`].
+/// The golden scenario tuned in q-batch mode through a concurrent
+/// oracle: same scenario, configuration, and seed as [`run_golden`] but
+/// with `batch_size: q` and `workers: workers`, driven through
+/// [`ppatuner::PpaTuner::run_observed`] on a `&`[`SharedOracle`], so every
+/// wave member runs on its own thread.
 ///
 /// The trace is required to be identical for every `workers` value and
 /// to [`run_golden_serial_batch`] — wave results are merged in
@@ -159,7 +160,7 @@ pub fn run_golden_batch(q: usize, workers: usize) -> GoldenRun {
     let oracle = SharedOracle::new(VecOracle::new(g.table.clone()));
     let sink = RecordingSink::new();
     let result = PpaTuner::new(config)
-        .run_concurrent(&g.source, &g.candidates, &oracle, &sink)
+        .run_observed(&g.source, &g.candidates, &oracle, &sink)
         .expect("golden batch scenario tuning run");
     GoldenRun {
         events: sink.events(),
@@ -168,9 +169,8 @@ pub fn run_golden_batch(q: usize, workers: usize) -> GoldenRun {
     }
 }
 
-/// [`run_golden_batch`] through the serial entry point
-/// ([`ppatuner::PpaTuner::run_observed`]): the same waves, evaluated one
-/// member at a time.
+/// [`run_golden_batch`] through a serial oracle (`&mut`[`VecOracle`]):
+/// the same waves, evaluated one member at a time.
 ///
 /// # Panics
 ///

@@ -14,8 +14,8 @@
 //!    accepted evaluation still carries the exact golden QoR, and the
 //!    invariant checker's RunEnd attempt-conservation law holds.
 //! 3. **Serial/concurrent equivalence**: the same faulty scenario run
-//!    through `run_observed` (serial oracle) and `run_concurrent`
-//!    (shared oracle, one thread per wave member) produces identical
+//!    through `run_observed` with a serial oracle and with a shared
+//!    oracle (one thread per wave member) produces identical
 //!    canonical traces at the same `batch_size`.
 
 use gp::optimize::FitBudget;
@@ -77,7 +77,7 @@ fn run_faulty_concurrent(
     let (candidates, truth, source) = toy_problem(40);
     let oracle = SharedOracle::new(FaultyVecOracle::new(truth.clone(), plan.clone()));
     let sink = RecordingSink::new();
-    let result = PpaTuner::new(batch_config(seed, q, workers)).run_concurrent(
+    let result = PpaTuner::new(batch_config(seed, q, workers)).run_observed(
         &source,
         &candidates,
         &oracle,
@@ -164,7 +164,7 @@ fn batch_faults_never_corrupt_or_starve_siblings() {
         ..batch_config(11, 4, 8)
     };
     let result = PpaTuner::new(config)
-        .run_concurrent(&source, &candidates, &oracle, &sink)
+        .run_observed(&source, &candidates, &oracle, &sink)
         .expect("hard failures must not abort the run");
     let trace = canonical_jsonl(&sink.events());
     let events: Vec<obs::Event> = trace

@@ -133,7 +133,7 @@ fn golden_batch_trace_is_worker_count_invariant() {
     // Wave merges happen in deterministic batch order, so the recorded
     // trace — span IDs included — must depend neither on the workers
     // budget nor on whether the wave members raced through a shared
-    // oracle or ran one at a time through the serial entry point.
+    // oracle or ran one at a time through a serial one.
     let w1 = run_golden_batch(4, 1);
     let t1 = canonical_jsonl(&w1.events);
     for workers in [2, 4] {
@@ -146,7 +146,7 @@ fn golden_batch_trace_is_worker_count_invariant() {
     assert_eq!(
         t1,
         canonical_jsonl(&serial.events),
-        "serial run and run_concurrent diverged"
+        "serial and concurrent oracles diverged"
     );
     assert_eq!(serial.result.evaluated, w1.result.evaluated);
     // Structural result fields agree too (durations legitimately differ).

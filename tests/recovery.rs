@@ -261,7 +261,7 @@ fn watchdog_timeouts_are_worker_count_invariant() {
         let oracle = WatchdogOracle::new(HangingOracle::new(truth.clone(), hangs, 5.0), 0.05);
         let sink = obs::RecordingSink::new();
         let result = PpaTuner::new(config)
-            .run_concurrent(&source, &candidates, &oracle, &sink)
+            .run_observed(&source, &candidates, &oracle, &sink)
             .expect("watchdogged run completes");
         (result, sink.events())
     };

@@ -8,8 +8,8 @@ use std::cell::RefCell;
 use benchgen::Scenario;
 use pdsim::{FaultPlan, ObjectiveSpace};
 use ppatuner::{
-    Checkpoint, CheckpointError, CheckpointStore, FileCheckpointStore, PpaTuner, PpaTunerConfig,
-    SourceData, TuneResult, VecOracle,
+    Checkpoint, CheckpointError, CheckpointStore, FileCheckpointStore, OracleRef, PpaTuner,
+    PpaTunerConfig, SharedOracle, SourceData, TuneResult, TunerError, VecOracle,
 };
 use testkit::chaos::FaultyVecOracle;
 
@@ -56,6 +56,23 @@ fn setup() -> Setup {
     }
 }
 
+/// The two oracle kinds the entry points accept.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// `&mut VecOracle`: wave members run one at a time.
+    Serial,
+    /// `&SharedOracle`: every wave member runs on its own thread.
+    Shared,
+}
+
+/// Calls `f` with a fresh oracle of `kind` over `truth`.
+fn with_oracle<T>(kind: Kind, truth: &[Vec<f64>], f: impl FnOnce(OracleRef<'_>) -> T) -> T {
+    match kind {
+        Kind::Serial => f((&mut VecOracle::new(truth.to_vec())).into()),
+        Kind::Shared => f((&SharedOracle::new(VecOracle::new(truth.to_vec()))).into()),
+    }
+}
+
 fn assert_identical(full: &TuneResult, resumed: &TuneResult, label: &str) {
     assert_eq!(
         resumed.pareto_indices, full.pareto_indices,
@@ -96,13 +113,122 @@ fn assert_identical(full: &TuneResult, resumed: &TuneResult, label: &str) {
 
 /// Every checkpoint of a fault-free run is a valid crash point: resuming
 /// from each — through an on-disk store, like a real restart would — lands
-/// on the identical final result.
+/// on the identical final result, for either oracle kind and for single
+/// picks as well as waves of four.
 #[test]
 fn resume_from_every_checkpoint_matches_the_uninterrupted_run() {
     let s = setup();
+    let dir = std::env::temp_dir().join(format!("ppatuner_resume_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for q in [1, 4] {
+        let config = PpaTunerConfig {
+            batch_size: q,
+            ..s.config.clone()
+        };
+        for kind in [Kind::Serial, Kind::Shared] {
+            let label = format!("q={q} {kind:?}");
+            let store = CaptureStore::default();
+            let full = with_oracle(kind, &s.truth, |oracle| {
+                PpaTuner::new(config.clone()).run_checkpointed(
+                    &s.source,
+                    &s.candidates,
+                    oracle,
+                    &obs::NULL_SINK,
+                    &store,
+                )
+            })
+            .unwrap_or_else(|e| panic!("{label}: uninterrupted run failed: {e}"));
+
+            let checkpoints = store.all.borrow();
+            assert!(
+                checkpoints.len() >= 2,
+                "{label}: run too short to exercise resume ({} checkpoints)",
+                checkpoints.len()
+            );
+            for (k, ckpt) in checkpoints.iter().enumerate() {
+                let file = FileCheckpointStore::new(dir.join(format!("crash_at_{q}_{k}.json")));
+                file.save(ckpt).expect("checkpoint persists");
+                let resumed = with_oracle(kind, &s.truth, |oracle| {
+                    PpaTuner::new(config.clone()).resume(
+                        &s.source,
+                        &s.candidates,
+                        oracle,
+                        &obs::NULL_SINK,
+                        &file,
+                    )
+                })
+                .unwrap_or_else(|e| panic!("{label}: resume from checkpoint {k} failed: {e}"));
+                assert_identical(&full, &resumed, &format!("{label} checkpoint {k}"));
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run that exhausts `max_iterations` writes its last checkpoint at its
+/// last iteration, so replay of that checkpoint drains after the loop. The
+/// snapshot is verified there too: the same tampering is refused at the
+/// first and at the last checkpoint.
+#[test]
+fn tampered_snapshots_are_refused_at_the_first_and_the_last_checkpoint() {
+    let s = setup();
+    let config = PpaTunerConfig {
+        max_iterations: 5,
+        ..s.config.clone()
+    };
     let store = CaptureStore::default();
     let mut oracle = VecOracle::new(s.truth.clone());
-    let full = PpaTuner::new(s.config.clone())
+    let full = PpaTuner::new(config.clone())
+        .run_checkpointed(
+            &s.source,
+            &s.candidates,
+            &mut oracle,
+            &obs::NULL_SINK,
+            &store,
+        )
+        .expect("uninterrupted run succeeds");
+    assert_eq!(full.iterations, 5, "the run must exhaust its budget");
+
+    let checkpoints = store.all.borrow();
+    let last = checkpoints.last().expect("checkpoints written");
+    assert_eq!(last.next_iteration, 5);
+    for (label, ckpt) in [("first", &checkpoints[0]), ("last", last)] {
+        let mut tampered = ckpt.clone();
+        tampered.snapshot.runs += 1;
+        tampered.snapshot.degraded_fits += 3;
+        tampered.seal();
+        let crash_point = CaptureStore::default();
+        crash_point.save(&tampered).unwrap();
+        let mut oracle = VecOracle::new(s.truth.clone());
+        let err = PpaTuner::new(config.clone())
+            .resume(
+                &s.source,
+                &s.candidates,
+                &mut oracle,
+                &obs::NULL_SINK,
+                &crash_point,
+            )
+            .expect_err("a tampered snapshot must be refused");
+        assert!(
+            matches!(err, TunerError::Checkpoint { .. }),
+            "{label} checkpoint: unexpected error: {err}"
+        );
+    }
+}
+
+/// Checkpoints land on iteration boundaries, so a log that ends inside a
+/// wave is damaged or foreign: resume refuses it, through either oracle
+/// kind, instead of going live in the middle of the wave.
+#[test]
+fn resume_refuses_a_log_that_ends_inside_a_wave() {
+    let s = setup();
+    let config = PpaTunerConfig {
+        batch_size: 4,
+        ..s.config.clone()
+    };
+    let store = CaptureStore::default();
+    let mut oracle = VecOracle::new(s.truth.clone());
+    PpaTuner::new(config.clone())
         .run_checkpointed(
             &s.source,
             &s.candidates,
@@ -113,29 +239,30 @@ fn resume_from_every_checkpoint_matches_the_uninterrupted_run() {
         .expect("uninterrupted run succeeds");
 
     let checkpoints = store.all.borrow();
-    assert!(
-        checkpoints.len() >= 2,
-        "run too short to exercise resume ({} checkpoints)",
-        checkpoints.len()
-    );
-    let dir = std::env::temp_dir().join(format!("ppatuner_resume_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    for (k, ckpt) in checkpoints.iter().enumerate() {
-        let file = FileCheckpointStore::new(dir.join(format!("crash_at_{k}.json")));
-        file.save(ckpt).expect("checkpoint persists");
-        let mut oracle = VecOracle::new(s.truth.clone());
-        let resumed = PpaTuner::new(s.config.clone())
-            .resume(
+    let mut cut = checkpoints[checkpoints.len() / 2].clone();
+    let keep = cut.eval_log.len() - 2;
+    cut.eval_log.truncate(keep);
+    cut.seal();
+    for kind in [Kind::Serial, Kind::Shared] {
+        let crash_point = CaptureStore::default();
+        crash_point.save(&cut).unwrap();
+        let err = with_oracle(kind, &s.truth, |oracle| {
+            PpaTuner::new(config.clone()).resume(
                 &s.source,
                 &s.candidates,
-                &mut oracle,
+                oracle,
                 &obs::NULL_SINK,
-                &file,
+                &crash_point,
             )
-            .unwrap_or_else(|e| panic!("resume from checkpoint {k} failed: {e}"));
-        assert_identical(&full, &resumed, &format!("checkpoint {k}"));
+        })
+        .expect_err("a log cut inside a wave must be refused");
+        match err {
+            TunerError::Checkpoint { reason } => {
+                assert!(reason.contains("replay divergence"), "{kind:?}: {reason}")
+            }
+            other => panic!("{kind:?}: unexpected error: {other}"),
+        }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Resume also replays through injected failures: a fresh faulty oracle
@@ -192,15 +319,15 @@ fn resume_replays_faithfully_under_fault_injection() {
     }
 }
 
-/// Mid-run resume of a q-batch concurrent run: checkpoints land on whole
-/// batch boundaries, and resuming from any of them replays the earlier
-/// waves silently, then re-emits the remaining ones with the *same batch
-/// composition and span IDs* as the uninterrupted run — the resumed
-/// trace's batch events are an exact suffix of the full trace's.
+/// Mid-run resume of a q-batch run through a concurrent oracle:
+/// checkpoints land on whole batch boundaries, and resuming from any of
+/// them replays the earlier waves silently, then re-emits the remaining
+/// ones with the *same batch composition and span IDs* as the
+/// uninterrupted run — the resumed trace's batch events are an exact
+/// suffix of the full trace's. (That the results match is pinned by
+/// `resume_from_every_checkpoint_matches_the_uninterrupted_run`.)
 #[test]
 fn concurrent_resume_replays_whole_batches_with_identical_spans() {
-    use ppatuner::SharedOracle;
-
     let s = setup();
     let config = PpaTunerConfig {
         batch_size: 4,
@@ -231,8 +358,8 @@ fn concurrent_resume_replays_whole_batches_with_identical_spans() {
     let store = CaptureStore::default();
     let oracle = SharedOracle::new(VecOracle::new(s.truth.clone()));
     let full_sink = obs::RecordingSink::new();
-    let full = PpaTuner::new(config.clone())
-        .run_concurrent_checkpointed(&s.source, &s.candidates, &oracle, &full_sink, &store)
+    PpaTuner::new(config.clone())
+        .run_checkpointed(&s.source, &s.candidates, &oracle, &full_sink, &store)
         .expect("uninterrupted batch run succeeds");
     let full_shape = batch_shape(&full_sink.events());
     assert!(
@@ -247,8 +374,8 @@ fn concurrent_resume_replays_whole_batches_with_identical_spans() {
         crash_point.save(ckpt).unwrap();
         let fresh = SharedOracle::new(VecOracle::new(s.truth.clone()));
         let resumed_sink = obs::RecordingSink::new();
-        let resumed = PpaTuner::new(config.clone())
-            .resume_concurrent(
+        PpaTuner::new(config.clone())
+            .resume(
                 &s.source,
                 &s.candidates,
                 &fresh,
@@ -256,7 +383,6 @@ fn concurrent_resume_replays_whole_batches_with_identical_spans() {
                 &crash_point,
             )
             .unwrap_or_else(|e| panic!("batch resume from checkpoint {k} failed: {e}"));
-        assert_identical(&full, &resumed, &format!("batch checkpoint {k}"));
         let resumed_shape = batch_shape(&resumed_sink.events());
         assert!(
             resumed_shape.len() <= full_shape.len(),
