@@ -108,22 +108,40 @@ fn tuner_decision_bench(c: &mut Criterion) {
     use ppatuner::{classify, Status, UncertaintyRegion};
     use rand::SeedableRng;
 
-    let mut rng = StdRng::seed_from_u64(5);
-    let regions: Vec<UncertaintyRegion> = (0..500)
-        .map(|_| {
-            let lo: Vec<f64> = (0..2).map(|_| rng.gen::<f64>()).collect();
-            let hi: Vec<f64> = lo.iter().map(|l| l + rng.gen::<f64>() * 0.2).collect();
-            let mut u = UncertaintyRegion::unbounded(2);
-            u.intersect(&lo, &hi);
-            u
-        })
-        .collect();
-    c.bench_function("tuner/classify_500_candidates", |b| {
-        b.iter(|| {
-            let mut statuses = vec![Status::Undecided; regions.len()];
-            classify(&regions, &mut statuses, &[0.01, 0.01])
-        })
-    });
+    // Workload-sized passes: `pool_sod`'s final pool (3780 candidates,
+    // power–delay) and `t2_durable_q4`'s pool (5000, three objectives).
+    // Boxes a few percent of the range wide around a concave front, a
+    // tenth of them evaluated points, δ = 1 % of the range.
+    let mut group = c.benchmark_group("tuner");
+    for &(p, m) in &[(3780usize, 2usize), (5000, 3)] {
+        let mut rng = StdRng::seed_from_u64(5);
+        let regions: Vec<UncertaintyRegion> = (0..p)
+            .map(|_| {
+                let u: Vec<f64> = (0..m).map(|_| rng.gen_range(0.05..1.0)).collect();
+                let norm = u.iter().map(|v| v * v).sum::<f64>().sqrt();
+                let lift = rng.gen_range(0.0..0.4);
+                let centre: Vec<f64> = u.iter().map(|v| v / norm + lift).collect();
+                if rng.gen_bool(0.1) {
+                    return UncertaintyRegion::point(&centre);
+                }
+                let half: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0025..0.04)).collect();
+                let lo: Vec<f64> = centre.iter().zip(&half).map(|(c, h)| c - h).collect();
+                let hi: Vec<f64> = centre.iter().zip(&half).map(|(c, h)| c + h).collect();
+                let mut u = UncertaintyRegion::unbounded(m);
+                u.intersect(&lo, &hi);
+                u
+            })
+            .collect();
+        let delta = vec![0.01; m];
+        let name = format!("classify_{p}_candidates_m{m}");
+        group.bench_function(name.as_str(), |b| {
+            b.iter(|| {
+                let mut statuses = vec![Status::Undecided; regions.len()];
+                classify(&regions, &mut statuses, &delta)
+            })
+        });
+    }
+    group.finish();
 }
 
 fn tuner_observability_bench(c: &mut Criterion) {

@@ -1,9 +1,13 @@
 //! Design-of-experiments samplers over a [`ParamSpace`].
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{Config, ParamSpace};
+use crate::{Config, ParamSpace, ParamValue};
 
 /// Latin hypercube sampler.
 ///
@@ -94,12 +98,17 @@ impl LatinHypercube {
     ) -> Vec<Config> {
         let cap = space.cardinality().unwrap_or(usize::MAX).min(n);
         let mut out: Vec<Config> = Vec::with_capacity(cap);
+        // Positions in `out` by `config_hash`; a bucket is confirmed with
+        // `PartialEq`, so the result equals a linear `out.contains` scan.
+        let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(cap);
         for _ in 0..max_rounds.max(1) {
             for c in self.sample(space, n, rng) {
                 if out.len() >= cap {
                     return out;
                 }
-                if !out.contains(&c) {
+                let bucket = seen.entry(config_hash(&c)).or_default();
+                if !bucket.iter().any(|&k| out[k] == c) {
+                    bucket.push(out.len());
                     out.push(c);
                 }
             }
@@ -109,6 +118,24 @@ impl LatinHypercube {
         }
         out
     }
+}
+
+/// A hash consistent with `Config`'s `PartialEq`: equal configurations
+/// hash alike. Floats hash their bits with `−0.0` folded into `+0.0`
+/// (the two compare equal); a NaN hashes to whatever its bits give, which
+/// is harmless because it equals nothing.
+fn config_hash(c: &Config) -> u64 {
+    let mut h = DefaultHasher::new();
+    for v in c.values() {
+        std::mem::discriminant(v).hash(&mut h);
+        match *v {
+            ParamValue::Float(x) => (if x == 0.0 { 0.0 } else { x }).to_bits().hash(&mut h),
+            ParamValue::Int(k) => k.hash(&mut h),
+            ParamValue::Enum(k) => k.hash(&mut h),
+            ParamValue::Bool(b) => b.hash(&mut h),
+        }
+    }
+    h.finish()
 }
 
 /// Draws `n` i.i.d. uniform configurations from `space`.
@@ -239,6 +266,83 @@ mod tests {
                 assert_ne!(pts[i], pts[j]);
             }
         }
+    }
+
+    /// The linear-scan de-duplication `sample_distinct` used before its
+    /// hash index, kept as the reference the index must reproduce.
+    fn sample_distinct_quadratic(
+        space: &ParamSpace,
+        n: usize,
+        max_rounds: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Config> {
+        let cap = space.cardinality().unwrap_or(usize::MAX).min(n);
+        let mut out: Vec<Config> = Vec::with_capacity(cap);
+        for _ in 0..max_rounds.max(1) {
+            for c in LatinHypercube::new().sample(space, n, rng) {
+                if out.len() >= cap {
+                    return out;
+                }
+                if !out.contains(&c) {
+                    out.push(c);
+                }
+            }
+            if out.len() >= cap {
+                break;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sample_distinct_matches_the_quadratic_scan() {
+        let continuous = float_space(3);
+        let discrete = ParamSpace::new(vec![
+            ParamDef::int("k", 0, 6).unwrap(),
+            ParamDef::enumeration("e", &["a", "b", "c"]).unwrap(),
+            ParamDef::boolean("f"),
+        ])
+        .unwrap();
+        let mixed = ParamSpace::new(vec![
+            ParamDef::float("x", -1.0, 1.0).unwrap(),
+            ParamDef::int("k", 1, 4).unwrap(),
+            ParamDef::boolean("f"),
+        ])
+        .unwrap();
+        // Runs out of distinct points: 2 · 3 = 6 configurations.
+        let tiny = ParamSpace::new(vec![
+            ParamDef::boolean("f"),
+            ParamDef::enumeration("e", &["a", "b", "c"]).unwrap(),
+        ])
+        .unwrap();
+        for (space, n, rounds) in [
+            (&continuous, 300, 2),
+            (&discrete, 40, 3),
+            (&discrete, 500, 5),
+            (&mixed, 200, 2),
+            (&tiny, 50, 4),
+            (&tiny, 4, 1),
+        ] {
+            for seed in 0..4 {
+                let fast = LatinHypercube::new().sample_distinct(
+                    space,
+                    n,
+                    rounds,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                let slow =
+                    sample_distinct_quadratic(space, n, rounds, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(fast, slow, "n {n}, rounds {rounds}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn config_hash_agrees_with_equality_on_signed_zero() {
+        let pos = Config::new(vec![ParamValue::Float(0.0)]);
+        let neg = Config::new(vec![ParamValue::Float(-0.0)]);
+        assert_eq!(pos, neg);
+        assert_eq!(config_hash(&pos), config_hash(&neg));
     }
 
     #[test]

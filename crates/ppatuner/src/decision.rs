@@ -45,6 +45,143 @@ fn delta_leq(a: &[f64], b: &[f64], delta: &[f64]) -> bool {
     a.iter().zip(b).zip(delta).all(|((&x, &y), &d)| x <= y + d)
 }
 
+/// The sweep's key: the first three coordinates of a corner, padded with
+/// `0.0` when `m < 3` (a padded coordinate is `0.0 ≤ 0.0` for every
+/// pair, so it never filters anything out).
+type Key = [f64; 3];
+
+/// The sweep entries `(j, key)` of the candidates whose status passes
+/// `keep`, where `corner(j, k)` is coordinate `k` of `j`'s corner.
+fn keyed(
+    statuses: &[Status],
+    m: usize,
+    keep: impl Fn(Status) -> bool,
+    corner: impl Fn(usize, usize) -> f64,
+) -> Vec<(usize, Key)> {
+    (0..statuses.len())
+        .filter(|&j| keep(statuses[j]))
+        .map(|j| {
+            (
+                j,
+                std::array::from_fn(|k| if k < m { corner(j, k) } else { 0.0 }),
+            )
+        })
+        .collect()
+}
+
+/// The two smallest `(key[2], index)` entries of a point set. Each point
+/// is inserted into the tree once and a prefix query merges disjoint
+/// nodes, so the two entries always carry distinct indices: when the
+/// smallest is the query's own index, the second is its best rival.
+#[derive(Clone, Copy)]
+struct Min2([(f64, usize); 2]);
+
+impl Min2 {
+    const NONE: usize = usize::MAX;
+    const EMPTY: Min2 = Min2([(f64::INFINITY, Self::NONE); 2]);
+
+    fn push(&mut self, e: (f64, usize)) {
+        let [a, b] = &mut self.0;
+        if a.1 == Self::NONE || e.0 < a.0 {
+            *b = *a;
+            *a = e;
+        } else if b.1 == Self::NONE || e.0 < b.0 {
+            *b = e;
+        }
+    }
+}
+
+/// Fenwick tree of [`Min2`] over the rank of `key[1]`: `prefix(r)` holds
+/// the two smallest `key[2]` among inserted points of rank `< r`.
+struct MinTree(Vec<Min2>);
+
+impl MinTree {
+    fn insert(&mut self, rank: usize, e: (f64, usize)) {
+        let mut k = rank + 1;
+        while k <= self.0.len() {
+            self.0[k - 1].push(e);
+            k += k & k.wrapping_neg();
+        }
+    }
+
+    fn prefix(&self, len: usize) -> Min2 {
+        let mut acc = Min2::EMPTY;
+        let mut k = len;
+        while k > 0 {
+            for e in self.0[k - 1].0 {
+                if e.1 != Min2::NONE {
+                    acc.push(e);
+                }
+            }
+            k &= k - 1;
+        }
+        acc
+    }
+}
+
+/// The orthant sweep both rules share. Returns, in ascending order, every
+/// query `i` with a witness: a point `j ≠ i` for which `holds(i, j)`.
+///
+/// `holds(i, j)` must imply `point_j ≤ threshold_i` on every coordinate,
+/// so a query with no point in its lower orthant has no witness. The
+/// sweep visits the queries in ascending `threshold[0]`, inserting every
+/// point with `key[0] ≤ threshold[0]` into a [`MinTree`]. Its prefix
+/// query then answers the orthant question on all three key coordinates,
+/// so `holds` runs only for flagged queries: first on the (at most two)
+/// orthant witnesses the tree returns, then, if neither holds, on the
+/// whole coordinate-0 prefix. That prefix contains every `j` with
+/// `point_j[0] ≤ threshold_i[0]`, so the answer is exact for any `holds`.
+///
+/// A key with a NaN coordinate can satisfy no `≤`: such points are never
+/// inserted and such queries have no witness, as in the pairwise rules.
+fn orthant_witnessed(
+    mut points: Vec<(usize, Key)>,
+    mut queries: Vec<(usize, Key)>,
+    holds: impl Fn(usize, usize) -> bool,
+) -> Vec<usize> {
+    let finite = |e: &(usize, Key)| !e.1.iter().any(|v| v.is_nan());
+    let by_first = |a: &(usize, Key), b: &(usize, Key)| {
+        a.1[0].partial_cmp(&b.1[0]).expect("NaN keys are filtered")
+    };
+    points.retain(finite);
+    queries.retain(finite);
+    points.sort_unstable_by(by_first);
+    queries.sort_unstable_by(by_first);
+    let mut ys: Vec<f64> = points.iter().map(|p| p.1[1]).collect();
+    ys.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN keys are filtered"));
+    ys.dedup();
+
+    let mut tree = MinTree(vec![Min2::EMPTY; ys.len()]);
+    let mut inserted = 0;
+    let mut hits = Vec::new();
+    for &(i, t) in &queries {
+        while inserted < points.len() && points[inserted].1[0] <= t[0] {
+            let (j, p) = points[inserted];
+            tree.insert(ys.partition_point(|&y| y < p[1]), (p[2], j));
+            inserted += 1;
+        }
+        let near = tree.prefix(ys.partition_point(|&y| y <= t[1]));
+        let mut flagged = false;
+        let mut witnessed = false;
+        for (v, j) in near.0 {
+            if j != Min2::NONE && j != i && v <= t[2] {
+                flagged = true;
+                witnessed = witnessed || holds(i, j);
+            }
+        }
+        let witnessed = witnessed
+            || (flagged
+                && points[..inserted]
+                    .iter()
+                    .any(|&(j, _)| j != i && holds(i, j)));
+        if witnessed {
+            hits.push(i);
+        }
+    }
+    hits.sort_unstable();
+    hits
+}
+
 /// Runs one decision pass over the candidates (Eqs. 11–12), in place.
 ///
 /// For every undecided candidate `x`:
@@ -58,83 +195,102 @@ fn delta_leq(a: &[f64], b: &[f64], delta: &[f64]) -> bool {
 ///   any true Pareto point.
 ///
 /// "Active" means `Undecided` or `Pareto` (dropped and quarantined
-/// candidates no longer influence decisions). Promotion is checked after
-/// dropping, as in Algorithm 1 (lines 8–9).
+/// candidates no longer influence decisions). Both rules read the
+/// statuses as of the start of their step, so the result does not depend
+/// on index order; promotion is checked after dropping, as in Algorithm 1
+/// (lines 8–9). `dropped` and `promoted` list indices in ascending order.
+///
+/// The mutual-δ tie-break is part of the contract: when `x` and `x'`
+/// δ-dominate each other (near-duplicates within the slack, or exact
+/// duplicates), `x'` drops `x` only if `x'` is preferred — it has the
+/// smaller pessimistic-corner sum, then the smaller index — so exactly
+/// one of the pair survives.
+///
+/// # Complexity
+///
+/// Each rule is an orthant-emptiness query over the active set, answered
+/// by one sweep on the first coordinate with a Fenwick tree over the
+/// second (the maxima-of-vectors sweep of Kung, Luccio and Preparata,
+/// JACM 1975): O(P log P + P·m) for P candidates when m ≤ 3. Promotion
+/// is exact on the sweep. Dropping uses the sweep as a filter and
+/// confirms each flagged candidate with the pairwise rule above on the
+/// sweep's witnesses; only when those are all mutual ties it prefers,
+/// or when m ≥ 4 (the sweep then filters on the first three coordinates),
+/// does it scan the candidates whose first coordinate qualifies, O(P·m)
+/// each. Rules and tie-break match the O(P²·m) pairwise scans exactly.
 ///
 /// # Panics
 ///
-/// Panics when `regions`, `statuses` lengths differ or `delta` does not
-/// match the QoR dimension.
+/// Panics when `regions` and `statuses` lengths differ or a region's
+/// dimension does not match `delta`.
 pub fn classify(
     regions: &[UncertaintyRegion],
     statuses: &mut [Status],
     delta: &[f64],
 ) -> DecisionOutcome {
     assert_eq!(regions.len(), statuses.len(), "classify: length mismatch");
-    let n = regions.len();
-    let mut outcome = DecisionOutcome::default();
-    if n == 0 {
-        return outcome;
+    let m = delta.len();
+    for r in regions {
+        assert_eq!(r.dim(), m, "classify: delta dimension");
     }
-    assert_eq!(regions[0].dim(), delta.len(), "classify: delta dimension");
+    debug_assert!(
+        regions.iter().all(|r| !r
+            .optimistic()
+            .iter()
+            .chain(r.pessimistic())
+            .any(|v| v.is_nan())),
+        "classify: NaN region corner"
+    );
+    let opt = |j: usize| regions[j].optimistic();
+    let pess = |j: usize| regions[j].pessimistic();
+    let undecided = |s: Status| s == Status::Undecided;
 
-    // Pass 1: dropping (Eq. 11). Compare against the statuses as of the
-    // start of the pass so the result does not depend on index order.
-    // When two candidates δ-dominate each other (near-duplicates within
-    // the slack), only the less preferred one drops: preference is the
-    // smaller pessimistic-corner sum, then the smaller index.
-    let before: Vec<Status> = statuses.to_vec();
-    let prefer = |a: usize, b: usize| -> bool {
-        let sa: f64 = regions[a].pessimistic().iter().sum();
-        let sb: f64 = regions[b].pessimistic().iter().sum();
-        match sa.partial_cmp(&sb) {
-            Some(std::cmp::Ordering::Less) => true,
-            Some(std::cmp::Ordering::Greater) => false,
-            _ => a < b,
-        }
+    // Drop (Eq. 11): some active `j` has pess_j ≤ opt_i + δ, unless the
+    // two δ-dominate each other and `i` is preferred.
+    let sums: Vec<f64> = regions
+        .iter()
+        .map(|r| r.pessimistic().iter().sum())
+        .collect();
+    let prefer = |a: usize, b: usize| match sums[a].partial_cmp(&sums[b]) {
+        Some(std::cmp::Ordering::Less) => true,
+        Some(std::cmp::Ordering::Greater) => false,
+        _ => a < b,
     };
-    for i in 0..n {
-        if before[i] != Status::Undecided {
-            continue;
-        }
-        let opt_i = regions[i].optimistic();
-        let dominated = (0..n).any(|j| {
-            j != i
-                && before[j].is_active()
-                && delta_leq(regions[j].pessimistic(), opt_i, delta)
-                && !(delta_leq(regions[i].pessimistic(), regions[j].optimistic(), delta)
-                    && prefer(i, j))
-        });
-        if dominated {
-            statuses[i] = Status::Dropped;
-            outcome.dropped.push(i);
-        }
+    let dropped = orthant_witnessed(
+        keyed(statuses, m, Status::is_active, |j, k| pess(j)[k]),
+        keyed(statuses, m, undecided, |i, k| opt(i)[k] + delta[k]),
+        |i, j| {
+            delta_leq(pess(j), opt(i), delta)
+                && !(delta_leq(pess(i), opt(j), delta) && prefer(i, j))
+        },
+    );
+    for &i in &dropped {
+        statuses[i] = Status::Dropped;
     }
 
-    // Pass 2: promotion (Eq. 12), against post-drop statuses.
-    let after_drop: Vec<Status> = statuses.to_vec();
-    for i in 0..n {
-        if after_drop[i] != Status::Undecided {
-            continue;
-        }
-        let pess_i = regions[i].pessimistic();
-        let might_be_beaten = (0..n).any(|j| {
-            j != i && after_drop[j].is_active() && {
-                // x' might δ-dominate x: opt(x') + δ ≤ pess(x).
-                regions[j]
-                    .optimistic()
-                    .iter()
-                    .zip(pess_i)
-                    .zip(delta)
-                    .all(|((&oj, &pi), &d)| oj + d <= pi)
-            }
-        });
-        if !might_be_beaten {
+    // Promote (Eq. 12), against post-drop statuses: no active `j` has
+    // opt_j + δ ≤ pess_i.
+    let queries = keyed(statuses, m, undecided, |i, k| pess(i)[k]);
+    let beaten = orthant_witnessed(
+        keyed(statuses, m, Status::is_active, |j, k| opt(j)[k] + delta[k]),
+        queries.clone(),
+        |i, j| {
+            opt(j)
+                .iter()
+                .zip(pess(i))
+                .zip(delta)
+                .all(|((&oj, &pi), &d)| oj + d <= pi)
+        },
+    );
+    let mut beaten = beaten.into_iter().peekable();
+    let mut promoted = Vec::new();
+    for (i, _) in queries {
+        if beaten.next_if_eq(&i).is_none() {
             statuses[i] = Status::Pareto;
-            outcome.promoted.push(i);
+            promoted.push(i);
         }
     }
-    outcome
+    DecisionOutcome { dropped, promoted }
 }
 
 /// One pick of the diversity-penalized batch selection rule.
@@ -374,6 +530,39 @@ mod tests {
     fn empty_input_is_noop() {
         let out = classify(&[], &mut [], &[0.0]);
         assert!(out.dropped.is_empty() && out.promoted.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "classify: delta dimension")]
+    fn mismatched_first_region_panics() {
+        let regions = vec![pt(&[1.0, 2.0, 3.0]), pt(&[1.0, 2.0])];
+        classify(&regions, &mut [Status::Undecided; 2], &[0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "classify: delta dimension")]
+    fn mismatched_later_region_panics() {
+        let regions = vec![pt(&[1.0, 2.0]), pt(&[2.0, 1.0]), pt(&[1.0])];
+        classify(&regions, &mut [Status::Undecided; 3], &[0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "classify: delta dimension")]
+    fn mismatched_inactive_region_panics() {
+        let regions = vec![pt(&[1.0, 2.0]), pt(&[1.0, 2.0, 3.0])];
+        classify(
+            &regions,
+            &mut [Status::Undecided, Status::Dropped],
+            &[0.0, 0.0],
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "classify: NaN region corner")]
+    fn nan_corner_panics_in_debug_builds() {
+        let regions = vec![pt(&[1.0, 2.0]), pt(&[f64::NAN, 1.0])];
+        classify(&regions, &mut [Status::Undecided; 2], &[0.0, 0.0]);
     }
 
     #[test]

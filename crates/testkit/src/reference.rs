@@ -1,9 +1,12 @@
-//! Naive reference implementations of the `pareto` crate's algorithms.
+//! Naive reference implementations of the `pareto` crate's algorithms
+//! and of `ppatuner`'s ε-PAL decision pass.
 //!
 //! Everything here is written for obviousness, not speed: quadratic (or
 //! exponential) scans whose correctness can be read off the definition.
 //! The differential suites in `tests/` fuzz the optimized implementations
 //! against these oracles.
+
+use ppatuner::{DecisionOutcome, Status, UncertaintyRegion};
 
 /// Reference dominance test: `a` dominates `b` iff `a ≤ b` componentwise
 /// with at least one strict improvement, computed by explicit counting.
@@ -261,6 +264,104 @@ pub fn lambda_by_quadrature(a: f64, b: f64) -> f64 {
     }
     assert!(denom > 0.0, "lambda quadrature: degenerate density");
     2.0 * (numer / denom) - 1.0
+}
+
+/// Reference ε-PAL decision pass: the O(P²·m) pairwise drop and promote
+/// scans that `ppatuner::classify` ran before its orthant sweep, kept
+/// verbatim except that [`delta_dominates`] stands in for its private
+/// copy of the same comparison. `tests/classify_differential.rs` holds
+/// the sweep to it.
+///
+/// Runs one decision pass over the candidates (Eqs. 11–12), in place.
+///
+/// For every undecided candidate `x`:
+///
+/// - **Drop** (Eq. 11) when some other active candidate `x'` satisfies
+///   `max(U(x')) ≤ min(U(x)) + δ`: even `x'`'s worst case δ-dominates
+///   `x`'s best case, so `x` cannot be needed for the front.
+/// - **Promote** (Eq. 12) when *no* other active candidate `x'` satisfies
+///   `min(U(x')) + δ ≤ max(U(x))` componentwise: no rival's best case can
+///   beat `x`'s worst case by more than δ, so `x` is at most δ-worse than
+///   any true Pareto point.
+///
+/// "Active" means `Undecided` or `Pareto` (dropped and quarantined
+/// candidates no longer influence decisions). Promotion is checked after
+/// dropping, as in Algorithm 1 (lines 8–9).
+///
+/// # Panics
+///
+/// Panics when `regions`, `statuses` lengths differ or `delta` does not
+/// match the QoR dimension.
+pub fn classify(
+    regions: &[UncertaintyRegion],
+    statuses: &mut [Status],
+    delta: &[f64],
+) -> DecisionOutcome {
+    assert_eq!(regions.len(), statuses.len(), "classify: length mismatch");
+    let n = regions.len();
+    let mut outcome = DecisionOutcome::default();
+    if n == 0 {
+        return outcome;
+    }
+    assert_eq!(regions[0].dim(), delta.len(), "classify: delta dimension");
+
+    // Pass 1: dropping (Eq. 11). Compare against the statuses as of the
+    // start of the pass so the result does not depend on index order.
+    // When two candidates δ-dominate each other (near-duplicates within
+    // the slack), only the less preferred one drops: preference is the
+    // smaller pessimistic-corner sum, then the smaller index.
+    let before: Vec<Status> = statuses.to_vec();
+    let prefer = |a: usize, b: usize| -> bool {
+        let sa: f64 = regions[a].pessimistic().iter().sum();
+        let sb: f64 = regions[b].pessimistic().iter().sum();
+        match sa.partial_cmp(&sb) {
+            Some(std::cmp::Ordering::Less) => true,
+            Some(std::cmp::Ordering::Greater) => false,
+            _ => a < b,
+        }
+    };
+    for i in 0..n {
+        if before[i] != Status::Undecided {
+            continue;
+        }
+        let opt_i = regions[i].optimistic();
+        let dominated = (0..n).any(|j| {
+            j != i
+                && before[j].is_active()
+                && delta_dominates(regions[j].pessimistic(), opt_i, delta)
+                && !(delta_dominates(regions[i].pessimistic(), regions[j].optimistic(), delta)
+                    && prefer(i, j))
+        });
+        if dominated {
+            statuses[i] = Status::Dropped;
+            outcome.dropped.push(i);
+        }
+    }
+
+    // Pass 2: promotion (Eq. 12), against post-drop statuses.
+    let after_drop: Vec<Status> = statuses.to_vec();
+    for i in 0..n {
+        if after_drop[i] != Status::Undecided {
+            continue;
+        }
+        let pess_i = regions[i].pessimistic();
+        let might_be_beaten = (0..n).any(|j| {
+            j != i && after_drop[j].is_active() && {
+                // x' might δ-dominate x: opt(x') + δ ≤ pess(x).
+                regions[j]
+                    .optimistic()
+                    .iter()
+                    .zip(pess_i)
+                    .zip(delta)
+                    .all(|((&oj, &pi), &d)| oj + d <= pi)
+            }
+        });
+        if !might_be_beaten {
+            statuses[i] = Status::Pareto;
+            outcome.promoted.push(i);
+        }
+    }
+    outcome
 }
 
 #[cfg(test)]
