@@ -15,7 +15,7 @@
 use linalg::{Cholesky, Matrix};
 
 use crate::standardize::Standardizer;
-use crate::transfer::{TaskData, TransferGpConfig};
+use crate::transfer::{check_training, joint_rows, TaskData, TransferGpConfig};
 use crate::{GpError, Result};
 
 /// Precomputed, θ-independent state of one transfer-GP fitting problem.
@@ -67,39 +67,20 @@ impl<'a> FitCache<'a> {
                 reason: "kernel needs at least one lengthscale",
             });
         }
-        for row in source.x.iter().chain(target.x.iter()) {
-            if row.len() != dim {
-                return Err(GpError::DimensionMismatch {
-                    expected: dim,
-                    got: row.len(),
-                });
-            }
-            if row.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::InvalidTrainingData {
-                    reason: "training inputs must be finite",
-                });
-            }
-        }
-        if source.y.iter().chain(&target.y).any(|v| !v.is_finite()) {
-            return Err(GpError::InvalidTrainingData {
-                reason: "training outputs must be finite",
-            });
-        }
+        check_training(
+            dim,
+            source.x.iter().chain(target.x.iter()),
+            source.y.iter().chain(&target.y),
+        )?;
 
         let n = source.len();
         let p = n + target.len();
-        let point = |i: usize| -> &[f64] {
-            if i < n {
-                &source.x[i]
-            } else {
-                &target.x[i - n]
-            }
-        };
+        let rows = joint_rows(&source.x, &target.x);
         let mut d2 = Vec::with_capacity(p * (p + 1) / 2 * dim);
         for i in 0..p {
-            let xi = point(i);
+            let xi = rows(i).0;
             for j in i..p {
-                let xj = point(j);
+                let xj = rows(j).0;
                 for t in 0..dim {
                     let d = xi[t] - xj[t];
                     d2.push(d * d);

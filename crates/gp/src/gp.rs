@@ -2,6 +2,7 @@ use linalg::{Cholesky, Matrix};
 
 use crate::kernel::Kernel;
 use crate::standardize::Standardizer;
+use crate::transfer::check_training;
 use crate::{GpError, Result};
 
 /// Exact Gaussian-process regressor (Eq. 1 of the paper).
@@ -65,24 +66,7 @@ impl<K: Kernel> GpRegressor<K> {
                 value: noise_var,
             });
         }
-        for row in &x {
-            if row.len() != kernel.dim() {
-                return Err(GpError::DimensionMismatch {
-                    expected: kernel.dim(),
-                    got: row.len(),
-                });
-            }
-            if row.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::InvalidTrainingData {
-                    reason: "training inputs must be finite",
-                });
-            }
-        }
-        if y.iter().any(|v| !v.is_finite()) {
-            return Err(GpError::InvalidTrainingData {
-                reason: "training outputs must be finite",
-            });
-        }
+        check_training(kernel.dim(), &x, &y)?;
 
         let standardizer = Standardizer::fit(&y);
         let z_train = standardizer.transform_vec(&y);

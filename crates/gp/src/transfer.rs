@@ -133,7 +133,8 @@ impl TransferGpConfig {
 /// ```
 #[derive(Clone)]
 pub struct TransferGp {
-    kernel: TransferKernel<SquaredExponential>,
+    /// The posterior over the joint rows; see [`TransferGp::rows`].
+    post: Posterior,
     x_source: Arc<Vec<Vec<f64>>>,
     x_target: Arc<Vec<Vec<f64>>>,
     /// Raw (unstandardized) outputs, kept so the model can re-fit itself
@@ -141,10 +142,6 @@ pub struct TransferGp {
     /// extension is numerically rejected.
     y_source: Vec<f64>,
     y_target: Vec<f64>,
-    alpha: Vec<f64>,
-    chol: Cholesky,
-    std_target: Standardizer,
-    noise_target: f64,
     z_joint: Vec<f64>,
     /// Log marginal likelihood of the source block alone (0 when empty).
     source_lml: f64,
@@ -192,25 +189,11 @@ impl TransferGp {
             }
         }
         let base = SquaredExponential::new(config.signal_var, config.lengthscales.clone())?;
-        let dim = base.dim();
-        for row in source.x.iter().chain(target.x.iter()) {
-            if row.len() != dim {
-                return Err(GpError::DimensionMismatch {
-                    expected: dim,
-                    got: row.len(),
-                });
-            }
-            if row.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::InvalidTrainingData {
-                    reason: "training inputs must be finite",
-                });
-            }
-        }
-        if source.y.iter().chain(&target.y).any(|v| !v.is_finite()) {
-            return Err(GpError::InvalidTrainingData {
-                reason: "training outputs must be finite",
-            });
-        }
+        check_training(
+            base.dim(),
+            source.x.iter().chain(target.x.iter()),
+            source.y.iter().chain(&target.y),
+        )?;
         let kernel = TransferKernel::with_lambda(base, config.lambda)?;
 
         // Per-task standardization.
@@ -221,33 +204,18 @@ impl TransferGp {
         };
         let std_target = Standardizer::fit(&target.y);
         let n = source.len();
-        let m = target.len();
-        let mut z_joint = Vec::with_capacity(n + m);
+        let mut z_joint = Vec::with_capacity(n + target.len());
         z_joint.extend(source.y.iter().map(|&v| std_source.transform(v)));
         z_joint.extend(target.y.iter().map(|&v| std_target.transform(v)));
 
         // Joint kernel matrix K̃ + Λ.
-        let task_of = |i: usize| if i < n { Task::Source } else { Task::Target };
-        let point_of = |i: usize| -> &[f64] {
-            if i < n {
-                &source.x[i]
-            } else {
-                &target.x[i - n]
-            }
-        };
         crate::counters::add_fitcache_misses(1);
-        crate::counters::add_kernel_assemblies(1);
-        let mut k = Matrix::from_fn(n + m, n + m, |i, j| {
-            kernel.eval_task(point_of(i), task_of(i), point_of(j), task_of(j))
-        });
-        for i in 0..(n + m) {
-            let noise = if i < n {
-                config.noise_source
-            } else {
-                config.noise_target
-            };
-            k[(i, i)] += noise;
-        }
+        let k = noisy_gram(
+            &kernel,
+            &config,
+            z_joint.len(),
+            joint_rows(&source.x, &target.x),
+        );
         let (chol, jitter) = Cholesky::new_with_jitter(&k, 1e-10, 12)?;
         let alpha = chol.solve_vec(&z_joint)?;
 
@@ -265,15 +233,17 @@ impl TransferGp {
         };
 
         Ok(TransferGp {
-            kernel,
+            post: Posterior {
+                kernel,
+                alpha,
+                chol,
+                std_target,
+                noise_target: config.noise_target,
+            },
             x_source: source.x,
             x_target: target.x,
             y_source: source.y,
             y_target: target.y,
-            alpha,
-            chol,
-            std_target,
-            noise_target: config.noise_target,
             z_joint,
             source_lml,
             jitter,
@@ -311,50 +281,26 @@ impl TransferGp {
         if new_x.is_empty() {
             return Ok(());
         }
-        let dim = self.kernel.base().dim();
-        for row in new_x {
-            if row.len() != dim {
-                return Err(GpError::DimensionMismatch {
-                    expected: dim,
-                    got: row.len(),
-                });
-            }
-            if row.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::InvalidTrainingData {
-                    reason: "training inputs must be finite",
-                });
-            }
-        }
-        if new_y.iter().any(|v| !v.is_finite()) {
-            return Err(GpError::InvalidTrainingData {
-                reason: "training outputs must be finite",
-            });
-        }
-        let n = self.x_source.len();
-        let m = self.x_target.len();
+        check_training(self.post.dim(), new_x, new_y)?;
+        let p = self.post.len();
         let k = new_x.len();
 
         // Covariance of every existing joint point with each new
         // (target-task) point, and of the new points among themselves
         // with the target noise — and the stored jitter, matching the
         // diagonal the existing factor was computed with.
-        let cross = Matrix::from_fn(n + m, k, |i, j| {
-            let (xi, ti) = if i < n {
-                (&self.x_source[i], Task::Source)
-            } else {
-                (&self.x_target[i - n], Task::Target)
-            };
-            self.kernel.eval_task(xi, ti, &new_x[j], Task::Target)
-        });
+        let rows = self.rows();
+        let cross = Matrix::from_fn(p, k, |i, j| self.post.cross(rows, i, &new_x[j]));
         let mut corner = Matrix::from_fn(k, k, |i, j| {
-            self.kernel
+            self.post
+                .kernel
                 .eval_task(&new_x[i], Task::Target, &new_x[j], Task::Target)
         });
         for i in 0..k {
             corner[(i, i)] += self.config.noise_target + self.jitter;
         }
 
-        let mut chol = self.chol.clone();
+        let mut chol = self.post.chol.clone();
         if chol.extend(&cross, &corner).is_err() {
             // Numerically rejected: fall back to a full refit, which can
             // escalate jitter. Rebuild owned task data from stored state.
@@ -372,6 +318,7 @@ impl TransferGp {
         // half-extended. Per-task standardization is over the *current*
         // target sample, so the whole target block of z is recomputed (the
         // source block and its marginal likelihood are untouched).
+        let n = self.x_source.len();
         let mut y_target = self.y_target.clone();
         y_target.extend_from_slice(new_y);
         let std_target = Standardizer::fit(&y_target);
@@ -381,10 +328,10 @@ impl TransferGp {
 
         Arc::make_mut(&mut self.x_target).extend(new_x.iter().cloned());
         self.y_target = y_target;
-        self.std_target = std_target;
+        self.post.std_target = std_target;
         self.z_joint = z_joint;
-        self.alpha = alpha;
-        self.chol = chol;
+        self.post.alpha = alpha;
+        self.post.chol = chol;
         Ok(())
     }
 
@@ -417,7 +364,7 @@ impl TransferGp {
 
     /// The cross-task factor λ in use.
     pub fn lambda(&self) -> f64 {
-        self.kernel.lambda()
+        self.post.kernel.lambda()
     }
 
     /// Diagonal jitter added so the joint kernel's Cholesky factorization
@@ -441,6 +388,12 @@ impl TransferGp {
         &self.config
     }
 
+    /// The joint training rows, source first, as the [`Posterior`] sees
+    /// them.
+    fn rows<'a>(&'a self) -> impl Fn(usize) -> (&'a [f64], Task) + Copy + Sync + 'a {
+        joint_rows(&self.x_source, &self.x_target)
+    }
+
     /// Predictive mean and variance for a **target-task** query, in the
     /// target task's natural units (Eq. 8). The variance includes the
     /// target observation noise `β_t⁻¹`, i.e. it predicts a tool
@@ -451,11 +404,7 @@ impl TransferGp {
     /// Returns [`GpError::DimensionMismatch`] for queries of the wrong
     /// dimension.
     pub fn predict(&self, x: &[f64]) -> Result<(f64, f64)> {
-        let (mean, var_latent) = self.predict_latent(x)?;
-        Ok((
-            mean,
-            var_latent + self.std_target.inverse_var(self.noise_target),
-        ))
+        Ok(self.post.observed(self.predict_latent(x)?))
     }
 
     /// Predictive mean and **latent-function** variance (no observation
@@ -468,27 +417,7 @@ impl TransferGp {
     /// Returns [`GpError::DimensionMismatch`] for queries of the wrong
     /// dimension.
     pub fn predict_latent(&self, x: &[f64]) -> Result<(f64, f64)> {
-        if x.len() != self.kernel.base().dim() {
-            return Err(GpError::DimensionMismatch {
-                expected: self.kernel.base().dim(),
-                got: x.len(),
-            });
-        }
-        let mut k_star = Vec::with_capacity(self.x_source.len() + self.x_target.len());
-        for xi in self.x_source.iter() {
-            k_star.push(self.kernel.eval_task(xi, Task::Source, x, Task::Target));
-        }
-        for xi in self.x_target.iter() {
-            k_star.push(self.kernel.eval_task(xi, Task::Target, x, Task::Target));
-        }
-        let mean_z = linalg::vecops::dot(&k_star, &self.alpha);
-        let v = self.chol.solve_lower_only(&k_star)?;
-        let c = self.kernel.eval_task(x, Task::Target, x, Task::Target);
-        let var_z = (c - linalg::vecops::dot(&v, &v)).max(0.0);
-        Ok((
-            self.std_target.inverse(mean_z),
-            self.std_target.inverse_var(var_z),
-        ))
+        self.post.predict_latent(self.rows(), x)
     }
 
     /// Batch prediction for target-task queries, via the multi-RHS path
@@ -499,11 +428,10 @@ impl TransferGp {
     ///
     /// Fails on any dimension mismatch.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
-        let noise = self.std_target.inverse_var(self.noise_target);
         Ok(self
             .predict_latent_batch(xs, 1)?
             .into_iter()
-            .map(|(mean, var)| (mean, var + noise))
+            .map(|pred| self.post.observed(pred))
             .collect())
     }
 
@@ -525,44 +453,7 @@ impl TransferGp {
     /// Returns [`GpError::DimensionMismatch`] for queries of the wrong
     /// dimension.
     pub fn predict_latent_batch(&self, xs: &[Vec<f64>], workers: usize) -> Result<Vec<(f64, f64)>> {
-        check_dims(self.kernel.base().dim(), xs)?;
-        predict_chunks(xs, workers, |chunk| self.predict_latent_block(chunk))
-    }
-
-    /// One block of [`TransferGp::predict_latent_batch`]: assemble `K*`,
-    /// solve `L V = K*` for all columns at once, then reduce each column
-    /// with the exact scalar-path accumulation order.
-    fn predict_latent_block(&self, xs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
-        let n = self.x_source.len();
-        let p = n + self.x_target.len();
-        let k_star = Matrix::from_fn(p, xs.len(), |i, q| {
-            let (xi, ti) = if i < n {
-                (&self.x_source[i], Task::Source)
-            } else {
-                (&self.x_target[i - n], Task::Target)
-            };
-            self.kernel.eval_task(xi, ti, &xs[q], Task::Target)
-        });
-        let v = self.chol.solve_lower_only_multi(&k_star)?;
-        let mut out = Vec::with_capacity(xs.len());
-        for (q, x) in xs.iter().enumerate() {
-            let mut mean_z = 0.0;
-            for (i, &a) in self.alpha.iter().enumerate() {
-                mean_z += k_star[(i, q)] * a;
-            }
-            let mut vv = 0.0;
-            for i in 0..p {
-                let vi = v[(i, q)];
-                vv += vi * vi;
-            }
-            let c = self.kernel.eval_task(x, Task::Target, x, Task::Target);
-            let var_z = (c - vv).max(0.0);
-            out.push((
-                self.std_target.inverse(mean_z),
-                self.std_target.inverse_var(var_z),
-            ));
-        }
-        Ok(out)
+        self.post.predict_latent_batch(self.rows(), xs, workers)
     }
 
     /// Cached-incremental predict sweep: like
@@ -600,7 +491,7 @@ impl TransferGp {
         workers: usize,
         cache: &mut PredictCache,
     ) -> Result<Vec<(f64, f64)>> {
-        check_dims(self.kernel.base().dim(), xs)?;
+        check_dims(self.post.dim(), xs)?;
         if ids.len() != xs.len() {
             return Err(GpError::InvalidTrainingData {
                 reason: "candidate ids and queries must have equal length",
@@ -609,7 +500,7 @@ impl TransferGp {
         if cache.epoch != self.fit_epoch {
             cache.clear_stale(self.fit_epoch);
         }
-        let p = self.x_source.len() + self.x_target.len();
+        let p = self.post.len();
         let chunks: Vec<&[Vec<f64>]> = xs.chunks(PREDICT_BLOCK).collect();
         crate::counters::add_predict_chunks(chunks.len() as u64);
 
@@ -657,95 +548,64 @@ impl TransferGp {
     }
 
     /// One chunk of [`TransferGp::predict_latent_batch_cached`]: extend
-    /// every hit's solve state by the factor's tail rows, compute all
-    /// misses with one multi-RHS solve (per-column bit-identical to the
-    /// scalar path, see [`linalg::solve::solve_lower_multi`]), then
-    /// reduce every candidate with the exact scalar accumulation order of
-    /// [`TransferGp::predict_latent_block`].
+    /// every hit's solve state by the factor's tail rows, send all misses
+    /// through the [`Posterior`]'s one multi-RHS block solve, then reduce
+    /// every candidate with the posterior's shared per-query reduction.
     #[allow(clippy::type_complexity)]
     fn predict_chunk_cached(
         &self,
         xs: &[Vec<f64>],
-        entries: Vec<Option<CacheEntry>>,
+        mut entries: Vec<Option<CacheEntry>>,
     ) -> Result<(Vec<(f64, f64)>, Vec<CacheEntry>, u64, u64)> {
-        let n = self.x_source.len();
-        let p = n + self.x_target.len();
+        let rows = self.rows();
+        let p = self.post.len();
         let mut hits = 0u64;
-        let mut updated: Vec<Option<CacheEntry>> = Vec::with_capacity(xs.len());
-        for (x, maybe) in xs.iter().zip(entries) {
-            if let Some(mut e) = maybe {
+        for (x, e) in xs.iter().zip(&mut entries) {
+            if let Some(e) = e {
                 // The cached rows cover the old factor; only appended
                 // target rows are missing (conditioning never adds source
                 // points).
                 let start = e.k_star.len();
                 for i in start..p {
-                    e.k_star.push(self.kernel.eval_task(
-                        &self.x_target[i - n],
-                        Task::Target,
-                        x,
-                        Task::Target,
-                    ));
+                    e.k_star.push(self.post.cross(rows, i, x));
                 }
-                self.chol
+                self.post
+                    .chol
                     .solve_lower_only_tail(&e.k_star[start..], &mut e.v)?;
                 hits += 1;
-                updated.push(Some(e));
-            } else {
-                updated.push(None);
             }
         }
-        let miss_idx: Vec<usize> = updated
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_none())
-            .map(|(q, _)| q)
-            .collect();
-        if !miss_idx.is_empty() {
-            let k_star = Matrix::from_fn(p, miss_idx.len(), |i, c| {
-                let (xi, ti) = if i < n {
-                    (&self.x_source[i], Task::Source)
-                } else {
-                    (&self.x_target[i - n], Task::Target)
-                };
-                self.kernel
-                    .eval_task(xi, ti, &xs[miss_idx[c]], Task::Target)
-            });
-            let v = self.chol.solve_lower_only_multi(&k_star)?;
-            for (c, &q) in miss_idx.iter().enumerate() {
-                updated[q] = Some(CacheEntry {
+        let misses: Vec<usize> = (0..xs.len()).filter(|&q| entries[q].is_none()).collect();
+        if !misses.is_empty() {
+            let queries: Vec<&Vec<f64>> = misses.iter().map(|&q| &xs[q]).collect();
+            let (k_star, v) = self.post.solve_block(rows, &queries)?;
+            for (c, &q) in misses.iter().enumerate() {
+                entries[q] = Some(CacheEntry {
                     k_star: k_star.col(c),
                     v: v.col(c),
                 });
             }
         }
-        let mut out = Vec::with_capacity(xs.len());
-        let mut final_entries = Vec::with_capacity(xs.len());
-        for (x, e) in xs.iter().zip(updated) {
-            let e = e.expect("every cached chunk entry is filled");
-            let mut mean_z = 0.0;
-            for (i, &a) in self.alpha.iter().enumerate() {
-                mean_z += e.k_star[i] * a;
-            }
-            let mut vv = 0.0;
-            for &vi in &e.v {
-                vv += vi * vi;
-            }
-            let c = self.kernel.eval_task(x, Task::Target, x, Task::Target);
-            let var_z = (c - vv).max(0.0);
-            out.push((
-                self.std_target.inverse(mean_z),
-                self.std_target.inverse_var(var_z),
-            ));
-            final_entries.push(e);
-        }
-        Ok((out, final_entries, hits, miss_idx.len() as u64))
+        let entries: Vec<CacheEntry> = entries
+            .into_iter()
+            .map(|e| e.expect("every cached chunk entry is filled"))
+            .collect();
+        let out = xs
+            .iter()
+            .zip(&entries)
+            .map(|(x, e)| {
+                self.post
+                    .reduce(x, e.k_star.iter().copied(), e.v.iter().copied())
+            })
+            .collect();
+        Ok((out, entries, hits, misses.len() as u64))
     }
 
     /// Log marginal likelihood of the joint (standardized) data.
     pub fn log_marginal_likelihood(&self) -> f64 {
         let n = self.z_joint.len() as f64;
-        let fit = -0.5 * linalg::vecops::dot(&self.z_joint, &self.alpha);
-        let complexity = -0.5 * self.chol.log_det();
+        let fit = -0.5 * linalg::vecops::dot(&self.z_joint, &self.post.alpha);
+        let complexity = -0.5 * self.post.chol.log_det();
         fit + complexity - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
     }
 
@@ -806,31 +666,25 @@ impl TransferGp {
                 value: 0.0,
             });
         }
-        let n = self.x_source.len();
-        let p = n + self.x_target.len();
-        let point_of = |i: usize| -> &[f64] {
-            if i < n {
-                &self.x_source[i]
-            } else {
-                &self.x_target[i - n]
-            }
-        };
-        let task_of = |i: usize| if i < n { Task::Source } else { Task::Target };
+        let rows = self.rows();
+        let p = self.post.len();
 
         // Deterministic farthest-point subset of the joint indices.
         let m = m.min(p);
         let mut chosen: Vec<usize> = Vec::with_capacity(m);
+        let mut picked = vec![false; p];
         let mut min_d2 = vec![f64::INFINITY; p];
         chosen.push(0);
+        picked[0] = true;
         while chosen.len() < m {
-            let last = *chosen.last().expect("chosen is non-empty");
+            let last = rows(*chosen.last().expect("chosen is non-empty")).0;
             let mut best = None;
             for (i, slot) in min_d2.iter_mut().enumerate() {
-                let d2 = linalg::vecops::sq_dist(point_of(i), point_of(last));
+                let d2 = linalg::vecops::sq_dist(rows(i).0, last);
                 if d2 < *slot {
                     *slot = d2;
                 }
-                if !chosen.contains(&i) {
+                if !picked[i] {
                     // Strictly-greater keeps the lowest index on ties.
                     let better = match best {
                         None => true,
@@ -841,43 +695,73 @@ impl TransferGp {
                     }
                 }
             }
-            chosen.push(best.expect("m <= p leaves an unchosen point").0);
+            let (next, _) = best.expect("m <= p leaves an unchosen point");
+            picked[next] = true;
+            chosen.push(next);
         }
 
-        let anchors: Vec<Vec<f64>> = chosen.iter().map(|&i| point_of(i).to_vec()).collect();
-        let tasks: Vec<Task> = chosen.iter().map(|&i| task_of(i)).collect();
+        let anchors: Vec<Vec<f64>> = chosen.iter().map(|&i| rows(i).0.to_vec()).collect();
+        let tasks: Vec<Task> = chosen.iter().map(|&i| rows(i).1).collect();
         let z_sub: Vec<f64> = chosen.iter().map(|&i| self.z_joint[i]).collect();
-
-        crate::counters::add_kernel_assemblies(1);
-        let mut k = Matrix::from_fn(m, m, |i, j| {
-            self.kernel
-                .eval_task(&anchors[i], tasks[i], &anchors[j], tasks[j])
+        let k = noisy_gram(&self.post.kernel, &self.config, m, |i| {
+            (anchors[i].as_slice(), tasks[i])
         });
-        for (i, &orig) in chosen.iter().enumerate() {
-            k[(i, i)] += if orig < n {
-                self.config.noise_source
-            } else {
-                self.config.noise_target
-            };
-        }
         let (chol, _) = Cholesky::new_with_jitter(&k, 1e-10, 12)?;
         let alpha = chol.solve_vec(&z_sub)?;
         Ok(SubsetPredictor {
-            kernel: self.kernel.clone(),
+            post: Posterior {
+                kernel: self.post.kernel.clone(),
+                alpha,
+                chol,
+                std_target: self.post.std_target,
+                noise_target: self.post.noise_target,
+            },
             anchors,
             tasks,
-            alpha,
-            chol,
-            std_target: self.std_target,
-            noise_target: self.noise_target,
             train_size: p,
         })
     }
 }
 
+/// The joint training rows of a transfer GP, source first: row `i` is
+/// source point `i` for `i < source.len()`, else target point
+/// `i − source.len()`. The one place that maps a joint index to its input
+/// and task.
+pub(crate) fn joint_rows<'a>(
+    source: &'a [Vec<f64>],
+    target: &'a [Vec<f64>],
+) -> impl Fn(usize) -> (&'a [f64], Task) + Copy + Sync + 'a {
+    move |i| match i.checked_sub(source.len()) {
+        None => (&source[i], Task::Source),
+        Some(t) => (&target[t], Task::Target),
+    }
+}
+
+/// `K̃ + Λ` over `p` training rows: the transfer kernel (Eq. 7) plus each
+/// row's task noise on the diagonal.
+fn noisy_gram<'r>(
+    kernel: &TransferKernel<SquaredExponential>,
+    config: &TransferGpConfig,
+    p: usize,
+    row: impl Fn(usize) -> (&'r [f64], Task),
+) -> Matrix {
+    crate::counters::add_kernel_assemblies(1);
+    let mut k = Matrix::from_fn(p, p, |i, j| {
+        let ((xi, ti), (xj, tj)) = (row(i), row(j));
+        kernel.eval_task(xi, ti, xj, tj)
+    });
+    for i in 0..p {
+        k[(i, i)] += match row(i).1 {
+            Task::Source => config.noise_source,
+            Task::Target => config.noise_target,
+        };
+    }
+    k
+}
+
 /// Rejects queries whose dimension is not `dim`.
-fn check_dims(dim: usize, xs: &[Vec<f64>]) -> Result<()> {
-    match xs.iter().find(|x| x.len() != dim) {
+fn check_dims<Q: AsRef<[f64]>>(dim: usize, xs: &[Q]) -> Result<()> {
+    match xs.iter().map(AsRef::as_ref).find(|x| x.len() != dim) {
         Some(x) => Err(GpError::DimensionMismatch {
             expected: dim,
             got: x.len(),
@@ -886,23 +770,173 @@ fn check_dims(dim: usize, xs: &[Vec<f64>]) -> Result<()> {
     }
 }
 
-/// Cuts `xs` into [`PREDICT_BLOCK`]-sized chunks, predicts each with
-/// `block` over `workers` threads ([`fan_out`]), and concatenates the
-/// results in chunk order. The chunk decomposition is fixed and a chunk's
-/// arithmetic never depends on its neighbours, so the output is the same
-/// bits at every worker count.
-fn predict_chunks(
-    xs: &[Vec<f64>],
-    workers: usize,
-    block: impl Fn(&[Vec<f64>]) -> Result<Vec<(f64, f64)>> + Sync,
-) -> Result<Vec<(f64, f64)>> {
-    let chunks: Vec<&[Vec<f64>]> = xs.chunks(PREDICT_BLOCK).collect();
-    crate::counters::add_predict_chunks(chunks.len() as u64);
-    let mut out = Vec::with_capacity(xs.len());
-    for chunk in fan_out(chunks.len(), workers, |c| block(chunks[c])) {
-        out.extend(chunk?);
+/// The training-data validator of every fitting entry point: each input
+/// row has `dim` finite coordinates, then every output is finite.
+pub(crate) fn check_training<'a>(
+    dim: usize,
+    x: impl IntoIterator<Item = &'a Vec<f64>>,
+    y: impl IntoIterator<Item = &'a f64>,
+) -> Result<()> {
+    for row in x {
+        if row.len() != dim {
+            return Err(GpError::DimensionMismatch {
+                expected: dim,
+                got: row.len(),
+            });
+        }
+        if row.iter().any(|v| !v.is_finite()) {
+            return Err(GpError::InvalidTrainingData {
+                reason: "training inputs must be finite",
+            });
+        }
     }
-    Ok(out)
+    if y.into_iter().any(|v| !v.is_finite()) {
+        return Err(GpError::InvalidTrainingData {
+            reason: "training outputs must be finite",
+        });
+    }
+    Ok(())
+}
+
+/// The Eq. 8 posterior over one set of training rows, shared by
+/// [`TransferGp`] (its joint source-then-target set) and
+/// [`SubsetPredictor`] (its maximin anchors). Each owner passes its rows
+/// as `row(i) -> (input, task)` for `i < len()`.
+///
+/// This is the only copy of the predict math: the scalar reference path,
+/// the `K*` assembly with its multi-RHS solve, the per-query reduction,
+/// and the observation-noise add. The batch reduction accumulates in the
+/// scalar path's index order, and every column of the multi-RHS solve is
+/// bit-identical to a single-RHS solve, so the exact, cached and
+/// subset-of-data sweeps return the scalar path's bits however queries
+/// are chunked, cached or spread over workers.
+#[derive(Clone)]
+struct Posterior {
+    kernel: TransferKernel<SquaredExponential>,
+    /// `(K̃ + Λ)⁻¹ z` over the training rows (standardized outputs).
+    alpha: Vec<f64>,
+    chol: Cholesky,
+    std_target: Standardizer,
+    noise_target: f64,
+}
+
+impl Posterior {
+    /// Number of training rows.
+    fn len(&self) -> usize {
+        self.alpha.len()
+    }
+
+    /// Input dimension.
+    fn dim(&self) -> usize {
+        self.kernel.base().dim()
+    }
+
+    /// Covariance of training row `i` with the target-task query `x`.
+    fn cross<'r>(&self, row: impl Fn(usize) -> (&'r [f64], Task), i: usize, x: &[f64]) -> f64 {
+        let (xi, ti) = row(i);
+        self.kernel.eval_task(xi, ti, x, Task::Target)
+    }
+
+    /// Target-task prior variance at `x` minus the explained part `vv`,
+    /// clamped at 0, with the mean and variance de-standardized.
+    fn finish(&self, x: &[f64], mean_z: f64, vv: f64) -> (f64, f64) {
+        let c = self.kernel.eval_task(x, Task::Target, x, Task::Target);
+        let var_z = (c - vv).max(0.0);
+        (
+            self.std_target.inverse(mean_z),
+            self.std_target.inverse_var(var_z),
+        )
+    }
+
+    /// The scalar reference path: one `k*` column, one single-RHS forward
+    /// substitution, [`linalg::vecops::dot`] reductions. The batch paths
+    /// are pinned against it bit for bit.
+    fn predict_latent<'r>(
+        &self,
+        row: impl Fn(usize) -> (&'r [f64], Task) + Copy,
+        x: &[f64],
+    ) -> Result<(f64, f64)> {
+        check_dims(self.dim(), &[x])?;
+        let k_star: Vec<f64> = (0..self.len()).map(|i| self.cross(row, i, x)).collect();
+        let mean_z = linalg::vecops::dot(&k_star, &self.alpha);
+        let v = self.chol.solve_lower_only(&k_star)?;
+        Ok(self.finish(x, mean_z, linalg::vecops::dot(&v, &v)))
+    }
+
+    /// `K*` (one column per query) and `V = L⁻¹K*` from one multi-RHS
+    /// triangular solve; each column of `V` is bit-identical to the
+    /// scalar path's single-RHS solve.
+    fn solve_block<'r, Q: AsRef<[f64]>>(
+        &self,
+        row: impl Fn(usize) -> (&'r [f64], Task) + Copy,
+        xs: &[Q],
+    ) -> Result<(Matrix, Matrix)> {
+        let k_star = Matrix::from_fn(self.len(), xs.len(), |i, q| {
+            self.cross(row, i, xs[q].as_ref())
+        });
+        let v = self.chol.solve_lower_only_multi(&k_star)?;
+        Ok((k_star, v))
+    }
+
+    /// The per-query reduction of every batch path: the mean `k*·α` and
+    /// `‖v‖²` accumulated in row order, exactly as the scalar path's dot
+    /// products do, then [`Posterior::finish`].
+    fn reduce(
+        &self,
+        x: &[f64],
+        k_star: impl Iterator<Item = f64>,
+        v: impl Iterator<Item = f64>,
+    ) -> (f64, f64) {
+        let mut mean_z = 0.0;
+        for (k, a) in k_star.zip(&self.alpha) {
+            mean_z += k * a;
+        }
+        let mut vv = 0.0;
+        for vi in v {
+            vv += vi * vi;
+        }
+        self.finish(x, mean_z, vv)
+    }
+
+    /// Batch latent prediction: [`PREDICT_BLOCK`]-sized chunks, each one
+    /// [`Posterior::solve_block`] and one reduction per query, fanned out
+    /// over `workers` threads ([`fan_out`]) and concatenated in chunk
+    /// order. The chunking is fixed and a chunk never depends on its
+    /// neighbours, so the output is the same bits at every worker count.
+    fn predict_latent_batch<'r>(
+        &self,
+        row: impl Fn(usize) -> (&'r [f64], Task) + Copy + Sync,
+        xs: &[Vec<f64>],
+        workers: usize,
+    ) -> Result<Vec<(f64, f64)>> {
+        check_dims(self.dim(), xs)?;
+        let chunks: Vec<&[Vec<f64>]> = xs.chunks(PREDICT_BLOCK).collect();
+        crate::counters::add_predict_chunks(chunks.len() as u64);
+        let block = |chunk: &[Vec<f64>]| -> Result<Vec<(f64, f64)>> {
+            let (k_star, v) = self.solve_block(row, chunk)?;
+            let p = self.len();
+            Ok(chunk
+                .iter()
+                .enumerate()
+                .map(|(q, x)| {
+                    let (k_col, v_col) =
+                        ((0..p).map(|i| k_star[(i, q)]), (0..p).map(|i| v[(i, q)]));
+                    self.reduce(x, k_col, v_col)
+                })
+                .collect())
+        };
+        let mut out = Vec::with_capacity(xs.len());
+        for chunk in fan_out(chunks.len(), workers, |c| block(chunks[c])) {
+            out.extend(chunk?);
+        }
+        Ok(out)
+    }
+
+    /// Adds the target observation noise `β_t⁻¹` (natural units) to a
+    /// latent prediction.
+    fn observed(&self, (mean, var): (f64, f64)) -> (f64, f64) {
+        (mean, var + self.std_target.inverse_var(self.noise_target))
+    }
 }
 
 /// A subset-of-data approximation of a [`TransferGp`] posterior: the
@@ -912,13 +946,9 @@ fn predict_chunks(
 /// mean error).
 #[derive(Clone)]
 pub struct SubsetPredictor {
-    kernel: TransferKernel<SquaredExponential>,
+    post: Posterior,
     anchors: Vec<Vec<f64>>,
     tasks: Vec<Task>,
-    alpha: Vec<f64>,
-    chol: Cholesky,
-    std_target: Standardizer,
-    noise_target: f64,
     train_size: usize,
 }
 
@@ -934,6 +964,11 @@ impl SubsetPredictor {
         self.train_size
     }
 
+    /// The anchors in maximin order, as the [`Posterior`] sees them.
+    fn rows<'a>(&'a self) -> impl Fn(usize) -> (&'a [f64], Task) + Copy + Sync + 'a {
+        |i| (self.anchors[i].as_slice(), self.tasks[i])
+    }
+
     /// Predictive mean and latent variance for a target-task query — the
     /// subset-of-data counterpart of [`TransferGp::predict_latent`].
     ///
@@ -941,9 +976,7 @@ impl SubsetPredictor {
     ///
     /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
     pub fn predict_latent(&self, x: &[f64]) -> Result<(f64, f64)> {
-        let query = [x.to_vec()];
-        check_dims(self.kernel.base().dim(), &query)?;
-        Ok(self.predict_latent_block(&query)?[0])
+        self.post.predict_latent(self.rows(), x)
     }
 
     /// Predictive mean and observation variance (latent + `β_t⁻¹`), the
@@ -953,8 +986,7 @@ impl SubsetPredictor {
     ///
     /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
     pub fn predict(&self, x: &[f64]) -> Result<(f64, f64)> {
-        let (mean, var) = self.predict_latent(x)?;
-        Ok((mean, var + self.std_target.inverse_var(self.noise_target)))
+        Ok(self.post.observed(self.predict_latent(x)?))
     }
 
     /// Batch form of [`SubsetPredictor::predict_latent`], chunked and
@@ -967,39 +999,7 @@ impl SubsetPredictor {
     ///
     /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
     pub fn predict_latent_batch(&self, xs: &[Vec<f64>], workers: usize) -> Result<Vec<(f64, f64)>> {
-        check_dims(self.kernel.base().dim(), xs)?;
-        predict_chunks(xs, workers, |chunk| self.predict_latent_block(chunk))
-    }
-
-    /// One block: assemble the anchor cross-covariance, one multi-RHS
-    /// triangular solve, scalar-order per-query reductions (the same
-    /// accumulation order as the exact path, so chunking is invisible).
-    fn predict_latent_block(&self, xs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
-        let m = self.anchors.len();
-        let k_star = Matrix::from_fn(m, xs.len(), |i, q| {
-            self.kernel
-                .eval_task(&self.anchors[i], self.tasks[i], &xs[q], Task::Target)
-        });
-        let v = self.chol.solve_lower_only_multi(&k_star)?;
-        let mut out = Vec::with_capacity(xs.len());
-        for (q, x) in xs.iter().enumerate() {
-            let mut mean_z = 0.0;
-            for (i, &a) in self.alpha.iter().enumerate() {
-                mean_z += k_star[(i, q)] * a;
-            }
-            let mut vv = 0.0;
-            for i in 0..m {
-                let vi = v[(i, q)];
-                vv += vi * vi;
-            }
-            let c = self.kernel.eval_task(x, Task::Target, x, Task::Target);
-            let var_z = (c - vv).max(0.0);
-            out.push((
-                self.std_target.inverse(mean_z),
-                self.std_target.inverse_var(var_z),
-            ));
-        }
-        Ok(out)
+        self.post.predict_latent_batch(self.rows(), xs, workers)
     }
 }
 
@@ -1017,7 +1017,7 @@ impl std::fmt::Debug for TransferGp {
         f.debug_struct("TransferGp")
             .field("n_source", &self.x_source.len())
             .field("n_target", &self.x_target.len())
-            .field("lambda", &self.kernel.lambda())
+            .field("lambda", &self.post.kernel.lambda())
             .finish()
     }
 }
@@ -1203,6 +1203,70 @@ mod tests {
     }
 
     #[test]
+    fn fitting_entry_points_reject_bad_training_data_alike() {
+        // One bad input per case; every entry point that validates
+        // training data must report the same error for it.
+        let cases = [
+            (
+                vec![vec![0.5, 0.5]],
+                vec![1.0],
+                GpError::DimensionMismatch {
+                    expected: 1,
+                    got: 2,
+                },
+            ),
+            (
+                vec![vec![f64::NAN]],
+                vec![1.0],
+                GpError::InvalidTrainingData {
+                    reason: "training inputs must be finite",
+                },
+            ),
+            (
+                vec![vec![0.5]],
+                vec![f64::INFINITY],
+                GpError::InvalidTrainingData {
+                    reason: "training outputs must be finite",
+                },
+            ),
+        ];
+        let cfg = TransferGpConfig::default_for_dim(1);
+        let kernel = SquaredExponential::isotropic(1, 1.0, 0.4).unwrap();
+        let source = source_dense();
+        for (x, y, want) in cases {
+            let bad = TaskData::new(x.clone(), y.clone());
+            let mut model =
+                TransferGp::fit(source.clone(), target_sparse(0.0), cfg.clone()).unwrap();
+            let (epoch, before) = (model.fit_epoch(), model.predict_latent(&[0.3]).unwrap());
+            let got = [
+                (
+                    "TransferGp::fit",
+                    TransferGp::fit(source.clone(), bad.clone(), cfg.clone()).unwrap_err(),
+                ),
+                (
+                    "TransferGp::condition_on",
+                    model.condition_on(&x, &y).unwrap_err(),
+                ),
+                (
+                    "FitCache::new",
+                    crate::cache::FitCache::new(&source, &bad, 1).unwrap_err(),
+                ),
+                (
+                    "GpRegressor::fit",
+                    crate::GpRegressor::fit(x.clone(), y.clone(), kernel.clone(), 1e-6)
+                        .unwrap_err(),
+                ),
+            ];
+            for (entry, err) in got {
+                assert_eq!(err, want, "{entry} on {x:?} -> {y:?}");
+            }
+            assert_eq!(model.target_len(), 4, "condition_on grew the model");
+            assert_eq!(model.fit_epoch(), epoch, "condition_on refitted");
+            assert_eq!(model.predict_latent(&[0.3]).unwrap(), before);
+        }
+    }
+
+    #[test]
     fn condition_on_works_without_source() {
         let cfg = TransferGpConfig::default_for_dim(1);
         let mut model =
@@ -1322,7 +1386,8 @@ mod tests {
         let pa = a.predict_latent_batch(&queries, 1).unwrap();
         let pb = b.predict_latent_batch(&queries, 1).unwrap();
         assert_eq!(pa, pb, "subset path not deterministic");
-        // Scalar path agrees bit-for-bit with the batch path.
+        // The scalar reference path (single-RHS solve, `vecops::dot`
+        // reductions) agrees bit for bit with the block path.
         for (q, query) in queries.iter().enumerate() {
             assert_eq!(a.predict_latent(query).unwrap(), pa[q]);
         }

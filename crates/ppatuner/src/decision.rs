@@ -337,7 +337,8 @@ fn pair_redundancy(
 /// evaluated, and have a positive region diameter. Picks are made
 /// greedily: each step takes the eligible candidate maximizing
 /// `score = diam · (1 − γ·red)`, where `red` is the candidate's maximal
-/// [`pair_redundancy`] against the members picked so far and
+/// redundancy against the members picked so far (the larger of a
+/// parameter-space proximity term and a dominance-shadow term) and
 /// `γ = diversity` scales the penalty. The first pick has `red = 0`, so
 /// `q = 1` reduces exactly to argmax-diameter — the paper's rule.
 ///

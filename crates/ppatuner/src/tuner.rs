@@ -1189,10 +1189,6 @@ impl<'a, 'o> RunState<'a, 'o> {
         } else {
             None
         };
-        let surrogates = match &sod {
-            Some(preds) => Surrogates::Subset(preds),
-            None => Surrogates::Exact(models),
-        };
         let active: Vec<usize> = (0..self.candidates.len())
             .filter(|&i| self.statuses[i].is_active() && !self.evaluated_flag[i])
             .collect();
@@ -1218,7 +1214,8 @@ impl<'a, 'o> RunState<'a, 'o> {
         }
         let (tau, workers) = (self.config.tau, self.workers);
         let boxes = predict_boxes(
-            &surrogates,
+            models,
+            sod.as_deref(),
             &self.candidates,
             &active,
             tau,
@@ -1253,7 +1250,8 @@ impl<'a, 'o> RunState<'a, 'o> {
                 }
                 let fresh: Vec<usize> = (before..self.candidates.len()).collect();
                 let fresh_boxes = predict_boxes(
-                    &surrogates,
+                    models,
+                    sod.as_deref(),
                     &self.candidates,
                     &fresh,
                     tau,
@@ -2177,77 +2175,46 @@ fn explain_degraded_divergence(err: TunerError, snapshot_degraded: usize) -> Tun
     }
 }
 
-/// The prediction back end of one iteration: every objective's exact
-/// transfer GP, or its subset-of-data predictor once the training set
-/// outgrows the configured threshold. Both expose the same blocked
-/// latent-batch call, so the box-prediction plumbing is path-agnostic.
-enum Surrogates<'a> {
-    Exact(&'a [TransferGp]),
-    Subset(&'a [SubsetPredictor]),
-}
-
-impl Surrogates<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Surrogates::Exact(models) => models.len(),
-            Surrogates::Subset(preds) => preds.len(),
-        }
-    }
-
-    /// One prediction list per objective, each parallel to `queries`.
-    ///
-    /// The exact path threads the per-objective [`PredictCache`]s through
-    /// (keyed by the stable candidate indices in `ids`), so warm sweeps
-    /// pay only the conditioning tail per cached candidate. The subset
-    /// path resamples its training subset every iteration — a prefix
-    /// cache could never hit — so it always predicts from scratch,
-    /// data-parallel across `workers`.
-    fn predict_latent_batch(
-        &self,
-        ids: &[u64],
-        queries: &[Vec<f64>],
-        workers: usize,
-        caches: &mut [PredictCache],
-    ) -> gp::Result<Vec<Vec<(f64, f64)>>> {
-        match self {
-            Surrogates::Exact(models) => models
-                .iter()
-                .zip(caches)
-                .map(|(m, cache)| m.predict_latent_batch_cached(ids, queries, workers, cache))
-                .collect(),
-            Surrogates::Subset(preds) => preds
-                .iter()
-                .map(|p| p.predict_latent_batch(queries, workers))
-                .collect(),
-        }
-    }
-}
-
-/// Predicts `[μ − √τ·σ, μ + √τ·σ]` boxes for the active candidates via
-/// the cached/data-parallel batch path of the active surrogate (exact or
-/// subset-of-data). The gp layer fans fixed-size query chunks over
-/// `workers` threads and serves repeat candidates from the per-objective
-/// caches.
+/// Predicts `[μ − √τ·σ, μ + √τ·σ]` boxes for the active candidates, one
+/// objective at a time, through one of two arms:
 ///
+/// - exact: each objective's transfer GP, with its [`PredictCache`]
+///   (keyed by the stable candidate indices), so warm sweeps pay only
+///   the conditioning tail per cached candidate;
+/// - subset-of-data (`sod` given): each objective's [`SubsetPredictor`].
+///   Its anchors are re-chosen every iteration, so a prefix cache could
+///   never hit and it always predicts from scratch.
+///
+/// The gp layer fans fixed-size query chunks over `workers` threads.
 /// Batch prediction is bit-identical however the queries are chunked or
 /// cached, so the boxes — and everything downstream of them — do not
 /// depend on the worker count or cache state.
 fn predict_boxes(
-    surrogates: &Surrogates<'_>,
+    models: &[TransferGp],
+    sod: Option<&[SubsetPredictor]>,
     candidates: &[Vec<f64>],
     active: &[usize],
     tau: f64,
     workers: usize,
     caches: &mut [PredictCache],
 ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
-    let n_obj = surrogates.len();
+    let n_obj = models.len();
     let scale = tau.sqrt();
     let queries: Vec<Vec<f64>> = active.iter().map(|&i| candidates[i].clone()).collect();
     // Candidate indices are stable (pool refinement only appends), so
     // they double as cache keys across iterations.
     let ids: Vec<u64> = active.iter().map(|&i| i as u64).collect();
-    let preds: Vec<Vec<(f64, f64)>> =
-        surrogates.predict_latent_batch(&ids, &queries, workers, caches)?;
+    let preds: Vec<Vec<(f64, f64)>> = match sod {
+        Some(preds) => preds
+            .iter()
+            .map(|p| p.predict_latent_batch(&queries, workers))
+            .collect::<gp::Result<_>>()?,
+        None => models
+            .iter()
+            .zip(caches)
+            .map(|(m, cache)| m.predict_latent_batch_cached(&ids, &queries, workers, cache))
+            .collect::<gp::Result<_>>()?,
+    };
 
     let mut out = Vec::with_capacity(queries.len());
     for q in 0..queries.len() {

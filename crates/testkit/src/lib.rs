@@ -8,11 +8,11 @@
 //! `ppatuner` are therefore checked here against independent ground truth,
 //! four ways:
 //!
-//! 1. **Reference oracles** ([`reference`], [`refgp`]): naive, obviously
-//!    correct reimplementations — O(n²) dominance and Pareto filtering,
-//!    inclusion–exclusion hypervolume, brute-force ADRS, and a
-//!    dense-inverse exact transfer-GP posterior with no Cholesky fast
-//!    path, including the transfer kernel's `λ = 2(1/(1+a))^b − 1`
+//! 1. **Reference oracles** ([`reference`](mod@reference), [`refgp`]):
+//!    naive, obviously correct reimplementations — O(n²) dominance and
+//!    Pareto filtering, inclusion–exclusion hypervolume, brute-force ADRS,
+//!    and a dense-inverse exact transfer-GP posterior with no Cholesky
+//!    fast path, including the transfer kernel's `λ = 2(1/(1+a))^b − 1`
 //!    correlation factor cross-checked by numerical quadrature.
 //! 2. **Differential drivers** ([`diff`], fed by [`gen`]): fuzz random
 //!    inputs through the fast and reference paths and assert agreement
