@@ -8,14 +8,20 @@
 //! per-dimension pairwise squared-difference tensor over the joint
 //! source+target point set **once per fit call**, together with the
 //! θ-independent standardized outputs, and then re-assembling the
-//! (N+M)² kernel from the cache per candidate: a dot product and one
-//! `exp` per upper-triangle entry, mirrored by symmetry, with no data
-//! cloning, no re-validation, and no per-point kernel dispatch.
+//! (N+M)² kernel from the cache per candidate, with no data cloning, no
+//! re-validation, and no per-point kernel dispatch.
+//!
+//! The tensor is stored row by row over the lower triangle (`j ≤ i`) and
+//! dimension-major within each row, so the lengthscale weighting of one
+//! row is a handful of passes over contiguous memory that vectorise; then
+//! one `exp` per entry. The objective assembles only that lower triangle,
+//! which is all [`Cholesky::new`] reads, and takes the source term from
+//! the leading block of the one joint factorization.
 
 use linalg::{Cholesky, Matrix};
 
 use crate::standardize::Standardizer;
-use crate::transfer::{check_training, joint_rows, TaskData, TransferGpConfig};
+use crate::transfer::{check_training, joint_rows, source_lml, TaskData, TransferGpConfig};
 use crate::{GpError, Result};
 
 /// Precomputed, θ-independent state of one transfer-GP fitting problem.
@@ -35,9 +41,10 @@ pub struct FitCache<'a> {
     n: usize,
     /// Total joint point count (source + target).
     p: usize,
-    /// Pair-major squared differences: for upper-triangle pair index `q`
-    /// (row-major over `i ≤ j`), `d2[q·dim .. (q+1)·dim]` holds
-    /// `(x_i[t] − x_j[t])²` per input dimension `t`.
+    /// Lower-triangle squared differences, row by row: row `i` is the
+    /// `dim·(i+1)` values from offset `dim·i(i+1)/2`, dimension-major, so
+    /// entry `t·(i+1) + j` of the row holds `(x_i[t] − x_j[t])²` for
+    /// `j ≤ i`.
     d2: Vec<f64>,
     /// Standardized joint outputs (θ-independent).
     z_joint: Vec<f64>,
@@ -78,13 +85,11 @@ impl<'a> FitCache<'a> {
         let rows = joint_rows(&source.x, &target.x);
         let mut d2 = Vec::with_capacity(p * (p + 1) / 2 * dim);
         for i in 0..p {
-            let xi = rows(i).0;
-            for j in i..p {
-                let xj = rows(j).0;
-                for t in 0..dim {
-                    let d = xi[t] - xj[t];
-                    d2.push(d * d);
-                }
+            for (t, &xit) in rows(i).0.iter().enumerate() {
+                d2.extend((0..=i).map(|j| {
+                    let d = xit - rows(j).0[t];
+                    d * d
+                }));
             }
         }
 
@@ -121,9 +126,10 @@ impl<'a> FitCache<'a> {
 
     /// Assembles the joint transfer kernel matrix `K̃` (Eq. 7; **without**
     /// the noise diagonal) at the given hyper-parameters from the cached
-    /// distances: each upper-triangle entry is
+    /// distances: each lower-triangle entry is
     /// `σ²·exp(−½ Σ_t d²_t/ℓ_t²)` (×λ across tasks), mirrored to the
-    /// lower triangle by symmetry.
+    /// upper triangle by symmetry. [`FitCache::objective`] does not call
+    /// it: it assembles the lower triangle alone.
     ///
     /// # Errors
     ///
@@ -131,6 +137,20 @@ impl<'a> FitCache<'a> {
     /// hyper-parameters (the same ranges [`crate::TransferGp::fit`]
     /// enforces through its kernel constructors).
     pub fn joint_kernel(&self, config: &TransferGpConfig) -> Result<Matrix> {
+        let mut k = self.lower_kernel(config)?;
+        for i in 0..self.p {
+            for j in 0..i {
+                k[(j, i)] = k[(i, j)];
+            }
+        }
+        Ok(k)
+    }
+
+    /// The lower triangle (`j ≤ i`) of [`FitCache::joint_kernel`]; the
+    /// strict upper triangle is left zero. Each entry sums its weighted
+    /// terms in ascending dimension order from `0.0`, as a per-pair loop
+    /// would, so the values do not depend on the storage layout.
+    fn lower_kernel(&self, config: &TransferGpConfig) -> Result<Matrix> {
         if config.lengthscales.len() != self.dim {
             return Err(GpError::DimensionMismatch {
                 expected: self.dim,
@@ -161,23 +181,25 @@ impl<'a> FitCache<'a> {
         let inv_l2: Vec<f64> = config.lengthscales.iter().map(|&l| 1.0 / (l * l)).collect();
         let (n, p, dim) = (self.n, self.p, self.dim);
         let mut k = Matrix::zeros(p, p);
-        let mut pair = 0usize;
+        let mut start = 0;
         for i in 0..p {
-            for j in i..p {
-                let d2 = &self.d2[pair * dim..(pair + 1) * dim];
-                pair += 1;
-                let mut s = 0.0;
-                for (d, w) in d2.iter().zip(&inv_l2) {
-                    s += d * w;
+            let w = i + 1;
+            let row = &mut k.row_mut(i)[..w];
+            for (d2, &inv) in self.d2[start..start + dim * w].chunks_exact(w).zip(&inv_l2) {
+                for (s, d) in row.iter_mut().zip(d2) {
+                    *s += d * inv;
                 }
-                let mut v = config.signal_var * (-0.5 * s).exp();
-                // With i ≤ j and source points first, the cross-task
-                // pairs are exactly i < n ≤ j.
-                if i < n && j >= n {
-                    v *= config.lambda;
+            }
+            start += dim * w;
+            for v in row.iter_mut() {
+                *v = config.signal_var * (-0.5 * *v).exp();
+            }
+            // With j ≤ i and source points first, the cross-task pairs
+            // are exactly j < n ≤ i.
+            if i >= n {
+                for v in &mut row[..n] {
+                    *v *= config.lambda;
                 }
-                k[(i, j)] = v;
-                k[(j, i)] = v;
             }
         }
         Ok(k)
@@ -206,7 +228,7 @@ impl<'a> FitCache<'a> {
                 });
             }
         }
-        let mut k = self.joint_kernel(config)?;
+        let mut k = self.lower_kernel(config)?;
         let n = self.n;
         for i in 0..self.p {
             let noise = if i < n {
@@ -216,24 +238,13 @@ impl<'a> FitCache<'a> {
             };
             k[(i, i)] += noise;
         }
-        let ln_2pi = (2.0 * std::f64::consts::PI).ln();
-        let (chol, _) = Cholesky::new_with_jitter(&k, 1e-10, 12)?;
+        let (chol, jitter) = Cholesky::new_with_jitter(&k, 1e-10, 12)?;
         let alpha = chol.solve_vec(&self.z_joint)?;
         let lml = -0.5 * linalg::vecops::dot(&self.z_joint, &alpha)
             - 0.5 * chol.log_det()
-            - 0.5 * self.p as f64 * ln_2pi;
-        let source_lml = if n == 0 {
-            0.0
-        } else {
-            let k_ss = k.submatrix(0, n, 0, n);
-            let (chol_s, _) = Cholesky::new_with_jitter(&k_ss, 1e-10, 12)?;
-            let z_s = &self.z_joint[..n];
-            let alpha_s = chol_s.solve_vec(z_s)?;
-            -0.5 * linalg::vecops::dot(z_s, &alpha_s)
-                - 0.5 * chol_s.log_det()
-                - 0.5 * n as f64 * ln_2pi
-        };
-        Ok(-(lml - source_lml))
+            - 0.5 * self.p as f64 * (2.0 * std::f64::consts::PI).ln();
+        let source = source_lml(&k, &chol, jitter, &self.z_joint[..n])?;
+        Ok(-(lml - source))
     }
 }
 

@@ -218,19 +218,7 @@ impl TransferGp {
         );
         let (chol, jitter) = Cholesky::new_with_jitter(&k, 1e-10, 12)?;
         let alpha = chol.solve_vec(&z_joint)?;
-
-        // Source-block marginal likelihood, for the conditional objective.
-        let source_lml = if n == 0 {
-            0.0
-        } else {
-            let k_ss = k.submatrix(0, n, 0, n);
-            let (chol_s, _) = Cholesky::new_with_jitter(&k_ss, 1e-10, 12)?;
-            let z_s = &z_joint[..n];
-            let alpha_s = chol_s.solve_vec(z_s)?;
-            -0.5 * linalg::vecops::dot(z_s, &alpha_s)
-                - 0.5 * chol_s.log_det()
-                - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
-        };
+        let source_lml = source_lml(&k, &chol, jitter, &z_joint[..n])?;
 
         Ok(TransferGp {
             post: Posterior {
@@ -737,8 +725,10 @@ pub(crate) fn joint_rows<'a>(
     }
 }
 
-/// `K̃ + Λ` over `p` training rows: the transfer kernel (Eq. 7) plus each
-/// row's task noise on the diagonal.
+/// The lower triangle (`j ≤ i`) of `K̃ + Λ` over `p` training rows: the
+/// transfer kernel (Eq. 7) plus each row's task noise on the diagonal.
+/// The strict upper triangle is left zero; [`Cholesky::new`] reads only
+/// the lower one.
 fn noisy_gram<'r>(
     kernel: &TransferKernel<SquaredExponential>,
     config: &TransferGpConfig,
@@ -746,17 +736,45 @@ fn noisy_gram<'r>(
     row: impl Fn(usize) -> (&'r [f64], Task),
 ) -> Matrix {
     crate::counters::add_kernel_assemblies(1);
-    let mut k = Matrix::from_fn(p, p, |i, j| {
-        let ((xi, ti), (xj, tj)) = (row(i), row(j));
-        kernel.eval_task(xi, ti, xj, tj)
-    });
+    let mut k = Matrix::zeros(p, p);
     for i in 0..p {
-        k[(i, i)] += match row(i).1 {
+        let (xi, ti) = row(i);
+        for j in 0..=i {
+            let (xj, tj) = row(j);
+            k[(i, j)] = kernel.eval_task(xi, ti, xj, tj);
+        }
+        k[(i, i)] += match ti {
             Task::Source => config.noise_source,
             Task::Target => config.noise_target,
         };
     }
     k
+}
+
+/// Log marginal likelihood `log p(y_S)` of the standardized source outputs
+/// `z_s` alone, given the noisy joint kernel `k` (source rows first; only
+/// its lower triangle is read) and the factor `chol` that
+/// [`Cholesky::new_with_jitter`] produced for it with `jitter`. Zero when
+/// the source is empty.
+///
+/// The source block's factor is the joint factor's leading block (see
+/// [`Cholesky::leading`]), so no second factorization runs. A jittered
+/// joint factor carries that jitter on its source block as well, so then
+/// `K_ss` is factored on its own, with its own jitter ladder.
+pub(crate) fn source_lml(k: &Matrix, chol: &Cholesky, jitter: f64, z_s: &[f64]) -> Result<f64> {
+    let n = z_s.len();
+    if n == 0 {
+        return Ok(0.0);
+    }
+    let chol_s = if jitter == 0.0 {
+        chol.leading(n)
+    } else {
+        Cholesky::new_with_jitter(&k.submatrix(0, n, 0, n), 1e-10, 12)?.0
+    };
+    let alpha_s = chol_s.solve_vec(z_s)?;
+    Ok(-0.5 * linalg::vecops::dot(z_s, &alpha_s)
+        - 0.5 * chol_s.log_det()
+        - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln())
 }
 
 /// Rejects queries whose dimension is not `dim`.

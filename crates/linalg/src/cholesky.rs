@@ -243,6 +243,27 @@ impl Cholesky {
         self.l.rows()
     }
 
+    /// The factor of the leading `n × n` principal block of `A`: a copy of
+    /// the leading `n × n` block of `L`.
+    ///
+    /// For a factor produced by [`Cholesky::new`] this is bit-identical to
+    /// `Cholesky::new(&a.submatrix(0, n, 0, n))`. Panels always start at
+    /// column 0, so every entry of the leading block goes through the same
+    /// `dot_unrolled` calls, over the same segments and in the same
+    /// order, whatever the full matrix's size; the rows below `n` never
+    /// feed back into it. That holds across panel boundaries too. A factor
+    /// grown by [`Cholesky::extend`] keeps its old rows, so its leading
+    /// block is the original factor's.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n > self.dim()`.
+    pub fn leading(&self, n: usize) -> Cholesky {
+        Cholesky {
+            l: self.l.submatrix(0, n, 0, n),
+        }
+    }
+
     /// Solves `A x = b` via the two triangular solves
     /// `L z = b`, `Lᵀ x = z`.
     ///
@@ -605,6 +626,26 @@ mod tests {
             inc.solve_lower_only_tail(&b[n..], &mut z).unwrap();
             let scratch = inc.solve_lower_only(&b).unwrap();
             assert_eq!(z, scratch, "n={n} k={k}");
+        }
+    }
+
+    #[test]
+    fn leading_block_is_bitwise_the_prefix_factorization() {
+        // Sizes straddle the panel width, so the leading block ends
+        // before, on and after a panel boundary of the full factor.
+        for &(n, p) in &[
+            (1usize, 2usize),
+            (5, 9),
+            (40, 70),
+            (255, 300),
+            (256, 420),
+            (257, 600),
+            (300, 300),
+        ] {
+            let a = spd(p, (n * 31 + p) as u64);
+            let full = Cholesky::new(&a).unwrap();
+            let prefix = Cholesky::new(&a.submatrix(0, n, 0, n)).unwrap();
+            assert_eq!(full.leading(n).factor(), prefix.factor(), "n={n} p={p}");
         }
     }
 

@@ -1,11 +1,15 @@
-//! Naive reference implementations of the `pareto` crate's algorithms
-//! and of `ppatuner`'s ε-PAL decision pass.
+//! Naive reference implementations of the `pareto` crate's algorithms,
+//! of `ppatuner`'s ε-PAL decision pass, and of `gp`'s hyper-parameter
+//! search objective.
 //!
 //! Everything here is written for obviousness, not speed: quadratic (or
 //! exponential) scans whose correctness can be read off the definition.
 //! The differential suites in `tests/` fuzz the optimized implementations
 //! against these oracles.
 
+use gp::standardize::Standardizer;
+use gp::{TaskData, TransferGpConfig};
+use linalg::{Cholesky, Matrix};
 use ppatuner::{DecisionOutcome, Status, UncertaintyRegion};
 
 /// Reference dominance test: `a` dominates `b` iff `a ≤ b` componentwise
@@ -264,6 +268,90 @@ pub fn lambda_by_quadrature(a: f64, b: f64) -> f64 {
     }
     assert!(denom > 0.0, "lambda quadrature: degenerate density");
     2.0 * (numer / denom) - 1.0
+}
+
+/// Reference joint transfer kernel `K̃` (Eq. 7, no noise) in the operation
+/// order `gp::cache::FitCache` used before its lower-triangle layout: pair
+/// by pair over `i ≤ j`, `d = x_i[t] − x_j[t]`, `s += d·d · (1/ℓ_t²)` in
+/// ascending `t`, then `σ²·exp(−½s)`, ×λ across tasks, mirrored. Source
+/// rows come first. `tests/differential.rs` holds `FitCache::joint_kernel`
+/// to it bit for bit.
+pub fn fit_kernel(source: &TaskData, target: &TaskData, config: &TransferGpConfig) -> Matrix {
+    let n = source.len();
+    let x: Vec<&Vec<f64>> = source.x.iter().chain(target.x.iter()).collect();
+    let p = x.len();
+    let inv_l2: Vec<f64> = config.lengthscales.iter().map(|&l| 1.0 / (l * l)).collect();
+    let mut k = Matrix::zeros(p, p);
+    for i in 0..p {
+        for j in i..p {
+            let mut s = 0.0;
+            for ((a, b), w) in x[i].iter().zip(x[j]).zip(&inv_l2) {
+                let d = a - b;
+                s += d * d * w;
+            }
+            let mut v = config.signal_var * (-0.5 * s).exp();
+            if i < n && j >= n {
+                v *= config.lambda;
+            }
+            k[(i, j)] = v;
+            k[(j, i)] = v;
+        }
+    }
+    k
+}
+
+/// Reference search objective `−log p(y_T | y_S, θ)`: the joint likelihood
+/// of the per-task standardized outputs over [`fit_kernel`] plus the noise
+/// diagonal, minus the source likelihood from a **separate** factorization
+/// of `K_ss`, each factored with the jitter ladder. Returns the objective
+/// (`+∞` where `gp::cache::FitCache::objective` gives up) and the jitter
+/// the joint factorization needed.
+pub fn fit_objective(
+    source: &TaskData,
+    target: &TaskData,
+    config: &TransferGpConfig,
+) -> (f64, f64) {
+    let n = source.len();
+    let std_source = if n == 0 {
+        Standardizer::identity()
+    } else {
+        Standardizer::fit(&source.y)
+    };
+    let std_target = Standardizer::fit(&target.y);
+    let z: Vec<f64> = source
+        .y
+        .iter()
+        .map(|&v| std_source.transform(v))
+        .chain(target.y.iter().map(|&v| std_target.transform(v)))
+        .collect();
+    let mut k = fit_kernel(source, target, config);
+    for i in 0..z.len() {
+        k[(i, i)] += if i < n {
+            config.noise_source
+        } else {
+            config.noise_target
+        };
+    }
+    let lml = |k: &Matrix, z: &[f64]| -> Option<(f64, f64)> {
+        let (chol, jitter) = Cholesky::new_with_jitter(k, 1e-10, 12).ok()?;
+        let alpha = chol.solve_vec(z).ok()?;
+        let v = -0.5 * linalg::vecops::dot(z, &alpha)
+            - 0.5 * chol.log_det()
+            - 0.5 * z.len() as f64 * (2.0 * std::f64::consts::PI).ln();
+        Some((v, jitter))
+    };
+    let Some((joint, jitter)) = lml(&k, &z) else {
+        return (f64::INFINITY, 0.0);
+    };
+    let source_lml = if n == 0 {
+        Some(0.0)
+    } else {
+        lml(&k.submatrix(0, n, 0, n), &z[..n]).map(|(v, _)| v)
+    };
+    match source_lml.map(|s| -(joint - s)) {
+        Some(v) if !v.is_nan() => (v, jitter),
+        _ => (f64::INFINITY, jitter),
+    }
 }
 
 /// Reference ε-PAL decision pass: the O(P²·m) pairwise drop and promote

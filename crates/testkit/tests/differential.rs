@@ -139,18 +139,64 @@ fn random_spd(rng: &mut rand::rngs::StdRng, p: usize) -> linalg::Matrix {
     s
 }
 
+/// A random SPD matrix built in O(p²): symmetric entries in `(−1, 1)`
+/// under a diagonal of `p`, strictly diagonally dominant. For the sizes
+/// where [`random_spd`]'s O(p³) product would dominate the test time.
+fn dominant_spd(rng: &mut rand::rngs::StdRng, p: usize) -> linalg::Matrix {
+    use rand::Rng;
+    let mut s = linalg::Matrix::zeros(p, p);
+    for i in 0..p {
+        for j in 0..i {
+            let v = rng.gen_range(-1.0..1.0);
+            s[(i, j)] = v;
+            s[(j, i)] = v;
+        }
+        s[(i, i)] = p as f64;
+    }
+    s
+}
+
+/// The leading-block law of `Cholesky::leading`, bit for bit: the joint
+/// factor's leading `n × n` block is the factorization of the leading
+/// `n × n` block of the matrix.
+fn assert_leading_block_law(case: u64, s: &linalg::Matrix, n: usize) {
+    let full = linalg::Cholesky::new(s).expect("SPD full factorization");
+    let prefix = linalg::Cholesky::new(&s.submatrix(0, n, 0, n)).expect("SPD prefix");
+    assert_eq!(
+        full.leading(n).factor(),
+        prefix.factor(),
+        "leading block case {case}: n={n} of p={}",
+        s.rows()
+    );
+}
+
 fn cached_kernel_driver(cases: u64) {
     use gp::kernel::{SquaredExponential, Task, TransferKernel};
+    let mut jittered = 0u64;
     for case in 0..cases {
         let mut rng = gen::case_rng(testkit::test_seed(), case);
         use rand::Rng;
         let dim = rng.gen_range(1..=3usize);
-        let (source, target, config) = gen::gp_problem(&mut rng, dim);
+        let (source, mut target, mut config) = gen::gp_problem(&mut rng, dim);
+        // About a third of the cases take the objective's jitter branch:
+        // a target row duplicating a source row, a second target row
+        // duplicating that one, and zero noise make the joint kernel
+        // singular.
+        let singular = rng.gen_bool(1.0 / 3.0);
+        if singular {
+            let mut x = target.x.to_vec();
+            x[0] = source.x.first().unwrap_or(&x[1]).clone();
+            x[1] = x[0].clone();
+            target = gp::TaskData::new(x, target.y.clone());
+            config.noise_source = 0.0;
+            config.noise_target = 0.0;
+        }
         let cache = gp::cache::FitCache::new(&source, &target, dim)
             .expect("fuzz gp problem passes fit validation");
         let k = cache
             .joint_kernel(&config)
             .expect("fuzz config is in range");
+        let k_ref = reference::fit_kernel(&source, &target, &config);
         let base = SquaredExponential::new(config.signal_var, config.lengthscales.clone())
             .expect("fuzz lengthscales are positive");
         let kernel = TransferKernel::with_lambda(base, config.lambda).expect("fuzz lambda");
@@ -168,6 +214,13 @@ fn cached_kernel_driver(cases: u64) {
                 let (b, tb) = point(j);
                 let direct = kernel.eval_task(a, ta, b, tb);
                 let input = (&source, &target, &config, i, j);
+                assert!(
+                    k[(i, j)].to_bits() == k_ref[(i, j)].to_bits(),
+                    "cached kernel case {case}, entry ({i},{j}): {} vs reference {}; \
+                     input {input:?}",
+                    k[(i, j)],
+                    k_ref[(i, j)]
+                );
                 assert_close(
                     &format!("cached kernel entry ({i},{j})"),
                     case,
@@ -177,6 +230,24 @@ fn cached_kernel_driver(cases: u64) {
                 );
             }
         }
+        // The objective reuses the joint factor for the source term, but
+        // its bits must be those of the two-factorization reference.
+        let (objective, jitter) = reference::fit_objective(&source, &target, &config);
+        let input = (&source, &target, &config);
+        assert!(
+            cache.objective(&config).to_bits() == objective.to_bits(),
+            "cached objective case {case}: {} vs reference {objective}; input {input:?}",
+            cache.objective(&config)
+        );
+        if jitter > 0.0 {
+            jittered += 1;
+        }
+        if singular {
+            // Near a singular kernel the last-bit differences between the
+            // cache's and the model's kernel entries are amplified far
+            // beyond DIFF_TOL, so only the bitwise pin above applies.
+            continue;
+        }
         // The search objective built on the cache must agree with the old
         // clone-per-eval path (a fresh model per candidate θ).
         let model = gp::TransferGp::fit(source.clone(), target.clone(), config.clone())
@@ -184,11 +255,16 @@ fn cached_kernel_driver(cases: u64) {
         assert_close(
             "cached objective",
             case,
-            &(&source, &target, &config),
+            &input,
             cache.objective(&config),
             -model.log_conditional_likelihood(),
         );
     }
+    println!("cached objective: {jittered} of {cases} cases took the jitter branch");
+    assert!(
+        jittered * 5 >= cases,
+        "only {jittered} of {cases} cases took the jitter branch"
+    );
 }
 
 fn cholesky_extend_driver(cases: u64, max_n: usize) {
@@ -223,6 +299,7 @@ fn cholesky_extend_driver(cases: u64, max_n: usize) {
             extended.log_det(),
             full.log_det(),
         );
+        assert_leading_block_law(case, &s, n);
     }
 }
 
@@ -304,6 +381,19 @@ fn cholesky_extend_matches_full_refactorization() {
 }
 
 #[test]
+fn cholesky_leading_block_straddles_the_panel_width() {
+    // Prefixes ending one before, on and one after the 256-column panel
+    // boundary, inside a full matrix of one more row and of 600 rows.
+    for n in 255..=257 {
+        for p in [n + 1, 600] {
+            let case = (n * 1000 + p) as u64;
+            let mut rng = gen::case_rng(testkit::test_seed(), case);
+            assert_leading_block_law(case, &dominant_spd(&mut rng, p), n);
+        }
+    }
+}
+
+#[test]
 fn multi_rhs_solve_matches_per_vector_solve() {
     multi_rhs_driver(CASES, 12);
 }
@@ -368,7 +458,7 @@ fn deep_gp_posterior() {
 #[test]
 #[ignore = "10x-depth stress suite, run via --include-ignored"]
 fn deep_cached_kernel_assembly() {
-    cached_kernel_driver(5_000);
+    cached_kernel_driver(10_000);
 }
 
 #[test]
