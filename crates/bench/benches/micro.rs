@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the reproduction's building blocks:
-//! GP fit/predict scaling, transfer-GP fitting, hypervolume, LHS
-//! sampling, one PD-flow run, and one tuner decision pass.
+//! GP fit/predict scaling, transfer-GP fitting, the joint-kernel
+//! Cholesky, hypervolume, LHS sampling, one PD-flow run, and one tuner
+//! decision pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -58,6 +59,34 @@ fn transfer_gp_bench(c: &mut Criterion) {
             .unwrap()
         })
     });
+}
+
+fn cholesky_bench(c: &mut Criterion) {
+    use linalg::{Cholesky, Matrix};
+    use rand::SeedableRng;
+
+    // The joint kernel sizes of `t3_paper` (n + m = 200 + 62) and
+    // `t2_paper` (about 460): one factorization per likelihood
+    // evaluation. SE kernel over 9-dimensional points plus a small noise
+    // diagonal. A single timing window drifts by tens of percent on a
+    // shared or virtualized host, so compare two builds by the best
+    // time of several interleaved runs of this group, not by one run.
+    let mut group = c.benchmark_group("cholesky");
+    for &p in &[262usize, 460] {
+        let mut rng = StdRng::seed_from_u64(6);
+        let x: Vec<Vec<f64>> = (0..p)
+            .map(|_| (0..9).map(|_| rng.gen::<f64>()).collect())
+            .collect();
+        let mut k = Matrix::from_fn(p, p, |i, j| {
+            let s: f64 = x[i].iter().zip(&x[j]).map(|(a, b)| (a - b) * (a - b)).sum();
+            (-2.0 * s).exp()
+        });
+        k.add_diag(1e-4);
+        group.bench_with_input(BenchmarkId::new("se_kernel", p), &p, |b, _| {
+            b.iter(|| Cholesky::new(&k).unwrap())
+        });
+    }
+    group.finish();
 }
 
 fn hypervolume_bench(c: &mut Criterion) {
@@ -194,6 +223,7 @@ criterion_group!(
     benches,
     gp_benches,
     transfer_gp_bench,
+    cholesky_bench,
     hypervolume_bench,
     lhs_bench,
     pdsim_bench,

@@ -166,9 +166,13 @@ pub fn bench_size(spec: &SizeSpec, seed: u64, smoke: bool) -> SizeResult {
     let search_base = t.elapsed().as_secs_f64();
 
     // --- Incremental conditioning vs full refit over one refit period.
+    // At the smoke size one `condition_on` takes tens of microseconds,
+    // so smoke mode repeats each side enough times to run for about
+    // 20 ms: the ratio of two sub-millisecond timings swings by more
+    // than the gate's margin.
     let cfg = model.config().clone();
     let (ax, ay) = synth_task(spec.cond_k, spec.dim, seed ^ 0x517c, 0.55);
-    let cond_reps = if smoke { 2 } else { 5 };
+    let cond_reps = if smoke { 800 } else { 5 };
     let t = Instant::now();
     let mut acc = 0.0;
     for _ in 0..cond_reps {

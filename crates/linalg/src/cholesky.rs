@@ -2,15 +2,18 @@ use crate::counters;
 use crate::solve::{solve_lower, solve_lower_multi, solve_lower_tail, solve_lower_transposed};
 use crate::{LinalgError, Matrix, Result};
 
-/// Panel width of the blocked factorization. Dots in the trailing update
-/// have exactly this length, so it must be large enough to amortize
-/// [`dot_unrolled`]'s final reduction over the accumulator lanes.
+/// Panel width of the blocked factorization: every inner product is
+/// split into segments that start on a multiple of `CHOL_BLOCK` (see
+/// [`Cholesky::new`]), so the full segments have exactly this length,
+/// enough to amortize [`dot_finish`]'s reduction over the accumulator
+/// lanes.
 const CHOL_BLOCK: usize = 256;
 
-/// Rows updated together in the trailing (Schur-complement) update. Each
-/// streamed panel segment is reused against `CHOL_TILE` resident rows,
-/// dividing the update's memory traffic by the tile height; the tile's
-/// scratch (`CHOL_TILE · CHOL_BLOCK` doubles, 8 KiB) stays in L1.
+/// Rows of the left-looking sweep factored together. Each finished row
+/// is streamed once per tile and dotted against all `CHOL_TILE` tile
+/// rows by [`dot_unrolled_tile`], dividing the sweep's memory traffic by
+/// the tile height. The tile rows are read in place (no copies); their
+/// prefixes, `CHOL_TILE` rows of at most `n` doubles, stay L1-resident.
 const CHOL_TILE: usize = 4;
 
 /// Inner product with 32 independent accumulators. Breaking the single
@@ -21,27 +24,71 @@ const CHOL_TILE: usize = 4;
 /// all of its time. The tradeoff is that the accumulation order differs
 /// from a plain left-to-right sum, so results agree with a serial
 /// evaluation only to floating-point round-off. The lane grouping and
-/// the pairwise reduction are fixed, so results are identical whatever
-/// vector width the compiler picks.
+/// the reduction ([`dot_finish`]) are fixed, so results are identical
+/// whatever vector width the compiler picks.
 #[inline]
 fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len();
-    let n32 = n & !31;
-    let n8 = n & !7;
+    let n32 = a.len() & !31;
     let mut acc = [0.0f64; 32];
     for (ca, cb) in a[..n32].chunks_exact(32).zip(b[..n32].chunks_exact(32)) {
         for l in 0..32 {
             acc[l] += ca[l] * cb[l];
         }
     }
-    // Medium tail: one 8-lane pass over what's left of the 8-multiple.
+    dot_finish(acc, &a[n32..], &b[n32..])
+}
+
+/// [`dot_unrolled`] of each of `CHOL_TILE` rows against one shared `b`:
+/// element `t` is bit-identical to `dot_unrolled(a[t], b)`. The four
+/// accumulator sets are separate locals, so their chains stay
+/// independent and each 32-wide chunk of `b` is loaded once for all
+/// rows.
+///
+/// Every `a[t]` must be at least `b.len()` long; only that prefix is
+/// read.
+#[inline]
+fn dot_unrolled_tile(a: [&[f64]; CHOL_TILE], b: &[f64]) -> [f64; CHOL_TILE] {
+    let n = b.len();
+    let n32 = n & !31;
+    let (mut c0, mut c1, mut c2, mut c3) = ([0.0f64; 32], [0.0f64; 32], [0.0f64; 32], [0.0f64; 32]);
+    let [a0, a1, a2, a3] = a;
+    for ((((cb, r0), r1), r2), r3) in b[..n32]
+        .chunks_exact(32)
+        .zip(a0[..n32].chunks_exact(32))
+        .zip(a1[..n32].chunks_exact(32))
+        .zip(a2[..n32].chunks_exact(32))
+        .zip(a3[..n32].chunks_exact(32))
+    {
+        for l in 0..32 {
+            c0[l] += r0[l] * cb[l];
+            c1[l] += r1[l] * cb[l];
+            c2[l] += r2[l] * cb[l];
+            c3[l] += r3[l] * cb[l];
+        }
+    }
+    let tail = &b[n32..];
+    [
+        dot_finish(c0, &a0[n32..n], tail),
+        dot_finish(c1, &a1[n32..n], tail),
+        dot_finish(c2, &a2[n32..n], tail),
+        dot_finish(c3, &a3[n32..n], tail),
+    ]
+}
+
+/// The reduction shared by [`dot_unrolled`] and [`dot_unrolled_tile`]:
+/// given the 32 lane sums of the 32-multiple prefix and the remaining
+/// (< 32) elements, one 8-lane pass over the remainder's 8-multiple, a
+/// pairwise fold 32 → 8 lanes, the 8-lane pass merged in, a fold to one,
+/// and a serial sum of the last (< 8) products.
+#[inline(always)]
+fn dot_finish(mut acc: [f64; 32], a: &[f64], b: &[f64]) -> f64 {
+    let n8 = a.len() & !7;
     let mut mid = [0.0f64; 8];
-    for (ca, cb) in a[n32..n8].chunks_exact(8).zip(b[n32..n8].chunks_exact(8)) {
+    for (ca, cb) in a[..n8].chunks_exact(8).zip(b[..n8].chunks_exact(8)) {
         for l in 0..8 {
             mid[l] += ca[l] * cb[l];
         }
     }
-    // Pairwise fold 32 → 8 lanes, merge the medium tail, fold to one.
     for w in [16usize, 8] {
         for l in 0..w {
             acc[l] += acc[l + w];
@@ -60,6 +107,17 @@ fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
         s += x * y;
     }
     s
+}
+
+/// Visits the segments of an inner product over columns `..j`: the
+/// full `CHOL_BLOCK`-wide panels below `j`'s own panel in panel order,
+/// then the in-panel prefix `[j − j % CHOL_BLOCK, j)` (skipped when
+/// empty: subtracting an empty dot's `+0.0` changes no bits).
+#[inline]
+fn segments(j: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..j)
+        .step_by(CHOL_BLOCK)
+        .map(move |k| k..(k + CHOL_BLOCK).min(j))
 }
 
 /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite
@@ -118,80 +176,74 @@ impl Cholesky {
         // retries redo the work, so each attempt counts).
         counters::add_chol_flops((n as u64).pow(3) / 3);
         counters::add_chol_panels(n.div_ceil(CHOL_BLOCK) as u64);
-        // Right-looking blocked factorization. `l` starts as the lower
-        // triangle of `a` and is factored panel by panel: factor the
-        // diagonal block, forward-solve the panel below it, then subtract
-        // the panel's rank-`b` contribution from the trailing triangle.
-        // The trailing update is the O(n³) bulk; tiling it by
-        // [`CHOL_TILE`] rows reuses every streamed panel segment against
-        // a tile of L1-resident rows instead of re-reading it per row.
+        // Left-looking blocked factorization. `l` starts as the lower
+        // triangle of `a`; entry (i, j), j ≤ i, is finalized as
+        //
+        //   (((a_ij − d_0) − d_1) … − d_own) / L[j][j]   (sqrt for i = j)
+        //
+        // where d_q is `dot_unrolled` of rows i and j over panel q's
+        // `CHOL_BLOCK` columns, in panel order, and d_own over the
+        // in-panel prefix `[j − j % CHOL_BLOCK, j)` (see `segments`).
+        // That is exactly the sequence of subtractions a right-looking
+        // panel schedule applies (trailing updates, then the diagonal
+        // block or panel solve), so the factor is the same bit for bit.
+        // Rows go a tile of `CHOL_TILE` at a time: each finished row j
+        // is streamed once per tile through `dot_unrolled_tile`, then
+        // the triangle inside the tile is filled row by row, so pivots
+        // are checked in row order.
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
             l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
         }
         let data = l.as_mut_slice();
-        let mut k = 0;
-        while k < n {
-            let b = CHOL_BLOCK.min(n - k);
-            let kb = k + b;
-            // Factor the diagonal block (rows k..kb, cols k..kb); prior
-            // panels have already subtracted the contribution of cols
-            // `..k`, so only the in-panel prefix remains.
-            for i in k..kb {
-                let (prev, cur) = data.split_at_mut(i * n);
-                let row_i = &mut cur[..n];
-                for j in k..i {
-                    let row_j = &prev[j * n..j * n + n];
-                    let s = row_i[j] - dot_unrolled(&row_i[k..j], &row_j[k..j]);
+        let mut i0 = 0;
+        while i0 < n {
+            let tile = CHOL_TILE.min(n - i0);
+            let (prev, cur) = data.split_at_mut(i0 * n);
+            // Columns left of the tile. A short last tile repeats its
+            // last row and discards the extra results.
+            let row = |t: usize| t.min(tile - 1) * n;
+            for j in 0..i0 {
+                let row_j = &prev[j * n..j * n + n];
+                let mut s = [0.0f64; CHOL_TILE];
+                for (t, st) in s.iter_mut().enumerate() {
+                    *st = cur[row(t) + j];
+                }
+                for seg in segments(j) {
+                    let rows = std::array::from_fn(|t| &cur[row(t) + seg.start..row(t) + seg.end]);
+                    let d = dot_unrolled_tile(rows, &row_j[seg]);
+                    for (st, dt) in s.iter_mut().zip(d) {
+                        *st -= dt;
+                    }
+                }
+                for (t, st) in s[..tile].iter().enumerate() {
+                    cur[t * n + j] = st / row_j[j];
+                }
+            }
+            // The triangle inside the tile (i0 ≤ j ≤ i), row by row.
+            for t in 0..tile {
+                let i = i0 + t;
+                let (above, rest) = cur.split_at_mut(t * n);
+                let row_i = &mut rest[..n];
+                for u in 0..t {
+                    let j = i0 + u;
+                    let row_j = &above[u * n..u * n + n];
+                    let mut s = row_i[j];
+                    for seg in segments(j) {
+                        s -= dot_unrolled(&row_i[seg.clone()], &row_j[seg]);
+                    }
                     row_i[j] = s / row_j[j];
                 }
-                let s = row_i[i] - dot_unrolled(&row_i[k..i], &row_i[k..i]);
+                let mut s = row_i[i];
+                for seg in segments(i) {
+                    s -= dot_unrolled(&row_i[seg.clone()], &row_i[seg]);
+                }
                 if !(s.is_finite() && s > 0.0) {
                     return Err(LinalgError::NotPositiveDefinite { pivot: i, value: s });
                 }
                 row_i[i] = s.sqrt();
             }
-            // Panel solve: finalize cols k..kb of every row below the
-            // block against the freshly factored diagonal block.
-            for i in kb..n {
-                let (prev, cur) = data.split_at_mut(i * n);
-                let row_i = &mut cur[..n];
-                for j in k..kb {
-                    let row_j = &prev[j * n..j * n + n];
-                    let s = row_i[j] - dot_unrolled(&row_i[k..j], &row_j[k..j]);
-                    row_i[j] = s / row_j[j];
-                }
-            }
-            // Trailing update: l[i][j] -= ⟨L[i][k..kb], L[j][k..kb]⟩ for
-            // kb ≤ j ≤ i, a tile of rows at a time.
-            let mut i0 = kb;
-            while i0 < n {
-                let tile = CHOL_TILE.min(n - i0);
-                // Stack copies of the tile rows' panel segments keep the
-                // rows uniquely borrowed for the writes below.
-                let mut segs = [[0.0f64; CHOL_BLOCK]; CHOL_TILE];
-                for (t, seg) in segs[..tile].iter_mut().enumerate() {
-                    let r = (i0 + t) * n;
-                    seg[..b].copy_from_slice(&data[r + k..r + kb]);
-                }
-                let (prev, cur) = data.split_at_mut(i0 * n);
-                // Columns shared by the whole tile: each streamed segment
-                // of row j is dotted against all `tile` resident rows.
-                for j in kb..i0 {
-                    let seg_j = &prev[j * n + k..j * n + kb];
-                    for t in 0..tile {
-                        cur[t * n + j] -= dot_unrolled(&segs[t][..b], seg_j);
-                    }
-                }
-                // Triangular fringe inside the tile (i0 ≤ j ≤ i).
-                for t in 0..tile {
-                    for u in 0..=t {
-                        cur[t * n + i0 + u] -= dot_unrolled(&segs[t][..b], &segs[u][..b]);
-                    }
-                }
-                i0 += tile;
-            }
-            k = kb;
+            i0 += tile;
         }
         Ok(Cholesky { l })
     }
@@ -247,13 +299,14 @@ impl Cholesky {
     /// the leading `n × n` block of `L`.
     ///
     /// For a factor produced by [`Cholesky::new`] this is bit-identical to
-    /// `Cholesky::new(&a.submatrix(0, n, 0, n))`. Panels always start at
-    /// column 0, so every entry of the leading block goes through the same
-    /// `dot_unrolled` calls, over the same segments and in the same
-    /// order, whatever the full matrix's size; the rows below `n` never
-    /// feed back into it. That holds across panel boundaries too. A factor
-    /// grown by [`Cholesky::extend`] keeps its old rows, so its leading
-    /// block is the original factor's.
+    /// `Cholesky::new(&a.submatrix(0, n, 0, n))`. Entry (i, j) reads only
+    /// rows ≤ i, and the segments its inner products are split into
+    /// depend only on j, never on the matrix size or on how the rows fall
+    /// into tiles. So every entry of the leading block goes through the
+    /// same `dot_unrolled` lane sums, over the same segments and in the
+    /// same order, whatever the full matrix's size, across panel
+    /// boundaries too. A factor grown by [`Cholesky::extend`] keeps its
+    /// old rows, so its leading block is the original factor's.
     ///
     /// # Panics
     ///
@@ -630,16 +683,47 @@ mod tests {
     }
 
     #[test]
+    fn tile_dot_is_bitwise_the_row_dot() {
+        // Four rows with different contents against one shared `b`, at
+        // every length through the 32-, 8- and 1-element tails and past
+        // the panel width.
+        let m = spd(4, 11);
+        let len = 300;
+        let row = |t: usize| -> Vec<f64> {
+            (0..len)
+                .map(|c| m[(t, c % 4)] * (1.0 + c as f64 * 1e-3) - t as f64 * 0.37)
+                .collect()
+        };
+        let rows: Vec<Vec<f64>> = (0..CHOL_TILE).map(row).collect();
+        let b: Vec<f64> = (0..len).map(|c| (c as f64 * 0.61).sin()).collect();
+        for n in 0..=len {
+            let tile = dot_unrolled_tile(std::array::from_fn(|t| &rows[t][..n]), &b[..n]);
+            for (t, got) in tile.iter().enumerate() {
+                let want = dot_unrolled(&rows[t][..n], &b[..n]);
+                assert_eq!(got.to_bits(), want.to_bits(), "length {n}, row {t}");
+            }
+        }
+    }
+
+    #[test]
     fn leading_block_is_bitwise_the_prefix_factorization() {
         // Sizes straddle the panel width, so the leading block ends
-        // before, on and after a panel boundary of the full factor.
+        // before, on and after a panel boundary of the full factor, and
+        // cover every residue mod `CHOL_TILE`, so either factorization
+        // may end on a short last tile.
         for &(n, p) in &[
             (1usize, 2usize),
             (5, 9),
+            (6, 11),
+            (7, 8),
             (40, 70),
+            (41, 67),
+            (42, 66),
+            (43, 65),
             (255, 300),
             (256, 420),
             (257, 600),
+            (258, 301),
             (300, 300),
         ] {
             let a = spd(p, (n * 31 + p) as u64);

@@ -1,6 +1,6 @@
 //! Naive reference implementations of the `pareto` crate's algorithms,
-//! of `ppatuner`'s ε-PAL decision pass, and of `gp`'s hyper-parameter
-//! search objective.
+//! of `ppatuner`'s ε-PAL decision pass, of `gp`'s hyper-parameter
+//! search objective, and of `linalg`'s blocked Cholesky schedule.
 //!
 //! Everything here is written for obviousness, not speed: quadratic (or
 //! exponential) scans whose correctness can be read off the definition.
@@ -9,7 +9,7 @@
 
 use gp::standardize::Standardizer;
 use gp::{TaskData, TransferGpConfig};
-use linalg::{Cholesky, Matrix};
+use linalg::{Cholesky, LinalgError, Matrix};
 use ppatuner::{DecisionOutcome, Status, UncertaintyRegion};
 
 /// Reference dominance test: `a` dominates `b` iff `a ≤ b` componentwise
@@ -450,6 +450,126 @@ pub fn classify(
         }
     }
     outcome
+}
+
+/// The right-looking blocked Cholesky schedule `linalg::Cholesky::new`
+/// used before its left-looking row tiles: per 256-column panel, factor
+/// the diagonal block, forward-solve the panel below it, then subtract
+/// the panel's contribution from the trailing triangle four rows at a
+/// time, through its own copy of the 32-lane `dot_unrolled`. Returns
+/// the lower-triangular factor, or the first failing pivot as
+/// [`LinalgError::NotPositiveDefinite`]. `tests/differential.rs` holds
+/// the left-looking factor, pivots and jitters to it bit for bit.
+///
+/// # Panics
+///
+/// Panics when `a` is not square.
+pub fn cholesky_right_looking(a: &Matrix) -> Result<Matrix, LinalgError> {
+    const BLOCK: usize = 256;
+    const TILE: usize = 4;
+    assert!(a.is_square(), "cholesky_right_looking: square input");
+    let n = a.rows();
+    let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+    }
+    let data = l.as_mut_slice();
+    let mut k = 0;
+    while k < n {
+        let b = BLOCK.min(n - k);
+        let kb = k + b;
+        // Diagonal block: only the in-panel prefix is left to subtract.
+        for i in k..kb {
+            let (prev, cur) = data.split_at_mut(i * n);
+            let row_i = &mut cur[..n];
+            for j in k..i {
+                let row_j = &prev[j * n..j * n + n];
+                let s = row_i[j] - dot_unrolled(&row_i[k..j], &row_j[k..j]);
+                row_i[j] = s / row_j[j];
+            }
+            let s = row_i[i] - dot_unrolled(&row_i[k..i], &row_i[k..i]);
+            if !(s.is_finite() && s > 0.0) {
+                return Err(LinalgError::NotPositiveDefinite { pivot: i, value: s });
+            }
+            row_i[i] = s.sqrt();
+        }
+        // Panel solve below the block.
+        for i in kb..n {
+            let (prev, cur) = data.split_at_mut(i * n);
+            let row_i = &mut cur[..n];
+            for j in k..kb {
+                let row_j = &prev[j * n..j * n + n];
+                let s = row_i[j] - dot_unrolled(&row_i[k..j], &row_j[k..j]);
+                row_i[j] = s / row_j[j];
+            }
+        }
+        // Trailing update, a tile of rows at a time over stack copies
+        // of their panel segments.
+        let mut i0 = kb;
+        while i0 < n {
+            let tile = TILE.min(n - i0);
+            let mut segs = [[0.0f64; BLOCK]; TILE];
+            for (t, seg) in segs[..tile].iter_mut().enumerate() {
+                let r = (i0 + t) * n;
+                seg[..b].copy_from_slice(&data[r + k..r + kb]);
+            }
+            let (prev, cur) = data.split_at_mut(i0 * n);
+            for j in kb..i0 {
+                let seg_j = &prev[j * n + k..j * n + kb];
+                for t in 0..tile {
+                    cur[t * n + j] -= dot_unrolled(&segs[t][..b], seg_j);
+                }
+            }
+            for t in 0..tile {
+                for u in 0..=t {
+                    cur[t * n + i0 + u] -= dot_unrolled(&segs[t][..b], &segs[u][..b]);
+                }
+            }
+            i0 += tile;
+        }
+        k = kb;
+    }
+    Ok(l)
+}
+
+/// The 32-accumulator inner product [`cholesky_right_looking`] was
+/// written against: 32 lanes over the 32-multiple prefix, one 8-lane
+/// pass over the rest of the 8-multiple, a pairwise fold 32 → 8, the
+/// 8-lane pass merged, a fold to one, then a serial tail.
+fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len();
+    let n32 = n & !31;
+    let n8 = n & !7;
+    let mut acc = [0.0f64; 32];
+    for (ca, cb) in a[..n32].chunks_exact(32).zip(b[..n32].chunks_exact(32)) {
+        for l in 0..32 {
+            acc[l] += ca[l] * cb[l];
+        }
+    }
+    let mut mid = [0.0f64; 8];
+    for (ca, cb) in a[n32..n8].chunks_exact(8).zip(b[n32..n8].chunks_exact(8)) {
+        for l in 0..8 {
+            mid[l] += ca[l] * cb[l];
+        }
+    }
+    for w in [16usize, 8] {
+        for l in 0..w {
+            acc[l] += acc[l + w];
+        }
+    }
+    for l in 0..8 {
+        acc[l] += mid[l];
+    }
+    for w in [4usize, 2, 1] {
+        for l in 0..w {
+            acc[l] += acc[l + w];
+        }
+    }
+    let mut s = acc[0];
+    for (x, y) in a[n8..].iter().zip(&b[n8..]) {
+        s += x * y;
+    }
+    s
 }
 
 #[cfg(test)]

@@ -303,6 +303,141 @@ fn cholesky_extend_driver(cases: u64, max_n: usize) {
     }
 }
 
+/// A squared-exponential kernel matrix over `p` random points in
+/// `[0, 1]^d`, the shape the tuner factors. Long lengthscales and a
+/// noise floor of 1e-12..1e-6 make it near-singular; with `duplicates`
+/// about one row in six copies an earlier point and the noise is zero,
+/// so it is singular outright.
+fn kernel_like(rng: &mut rand::rngs::StdRng, p: usize, duplicates: bool) -> linalg::Matrix {
+    use rand::Rng;
+    let d = rng.gen_range(1..=9usize);
+    let inv_l2 = 1.0 / rng.gen_range(0.2f64..3.0).powi(2);
+    let mut x: Vec<Vec<f64>> = (0..p)
+        .map(|_| (0..d).map(|_| rng.gen_range(0.0..1.0)).collect())
+        .collect();
+    let noise = if duplicates {
+        for r in 1..p {
+            if rng.gen_bool(1.0 / 6.0) {
+                x[r] = x[rng.gen_range(0..r)].clone();
+            }
+        }
+        0.0
+    } else {
+        10f64.powf(rng.gen_range(-12.0..-6.0))
+    };
+    linalg::Matrix::from_fn(p, p, |i, j| {
+        let s: f64 = x[i].iter().zip(&x[j]).map(|(a, b)| (a - b) * (a - b)).sum();
+        let k = (-0.5 * s * inv_l2).exp();
+        if i == j {
+            k + noise
+        } else {
+            k
+        }
+    })
+}
+
+/// A factorization outcome in bits: the factor's entries, or the
+/// failing pivot and its value.
+fn outcome_bits(
+    r: Result<&linalg::Matrix, &linalg::LinalgError>,
+) -> Result<Vec<u64>, (usize, u64)> {
+    match r {
+        Ok(l) => Ok(l.as_slice().iter().map(|v| v.to_bits()).collect()),
+        Err(linalg::LinalgError::NotPositiveDefinite { pivot, value }) => {
+            Err((*pivot, value.to_bits()))
+        }
+        Err(e) => panic!("square non-empty input cannot fail with {e:?}"),
+    }
+}
+
+/// `Cholesky::new` against the right-looking panel schedule it replaced
+/// (`reference::cholesky_right_looking`), bit for bit: the factor, the
+/// failing pivot and its value, and the jitter `new_with_jitter` ends on
+/// (with the ladder `gp` uses). Returns whether the case failed and
+/// whether jitter rescued it.
+fn assert_same_cholesky(case: u64, a: &linalg::Matrix) -> (bool, bool) {
+    use linalg::Cholesky;
+    let p = a.rows();
+    let got = outcome_bits(Cholesky::new(a).as_ref().map(Cholesky::factor));
+    let want = outcome_bits(reference::cholesky_right_looking(a).as_ref());
+    assert!(
+        got == want,
+        "cholesky schedule case {case}, p={p}: {:?} vs reference {:?}",
+        got.err(),
+        want.err()
+    );
+    if got.is_ok() {
+        return (false, false);
+    }
+    // `Cholesky::new_with_jitter(a, 1e-10, 12)`'s ladder over the
+    // reference schedule.
+    let mut jitter = 1e-10;
+    let (mut want, mut want_jitter) = (Err((0, 0)), f64::NAN);
+    for _ in 0..12 {
+        let mut aj = a.clone();
+        aj.add_diag(jitter);
+        want = outcome_bits(reference::cholesky_right_looking(&aj).as_ref());
+        if want.is_ok() {
+            want_jitter = jitter;
+            break;
+        }
+        jitter *= 10.0;
+    }
+    let fast = Cholesky::new_with_jitter(a, 1e-10, 12);
+    let got_jitter = fast.as_ref().map_or(f64::NAN, |(_, j)| *j);
+    let got = outcome_bits(fast.as_ref().map(|(c, _)| c.factor()));
+    assert!(
+        got == want && got_jitter.to_bits() == want_jitter.to_bits(),
+        "cholesky jitter case {case}, p={p}: jitter {got_jitter:e} ({:?}) vs reference \
+         {want_jitter:e} ({:?})",
+        got.err(),
+        want.err()
+    );
+    (true, got.is_ok())
+}
+
+/// Sizes around 4 and around the 256-column panel boundaries at 256 and
+/// 512, each window covering every residue mod 4, so the factorization
+/// ends on every length of short last row tile.
+const CHOLESKY_EDGE_SIZES: [std::ops::RangeInclusive<usize>; 3] = [1..=8, 255..=258, 511..=514];
+
+fn cholesky_schedule_driver(cases: u64, max_p: usize, every_kind_at_edges: bool) {
+    use rand::Rng;
+    let (mut failed, mut jittered, mut total) = (0u64, 0u64, 0u64);
+    let mut check = |case: u64, a: &linalg::Matrix| {
+        let (f, j) = assert_same_cholesky(case, a);
+        failed += u64::from(f);
+        jittered += u64::from(j);
+        total += 1;
+    };
+    // Input kinds: 0 random SPD, 1 near-singular kernel, 2 duplicate-row
+    // zero-noise kernel.
+    let matrix = |rng: &mut rand::rngs::StdRng, p: usize, kind: u64| match kind {
+        0 if p <= 64 => random_spd(rng, p),
+        0 => dominant_spd(rng, p),
+        k => kernel_like(rng, p, k == 2),
+    };
+    for (e, p) in CHOLESKY_EDGE_SIZES.iter().cloned().flatten().enumerate() {
+        for kind in (0..3).filter(|&k| every_kind_at_edges || k == e as u64 % 3) {
+            let case = 1_000_000 + (p as u64) * 3 + kind;
+            let mut rng = gen::case_rng(testkit::test_seed(), case);
+            check(case, &matrix(&mut rng, p, kind));
+        }
+    }
+    for case in 0..cases {
+        let mut rng = gen::case_rng(testkit::test_seed(), case);
+        let p = rng.gen_range(1..=max_p);
+        check(case, &matrix(&mut rng, p, case % 3));
+    }
+    println!(
+        "cholesky schedule: {failed} of {total} cases failed, {jittered} recovered with jitter"
+    );
+    assert!(
+        failed * 10 >= total,
+        "only {failed} of {total} cases failed, too few to pin pivots and jitter"
+    );
+}
+
 fn multi_rhs_driver(cases: u64, max_n: usize) {
     for case in 0..cases {
         let mut rng = gen::case_rng(testkit::test_seed(), case);
@@ -394,6 +529,11 @@ fn cholesky_leading_block_straddles_the_panel_width() {
 }
 
 #[test]
+fn cholesky_matches_the_right_looking_schedule_bitwise() {
+    cholesky_schedule_driver(24, 600, false);
+}
+
+#[test]
 fn multi_rhs_solve_matches_per_vector_solve() {
     multi_rhs_driver(CASES, 12);
 }
@@ -471,4 +611,10 @@ fn deep_cholesky_extend() {
 #[ignore = "10x-depth stress suite, run via --include-ignored"]
 fn deep_multi_rhs_solve() {
     multi_rhs_driver(8_000, 20);
+}
+
+#[test]
+#[ignore = "10x-depth stress suite, run via --include-ignored"]
+fn deep_cholesky_schedule() {
+    cholesky_schedule_driver(240, 600, true);
 }
