@@ -169,24 +169,24 @@ pub fn bench_size(spec: &SizeSpec, seed: u64, smoke: bool) -> SizeResult {
     // At the smoke size one `condition_on` takes tens of microseconds,
     // so smoke mode repeats each side enough times to run for about
     // 20 ms: the ratio of two sub-millisecond timings swings by more
-    // than the gate's margin.
+    // than the gate's margin. Each repetition times one of each, so
+    // host-speed drift lands on both sides alike.
     let cfg = model.config().clone();
     let (ax, ay) = synth_task(spec.cond_k, spec.dim, seed ^ 0x517c, 0.55);
     let cond_reps = if smoke { 800 } else { 5 };
-    let t = Instant::now();
-    let mut acc = 0.0;
-    for _ in 0..cond_reps {
-        let mut inc = model.clone();
-        inc.condition_on(&ax, &ay).expect("condition_on");
-        acc += inc.log_marginal_likelihood();
-    }
-    let cond_inc = t.elapsed().as_secs_f64() / cond_reps as f64;
     let mut gx = tx.clone();
     gx.extend(ax.iter().cloned());
     let mut gy = ty.clone();
     gy.extend_from_slice(&ay);
-    let t = Instant::now();
+    let (mut cond_inc, mut cond_full) = (0.0, 0.0);
+    let mut acc = 0.0;
     for _ in 0..cond_reps {
+        let t = Instant::now();
+        let mut inc = model.clone();
+        inc.condition_on(&ax, &ay).expect("condition_on");
+        acc += inc.log_marginal_likelihood();
+        cond_inc += t.elapsed().as_secs_f64();
+        let t = Instant::now();
         let refit = TransferGp::fit(
             TaskData::new(sx.clone(), sy.clone()),
             TaskData::new(gx.clone(), gy.clone()),
@@ -194,8 +194,10 @@ pub fn bench_size(spec: &SizeSpec, seed: u64, smoke: bool) -> SizeResult {
         )
         .expect("full refit");
         acc += refit.log_marginal_likelihood();
+        cond_full += t.elapsed().as_secs_f64();
     }
-    let cond_full = t.elapsed().as_secs_f64() / cond_reps as f64;
+    let cond_inc = cond_inc / cond_reps as f64;
+    let cond_full = cond_full / cond_reps as f64;
 
     // --- Batch prediction vs the scalar predict loop.
     let queries: Vec<Vec<f64>> = (0..spec.queries)

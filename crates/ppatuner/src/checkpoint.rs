@@ -22,12 +22,12 @@
 //! and quarantine control flow, so eliding them would desynchronize the
 //! resumed run.
 //!
-//! The [`StateSnapshot`] carried alongside the log serves two purposes:
-//! cheap *verification* that replay really did land in the recorded state
-//! (statuses, run counts, and the RNG position are compared before going
-//! live; any mismatch aborts with
-//! [`TunerError::Checkpoint`](crate::TunerError::Checkpoint)), and
-//! offline *inspection* of an interrupted run without re-executing it.
+//! The [`StateSnapshot`] carried alongside the log is for *verification*
+//! only: replay must land in the recorded state (statuses, run counts,
+//! RNG position, δ, degraded fits, and a digest of every uncertainty
+//! region are compared before going live; any mismatch aborts with
+//! [`TunerError::Checkpoint`](crate::TunerError::Checkpoint)). Nothing
+//! else is stored, since replay rebuilds the rest.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -35,14 +35,15 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::oracle::EvalError;
-use crate::region::UncertaintyRegion;
-use crate::tuner::{IterationRecord, PpaTunerConfig, SourceData};
+use crate::tuner::{PpaTunerConfig, SourceData};
 
 /// Current checkpoint format version. Bumped on any incompatible change;
 /// resume refuses other versions rather than misinterpreting them.
 /// Version 2 replaced the configuration's `threads`, `eval_workers`,
-/// `predict_workers` and `predict_block` with the single `workers`.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// `predict_workers` and `predict_block` with the single `workers`;
+/// version 3 replaced the snapshot's `regions` and `history` with
+/// `regions_digest`.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// The result of one oracle attempt, after sanitization.
 ///
@@ -73,11 +74,11 @@ pub struct EvalRecord {
     pub outcome: EvalOutcome,
 }
 
-/// Inspection/verification snapshot of the loop state at checkpoint time.
+/// The loop state at checkpoint time that resume verifies after replay.
 ///
-/// Everything here is *derived* — resume rebuilds it by replaying the
-/// evaluation log — but it lets tooling inspect an interrupted run and
-/// lets resume verify the replay landed where the original run stood.
+/// Everything here is *derived*: resume rebuilds it by replaying the
+/// evaluation log, then compares it field by field, so a replay that
+/// drifted is refused before live evaluation resumes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StateSnapshot {
     /// One character per candidate: `u` undecided, `p` Pareto,
@@ -93,19 +94,15 @@ pub struct StateSnapshot {
     pub rng_state: Vec<u64>,
     /// Absolute per-objective δ the run locked in after initialization.
     pub delta: Vec<f64>,
-    /// Per-candidate uncertainty regions (inspection only: still-unbounded
-    /// coordinates do not survive the JSON round trip, see
-    /// [`UncertaintyRegion`]).
-    pub regions: Vec<UncertaintyRegion>,
-    /// Per-iteration trajectory so far.
-    pub history: Vec<IterationRecord>,
+    /// [`digest_matrix`] over every candidate's uncertainty region, its
+    /// optimistic then its pessimistic corner: replay must rebuild the
+    /// ε-PAL boxes bit for bit, not just the statuses they imply.
+    pub regions_digest: u64,
     /// Degraded-fit fallbacks the run has taken so far (surrogate
     /// calibrations served by the last-good model; see the `DegradedFit`
-    /// trace event). Compared after replay like the other derived
-    /// counters: a resume that forgets to re-install an injected fault
-    /// plan (or hits different numerics) is caught here, before going
-    /// live.
-    #[serde(default)]
+    /// trace event). A resume that forgets to re-install an injected
+    /// fault plan (or hits different numerics) is caught here, before
+    /// going live.
     pub degraded_fits: usize,
 }
 
@@ -128,17 +125,8 @@ pub struct Checkpoint {
     pub source_digest: u64,
     /// Every oracle attempt so far, in order (the replay script).
     pub eval_log: Vec<EvalRecord>,
-    /// Derived loop state for verification and inspection.
+    /// Derived loop state that resume verifies.
     pub snapshot: StateSnapshot,
-    /// FNV-1a content digest over the JSON form of this checkpoint with
-    /// `digest` itself zeroed. `0` means "unsealed" (legacy checkpoints
-    /// predate the digest; [`Checkpoint::seal`] never produces 0).
-    /// [`Checkpoint::from_json`] rejects a sealed checkpoint whose bytes
-    /// do not hash back to the stored digest, so a torn or bit-flipped
-    /// write surfaces as *corrupt* instead of silently resuming from
-    /// damaged state.
-    #[serde(default)]
-    pub digest: u64,
 }
 
 impl Checkpoint {
@@ -184,47 +172,31 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Serializes to the JSON checkpoint format.
+    /// Serializes to the sealed JSON checkpoint format: the checkpoint's
+    /// fields, then a trailing `digest` key holding
+    /// [`Checkpoint::content_digest`], so a torn or bit-flipped write
+    /// surfaces as *corrupt* on [`Checkpoint::from_json`] instead of
+    /// silently resuming from damaged state.
     pub fn to_json(&self) -> String {
+        let mut json = self.unsealed_json();
+        let digest = fnv1a(FNV_OFFSET, json.as_bytes());
+        json.pop(); // the closing brace
+        json.push_str(&format!(",\"digest\":{digest}}}"));
+        json
+    }
+
+    /// The content digest [`Checkpoint::to_json`] seals the bytes with:
+    /// FNV-1a over the JSON serialization without the `digest` key.
+    pub fn content_digest(&self) -> u64 {
+        fnv1a(FNV_OFFSET, self.unsealed_json().as_bytes())
+    }
+
+    fn unsealed_json(&self) -> String {
         serde_json::to_string(self).expect("checkpoint serialization cannot fail")
     }
 
-    /// The content digest this checkpoint's data hashes to: FNV-1a over
-    /// the JSON serialization with the `digest` field zeroed. Never 0 (a
-    /// zero hash is remapped so it cannot collide with the "unsealed"
-    /// sentinel), and independent of whether the checkpoint is currently
-    /// sealed — so sealing is idempotent.
-    pub fn content_digest(&self) -> u64 {
-        let mut unsealed = self.clone();
-        unsealed.digest = 0;
-        let h = fnv1a(unsealed.to_json().as_bytes());
-        if h == 0 {
-            1
-        } else {
-            h
-        }
-    }
-
-    /// Stamps the content digest into `self` so persisted bytes are
-    /// verifiable. The tuner seals every checkpoint it writes; stores also
-    /// serialize through [`Checkpoint::sealed_json`], so file bytes carry
-    /// a digest even for hand-built checkpoints.
-    pub fn seal(&mut self) {
-        self.digest = self.content_digest();
-    }
-
-    /// The JSON form with the content digest stamped in (without mutating
-    /// `self`). Idempotent: sealing a sealed checkpoint yields the same
-    /// bytes.
-    pub fn sealed_json(&self) -> String {
-        let mut sealed = self.clone();
-        sealed.seal();
-        sealed.to_json()
-    }
-
-    /// Parses a checkpoint from its JSON form, checks its format version,
-    /// and verifies the content digest when one is present
-    /// (`digest != 0`).
+    /// Parses a checkpoint from its sealed JSON form, checks its format
+    /// version, and verifies its content digest.
     ///
     /// # Errors
     ///
@@ -251,25 +223,28 @@ impl Checkpoint {
             Some(version) => return Err(CheckpointError::Unsupported { version }),
             None => return Err(corrupt("checkpoint has no format version".into())),
         }
+        let stored = value
+            .get("digest")
+            .and_then(serde_json::Value::as_u64)
+            .ok_or_else(|| corrupt("checkpoint has no content digest".into()))?;
         let ckpt: Checkpoint = serde_json::from_value(&value)
             .map_err(|e| corrupt(format!("malformed checkpoint: {e}")))?;
-        if ckpt.digest != 0 {
-            let expected = ckpt.content_digest();
-            if ckpt.digest != expected {
-                return Err(corrupt(format!(
-                    "checkpoint digest mismatch: stored {:#x}, content hashes to {:#x} \
-                     (torn or tampered write)",
-                    ckpt.digest, expected
-                )));
-            }
+        let expected = ckpt.content_digest();
+        if stored != expected {
+            return Err(corrupt(format!(
+                "checkpoint digest mismatch: stored {stored:#x}, content hashes to {expected:#x} \
+                 (torn or tampered write)"
+            )));
         }
         Ok(ckpt)
     }
 }
 
-/// FNV-1a over raw bytes (same constants as [`digest_matrix`]).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis: the state every digest starts from.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a state `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         h ^= u64::from(byte);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -277,24 +252,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over the bit patterns of an `f64` matrix (rows delimited), used
-/// to pin a checkpoint to the exact data it was created from.
-pub fn digest_matrix(rows: &[Vec<f64>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(rows.len() as u64);
+/// FNV-1a over the bit patterns of `f64` rows (each prefixed by its
+/// length, the row count last), used to pin a checkpoint to the exact
+/// data it was created from. Takes any row iterator, so callers need not
+/// gather borrowed rows into a matrix first.
+pub fn digest_matrix<R: AsRef<[f64]>>(rows: impl IntoIterator<Item = R>) -> u64 {
+    let word = |h: u64, w: u64| fnv1a(h, &w.to_le_bytes());
+    let mut h = FNV_OFFSET;
+    let mut count = 0u64;
     for row in rows {
-        mix(row.len() as u64);
+        let row = row.as_ref();
+        h = word(h, row.len() as u64);
         for &v in row {
-            mix(v.to_bits());
+            h = word(h, v.to_bits());
         }
+        count += 1;
     }
-    h
+    word(h, count)
 }
 
 /// Digest of a full [`SourceData`] (inputs and outputs).
@@ -452,21 +426,23 @@ fn io_failure(op: &str, path: &Path, e: std::io::Error) -> CheckpointError {
     }
 }
 
-/// Writes `contents` to `path` and flushes it to the storage device
-/// (`fsync`), so the bytes survive power loss once this returns.
-fn write_durable(path: &Path, contents: &str) -> Result<(), CheckpointError> {
-    use std::io::Write;
-    let mut file = std::fs::File::create(path).map_err(|e| io_failure("creating", path, e))?;
-    file.write_all(contents.as_bytes())
-        .map_err(|e| io_failure("writing", path, e))?;
-    file.sync_all().map_err(|e| io_failure("syncing", path, e))
-}
-
-/// Flushes the directory entry for `path` (the rename itself) to the
-/// storage device. Without this the atomic rename is crash-*consistent*
+/// Replaces `path` with `contents` atomically and durably: the bytes go
+/// to a sibling `.tmp` file, which is flushed to the storage device
+/// (`fsync`) and renamed over `path`; then the parent directory is
+/// flushed too. Without that last step the rename is crash-*consistent*
 /// but not *durable*: after power loss the directory may still name the
 /// old file.
-fn sync_parent_dir(path: &Path) -> Result<(), CheckpointError> {
+fn write_durable(path: &Path, contents: &str) -> Result<(), CheckpointError> {
+    use std::io::Write;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = std::fs::File::create(&tmp).map_err(|e| io_failure("creating", &tmp, e))?;
+    file.write_all(contents.as_bytes())
+        .map_err(|e| io_failure("writing", &tmp, e))?;
+    file.sync_all()
+        .map_err(|e| io_failure("syncing", &tmp, e))?;
+    std::fs::rename(&tmp, path).map_err(|e| io_failure("renaming into", path, e))?;
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
@@ -518,13 +494,7 @@ impl FileCheckpointStore {
 
 impl CheckpointStore for FileCheckpointStore {
     fn save(&self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        write_durable(&tmp, &checkpoint.sealed_json())?;
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| io_failure("renaming into", &self.path, e))?;
-        sync_parent_dir(&self.path)
+        write_durable(&self.path, &checkpoint.to_json())
     }
 
     fn load(&self) -> Result<Option<Checkpoint>, CheckpointError> {
@@ -601,13 +571,7 @@ impl CheckpointStore for ChainCheckpointStore {
         std::fs::create_dir_all(&self.dir).map_err(|e| io_failure("creating dir", &self.dir, e))?;
         let entries = self.entries()?;
         let seq = entries.last().map_or(0, |&(seq, _)| seq + 1);
-        let path = self.entry_path(seq);
-        let mut tmp = path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        write_durable(&tmp, &checkpoint.sealed_json())?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_failure("renaming into", &path, e))?;
-        sync_parent_dir(&path)?;
+        write_durable(&self.entry_path(seq), &checkpoint.to_json())?;
         // Prune beyond keep-last-k, oldest first. Best-effort: the new
         // entry is already durable, and a failed unlink only costs disk.
         let excess = (entries.len() + 1).saturating_sub(self.keep);
@@ -699,14 +663,9 @@ mod tests {
                 runs: 2,
                 rng_state: vec![1, 2, 3, 4],
                 delta: vec![0.1, 0.1],
-                regions: vec![
-                    UncertaintyRegion::point(&[1.0, 2.0]),
-                    UncertaintyRegion::point(&[3.0, 4.0]),
-                ],
-                history: Vec::new(),
+                regions_digest: digest_matrix([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]),
                 degraded_fits: 0,
             },
-            digest: 0,
         }
     }
 
@@ -765,10 +724,10 @@ mod tests {
         }
     }
 
-    /// A sealed checkpoint as the previous format wrote it: version 1,
-    /// the four retired thread settings in place of `workers`.
+    /// A sealed checkpoint as version 1 wrote it: the four retired thread
+    /// settings in place of `workers`.
     fn version_1_json() -> String {
-        let json = sample_checkpoint().sealed_json();
+        let json = sample_checkpoint().to_json();
         let v1 = json
             .replace(
                 &format!("\"version\":{CHECKPOINT_VERSION}"),
@@ -782,22 +741,50 @@ mod tests {
         v1
     }
 
+    /// A sealed checkpoint as version 2 wrote it: the snapshot's boxes and
+    /// history in place of `regions_digest`, and the digest computed over
+    /// the JSON with a zeroed `digest` key.
+    fn version_2_json() -> String {
+        let ckpt = sample_checkpoint();
+        let body = ckpt
+            .to_json()
+            .replace(
+                &format!("\"version\":{CHECKPOINT_VERSION}"),
+                "\"version\":2",
+            )
+            .replace(
+                &format!("\"regions_digest\":{}", ckpt.snapshot.regions_digest),
+                "\"regions\":[{\"lo\":[1.0,2.0],\"hi\":[1.0,2.0]},\
+                 {\"lo\":[3.0,4.0],\"hi\":[3.0,4.0]}],\"history\":[]",
+            )
+            .replace(
+                &format!("\"digest\":{}}}", ckpt.content_digest()),
+                "\"digest\":0}",
+            );
+        assert!(body.contains("\"history\":[]") && body.ends_with("\"digest\":0}"));
+        let v2_digest = fnv1a(FNV_OFFSET, body.as_bytes());
+        body.replace("\"digest\":0}", &format!("\"digest\":{v2_digest}}}"))
+    }
+
     #[test]
     fn version_1_checkpoints_are_refused_as_unsupported() {
-        let e = Checkpoint::from_json(&version_1_json()).unwrap_err();
-        assert!(e.contains("version 1 unsupported"), "{e}");
-        assert!(!e.contains("digest"), "{e}");
+        for (version, json) in [(1, version_1_json()), (2, version_2_json())] {
+            let unsupported = format!("version {version} unsupported");
+            let e = Checkpoint::from_json(&json).unwrap_err();
+            assert!(e.contains(&unsupported), "{e}");
+            assert!(!e.contains("digest"), "{e}");
 
-        // In a chain, the old-format entry stops recovery with the version
-        // error instead of being skipped as torn.
-        let dir = chain_dir("v1");
-        let store = ChainCheckpointStore::new(&dir, 4);
-        store.save(&sample_checkpoint()).unwrap();
-        std::fs::write(dir.join("ckpt-00000001.json"), version_1_json()).unwrap();
-        let err = store.recover().unwrap_err();
-        assert!(!err.is_corrupt(), "{err}");
-        assert!(err.to_string().contains("version 1 unsupported"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+            // In a chain, the old-format entry stops recovery with the
+            // version error instead of being skipped as torn.
+            let dir = chain_dir(&format!("v{version}"));
+            let store = ChainCheckpointStore::new(&dir, 4);
+            store.save(&sample_checkpoint()).unwrap();
+            std::fs::write(dir.join("ckpt-00000001.json"), json).unwrap();
+            let err = store.recover().unwrap_err();
+            assert!(!err.is_corrupt(), "{err}");
+            assert_eq!(err, CheckpointError::Unsupported { version });
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -851,14 +838,15 @@ mod tests {
 
     #[test]
     fn sealing_is_idempotent_and_detects_tampering() {
-        let mut ckpt = sample_checkpoint();
-        ckpt.seal();
-        assert_ne!(ckpt.digest, 0);
+        let ckpt = sample_checkpoint();
         let json = ckpt.to_json();
-        assert_eq!(json, ckpt.sealed_json());
-        assert_eq!(json, sample_checkpoint().sealed_json());
+        assert!(
+            json.ends_with(&format!(",\"digest\":{}}}", ckpt.content_digest())),
+            "{json}"
+        );
         let back = Checkpoint::from_json(&json).unwrap();
         assert_eq!(back, ckpt);
+        assert_eq!(back.to_json(), json);
 
         // Any content change under an unrefreshed digest is rejected.
         let tampered = json.replace("\"next_iteration\":3", "\"next_iteration\":4");
@@ -866,13 +854,10 @@ mod tests {
         let e = Checkpoint::from_json(&tampered).unwrap_err();
         assert!(e.contains("digest mismatch"), "{e}");
 
-        // Legacy unsealed checkpoints (digest 0 / missing) still load.
-        let mut unsealed = sample_checkpoint();
-        unsealed.digest = 0;
-        assert_eq!(
-            Checkpoint::from_json(&unsealed.to_json()).unwrap(),
-            unsealed
-        );
+        // So is a checkpoint without one.
+        let unsealed = json.replace(&format!(",\"digest\":{}", ckpt.content_digest()), "");
+        let e = Checkpoint::from_json(&unsealed).unwrap_err();
+        assert!(e.contains("no content digest"), "{e}");
     }
 
     #[test]
@@ -883,7 +868,7 @@ mod tests {
         let store = FileCheckpointStore::new(&path);
         store.save(&sample_checkpoint()).unwrap();
         let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert!(Checkpoint::from_json(&on_disk).unwrap().digest != 0);
+        assert_eq!(on_disk, sample_checkpoint().to_json());
 
         // A torn (truncated) file is corrupt, not an I/O failure.
         std::fs::write(&path, &on_disk[..on_disk.len() - 7]).unwrap();

@@ -1,7 +1,5 @@
 //! Per-candidate uncertainty hyper-rectangles (Eqs. 9–10).
 
-use serde::{Deserialize, Serialize};
-
 /// The running uncertainty hyper-rectangle `U_t(x)` of one candidate in
 /// QoR space (minimization convention).
 ///
@@ -26,13 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(u.pessimistic(), &[2.5, 4.0]);
 /// assert!(u.diameter() > 0.0);
 /// ```
-/// Serialization note: regions serialize to JSON for checkpoint
-/// inspection. JSON has no ±∞ literal — non-finite bounds become `null`
-/// and read back as NaN — so still-unbounded coordinates do not survive a
-/// round trip exactly. Checkpoint *verification* therefore relies on the
-/// finite state (statuses, evaluations, RNG position), never on
-/// deserialized regions; resume rebuilds regions by deterministic replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UncertaintyRegion {
     lo: Vec<f64>,
     hi: Vec<f64>,

@@ -1667,7 +1667,7 @@ impl<'a, 'o> RunState<'a, 'o> {
         if !self.live {
             return Ok(());
         }
-        let mut checkpoint = Checkpoint {
+        let checkpoint = Checkpoint {
             version: CHECKPOINT_VERSION,
             next_iteration: t + 1,
             config: self.config.clone(),
@@ -1675,9 +1675,7 @@ impl<'a, 'o> RunState<'a, 'o> {
             source_digest,
             eval_log: self.log.clone(),
             snapshot: self.snapshot(),
-            digest: 0,
         };
-        checkpoint.seal();
         store
             .save(&checkpoint)
             .map_err(|e| TunerError::Checkpoint {
@@ -1703,8 +1701,11 @@ impl<'a, 'o> RunState<'a, 'o> {
             runs: self.runs(),
             rng_state: self.rng.state().to_vec(),
             delta: self.delta.clone(),
-            regions: self.regions.clone(),
-            history: self.history.clone(),
+            regions_digest: digest_matrix(
+                self.regions
+                    .iter()
+                    .flat_map(|r| [r.optimistic(), r.pessimistic()]),
+            ),
             degraded_fits: self.degraded_total,
         }
     }
@@ -1746,6 +1747,12 @@ impl<'a, 'o> RunState<'a, 'o> {
                     "replay produced {} degraded fits, checkpoint recorded {} \
                      (was the fit-fault plan re-armed?)",
                     got.degraded_fits, expected.degraded_fits
+                ))
+            } else if got.regions_digest != expected.regions_digest {
+                Some(format!(
+                    "uncertainty regions diverged from the checkpoint snapshot \
+                     (digest {:#x} != {:#x})",
+                    got.regions_digest, expected.regions_digest
                 ))
             } else {
                 None
@@ -1885,7 +1892,9 @@ fn maximin_design(candidates: &[Vec<f64>], count: usize, rng: &mut StdRng) -> Ve
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
     let mut picked = Vec::with_capacity(count);
+    let mut is_picked = vec![false; n];
     picked.push(order[0]);
+    is_picked[order[0]] = true;
     let mut dist = vec![f64::INFINITY; n];
     while picked.len() < count {
         let last = *picked.last().expect("non-empty");
@@ -1896,7 +1905,7 @@ fn maximin_design(candidates: &[Vec<f64>], count: usize, rng: &mut StdRng) -> Ve
             }
         }
         let next = (0..n)
-            .filter(|i| !picked.contains(i))
+            .filter(|&i| !is_picked[i])
             .max_by(|&a, &b| {
                 dist[a]
                     .partial_cmp(&dist[b])
@@ -1904,6 +1913,7 @@ fn maximin_design(candidates: &[Vec<f64>], count: usize, rng: &mut StdRng) -> Ve
             })
             .expect("candidates remain");
         picked.push(next);
+        is_picked[next] = true;
     }
     picked
 }

@@ -196,7 +196,6 @@ fn tampered_snapshots_are_refused_at_the_first_and_the_last_checkpoint() {
         let mut tampered = ckpt.clone();
         tampered.snapshot.runs += 1;
         tampered.snapshot.degraded_fits += 3;
-        tampered.seal();
         let crash_point = CaptureStore::default();
         crash_point.save(&tampered).unwrap();
         let mut oracle = VecOracle::new(s.truth.clone());
@@ -214,6 +213,56 @@ fn tampered_snapshots_are_refused_at_the_first_and_the_last_checkpoint() {
             "{label} checkpoint: unexpected error: {err}"
         );
     }
+}
+
+/// The snapshot pins the ε-PAL boxes, not just the statuses they imply:
+/// a checkpoint whose only change is its regions digest, sealed afresh so
+/// it loads cleanly, is refused once replay drains, with a reason that
+/// names the regions.
+#[test]
+fn resume_refuses_a_checkpoint_whose_regions_digest_differs() {
+    let s = setup();
+    let store = CaptureStore::default();
+    let mut oracle = VecOracle::new(s.truth.clone());
+    PpaTuner::new(s.config.clone())
+        .run_checkpointed(
+            &s.source,
+            &s.candidates,
+            &mut oracle,
+            &obs::NULL_SINK,
+            &store,
+        )
+        .expect("uninterrupted run succeeds");
+
+    let checkpoints = store.all.borrow();
+    let mut tampered = checkpoints[checkpoints.len() / 2].clone();
+    tampered.snapshot.regions_digest ^= 1;
+    let dir = std::env::temp_dir().join(format!("ppatuner_resume_regions_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = FileCheckpointStore::new(dir.join("tampered.json"));
+    file.save(&tampered).expect("checkpoint persists");
+    assert_eq!(
+        file.load().expect("the re-sealed file loads"),
+        Some(tampered)
+    );
+
+    let mut oracle = VecOracle::new(s.truth.clone());
+    let err = PpaTuner::new(s.config.clone())
+        .resume(
+            &s.source,
+            &s.candidates,
+            &mut oracle,
+            &obs::NULL_SINK,
+            &file,
+        )
+        .expect_err("a changed regions digest must be refused");
+    match err {
+        TunerError::Checkpoint { reason } => {
+            assert!(reason.contains("uncertainty regions diverged"), "{reason}")
+        }
+        other => panic!("unexpected error: {other}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Checkpoints land on iteration boundaries, so a log that ends inside a
@@ -242,7 +291,6 @@ fn resume_refuses_a_log_that_ends_inside_a_wave() {
     let mut cut = checkpoints[checkpoints.len() / 2].clone();
     let keep = cut.eval_log.len() - 2;
     cut.eval_log.truncate(keep);
-    cut.seal();
     for kind in [Kind::Serial, Kind::Shared] {
         let crash_point = CaptureStore::default();
         crash_point.save(&cut).unwrap();
