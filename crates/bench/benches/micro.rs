@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the reproduction's building blocks:
 //! GP fit/predict scaling, transfer-GP fitting, the joint-kernel
-//! Cholesky, hypervolume, LHS sampling, one PD-flow run, and one tuner
-//! decision pass.
+//! Cholesky, the cached predict sweep, hypervolume, LHS sampling, one
+//! PD-flow run, and one tuner decision pass.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -86,6 +86,76 @@ fn cholesky_bench(c: &mut Criterion) {
             b.iter(|| Cholesky::new(&k).unwrap())
         });
     }
+    group.finish();
+}
+
+fn predict_sweep_bench(c: &mut Criterion) {
+    use gp::{PredictCache, TaskData, TransferGp, TransferGpConfig};
+    use rand::SeedableRng;
+
+    // One objective's predict sweep at `t2_durable_q4` scale: 4,500
+    // undecided candidates against a joint factor of p = 404 rows
+    // (200 source + 204 target points, d = 12), on one worker.
+    // - `cold`: every candidate is a miss (the sweep after a refit);
+    // - `warm_q4`: a cache filled at p = 400, read after conditioning on
+    //   a wave of 4 (q new rows per candidate);
+    // - `uncached`: the same queries through the uncached batch predict.
+    // Compare builds by best-of over interleaved runs, as for `cholesky`.
+    let dim = 12;
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut points = |n: usize| -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
+            .collect()
+    };
+    let (sx, tx, wave, xs) = (points(200), points(200), points(4), points(4500));
+    let f = |p: &Vec<f64>| -> f64 {
+        p.iter()
+            .enumerate()
+            .map(|(t, v)| v * (t as f64 + 1.0).sin())
+            .sum()
+    };
+    let data = |x: &[Vec<f64>]| TaskData::new(x.to_vec(), x.iter().map(f).collect());
+    let mut config = TransferGpConfig::default_for_dim(dim);
+    config.lengthscales = vec![0.6; dim];
+    let before = TransferGp::fit(data(&sx), data(&tx), config).unwrap();
+    let mut after = before.clone();
+    let wave_y: Vec<f64> = wave.iter().map(f).collect();
+    after.condition_on(&wave, &wave_y).unwrap();
+    let ids: Vec<u64> = (0..xs.len() as u64).collect();
+
+    let mut group = c.benchmark_group("predict_sweep");
+    group.bench_function("cold/404", |b| {
+        b.iter_batched(
+            PredictCache::new,
+            |mut cache| {
+                after
+                    .predict_latent_batch_cached(&ids, &xs, 1, &mut cache)
+                    .unwrap()
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("warm_q4/404", |b| {
+        b.iter_batched(
+            || {
+                let mut cache = PredictCache::new();
+                before
+                    .predict_latent_batch_cached(&ids, &xs, 1, &mut cache)
+                    .unwrap();
+                cache
+            },
+            |mut cache| {
+                after
+                    .predict_latent_batch_cached(&ids, &xs, 1, &mut cache)
+                    .unwrap()
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("uncached/404", |b| {
+        b.iter(|| after.predict_latent_batch(&xs, 1).unwrap())
+    });
     group.finish();
 }
 
@@ -224,6 +294,7 @@ criterion_group!(
     gp_benches,
     transfer_gp_bench,
     cholesky_bench,
+    predict_sweep_bench,
     hypervolume_bench,
     lhs_bench,
     pdsim_bench,

@@ -263,7 +263,7 @@ pub fn bench_size(spec: &SizeSpec, seed: u64, smoke: bool) -> SizeResult {
 
     // --- End-to-end tuner scenario (absolute time; no frozen baseline).
     let t = Instant::now();
-    let result = run_tuner_scenario(spec, seed, smoke, &obs::NULL_SINK);
+    let result = run_tuner_scenario(spec, seed, smoke);
     let tuner_s = t.elapsed().as_secs_f64();
 
     // `acc` and the objectives keep the optimizer honest; reporting them
@@ -329,19 +329,13 @@ pub fn bench_size(spec: &SizeSpec, seed: u64, smoke: bool) -> SizeResult {
     }
 }
 
-/// Runs the end-to-end tuner scenario of one size through `observer` and
-/// returns the tuner's result. Shared with `obs_overhead`, which times
-/// the same scenario under different observers.
+/// Runs the end-to-end tuner scenario of one size and returns the
+/// tuner's result.
 ///
 /// # Panics
 ///
 /// Panics when the tuning run errors.
-pub fn run_tuner_scenario(
-    spec: &SizeSpec,
-    seed: u64,
-    smoke: bool,
-    observer: &dyn obs::Observer,
-) -> ppatuner::TuneResult {
+pub fn run_tuner_scenario(spec: &SizeSpec, seed: u64, smoke: bool) -> ppatuner::TuneResult {
     let scenario =
         benchgen::Scenario::two_with_counts(seed, spec.n_source.max(40), spec.tuner_points)
             .with_source_budget(spec.n_source.min(60));
@@ -358,7 +352,7 @@ pub fn run_tuner_scenario(
         ..Default::default()
     };
     PpaTuner::new(config)
-        .run_observed(&tuner_source, &candidates, &mut oracle, observer)
+        .run(&tuner_source, &candidates, &mut oracle)
         .expect("tuner scenario")
 }
 

@@ -4,7 +4,7 @@
 //! The build environment has no access to crates.io, so the small slice of
 //! criterion this workspace's benches use is reimplemented here: groups,
 //! `bench_function` / `bench_with_input`, [`BenchmarkId`], `Bencher::iter`,
-//! [`black_box`], and the `criterion_group!` / `criterion_main!` macros.
+//! `Bencher::iter_batched` with [`BatchSize`], [`black_box`], and the `criterion_group!` / `criterion_main!` macros.
 //!
 //! Instead of criterion's statistical engine, each benchmark is warmed up
 //! briefly and then timed over a fixed wall-clock window; the mean, best,
@@ -43,6 +43,41 @@ impl Bencher {
             let t0 = Instant::now();
             black_box(f());
             self.samples.push(t0.elapsed());
+        }
+    }
+}
+
+/// How many inputs `Bencher::iter_batched` prepares per batch. Upstream
+/// sizes batches by it; this shim always prepares one input per timed
+/// call, so every variant behaves like `PerIteration`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Cheap inputs.
+    SmallInput,
+    /// Inputs too large to keep many of.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
+}
+
+impl Bencher {
+    /// Runs `routine` on a fresh input from `setup` per call, timing the
+    /// routine alone: for routines that consume or mutate their input.
+    /// Samples are taken until the routine's own time fills the window.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        black_box(routine(setup()));
+        let mut timed = Duration::ZERO;
+        while timed < self.measure_for || self.samples.is_empty() {
+            let input = setup();
+            let t0 = Instant::now();
+            black_box(routine(input));
+            let dt = t0.elapsed();
+            timed += dt;
+            self.samples.push(dt);
         }
     }
 }
@@ -214,6 +249,18 @@ mod tests {
     fn bench_function_collects_samples() {
         let mut c = tiny();
         c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
+    }
+
+    #[test]
+    fn iter_batched_times_fresh_inputs() {
+        let mut c = tiny();
+        c.bench_function("drain", |b| {
+            b.iter_batched(
+                || vec![1u64; 64],
+                |v| v.into_iter().sum::<u64>(),
+                BatchSize::SmallInput,
+            )
+        });
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!   round-tripping through a unit-cube encoding ([`ParamSpace::encode`] /
 //!   [`ParamSpace::decode`]) — the representation surrogate models consume;
 //! - samplers: [`LatinHypercube`] (the paper's benchmark-construction
-//!   scheme, §4.1), [`Halton`] (extensible low-discrepancy sequences),
-//!   [`sample_random`], and [`full_factorial`].
+//!   scheme, §4.1), [`sample_random`], and [`full_factorial`].
 //!
 //! # Example
 //!
@@ -42,14 +41,12 @@
 mod cells;
 mod config;
 mod error;
-mod halton;
 mod sampler;
 mod space;
 
 pub use cells::{CellTree, Split};
 pub use config::{Config, ParamValue};
 pub use error::DoeError;
-pub use halton::Halton;
 pub use sampler::{full_factorial, sample_random, LatinHypercube};
 pub use space::{ParamDef, ParamKind, ParamSpace};
 

@@ -4,19 +4,20 @@
 //! likelihood hundreds of times per fit, and every candidate θ shares the
 //! same training inputs: only the lengthscales re-weight the pairwise
 //! distances, and only the scalar factors (signal variance, λ, noises)
-//! scale the result. [`FitCache`] exploits that by precomputing the
-//! per-dimension pairwise squared-difference tensor over the joint
-//! source+target point set **once per fit call**, together with the
-//! θ-independent standardized outputs, and then re-assembling the
-//! (N+M)² kernel from the cache per candidate, with no data cloning, no
-//! re-validation, and no per-point kernel dispatch.
+//! scale the result. [`FitCache`] exploits that by validating the data
+//! and laying the joint source+target inputs out **once per fit call**,
+//! together with the θ-independent standardized outputs, and then
+//! re-assembling the (N+M)² kernel from them per candidate, with no data
+//! cloning, no re-validation, and no per-point kernel dispatch.
 //!
-//! The tensor is stored row by row over the lower triangle (`j ≤ i`) and
-//! dimension-major within each row, so the lengthscale weighting of one
-//! row is a handful of passes over contiguous memory that vectorise; then
-//! one `exp` per entry. The objective assembles only that lower triangle,
-//! which is all [`Cholesky::new`] reads, and takes the source term from
-//! the leading block of the one joint factorization.
+//! The inputs are stored dimension-major (one contiguous row of all
+//! points per dimension), so the lengthscale-weighted squared differences
+//! of one kernel row are a handful of passes over contiguous memory that
+//! vectorise; then one `exp` per entry. Recomputing `(x_i,t − x_j,t)²`
+//! there costs less than streaming a precomputed `p(p+1)/2 · d` tensor
+//! from memory. The objective assembles only the lower triangle, which is
+//! all [`Cholesky::new`] reads, and takes the source term from the
+//! leading block of the one joint factorization.
 
 use linalg::{Cholesky, Matrix};
 
@@ -41,18 +42,15 @@ pub struct FitCache<'a> {
     n: usize,
     /// Total joint point count (source + target).
     p: usize,
-    /// Lower-triangle squared differences, row by row: row `i` is the
-    /// `dim·(i+1)` values from offset `dim·i(i+1)/2`, dimension-major, so
-    /// entry `t·(i+1) + j` of the row holds `(x_i[t] − x_j[t])²` for
-    /// `j ≤ i`.
-    d2: Vec<f64>,
+    /// Joint inputs, dimension-major: entry `t·p + j` is `x_j[t]`.
+    x_dims: Vec<f64>,
     /// Standardized joint outputs (θ-independent).
     z_joint: Vec<f64>,
 }
 
 impl<'a> FitCache<'a> {
-    /// Builds the cache: validates the data once and precomputes the
-    /// pairwise squared-difference tensor over the joint point set.
+    /// Builds the cache: validates the data once and lays the joint
+    /// inputs out dimension-major.
     ///
     /// # Errors
     ///
@@ -83,15 +81,9 @@ impl<'a> FitCache<'a> {
         let n = source.len();
         let p = n + target.len();
         let rows = joint_rows(&source.x, &target.x);
-        let mut d2 = Vec::with_capacity(p * (p + 1) / 2 * dim);
-        for i in 0..p {
-            for (t, &xit) in rows(i).0.iter().enumerate() {
-                d2.extend((0..=i).map(|j| {
-                    let d = xit - rows(j).0[t];
-                    d * d
-                }));
-            }
-        }
+        let x_dims: Vec<f64> = (0..dim)
+            .flat_map(|t| (0..p).map(move |j| rows(j).0[t]))
+            .collect();
 
         let std_source = if source.is_empty() {
             Standardizer::identity()
@@ -109,7 +101,7 @@ impl<'a> FitCache<'a> {
             dim,
             n,
             p,
-            d2,
+            x_dims,
             z_joint,
         })
     }
@@ -148,8 +140,9 @@ impl<'a> FitCache<'a> {
 
     /// The lower triangle (`j ≤ i`) of [`FitCache::joint_kernel`]; the
     /// strict upper triangle is left zero. Each entry sums its weighted
-    /// terms in ascending dimension order from `0.0`, as a per-pair loop
-    /// would, so the values do not depend on the storage layout.
+    /// terms `(x_i,t − x_j,t)²/ℓ_t²` in ascending dimension order from
+    /// `0.0`, as a per-pair loop would, so the values do not depend on the
+    /// storage layout.
     fn lower_kernel(&self, config: &TransferGpConfig) -> Result<Matrix> {
         if config.lengthscales.len() != self.dim {
             return Err(GpError::DimensionMismatch {
@@ -179,18 +172,17 @@ impl<'a> FitCache<'a> {
         }
         crate::counters::add_kernel_assemblies(1);
         let inv_l2: Vec<f64> = config.lengthscales.iter().map(|&l| 1.0 / (l * l)).collect();
-        let (n, p, dim) = (self.n, self.p, self.dim);
+        let (n, p) = (self.n, self.p);
         let mut k = Matrix::zeros(p, p);
-        let mut start = 0;
         for i in 0..p {
-            let w = i + 1;
-            let row = &mut k.row_mut(i)[..w];
-            for (d2, &inv) in self.d2[start..start + dim * w].chunks_exact(w).zip(&inv_l2) {
-                for (s, d) in row.iter_mut().zip(d2) {
-                    *s += d * inv;
+            let row = &mut k.row_mut(i)[..=i];
+            for (x_t, &inv) in self.x_dims.chunks_exact(p).zip(&inv_l2) {
+                let xit = x_t[i];
+                for (s, &xjt) in row.iter_mut().zip(x_t) {
+                    let d = xit - xjt;
+                    *s += d * d * inv;
                 }
             }
-            start += dim * w;
             for v in row.iter_mut() {
                 *v = config.signal_var * (-0.5 * *v).exp();
             }

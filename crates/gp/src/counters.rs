@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub use linalg::LinalgCounters;
 
 /// Hyperparameter-search objective evaluations served from a
-/// [`crate::cache::FitCache`]'s precomputed distance tensor (no data
-/// clone, no raw-point kernel rebuild).
+/// [`crate::cache::FitCache`]'s pre-validated, dimension-major inputs (no
+/// data clone, no per-point kernel dispatch).
 pub static FITCACHE_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Full transfer-GP model constructions from raw data — the path a cache

@@ -103,6 +103,28 @@ impl Kernel for SquaredExponential {
     }
 }
 
+impl SquaredExponential {
+    /// `k(a, b_l)` against many points at once: `b` holds them
+    /// dimension-major (`b[t·stride + l]` is coordinate `t` of point `l`),
+    /// and `out[l]` receives lane `l` for `l < out.len()`. The
+    /// lengthscale-weighted squared differences are summed across the lanes
+    /// one dimension at a time (a loop that vectorises), and each lane
+    /// accumulates in [`Kernel::eval`]'s order, so `out[l]` is bit-identical
+    /// to `eval(a, b_l)`.
+    pub fn eval_lanes(&self, a: &[f64], b: &[f64], stride: usize, out: &mut [f64]) {
+        out.fill(0.0);
+        for ((&x, &l), col) in a.iter().zip(&self.lengthscales).zip(b.chunks(stride)) {
+            for (s, &y) in out.iter_mut().zip(col) {
+                let d = (x - y) / l;
+                *s += d * d;
+            }
+        }
+        for s in out.iter_mut() {
+            *s = self.signal_var * (-0.5 * *s).exp();
+        }
+    }
+}
+
 /// Matérn 5/2 kernel with ARD lengthscales — rougher sample paths than the
 /// squared exponential, often a better prior for tool-response surfaces
 /// with kinks (effort-level switches).
@@ -259,9 +281,60 @@ impl<K: Kernel> TransferKernel<K> {
     }
 }
 
+impl TransferKernel<SquaredExponential> {
+    /// [`TransferKernel::eval_task`] of `(a, ta)` against many points of
+    /// task `tb`, laid out as for [`SquaredExponential::eval_lanes`];
+    /// `out[l]` is bit-identical to `eval_task(a, ta, b_l, tb)`.
+    pub fn eval_task_lanes(
+        &self,
+        a: &[f64],
+        ta: Task,
+        b: &[f64],
+        tb: Task,
+        stride: usize,
+        out: &mut [f64],
+    ) {
+        self.base.eval_lanes(a, b, stride, out);
+        if ta != tb {
+            for k in out.iter_mut() {
+                *k *= self.lambda;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lane_evaluation_is_bitwise_the_pairwise_one() {
+        let base = SquaredExponential::new(1.7, vec![0.3, 0.9, 2.1]).unwrap();
+        let tk = TransferKernel::with_lambda(base, -0.35).unwrap();
+        let a = [0.12, -0.7, 3.3];
+        let pts: Vec<[f64; 3]> = (0..7)
+            .map(|l| {
+                let l = l as f64;
+                [0.37 * l, 1.0 - 0.11 * l * l, (l * 0.9).sin()]
+            })
+            .collect();
+        // Dimension-major with a stride wider than the lane count.
+        let stride = 9;
+        let mut b = vec![f64::NAN; 3 * stride];
+        for (l, p) in pts.iter().enumerate() {
+            for t in 0..3 {
+                b[t * stride + l] = p[t];
+            }
+        }
+        for ta in [Task::Source, Task::Target] {
+            let mut out = vec![0.0; pts.len()];
+            tk.eval_task_lanes(&a, ta, &b, Task::Target, stride, &mut out);
+            for (l, p) in pts.iter().enumerate() {
+                let want = tk.eval_task(&a, ta, p, Task::Target);
+                assert_eq!(out[l].to_bits(), want.to_bits(), "{ta:?} lane {l}");
+            }
+        }
+    }
 
     #[test]
     fn se_kernel_basic_properties() {

@@ -210,8 +210,8 @@ pub struct FitReport {
     pub restarts: usize,
     /// MAP-objective evaluations consumed across all restarts.
     pub evals: usize,
-    /// Objective evaluations served from the precomputed distance cache
-    /// (no data clone, no raw-point kernel rebuild).
+    /// Objective evaluations served from the [`FitCache`] (no data
+    /// clone, no per-point kernel rebuild).
     pub cached_evals: usize,
     /// Full `TransferGp::fit` constructions from raw data (the final
     /// model build after the search picks a winner).
@@ -277,9 +277,8 @@ pub struct FitJob<'a> {
 /// ([`fan_out`]), returning one result per job, in job order.
 ///
 /// Each job's [`FitCache`] is built once and shared by its restarts:
-/// every objective evaluation re-weights the cached pairwise
-/// squared-difference tensor instead of rebuilding kernels from raw
-/// points. A job's winner is the lowest MAP objective in restart order
+/// every objective evaluation assembles the kernel from its pre-validated,
+/// dimension-major inputs instead of rebuilding it point by point. A job's winner is the lowest MAP objective in restart order
 /// (ties keep the earlier restart); its final model is fitted from the
 /// raw data. Every task computes what a serial loop would and the merge
 /// is by position, so results are bit-identical at any `workers` value.

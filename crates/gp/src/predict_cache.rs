@@ -1,4 +1,5 @@
-//! Persistent per-candidate solve cache for the predict sweep.
+//! Persistent per-candidate solve cache for the predict sweep, stored as
+//! lane blocks.
 //!
 //! Between hyper-parameter refits the tuner only *appends* target rows to
 //! the joint Cholesky factor ([`linalg::Cholesky::extend`] keeps every
@@ -7,8 +8,31 @@
 //! substitution `v = L⁻¹ k*` — stays valid as a *prefix*: only the `q`
 //! newly conditioned rows are missing. A [`PredictCache`] stores that
 //! prefix per candidate so the next sweep pays O(n·q) per still-undecided
-//! candidate (q new kernel entries + a q-row tail substitution, see
-//! `Cholesky::solve_lower_only_tail`) instead of O(n²) from scratch.
+//! candidate (q new kernel entries and a q-row tail substitution) instead
+//! of O(n²) from scratch.
+//!
+//! ## Lane layout
+//!
+//! The cache is a list of lane blocks. A block holds up to
+//! [`crate::PREDICT_BLOCK`] candidates ("lanes") side by side: its `k*`
+//! and `v` panels are row-major *factor row × lane* matrices, so one
+//! factor row of every lane is one contiguous slice, and every lane of a
+//! block covers the same number of factor rows. An index maps each
+//! candidate id to its (block, lane).
+//!
+//! - A **warm sweep** appends the `q` new kernel rows to a block, runs the
+//!   tail substitution across all its lanes at once
+//!   ([`linalg::Cholesky::solve_lower_only_tail_panel`], which reads each
+//!   old `v` row once for all `q` tail rows), and reduces `k*·α` across
+//!   the lanes row by row. `‖v‖²` is a per-lane running sum that only the
+//!   new rows add to. Each lane still accumulates in the scalar path's
+//!   order, so every output is bit-identical to
+//!   [`crate::TransferGp::predict_latent`].
+//! - A **miss** chunk's multi-RHS solve already yields `K*` and `V` in
+//!   this layout, so it becomes a block as it is.
+//! - A call extends every block it reads as a whole, including lanes it
+//!   does not query, so a block never mixes row counts. That is why each
+//!   lane also keeps its query input.
 //!
 //! ## Invalidation laws
 //!
@@ -16,46 +40,155 @@
 //!    fallback inside `condition_on`) replaces the factor wholesale; the
 //!    model's fit epoch changes and
 //!    [`crate::TransferGp::predict_latent_batch_cached`] clears the whole
-//!    cache on the mismatch. Entries never survive a factor they were not
+//!    cache on the mismatch. Lanes never survive a factor they were not
 //!    computed against.
 //! 2. **Standardization / weight changes** (every `condition_on` re-fits
 //!    the target standardizer and recomputes α) need *no* invalidation:
-//!    entries hold only factor-space state (`k*`, `v`); means and
+//!    lanes hold only factor-space state (`k*`, `v`, `‖v‖²`); means and
 //!    variances are reduced from them afresh on every sweep with the
 //!    model's current α and standardizer.
 //! 3. **Candidate retirement**: [`PredictCache::begin_sweep`] drops every
-//!    entry not touched by the previous sweep, so candidates that were
-//!    classified or pruned since then stop occupying memory after one
-//!    sweep boundary.
+//!    lane the previous sweep did not query. Each block then moves its
+//!    last live lanes into the holes, and blocks of equal row count are
+//!    packed (the emptied ones freed), so dead lanes cost neither memory
+//!    nor SIMD work past one sweep boundary. Within a sweep, every call
+//!    (the active set, then pool refinement) hits every lane the previous
+//!    sweep queried.
 //!
 //! The cache never changes results: the cached path is bit-for-bit
 //! identical to the from-scratch batch predict (asserted by the gp unit
-//! tests and `testkit`'s differential suite).
+//! tests and `testkit`'s differential suites).
 
 use std::collections::HashMap;
 
 use crate::counters;
 
-/// One cached candidate: the cross-kernel column and its forward
-/// substitution against the factor rows that existed when it was last
-/// refreshed (always `k_star.len() == v.len()`), plus the sweep stamp of
-/// its last use.
-#[derive(Debug, Clone)]
-pub(crate) struct CacheEntry {
-    pub(crate) k_star: Vec<f64>,
+/// Up to [`crate::PREDICT_BLOCK`] cached candidates side by side. Panels
+/// are `rows × stride`, row-major; lanes `0..ids.len()` are live and the
+/// rest of each row is unused capacity (holes left by retirements).
+#[derive(Debug)]
+pub(crate) struct LaneBlock {
+    /// Factor rows every lane covers.
+    pub(crate) rows: usize,
+    /// Lane capacity: the row length of both panels.
+    pub(crate) stride: usize,
+    /// `k* = k(X, x*)`, one column per lane.
+    pub(crate) k: Vec<f64>,
+    /// `v = L⁻¹k*`, one column per lane.
     pub(crate) v: Vec<f64>,
+    /// Per lane: the caller's candidate id.
+    pub(crate) ids: Vec<u64>,
+    /// Per lane: the sweep that last queried it.
+    pub(crate) touched: Vec<u64>,
+    /// Per lane: `‖v‖²`, summed in row order.
+    pub(crate) vv: Vec<f64>,
+    /// Per lane: the query input, `dim` values each.
+    pub(crate) xs: Vec<f64>,
+    /// Input dimension.
+    pub(crate) dim: usize,
+}
+
+impl LaneBlock {
+    /// Live lanes.
+    pub(crate) fn lanes(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The query input of `lane`.
+    pub(crate) fn x(&self, lane: usize) -> &[f64] {
+        &self.xs[lane * self.dim..(lane + 1) * self.dim]
+    }
+
+    /// Makes room for `extra` appended rows in both panels. Growth is
+    /// at least an eighth of a panel, so a few warm sweeps share one
+    /// reallocation and at most an eighth of a panel sits unused (a
+    /// doubling `Vec` leaves up to half).
+    pub(crate) fn reserve_rows(&mut self, extra: usize) {
+        let need = extra * self.stride;
+        let grow = need.max(self.k.len() / 8);
+        for panel in [&mut self.k, &mut self.v] {
+            if panel.capacity() - panel.len() < need {
+                panel.reserve_exact(grow);
+            }
+        }
+    }
+
+    /// Drops every lane not touched in `sweep`, moving the block's last
+    /// live lanes into the holes. Returns how many lanes were dropped.
+    fn retain_touched(&mut self, sweep: u64) -> usize {
+        let before = self.lanes();
+        let mut lane = 0;
+        while lane < self.lanes() {
+            if self.touched[lane] == sweep {
+                lane += 1;
+                continue;
+            }
+            let last = self.lanes() - 1;
+            if lane != last {
+                for i in 0..self.rows {
+                    let row = i * self.stride;
+                    self.k[row + lane] = self.k[row + last];
+                    self.v[row + lane] = self.v[row + last];
+                }
+                let d = self.dim;
+                self.xs.copy_within(last * d..(last + 1) * d, lane * d);
+            }
+            self.ids.swap_remove(lane);
+            self.touched.swap_remove(lane);
+            self.vv.swap_remove(lane);
+            self.xs.truncate(last * self.dim);
+        }
+        before - self.lanes()
+    }
+
+    /// Moves `src`'s last lane into the first free lane of `self` (same
+    /// row count, a free lane left).
+    fn take_last_lane(&mut self, src: &mut LaneBlock) {
+        debug_assert!(self.rows == src.rows && self.lanes() < self.stride);
+        let (from, to) = (src.lanes() - 1, self.lanes());
+        for i in 0..self.rows {
+            self.k[i * self.stride + to] = src.k[i * src.stride + from];
+            self.v[i * self.stride + to] = src.v[i * src.stride + from];
+        }
+        self.xs.extend_from_slice(src.x(from));
+        self.ids.push(src.ids.pop().expect("source lane exists"));
+        self.touched
+            .push(src.touched.pop().expect("source lane exists"));
+        self.vv.push(src.vv.pop().expect("source lane exists"));
+        src.xs.truncate(from * src.dim);
+    }
+}
+
+/// Where one query of a cached sweep gets its answer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source {
+    /// A cached lane: (block, lane).
+    Lane(usize, usize),
+    /// The `n`-th distinct missing id of the call.
+    Miss(usize),
+}
+
+/// How a cached sweep serves its queries: per query its [`Source`], the
+/// blocks it reads (ascending) and the query index of each distinct miss.
+#[derive(Debug)]
+pub(crate) struct SweepPlan {
+    pub(crate) sources: Vec<Source>,
+    pub(crate) read_blocks: Vec<usize>,
+    pub(crate) misses: Vec<usize>,
 }
 
 /// Per-model, per-objective solve cache for
 /// [`crate::TransferGp::predict_latent_batch_cached`]. See the module
-/// docs for the invalidation laws.
+/// docs for the lane layout and the invalidation laws.
 #[derive(Debug, Default)]
 pub struct PredictCache {
-    /// Fit epoch of the model the entries were computed against.
+    /// Fit epoch of the model the lanes were computed against.
     pub(crate) epoch: u64,
-    /// Monotone sweep counter; entries carry the stamp of their last use.
+    /// Monotone sweep counter; lanes carry the stamp of their last use.
     sweep: u64,
-    pub(crate) entries: HashMap<u64, (CacheEntry, u64)>,
+    pub(crate) blocks: Vec<LaneBlock>,
+    /// Candidate id → (block, lane).
+    index: HashMap<u64, (usize, usize)>,
 }
 
 impl PredictCache {
@@ -66,32 +199,36 @@ impl PredictCache {
 
     /// Number of cached candidates.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// `true` when no candidate is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
-    /// Starts a new sweep: drops every entry the *previous* sweep did not
-    /// touch (its candidate was classified or pruned, so it will never be
-    /// queried again) and advances the sweep stamp. Call once per tuner
-    /// iteration, before the iteration's first cached predict; the
-    /// iteration may then run several cached predicts (active set, pool
-    /// refinement) that all share the sweep.
+    /// Starts a new sweep: drops every lane the *previous* sweep did not
+    /// query (its candidate was classified or pruned, so it will never be
+    /// queried again), compacts the blocks, and advances the sweep stamp.
+    /// Call once per tuner iteration, before the iteration's first cached
+    /// predict; the iteration may then run several cached predicts
+    /// (active set, pool refinement) that all share the sweep.
     pub fn begin_sweep(&mut self) {
         let sweep = self.sweep;
-        let before = self.entries.len();
-        self.entries.retain(|_, (_, touched)| *touched == sweep);
-        let evicted = before - self.entries.len();
+        let evicted: usize = self
+            .blocks
+            .iter_mut()
+            .map(|b| b.retain_touched(sweep))
+            .sum();
         if evicted > 0 {
             counters::add_predict_cache_evictions(evicted as u64);
+            self.pack();
+            self.reindex();
         }
         self.sweep += 1;
     }
 
-    /// The current sweep stamp (entries refreshed now carry it).
+    /// The current sweep stamp (lanes queried now carry it).
     pub(crate) fn sweep(&self) -> u64 {
         self.sweep
     }
@@ -99,11 +236,107 @@ impl PredictCache {
     /// Drops everything, counting the evictions — the epoch-mismatch
     /// (refit) path.
     pub(crate) fn clear_stale(&mut self, new_epoch: u64) {
-        if !self.entries.is_empty() {
-            counters::add_predict_cache_evictions(self.entries.len() as u64);
-            self.entries.clear();
+        if !self.index.is_empty() {
+            counters::add_predict_cache_evictions(self.index.len() as u64);
         }
+        self.blocks.clear();
+        self.index.clear();
         self.epoch = new_epoch;
+    }
+
+    /// Drops every block covering more than `rows` factor rows. None can
+    /// exist at a matching epoch; this is a defensive guard.
+    pub(crate) fn drop_longer_than(&mut self, rows: usize) {
+        let before = self.index.len();
+        if self.blocks.iter().any(|b| b.rows > rows) {
+            self.blocks.retain(|b| b.rows <= rows);
+            self.reindex();
+            counters::add_predict_cache_evictions((before - self.index.len()) as u64);
+        }
+    }
+
+    /// Looks every query id up: a cached lane, or a miss. A repeated
+    /// missing id shares its first occurrence's miss.
+    pub(crate) fn plan(&self, ids: &[u64]) -> SweepPlan {
+        let mut read = vec![false; self.blocks.len()];
+        let mut fresh: HashMap<u64, usize> = HashMap::new();
+        let mut misses = Vec::new();
+        let sources = ids
+            .iter()
+            .enumerate()
+            .map(|(q, id)| match self.index.get(id) {
+                Some(&(b, l)) => {
+                    read[b] = true;
+                    Source::Lane(b, l)
+                }
+                None => Source::Miss(*fresh.entry(*id).or_insert_with(|| {
+                    misses.push(q);
+                    misses.len() - 1
+                })),
+            })
+            .collect();
+        SweepPlan {
+            sources,
+            read_blocks: (0..read.len()).filter(|&b| read[b]).collect(),
+            misses,
+        }
+    }
+
+    /// Appends a freshly solved block and indexes its lanes.
+    pub(crate) fn push_block(&mut self, block: LaneBlock) {
+        let b = self.blocks.len();
+        for (l, &id) in block.ids.iter().enumerate() {
+            self.index.insert(id, (b, l));
+        }
+        self.blocks.push(block);
+    }
+
+    /// Marks a lane as queried in the current sweep.
+    pub(crate) fn touch(&mut self, block: usize, lane: usize) {
+        self.blocks[block].touched[lane] = self.sweep;
+    }
+
+    /// Packs blocks of equal row count: the last lanes of the group's
+    /// smallest blocks fill the holes of its largest, and emptied blocks
+    /// are freed. At most one block per row count keeps holes.
+    fn pack(&mut self) {
+        self.blocks.retain(|b| b.lanes() > 0);
+        self.blocks
+            .sort_by_key(|b| (b.rows, std::cmp::Reverse(b.stride)));
+        let mut g0 = 0;
+        while g0 < self.blocks.len() {
+            let rows = self.blocks[g0].rows;
+            let g1 = g0
+                + self.blocks[g0..]
+                    .iter()
+                    .take_while(|b| b.rows == rows)
+                    .count();
+            let (mut dst, mut src) = (g0, g1 - 1);
+            loop {
+                while dst < src && self.blocks[dst].lanes() == self.blocks[dst].stride {
+                    dst += 1;
+                }
+                if dst >= src {
+                    break;
+                }
+                let (head, tail) = self.blocks.split_at_mut(src);
+                head[dst].take_last_lane(&mut tail[0]);
+                if tail[0].lanes() == 0 {
+                    src -= 1;
+                }
+            }
+            g0 = g1;
+        }
+        self.blocks.retain(|b| b.lanes() > 0);
+    }
+
+    fn reindex(&mut self) {
+        self.index.clear();
+        for (b, block) in self.blocks.iter().enumerate() {
+            for (l, &id) in block.ids.iter().enumerate() {
+                self.index.insert(id, (b, l));
+            }
+        }
     }
 }
 
@@ -111,39 +344,130 @@ impl PredictCache {
 mod tests {
     use super::*;
 
-    fn entry(p: usize) -> CacheEntry {
-        CacheEntry {
-            k_star: vec![0.0; p],
-            v: vec![0.0; p],
+    /// A `rows`-row block whose `k` entry (i, lane) is `id + i/1000` and
+    /// whose `v` entry is its negation, so moved lanes are recognizable.
+    fn block(rows: usize, stride: usize, ids: &[u64], sweep: u64) -> LaneBlock {
+        let mut k = vec![f64::NAN; rows * stride];
+        for i in 0..rows {
+            for (l, &id) in ids.iter().enumerate() {
+                k[i * stride + l] = id as f64 + i as f64 / 1000.0;
+            }
+        }
+        let v = k.iter().map(|x| -x).collect();
+        LaneBlock {
+            rows,
+            stride,
+            k,
+            v,
+            ids: ids.to_vec(),
+            touched: vec![sweep; ids.len()],
+            vv: ids.iter().map(|&id| id as f64).collect(),
+            xs: ids.iter().flat_map(|&id| [id as f64, 0.5]).collect(),
+            dim: 2,
         }
     }
 
+    /// Every lane's column, metadata and input still belong to its id,
+    /// and the index points at it.
+    fn assert_consistent(cache: &PredictCache) {
+        let mut lanes = 0;
+        for (b, blk) in cache.blocks.iter().enumerate() {
+            assert!(blk.lanes() <= blk.stride);
+            for (l, &id) in blk.ids.iter().enumerate() {
+                lanes += 1;
+                assert_eq!(cache.index[&id], (b, l));
+                assert_eq!(blk.vv[l], id as f64);
+                assert_eq!(blk.x(l), &[id as f64, 0.5]);
+                for i in 0..blk.rows {
+                    let want = id as f64 + i as f64 / 1000.0;
+                    assert_eq!(blk.k[i * blk.stride + l], want, "id {id} row {i}");
+                    assert_eq!(blk.v[i * blk.stride + l], -want, "id {id} row {i}");
+                }
+            }
+        }
+        assert_eq!(lanes, cache.len());
+    }
+
     #[test]
-    fn begin_sweep_retains_only_touched_entries() {
+    fn begin_sweep_retains_only_touched_lanes() {
         let mut cache = PredictCache::new();
         cache.begin_sweep(); // sweep 0 -> 1
         let s = cache.sweep();
-        cache.entries.insert(7, (entry(3), s));
-        cache.entries.insert(9, (entry(3), s));
+        cache.push_block(block(3, 2, &[7, 9], s));
         cache.begin_sweep(); // both touched last sweep: kept
         assert_eq!(cache.len(), 2);
-        // Only candidate 7 is touched this sweep.
-        let s = cache.sweep();
-        cache.entries.get_mut(&7).unwrap().1 = s;
-        cache.begin_sweep(); // 9 was not touched: evicted
+        // Only candidate 7 is queried this sweep.
+        let plan = cache.plan(&[7]);
+        let Source::Lane(b, l) = plan.sources[0] else {
+            panic!("7 is cached")
+        };
+        cache.touch(b, l);
+        cache.begin_sweep(); // 9 was not queried: evicted
         assert_eq!(cache.len(), 1);
-        assert!(cache.entries.contains_key(&7));
-        cache.begin_sweep(); // 7 not touched either: empty again
+        assert!(cache.index.contains_key(&7));
+        assert_consistent(&cache);
+        cache.begin_sweep(); // 7 not queried either: empty again
         assert!(cache.is_empty());
+        assert!(cache.blocks.is_empty(), "an emptied block is freed");
+    }
+
+    #[test]
+    fn compaction_fills_holes_and_frees_emptied_blocks() {
+        let mut cache = PredictCache::new();
+        let s = cache.sweep();
+        cache.push_block(block(4, 4, &[0, 1, 2, 3], s));
+        cache.push_block(block(4, 4, &[10, 11, 12, 13], s));
+        cache.push_block(block(4, 2, &[20, 21], s));
+        cache.push_block(block(6, 3, &[30, 31, 32], s));
+        // Retire 0 and 2 of the first block, 11 of the second, 31 of the
+        // block with another row count.
+        for id in [0, 2, 11, 31] {
+            let (b, l) = cache.index[&id];
+            cache.blocks[b].touched[l] = u64::MAX;
+        }
+        cache.begin_sweep();
+        assert_eq!(cache.len(), 9);
+        assert_consistent(&cache);
+        // The 4-row lanes (1, 3, 10, 12, 13, 20, 21) pack into the two
+        // stride-4 blocks; the stride-2 block is emptied and freed.
+        let shapes: Vec<(usize, usize, usize)> = cache
+            .blocks
+            .iter()
+            .map(|b| (b.rows, b.stride, b.lanes()))
+            .collect();
+        assert_eq!(shapes, vec![(4, 4, 4), (4, 4, 3), (6, 3, 2)]);
+    }
+
+    #[test]
+    fn plan_shares_a_repeated_miss_and_lists_read_blocks() {
+        let mut cache = PredictCache::new();
+        let s = cache.sweep();
+        cache.push_block(block(2, 2, &[1, 2], s));
+        cache.push_block(block(2, 1, &[3], s));
+        let plan = cache.plan(&[3, 8, 8, 9, 3]);
+        assert_eq!(plan.read_blocks, vec![1]);
+        assert_eq!(plan.misses, vec![1, 3]);
+        assert!(matches!(plan.sources[2], Source::Miss(0)));
+        assert!(matches!(plan.sources[3], Source::Miss(1)));
+        assert!(matches!(plan.sources[4], Source::Lane(1, 0)));
     }
 
     #[test]
     fn clear_stale_drops_everything_and_moves_epoch() {
         let mut cache = PredictCache::new();
         let s = cache.sweep();
-        cache.entries.insert(1, (entry(2), s));
+        cache.push_block(block(2, 1, &[1], s));
         cache.clear_stale(42);
         assert!(cache.is_empty());
+        assert!(cache.blocks.is_empty());
         assert_eq!(cache.epoch, 42);
+    }
+
+    #[test]
+    fn reserve_rows_grows_by_an_eighth_at_least() {
+        let mut b = block(16, 4, &[1, 2, 3, 4], 0);
+        b.reserve_rows(1);
+        assert!(b.k.capacity() >= 16 * 4 + 8 && b.k.capacity() < 2 * 16 * 4);
+        assert_eq!(b.k.capacity(), b.v.capacity());
     }
 }

@@ -5,7 +5,7 @@ use linalg::{Cholesky, Matrix};
 
 use crate::fan_out;
 use crate::kernel::{Kernel, SquaredExponential, Task, TransferKernel};
-use crate::predict_cache::{CacheEntry, PredictCache};
+use crate::predict_cache::{LaneBlock, PredictCache, Source};
 use crate::standardize::Standardizer;
 use crate::{GpError, Result};
 
@@ -288,8 +288,7 @@ impl TransferGp {
             corner[(i, i)] += self.config.noise_target + self.jitter;
         }
 
-        let mut chol = self.post.chol.clone();
-        if chol.extend(&cross, &corner).is_err() {
+        let Ok(chol) = self.post.chol.extended(&cross, &corner) else {
             // Numerically rejected: fall back to a full refit, which can
             // escalate jitter. Rebuild owned task data from stored state.
             let source = TaskData::from_shared(Arc::clone(&self.x_source), self.y_source.clone());
@@ -299,7 +298,7 @@ impl TransferGp {
             yt.extend_from_slice(new_y);
             *self = TransferGp::fit(source, TaskData::new(xt, yt), self.config.clone())?;
             return Ok(());
-        }
+        };
 
         // Every fallible step runs on locals first, so a failure leaves
         // `self` exactly as it was (the documented error contract), never
@@ -452,19 +451,22 @@ impl TransferGp {
     /// (q appended target rows), the candidate pays q new kernel entries
     /// plus a q-row tail substitution instead of a from-scratch column —
     /// O(P·n·q) per sweep instead of O(P·n²) over P undecided candidates.
+    /// The cache holds candidates in lane blocks, so that work runs across
+    /// a block's candidates at once (see the `predict_cache` module docs).
     ///
     /// Results are **bitwise identical** to
     /// [`TransferGp::predict_latent_batch`] at any worker count and any
     /// hit/miss mix: cached prefixes are bit-stable because
     /// [`Cholesky::extend`] never rewrites old factor rows, the tail
-    /// substitution replays the exact from-scratch recurrence, and means
-    /// and variances are reduced from factor-space state afresh each call
-    /// with the current weights and standardizer (so conditioning's α and
-    /// standardizer updates need no invalidation). A fit-epoch mismatch
-    /// (any full refit) clears the cache wholesale before the sweep.
+    /// substitution replays the exact from-scratch recurrence in every
+    /// lane, and means are reduced from factor-space state afresh each
+    /// call with the current weights and standardizer (so conditioning's
+    /// α and standardizer updates need no invalidation). A fit-epoch
+    /// mismatch (any full refit) clears the cache wholesale before the
+    /// sweep.
     ///
     /// Call [`PredictCache::begin_sweep`] once per tuner iteration before
-    /// the first cached sweep so entries whose candidates were classified
+    /// the first cached sweep so lanes whose candidates were classified
     /// or pruned stop occupying memory.
     ///
     /// # Errors
@@ -488,105 +490,131 @@ impl TransferGp {
         if cache.epoch != self.fit_epoch {
             cache.clear_stale(self.fit_epoch);
         }
-        let p = self.post.len();
-        let chunks: Vec<&[Vec<f64>]> = xs.chunks(PREDICT_BLOCK).collect();
-        crate::counters::add_predict_chunks(chunks.len() as u64);
+        cache.drop_longer_than(self.post.len());
+        let plan = cache.plan(ids);
+        let miss_chunks: Vec<&[usize]> = plan.misses.chunks(PREDICT_BLOCK).collect();
+        let n_read = plan.read_blocks.len();
+        crate::counters::add_predict_chunks((n_read + miss_chunks.len()) as u64);
 
-        // Drain this sweep's entries from the map serially, pre-split
-        // into per-chunk owned batches each worker takes whole. An entry
-        // longer than the current factor cannot exist at a matching epoch;
-        // drop it defensively as a miss.
-        let mut taken = ids.iter().map(|id| {
-            cache
-                .entries
-                .remove(id)
-                .map(|(e, _)| e)
-                .filter(|e| e.k_star.len() <= p)
+        // Every read block is extended by one task, which owns it
+        // through its (uncontended) lock; every miss chunk becomes a new
+        // block. Each task answers for all lanes of its block.
+        let sweep = cache.sweep();
+        let blocks: Vec<Mutex<LaneBlock>> = std::mem::take(&mut cache.blocks)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        let outs = fan_out(n_read + miss_chunks.len(), workers, |task| -> Result<_> {
+            if let Some(&b) = plan.read_blocks.get(task) {
+                let mut block = blocks[b].lock().expect("predict cache block poisoned");
+                self.extend_block(&mut block)?;
+                Ok((self.predict_block(&block), None))
+            } else {
+                let chunk = miss_chunks[task - n_read];
+                let block = self.miss_block(chunk.iter().map(|&q| (ids[q], &xs[q])), sweep)?;
+                Ok((self.predict_block(&block), Some(block)))
+            }
         });
-        let chunk_inputs: Vec<Mutex<Vec<Option<CacheEntry>>>> = chunks
-            .iter()
-            .map(|chunk| Mutex::new(taken.by_ref().take(chunk.len()).collect()))
+        cache.blocks = blocks
+            .into_iter()
+            .map(|b| b.into_inner().expect("predict cache block poisoned"))
             .collect();
 
-        let outs = fan_out(chunks.len(), workers, |c| {
-            let entries = std::mem::take(
-                &mut *chunk_inputs[c]
-                    .lock()
-                    .expect("predict chunk input poisoned"),
-            );
-            self.predict_chunk_cached(chunks[c], entries)
-        });
-
-        let sweep = cache.sweep();
-        let mut out = Vec::with_capacity(xs.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let mut ids = ids.iter();
-        for chunk in outs {
-            let (chunk_out, entries, h, m) = chunk?;
-            hits += h;
-            misses += m;
-            for (entry, &id) in entries.into_iter().zip(ids.by_ref()) {
-                cache.entries.insert(id, (entry, sweep));
+        let mut answers: Vec<Vec<(f64, f64)>> = Vec::with_capacity(outs.len());
+        for out in outs {
+            let (preds, fresh) = out?;
+            if let Some(block) = fresh {
+                cache.push_block(block);
             }
-            out.extend(chunk_out);
+            answers.push(preds);
         }
-        crate::counters::add_predict_cache_hits(hits);
+        let mut task_of = vec![usize::MAX; cache.blocks.len()];
+        for (task, &b) in plan.read_blocks.iter().enumerate() {
+            task_of[b] = task;
+        }
+        let mut out = Vec::with_capacity(xs.len());
+        for &source in &plan.sources {
+            out.push(match source {
+                Source::Lane(b, l) => {
+                    cache.touch(b, l);
+                    answers[task_of[b]][l]
+                }
+                Source::Miss(m) => answers[n_read + m / PREDICT_BLOCK][m % PREDICT_BLOCK],
+            });
+        }
+        let misses = plan
+            .sources
+            .iter()
+            .filter(|s| matches!(s, Source::Miss(_)))
+            .count() as u64;
+        crate::counters::add_predict_cache_hits(ids.len() as u64 - misses);
         crate::counters::add_predict_cache_misses(misses);
         Ok(out)
     }
 
-    /// One chunk of [`TransferGp::predict_latent_batch_cached`]: extend
-    /// every hit's solve state by the factor's tail rows, send all misses
-    /// through the [`Posterior`]'s one multi-RHS block solve, then reduce
-    /// every candidate with the posterior's shared per-query reduction.
-    #[allow(clippy::type_complexity)]
-    fn predict_chunk_cached(
-        &self,
-        xs: &[Vec<f64>],
-        mut entries: Vec<Option<CacheEntry>>,
-    ) -> Result<(Vec<(f64, f64)>, Vec<CacheEntry>, u64, u64)> {
-        let rows = self.rows();
+    /// Extends every lane of a cached block by the factor rows appended
+    /// since it was last read: the new `k*` rows, one tail substitution
+    /// across the lanes, and the new rows' squares added to each lane's
+    /// `‖v‖²`. Conditioning never adds source points, so every new row is
+    /// a target row.
+    fn extend_block(&self, block: &mut LaneBlock) -> Result<()> {
         let p = self.post.len();
-        let mut hits = 0u64;
-        for (x, e) in xs.iter().zip(&mut entries) {
-            if let Some(e) = e {
-                // The cached rows cover the old factor; only appended
-                // target rows are missing (conditioning never adds source
-                // points).
-                let start = e.k_star.len();
-                for i in start..p {
-                    e.k_star.push(self.post.cross(rows, i, x));
-                }
-                self.post
-                    .chol
-                    .solve_lower_only_tail(&e.k_star[start..], &mut e.v)?;
-                hits += 1;
-            }
+        if block.rows == p {
+            return Ok(());
         }
-        let misses: Vec<usize> = (0..xs.len()).filter(|&q| entries[q].is_none()).collect();
-        if !misses.is_empty() {
-            let queries: Vec<&Vec<f64>> = misses.iter().map(|&q| &xs[q]).collect();
-            let (k_star, v) = self.post.solve_block(rows, &queries)?;
-            for (c, &q) in misses.iter().enumerate() {
-                entries[q] = Some(CacheEntry {
-                    k_star: k_star.col(c),
-                    v: v.col(c),
-                });
-            }
+        let rows = self.rows();
+        let (stride, lanes) = (block.stride, block.lanes());
+        let xt = dims_major((0..lanes).map(|l| block.x(l)), block.dim);
+        let mut k_tail = vec![0.0; (p - block.rows) * stride];
+        for (i, k_row) in (block.rows..p).zip(k_tail.chunks_exact_mut(stride)) {
+            self.post
+                .cross_lanes(rows, i, &xt, lanes, &mut k_row[..lanes]);
         }
-        let entries: Vec<CacheEntry> = entries
-            .into_iter()
-            .map(|e| e.expect("every cached chunk entry is filled"))
-            .collect();
-        let out = xs
-            .iter()
-            .zip(&entries)
-            .map(|(x, e)| {
-                self.post
-                    .reduce(x, e.k_star.iter().copied(), e.v.iter().copied())
-            })
-            .collect();
-        Ok((out, entries, hits, misses.len() as u64))
+        block.reserve_rows(p - block.rows);
+        let solved = block.v.len();
+        self.post
+            .chol
+            .solve_lower_only_tail_panel(&k_tail, &mut block.v, stride, lanes)?;
+        add_lane_squares(&block.v[solved..], stride, &mut block.vv);
+        block.k.extend_from_slice(&k_tail);
+        block.rows = p;
+        Ok(())
+    }
+
+    /// A new block for one chunk of missing candidates: the
+    /// [`Posterior`]'s multi-RHS block solve, kept in its row × lane
+    /// layout.
+    fn miss_block<'q>(
+        &self,
+        queries: impl Iterator<Item = (u64, &'q Vec<f64>)>,
+        sweep: u64,
+    ) -> Result<LaneBlock> {
+        let (ids, xs): (Vec<u64>, Vec<&Vec<f64>>) = queries.unzip();
+        let (k, v) = self.post.solve_block(self.rows(), &xs)?;
+        let stride = xs.len();
+        let mut vv = vec![0.0; stride];
+        add_lane_squares(v.as_slice(), stride, &mut vv);
+        Ok(LaneBlock {
+            rows: self.post.len(),
+            stride,
+            k: k.into_vec(),
+            v: v.into_vec(),
+            touched: vec![sweep; stride],
+            ids,
+            vv,
+            xs: xs.iter().flat_map(|x| x.iter().copied()).collect(),
+            dim: self.post.dim(),
+        })
+    }
+
+    /// Predictions for every lane of an up-to-date block.
+    fn predict_block(&self, block: &LaneBlock) -> Vec<(f64, f64)> {
+        self.post.predict_lanes(
+            &block.k,
+            block.stride,
+            &block.vv,
+            (0..block.lanes()).map(|l| block.x(l)),
+        )
     }
 
     /// Log marginal likelihood of the joint (standardized) data.
@@ -822,12 +850,13 @@ pub(crate) fn check_training<'a>(
 /// as `row(i) -> (input, task)` for `i < len()`.
 ///
 /// This is the only copy of the predict math: the scalar reference path,
-/// the `K*` assembly with its multi-RHS solve, the per-query reduction,
-/// and the observation-noise add. The batch reduction accumulates in the
-/// scalar path's index order, and every column of the multi-RHS solve is
-/// bit-identical to a single-RHS solve, so the exact, cached and
-/// subset-of-data sweeps return the scalar path's bits however queries
-/// are chunked, cached or spread over workers.
+/// the lane-wise `K*` assembly with its multi-RHS solve, the lane-wise
+/// reduction, and the observation-noise add. Every lane of the assembly
+/// and of the reduction accumulates in the scalar path's order, and every
+/// column of the multi-RHS solve is bit-identical to a single-RHS solve,
+/// so the exact, cached and subset-of-data sweeps return the scalar
+/// path's bits however queries are chunked, cached or spread over
+/// workers.
 #[derive(Clone)]
 struct Posterior {
     kernel: TransferKernel<SquaredExponential>,
@@ -853,6 +882,22 @@ impl Posterior {
     fn cross<'r>(&self, row: impl Fn(usize) -> (&'r [f64], Task), i: usize, x: &[f64]) -> f64 {
         let (xi, ti) = row(i);
         self.kernel.eval_task(xi, ti, x, Task::Target)
+    }
+
+    /// [`Posterior::cross`] of training row `i` with every query lane at
+    /// once: `xt` holds the queries dimension-major (see [`dims_major`]),
+    /// and `out[l]` is bit-identical to `cross(row, i, x_l)`.
+    fn cross_lanes<'r>(
+        &self,
+        row: impl Fn(usize) -> (&'r [f64], Task),
+        i: usize,
+        xt: &[f64],
+        stride: usize,
+        out: &mut [f64],
+    ) {
+        let (xi, ti) = row(i);
+        self.kernel
+            .eval_task_lanes(xi, ti, xt, Task::Target, stride, out);
     }
 
     /// Target-task prior variance at `x` minus the explained part `vv`,
@@ -889,35 +934,42 @@ impl Posterior {
         row: impl Fn(usize) -> (&'r [f64], Task) + Copy,
         xs: &[Q],
     ) -> Result<(Matrix, Matrix)> {
-        let k_star = Matrix::from_fn(self.len(), xs.len(), |i, q| {
-            self.cross(row, i, xs[q].as_ref())
-        });
+        let c = xs.len();
+        let xt = dims_major(xs.iter().map(AsRef::as_ref), self.dim());
+        let mut k = vec![0.0; self.len() * c];
+        for (i, k_row) in k.chunks_exact_mut(c).enumerate() {
+            self.cross_lanes(row, i, &xt, c, k_row);
+        }
+        let k_star = Matrix::from_vec(self.len(), c, k)?;
         let v = self.chol.solve_lower_only_multi(&k_star)?;
         Ok((k_star, v))
     }
 
-    /// The per-query reduction of every batch path: the mean `k*·α` and
-    /// `‖v‖²` accumulated in row order, exactly as the scalar path's dot
-    /// products do, then [`Posterior::finish`].
-    fn reduce(
+    /// The lane-wise finish of every batch path. `k` is a row-major
+    /// `len() × stride` panel with one query per lane; each lane's mean
+    /// `k*·α` is accumulated row by row, in the scalar path's index order,
+    /// and `vv[l]` is lane `l`'s `‖v‖²` (see [`add_lane_squares`]). The
+    /// `lanes = vv.len()` queries are `xs`.
+    fn predict_lanes<'x>(
         &self,
-        x: &[f64],
-        k_star: impl Iterator<Item = f64>,
-        v: impl Iterator<Item = f64>,
-    ) -> (f64, f64) {
-        let mut mean_z = 0.0;
-        for (k, a) in k_star.zip(&self.alpha) {
-            mean_z += k * a;
+        k: &[f64],
+        stride: usize,
+        vv: &[f64],
+        xs: impl Iterator<Item = &'x [f64]>,
+    ) -> Vec<(f64, f64)> {
+        let mut mean_z = vec![0.0; vv.len()];
+        for (row, &a) in k.chunks_exact(stride).zip(&self.alpha) {
+            for (m, &kv) in mean_z.iter_mut().zip(row) {
+                *m += kv * a;
+            }
         }
-        let mut vv = 0.0;
-        for vi in v {
-            vv += vi * vi;
-        }
-        self.finish(x, mean_z, vv)
+        xs.zip(mean_z.iter().zip(vv))
+            .map(|(x, (&m, &vv))| self.finish(x, m, vv))
+            .collect()
     }
 
     /// Batch latent prediction: [`PREDICT_BLOCK`]-sized chunks, each one
-    /// [`Posterior::solve_block`] and one reduction per query, fanned out
+    /// [`Posterior::solve_block`] and one lane-wise reduction, fanned out
     /// over `workers` threads ([`fan_out`]) and concatenated in chunk
     /// order. The chunking is fixed and a chunk never depends on its
     /// neighbours, so the output is the same bits at every worker count.
@@ -932,16 +984,14 @@ impl Posterior {
         crate::counters::add_predict_chunks(chunks.len() as u64);
         let block = |chunk: &[Vec<f64>]| -> Result<Vec<(f64, f64)>> {
             let (k_star, v) = self.solve_block(row, chunk)?;
-            let p = self.len();
-            Ok(chunk
-                .iter()
-                .enumerate()
-                .map(|(q, x)| {
-                    let (k_col, v_col) =
-                        ((0..p).map(|i| k_star[(i, q)]), (0..p).map(|i| v[(i, q)]));
-                    self.reduce(x, k_col, v_col)
-                })
-                .collect())
+            let mut vv = vec![0.0; chunk.len()];
+            add_lane_squares(v.as_slice(), chunk.len(), &mut vv);
+            Ok(self.predict_lanes(
+                k_star.as_slice(),
+                chunk.len(),
+                &vv,
+                chunk.iter().map(Vec::as_slice),
+            ))
         };
         let mut out = Vec::with_capacity(xs.len());
         for chunk in fan_out(chunks.len(), workers, |c| block(chunks[c])) {
@@ -954,6 +1004,26 @@ impl Posterior {
     /// latent prediction.
     fn observed(&self, (mean, var): (f64, f64)) -> (f64, f64) {
         (mean, var + self.std_target.inverse_var(self.noise_target))
+    }
+}
+
+/// The points `xs` laid out dimension-major: entry `t·n + l` is
+/// coordinate `t` of point `l`, for `n` points of dimension `dim`.
+fn dims_major<'x>(xs: impl Iterator<Item = &'x [f64]> + Clone, dim: usize) -> Vec<f64> {
+    (0..dim)
+        .flat_map(|t| xs.clone().map(move |x| x[t]))
+        .collect()
+}
+
+/// Adds the squares of a row-major `stride`-wide panel's rows to the
+/// per-lane sums `acc` (lanes `0..acc.len()`), row by row — the scalar
+/// path's `‖v‖²` order, so a sum over a prefix continued over the rest is
+/// the sum over the whole column.
+fn add_lane_squares(v: &[f64], stride: usize, acc: &mut [f64]) {
+    for row in v.chunks_exact(stride) {
+        for (a, &x) in acc.iter_mut().zip(row) {
+            *a += x * x;
+        }
     }
 }
 

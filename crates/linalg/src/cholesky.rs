@@ -1,5 +1,7 @@
 use crate::counters;
-use crate::solve::{solve_lower, solve_lower_multi, solve_lower_tail, solve_lower_transposed};
+use crate::solve::{
+    solve_lower, solve_lower_multi, solve_lower_tail_panel, solve_lower_transposed,
+};
 use crate::{LinalgError, Matrix, Result};
 
 /// Panel width of the blocked factorization: every inner product is
@@ -373,20 +375,28 @@ impl Cholesky {
         solve_lower_multi(&self.l, b)
     }
 
-    /// Extends a previously computed `L z = b` solution by the factor's
-    /// trailing rows: `z` holds the solved prefix and `b_tail` the
-    /// right-hand side for the remaining `self.dim() - z.len()` rows (see
-    /// [`solve_lower_tail`]). Because [`Cholesky::extend`] leaves the old
-    /// factor rows bit-identical, the result equals a from-scratch
-    /// [`Cholesky::solve_lower_only`] on the extended system, bit for
-    /// bit, at O(n·q) instead of O(n²) cost.
+    /// Extends `stride`-wide panels of previously computed `L Z = B`
+    /// solutions by the factor's trailing rows: `z` holds the solved
+    /// prefix rows and `b_tail` the right-hand sides of the remaining
+    /// rows, both row-major with `stride` values per row, of which lanes
+    /// `0..lanes` are solved (see [`solve_lower_tail_panel`]). Because
+    /// [`Cholesky::extend`] leaves the old factor rows bit-identical,
+    /// every lane equals a from-scratch [`Cholesky::solve_lower_only`] of
+    /// its column on the extended system, bit for bit, at O(n·q) instead
+    /// of O(n²) cost.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if
-    /// `z.len() + b_tail.len() != self.dim()`.
-    pub fn solve_lower_only_tail(&self, b_tail: &[f64], z: &mut Vec<f64>) -> Result<()> {
-        solve_lower_tail(&self.l, b_tail, z)
+    /// Returns [`LinalgError::ShapeMismatch`] if the panels do not add up
+    /// to `self.dim()` rows of `stride` values.
+    pub fn solve_lower_only_tail_panel(
+        &self,
+        b_tail: &[f64],
+        z: &mut Vec<f64>,
+        stride: usize,
+        lanes: usize,
+    ) -> Result<()> {
+        solve_lower_tail_panel(&self.l, b_tail, z, stride, lanes)
     }
 
     /// Extends the factorization in place with `k` appended rows/columns:
@@ -407,12 +417,24 @@ impl Cholesky {
     ///
     /// # Errors
     ///
+    /// The errors of [`Cholesky::extended`].
+    pub fn extend(&mut self, cross: &Matrix, corner: &Matrix) -> Result<()> {
+        *self = self.extended(cross, corner)?;
+        Ok(())
+    }
+
+    /// The factor [`Cholesky::extend`] would produce, as a new value:
+    /// `self` is only read, and the old rows are copied once, straight
+    /// into the extended factor.
+    ///
+    /// # Errors
+    ///
     /// - [`LinalgError::ShapeMismatch`] if `cross` is not `n × k` or
     ///   `corner` is not `k × k`.
     /// - [`LinalgError::NotPositiveDefinite`] if the extended matrix is
     ///   not positive definite; the pivot index refers to the extended
     ///   matrix (i.e. it is ≥ `n`).
-    pub fn extend(&mut self, cross: &Matrix, corner: &Matrix) -> Result<()> {
+    pub fn extended(&self, cross: &Matrix, corner: &Matrix) -> Result<Cholesky> {
         let n = self.dim();
         let k = corner.rows();
         if cross.rows() != n || cross.cols() != k || corner.cols() != k {
@@ -423,7 +445,7 @@ impl Cholesky {
             });
         }
         if k == 0 {
-            return Ok(());
+            return Ok(self.clone());
         }
         // The extension's own O(n²k + nk² + k³/3) work; the inner
         // `solve_lower_multi` and `Cholesky::new(schur)` count their
@@ -462,8 +484,7 @@ impl Cholesky {
             }
             row[n..=n + r].copy_from_slice(&l22.l.row(r)[..=r]);
         }
-        self.l = l;
-        Ok(())
+        Ok(Cholesky { l })
     }
 
     /// Log-determinant of `A`: `2 Σ log L[i][i]`.
@@ -664,8 +685,8 @@ mod tests {
     fn extend_plus_tail_solve_is_bitwise_from_scratch() {
         // The predict-cache law: extend() keeps the old factor rows
         // bit-identical, so a cached prefix z = L₁₁⁻¹ b₁ extended by
-        // solve_lower_only_tail equals solve_lower_only on the extended
-        // factor, bit for bit.
+        // solve_lower_only_tail_panel equals solve_lower_only on the
+        // extended factor, bit for bit.
         for &(n, k) in &[(3usize, 1usize), (5, 2), (9, 4)] {
             let a = spd(n + k, (n * 7 + k) as u64);
             let mut inc = Cholesky::new(&a.submatrix(0, n, 0, n)).unwrap();
@@ -676,7 +697,8 @@ mod tests {
                 &a.submatrix(n, n + k, n, n + k),
             )
             .unwrap();
-            inc.solve_lower_only_tail(&b[n..], &mut z).unwrap();
+            inc.solve_lower_only_tail_panel(&b[n..], &mut z, 1, 1)
+                .unwrap();
             let scratch = inc.solve_lower_only(&b).unwrap();
             assert_eq!(z, scratch, "n={n} k={k}");
         }

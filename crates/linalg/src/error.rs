@@ -28,7 +28,7 @@ pub enum LinalgError {
         /// Value encountered at the pivot (≤ 0 or non-finite).
         value: f64,
     },
-    /// LU factorization hit a (numerically) singular pivot.
+    /// A triangular solve hit a (numerically) vanishing diagonal pivot.
     Singular {
         /// Row/column index of the vanishing pivot.
         pivot: usize,

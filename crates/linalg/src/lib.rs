@@ -13,7 +13,6 @@
 //! - [`Matrix`]: a row-major dense matrix of `f64`.
 //! - [`Cholesky`]: `A = L·Lᵀ` factorization with solves, inverse, and
 //!   log-determinant (the workhorse of GP training and inference).
-//! - [`Lu`]: partial-pivoting LU for general square systems.
 //! - [`solve`]: forward/backward triangular substitution helpers.
 //! - [`vecops`]: free functions on `&[f64]` (dot, norms, axpy, ...).
 //!
@@ -38,7 +37,6 @@
 mod cholesky;
 pub mod counters;
 mod error;
-mod lu;
 mod matrix;
 pub mod solve;
 pub mod vecops;
@@ -46,7 +44,6 @@ pub mod vecops;
 pub use cholesky::Cholesky;
 pub use counters::LinalgCounters;
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
 
 /// Convenience alias for results returned by this crate.

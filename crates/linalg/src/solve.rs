@@ -1,8 +1,8 @@
 //! Triangular substitution solvers.
 //!
 //! These operate on full (square) [`Matrix`] storage but only read the
-//! relevant triangle, which is how the Cholesky and LU factors store their
-//! results.
+//! relevant triangle, which is how the Cholesky factor stores its
+//! result.
 
 use crate::counters;
 use crate::{LinalgError, Matrix, Result};
@@ -88,6 +88,11 @@ pub fn solve_lower_transposed(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Ok(x)
 }
 
+/// Rows of `L` one pass of [`solve_lower_multi`] solves together: each
+/// solved row of `X` is read once per pass instead of once per row, so
+/// the sweep streams `X` `n / MULTI_ROWS` times instead of `n` times.
+const MULTI_ROWS: usize = 8;
+
 /// Solves `L X = B` for all columns of `B` at once by forward
 /// substitution, reading only the lower triangle of `l`.
 ///
@@ -97,7 +102,9 @@ pub fn solve_lower_transposed(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 /// bit-for-bit in every column — batching (and any chunking of the
 /// columns across threads) cannot change results. The row-major sweep
 /// touches each `L` row once per right-hand side block instead of once
-/// per right-hand side, which is what makes batched GP prediction fast.
+/// per right-hand side, and rows are solved eight at a time, so each
+/// solved row of `X` is read once per group of eight rows instead of once
+/// per row. That is what makes batched GP prediction fast.
 ///
 /// # Errors
 ///
@@ -115,18 +122,59 @@ pub fn solve_lower_multi(l: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    let n = l.rows();
-    let k = b.cols();
+    let (n, k) = (l.rows(), b.cols());
     counters::add_tri_solve_rhs(k as u64);
-    let mut x = b.clone();
-    let data = x.as_mut_slice();
-    for i in 0..n {
+    if k == 0 {
+        return Ok(b.clone());
+    }
+    let mut x = Vec::with_capacity(n * k);
+    for rows in b.as_slice().chunks(MULTI_ROWS * k) {
+        solve_rows_into(l, rows, &mut x, k, k)?;
+    }
+    Matrix::from_vec(n, k, x)
+}
+
+/// The forward-substitution step shared by [`solve_lower_multi`] and
+/// [`solve_lower_tail_panel`]: solves the rows that follow the panel `x`
+/// (row-major, `stride` values per row, `x.len() / stride` rows solved)
+/// for the right-hand sides `b_rows` (same layout), in lanes
+/// `0..lanes`, and appends them to `x`. Lanes `lanes..stride` carry
+/// `b_rows`' values over unread.
+///
+/// Each solved row of `x` is read once and applied to every row of
+/// `b_rows`, but per (row, lane) the subtractions run in ascending column
+/// order from the right-hand side and end with one division by the
+/// diagonal — the recurrence of [`solve_lower`], bit for bit.
+///
+/// The caller checks shapes: `l` square, `x.len()` and `b_rows.len()`
+/// whole rows of `stride`, and the rows fit inside `l`. On a vanishing
+/// diagonal `x` is left unchanged.
+fn solve_rows_into(
+    l: &Matrix,
+    b_rows: &[f64],
+    x: &mut Vec<f64>,
+    stride: usize,
+    lanes: usize,
+) -> Result<()> {
+    let start = x.len() / stride;
+    let mut tail = b_rows.to_vec();
+    for (j, xj) in x.chunks_exact(stride).enumerate() {
+        let xj = &xj[..lanes];
+        for (r, acc) in tail.chunks_exact_mut(stride).enumerate() {
+            let lij = l[(start + r, j)];
+            for (out, &v) in acc[..lanes].iter_mut().zip(xj) {
+                *out -= lij * v;
+            }
+        }
+    }
+    for r in 0..b_rows.len() / stride {
+        let i = start + r;
         let row = l.row(i);
-        let (solved, rest) = data.split_at_mut(i * k);
-        let xi = &mut rest[..k];
-        for (j, xj) in solved.chunks_exact(k).enumerate() {
-            let lij = row[j];
-            for (out, &v) in xi.iter_mut().zip(xj) {
+        let (solved, rest) = tail.split_at_mut(r * stride);
+        let acc = &mut rest[..lanes];
+        for (s, xs) in solved.chunks_exact(stride).enumerate() {
+            let lij = row[start + s];
+            for (out, &v) in acc.iter_mut().zip(&xs[..lanes]) {
                 *out -= lij * v;
             }
         }
@@ -134,61 +182,67 @@ pub fn solve_lower_multi(l: &Matrix, b: &Matrix) -> Result<Matrix> {
         if d.abs() < f64::MIN_POSITIVE {
             return Err(LinalgError::Singular { pivot: i });
         }
-        for out in xi.iter_mut() {
+        for out in acc.iter_mut() {
             *out /= d;
         }
     }
-    Ok(x)
+    x.extend_from_slice(&tail);
+    Ok(())
 }
 
-/// Extends a partially solved forward substitution `L x = b` by its last
-/// rows: `x` holds the already-solved prefix (`x.len()` rows) and
-/// `b_tail` the right-hand side for the remaining `l.rows() - x.len()`
-/// rows; on success `x` has grown to the full solution.
+/// Extends `stride`-wide panels of partially solved forward
+/// substitutions `L X = B` by their last rows. `x` is row-major, `stride`
+/// values per row, and holds the solved prefix of every lane (`x.len() /
+/// stride` rows); `b_tail` holds the right-hand sides of the remaining
+/// rows in the same layout. Lanes `0..lanes` are solved; the values of
+/// lanes `lanes..stride` are carried over from `b_tail` unread. On
+/// success `x` has grown to `l.rows()` rows.
 ///
 /// Row `i` of [`solve_lower`] reads only `x[0..i]` and row `i` of the
 /// lower triangle, with a fixed left-to-right accumulation order. This
-/// function replays that exact recurrence for the tail rows, so after a
-/// [`crate::Cholesky::extend`] (which copies the old factor rows
-/// unchanged) the combined prefix + tail is bit-for-bit identical to a
-/// from-scratch `solve_lower` on the extended system. That identity is
-/// what lets a predict cache reuse `L⁻¹ k(X, x*)` across conditioning
-/// steps and only pay for the appended rows: O(n·q) per cached vector
-/// instead of O(n²).
+/// function replays that exact recurrence in every lane: each solved
+/// prefix row is read once and applied to all tail rows, but per (tail
+/// row, lane) the subtractions still run in ascending column order and
+/// end with the same division. So after a [`crate::Cholesky::extend`]
+/// (which copies the old factor rows unchanged) every lane of prefix +
+/// tail is bit-for-bit a from-scratch `solve_lower` of that column of the
+/// extended system. That identity is what lets a predict cache reuse
+/// `L⁻¹ k(X, x*)` across conditioning steps and only pay for the
+/// appended rows: O(n·q) per cached lane instead of O(n²).
 ///
 /// # Errors
 ///
 /// - [`LinalgError::NotSquare`] if `l` is not square.
-/// - [`LinalgError::ShapeMismatch`] if `x.len() + b_tail.len() != l.rows()`.
+/// - [`LinalgError::ShapeMismatch`] if `stride` is 0, `lanes > stride`,
+///   either panel is not a whole number of rows, or the two row counts do
+///   not add up to `l.rows()`.
 /// - [`LinalgError::Singular`] if a tail diagonal entry vanishes (`x` is
-///   left partially extended in that case and should be discarded).
-pub fn solve_lower_tail(l: &Matrix, b_tail: &[f64], x: &mut Vec<f64>) -> Result<()> {
+///   left unchanged in that case).
+pub fn solve_lower_tail_panel(
+    l: &Matrix,
+    b_tail: &[f64],
+    x: &mut Vec<f64>,
+    stride: usize,
+    lanes: usize,
+) -> Result<()> {
     if !l.is_square() {
         return Err(LinalgError::NotSquare { shape: l.shape() });
     }
     let n = l.rows();
-    let start = x.len();
-    if start + b_tail.len() != n {
+    let whole = |len: usize| stride > 0 && len.is_multiple_of(stride);
+    if lanes > stride
+        || !whole(x.len())
+        || !whole(b_tail.len())
+        || (x.len() + b_tail.len()) / stride != n
+    {
         return Err(LinalgError::ShapeMismatch {
-            op: "solve_lower_tail",
+            op: "solve_lower_tail_panel",
             lhs: l.shape(),
-            rhs: (start + b_tail.len(), 1),
+            rhs: ((x.len() + b_tail.len()) / stride.max(1), stride),
         });
     }
-    counters::add_tri_solve_tail_rows(b_tail.len() as u64);
-    for (i, &bi) in (start..n).zip(b_tail) {
-        let mut s = bi;
-        let row = l.row(i);
-        for (j, xj) in x.iter().enumerate().take(i) {
-            s -= row[j] * xj;
-        }
-        let d = row[i];
-        if d.abs() < f64::MIN_POSITIVE {
-            return Err(LinalgError::Singular { pivot: i });
-        }
-        x.push(s / d);
-    }
-    Ok(())
+    counters::add_tri_solve_tail_rows((b_tail.len() / stride * lanes) as u64);
+    solve_rows_into(l, b_tail, x, stride, lanes)
 }
 
 fn check_triangular_args(m: &Matrix, b: &[f64], op: &'static str) -> Result<()> {
@@ -294,6 +348,40 @@ mod tests {
         ));
     }
 
+    /// A well-conditioned lower triangle with a varied diagonal.
+    fn lower(n: usize) -> Matrix {
+        Matrix::from_fn(n, n, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Less => 0.0,
+            std::cmp::Ordering::Equal => 1.5 + (i % 5) as f64 * 0.3,
+            std::cmp::Ordering::Greater => ((i * 31 + j * 17) % 23) as f64 / 23.0 - 0.45,
+        })
+    }
+
+    #[test]
+    fn multi_solve_is_bitwise_the_per_column_solve() {
+        // Every residue of the row count around the row-group height, and
+        // several column counts.
+        for n in (1..=3 * MULTI_ROWS + 1).chain([61]) {
+            let l = lower(n);
+            for k in [1usize, 3, 8] {
+                let b = Matrix::from_fn(n, k, |i, c| ((i * 13 + c * 7) % 19) as f64 / 3.0 - 2.9);
+                let x = solve_lower_multi(&l, &b).unwrap();
+                for c in 0..k {
+                    let col = solve_lower(&l, &b.col(c)).unwrap();
+                    for (i, v) in col.iter().enumerate() {
+                        assert_eq!(x[(i, c)].to_bits(), v.to_bits(), "n={n} k={k} ({i},{c})");
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            solve_lower_multi(&lower(4), &Matrix::zeros(4, 0))
+                .unwrap()
+                .shape(),
+            (4, 0)
+        );
+    }
+
     #[test]
     fn tail_solve_matches_full_solve_bitwise() {
         let l = Matrix::from_rows(&[
@@ -303,12 +391,35 @@ mod tests {
             &[-0.7, 0.9, 1.7, 2.5],
         ])
         .unwrap();
-        let b = [1.0, 4.0, -3.0, 0.75];
-        let full = solve_lower(&l, &b).unwrap();
-        for split in 0..=b.len() {
-            let mut x = full[..split].to_vec();
-            solve_lower_tail(&l, &b[split..], &mut x).unwrap();
-            assert_eq!(x, full, "split at {split} must reproduce the full solve");
+        // Three lanes of right-hand sides in a 4-wide panel; the fourth
+        // lane is padding and must come through unread.
+        let (stride, lanes) = (4, 3);
+        let cols: Vec<Vec<f64>> = vec![
+            vec![1.0, 4.0, -3.0, 0.75],
+            vec![-2.0, 0.5, 1.25, 3.0],
+            vec![0.0, -1.0, 2.0, -0.5],
+        ];
+        let full: Vec<Vec<f64>> = cols.iter().map(|b| solve_lower(&l, b).unwrap()).collect();
+        let panel = |src: &[Vec<f64>], rows: std::ops::Range<usize>| -> Vec<f64> {
+            rows.flat_map(|i| (0..stride).map(move |c| if c < lanes { src[c][i] } else { 9.0 }))
+                .collect()
+        };
+        for split in 0..=4 {
+            let mut x = panel(&full, 0..split);
+            solve_lower_tail_panel(&l, &panel(&cols, split..4), &mut x, stride, lanes).unwrap();
+            assert_eq!(x.len(), 4 * stride);
+            for i in 0..4 {
+                for c in 0..lanes {
+                    assert_eq!(
+                        x[i * stride + c].to_bits(),
+                        full[c][i].to_bits(),
+                        "split at {split}, lane {c}, row {i}"
+                    );
+                }
+                if i >= split {
+                    assert_eq!(x[i * stride + lanes], 9.0, "padding lane is carried over");
+                }
+            }
         }
     }
 
@@ -317,19 +428,27 @@ mod tests {
         let l = Matrix::from_rows(&[&[2.0, 0.0], &[1.0, 3.0]]).unwrap();
         let mut x = vec![0.5];
         assert!(matches!(
-            solve_lower_tail(&Matrix::zeros(2, 3), &[1.0], &mut x).unwrap_err(),
+            solve_lower_tail_panel(&Matrix::zeros(2, 3), &[1.0], &mut x, 1, 1).unwrap_err(),
             LinalgError::NotSquare { .. }
         ));
+        for (b, stride, lanes) in [(&[1.0, 2.0][..], 1, 1), (&[1.0], 0, 0), (&[1.0], 1, 2)] {
+            assert!(matches!(
+                solve_lower_tail_panel(&l, b, &mut x, stride, lanes).unwrap_err(),
+                LinalgError::ShapeMismatch { .. }
+            ));
+        }
+        let mut pair = vec![0.5, 0.25, 1.0];
         assert!(matches!(
-            solve_lower_tail(&l, &[1.0, 2.0], &mut x).unwrap_err(),
+            solve_lower_tail_panel(&l, &[1.0], &mut pair, 2, 2).unwrap_err(),
             LinalgError::ShapeMismatch { .. }
         ));
         let sing = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.0]]).unwrap();
         let mut x = vec![1.0];
         assert!(matches!(
-            solve_lower_tail(&sing, &[1.0], &mut x).unwrap_err(),
+            solve_lower_tail_panel(&sing, &[1.0], &mut x, 1, 1).unwrap_err(),
             LinalgError::Singular { pivot: 1 }
         ));
+        assert_eq!(x, vec![1.0], "a failed tail leaves the prefix as it was");
     }
 
     #[test]

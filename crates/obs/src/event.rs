@@ -282,7 +282,7 @@ pub enum Event {
         /// Right-hand sides pushed through triangular solves.
         tri_solve_rhs: u64,
         /// Hyperparameter-search objective evaluations served from the
-        /// FitCache's precomputed distance cache.
+        /// FitCache (pre-validated inputs, no model rebuild).
         fitcache_hits: u64,
         /// Full model constructions from raw data (cache misses).
         fitcache_misses: u64,

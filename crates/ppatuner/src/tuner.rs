@@ -638,39 +638,7 @@ impl PpaTuner {
             resume_from,
         )?;
         state.initialize()?;
-        for t in 0..self.config.max_iterations {
-            state.go_live_if_drained(t)?;
-            if !state.statuses.contains(&Status::Undecided) {
-                break;
-            }
-            state.iterations = t + 1;
-            let iter_start = Instant::now();
-            let iter_span = state.tracer.open("iteration", Some(&state.run_span));
-            let iter_resources = GpCounters::snapshot();
-            if state.tracing() {
-                observer.emit(&iter_span.start_event());
-            }
-            // Attempts logged before this iteration: whether it logged any
-            // decides whether it is a checkpoint boundary.
-            let log_mark = state.log.len();
-            let gp_fit_s = state.calibrate(t, &iter_span)?;
-            let predict_s = state.predict(t)?;
-            // When classification just settled the last undecided
-            // candidate, or selection finds nothing informative to
-            // measure, the iteration is still recorded and checkpointed
-            // like any other before the loop stops, so a resumed run can
-            // skip straight past it.
-            let stop =
-                state.classify(t, &iter_span) || !state.select_and_evaluate(t, &iter_span)?;
-            state.record(t, iter_start, &iter_resources, gp_fit_s, predict_s);
-            state.checkpoint(t, log_mark, &iter_span)?;
-            if state.tracing() {
-                observer.emit(&state.tracer.end_event(&iter_span));
-            }
-            if stop {
-                break;
-            }
-        }
+        state.run_loop()?;
         // A run whose last checkpoint is also its last iteration replays
         // its whole loop; the snapshot is verified here instead.
         state.go_live_if_drained(state.iterations)?;
@@ -748,6 +716,9 @@ struct RunState<'a, 'o> {
     /// pays only the new tail. Refits invalidate via the fit epoch.
     /// Results are bit-identical either way.
     predict_caches: Vec<PredictCache>,
+    /// Whether the last predict sweep ran on the exact arm, whose caches
+    /// then hold every still-undecided candidate at the current models.
+    exact_sweep: bool,
     /// Degraded-mode supervisor: calibrations served by a last-good model
     /// in total, and in consecutive iterations (past
     /// `degraded_fit_budget`, the run aborts). Replay re-derives both, so
@@ -838,6 +809,7 @@ impl<'a, 'o> RunState<'a, 'o> {
             models: None,
             conditioned_upto: Vec::new(),
             predict_caches: Vec::new(),
+            exact_sweep: false,
             degraded_total: 0,
             degraded_streak: 0,
             last_degraded_cause: String::new(),
@@ -847,6 +819,45 @@ impl<'a, 'o> RunState<'a, 'o> {
             history: Vec::new(),
             iterations: 0,
         })
+    }
+
+    /// Algorithm 1's iterations, until no candidate is undecided,
+    /// selection finds nothing informative to measure, or
+    /// `max_iterations` have run.
+    fn run_loop(&mut self) -> Result<()> {
+        for t in 0..self.config.max_iterations {
+            self.go_live_if_drained(t)?;
+            if !self.statuses.contains(&Status::Undecided) {
+                break;
+            }
+            self.iterations = t + 1;
+            let iter_start = Instant::now();
+            let iter_span = self.tracer.open("iteration", Some(&self.run_span));
+            let iter_resources = GpCounters::snapshot();
+            if self.tracing() {
+                self.observer.emit(&iter_span.start_event());
+            }
+            // Attempts logged before this iteration: whether it logged any
+            // decides whether it is a checkpoint boundary.
+            let log_mark = self.log.len();
+            let gp_fit_s = self.calibrate(t, &iter_span)?;
+            let predict_s = self.predict(t)?;
+            // When classification just settled the last undecided
+            // candidate, or selection finds nothing informative to
+            // measure, the iteration is still recorded and checkpointed
+            // like any other before the loop stops, so a resumed run can
+            // skip straight past it.
+            let stop = self.classify(t, &iter_span) || !self.select_and_evaluate(t, &iter_span)?;
+            self.record(t, iter_start, &iter_resources, gp_fit_s, predict_s);
+            self.checkpoint(t, log_mark, &iter_span)?;
+            if self.tracing() {
+                self.observer.emit(&self.tracer.end_event(&iter_span));
+            }
+            if stop {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Whether run-structure events go out: live (not replaying) and
@@ -1212,6 +1223,7 @@ impl<'a, 'o> RunState<'a, 'o> {
         for cache in &mut self.predict_caches {
             cache.begin_sweep();
         }
+        self.exact_sweep = sod.is_none();
         let (tau, workers) = (self.config.tau, self.workers);
         let boxes = predict_boxes(
             models,
@@ -1843,7 +1855,14 @@ impl<'a, 'o> RunState<'a, 'o> {
     /// the loop stopped before full classification and
     /// `include_predicted_front` is set) the surrogate's predicted front
     /// over the still-undecided candidates, then the measured front.
-    fn final_candidates(&self) -> Result<Vec<usize>> {
+    ///
+    /// The models have not changed since the loop's last predict sweep.
+    /// After an exact sweep the predicted means are read from its warm
+    /// caches: every undecided candidate was in that sweep, so each is a
+    /// hit with no tail left to solve. After a subset sweep the exact
+    /// means are predicted uncached, so the caches do not grow. Both give
+    /// the same bits.
+    fn final_candidates(&mut self) -> Result<Vec<usize>> {
         let mut out: Vec<usize> = (0..self.candidates.len())
             .filter(|&i| self.statuses[i] == Status::Pareto)
             .collect();
@@ -1860,9 +1879,14 @@ impl<'a, 'o> RunState<'a, 'o> {
                     .iter()
                     .map(|&i| self.candidates[i].clone())
                     .collect();
+                let ids: Vec<u64> = undecided.iter().map(|&i| i as u64).collect();
                 let mut mus: Vec<Vec<f64>> = vec![Vec::with_capacity(self.n_obj); undecided.len()];
-                for model in models {
-                    let preds = model.predict_latent_batch(&queries, self.workers)?;
+                for (model, cache) in models.iter().zip(&mut self.predict_caches) {
+                    let preds = if self.exact_sweep {
+                        model.predict_latent_batch_cached(&ids, &queries, self.workers, cache)?
+                    } else {
+                        model.predict_latent_batch(&queries, self.workers)?
+                    };
                     for (q, (mu, _)) in preds.into_iter().enumerate() {
                         mus[q].push(mu);
                     }
@@ -3230,6 +3254,70 @@ mod tests {
             .resume(&source, &candidates, &mut fresh, &NULL_SINK, &crash_point)
             .unwrap();
         assert_same_outcome(&full, &resumed);
+    }
+
+    /// The final predicted front reads the last sweep's warm caches on the
+    /// exact arm and predicts uncached on the subset arm; either way it
+    /// must name the same candidates as an uncached recomputation. Every
+    /// undecided candidate is a cache hit (no cache grows), and the subset
+    /// arm leaves its caches empty.
+    #[test]
+    fn final_front_matches_an_uncached_recomputation() {
+        let (candidates, truth) = toy(60);
+        let source = shifted_source(&candidates, &truth);
+        for (arm, sod_threshold) in [("exact", usize::MAX), ("subset", 10)] {
+            let config = PpaTunerConfig {
+                max_iterations: 3,
+                include_predicted_front: true,
+                sod_threshold,
+                sod_subset: 48,
+                ..slow_config()
+            };
+            let mut oracle = VecOracle::new(truth.clone());
+            let mut state = RunState::new(
+                &config,
+                &source,
+                &candidates,
+                OracleRef::from(&mut oracle),
+                &NULL_SINK,
+                None,
+                None,
+            )
+            .unwrap();
+            state.initialize().unwrap();
+            state.run_loop().unwrap();
+            assert_eq!(state.iterations, config.max_iterations, "{arm}");
+            classify(&state.regions, &mut state.statuses, &state.delta);
+            assert!(
+                state.statuses.contains(&Status::Undecided),
+                "{arm}: the loop must stop with candidates undecided"
+            );
+            assert_eq!(state.exact_sweep, arm == "exact");
+            let lens = |s: &RunState| -> Vec<usize> {
+                s.predict_caches.iter().map(PredictCache::len).collect()
+            };
+            let before = lens(&state);
+
+            let final_set = state.final_candidates().unwrap();
+            assert_eq!(lens(&state), before, "{arm}: a final-front query missed");
+            if arm == "subset" {
+                assert!(before.iter().all(|&n| n == 0), "{arm}: {before:?}");
+            } else {
+                assert!(before.iter().all(|&n| n > 0), "{arm}: {before:?}");
+            }
+            state.exact_sweep = false;
+            let uncached = state.final_candidates().unwrap();
+            assert_eq!(final_set, uncached, "{arm}");
+            assert!(
+                final_set.len()
+                    > state
+                        .statuses
+                        .iter()
+                        .filter(|s| **s == Status::Pareto)
+                        .count(),
+                "{arm}: the predicted front must contribute"
+            );
+        }
     }
 
     #[test]

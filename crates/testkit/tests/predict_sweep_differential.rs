@@ -8,7 +8,7 @@
 //!
 //! - **Correctness (1e-9 vs the dense reference)**: the cached sweep —
 //!   before *and after* incremental conditioning, i.e. through the
-//!   `Cholesky::extend` + `solve_lower_only_tail` path — agrees with a
+//!   `Cholesky::extend` + `solve_lower_only_tail_panel` path — agrees with a
 //!   from-scratch dense-inverse posterior of the same (conditioned)
 //!   training set within [`testkit::diff::DIFF_TOL`].
 //! - **Bitwise equivalence**: the cached sweep and the parallel sweep
@@ -16,13 +16,21 @@
 //!   every worker count, on sweeps spanning several `PREDICT_BLOCK`
 //!   chunks with a partial last one. The tuner's determinism contract
 //!   (traces independent of `workers` and cache warmth) rests on this.
+//! - **Lane-panel churn**: one cache driven through many sweeps of
+//!   conditioning, retirements (block compaction), appended ids, second
+//!   calls within a sweep and a refit still answers every query with the
+//!   scalar path's bits, and holds exactly the candidates the
+//!   invalidation laws keep.
 //!
 //! Each case re-seeds its own generator from the shared
 //! [`testkit::test_seed`] and the case index, so a failure message alone
 //! reproduces the input. The `#[ignore]`d deep suites re-run the drivers
 //! with 10× the cases; CI runs them in the `--include-ignored` step.
 
-use gp::{PredictCache, TaskData};
+use std::collections::BTreeSet;
+
+use gp::{PredictCache, TaskData, TransferGp};
+use rand::seq::SliceRandom;
 use testkit::diff::{assert_close, assert_close_tol};
 use testkit::{gen, refgp};
 
@@ -192,6 +200,136 @@ fn parallel_invariance_driver(cases: u64, pool: usize) {
     }
 }
 
+/// Asserts a cached sweep's answers against the scalar path, query by
+/// query.
+fn assert_scalar_bits(
+    what: &str,
+    case: u64,
+    model: &TransferGp,
+    xs: &[Vec<f64>],
+    got: &[(f64, f64)],
+) {
+    let want: Vec<(f64, f64)> = xs
+        .iter()
+        .map(|x| model.predict_latent(x).expect("scalar predict"))
+        .collect();
+    assert_bitwise(what, case, got, &want);
+}
+
+/// One [`PredictCache`] over `sweeps` sweeps of a growing model. Each
+/// sweep may condition on q ∈ {0..5} points (one sweep refits instead,
+/// a new epoch), retires random candidates, queries the survivors in a
+/// random order (sometimes with a repeated id), then makes a second call
+/// within the sweep with appended ids, some candidates retired in this
+/// sweep and some already answered. Every answer must carry the scalar
+/// path's bits, and the cache must hold exactly the candidates the
+/// previous sweep queried plus those queried since (all of them dropped
+/// at a refit).
+fn lane_panel_driver(cases: u64, sweeps: usize) {
+    use rand::Rng;
+    for case in 0..cases {
+        let mut rng = gen::case_rng(testkit::test_seed(), case ^ 0x1a9e);
+        let dim = rng.gen_range(1..=3usize);
+        let (source, target, config) = gen::gp_problem(&mut rng, dim);
+        let mut model = TransferGp::fit(source.clone(), target.clone(), config.clone())
+            .expect("fast transfer GP fits well-conditioned fuzz input");
+        let (mut tx, mut ty) = (target.x.as_ref().clone(), target.y.clone());
+        let workers = [1, 2, 4][case as usize % 3];
+        let pool = rng.gen_range(1..=2 * gp::PREDICT_BLOCK + 40);
+        let mut xs = gen::gp_queries(&mut rng, &target, dim, pool);
+        let mut active: Vec<u64> = (0..pool as u64).collect();
+        let refit_at = rng.gen_range(1..sweeps);
+        let mut cache = PredictCache::new();
+        // The ids queried since the last sweep boundary (or refit), and
+        // the fit epoch the cache was last used at.
+        let mut now = BTreeSet::new();
+        let mut epoch = model.fit_epoch();
+        for sweep in 0..sweeps {
+            let q = if sweep == 0 {
+                0
+            } else {
+                rng.gen_range(0..=5usize)
+            };
+            let new_x: Vec<Vec<f64>> = (0..q)
+                .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
+                .collect();
+            let new_y: Vec<f64> = (0..q).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            tx.extend(new_x.iter().cloned());
+            ty.extend_from_slice(&new_y);
+            if sweep == refit_at {
+                let grown = TaskData::new(tx.clone(), ty.clone());
+                model = TransferGp::fit(source.clone(), grown, config.clone())
+                    .expect("refit on the grown target");
+            } else if q > 0 {
+                model
+                    .condition_on(&new_x, &new_y)
+                    .expect("incremental conditioning on fuzz points");
+            }
+
+            cache.begin_sweep();
+            // The ids the cache must hold.
+            let mut cached = std::mem::take(&mut now);
+            assert_eq!(
+                cache.len(),
+                cached.len(),
+                "case {case} sweep {sweep}: retained"
+            );
+            let fresh = rng.gen_range(0..=9usize);
+            let base = xs.len() as u64;
+            xs.extend(gen::gp_queries(&mut rng, &target, dim, fresh));
+            let mut call = |ids: &[u64], what: &str, cache: &mut PredictCache| {
+                if model.fit_epoch() != epoch {
+                    // A refit (or condition_on's full-refit fallback)
+                    // clears the cache at the next call.
+                    epoch = model.fit_epoch();
+                    cached.clear();
+                    now.clear();
+                }
+                let queries: Vec<Vec<f64>> =
+                    ids.iter().map(|&id| xs[id as usize].clone()).collect();
+                let got = model
+                    .predict_latent_batch_cached(ids, &queries, workers, cache)
+                    .expect("cached sweep");
+                let what = format!("{what} sweep {sweep} q={q} workers={workers}");
+                assert_scalar_bits(&what, case, &model, &queries, &got);
+                now.extend(ids.iter().copied());
+                cached.extend(ids.iter().copied());
+                assert_eq!(cache.len(), cached.len(), "case {case} {what}: cached ids");
+            };
+
+            // Retire a random share, then query the rest in random order.
+            let retire = rng.gen_range(0.0..0.3);
+            let (kept, retired): (Vec<u64>, Vec<u64>) =
+                active.iter().partition(|_| !rng.gen_bool(retire));
+            active = kept;
+            let mut first = active.clone();
+            first.shuffle(&mut rng);
+            if !first.is_empty() && rng.gen_bool(0.2) {
+                let dup = first[rng.gen_range(0..first.len())];
+                first.push(dup);
+            }
+            call(&first, "first call", &mut cache);
+
+            // Second call: appended ids, plus some retired this sweep
+            // (still cached: the previous sweep queried them) and some
+            // already answered in this sweep (no tail left).
+            let mut second: Vec<u64> = (base..base + fresh as u64).collect();
+            second.extend(retired.iter().filter(|_| rng.gen_bool(0.5)));
+            second.extend(active.iter().filter(|_| rng.gen_bool(0.05)));
+            second.shuffle(&mut rng);
+            if !second.is_empty() {
+                call(&second, "second call", &mut cache);
+            }
+            active.extend(base..base + fresh as u64);
+        }
+    }
+}
+
+#[test]
+fn lane_panel_cache_survives_churn_bitwise() {
+    lane_panel_driver(24, 10);
+}
+
 #[test]
 fn cached_incremental_predict_matches_dense_reference() {
     cached_predict_driver(CASES, 4);
@@ -208,6 +346,12 @@ fn parallel_predict_is_chunk_and_worker_invariant() {
 #[ignore = "10x-depth stress suite, run via --include-ignored"]
 fn deep_cached_incremental_predict() {
     cached_predict_driver(10_000, 5);
+}
+
+#[test]
+#[ignore = "10x-depth stress suite, run via --include-ignored"]
+fn deep_lane_panel_churn() {
+    lane_panel_driver(240, 10);
 }
 
 #[test]

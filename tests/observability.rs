@@ -1,8 +1,16 @@
-//! End-to-end check of the telemetry contract: a real (small) tuning run
-//! observed through the recording sink emits a complete, consistent trace.
+//! End-to-end checks of the telemetry contract: a real (small) tuning run
+//! observed through the recording sink emits a complete, consistent
+//! trace, and an observer that is not `enabled()` receives no call at all.
 
-use obs::{Event, RecordingSink};
-use ppatuner::{PpaTuner, PpaTunerConfig, SourceData, VecOracle};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use obs::{Event, Observer, RecordingSink};
+use pdsim::FaultPlan;
+use ppatuner::{
+    inject_fit_faults, FitFaultPlan, MemoryCheckpointStore, PpaTuner, PpaTunerConfig, SourceData,
+    VecOracle,
+};
+use testkit::chaos::FaultyVecOracle;
 
 #[test]
 fn small_run_emits_a_complete_trace() {
@@ -77,5 +85,106 @@ fn small_run_emits_a_complete_trace() {
     for e in &events {
         let line = serde_json::to_string(e).expect("event serializes");
         assert_eq!(serde_json::from_str::<Event>(&line).expect("parses"), *e);
+    }
+}
+
+/// Counts every `emit` it receives; `enabled()` is fixed.
+struct CountingObserver {
+    enabled: bool,
+    emits: AtomicUsize,
+}
+
+impl CountingObserver {
+    fn new(enabled: bool) -> Self {
+        CountingObserver {
+            enabled,
+            emits: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl Observer for CountingObserver {
+    fn emit(&self, _event: &Event) {
+        self.emits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+}
+
+/// Telemetry is free when turned off, as a law rather than a timing: over
+/// full checkpointed runs at q = 1 and q = 4, through tool faults
+/// (crashes, timeouts, NaN and outlier QoR, retries, quarantines) and
+/// injected calibration faults (degraded fits), and over a resume from the
+/// last checkpoint, an observer whose `enabled()` is false gets no `emit`
+/// call. The same runs through an enabled observer do emit, and give the
+/// same result.
+#[test]
+fn a_disabled_observer_receives_no_events() {
+    let scenario = benchgen::Scenario::two_with_counts(9, 120, 100).with_source_budget(60);
+    let space = pdsim::ObjectiveSpace::PowerDelay;
+    let candidates = scenario.target_candidates();
+    let truth = scenario.target_table(space);
+    let (sx, sy) = scenario.source_xy(space);
+    let source = SourceData::new(sx, sy).expect("source");
+    let faults = FaultPlan {
+        seed: 1009,
+        crash_prob: 0.12,
+        timeout_prob: 0.06,
+        nan_prob: 0.04,
+        outlier_prob: 0.03,
+        flaky_max_failures: 2,
+        always_fail: vec![27, 56],
+        ..FaultPlan::default()
+    };
+    let fit_faults = FitFaultPlan {
+        seed: 77,
+        refit_fail: 0.5,
+        fallback_fail: 0.3,
+        condition_fail: 0.2,
+    };
+    for q in [1, 4] {
+        let config = PpaTunerConfig {
+            initial_samples: 10,
+            max_iterations: 6,
+            refit_every: 2,
+            batch_size: q,
+            max_eval_attempts: faults.flaky_max_failures + 2,
+            degraded_fit_budget: 12,
+            seed: testkit::test_seed(),
+            workers: 2,
+            ..Default::default()
+        };
+        let run = |observer: &CountingObserver| {
+            let _armed = inject_fit_faults(fit_faults.clone());
+            let store = MemoryCheckpointStore::new();
+            let mut oracle = FaultyVecOracle::new(truth.clone(), faults.clone());
+            let full = PpaTuner::new(config.clone())
+                .run_checkpointed(&source, &candidates, &mut oracle, observer, &store)
+                .expect("faulty run completes");
+            let mut fresh = FaultyVecOracle::new(truth.clone(), faults.clone());
+            let resumed = PpaTuner::new(config.clone())
+                .resume(&source, &candidates, &mut fresh, observer, &store)
+                .expect("resume completes");
+            assert!(store.latest().is_some(), "q = {q}: no checkpoint written");
+            (full, resumed)
+        };
+
+        let off = CountingObserver::new(false);
+        let (full, resumed) = run(&off);
+        assert!(full.eval_failures > 0, "q = {q}: no tool fault injected");
+        assert!(
+            full.degraded_fits > 0,
+            "q = {q}: no calibration fault injected"
+        );
+        assert_eq!(full.pareto_indices, resumed.pareto_indices, "q = {q}");
+        assert_eq!(off.emits.load(Ordering::Relaxed), 0, "q = {q}: emit calls");
+
+        let on = CountingObserver::new(true);
+        let (traced, _) = run(&on);
+        assert!(on.emits.load(Ordering::Relaxed) > 0, "q = {q}: control");
+        assert_eq!(traced.pareto_indices, full.pareto_indices, "q = {q}");
+        assert_eq!(traced.runs, full.runs, "q = {q}");
     }
 }
