@@ -4,31 +4,33 @@
 //! Between hyper-parameter refits the tuner only *appends* target rows to
 //! the joint Cholesky factor ([`linalg::Cholesky::extend`] keeps every
 //! old factor row bit-identical), so the expensive part of a candidate's
-//! prediction — the cross-kernel column `k* = k(X, x*)` and its forward
-//! substitution `v = L⁻¹ k*` — stays valid as a *prefix*: only the `q`
+//! prediction — the forward substitution `v = L⁻¹ k*` of its cross-kernel
+//! column `k* = k(X, x*)` — stays valid as a *prefix*: only the `q`
 //! newly conditioned rows are missing. A [`PredictCache`] stores that
 //! prefix per candidate so the next sweep pays O(n·q) per still-undecided
 //! candidate (q new kernel entries and a q-row tail substitution) instead
-//! of O(n²) from scratch.
+//! of O(n²) from scratch. `v` is all a candidate needs: its mean is
+//! `v·w` with the model's weights `w = L⁻¹z`, its variance comes from
+//! `‖v‖²`, so `k*` itself is never stored.
 //!
 //! ## Lane layout
 //!
 //! The cache is a list of lane blocks. A block holds up to
-//! [`crate::PREDICT_BLOCK`] candidates ("lanes") side by side: its `k*`
-//! and `v` panels are row-major *factor row × lane* matrices, so one
-//! factor row of every lane is one contiguous slice, and every lane of a
-//! block covers the same number of factor rows. An index maps each
-//! candidate id to its (block, lane).
+//! [`crate::PREDICT_BLOCK`] candidates ("lanes") side by side: its `v`
+//! panel is a row-major *factor row × lane* matrix, so one factor row of
+//! every lane is one contiguous slice, and every lane of a block covers
+//! the same number of factor rows. An index maps each candidate id to its
+//! (block, lane).
 //!
-//! - A **warm sweep** appends the `q` new kernel rows to a block, runs the
-//!   tail substitution across all its lanes at once
+//! - A **warm sweep** computes the `q` new kernel rows of a block as a
+//!   temporary, runs the tail substitution across all its lanes at once
 //!   ([`linalg::Cholesky::solve_lower_only_tail_panel`], which reads each
-//!   old `v` row once for all `q` tail rows), and reduces `k*·α` across
-//!   the lanes row by row. `‖v‖²` is a per-lane running sum that only the
-//!   new rows add to. Each lane still accumulates in the scalar path's
-//!   order, so every output is bit-identical to
-//!   [`crate::TransferGp::predict_latent`].
-//! - A **miss** chunk's multi-RHS solve already yields `K*` and `V` in
+//!   old `v` row once for all `q` tail rows and appends the solved rows),
+//!   and reduces `v·w` across the lanes row by row. `‖v‖²` is a per-lane
+//!   running sum that only the new rows add to. Each lane still
+//!   accumulates in the scalar path's order, so every output is
+//!   bit-identical to [`crate::TransferGp::predict_latent`].
+//! - A **miss** chunk's multi-RHS solve overwrites its `K*` with `V` in
 //!   this layout, so it becomes a block as it is.
 //! - A call extends every block it reads as a whole, including lanes it
 //!   does not query, so a block never mixes row counts. That is why each
@@ -43,10 +45,11 @@
 //!    cache on the mismatch. Lanes never survive a factor they were not
 //!    computed against.
 //! 2. **Standardization / weight changes** (every `condition_on` re-fits
-//!    the target standardizer and recomputes α) need *no* invalidation:
-//!    lanes hold only factor-space state (`k*`, `v`, `‖v‖²`); means and
-//!    variances are reduced from them afresh on every sweep with the
-//!    model's current α and standardizer.
+//!    the target standardizer and recomputes `w`) need *no* invalidation:
+//!    lanes hold only factor-space state (`v`, `‖v‖²`); means are
+//!    recomputed from `v` and the model's current `w` on every sweep, and
+//!    both means and variances are de-standardized with its current
+//!    standardizer.
 //! 3. **Candidate retirement**: [`PredictCache::begin_sweep`] drops every
 //!    lane the previous sweep did not query. Each block then moves its
 //!    last live lanes into the holes, and blocks of equal row count are
@@ -63,18 +66,16 @@ use std::collections::HashMap;
 
 use crate::counters;
 
-/// Up to [`crate::PREDICT_BLOCK`] cached candidates side by side. Panels
-/// are `rows × stride`, row-major; lanes `0..ids.len()` are live and the
-/// rest of each row is unused capacity (holes left by retirements).
+/// Up to [`crate::PREDICT_BLOCK`] cached candidates side by side. The
+/// panel is `rows × stride`, row-major; lanes `0..ids.len()` are live and
+/// the rest of each row is unused capacity (holes left by retirements).
 #[derive(Debug)]
 pub(crate) struct LaneBlock {
     /// Factor rows every lane covers.
     pub(crate) rows: usize,
-    /// Lane capacity: the row length of both panels.
+    /// Lane capacity: the row length of the panel.
     pub(crate) stride: usize,
-    /// `k* = k(X, x*)`, one column per lane.
-    pub(crate) k: Vec<f64>,
-    /// `v = L⁻¹k*`, one column per lane.
+    /// `v = L⁻¹k*` with `k* = k(X, x*)`, one column per lane.
     pub(crate) v: Vec<f64>,
     /// Per lane: the caller's candidate id.
     pub(crate) ids: Vec<u64>,
@@ -99,17 +100,14 @@ impl LaneBlock {
         &self.xs[lane * self.dim..(lane + 1) * self.dim]
     }
 
-    /// Makes room for `extra` appended rows in both panels. Growth is
-    /// at least an eighth of a panel, so a few warm sweeps share one
+    /// Makes room for `extra` appended rows in the panel. Growth is at
+    /// least an eighth of the panel, so a few warm sweeps share one
     /// reallocation and at most an eighth of a panel sits unused (a
     /// doubling `Vec` leaves up to half).
     pub(crate) fn reserve_rows(&mut self, extra: usize) {
         let need = extra * self.stride;
-        let grow = need.max(self.k.len() / 8);
-        for panel in [&mut self.k, &mut self.v] {
-            if panel.capacity() - panel.len() < need {
-                panel.reserve_exact(grow);
-            }
+        if self.v.capacity() - self.v.len() < need {
+            self.v.reserve_exact(need.max(self.v.len() / 8));
         }
     }
 
@@ -125,10 +123,8 @@ impl LaneBlock {
             }
             let last = self.lanes() - 1;
             if lane != last {
-                for i in 0..self.rows {
-                    let row = i * self.stride;
-                    self.k[row + lane] = self.k[row + last];
-                    self.v[row + lane] = self.v[row + last];
+                for row in self.v.chunks_exact_mut(self.stride) {
+                    row[lane] = row[last];
                 }
                 let d = self.dim;
                 self.xs.copy_within(last * d..(last + 1) * d, lane * d);
@@ -146,9 +142,12 @@ impl LaneBlock {
     fn take_last_lane(&mut self, src: &mut LaneBlock) {
         debug_assert!(self.rows == src.rows && self.lanes() < self.stride);
         let (from, to) = (src.lanes() - 1, self.lanes());
-        for i in 0..self.rows {
-            self.k[i * self.stride + to] = src.k[i * src.stride + from];
-            self.v[i * self.stride + to] = src.v[i * src.stride + from];
+        for (dst, row) in self
+            .v
+            .chunks_exact_mut(self.stride)
+            .zip(src.v.chunks_exact(src.stride))
+        {
+            dst[to] = row[from];
         }
         self.xs.extend_from_slice(src.x(from));
         self.ids.push(src.ids.pop().expect("source lane exists"));
@@ -344,20 +343,18 @@ impl PredictCache {
 mod tests {
     use super::*;
 
-    /// A `rows`-row block whose `k` entry (i, lane) is `id + i/1000` and
-    /// whose `v` entry is its negation, so moved lanes are recognizable.
+    /// A `rows`-row block whose `v` entry (i, lane) is `id + i/1000`, so
+    /// moved lanes are recognizable; holes are NaN.
     fn block(rows: usize, stride: usize, ids: &[u64], sweep: u64) -> LaneBlock {
-        let mut k = vec![f64::NAN; rows * stride];
+        let mut v = vec![f64::NAN; rows * stride];
         for i in 0..rows {
             for (l, &id) in ids.iter().enumerate() {
-                k[i * stride + l] = id as f64 + i as f64 / 1000.0;
+                v[i * stride + l] = id as f64 + i as f64 / 1000.0;
             }
         }
-        let v = k.iter().map(|x| -x).collect();
         LaneBlock {
             rows,
             stride,
-            k,
             v,
             ids: ids.to_vec(),
             touched: vec![sweep; ids.len()],
@@ -378,10 +375,10 @@ mod tests {
                 assert_eq!(cache.index[&id], (b, l));
                 assert_eq!(blk.vv[l], id as f64);
                 assert_eq!(blk.x(l), &[id as f64, 0.5]);
+                assert_eq!(blk.v.len(), blk.rows * blk.stride);
                 for i in 0..blk.rows {
                     let want = id as f64 + i as f64 / 1000.0;
-                    assert_eq!(blk.k[i * blk.stride + l], want, "id {id} row {i}");
-                    assert_eq!(blk.v[i * blk.stride + l], -want, "id {id} row {i}");
+                    assert_eq!(blk.v[i * blk.stride + l], want, "id {id} row {i}");
                 }
             }
         }
@@ -467,7 +464,13 @@ mod tests {
     fn reserve_rows_grows_by_an_eighth_at_least() {
         let mut b = block(16, 4, &[1, 2, 3, 4], 0);
         b.reserve_rows(1);
-        assert!(b.k.capacity() >= 16 * 4 + 8 && b.k.capacity() < 2 * 16 * 4);
-        assert_eq!(b.k.capacity(), b.v.capacity());
+        let cap = b.v.capacity();
+        assert!((16 * 4 + 8..2 * 16 * 4).contains(&cap));
+        // The next rows fit the reserved eighth without a reallocation.
+        b.reserve_rows(2);
+        assert_eq!(b.v.capacity(), cap);
+        // A request past it grows by at least the request.
+        b.reserve_rows(8);
+        assert!(b.v.capacity() >= 16 * 4 + 8 * 4);
     }
 }

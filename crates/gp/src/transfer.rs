@@ -217,13 +217,13 @@ impl TransferGp {
             joint_rows(&source.x, &target.x),
         );
         let (chol, jitter) = Cholesky::new_with_jitter(&k, 1e-10, 12)?;
-        let alpha = chol.solve_vec(&z_joint)?;
+        let w = chol.solve_lower_only(&z_joint)?;
         let source_lml = source_lml(&k, &chol, jitter, &z_joint[..n])?;
 
         Ok(TransferGp {
             post: Posterior {
                 kernel,
-                alpha,
+                w,
                 chol,
                 std_target,
                 noise_target: config.noise_target,
@@ -247,7 +247,8 @@ impl TransferGp {
     /// O((N+M)²·k) instead of the O((N+M+k)³) full refit.
     ///
     /// The target standardizer is re-fitted over the full (extended)
-    /// output set and the weight vector recomputed, so the result is the
+    /// output set and the weights `w = L⁻¹z` recomputed (one forward
+    /// substitution; the factor grows in place), so the result is the
     /// model [`TransferGp::fit`] would produce on the extended data, up
     /// to floating-point round-off in the factor (see
     /// [`Cholesky::extend`]). When the incremental extension is rejected
@@ -288,37 +289,39 @@ impl TransferGp {
             corner[(i, i)] += self.config.noise_target + self.jitter;
         }
 
-        let Ok(chol) = self.post.chol.extended(&cross, &corner) else {
-            // Numerically rejected: fall back to a full refit, which can
-            // escalate jitter. Rebuild owned task data from stored state.
-            let source = TaskData::from_shared(Arc::clone(&self.x_source), self.y_source.clone());
-            let mut xt: Vec<Vec<f64>> = (*self.x_target).clone();
-            xt.extend(new_x.iter().cloned());
-            let mut yt = self.y_target.clone();
-            yt.extend_from_slice(new_y);
-            *self = TransferGp::fit(source, TaskData::new(xt, yt), self.config.clone())?;
-            return Ok(());
-        };
-
-        // Every fallible step runs on locals first, so a failure leaves
-        // `self` exactly as it was (the documented error contract), never
-        // half-extended. Per-task standardization is over the *current*
-        // target sample, so the whole target block of z is recomputed (the
-        // source block and its marginal likelihood are untouched).
+        // Per-task standardization is over the *current* target sample,
+        // so the whole target block of z is recomputed (the source block
+        // and its marginal likelihood are untouched).
         let n = self.x_source.len();
         let mut y_target = self.y_target.clone();
         y_target.extend_from_slice(new_y);
         let std_target = Standardizer::fit(&y_target);
         let mut z_joint = self.z_joint[..n].to_vec();
         z_joint.extend(y_target.iter().map(|&v| std_target.transform(v)));
-        let alpha = chol.solve_vec(&z_joint)?;
 
+        // `extend` runs every fallible step before it touches the factor,
+        // so a rejection leaves `self` exactly as it was.
+        if self.post.chol.extend(&cross, &corner).is_err() {
+            // Numerically rejected: fall back to a full refit, which can
+            // escalate jitter. Rebuild owned task data from stored state.
+            let source = TaskData::from_shared(Arc::clone(&self.x_source), self.y_source.clone());
+            let mut xt: Vec<Vec<f64>> = (*self.x_target).clone();
+            xt.extend(new_x.iter().cloned());
+            *self = TransferGp::fit(source, TaskData::new(xt, y_target), self.config.clone())?;
+            return Ok(());
+        }
+        // Every diagonal entry of a factor is the square root of a
+        // positive finite pivot, so at least 1e-162, and `z_joint` has one
+        // entry per factor row: this solve cannot fail.
+        self.post.w = self
+            .post
+            .chol
+            .solve_lower_only(&z_joint)
+            .expect("a Cholesky factor solves a right-hand side of its own length");
         Arc::make_mut(&mut self.x_target).extend(new_x.iter().cloned());
         self.y_target = y_target;
         self.post.std_target = std_target;
         self.z_joint = z_joint;
-        self.post.alpha = alpha;
-        self.post.chol = chol;
         Ok(())
     }
 
@@ -444,9 +447,9 @@ impl TransferGp {
     }
 
     /// Cached-incremental predict sweep: like
-    /// [`TransferGp::predict_latent_batch`], but candidate solve
-    /// state (`k* = k(X, x*)`, `v = L⁻¹k*`) persists in `cache` between
-    /// sweeps, keyed by the caller's stable candidate `ids`. When the
+    /// [`TransferGp::predict_latent_batch`], but each candidate's solve
+    /// state `v = L⁻¹k(X, x*)` persists in `cache` between sweeps, keyed
+    /// by the caller's stable candidate `ids`. When the
     /// model has only been *conditioned* since a candidate's last sweep
     /// (q appended target rows), the candidate pays q new kernel entries
     /// plus a q-row tail substitution instead of a from-scratch column —
@@ -459,9 +462,9 @@ impl TransferGp {
     /// hit/miss mix: cached prefixes are bit-stable because
     /// [`Cholesky::extend`] never rewrites old factor rows, the tail
     /// substitution replays the exact from-scratch recurrence in every
-    /// lane, and means are reduced from factor-space state afresh each
-    /// call with the current weights and standardizer (so conditioning's
-    /// α and standardizer updates need no invalidation). A fit-epoch
+    /// lane, and means `v·w` are reduced afresh each call with the
+    /// current weights `w = L⁻¹z` and standardizer (so conditioning's `w`
+    /// and standardizer updates need no invalidation). A fit-epoch
     /// mismatch (any full refit) clears the cache wholesale before the
     /// sweep.
     ///
@@ -553,10 +556,10 @@ impl TransferGp {
     }
 
     /// Extends every lane of a cached block by the factor rows appended
-    /// since it was last read: the new `k*` rows, one tail substitution
-    /// across the lanes, and the new rows' squares added to each lane's
-    /// `‖v‖²`. Conditioning never adds source points, so every new row is
-    /// a target row.
+    /// since it was last read: one tail substitution across the lanes on
+    /// the new `k*` rows (a temporary), and the new rows' squares added to
+    /// each lane's `‖v‖²`. Conditioning never adds source points, so every
+    /// new row is a target row.
     fn extend_block(&self, block: &mut LaneBlock) -> Result<()> {
         let p = self.post.len();
         if block.rows == p {
@@ -576,29 +579,27 @@ impl TransferGp {
             .chol
             .solve_lower_only_tail_panel(&k_tail, &mut block.v, stride, lanes)?;
         add_lane_squares(&block.v[solved..], stride, &mut block.vv);
-        block.k.extend_from_slice(&k_tail);
         block.rows = p;
         Ok(())
     }
 
     /// A new block for one chunk of missing candidates: the
-    /// [`Posterior`]'s multi-RHS block solve, kept in its row × lane
-    /// layout.
+    /// [`Posterior`]'s in-place multi-RHS block solve, kept in its row ×
+    /// lane layout.
     fn miss_block<'q>(
         &self,
         queries: impl Iterator<Item = (u64, &'q Vec<f64>)>,
         sweep: u64,
     ) -> Result<LaneBlock> {
         let (ids, xs): (Vec<u64>, Vec<&Vec<f64>>) = queries.unzip();
-        let (k, v) = self.post.solve_block(self.rows(), &xs)?;
+        let v = self.post.solve_block(self.rows(), &xs)?;
         let stride = xs.len();
         let mut vv = vec![0.0; stride];
-        add_lane_squares(v.as_slice(), stride, &mut vv);
+        add_lane_squares(&v, stride, &mut vv);
         Ok(LaneBlock {
             rows: self.post.len(),
             stride,
-            k: k.into_vec(),
-            v: v.into_vec(),
+            v,
             touched: vec![sweep; stride],
             ids,
             vv,
@@ -610,17 +611,22 @@ impl TransferGp {
     /// Predictions for every lane of an up-to-date block.
     fn predict_block(&self, block: &LaneBlock) -> Vec<(f64, f64)> {
         self.post.predict_lanes(
-            &block.k,
+            &block.v,
             block.stride,
             &block.vv,
             (0..block.lanes()).map(|l| block.x(l)),
         )
     }
 
-    /// Log marginal likelihood of the joint (standardized) data.
+    /// Log marginal likelihood of the joint (standardized) data. The
+    /// weights `α = (K̃ + Λ)⁻¹z` are rebuilt from the stored `w = L⁻¹z`
+    /// with one back substitution, which is the second half of
+    /// [`Cholesky::solve_vec`], so the value has the same bits.
     pub fn log_marginal_likelihood(&self) -> f64 {
         let n = self.z_joint.len() as f64;
-        let fit = -0.5 * linalg::vecops::dot(&self.z_joint, &self.post.alpha);
+        let alpha = linalg::solve::solve_lower_transposed(self.post.chol.factor(), &self.post.w)
+            .expect("a Cholesky factor solves a right-hand side of its own length");
+        let fit = -0.5 * linalg::vecops::dot(&self.z_joint, &alpha);
         let complexity = -0.5 * self.post.chol.log_det();
         fit + complexity - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
     }
@@ -723,11 +729,11 @@ impl TransferGp {
             (anchors[i].as_slice(), tasks[i])
         });
         let (chol, _) = Cholesky::new_with_jitter(&k, 1e-10, 12)?;
-        let alpha = chol.solve_vec(&z_sub)?;
+        let w = chol.solve_lower_only(&z_sub)?;
         Ok(SubsetPredictor {
             post: Posterior {
                 kernel: self.post.kernel.clone(),
-                alpha,
+                w,
                 chol,
                 std_target: self.post.std_target,
                 noise_target: self.post.noise_target,
@@ -850,18 +856,21 @@ pub(crate) fn check_training<'a>(
 /// as `row(i) -> (input, task)` for `i < len()`.
 ///
 /// This is the only copy of the predict math: the scalar reference path,
-/// the lane-wise `K*` assembly with its multi-RHS solve, the lane-wise
-/// reduction, and the observation-noise add. Every lane of the assembly
-/// and of the reduction accumulates in the scalar path's order, and every
-/// column of the multi-RHS solve is bit-identical to a single-RHS solve,
-/// so the exact, cached and subset-of-data sweeps return the scalar
-/// path's bits however queries are chunked, cached or spread over
-/// workers.
+/// the lane-wise `K*` assembly with its in-place multi-RHS solve, the
+/// lane-wise reduction, and the observation-noise add. A latent mean is
+/// `v·w` with `v = L⁻¹k*` and `w = L⁻¹z` (equal to `k*·α`), so `v` alone
+/// serves both the mean and the variance `‖v‖²`. Every lane of the
+/// assembly and of the reduction accumulates in the scalar path's order,
+/// and every column of the multi-RHS solve is bit-identical to a
+/// single-RHS solve, so the exact, cached and subset-of-data sweeps
+/// return the scalar path's bits however queries are chunked, cached or
+/// spread over workers.
 #[derive(Clone)]
 struct Posterior {
     kernel: TransferKernel<SquaredExponential>,
-    /// `(K̃ + Λ)⁻¹ z` over the training rows (standardized outputs).
-    alpha: Vec<f64>,
+    /// `L⁻¹z` over the training rows (standardized outputs), where
+    /// `L Lᵀ = K̃ + Λ`.
+    w: Vec<f64>,
     chol: Cholesky,
     std_target: Standardizer,
     noise_target: f64,
@@ -870,7 +879,7 @@ struct Posterior {
 impl Posterior {
     /// Number of training rows.
     fn len(&self) -> usize {
-        self.alpha.len()
+        self.w.len()
     }
 
     /// Input dimension.
@@ -912,8 +921,8 @@ impl Posterior {
     }
 
     /// The scalar reference path: one `k*` column, one single-RHS forward
-    /// substitution, [`linalg::vecops::dot`] reductions. The batch paths
-    /// are pinned against it bit for bit.
+    /// substitution `v = L⁻¹k*`, [`linalg::vecops::dot`] reductions `v·w`
+    /// and `v·v`. The batch paths are pinned against it bit for bit.
     fn predict_latent<'r>(
         &self,
         row: impl Fn(usize) -> (&'r [f64], Task) + Copy,
@@ -921,46 +930,47 @@ impl Posterior {
     ) -> Result<(f64, f64)> {
         check_dims(self.dim(), &[x])?;
         let k_star: Vec<f64> = (0..self.len()).map(|i| self.cross(row, i, x)).collect();
-        let mean_z = linalg::vecops::dot(&k_star, &self.alpha);
         let v = self.chol.solve_lower_only(&k_star)?;
+        let mean_z = linalg::vecops::dot(&v, &self.w);
         Ok(self.finish(x, mean_z, linalg::vecops::dot(&v, &v)))
     }
 
-    /// `K*` (one column per query) and `V = L⁻¹K*` from one multi-RHS
-    /// triangular solve; each column of `V` is bit-identical to the
-    /// scalar path's single-RHS solve.
+    /// `V = L⁻¹K*` as a row-major `len() × xs.len()` panel, one query per
+    /// lane: `K*` is assembled lane-wise and solved in place by one
+    /// multi-RHS triangular solve, so each column of `V` is bit-identical
+    /// to the scalar path's single-RHS solve and only one panel is held.
     fn solve_block<'r, Q: AsRef<[f64]>>(
         &self,
         row: impl Fn(usize) -> (&'r [f64], Task) + Copy,
         xs: &[Q],
-    ) -> Result<(Matrix, Matrix)> {
+    ) -> Result<Vec<f64>> {
         let c = xs.len();
         let xt = dims_major(xs.iter().map(AsRef::as_ref), self.dim());
         let mut k = vec![0.0; self.len() * c];
         for (i, k_row) in k.chunks_exact_mut(c).enumerate() {
             self.cross_lanes(row, i, &xt, c, k_row);
         }
-        let k_star = Matrix::from_vec(self.len(), c, k)?;
-        let v = self.chol.solve_lower_only_multi(&k_star)?;
-        Ok((k_star, v))
+        let mut v = Matrix::from_vec(self.len(), c, k)?;
+        self.chol.solve_lower_only_multi(&mut v)?;
+        Ok(v.into_vec())
     }
 
-    /// The lane-wise finish of every batch path. `k` is a row-major
-    /// `len() × stride` panel with one query per lane; each lane's mean
-    /// `k*·α` is accumulated row by row, in the scalar path's index order,
-    /// and `vv[l]` is lane `l`'s `‖v‖²` (see [`add_lane_squares`]). The
-    /// `lanes = vv.len()` queries are `xs`.
+    /// The lane-wise finish of every batch path. `v` is a row-major
+    /// `len() × stride` panel of `L⁻¹k*` with one query per lane; each
+    /// lane's mean `v·w` is accumulated row by row, in the scalar path's
+    /// index order, and `vv[l]` is lane `l`'s `‖v‖²` (see
+    /// [`add_lane_squares`]). The `lanes = vv.len()` queries are `xs`.
     fn predict_lanes<'x>(
         &self,
-        k: &[f64],
+        v: &[f64],
         stride: usize,
         vv: &[f64],
         xs: impl Iterator<Item = &'x [f64]>,
     ) -> Vec<(f64, f64)> {
         let mut mean_z = vec![0.0; vv.len()];
-        for (row, &a) in k.chunks_exact(stride).zip(&self.alpha) {
-            for (m, &kv) in mean_z.iter_mut().zip(row) {
-                *m += kv * a;
+        for (row, &w) in v.chunks_exact(stride).zip(&self.w) {
+            for (m, &vl) in mean_z.iter_mut().zip(row) {
+                *m += vl * w;
             }
         }
         xs.zip(mean_z.iter().zip(vv))
@@ -983,15 +993,10 @@ impl Posterior {
         let chunks: Vec<&[Vec<f64>]> = xs.chunks(PREDICT_BLOCK).collect();
         crate::counters::add_predict_chunks(chunks.len() as u64);
         let block = |chunk: &[Vec<f64>]| -> Result<Vec<(f64, f64)>> {
-            let (k_star, v) = self.solve_block(row, chunk)?;
+            let v = self.solve_block(row, chunk)?;
             let mut vv = vec![0.0; chunk.len()];
-            add_lane_squares(v.as_slice(), chunk.len(), &mut vv);
-            Ok(self.predict_lanes(
-                k_star.as_slice(),
-                chunk.len(),
-                &vv,
-                chunk.iter().map(Vec::as_slice),
-            ))
+            add_lane_squares(&v, chunk.len(), &mut vv);
+            Ok(self.predict_lanes(&v, chunk.len(), &vv, chunk.iter().map(Vec::as_slice)))
         };
         let mut out = Vec::with_capacity(xs.len());
         for chunk in fan_out(chunks.len(), workers, |c| block(chunks[c])) {

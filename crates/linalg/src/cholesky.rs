@@ -364,14 +364,15 @@ impl Cholesky {
         solve_lower(&self.l, b)
     }
 
-    /// Solves `L Z = B` for every column of `B` at once; each column is
-    /// bit-identical to [`Cholesky::solve_lower_only`] of that column
-    /// (see [`solve_lower_multi`]).
+    /// Solves `L Z = B` for every column of `B` at once, overwriting `b`
+    /// with `Z`; each column is bit-identical to
+    /// [`Cholesky::solve_lower_only`] of that column (see
+    /// [`solve_lower_multi`]).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_lower_only_multi(&self, b: &Matrix) -> Result<Matrix> {
+    pub fn solve_lower_only_multi(&self, b: &mut Matrix) -> Result<()> {
         solve_lower_multi(&self.l, b)
     }
 
@@ -411,21 +412,11 @@ impl Cholesky {
     /// rows a from-scratch factorization of the extended matrix would
     /// produce, so the extended factor agrees with [`Cholesky::new`] on
     /// the full matrix to floating-point round-off (the inner-product
-    /// accumulation orders differ).
+    /// accumulation orders differ). The old rows keep their bits.
     ///
-    /// On error, `self` is left unchanged.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`Cholesky::extended`].
-    pub fn extend(&mut self, cross: &Matrix, corner: &Matrix) -> Result<()> {
-        *self = self.extended(cross, corner)?;
-        Ok(())
-    }
-
-    /// The factor [`Cholesky::extend`] would produce, as a new value:
-    /// `self` is only read, and the old rows are copied once, straight
-    /// into the extended factor.
+    /// `L` grows inside its own buffer: the old rows are re-strided from
+    /// the last one down, and the buffer grows by at least an eighth when
+    /// it is full, so a run of small extensions shares one reallocation.
     ///
     /// # Errors
     ///
@@ -434,7 +425,10 @@ impl Cholesky {
     /// - [`LinalgError::NotPositiveDefinite`] if the extended matrix is
     ///   not positive definite; the pivot index refers to the extended
     ///   matrix (i.e. it is ≥ `n`).
-    pub fn extended(&self, cross: &Matrix, corner: &Matrix) -> Result<Cholesky> {
+    ///
+    /// Every fallible step runs before `self` is touched, so on error
+    /// `self` is left unchanged.
+    pub fn extend(&mut self, cross: &Matrix, corner: &Matrix) -> Result<()> {
         let n = self.dim();
         let k = corner.rows();
         if cross.rows() != n || cross.cols() != k || corner.cols() != k {
@@ -445,7 +439,7 @@ impl Cholesky {
             });
         }
         if k == 0 {
-            return Ok(self.clone());
+            return Ok(());
         }
         // The extension's own O(n²k + nk² + k³/3) work; the inner
         // `solve_lower_multi` and `Cholesky::new(schur)` count their
@@ -453,7 +447,8 @@ impl Cholesky {
         counters::add_chol_flops((n as u64).pow(2) * k as u64 + n as u64 * (k as u64).pow(2));
         // L₂₁ᵀ: one multi-RHS forward solve. Column r of the solution is
         // row r of L₂₁.
-        let l21t = solve_lower_multi(&self.l, cross)?;
+        let mut l21t = cross.clone();
+        solve_lower_multi(&self.l, &mut l21t)?;
         // Schur complement C − L₂₁L₂₁ᵀ, then factor it for the
         // (new row, new column) block.
         let schur = Matrix::from_fn(k, k, |r, q| {
@@ -473,18 +468,27 @@ impl Cholesky {
             },
             other => other,
         })?;
-        let mut l = Matrix::zeros(n + k, n + k);
-        for i in 0..n {
-            l.row_mut(i)[..n].copy_from_slice(self.l.row(i));
+        let m = n + k;
+        let mut data = std::mem::replace(&mut self.l, Matrix::zeros(0, 0)).into_vec();
+        let need = m * m - data.len();
+        if data.capacity() - data.len() < need {
+            data.reserve_exact(need.max(data.len() / 8));
         }
-        for r in 0..k {
-            let row = l.row_mut(n + r);
-            for p in 0..n {
-                row[p] = l21t[(p, r)];
+        data.resize(m * m, 0.0);
+        // Row i moves from offset i·n to i·m ≥ i·n; going from the last
+        // row down, no row is overwritten before it has moved.
+        for i in (0..n).rev() {
+            data.copy_within(i * n..i * n + n, i * m);
+            data[i * m + n..(i + 1) * m].fill(0.0);
+        }
+        for (r, row) in data[n * m..].chunks_exact_mut(m).enumerate() {
+            for (p, x) in row[..n].iter_mut().enumerate() {
+                *x = l21t[(p, r)];
             }
             row[n..=n + r].copy_from_slice(&l22.l.row(r)[..=r]);
         }
-        Ok(Cholesky { l })
+        self.l = Matrix::from_vec(m, m, data).expect("the grown buffer holds m × m entries");
+        Ok(())
     }
 
     /// Log-determinant of `A`: `2 Σ log L[i][i]`.
@@ -672,11 +676,35 @@ mod tests {
     fn solve_lower_only_multi_matches_per_vector() {
         let c = Cholesky::new(&spd3()).unwrap();
         let b = Matrix::from_rows(&[&[1.0, 0.5], &[-2.0, 1.5], &[3.0, -0.25]]).unwrap();
-        let z = c.solve_lower_only_multi(&b).unwrap();
+        let mut z = b.clone();
+        c.solve_lower_only_multi(&mut z).unwrap();
         for col in 0..2 {
             let zc = c.solve_lower_only(&b.col(col)).unwrap();
             for i in 0..3 {
                 assert_eq!(z[(i, col)], zc[i]);
+            }
+        }
+    }
+
+    #[test]
+    fn extend_grows_in_place_and_keeps_old_rows() {
+        // One row at a time from 40 to 60 rows, across several buffer
+        // growths: every old entry keeps its bits and the old rows' new
+        // column is zero.
+        let a = spd(60, 5);
+        let mut c = Cholesky::new(&a.submatrix(0, 40, 0, 40)).unwrap();
+        for n in 40..60 {
+            let before = c.factor().clone();
+            c.extend(
+                &a.submatrix(0, n, n, n + 1),
+                &a.submatrix(n, n + 1, n, n + 1),
+            )
+            .unwrap();
+            for i in 0..n {
+                for j in 0..=n {
+                    let want = if j < n { before[(i, j)] } else { 0.0 };
+                    assert_eq!(c.factor()[(i, j)].to_bits(), want.to_bits(), "({i},{j})");
+                }
             }
         }
     }

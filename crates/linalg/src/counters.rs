@@ -103,7 +103,8 @@ mod tests {
         a.add_diag(n as f64);
         let chol = Cholesky::new(&a).unwrap();
         chol.solve_vec(&vec![1.0; n]).unwrap();
-        chol.solve_lower_only_multi(&Matrix::zeros(n, 3)).unwrap();
+        chol.solve_lower_only_multi(&mut Matrix::zeros(n, 3))
+            .unwrap();
         let delta = LinalgCounters::snapshot().since(&before);
         let n3 = (n * n * n) as u64;
         assert!(delta.chol_flops >= n3 / 3, "flops {delta:?}");

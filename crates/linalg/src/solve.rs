@@ -94,24 +94,27 @@ pub fn solve_lower_transposed(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 const MULTI_ROWS: usize = 8;
 
 /// Solves `L X = B` for all columns of `B` at once by forward
-/// substitution, reading only the lower triangle of `l`.
+/// substitution, overwriting `b` with `X` and reading only the lower
+/// triangle of `l`.
 ///
 /// The per-column arithmetic (order of subtractions and the final
 /// division) is exactly that of [`solve_lower`], and columns never mix,
-/// so `solve_lower_multi(l, B)` reproduces `solve_lower(l, B[:, c])`
-/// bit-for-bit in every column — batching (and any chunking of the
-/// columns across threads) cannot change results. The row-major sweep
-/// touches each `L` row once per right-hand side block instead of once
-/// per right-hand side, and rows are solved eight at a time, so each
-/// solved row of `X` is read once per group of eight rows instead of once
-/// per row. That is what makes batched GP prediction fast.
+/// so every column of the result reproduces `solve_lower(l, B[:, c])`
+/// bit-for-bit — batching (and any chunking of the columns across
+/// threads) cannot change results. The row-major sweep touches each `L`
+/// row once per right-hand side block instead of once per right-hand
+/// side, and rows are solved eight at a time, so each solved row of `X`
+/// is read once per group of eight rows instead of once per row. That is
+/// what makes batched GP prediction fast, and solving in place means a
+/// batch holds one panel instead of two.
 ///
 /// # Errors
 ///
 /// - [`LinalgError::NotSquare`] if `l` is not square.
 /// - [`LinalgError::ShapeMismatch`] if `b.rows() != l.rows()`.
-/// - [`LinalgError::Singular`] if a diagonal entry vanishes.
-pub fn solve_lower_multi(l: &Matrix, b: &Matrix) -> Result<Matrix> {
+/// - [`LinalgError::Singular`] if a diagonal entry vanishes; `b` then
+///   holds a partly solved panel.
+pub fn solve_lower_multi(l: &Matrix, b: &mut Matrix) -> Result<()> {
     if !l.is_square() {
         return Err(LinalgError::NotSquare { shape: l.shape() });
     }
@@ -125,40 +128,41 @@ pub fn solve_lower_multi(l: &Matrix, b: &Matrix) -> Result<Matrix> {
     let (n, k) = (l.rows(), b.cols());
     counters::add_tri_solve_rhs(k as u64);
     if k == 0 {
-        return Ok(b.clone());
+        return Ok(());
     }
-    let mut x = Vec::with_capacity(n * k);
-    for rows in b.as_slice().chunks(MULTI_ROWS * k) {
-        solve_rows_into(l, rows, &mut x, k, k)?;
+    let x = b.as_mut_slice();
+    for start in (0..n).step_by(MULTI_ROWS) {
+        let (solved, rest) = x.split_at_mut(start * k);
+        let rows = MULTI_ROWS.min(n - start);
+        solve_rows(l, solved, &mut rest[..rows * k], k, k)?;
     }
-    Matrix::from_vec(n, k, x)
+    Ok(())
 }
 
 /// The forward-substitution step shared by [`solve_lower_multi`] and
-/// [`solve_lower_tail_panel`]: solves the rows that follow the panel `x`
-/// (row-major, `stride` values per row, `x.len() / stride` rows solved)
-/// for the right-hand sides `b_rows` (same layout), in lanes
-/// `0..lanes`, and appends them to `x`. Lanes `lanes..stride` carry
-/// `b_rows`' values over unread.
+/// [`solve_lower_tail_panel`]: `solved` holds the first rows of the
+/// solution panel (row-major, `stride` values per row) and `tail` the
+/// right-hand sides of the rows that follow it (same layout), which are
+/// solved in place in lanes `0..lanes`. Lanes `lanes..stride` of `tail`
+/// are left unread.
 ///
-/// Each solved row of `x` is read once and applied to every row of
-/// `b_rows`, but per (row, lane) the subtractions run in ascending column
-/// order from the right-hand side and end with one division by the
-/// diagonal — the recurrence of [`solve_lower`], bit for bit.
+/// Each solved row is read once and applied to every row of `tail`, but
+/// per (row, lane) the subtractions run in ascending column order from
+/// the right-hand side and end with one division by the diagonal — the
+/// recurrence of [`solve_lower`], bit for bit.
 ///
-/// The caller checks shapes: `l` square, `x.len()` and `b_rows.len()`
-/// whole rows of `stride`, and the rows fit inside `l`. On a vanishing
-/// diagonal `x` is left unchanged.
-fn solve_rows_into(
+/// The caller checks shapes: `l` square, both panels whole rows of
+/// `stride`, and the rows fit inside `l`. On a vanishing diagonal `tail`
+/// holds a partly solved panel.
+fn solve_rows(
     l: &Matrix,
-    b_rows: &[f64],
-    x: &mut Vec<f64>,
+    solved: &[f64],
+    tail: &mut [f64],
     stride: usize,
     lanes: usize,
 ) -> Result<()> {
-    let start = x.len() / stride;
-    let mut tail = b_rows.to_vec();
-    for (j, xj) in x.chunks_exact(stride).enumerate() {
+    let start = solved.len() / stride;
+    for (j, xj) in solved.chunks_exact(stride).enumerate() {
         let xj = &xj[..lanes];
         for (r, acc) in tail.chunks_exact_mut(stride).enumerate() {
             let lij = l[(start + r, j)];
@@ -167,12 +171,12 @@ fn solve_rows_into(
             }
         }
     }
-    for r in 0..b_rows.len() / stride {
+    for r in 0..tail.len() / stride {
         let i = start + r;
         let row = l.row(i);
-        let (solved, rest) = tail.split_at_mut(r * stride);
+        let (done, rest) = tail.split_at_mut(r * stride);
         let acc = &mut rest[..lanes];
-        for (s, xs) in solved.chunks_exact(stride).enumerate() {
+        for (s, xs) in done.chunks_exact(stride).enumerate() {
             let lij = row[start + s];
             for (out, &v) in acc.iter_mut().zip(&xs[..lanes]) {
                 *out -= lij * v;
@@ -186,7 +190,6 @@ fn solve_rows_into(
             *out /= d;
         }
     }
-    x.extend_from_slice(&tail);
     Ok(())
 }
 
@@ -204,7 +207,7 @@ fn solve_rows_into(
 /// prefix row is read once and applied to all tail rows, but per (tail
 /// row, lane) the subtractions still run in ascending column order and
 /// end with the same division. So after a [`crate::Cholesky::extend`]
-/// (which copies the old factor rows unchanged) every lane of prefix +
+/// (which keeps the old factor rows' bits) every lane of prefix +
 /// tail is bit-for-bit a from-scratch `solve_lower` of that column of the
 /// extended system. That identity is what lets a predict cache reuse
 /// `L⁻¹ k(X, x*)` across conditioning steps and only pay for the
@@ -242,7 +245,10 @@ pub fn solve_lower_tail_panel(
         });
     }
     counters::add_tri_solve_tail_rows((b_tail.len() / stride * lanes) as u64);
-    solve_rows_into(l, b_tail, x, stride, lanes)
+    let mut tail = b_tail.to_vec();
+    solve_rows(l, x, &mut tail, stride, lanes)?;
+    x.extend_from_slice(&tail);
+    Ok(())
 }
 
 fn check_triangular_args(m: &Matrix, b: &[f64], op: &'static str) -> Result<()> {
@@ -262,6 +268,12 @@ fn check_triangular_args(m: &Matrix, b: &[f64], op: &'static str) -> Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`solve_lower_multi`] on a copy of `b`.
+    fn multi(l: &Matrix, b: &Matrix) -> Result<Matrix> {
+        let mut x = b.clone();
+        solve_lower_multi(l, &mut x).map(|()| x)
+    }
 
     #[test]
     fn lower_solve_matches_hand_computation() {
@@ -321,7 +333,7 @@ mod tests {
             Matrix::from_rows(&[&[2.0, 0.0, 0.0], &[1.3, 3.0, 0.0], &[0.5, -1.1, 4.0]]).unwrap();
         let b =
             Matrix::from_rows(&[&[1.0, -2.0, 0.25], &[4.0, 0.5, -1.0], &[-3.0, 2.5, 8.0]]).unwrap();
-        let x = solve_lower_multi(&l, &b).unwrap();
+        let x = multi(&l, &b).unwrap();
         for c in 0..3 {
             let xc = solve_lower(&l, &b.col(c)).unwrap();
             for i in 0..3 {
@@ -334,16 +346,16 @@ mod tests {
     fn multi_rhs_rejects_bad_shapes_and_singular() {
         let l = Matrix::from_rows(&[&[2.0, 0.0], &[1.0, 3.0]]).unwrap();
         assert!(matches!(
-            solve_lower_multi(&Matrix::zeros(2, 3), &Matrix::zeros(2, 1)).unwrap_err(),
+            multi(&Matrix::zeros(2, 3), &Matrix::zeros(2, 1)).unwrap_err(),
             LinalgError::NotSquare { .. }
         ));
         assert!(matches!(
-            solve_lower_multi(&l, &Matrix::zeros(3, 1)).unwrap_err(),
+            multi(&l, &Matrix::zeros(3, 1)).unwrap_err(),
             LinalgError::ShapeMismatch { .. }
         ));
         let sing = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]).unwrap();
         assert!(matches!(
-            solve_lower_multi(&sing, &Matrix::zeros(2, 2)).unwrap_err(),
+            multi(&sing, &Matrix::zeros(2, 2)).unwrap_err(),
             LinalgError::Singular { pivot: 0 }
         ));
     }
@@ -365,7 +377,7 @@ mod tests {
             let l = lower(n);
             for k in [1usize, 3, 8] {
                 let b = Matrix::from_fn(n, k, |i, c| ((i * 13 + c * 7) % 19) as f64 / 3.0 - 2.9);
-                let x = solve_lower_multi(&l, &b).unwrap();
+                let x = multi(&l, &b).unwrap();
                 for c in 0..k {
                     let col = solve_lower(&l, &b.col(c)).unwrap();
                     for (i, v) in col.iter().enumerate() {
@@ -375,9 +387,7 @@ mod tests {
             }
         }
         assert_eq!(
-            solve_lower_multi(&lower(4), &Matrix::zeros(4, 0))
-                .unwrap()
-                .shape(),
+            multi(&lower(4), &Matrix::zeros(4, 0)).unwrap().shape(),
             (4, 0)
         );
     }

@@ -447,8 +447,8 @@ fn multi_rhs_driver(cases: u64, max_n: usize) {
         let s = random_spd(&mut rng, n);
         let chol = linalg::Cholesky::new(&s).expect("SPD factorization");
         let b = linalg::Matrix::from_fn(n, m, |_, _| rng.gen_range(-2.0..2.0));
-        let multi = chol
-            .solve_lower_only_multi(&b)
+        let mut multi = b.clone();
+        chol.solve_lower_only_multi(&mut multi)
             .expect("multi-RHS lower solve");
         // The batched path promises *bitwise* per-column equivalence (the
         // thread-determinism guarantee of batched prediction rests on it),
@@ -469,7 +469,8 @@ fn multi_rhs_driver(cases: u64, max_n: usize) {
         }
         // Same contract for the free-function triangular solve.
         let l = chol.factor();
-        let free_multi = linalg::solve::solve_lower_multi(l, &b).expect("free multi solve");
+        let mut free_multi = b.clone();
+        linalg::solve::solve_lower_multi(l, &mut free_multi).expect("free multi solve");
         for j in 0..m {
             let col = linalg::solve::solve_lower(l, &b.col(j)).expect("free per-vector solve");
             for i in 0..n {
