@@ -49,9 +49,9 @@ fn main() {
             restarts: 2,
             evals_per_restart: evals,
         };
-        let with_src =
+        let (with_src, _) =
             fit_transfer_gp(&source, &target, candidates[0].len(), budget, &mut rng).unwrap();
-        let no_src = fit_transfer_gp(
+        let (no_src, _) = fit_transfer_gp(
             &TaskData::default(),
             &target,
             candidates[0].len(),

@@ -199,14 +199,6 @@ fn main() {
                     .or_default()
                     .add(*duration_s);
             }
-            Event::Stage {
-                stage, duration_s, ..
-            } => {
-                phases
-                    .entry(format!("flow/{stage}"))
-                    .or_default()
-                    .add(*duration_s);
-            }
             Event::IterationEnd {
                 iteration,
                 runs,

@@ -16,7 +16,7 @@ pub mod perfrun;
 
 use benchgen::Scenario;
 use gp::optimize::FitBudget;
-use obs::{Observer, NULL_SINK};
+use obs::Observer;
 use pareto::hypervolume::{hypervolume_error, reference_point};
 use pareto::metrics::adrs;
 use pdsim::ObjectiveSpace;
@@ -152,28 +152,14 @@ pub fn score(
     }
 }
 
-/// Runs one method on one objective space of a scenario.
+/// Runs one method on one objective space of a scenario, streaming
+/// PPATuner's trace events to `observer` (the baseline methods are not
+/// instrumented and run silently).
 ///
 /// # Panics
 ///
 /// Panics when a method errors — budgets and inputs are
 /// harness-controlled, so an error is a bug worth crashing on.
-pub fn run_method(
-    scenario: &Scenario,
-    space: ObjectiveSpace,
-    method: Method,
-    budgets: &Budgets,
-    seed: u64,
-) -> MethodScore {
-    run_method_observed(scenario, space, method, budgets, seed, &NULL_SINK)
-}
-
-/// Like [`run_method`], but streams PPATuner's trace events to
-/// `observer` (the baseline methods are not instrumented and run silently).
-///
-/// # Panics
-///
-/// Same as [`run_method`].
 pub fn run_method_observed(
     scenario: &Scenario,
     space: ObjectiveSpace,
@@ -366,7 +352,14 @@ mod tests {
             ppatuner_iters: 6,
         };
         for m in Method::ALL {
-            let s = run_method(&scenario, ObjectiveSpace::PowerDelay, m, &budgets, 1);
+            let s = run_method_observed(
+                &scenario,
+                ObjectiveSpace::PowerDelay,
+                m,
+                &budgets,
+                1,
+                &obs::NULL_SINK,
+            );
             assert!(s.hv_error.is_finite(), "{m:?}");
             assert!(s.adrs.is_finite(), "{m:?}");
             assert!(s.runs > 0, "{m:?}");

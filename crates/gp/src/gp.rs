@@ -1,6 +1,6 @@
 use linalg::{Cholesky, Matrix};
 
-use crate::kernel::Kernel;
+use crate::kernel::SquaredExponential;
 use crate::standardize::Standardizer;
 use crate::transfer::check_training;
 use crate::{GpError, Result};
@@ -26,9 +26,8 @@ use crate::{GpError, Result};
 /// # Ok(())
 /// # }
 /// ```
-pub struct GpRegressor<K> {
-    kernel: K,
-    noise_var: f64,
+pub struct GpRegressor {
+    kernel: SquaredExponential,
     x_train: Vec<Vec<f64>>,
     /// `(K + σ²I)⁻¹ z` in standardized output space.
     alpha: Vec<f64>,
@@ -37,7 +36,7 @@ pub struct GpRegressor<K> {
     z_train: Vec<f64>,
 }
 
-impl<K: Kernel> GpRegressor<K> {
+impl GpRegressor {
     /// Fits the regressor to `(x, y)`.
     ///
     /// # Errors
@@ -49,7 +48,12 @@ impl<K: Kernel> GpRegressor<K> {
     ///   the kernel dimension;
     /// - [`GpError::Factorization`] when the kernel matrix cannot be
     ///   factored even with jitter.
-    pub fn fit(x: Vec<Vec<f64>>, y: Vec<f64>, kernel: K, noise_var: f64) -> Result<Self> {
+    pub fn fit(
+        x: Vec<Vec<f64>>,
+        y: Vec<f64>,
+        kernel: SquaredExponential,
+        noise_var: f64,
+    ) -> Result<Self> {
         if x.is_empty() {
             return Err(GpError::InvalidTrainingData {
                 reason: "need at least one training point",
@@ -79,28 +83,12 @@ impl<K: Kernel> GpRegressor<K> {
 
         Ok(GpRegressor {
             kernel,
-            noise_var,
             x_train: x,
             alpha,
             chol,
             standardizer,
             z_train,
         })
-    }
-
-    /// Number of training points.
-    pub fn train_len(&self) -> usize {
-        self.x_train.len()
-    }
-
-    /// Borrows the kernel.
-    pub fn kernel(&self) -> &K {
-        &self.kernel
-    }
-
-    /// The observation noise variance (standardized space).
-    pub fn noise_var(&self) -> f64 {
-        self.noise_var
     }
 
     /// Predictive mean and variance at a query point, in natural units.
@@ -124,7 +112,7 @@ impl<K: Kernel> GpRegressor<K> {
         let mean_z = linalg::vecops::dot(&k_star, &self.alpha);
         // var = k(x,x) − ‖L⁻¹ k*‖².
         let v = self.chol.solve_lower_only(&k_star)?;
-        let var_z = (self.kernel.diag(x) - linalg::vecops::dot(&v, &v)).max(0.0);
+        let var_z = (self.kernel.eval(x, x) - linalg::vecops::dot(&v, &v)).max(0.0);
         Ok((
             self.standardizer.inverse(mean_z),
             self.standardizer.inverse_var(var_z),
@@ -151,11 +139,10 @@ impl<K: Kernel> GpRegressor<K> {
     }
 }
 
-impl<K: Kernel + std::fmt::Debug> std::fmt::Debug for GpRegressor<K> {
+impl std::fmt::Debug for GpRegressor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GpRegressor")
             .field("kernel", &self.kernel)
-            .field("noise_var", &self.noise_var)
             .field("n_train", &self.x_train.len())
             .finish()
     }

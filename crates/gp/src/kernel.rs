@@ -1,28 +1,7 @@
-//! Covariance functions: stationary base kernels and the transfer kernel
-//! of PPATuner §3.1.
+//! Covariance functions: the squared-exponential ARD base kernel and the
+//! transfer kernel of PPATuner §3.1.
 
 use crate::{GpError, Result};
-
-/// A positive-semidefinite covariance function over `R^d`.
-///
-/// Implementors must be symmetric (`eval(a, b) == eval(b, a)`) and produce
-/// PSD Gram matrices; the GP adds observation noise / jitter on top.
-pub trait Kernel: Send + Sync {
-    /// Covariance between two points.
-    ///
-    /// # Panics
-    ///
-    /// May panic if the points do not have the kernel's dimension.
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64;
-
-    /// Prior variance at a point, `k(x, x)`.
-    fn diag(&self, x: &[f64]) -> f64 {
-        self.eval(x, x)
-    }
-
-    /// Input dimension the kernel expects.
-    fn dim(&self) -> usize;
-}
 
 /// Squared-exponential (RBF) kernel with ARD lengthscales:
 /// `k(a, b) = σ² · exp(−½ Σ_j ((a_j − b_j)/ℓ_j)²)`.
@@ -84,10 +63,13 @@ impl SquaredExponential {
     pub fn lengthscales(&self) -> &[f64] {
         &self.lengthscales
     }
-}
 
-impl Kernel for SquaredExponential {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+    /// Covariance between two points.
+    ///
+    /// # Panics
+    ///
+    /// May panic if the points do not have the kernel's dimension.
+    pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), self.lengthscales.len());
         debug_assert_eq!(b.len(), self.lengthscales.len());
         let mut s = 0.0;
@@ -98,19 +80,18 @@ impl Kernel for SquaredExponential {
         self.signal_var * (-0.5 * s).exp()
     }
 
-    fn dim(&self) -> usize {
+    /// Input dimension the kernel expects.
+    pub fn dim(&self) -> usize {
         self.lengthscales.len()
     }
-}
 
-impl SquaredExponential {
     /// `k(a, b_l)` against many points at once: `b` holds them
     /// dimension-major (`b[t·stride + l]` is coordinate `t` of point `l`),
     /// and `out[l]` receives lane `l` for `l < out.len()`. The
     /// lengthscale-weighted squared differences are summed across the lanes
     /// one dimension at a time (a loop that vectorises), and each lane
-    /// accumulates in [`Kernel::eval`]'s order, so `out[l]` is bit-identical
-    /// to `eval(a, b_l)`.
+    /// accumulates in [`SquaredExponential::eval`]'s order, so `out[l]` is
+    /// bit-identical to `eval(a, b_l)`.
     pub fn eval_lanes(&self, a: &[f64], b: &[f64], stride: usize, out: &mut [f64]) {
         out.fill(0.0);
         for ((&x, &l), col) in a.iter().zip(&self.lengthscales).zip(b.chunks(stride)) {
@@ -122,57 +103,6 @@ impl SquaredExponential {
         for s in out.iter_mut() {
             *s = self.signal_var * (-0.5 * *s).exp();
         }
-    }
-}
-
-/// Matérn 5/2 kernel with ARD lengthscales — rougher sample paths than the
-/// squared exponential, often a better prior for tool-response surfaces
-/// with kinks (effort-level switches).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matern52 {
-    signal_var: f64,
-    lengthscales: Vec<f64>,
-}
-
-impl Matern52 {
-    /// Creates an ARD Matérn 5/2 kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SquaredExponential::new`].
-    pub fn new(signal_var: f64, lengthscales: Vec<f64>) -> Result<Self> {
-        // Validation is identical to the SE kernel's.
-        let se = SquaredExponential::new(signal_var, lengthscales)?;
-        Ok(Matern52 {
-            signal_var: se.signal_var,
-            lengthscales: se.lengthscales,
-        })
-    }
-
-    /// The signal variance σ².
-    pub fn signal_var(&self) -> f64 {
-        self.signal_var
-    }
-
-    /// The ARD lengthscales.
-    pub fn lengthscales(&self) -> &[f64] {
-        &self.lengthscales
-    }
-}
-
-impl Kernel for Matern52 {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let mut s = 0.0;
-        for ((&x, &y), &l) in a.iter().zip(b).zip(&self.lengthscales) {
-            let d = (x - y) / l;
-            s += d * d;
-        }
-        let r = (5.0 * s).sqrt();
-        self.signal_var * (1.0 + r + r * r / 3.0) * (-r).exp()
-    }
-
-    fn dim(&self) -> usize {
-        self.lengthscales.len()
     }
 }
 
@@ -200,7 +130,7 @@ pub enum Task {
 /// # Example
 ///
 /// ```
-/// use gp::kernel::{SquaredExponential, TransferKernel, Task, Kernel};
+/// use gp::kernel::{SquaredExponential, TransferKernel, Task};
 ///
 /// # fn main() -> Result<(), gp::GpError> {
 /// let base = SquaredExponential::isotropic(2, 1.0, 0.5)?;
@@ -213,12 +143,12 @@ pub enum Task {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct TransferKernel<K> {
-    base: K,
+pub struct TransferKernel {
+    base: SquaredExponential,
     lambda: f64,
 }
 
-impl<K: Kernel> TransferKernel<K> {
+impl TransferKernel {
     /// Builds the kernel from a Gamma(b, a) prior over the dissimilarity
     /// φ, i.e. with cross-task factor `λ = 2(1/(1+a))^b − 1` (Eq. 7).
     ///
@@ -226,7 +156,7 @@ impl<K: Kernel> TransferKernel<K> {
     ///
     /// Returns [`GpError::InvalidHyperparameter`] when `a <= 0` or
     /// `b <= 0`.
-    pub fn from_gamma_prior(base: K, a: f64, b: f64) -> Result<Self> {
+    pub fn from_gamma_prior(base: SquaredExponential, a: f64, b: f64) -> Result<Self> {
         if !(a.is_finite() && a > 0.0) {
             return Err(GpError::InvalidHyperparameter {
                 name: "a",
@@ -250,7 +180,7 @@ impl<K: Kernel> TransferKernel<K> {
     ///
     /// Returns [`GpError::InvalidHyperparameter`] when λ is outside
     /// `(−1, 1]`.
-    pub fn with_lambda(base: K, lambda: f64) -> Result<Self> {
+    pub fn with_lambda(base: SquaredExponential, lambda: f64) -> Result<Self> {
         if !(lambda.is_finite() && lambda > -1.0 && lambda <= 1.0) {
             return Err(GpError::InvalidHyperparameter {
                 name: "lambda",
@@ -266,7 +196,7 @@ impl<K: Kernel> TransferKernel<K> {
     }
 
     /// Borrows the base kernel.
-    pub fn base(&self) -> &K {
+    pub fn base(&self) -> &SquaredExponential {
         &self.base
     }
 
@@ -279,9 +209,7 @@ impl<K: Kernel> TransferKernel<K> {
             k * self.lambda
         }
     }
-}
 
-impl TransferKernel<SquaredExponential> {
     /// [`TransferKernel::eval_task`] of `(a, ta)` against many points of
     /// task `tb`, laid out as for [`SquaredExponential::eval_lanes`];
     /// `out[l]` is bit-identical to `eval_task(a, ta, b_l, tb)`.
@@ -370,18 +298,6 @@ mod tests {
         assert!(SquaredExponential::new(0.0, vec![1.0]).is_err());
         assert!(SquaredExponential::new(1.0, vec![-1.0]).is_err());
         assert!(SquaredExponential::new(1.0, vec![]).is_err());
-        assert!(Matern52::new(1.0, vec![f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn matern_rougher_than_se_nearby() {
-        let se = SquaredExponential::isotropic(1, 1.0, 0.5).unwrap();
-        let m = Matern52::new(1.0, vec![0.5]).unwrap();
-        // Both are 1 at zero distance.
-        assert!((m.eval(&[0.0], &[0.0]) - 1.0).abs() < 1e-12);
-        // Matérn decays faster at small distances (less smooth).
-        let d = 0.05;
-        assert!(m.eval(&[0.0], &[d]) < se.eval(&[0.0], &[d]));
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! This crate implements, from scratch on top of [`linalg`]:
 //!
-//! - [`kernel`]: stationary kernels (squared-exponential with ARD,
-//!   Matérn 5/2) and the paper's **transfer kernel** (Eqs. 5–7): the
-//!   cross-task correlation factor `λ = 2(1/(1+a))^b − 1` obtained by
-//!   integrating a `Gamma(b, a)` prior over the task-dissimilarity
-//!   parameter φ of `k(x,x')·(2e^{−ηφ} − 1)`;
+//! - [`kernel`]: the squared-exponential ARD kernel and the paper's
+//!   **transfer kernel** (Eqs. 5–7): the cross-task correlation factor
+//!   `λ = 2(1/(1+a))^b − 1` obtained by integrating a `Gamma(b, a)` prior
+//!   over the task-dissimilarity parameter φ of `k(x,x')·(2e^{−ηφ} − 1)`;
 //! - [`GpRegressor`]: exact GP regression (Eq. 1) with jittered Cholesky
 //!   factorization, predictive mean/variance, and the exact log marginal
 //!   likelihood;

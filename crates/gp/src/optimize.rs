@@ -203,7 +203,7 @@ fn decode(theta: &[f64], dim: usize) -> TransferGpConfig {
     }
 }
 
-/// How much work a [`fit_transfer_gp_reported`] call actually did.
+/// How much work a [`fit_transfer_gp`] call actually did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitReport {
     /// Multi-start restarts executed.
@@ -418,30 +418,14 @@ pub fn fit_transfer_gp_from_starts(
 /// λ, and per-task noises, with multi-start Nelder–Mead.
 ///
 /// `dim` is the input dimension; `rng` drives the restart initialization
-/// (pass a seeded RNG for reproducibility).
+/// (pass a seeded RNG for reproducibility). The [`FitReport`] describes
+/// the budget actually consumed.
 ///
 /// # Errors
 ///
 /// Propagates fitting errors of the final model (the search itself treats
 /// failed factorizations as infinitely bad candidates).
 pub fn fit_transfer_gp<R: Rng + ?Sized>(
-    source: &TaskData,
-    target: &TaskData,
-    dim: usize,
-    budget: FitBudget,
-    rng: &mut R,
-) -> Result<TransferGp> {
-    fit_transfer_gp_reported(source, target, dim, budget, rng).map(|(model, _)| model)
-}
-
-/// Like [`fit_transfer_gp`], but also returns a [`FitReport`] describing
-/// the budget actually consumed — for observability sinks and budget
-/// tuning.
-///
-/// # Errors
-///
-/// Same as [`fit_transfer_gp`].
-pub fn fit_transfer_gp_reported<R: Rng + ?Sized>(
     source: &TaskData,
     target: &TaskData,
     dim: usize,
@@ -540,7 +524,7 @@ mod tests {
             vec![f(0.1), f(0.4), f(0.7), f(1.0)],
         );
         let mut rng = StdRng::seed_from_u64(3);
-        let model = fit_transfer_gp(
+        let (model, _) = fit_transfer_gp(
             &source,
             &target,
             1,
@@ -577,8 +561,7 @@ mod tests {
             evals_per_restart: 40,
         };
         let mut rng = StdRng::seed_from_u64(1);
-        let (model, report) =
-            fit_transfer_gp_reported(&source, &target, 1, budget, &mut rng).unwrap();
+        let (model, report) = fit_transfer_gp(&source, &target, 1, budget, &mut rng).unwrap();
         assert_eq!(report.restarts, 2);
         // Each restart consumes at least the initial simplex (dim + 5
         // points) and at most the per-restart cap plus one last shrink
@@ -588,11 +571,6 @@ mod tests {
         assert!(report.best_objective.is_finite());
         assert!((report.log_marginal - model.log_marginal_likelihood()).abs() < 1e-12);
         assert!(report.jitter >= 0.0);
-
-        // The plain entry point must agree with the reported one.
-        let mut rng2 = StdRng::seed_from_u64(1);
-        let plain = fit_transfer_gp(&source, &target, 1, budget, &mut rng2).unwrap();
-        assert_eq!(plain.config(), model.config());
     }
 
     #[test]
@@ -629,7 +607,7 @@ mod tests {
 
         // And the RNG-drawing entry point matches the pre-drawn path.
         let mut rng2 = StdRng::seed_from_u64(7);
-        let (m2, r2) = fit_transfer_gp_reported(&source, &target, 1, budget, &mut rng2).unwrap();
+        let (m2, r2) = fit_transfer_gp(&source, &target, 1, budget, &mut rng2).unwrap();
         assert_eq!(m1.config(), m2.config());
         assert_eq!(result(r1), result(r2));
     }
@@ -707,7 +685,7 @@ mod tests {
             evals_per_restart: 30,
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let (_, report) = fit_transfer_gp_reported(&source, &target, 1, budget, &mut rng).unwrap();
+        let (_, report) = fit_transfer_gp(&source, &target, 1, budget, &mut rng).unwrap();
         // The search itself never constructs a model from raw data: every
         // objective evaluation runs off the distance cache, and only the
         // winning θ is fit for real.
@@ -742,7 +720,7 @@ mod tests {
             (0..8).map(|i| f(i as f64 / 7.0)).collect(),
         );
         let mut rng = StdRng::seed_from_u64(9);
-        let model = fit_transfer_gp(
+        let (model, _) = fit_transfer_gp(
             &source,
             &target,
             1,

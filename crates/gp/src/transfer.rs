@@ -4,7 +4,7 @@ use std::sync::{Arc, Mutex};
 use linalg::{Cholesky, Matrix};
 
 use crate::fan_out;
-use crate::kernel::{Kernel, SquaredExponential, Task, TransferKernel};
+use crate::kernel::{SquaredExponential, Task, TransferKernel};
 use crate::predict_cache::{LaneBlock, PredictCache, Source};
 use crate::standardize::Standardizer;
 use crate::{GpError, Result};
@@ -764,7 +764,7 @@ pub(crate) fn joint_rows<'a>(
 /// The strict upper triangle is left zero; [`Cholesky::new`] reads only
 /// the lower one.
 fn noisy_gram<'r>(
-    kernel: &TransferKernel<SquaredExponential>,
+    kernel: &TransferKernel,
     config: &TransferGpConfig,
     p: usize,
     row: impl Fn(usize) -> (&'r [f64], Task),
@@ -867,7 +867,7 @@ pub(crate) fn check_training<'a>(
 /// spread over workers.
 #[derive(Clone)]
 struct Posterior {
-    kernel: TransferKernel<SquaredExponential>,
+    kernel: TransferKernel,
     /// `L⁻¹z` over the training rows (standardized outputs), where
     /// `L Lᵀ = K̃ + Λ`.
     w: Vec<f64>,

@@ -3,7 +3,7 @@
 //! and in its `a → 0⁺` / `b → ∞` limits, so a silent sign or exponent
 //! slip in the closed form cannot survive.
 
-use gp::kernel::{Kernel, SquaredExponential, Task, TransferKernel};
+use gp::kernel::{SquaredExponential, Task, TransferKernel};
 
 fn lambda_of(a: f64, b: f64) -> f64 {
     let base = SquaredExponential::isotropic(1, 1.0, 0.5).expect("base kernel");

@@ -330,30 +330,6 @@ impl Cholesky {
         solve_lower_transposed(&self.l, &z)
     }
 
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_mat(&self, b: &Matrix) -> Result<Matrix> {
-        if b.rows() != self.dim() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "cholesky solve_mat",
-                lhs: self.l.shape(),
-                rhs: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve_vec(&col)?;
-            for (i, v) in x.into_iter().enumerate() {
-                out[(i, j)] = v;
-            }
-        }
-        Ok(out)
-    }
-
     /// Solves the single triangular system `L z = b` (useful for computing
     /// predictive variances as `‖z‖²` without the second substitution).
     ///
@@ -495,16 +471,6 @@ impl Cholesky {
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
-
-    /// Explicit inverse `A⁻¹` (avoid when a solve suffices).
-    ///
-    /// # Errors
-    ///
-    /// Propagates triangular-solve failures (which cannot occur for a factor
-    /// produced by [`Cholesky::new`], whose diagonal is strictly positive).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_mat(&Matrix::identity(self.dim()))
-    }
 }
 
 #[cfg(test)]
@@ -538,16 +504,6 @@ mod tests {
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn solve_mat_inverts() {
-        let a = spd3();
-        let c = Cholesky::new(&a).unwrap();
-        let inv = c.inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        let id = Matrix::identity(3);
-        assert!(prod.sub(&id).unwrap().max_abs() < 1e-12);
     }
 
     #[test]
@@ -787,6 +743,5 @@ mod tests {
     fn solve_rejects_wrong_length() {
         let c = Cholesky::new(&spd3()).unwrap();
         assert!(c.solve_vec(&[1.0, 2.0]).is_err());
-        assert!(c.solve_mat(&Matrix::zeros(2, 2)).is_err());
     }
 }

@@ -11,10 +11,10 @@
 //! # Contents
 //!
 //! - [`Matrix`]: a row-major dense matrix of `f64`.
-//! - [`Cholesky`]: `A = L·Lᵀ` factorization with solves, inverse, and
+//! - [`Cholesky`]: `A = L·Lᵀ` factorization with solves and
 //!   log-determinant (the workhorse of GP training and inference).
 //! - [`solve`]: forward/backward triangular substitution helpers.
-//! - [`vecops`]: free functions on `&[f64]` (dot, norms, axpy, ...).
+//! - [`vecops`]: free functions on `&[f64]` (dot, distances, axpy, ...).
 //!
 //! # Example
 //!

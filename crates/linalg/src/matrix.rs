@@ -114,16 +114,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a square diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -259,31 +249,6 @@ impl Matrix {
             .collect())
     }
 
-    /// Transposed matrix–vector product `selfᵀ · v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when `v.len() != self.rows()`.
-    pub fn matvec_t(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec_t",
-                lhs: (self.cols, self.rows),
-                rhs: (v.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &vi) in v.iter().enumerate() {
-            if vi == 0.0 {
-                continue;
-            }
-            for (o, &a) in out.iter_mut().zip(self.row(i)) {
-                *o += vi * a;
-            }
-        }
-        Ok(out)
-    }
-
     /// Elementwise sum `self + rhs`.
     ///
     /// # Errors
@@ -323,22 +288,6 @@ impl Matrix {
         }
     }
 
-    /// Symmetrizes in place: `A ← (A + Aᵀ) / 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn symmetrize(&mut self) {
-        assert!(self.is_square(), "symmetrize requires a square matrix");
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                let v = 0.5 * (self[(i, j)] + self[(j, i)]);
-                self[(i, j)] = v;
-                self[(j, i)] = v;
-            }
-        }
-    }
-
     /// Maximum absolute entry (0 for an empty matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
@@ -347,11 +296,6 @@ impl Matrix {
     /// `true` when every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Extracts the contiguous sub-matrix with rows `r0..r1` and columns
@@ -513,12 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_transposed() {
+    fn matvec_against_hand_computation() {
         let a = sample();
         assert_eq!(a.matvec(&[1.0, 0.0, -1.0]).unwrap(), vec![-2.0, -2.0]);
-        assert_eq!(a.matvec_t(&[1.0, 1.0]).unwrap(), vec![5.0, 7.0, 9.0]);
         assert!(a.matvec(&[1.0]).is_err());
-        assert!(a.matvec_t(&[1.0, 2.0, 3.0]).is_err());
     }
 
     #[test]
@@ -533,13 +475,11 @@ mod tests {
     }
 
     #[test]
-    fn add_diag_and_symmetrize() {
+    fn add_diag_shifts_only_the_diagonal() {
         let mut m = Matrix::from_rows(&[&[1.0, 4.0], &[0.0, 1.0]]).unwrap();
         m.add_diag(1.0);
         assert_eq!(m.diag(), vec![2.0, 2.0]);
-        m.symmetrize();
-        assert_eq!(m[(0, 1)], 2.0);
-        assert_eq!(m[(1, 0)], 2.0);
+        assert_eq!(m[(0, 1)], 4.0);
     }
 
     #[test]
@@ -552,22 +492,13 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_finiteness() {
+    fn max_abs_and_finiteness() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-15);
         assert_eq!(m.max_abs(), 4.0);
         assert!(m.is_finite());
         let mut bad = m.clone();
         bad[(0, 0)] = f64::NAN;
         assert!(!bad.is_finite());
-    }
-
-    #[test]
-    fn from_diag_builds_diagonal() {
-        let m = Matrix::from_diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(m.shape(), (3, 3));
-        assert_eq!(m[(1, 1)], 2.0);
-        assert_eq!(m[(0, 1)], 0.0);
     }
 
     #[test]

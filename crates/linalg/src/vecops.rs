@@ -13,11 +13,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean (L2) norm.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Squared Euclidean distance between two equal-length slices.
 ///
 /// # Panics
@@ -85,15 +80,6 @@ pub fn mean(a: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation (`0.0` for slices with < 2 elements).
-pub fn std_dev(a: &[f64]) -> f64 {
-    if a.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(a);
-    (a.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / a.len() as f64).sqrt()
-}
-
 /// Minimum value (`f64::INFINITY` for an empty slice). NaN entries are
 /// ignored.
 pub fn min(a: &[f64]) -> f64 {
@@ -143,9 +129,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dot_and_norm() {
+    fn dot_sums_products() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
     }
 
     #[test]
@@ -181,11 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn stats() {
+    fn mean_of_empty_and_pair() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-15);
     }
 
     #[test]

@@ -74,15 +74,4 @@ proptest! {
         let d_w = vecops::dist(&w, &zero);
         prop_assert!(d_vw <= d_v + d_w + 1e-12);
     }
-
-    #[test]
-    fn symmetrize_makes_symmetric(m in matrix_strategy(5, 5)) {
-        let mut s = m;
-        s.symmetrize();
-        for i in 0..5 {
-            for j in 0..5 {
-                prop_assert_eq!(s[(i, j)], s[(j, i)]);
-            }
-        }
-    }
 }

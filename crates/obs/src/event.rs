@@ -76,17 +76,6 @@ pub enum Event {
         duration_s: f64,
     },
 
-    /// One stage of the physical-design flow finished (placement, CTS,
-    /// routing, STA, ...). Emitted by flow drivers that time stages.
-    Stage {
-        /// Candidate index the flow is running for.
-        candidate: usize,
-        /// Stage name (`"synth"`, `"place"`, `"cts"`, `"route"`, `"sta"`).
-        stage: String,
-        /// Wall-clock seconds spent in the stage.
-        duration_s: f64,
-    },
-
     /// Per-candidate uncertainty-region state right after a classification
     /// pass. The payload is O(candidates), so the tuner emits it only
     /// towards enabled observers; it is what lets offline invariant
@@ -413,7 +402,6 @@ impl Event {
             Event::RunStart { .. } => "RunStart",
             Event::GpFit { .. } => "GpFit",
             Event::ToolEval { .. } => "ToolEval",
-            Event::Stage { .. } => "Stage",
             Event::RegionSnapshot { .. } => "RegionSnapshot",
             Event::Classify { .. } => "Classify",
             Event::Select { .. } => "Select",

@@ -4,23 +4,21 @@
 //! often offline), so this crate implements its own small telemetry stack
 //! instead of pulling in the `tracing` ecosystem. Three layers:
 //!
-//! 1. **Metrics** ([`Registry`], [`Span`]): thread-safe counters, gauges,
-//!    and fixed-bucket histograms with p50/p90/p99 estimates, plus RAII
-//!    span timers that record wall-clock durations into histograms.
-//! 2. **Events** ([`Event`]): a typed model of what the tuner does —
+//! 1. **Events** ([`Event`]): a typed model of what the tuner does —
 //!    GP fits (kernel hyperparameters, transfer correlation `λ`, Cholesky
 //!    jitter retries), tool evaluations, δ-dominance classification counts,
 //!    candidate selection, and per-iteration summaries with incremental
 //!    hypervolume.
-//! 3. **Sinks** ([`Observer`] implementations): a JSONL file sink for
+//! 2. **Sinks** ([`Observer`] implementations): a JSONL file sink for
 //!    machine-readable traces, a human-readable stderr sink with verbosity
 //!    levels, an in-memory recording sink for tests, and a null sink whose
 //!    `enabled() == false` lets instrumented code skip event construction
 //!    entirely (zero overhead by default).
-//! 4. **Causal spans** ([`Tracer`], [`OpenSpan`], [`Clock`]): sequential
-//!    span IDs forming a run → iteration → phase tree, emitted as
-//!    [`Event::SpanStart`] / [`Event::SpanEnd`] pairs with a monotonic
-//!    clock abstraction so golden traces stay deterministic.
+//! 3. **Causal spans** ([`Tracer`], [`OpenSpan`]): sequential span IDs
+//!    forming a run → iteration → phase tree, emitted as
+//!    [`Event::SpanStart`] / [`Event::SpanEnd`] pairs. Golden traces stay
+//!    deterministic because only the `duration_s` payload reads the
+//!    clock, and trace canonicalization zeroes it.
 //!
 //! ```no_run
 //! use obs::{Event, JsonlSink, Observer};
@@ -35,13 +33,11 @@
 #![warn(missing_docs)]
 
 mod event;
-mod metrics;
 mod sink;
 mod tracer;
 
 pub use event::Event;
-pub use metrics::{Histogram, HistogramSummary, Registry, RegistrySnapshot, Span};
 pub use sink::{
     JsonlSink, MultiSink, NullSink, Observer, RecordingSink, StderrSink, Verbosity, NULL_SINK,
 };
-pub use tracer::{Clock, OpenSpan, TickClock, Tracer, WallClock};
+pub use tracer::{OpenSpan, Tracer};

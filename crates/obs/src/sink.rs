@@ -111,11 +111,6 @@ impl StderrSink {
                 "iter {iteration:3}: eval #{candidate} -> {qor:.4?} ({:.1} ms)",
                 duration_s * 1e3
             ),
-            Event::Stage {
-                candidate,
-                stage,
-                duration_s,
-            } => format!("flow #{candidate}: {stage} ({:.1} ms)", duration_s * 1e3),
             Event::RegionSnapshot {
                 iteration,
                 statuses,

@@ -1,6 +1,5 @@
-//! Causal span tracing: sequential span IDs, a monotonic clock
-//! abstraction, and helpers that build [`Event::SpanStart`] /
-//! [`Event::SpanEnd`] pairs.
+//! Causal span tracing: sequential span IDs, monotonic timestamps, and
+//! helpers that build [`Event::SpanStart`] / [`Event::SpanEnd`] pairs.
 //!
 //! The tracer deliberately separates *ID allocation* from *event
 //! emission*: IDs are allocated unconditionally along the run structure
@@ -15,62 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::Event;
-
-/// A monotonic time source for span durations.
-///
-/// Golden traces stay deterministic because span *structure* (IDs,
-/// parents, names, ordering) never depends on the clock — only the
-/// volatile `duration_s` payload does, and trace canonicalization zeroes
-/// it. Tests that want reproducible durations too can inject a
-/// [`TickClock`].
-pub trait Clock: Send + Sync {
-    /// Monotonic seconds since an arbitrary fixed origin.
-    fn now_s(&self) -> f64;
-}
-
-/// The real monotonic clock ([`Instant`]-based).
-#[derive(Debug)]
-pub struct WallClock {
-    origin: Instant,
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Clock for WallClock {
-    fn now_s(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64()
-    }
-}
-
-/// A deterministic clock that advances by a fixed step on every reading.
-/// Useful in tests that assert on span durations.
-#[derive(Debug)]
-pub struct TickClock {
-    step_s: f64,
-    ticks: AtomicU64,
-}
-
-impl TickClock {
-    /// A clock advancing `step_s` seconds per [`Clock::now_s`] call.
-    pub fn new(step_s: f64) -> Self {
-        TickClock {
-            step_s,
-            ticks: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Clock for TickClock {
-    fn now_s(&self) -> f64 {
-        self.ticks.fetch_add(1, Ordering::Relaxed) as f64 * self.step_s
-    }
-}
 
 /// An allocated, not-yet-closed span.
 #[derive(Debug, Clone)]
@@ -98,18 +41,14 @@ impl OpenSpan {
 /// Allocates span IDs and timestamps span lifetimes.
 ///
 /// IDs start at 1 and increase by exactly 1 per [`Tracer::open`] call, so
-/// a deterministic run produces a deterministic span tree.
+/// a deterministic run produces a deterministic span tree. Span *structure*
+/// (IDs, parents, names, ordering) never depends on the clock; only the
+/// volatile `duration_s` payload does, and trace canonicalization zeroes
+/// it.
+#[derive(Debug)]
 pub struct Tracer {
     next: AtomicU64,
-    clock: Box<dyn Clock>,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("next", &self.next)
-            .finish_non_exhaustive()
-    }
+    origin: Instant,
 }
 
 impl Default for Tracer {
@@ -119,17 +58,17 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A tracer on the real monotonic clock.
+    /// A tracer whose clock starts now.
     pub fn new() -> Self {
-        Tracer::with_clock(Box::new(WallClock::default()))
-    }
-
-    /// A tracer on an injected clock (e.g. [`TickClock`] in tests).
-    pub fn with_clock(clock: Box<dyn Clock>) -> Self {
         Tracer {
             next: AtomicU64::new(1),
-            clock,
+            origin: Instant::now(),
         }
+    }
+
+    /// Monotonic seconds since this tracer was created.
+    fn now_s(&self) -> f64 {
+        self.origin.elapsed().as_secs_f64()
     }
 
     /// Allocates the next span under `parent` and stamps its start time.
@@ -141,7 +80,7 @@ impl Tracer {
             id: self.next.fetch_add(1, Ordering::Relaxed),
             parent: parent.map(|p| p.id),
             name,
-            start_s: self.clock.now_s(),
+            start_s: self.now_s(),
         }
     }
 
@@ -150,7 +89,7 @@ impl Tracer {
         Event::SpanEnd {
             id: span.id,
             name: span.name.to_owned(),
-            duration_s: (self.clock.now_s() - span.start_s).max(0.0),
+            duration_s: (self.now_s() - span.start_s).max(0.0),
         }
     }
 }
@@ -197,28 +136,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tick_clock_makes_durations_deterministic() {
-        let t = Tracer::with_clock(Box::new(TickClock::new(0.5)));
-        let a = t.open("run", None); // reads tick 0 -> 0.0
-        let b = t.open("iteration", Some(&a)); // reads tick 1 -> 0.5
-        match t.end_event(&b) {
-            // End reads tick 2 -> 1.0; duration = 1.0 - 0.5.
-            Event::SpanEnd { duration_s, .. } => assert!((duration_s - 0.5).abs() < 1e-12),
-            other => panic!("expected SpanEnd, got {other:?}"),
-        }
-        match t.end_event(&a) {
-            // End reads tick 3 -> 1.5; duration = 1.5 - 0.0.
-            Event::SpanEnd { duration_s, .. } => assert!((duration_s - 1.5).abs() < 1e-12),
+    fn duration(event: Event) -> f64 {
+        match event {
+            Event::SpanEnd { duration_s, .. } => duration_s,
             other => panic!("expected SpanEnd, got {other:?}"),
         }
     }
 
     #[test]
-    fn wall_clock_is_monotonic() {
-        let c = WallClock::default();
-        let a = c.now_s();
-        let b = c.now_s();
-        assert!(b >= a);
+    fn a_parent_span_lasts_at_least_as_long_as_its_child() {
+        let t = Tracer::new();
+        let parent = t.open("run", None);
+        let child = t.open("iteration", Some(&parent));
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let child_s = duration(t.end_event(&child));
+        let parent_s = duration(t.end_event(&parent));
+        assert!(child_s >= 0.0);
+        assert!(parent_s >= child_s, "parent {parent_s} < child {child_s}");
     }
 }

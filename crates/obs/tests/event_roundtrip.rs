@@ -35,11 +35,6 @@ fn one_of_each() -> Vec<Event> {
             qor: vec![1.82, 0.47],
             duration_s: 0.0031,
         },
-        Event::Stage {
-            candidate: 215,
-            stage: "route".to_string(),
-            duration_s: 0.0009,
-        },
         Event::Classify {
             iteration: 3,
             pareto: 4,

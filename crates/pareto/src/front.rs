@@ -1,6 +1,6 @@
 //! Pareto-front extraction and non-dominated sorting.
 
-use crate::dominance::{compare, dominates, Dominance};
+use crate::dominance::{compare, Dominance};
 
 /// Indices of the non-dominated points of `points` (minimization), in
 /// ascending index order.
@@ -119,86 +119,6 @@ pub fn crowding_distance(points: &[Vec<f64>]) -> Vec<f64> {
     dist
 }
 
-/// Incrementally maintained Pareto archive (minimization).
-///
-/// Inserting a point drops any archive member it dominates and rejects the
-/// point when the archive already dominates it — the standard structure for
-/// keeping "best set seen so far" during an optimization run.
-///
-/// # Example
-///
-/// ```
-/// use pareto::front::ParetoArchive;
-///
-/// let mut ar = ParetoArchive::new();
-/// assert!(ar.insert(vec![2.0, 2.0]));
-/// assert!(ar.insert(vec![1.0, 3.0]));
-/// assert!(!ar.insert(vec![3.0, 3.0])); // dominated by (2,2)
-/// assert!(ar.insert(vec![1.0, 1.0]));  // dominates everything
-/// assert_eq!(ar.len(), 1);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParetoArchive {
-    points: Vec<Vec<f64>>,
-}
-
-impl ParetoArchive {
-    /// Creates an empty archive.
-    pub fn new() -> Self {
-        ParetoArchive { points: Vec::new() }
-    }
-
-    /// Attempts to insert `point`; returns `true` when it enters the
-    /// archive (i.e. it is not dominated by nor equal to a member).
-    pub fn insert(&mut self, point: Vec<f64>) -> bool {
-        for p in &self.points {
-            match compare(p, &point) {
-                Dominance::Dominates | Dominance::Equal => return false,
-                _ => {}
-            }
-        }
-        self.points.retain(|p| !dominates(&point, p));
-        self.points.push(point);
-        true
-    }
-
-    /// Number of archived (mutually non-dominated) points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when the archive holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Borrows the archived points.
-    pub fn points(&self) -> &[Vec<f64>] {
-        &self.points
-    }
-
-    /// Consumes the archive and returns its points.
-    pub fn into_points(self) -> Vec<Vec<f64>> {
-        self.points
-    }
-}
-
-impl Extend<Vec<f64>> for ParetoArchive {
-    fn extend<T: IntoIterator<Item = Vec<f64>>>(&mut self, iter: T) {
-        for p in iter {
-            self.insert(p);
-        }
-    }
-}
-
-impl FromIterator<Vec<f64>> for ParetoArchive {
-    fn from_iter<T: IntoIterator<Item = Vec<f64>>>(iter: T) -> Self {
-        let mut ar = ParetoArchive::new();
-        ar.extend(iter);
-        ar
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,37 +216,5 @@ mod tests {
         let d = crowding_distance(&pts);
         assert_eq!(d[0], f64::INFINITY);
         assert_eq!(d[2], f64::INFINITY);
-    }
-
-    #[test]
-    fn archive_maintains_front() {
-        let mut ar = ParetoArchive::new();
-        assert!(ar.is_empty());
-        assert!(ar.insert(vec![3.0, 3.0]));
-        assert!(ar.insert(vec![1.0, 4.0]));
-        assert!(ar.insert(vec![4.0, 1.0]));
-        assert_eq!(ar.len(), 3);
-        // Dominates (3,3): archive shrinks to 3 again after insert.
-        assert!(ar.insert(vec![2.0, 2.0]));
-        assert_eq!(ar.len(), 3);
-        assert!(!ar.points().iter().any(|p| p == &vec![3.0, 3.0]));
-        // Duplicate of an existing member is rejected.
-        assert!(!ar.insert(vec![2.0, 2.0]));
-    }
-
-    #[test]
-    fn archive_from_iterator_equals_front() {
-        let pts = vec![
-            vec![1.0, 4.0],
-            vec![2.0, 2.0],
-            vec![4.0, 1.0],
-            vec![3.0, 3.0],
-        ];
-        let ar: ParetoArchive = pts.clone().into_iter().collect();
-        let mut archived = ar.into_points();
-        archived.sort_by(|a, b| a[0].partial_cmp(&b[0]).unwrap());
-        let mut front = pareto_front_points(&pts);
-        front.sort_by(|a, b| a[0].partial_cmp(&b[0]).unwrap());
-        assert_eq!(archived, front);
     }
 }

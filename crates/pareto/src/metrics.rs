@@ -61,100 +61,6 @@ pub fn adrs(golden: &[Vec<f64>], approx: &[Vec<f64>]) -> Result<f64> {
     Ok(total / golden.len() as f64)
 }
 
-/// Additive ε-indicator: the smallest ε such that shifting every point of
-/// `approx` down by ε (componentwise) makes it weakly dominate every
-/// golden point — i.e. `max_{a∈A} min_{p̂∈P̂} max_j (p̂_j − a_j)`.
-///
-/// Complements ADRS: it is an absolute (not relative) worst-case gap, the
-/// standard indicator of ε-dominance-based methods like the tuner's
-/// δ-classification.
-///
-/// # Errors
-///
-/// Same conditions as [`adrs`] minus the zero-coordinate rule.
-pub fn epsilon_indicator(golden: &[Vec<f64>], approx: &[Vec<f64>]) -> Result<f64> {
-    if golden.is_empty() {
-        return Err(ParetoError::EmptySet { what: "golden set" });
-    }
-    if approx.is_empty() {
-        return Err(ParetoError::EmptySet {
-            what: "approximation set",
-        });
-    }
-    let d = golden[0].len();
-    for (i, p) in golden.iter().chain(approx.iter()).enumerate() {
-        if p.len() != d {
-            return Err(ParetoError::DimensionMismatch {
-                expected: d,
-                got: p.len(),
-            });
-        }
-        if p.iter().any(|x| x.is_nan()) {
-            return Err(ParetoError::NanCoordinate { index: i });
-        }
-    }
-    let mut worst = f64::NEG_INFINITY;
-    for a in golden {
-        let mut best = f64::INFINITY;
-        for p in approx {
-            let gap = p
-                .iter()
-                .zip(a)
-                .map(|(&pj, &aj)| pj - aj)
-                .fold(f64::NEG_INFINITY, f64::max);
-            best = best.min(gap);
-        }
-        worst = worst.max(best);
-    }
-    Ok(worst)
-}
-
-/// Generational distance: average Euclidean distance from each
-/// approximation point to its nearest golden point. A supplementary
-/// indicator (not in the paper) useful for diagnosing *where* an
-/// approximation is off: high GD with low ADRS means redundant stragglers.
-///
-/// # Errors
-///
-/// Same conditions as [`adrs`] minus the zero-coordinate rule.
-pub fn generational_distance(golden: &[Vec<f64>], approx: &[Vec<f64>]) -> Result<f64> {
-    if golden.is_empty() {
-        return Err(ParetoError::EmptySet { what: "golden set" });
-    }
-    if approx.is_empty() {
-        return Err(ParetoError::EmptySet {
-            what: "approximation set",
-        });
-    }
-    let d = golden[0].len();
-    for (i, p) in golden.iter().chain(approx.iter()).enumerate() {
-        if p.len() != d {
-            return Err(ParetoError::DimensionMismatch {
-                expected: d,
-                got: p.len(),
-            });
-        }
-        if p.iter().any(|x| x.is_nan()) {
-            return Err(ParetoError::NanCoordinate { index: i });
-        }
-    }
-    let mut total = 0.0;
-    for p in approx {
-        let mut best = f64::INFINITY;
-        for a in golden {
-            let dist: f64 = p
-                .iter()
-                .zip(a)
-                .map(|(&x, &y)| (x - y) * (x - y))
-                .sum::<f64>()
-                .sqrt();
-            best = best.min(dist);
-        }
-        total += best;
-    }
-    Ok(total / approx.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,55 +121,5 @@ mod tests {
             adrs(&[vec![f64::NAN, 1.0]], &[vec![1.0, 1.0]]).unwrap_err(),
             ParetoError::NanCoordinate { .. }
         ));
-    }
-
-    #[test]
-    fn epsilon_zero_when_covered() {
-        let golden = vec![vec![1.0, 4.0], vec![2.0, 2.0]];
-        assert!(epsilon_indicator(&golden, &golden).unwrap().abs() < 1e-15);
-    }
-
-    #[test]
-    fn epsilon_matches_hand_computation() {
-        // approx (2.3, 2.1) vs golden (2, 2): ε = max(0.3, 0.1) = 0.3.
-        let golden = vec![vec![2.0, 2.0]];
-        let approx = vec![vec![2.3, 2.1]];
-        assert!((epsilon_indicator(&golden, &approx).unwrap() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn epsilon_negative_when_approx_dominates() {
-        let golden = vec![vec![2.0, 2.0]];
-        let approx = vec![vec![1.5, 1.5]];
-        assert!((epsilon_indicator(&golden, &approx).unwrap() + 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn epsilon_takes_worst_golden_point() {
-        let golden = vec![vec![1.0, 1.0], vec![5.0, 0.5]];
-        let approx = vec![vec![1.0, 1.0]];
-        // Covering (1,1) exactly but missing (5, 0.5) by 0.5 in objective 1.
-        assert!((epsilon_indicator(&golden, &approx).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn epsilon_rejects_empty() {
-        assert!(epsilon_indicator(&[], &[vec![1.0]]).is_err());
-        assert!(epsilon_indicator(&[vec![1.0]], &[]).is_err());
-    }
-
-    #[test]
-    fn gd_zero_when_on_front() {
-        let golden = vec![vec![1.0, 4.0], vec![2.0, 2.0]];
-        let approx = vec![vec![2.0, 2.0]];
-        assert!(generational_distance(&golden, &approx).unwrap().abs() < 1e-15);
-    }
-
-    #[test]
-    fn gd_measures_euclidean_gap() {
-        let golden = vec![vec![0.0, 0.0]];
-        let approx = vec![vec![3.0, 4.0]];
-        let v = generational_distance(&golden, &approx).unwrap();
-        assert!((v - 5.0).abs() < 1e-12);
     }
 }

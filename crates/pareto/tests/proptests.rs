@@ -1,7 +1,7 @@
 //! Property-based tests for the multi-objective utilities.
 
 use pareto::dominance::{compare, dominates, Dominance};
-use pareto::front::{crowding_distance, non_dominated_sort, pareto_front, ParetoArchive};
+use pareto::front::{crowding_distance, non_dominated_sort, pareto_front};
 use pareto::hypervolume::{hypervolume, hypervolume_error, reference_point};
 use pareto::metrics::adrs;
 use proptest::prelude::*;
@@ -98,20 +98,6 @@ proptest! {
         let single = vec![pts[0].clone()];
         let v2 = adrs(&golden, &single).unwrap();
         prop_assert!(v2 >= -1e-12);
-    }
-
-    #[test]
-    fn archive_equals_batch_front(pts in points_strategy(20, 2)) {
-        let mut ar = ParetoArchive::new();
-        for p in &pts {
-            ar.insert(p.clone());
-        }
-        let mut incremental = ar.into_points();
-        let mut batch: Vec<Vec<f64>> = pareto_front(&pts).into_iter().map(|i| pts[i].clone()).collect();
-        let key = |p: &Vec<f64>| (p[0].to_bits(), p[1].to_bits());
-        incremental.sort_by_key(key);
-        batch.sort_by_key(key);
-        prop_assert_eq!(incremental, batch);
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub struct PpaTunerConfig {
     /// Configurations sent to the tool per iteration (the paper's batch
     /// trials via parallel licenses). Above 1, selection switches from
     /// argmax-diameter (Eq. 13) to the diverse top-q batch rule
-    /// ([`select_batch`](crate::select_batch)) and each batch is
+    /// ([`select_batch`]) and each batch is
     /// evaluated as one concurrent wave: through a
     /// [`ConcurrentOracle`](crate::ConcurrentOracle), every member of a
     /// wave runs on its own thread, since tool runs wait on licenses, not

@@ -72,7 +72,7 @@ pub fn point_set_with_reference(
     (pts, reference)
 }
 
-/// A golden/approx front pair for ADRS and ε-indicator differentials.
+/// A golden/approx front pair for the ADRS differential.
 /// Coordinates are bounded away from zero (ADRS divides by the golden
 /// coordinates), and the approx set is a jittered resample of the golden
 /// set so the metrics exercise their interesting (small-deviation) regime.

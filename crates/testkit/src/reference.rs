@@ -190,35 +190,6 @@ pub fn adrs(golden: &[Vec<f64>], approx: &[Vec<f64>]) -> f64 {
     total / golden.len() as f64
 }
 
-/// Reference additive ε-indicator:
-/// `max_{a∈A} min_{p̂∈P̂} max_j (p̂_j − a_j)` via three explicit loops.
-///
-/// # Panics
-///
-/// Panics on empty sets or dimension mismatches.
-pub fn epsilon_indicator(golden: &[Vec<f64>], approx: &[Vec<f64>]) -> f64 {
-    assert!(
-        !golden.is_empty() && !approx.is_empty(),
-        "reference epsilon"
-    );
-    let d = golden[0].len();
-    let mut worst = f64::NEG_INFINITY;
-    for a in golden {
-        assert_eq!(a.len(), d, "reference epsilon: dimension");
-        let mut best = f64::INFINITY;
-        for p in approx {
-            assert_eq!(p.len(), d, "reference epsilon: dimension");
-            let mut gap = f64::NEG_INFINITY;
-            for j in 0..d {
-                gap = gap.max(p[j] - a[j]);
-            }
-            best = best.min(gap);
-        }
-        worst = worst.max(best);
-    }
-    worst
-}
-
 /// The transfer kernel's cross-task correlation factor
 /// `λ = 2(1/(1+a))^b − 1` (Eq. 7), in closed form. The independent
 /// reference for it is [`lambda_by_quadrature`].
@@ -603,11 +574,10 @@ mod tests {
     }
 
     #[test]
-    fn reference_adrs_and_epsilon_hand_cases() {
+    fn reference_adrs_hand_case() {
         let golden = vec![vec![2.0, 2.0]];
         let approx = vec![vec![2.2, 2.0]];
         assert!((adrs(&golden, &approx) - 0.1).abs() < 1e-12);
-        assert!((epsilon_indicator(&golden, &approx) - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -93,10 +93,6 @@ fn adrs_driver(cases: u64) {
         let fast = pareto::metrics::adrs(&golden, &approx).expect("fast adrs");
         let slow = reference::adrs(&golden, &approx);
         assert_close("adrs", case, &(&golden, &approx), fast, slow);
-
-        let fast = pareto::metrics::epsilon_indicator(&golden, &approx).expect("fast epsilon");
-        let slow = reference::epsilon_indicator(&golden, &approx);
-        assert_close("epsilon_indicator", case, &(&golden, &approx), fast, slow);
     }
 }
 
@@ -497,7 +493,7 @@ fn hypervolume_matches_inclusion_exclusion() {
 }
 
 #[test]
-fn adrs_and_epsilon_match_brute_force() {
+fn adrs_matches_brute_force() {
     adrs_driver(CASES);
 }
 
@@ -586,7 +582,7 @@ fn deep_hypervolume() {
 
 #[test]
 #[ignore = "10x-depth stress suite, run via --include-ignored"]
-fn deep_adrs_and_epsilon() {
+fn deep_adrs() {
     adrs_driver(12_000);
 }
 

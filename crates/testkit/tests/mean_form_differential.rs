@@ -61,7 +61,7 @@ const DENSE_TOL: f64 = 1e-10;
 /// The posterior as `TransferGp` built it before its mean became `v·w`:
 /// it keeps `α` and reduces `k*·α`.
 struct OldForm {
-    kernel: TransferKernel<SquaredExponential>,
+    kernel: TransferKernel,
     config: TransferGpConfig,
     source: TaskData,
     target: TaskData,
