@@ -156,7 +156,7 @@ pub enum Event {
         detail: String,
     },
 
-    /// A failed evaluation is being retried after a deterministic backoff.
+    /// A failed evaluation is being retried.
     EvalRetry {
         /// Refinement iteration.
         iteration: usize,
@@ -164,9 +164,6 @@ pub enum Event {
         candidate: usize,
         /// The upcoming attempt number, 1-based.
         attempt: usize,
-        /// Scheduled backoff before this attempt, in seconds (capped
-        /// exponential; advisory — table-backed oracles do not sleep).
-        backoff_s: f64,
     },
 
     /// A candidate exhausted its evaluation failure budget and was
@@ -481,7 +478,6 @@ mod tests {
                 iteration: 2,
                 candidate: 7,
                 attempt: 2,
-                backoff_s: 2.0,
             },
             Event::CandidateQuarantined {
                 iteration: 2,

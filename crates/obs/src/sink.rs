@@ -152,11 +152,7 @@ impl StderrSink {
                 iteration,
                 candidate,
                 attempt,
-                backoff_s,
-            } => format!(
-                "iter {iteration:3}: eval #{candidate} retry (attempt {attempt}, \
-                 backoff {backoff_s:.1} s)"
-            ),
+            } => format!("iter {iteration:3}: eval #{candidate} retry (attempt {attempt})"),
             Event::CandidateQuarantined {
                 iteration,
                 candidate,

@@ -99,3 +99,20 @@ fn jsonl_sink_writes_one_parseable_line_per_event() {
         .collect();
     assert_eq!(parsed, events);
 }
+
+/// Traces written while `EvalRetry` still carried an advisory
+/// `backoff_s` must stay readable by `trace_report`: the retired field
+/// is ignored on parse.
+#[test]
+fn an_eval_retry_line_with_a_retired_backoff_still_parses() {
+    let line = r#"{"EvalRetry":{"iteration":2,"candidate":7,"attempt":2,"backoff_s":2.0}}"#;
+    let event: Event = serde_json::from_str(line).expect("old EvalRetry line parses");
+    assert_eq!(
+        event,
+        Event::EvalRetry {
+            iteration: 2,
+            candidate: 7,
+            attempt: 2,
+        }
+    );
+}

@@ -42,8 +42,10 @@ use crate::tuner::{PpaTunerConfig, SourceData};
 /// Version 2 replaced the configuration's `threads`, `eval_workers`,
 /// `predict_workers` and `predict_block` with the single `workers`;
 /// version 3 replaced the snapshot's `regions` and `history` with
-/// `regions_digest`.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// `regions_digest`; version 4 dropped five configuration fields: the
+/// batch-diversity γ, the diversity radius and the outlier gate became
+/// constants, and the retry backoff's base and cap went with the backoff.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// The result of one oracle attempt, after sanitization.
 ///
@@ -724,11 +726,28 @@ mod tests {
         }
     }
 
+    /// `json` with the five configuration fields versions 1–3 stored and
+    /// version 4 made constants, at their only values.
+    fn with_retired_knobs(json: &str) -> String {
+        let old = json
+            .replace(
+                "\"batch_size\":1,",
+                "\"batch_size\":1,\"batch_diversity\":0.5,\"diversity_radius\":0.25,",
+            )
+            .replace(
+                "\"max_eval_attempts\":3,",
+                "\"max_eval_attempts\":3,\"backoff_base_s\":1.0,\"backoff_cap_s\":60.0,\
+                 \"outlier_gate\":8.0,",
+            );
+        assert!(old.contains("\"diversity_radius\"") && old.contains("\"outlier_gate\""));
+        old
+    }
+
     /// A sealed checkpoint as version 1 wrote it: the four retired thread
     /// settings in place of `workers`.
     fn version_1_json() -> String {
         let json = sample_checkpoint().to_json();
-        let v1 = json
+        let v1 = with_retired_knobs(&json)
             .replace(
                 &format!("\"version\":{CHECKPOINT_VERSION}"),
                 "\"version\":1",
@@ -746,8 +765,7 @@ mod tests {
     /// the JSON with a zeroed `digest` key.
     fn version_2_json() -> String {
         let ckpt = sample_checkpoint();
-        let body = ckpt
-            .to_json()
+        let body = with_retired_knobs(&ckpt.to_json())
             .replace(
                 &format!("\"version\":{CHECKPOINT_VERSION}"),
                 "\"version\":2",
@@ -766,9 +784,37 @@ mod tests {
         body.replace("\"digest\":0}", &format!("\"digest\":{v2_digest}}}"))
     }
 
+    /// A sealed checkpoint as version 3 wrote it: the five retired
+    /// configuration fields, resealed over the JSON without the `digest`
+    /// key, so only the version can refuse it.
+    fn version_3_json() -> String {
+        let ckpt = sample_checkpoint();
+        let sealed = format!(",\"digest\":{}}}", ckpt.content_digest());
+        let body = with_retired_knobs(&ckpt.to_json())
+            .replace(
+                &format!("\"version\":{CHECKPOINT_VERSION}"),
+                "\"version\":3",
+            )
+            .replace(&sealed, "}");
+        assert!(body.contains("\"version\":3") && !body.contains("\"digest\""));
+        let v3_digest = fnv1a(FNV_OFFSET, body.as_bytes());
+        let mut v3 = body;
+        v3.pop();
+        v3.push_str(&format!(",\"digest\":{v3_digest}}}"));
+        v3
+    }
+
     #[test]
-    fn version_1_checkpoints_are_refused_as_unsupported() {
-        for (version, json) in [(1, version_1_json()), (2, version_2_json())] {
+    fn older_checkpoint_versions_are_refused_as_unsupported() {
+        let v3 = version_3_json();
+        // Read as the current version, the version-3 bytes fail the digest
+        // (their config has fields v4 drops), so the version must be
+        // checked first or the file would pass for a torn write.
+        match Checkpoint::parse(&v3.replace("\"version\":3", "\"version\":4")) {
+            Err(CheckpointError::Corrupt { reason }) => assert!(reason.contains("digest mismatch")),
+            other => panic!("version-3 bytes read as version 4: {other:?}"),
+        }
+        for (version, json) in [(1, version_1_json()), (2, version_2_json()), (3, v3)] {
             let unsupported = format!("version {version} unsupported");
             let e = Checkpoint::from_json(&json).unwrap_err();
             assert!(e.contains(&unsupported), "{e}");

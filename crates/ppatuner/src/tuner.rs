@@ -31,6 +31,21 @@ const DEGRADED_REFIT_REUSED: &str = "refit-reused-hypers";
 /// unchanged.
 const DEGRADED_FROZEN: &str = "frozen";
 
+/// Diversity penalty strength γ ∈ [0, 1) of the batch selection rule
+/// ([`select_batch`]): a pick's score is `diam · (1 − γ·red)`, where `red`
+/// measures redundancy against the members already picked. Irrelevant at
+/// `batch_size` 1.
+const BATCH_DIVERSITY: f64 = 0.5;
+/// Parameter-space radius (encoded coordinates) inside which two batch
+/// members start counting as redundant.
+const DIVERSITY_RADIUS: f64 = 0.25;
+/// QoR sanitization gate: an observation is rejected as a gross outlier
+/// when it falls outside the candidate's current uncertainty region
+/// widened per objective by `OUTLIER_GATE × max(region width, observed
+/// span)`. Large, so only tool garbage (unit mix-ups, truncated reports)
+/// trips it, never a merely surprising true value.
+const OUTLIER_GATE: f64 = 8.0;
+
 /// Historical (source-task) tool-run data: encoded configurations and
 /// their QoR vectors.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -144,14 +159,6 @@ pub struct PpaTunerConfig {
     /// wave runs on its own thread, since tool runs wait on licenses, not
     /// cores, and `batch_size` already is the license count.
     pub batch_size: usize,
-    /// Diversity penalty strength γ ∈ [0, 1) of the batch selection rule:
-    /// a pick's score is `diam · (1 − γ·red)` where `red` measures
-    /// redundancy against already-picked members. 0 recovers pure
-    /// top-q-by-diameter; irrelevant at `batch_size` 1.
-    pub batch_diversity: f64,
-    /// Parameter-space radius (encoded coordinates) inside which two
-    /// batch members start counting as redundant.
-    pub diversity_radius: f64,
     /// Re-train GP hyper-parameters every this many iterations (between
     /// refits, the model is re-conditioned on new data with cached
     /// hyper-parameters).
@@ -178,18 +185,6 @@ pub struct PpaTunerConfig {
     /// Maximum oracle attempts per candidate per selection before the
     /// candidate is quarantined (1 = no retries).
     pub max_eval_attempts: usize,
-    /// First-retry backoff in seconds; doubles per further retry. Purely
-    /// advisory for table-backed oracles (recorded in `EvalRetry` events,
-    /// never slept on by the tuner itself).
-    pub backoff_base_s: f64,
-    /// Upper bound on the advisory backoff.
-    pub backoff_cap_s: f64,
-    /// QoR sanitization gate: an observation is rejected as a gross
-    /// outlier when it falls outside the candidate's current uncertainty
-    /// region widened per objective by `gate × max(region width, observed
-    /// span)`. Large by default so only tool garbage (unit mix-ups,
-    /// truncated reports) trips it, never a merely surprising true value.
-    pub outlier_gate: f64,
     /// Grow the candidate pool adaptively (off by default): the initial
     /// candidates become leaf representatives of a bisection cell tree
     /// over the parameter box, and each iteration splits the cells whose
@@ -250,17 +245,12 @@ impl Default for PpaTunerConfig {
             initial_samples: 20,
             max_iterations: 300,
             batch_size: 1,
-            batch_diversity: 0.5,
-            diversity_radius: 0.25,
             refit_every: 25,
             fit_budget: FitBudget::default(),
             seed: 0,
             workers: 0,
             include_predicted_front: true,
             max_eval_attempts: 3,
-            backoff_base_s: 1.0,
-            backoff_cap_s: 60.0,
-            outlier_gate: 8.0,
             adaptive_pool: false,
             pool_refine_scale: 1.0,
             pool_refine_ceiling: f64::MAX,
@@ -299,40 +289,10 @@ impl PpaTunerConfig {
                 value: 0.0,
             });
         }
-        if !(self.batch_diversity.is_finite() && (0.0..1.0).contains(&self.batch_diversity)) {
-            return Err(TunerError::InvalidConfig {
-                name: "batch_diversity",
-                value: self.batch_diversity,
-            });
-        }
-        if !(self.diversity_radius.is_finite() && self.diversity_radius > 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "diversity_radius",
-                value: self.diversity_radius,
-            });
-        }
         if self.max_eval_attempts == 0 {
             return Err(TunerError::InvalidConfig {
                 name: "max_eval_attempts",
                 value: 0.0,
-            });
-        }
-        if !(self.backoff_base_s.is_finite() && self.backoff_base_s >= 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "backoff_base_s",
-                value: self.backoff_base_s,
-            });
-        }
-        if !(self.backoff_cap_s.is_finite() && self.backoff_cap_s >= 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "backoff_cap_s",
-                value: self.backoff_cap_s,
-            });
-        }
-        if !(self.outlier_gate.is_finite() && self.outlier_gate > 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "outlier_gate",
-                value: self.outlier_gate,
             });
         }
         if !(self.pool_refine_scale.is_finite() && self.pool_refine_scale > 0.0) {
@@ -391,13 +351,6 @@ impl PpaTunerConfig {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             w => w,
         }
-    }
-
-    /// Advisory backoff before 1-based `attempt` (≥ 2): capped
-    /// exponential on `backoff_base_s`.
-    fn retry_backoff_s(&self, attempt: usize) -> f64 {
-        let doublings = attempt.saturating_sub(2).min(63) as i32;
-        (self.backoff_base_s * 2f64.powi(doublings)).min(self.backoff_cap_s)
     }
 }
 
@@ -1339,8 +1292,8 @@ impl<'a, 'o> RunState<'a, 'o> {
                 &self.statuses,
                 &self.evaluated_flag,
                 want,
-                self.config.batch_diversity,
-                self.config.diversity_radius,
+                BATCH_DIVERSITY,
+                DIVERSITY_RADIUS,
             );
             if picks.is_empty() {
                 break;
@@ -1451,11 +1404,7 @@ impl<'a, 'o> RunState<'a, 'o> {
         let ctx = WaveCtx {
             candidates: &self.candidates,
             n_obj: (self.n_obj > 0).then_some(self.n_obj),
-            gate: (!self.regions.is_empty()).then_some((
-                &self.regions[..],
-                &self.obs_span,
-                self.config.outlier_gate,
-            )),
+            gate: (!self.regions.is_empty()).then_some((&self.regions[..], &self.obs_span)),
         };
         let max_attempts = self.config.max_eval_attempts;
         match &mut self.oracle {
@@ -1532,7 +1481,6 @@ impl<'a, 'o> RunState<'a, 'o> {
                         iteration,
                         candidate,
                         attempt,
-                        backoff_s: self.config.retry_backoff_s(attempt),
                     });
                 }
             }
@@ -2011,9 +1959,9 @@ struct WaveCtx<'a> {
     /// Established objective count (`None` only for the first
     /// initialization wave, before any QoR has been accepted).
     n_obj: Option<usize>,
-    /// Outlier-gate inputs (`None` during initialization): all regions,
-    /// the observed span, and the gate factor.
-    gate: Option<(&'a [UncertaintyRegion], &'a ObservedSpan, f64)>,
+    /// Outlier-gate inputs (`None` during initialization): all regions
+    /// and the observed span.
+    gate: Option<(&'a [UncertaintyRegion], &'a ObservedSpan)>,
 }
 
 impl WaveCtx<'_> {
@@ -2021,8 +1969,7 @@ impl WaveCtx<'_> {
         sanitize_qor(
             y,
             self.n_obj,
-            self.gate
-                .map(|(regions, span, gate)| (&regions[candidate], span, gate)),
+            self.gate.map(|(regions, span)| (&regions[candidate], span)),
         )
     }
 }
@@ -2121,14 +2068,15 @@ impl ObservedSpan {
 /// finiteness, and (when a region is supplied) the gross-outlier gate.
 ///
 /// The gate widens the candidate's current uncertainty interval per
-/// objective by `gate × max(region width, observed span, tiny·magnitude)`
+/// objective by `OUTLIER_GATE × max(region width, observed span,
+/// tiny·magnitude)`
 /// — generous enough that genuine observations never trip it (the span of
 /// everything seen so far dwarfs any honest prediction error), while
 /// unit-mixed-up or corrupted values land orders of magnitude outside.
 fn sanitize_qor(
     y: &[f64],
     n_obj: Option<usize>,
-    gate: Option<(&UncertaintyRegion, &ObservedSpan, f64)>,
+    gate: Option<(&UncertaintyRegion, &ObservedSpan)>,
 ) -> std::result::Result<(), String> {
     match n_obj {
         Some(m) => {
@@ -2145,7 +2093,7 @@ fn sanitize_qor(
     if let Some(k) = y.iter().position(|v| !v.is_finite()) {
         return Err(format!("non-finite value {} at objective {k}", y[k]));
     }
-    if let Some((region, span, factor)) = gate {
+    if let Some((region, span)) = gate {
         let lo = region.optimistic();
         let hi = region.pessimistic();
         for (k, &v) in y.iter().enumerate() {
@@ -2155,7 +2103,7 @@ fn sanitize_qor(
             let scale = (hi[k] - lo[k])
                 .max(span.span(k))
                 .max(1e-9 * span.magnitude(k));
-            let allow = factor * scale;
+            let allow = OUTLIER_GATE * scale;
             if v < lo[k] - allow || v > hi[k] + allow {
                 return Err(format!(
                     "objective {k} value {v} is a gross outlier vs region [{}, {}]",
@@ -2885,26 +2833,6 @@ mod tests {
         ));
         assert!(matches!(
             bad(PpaTunerConfig {
-                backoff_base_s: f64::NAN,
-                ..slow_config()
-            }),
-            TunerError::InvalidConfig {
-                name: "backoff_base_s",
-                ..
-            }
-        ));
-        assert!(matches!(
-            bad(PpaTunerConfig {
-                outlier_gate: 0.0,
-                ..quick_config()
-            }),
-            TunerError::InvalidConfig {
-                name: "outlier_gate",
-                ..
-            }
-        ));
-        assert!(matches!(
-            bad(PpaTunerConfig {
                 degraded_fit_budget: 0,
                 ..quick_config()
             }),
@@ -2915,18 +2843,54 @@ mod tests {
         ));
     }
 
+    /// The outlier gate's boundary: `[lo − allow, hi + allow]` with
+    /// `allow = OUTLIER_GATE × max(width, observed span, 1e-9·magnitude)`
+    /// is accepted, the next representable value past either end is not.
     #[test]
-    fn backoff_schedule_is_capped_exponential() {
-        let cfg = PpaTunerConfig {
-            backoff_base_s: 2.0,
-            backoff_cap_s: 10.0,
-            ..PpaTunerConfig::default()
+    fn sanitize_qor_gate_is_inclusive_at_its_bounds() {
+        let region = |lo: f64, hi: f64| {
+            let mut r = UncertaintyRegion::unbounded(1);
+            r.intersect(&[lo], &[hi]);
+            r
         };
-        assert_eq!(cfg.retry_backoff_s(2), 2.0);
-        assert_eq!(cfg.retry_backoff_s(3), 4.0);
-        assert_eq!(cfg.retry_backoff_s(4), 8.0);
-        assert_eq!(cfg.retry_backoff_s(5), 10.0);
-        assert_eq!(cfg.retry_backoff_s(50), 10.0);
+        let span_of = |values: &[f64]| {
+            let mut span = ObservedSpan::new(1);
+            for &v in values {
+                span.absorb(&[v]);
+            }
+            span
+        };
+        let check = |r: &UncertaintyRegion, span: &ObservedSpan, scale: f64| {
+            let (lo, hi) = (r.optimistic()[0], r.pessimistic()[0]);
+            let allow = OUTLIER_GATE * scale;
+            let gate = Some((r, span));
+            for edge in [hi + allow, lo - allow] {
+                assert!(sanitize_qor(&[edge], Some(1), gate).is_ok(), "{edge}");
+            }
+            for past in [(hi + allow).next_up(), (lo - allow).next_down()] {
+                let e = sanitize_qor(&[past], Some(1), gate).unwrap_err();
+                assert!(e.contains("gross outlier"), "{e}");
+            }
+        };
+
+        // The region is wider than the observed span: it sets the scale.
+        let r = region(1.0, 1.75);
+        check(&r, &span_of(&[1.25, 1.5]), 0.75);
+        // The observed span is wider than the region: it sets the scale.
+        check(&r, &span_of(&[-2.0, 3.0]), 5.0);
+        // A point region with zero span: the magnitude floor sets it.
+        check(
+            &UncertaintyRegion::point(&[300.0]),
+            &span_of(&[300.0]),
+            1e-9 * 300.0,
+        );
+
+        // An objective whose region is still unbounded is never gated.
+        let mut half = UncertaintyRegion::unbounded(2);
+        half.intersect(&[f64::NEG_INFINITY, 0.0], &[f64::INFINITY, 1.0]);
+        let span = ObservedSpan::new(2);
+        assert!(sanitize_qor(&[1e300, 0.5], Some(2), Some((&half, &span))).is_ok());
+        assert!(sanitize_qor(&[0.5, 1e300], Some(2), Some((&half, &span))).is_err());
     }
 
     // ---------------------------------------------- degraded-mode supervisor

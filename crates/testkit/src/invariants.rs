@@ -966,7 +966,6 @@ mod tests {
                 iteration: 0,
                 candidate: 0,
                 attempt: 2,
-                backoff_s: 1.0,
             },
             Event::ToolEval {
                 iteration: 0,

@@ -6,7 +6,7 @@
 //!
 //! 1. **Worker-count invariance under faults**: a faulty q = 4 run
 //!    records the same canonical trace at 1, 2, 4, and 8 workers.
-//!    Retries, backoff bookkeeping, and quarantines happen per member
+//!    Retries and quarantines happen per member
 //!    inside the wave (each member on its own thread), and merges are in
 //!    batch order, so thread scheduling can never leak into the trace.
 //! 2. **Fault containment**: an always-failing batch member is
