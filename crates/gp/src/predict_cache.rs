@@ -16,25 +16,33 @@
 //! ## Lane layout
 //!
 //! The cache is a list of lane blocks. A block holds up to
-//! [`crate::PREDICT_BLOCK`] candidates ("lanes") side by side: its `v`
-//! panel is a row-major *factor row × lane* matrix, so one factor row of
-//! every lane is one contiguous slice, and every lane of a block covers
-//! the same number of factor rows. An index maps each candidate id to its
+//! [`crate::PREDICT_BLOCK`] candidates ("lanes") side by side: its `v` is
+//! a row-major *factor row × lane* matrix, so one factor row of every
+//! lane is one contiguous slice, and every lane of a block covers the
+//! same number of factor rows. An index maps each candidate id to its
 //! (block, lane).
 //!
-//! - A **warm sweep** computes the `q` new kernel rows of a block as a
-//!   temporary, runs the tail substitution across all its lanes at once
-//!   ([`linalg::Cholesky::solve_lower_only_tail_panel`], which reads each
-//!   old `v` row once for all `q` tail rows and appends the solved rows),
-//!   and reduces `v·w` across the lanes row by row. `‖v‖²` is a per-lane
-//!   running sum that only the new rows add to. Each lane still
-//!   accumulates in the scalar path's order, so every output is
-//!   bit-identical to [`crate::TransferGp::predict_latent`].
+//! A block stores its rows as a list of *pages* that only grows by
+//! appending. No stored row is ever moved, copied or reallocated, so a
+//! warm sweep neither copies the cache nor faults it in again.
+//!
 //! - A **miss** chunk's multi-RHS solve overwrites its `K*` with `V` in
-//!   this layout, so it becomes a block as it is.
+//!   this layout, so it becomes a block's first page as it is.
+//! - A **warm sweep** writes the `q` new kernel rows of a block into a
+//!   `q × stride` temporary, solves it in place across all lanes at once
+//!   ([`linalg::Cholesky::solve_lower_only_tail_pages`], which reads
+//!   each old row once for all `q` tail rows, page after page) and
+//!   pushes it as the block's next page. It then reduces `v·w` across the
+//!   lanes row by row. `‖v‖²` is a per-lane running sum that only the new
+//!   rows add to. Each lane still accumulates in the scalar path's
+//!   order, so every output is bit-identical to
+//!   [`crate::TransferGp::predict_latent`], however its rows are paged.
 //! - A call extends every block it reads as a whole, including lanes it
 //!   does not query, so a block never mixes row counts. That is why each
-//!   lane also keeps its query input.
+//!   lane also keeps its query input. Blocks of equal row count may still
+//!   differ in their page boundaries (one filled before a conditioning
+//!   step, one after); everything that reads or moves a lane walks its
+//!   rows across pages.
 //!
 //! ## Invalidation laws
 //!
@@ -54,9 +62,10 @@
 //!    lane the previous sweep did not query. Each block then moves its
 //!    last live lanes into the holes, and blocks of equal row count are
 //!    packed (the emptied ones freed), so dead lanes cost neither memory
-//!    nor SIMD work past one sweep boundary. Within a sweep, every call
-//!    (the active set, then pool refinement) hits every lane the previous
-//!    sweep queried.
+//!    nor SIMD work past one sweep boundary. Lanes move within rows;
+//!    pages stay where they are. Within a sweep, every call (the active
+//!    set, then pool refinement) hits every lane the previous sweep
+//!    queried.
 //!
 //! The cache never changes results: the cached path is bit-for-bit
 //! identical to the from-scratch batch predict (asserted by the gp unit
@@ -67,16 +76,19 @@ use std::collections::HashMap;
 use crate::counters;
 
 /// Up to [`crate::PREDICT_BLOCK`] cached candidates side by side. The
-/// panel is `rows × stride`, row-major; lanes `0..ids.len()` are live and
-/// the rest of each row is unused capacity (holes left by retirements).
+/// panel is `rows × stride`, row-major, held in pages; lanes
+/// `0..ids.len()` are live and the rest of each row is unused capacity
+/// (holes left by retirements).
 #[derive(Debug)]
 pub(crate) struct LaneBlock {
-    /// Factor rows every lane covers.
+    /// Factor rows every lane covers: the pages' rows added up.
     pub(crate) rows: usize,
     /// Lane capacity: the row length of the panel.
     pub(crate) stride: usize,
-    /// `v = L⁻¹k*` with `k* = k(X, x*)`, one column per lane.
-    pub(crate) v: Vec<f64>,
+    /// `v = L⁻¹k*` with `k* = k(X, x*)`, one column per lane, as
+    /// consecutive row-major pages of whole rows. Pages are only
+    /// appended.
+    pub(crate) pages: Vec<Vec<f64>>,
     /// Per lane: the caller's candidate id.
     pub(crate) ids: Vec<u64>,
     /// Per lane: the sweep that last queried it.
@@ -100,15 +112,18 @@ impl LaneBlock {
         &self.xs[lane * self.dim..(lane + 1) * self.dim]
     }
 
-    /// Makes room for `extra` appended rows in the panel. Growth is at
-    /// least an eighth of the panel, so a few warm sweeps share one
-    /// reallocation and at most an eighth of a panel sits unused (a
-    /// doubling `Vec` leaves up to half).
-    pub(crate) fn reserve_rows(&mut self, extra: usize) {
-        let need = extra * self.stride;
-        if self.v.capacity() - self.v.len() < need {
-            self.v.reserve_exact(need.max(self.v.len() / 8));
-        }
+    /// The rows of `v` in order, across pages.
+    pub(crate) fn v_rows(&self) -> impl Iterator<Item = &[f64]> {
+        let stride = self.stride;
+        self.pages.iter().flat_map(move |p| p.chunks_exact(stride))
+    }
+
+    /// [`LaneBlock::v_rows`], writable.
+    fn v_rows_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        let stride = self.stride;
+        self.pages
+            .iter_mut()
+            .flat_map(move |p| p.chunks_exact_mut(stride))
     }
 
     /// Drops every lane not touched in `sweep`, moving the block's last
@@ -123,7 +138,7 @@ impl LaneBlock {
             }
             let last = self.lanes() - 1;
             if lane != last {
-                for row in self.v.chunks_exact_mut(self.stride) {
+                for row in self.v_rows_mut() {
                     row[lane] = row[last];
                 }
                 let d = self.dim;
@@ -138,15 +153,12 @@ impl LaneBlock {
     }
 
     /// Moves `src`'s last lane into the first free lane of `self` (same
-    /// row count, a free lane left).
+    /// row count, a free lane left). The two blocks' page boundaries may
+    /// differ.
     fn take_last_lane(&mut self, src: &mut LaneBlock) {
         debug_assert!(self.rows == src.rows && self.lanes() < self.stride);
         let (from, to) = (src.lanes() - 1, self.lanes());
-        for (dst, row) in self
-            .v
-            .chunks_exact_mut(self.stride)
-            .zip(src.v.chunks_exact(src.stride))
-        {
+        for (dst, row) in self.v_rows_mut().zip(src.v_rows()) {
             dst[to] = row[from];
         }
         self.xs.extend_from_slice(src.x(from));
@@ -343,19 +355,25 @@ impl PredictCache {
 mod tests {
     use super::*;
 
-    /// A `rows`-row block whose `v` entry (i, lane) is `id + i/1000`, so
-    /// moved lanes are recognizable; holes are NaN.
-    fn block(rows: usize, stride: usize, ids: &[u64], sweep: u64) -> LaneBlock {
-        let mut v = vec![f64::NAN; rows * stride];
-        for i in 0..rows {
-            for (l, &id) in ids.iter().enumerate() {
-                v[i * stride + l] = id as f64 + i as f64 / 1000.0;
+    /// A block paged as `cut` (rows per page) whose `v` entry (i, lane)
+    /// is `id + i/1000`, so moved lanes are recognizable; holes are NaN.
+    fn paged(cut: &[usize], stride: usize, ids: &[u64], sweep: u64) -> LaneBlock {
+        let mut pages = Vec::new();
+        let mut i = 0;
+        for &len in cut {
+            let mut page = vec![f64::NAN; len * stride];
+            for (r, row) in page.chunks_exact_mut(stride).enumerate() {
+                for (l, &id) in ids.iter().enumerate() {
+                    row[l] = id as f64 + (i + r) as f64 / 1000.0;
+                }
             }
+            pages.push(page);
+            i += len;
         }
         LaneBlock {
-            rows,
+            rows: i,
             stride,
-            v,
+            pages,
             ids: ids.to_vec(),
             touched: vec![sweep; ids.len()],
             vv: ids.iter().map(|&id| id as f64).collect(),
@@ -364,21 +382,27 @@ mod tests {
         }
     }
 
+    /// A one-page `rows`-row block.
+    fn block(rows: usize, stride: usize, ids: &[u64], sweep: u64) -> LaneBlock {
+        paged(&[rows], stride, ids, sweep)
+    }
+
     /// Every lane's column, metadata and input still belong to its id,
     /// and the index points at it.
     fn assert_consistent(cache: &PredictCache) {
         let mut lanes = 0;
         for (b, blk) in cache.blocks.iter().enumerate() {
             assert!(blk.lanes() <= blk.stride);
+            assert_eq!(blk.v_rows().count(), blk.rows);
+            assert!(blk.pages.iter().all(|p| p.len() % blk.stride == 0));
             for (l, &id) in blk.ids.iter().enumerate() {
                 lanes += 1;
                 assert_eq!(cache.index[&id], (b, l));
                 assert_eq!(blk.vv[l], id as f64);
                 assert_eq!(blk.x(l), &[id as f64, 0.5]);
-                assert_eq!(blk.v.len(), blk.rows * blk.stride);
-                for i in 0..blk.rows {
+                for (i, row) in blk.v_rows().enumerate() {
                     let want = id as f64 + i as f64 / 1000.0;
-                    assert_eq!(blk.v[i * blk.stride + l], want, "id {id} row {i}");
+                    assert_eq!(row[l], want, "id {id} row {i}");
                 }
             }
         }
@@ -412,9 +436,10 @@ mod tests {
     fn compaction_fills_holes_and_frees_emptied_blocks() {
         let mut cache = PredictCache::new();
         let s = cache.sweep();
-        cache.push_block(block(4, 4, &[0, 1, 2, 3], s));
-        cache.push_block(block(4, 4, &[10, 11, 12, 13], s));
-        cache.push_block(block(4, 2, &[20, 21], s));
+        // Three 4-row blocks paged three different ways.
+        cache.push_block(paged(&[4], 4, &[0, 1, 2, 3], s));
+        cache.push_block(paged(&[2, 1, 1], 4, &[10, 11, 12, 13], s));
+        cache.push_block(paged(&[1, 3], 2, &[20, 21], s));
         cache.push_block(block(6, 3, &[30, 31, 32], s));
         // Retire 0 and 2 of the first block, 11 of the second, 31 of the
         // block with another row count.
@@ -433,6 +458,37 @@ mod tests {
             .map(|b| (b.rows, b.stride, b.lanes()))
             .collect();
         assert_eq!(shapes, vec![(4, 4, 4), (4, 4, 3), (6, 3, 2)]);
+    }
+
+    #[test]
+    fn compaction_keeps_every_page_in_place() {
+        let mut cache = PredictCache::new();
+        let s = cache.sweep();
+        cache.push_block(paged(&[3, 1, 4], 4, &[0, 1, 2, 3], s));
+        cache.push_block(paged(&[4, 4], 4, &[10, 11, 12], s));
+        cache.push_block(paged(&[1, 1, 6], 4, &[20, 21], s));
+        let addresses = |cache: &PredictCache| -> Vec<Vec<*const f64>> {
+            let mut a: Vec<Vec<*const f64>> = cache
+                .blocks
+                .iter()
+                .map(|b| b.pages.iter().map(|p| p.as_ptr()).collect())
+                .collect();
+            a.sort();
+            a
+        };
+        let before = addresses(&cache);
+        for id in [1, 11, 20] {
+            let (b, l) = cache.index[&id];
+            cache.blocks[b].touched[l] = u64::MAX;
+        }
+        cache.begin_sweep();
+        assert_consistent(&cache);
+        // Lane 21 moves into the first block's hole across different page
+        // boundaries; the third block is emptied and freed, and the other
+        // two keep every page where it was.
+        let after = addresses(&cache);
+        assert_eq!(after.len(), 2);
+        assert!(after.iter().all(|pages| before.contains(pages)));
     }
 
     #[test]
@@ -458,19 +514,5 @@ mod tests {
         assert!(cache.is_empty());
         assert!(cache.blocks.is_empty());
         assert_eq!(cache.epoch, 42);
-    }
-
-    #[test]
-    fn reserve_rows_grows_by_an_eighth_at_least() {
-        let mut b = block(16, 4, &[1, 2, 3, 4], 0);
-        b.reserve_rows(1);
-        let cap = b.v.capacity();
-        assert!((16 * 4 + 8..2 * 16 * 4).contains(&cap));
-        // The next rows fit the reserved eighth without a reallocation.
-        b.reserve_rows(2);
-        assert_eq!(b.v.capacity(), cap);
-        // A request past it grows by at least the request.
-        b.reserve_rows(8);
-        assert!(b.v.capacity() >= 16 * 4 + 8 * 4);
     }
 }

@@ -431,7 +431,9 @@ impl TransferGp {
     /// chunk instead of one forward substitution per query, so a candidate
     /// sweep walks the Cholesky factor once per chunk instead of once per
     /// point. The chunks are spread over `workers` threads with
-    /// [`fan_out`] and merged in chunk order.
+    /// [`fan_out`] and merged in chunk order. The queries may be owned
+    /// rows or borrowed slices (`&[Vec<f64>]`, `&[&[f64]]`), so a caller
+    /// never copies its candidates to predict them.
     ///
     /// Per query the arithmetic (accumulation order of the mean dot
     /// product and of `‖L⁻¹k*‖²`) is exactly that of the scalar path, so
@@ -442,7 +444,11 @@ impl TransferGp {
     ///
     /// Returns [`GpError::DimensionMismatch`] for queries of the wrong
     /// dimension.
-    pub fn predict_latent_batch(&self, xs: &[Vec<f64>], workers: usize) -> Result<Vec<(f64, f64)>> {
+    pub fn predict_latent_batch<Q: AsRef<[f64]> + Sync>(
+        &self,
+        xs: &[Q],
+        workers: usize,
+    ) -> Result<Vec<(f64, f64)>> {
         self.post.predict_latent_batch(self.rows(), xs, workers)
     }
 
@@ -477,10 +483,10 @@ impl TransferGp {
     /// [`GpError::InvalidTrainingData`] when `ids` and `xs` disagree in
     /// length; [`GpError::DimensionMismatch`] for queries of the wrong
     /// dimension.
-    pub fn predict_latent_batch_cached(
+    pub fn predict_latent_batch_cached<Q: AsRef<[f64]> + Sync>(
         &self,
         ids: &[u64],
-        xs: &[Vec<f64>],
+        xs: &[Q],
         workers: usize,
         cache: &mut PredictCache,
     ) -> Result<Vec<(f64, f64)>> {
@@ -514,7 +520,8 @@ impl TransferGp {
                 Ok((self.predict_block(&block), None))
             } else {
                 let chunk = miss_chunks[task - n_read];
-                let block = self.miss_block(chunk.iter().map(|&q| (ids[q], &xs[q])), sweep)?;
+                let block =
+                    self.miss_block(chunk.iter().map(|&q| (ids[q], xs[q].as_ref())), sweep)?;
                 Ok((self.predict_block(&block), Some(block)))
             }
         });
@@ -556,10 +563,11 @@ impl TransferGp {
     }
 
     /// Extends every lane of a cached block by the factor rows appended
-    /// since it was last read: one tail substitution across the lanes on
-    /// the new `k*` rows (a temporary), and the new rows' squares added to
-    /// each lane's `‖v‖²`. Conditioning never adds source points, so every
-    /// new row is a target row.
+    /// since it was last read: the new `k*` rows are assembled into a
+    /// page, solved in place by one tail substitution across the lanes,
+    /// added to each lane's `‖v‖²` and appended to the block. Old pages
+    /// are only read. Conditioning never adds source points, so every new
+    /// row is a target row.
     fn extend_block(&self, block: &mut LaneBlock) -> Result<()> {
         let p = self.post.len();
         if block.rows == p {
@@ -568,42 +576,41 @@ impl TransferGp {
         let rows = self.rows();
         let (stride, lanes) = (block.stride, block.lanes());
         let xt = dims_major((0..lanes).map(|l| block.x(l)), block.dim);
-        let mut k_tail = vec![0.0; (p - block.rows) * stride];
-        for (i, k_row) in (block.rows..p).zip(k_tail.chunks_exact_mut(stride)) {
+        let mut page = vec![0.0; (p - block.rows) * stride];
+        for (i, k_row) in (block.rows..p).zip(page.chunks_exact_mut(stride)) {
             self.post
                 .cross_lanes(rows, i, &xt, lanes, &mut k_row[..lanes]);
         }
-        block.reserve_rows(p - block.rows);
-        let solved = block.v.len();
         self.post
             .chol
-            .solve_lower_only_tail_panel(&k_tail, &mut block.v, stride, lanes)?;
-        add_lane_squares(&block.v[solved..], stride, &mut block.vv);
+            .solve_lower_only_tail_pages(&block.pages, &mut page, stride, lanes)?;
+        add_lane_squares(page.chunks_exact(stride), &mut block.vv);
+        block.pages.push(page);
         block.rows = p;
         Ok(())
     }
 
     /// A new block for one chunk of missing candidates: the
     /// [`Posterior`]'s in-place multi-RHS block solve, kept in its row ×
-    /// lane layout.
+    /// lane layout as the block's first page.
     fn miss_block<'q>(
         &self,
-        queries: impl Iterator<Item = (u64, &'q Vec<f64>)>,
+        queries: impl Iterator<Item = (u64, &'q [f64])>,
         sweep: u64,
     ) -> Result<LaneBlock> {
-        let (ids, xs): (Vec<u64>, Vec<&Vec<f64>>) = queries.unzip();
+        let (ids, xs): (Vec<u64>, Vec<&[f64]>) = queries.unzip();
         let v = self.post.solve_block(self.rows(), &xs)?;
         let stride = xs.len();
         let mut vv = vec![0.0; stride];
-        add_lane_squares(&v, stride, &mut vv);
+        add_lane_squares(v.chunks_exact(stride), &mut vv);
         Ok(LaneBlock {
             rows: self.post.len(),
             stride,
-            v,
+            pages: vec![v],
             touched: vec![sweep; stride],
             ids,
             vv,
-            xs: xs.iter().flat_map(|x| x.iter().copied()).collect(),
+            xs: xs.concat(),
             dim: self.post.dim(),
         })
     }
@@ -611,8 +618,7 @@ impl TransferGp {
     /// Predictions for every lane of an up-to-date block.
     fn predict_block(&self, block: &LaneBlock) -> Vec<(f64, f64)> {
         self.post.predict_lanes(
-            &block.v,
-            block.stride,
+            block.v_rows(),
             &block.vv,
             (0..block.lanes()).map(|l| block.x(l)),
         )
@@ -955,20 +961,19 @@ impl Posterior {
         Ok(v.into_vec())
     }
 
-    /// The lane-wise finish of every batch path. `v` is a row-major
-    /// `len() × stride` panel of `L⁻¹k*` with one query per lane; each
+    /// The lane-wise finish of every batch path. `v` yields the rows of
+    /// a row-major panel of `L⁻¹k*` in order, one query per lane; each
     /// lane's mean `v·w` is accumulated row by row, in the scalar path's
     /// index order, and `vv[l]` is lane `l`'s `‖v‖²` (see
     /// [`add_lane_squares`]). The `lanes = vv.len()` queries are `xs`.
-    fn predict_lanes<'x>(
+    fn predict_lanes<'v, 'x>(
         &self,
-        v: &[f64],
-        stride: usize,
+        v: impl Iterator<Item = &'v [f64]>,
         vv: &[f64],
         xs: impl Iterator<Item = &'x [f64]>,
     ) -> Vec<(f64, f64)> {
         let mut mean_z = vec![0.0; vv.len()];
-        for (row, &w) in v.chunks_exact(stride).zip(&self.w) {
+        for (row, &w) in v.zip(&self.w) {
             for (m, &vl) in mean_z.iter_mut().zip(row) {
                 *m += vl * w;
             }
@@ -983,20 +988,21 @@ impl Posterior {
     /// over `workers` threads ([`fan_out`]) and concatenated in chunk
     /// order. The chunking is fixed and a chunk never depends on its
     /// neighbours, so the output is the same bits at every worker count.
-    fn predict_latent_batch<'r>(
+    fn predict_latent_batch<'r, Q: AsRef<[f64]> + Sync>(
         &self,
         row: impl Fn(usize) -> (&'r [f64], Task) + Copy + Sync,
-        xs: &[Vec<f64>],
+        xs: &[Q],
         workers: usize,
     ) -> Result<Vec<(f64, f64)>> {
         check_dims(self.dim(), xs)?;
-        let chunks: Vec<&[Vec<f64>]> = xs.chunks(PREDICT_BLOCK).collect();
+        let chunks: Vec<&[Q]> = xs.chunks(PREDICT_BLOCK).collect();
         crate::counters::add_predict_chunks(chunks.len() as u64);
-        let block = |chunk: &[Vec<f64>]| -> Result<Vec<(f64, f64)>> {
+        let block = |chunk: &[Q]| -> Result<Vec<(f64, f64)>> {
             let v = self.solve_block(row, chunk)?;
+            let rows = || v.chunks_exact(chunk.len());
             let mut vv = vec![0.0; chunk.len()];
-            add_lane_squares(&v, chunk.len(), &mut vv);
-            Ok(self.predict_lanes(&v, chunk.len(), &vv, chunk.iter().map(Vec::as_slice)))
+            add_lane_squares(rows(), &mut vv);
+            Ok(self.predict_lanes(rows(), &vv, chunk.iter().map(AsRef::as_ref)))
         };
         let mut out = Vec::with_capacity(xs.len());
         for chunk in fan_out(chunks.len(), workers, |c| block(chunks[c])) {
@@ -1020,12 +1026,12 @@ fn dims_major<'x>(xs: impl Iterator<Item = &'x [f64]> + Clone, dim: usize) -> Ve
         .collect()
 }
 
-/// Adds the squares of a row-major `stride`-wide panel's rows to the
-/// per-lane sums `acc` (lanes `0..acc.len()`), row by row — the scalar
-/// path's `‖v‖²` order, so a sum over a prefix continued over the rest is
-/// the sum over the whole column.
-fn add_lane_squares(v: &[f64], stride: usize, acc: &mut [f64]) {
-    for row in v.chunks_exact(stride) {
+/// Adds the squares of a row-major panel's rows to the per-lane sums
+/// `acc` (lanes `0..acc.len()`), row by row — the scalar path's `‖v‖²`
+/// order, so a sum over a prefix continued over the rest is the sum over
+/// the whole column.
+fn add_lane_squares<'v>(v: impl Iterator<Item = &'v [f64]>, acc: &mut [f64]) {
+    for row in v {
         for (a, &x) in acc.iter_mut().zip(row) {
             *a += x * x;
         }
@@ -1091,7 +1097,11 @@ impl SubsetPredictor {
     /// # Errors
     ///
     /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
-    pub fn predict_latent_batch(&self, xs: &[Vec<f64>], workers: usize) -> Result<Vec<(f64, f64)>> {
+    pub fn predict_latent_batch<Q: AsRef<[f64]> + Sync>(
+        &self,
+        xs: &[Q],
+        workers: usize,
+    ) -> Result<Vec<(f64, f64)>> {
         self.post.predict_latent_batch(self.rows(), xs, workers)
     }
 }
@@ -1409,7 +1419,10 @@ mod tests {
             .collect();
         assert_eq!(pieces, latent);
         // Empty and invalid input handling.
-        assert!(tgp.predict_latent_batch(&[], 4).unwrap().is_empty());
+        assert!(tgp
+            .predict_latent_batch::<Vec<f64>>(&[], 4)
+            .unwrap()
+            .is_empty());
         assert!(tgp.predict_latent_batch(&[vec![0.1, 0.2]], 1).is_err());
         assert!(tgp.predict_batch(&[vec![0.1, 0.2]]).is_err());
     }
@@ -1574,6 +1587,102 @@ mod tests {
         assert!(model
             .predict_latent_batch_cached(&[0], &[vec![0.1, 0.2]], 2, &mut cache)
             .is_err());
+    }
+
+    /// Every page of every block: its address and its bits.
+    fn page_map(cache: &PredictCache) -> Vec<(*const f64, Vec<u64>)> {
+        cache
+            .blocks
+            .iter()
+            .flat_map(|b| &b.pages)
+            .map(|p| (p.as_ptr(), p.iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    /// Every cached lane's `v` column, as bits, by candidate id.
+    fn lane_columns(cache: &PredictCache) -> std::collections::HashMap<u64, Vec<u64>> {
+        cache
+            .blocks
+            .iter()
+            .flat_map(|b| {
+                b.ids
+                    .iter()
+                    .enumerate()
+                    .map(move |(l, &id)| (id, b.v_rows().map(|row| row[l].to_bits()).collect()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_pages_keep_their_addresses_and_bits() {
+        let cfg = TransferGpConfig {
+            lengthscales: vec![0.2],
+            signal_var: 1.0,
+            lambda: 0.9,
+            noise_source: 1e-3,
+            noise_target: 1e-3,
+        };
+        let mut model = TransferGp::fit(source_dense(), target_sparse(0.1), cfg).unwrap();
+        let queries: Vec<Vec<f64>> = (0..250).map(|i| vec![i as f64 / 249.0]).collect();
+        let ids: Vec<u64> = (0..250).collect();
+        let mut cache = PredictCache::new();
+        let sweep = |model: &TransferGp, ids: &[u64], cache: &mut PredictCache| {
+            let xs: Vec<&[f64]> = ids
+                .iter()
+                .map(|&i| queries[i as usize].as_slice())
+                .collect();
+            let got = model
+                .predict_latent_batch_cached(ids, &xs, 2, cache)
+                .unwrap();
+            assert_eq!(got, model.predict_latent_batch(&xs, 1).unwrap());
+        };
+
+        // One 200-lane block of one page; the 50 lanes queried after the
+        // first conditioning step start a second block one row longer.
+        cache.begin_sweep();
+        sweep(&model, &ids[..200], &mut cache);
+        let p0 = model.post.len();
+        let steps = [
+            vec![vec![0.123]],
+            vec![vec![0.31], vec![0.52], vec![0.68], vec![0.91]],
+        ];
+        for (q, xs) in steps.iter().enumerate() {
+            let before = page_map(&cache);
+            let ys: Vec<f64> = xs.iter().map(|x| f(x[0]) + 0.1).collect();
+            model.condition_on(xs, &ys).unwrap();
+            cache.begin_sweep();
+            sweep(&model, &ids, &mut cache);
+            let after = page_map(&cache);
+            for page in &before {
+                assert!(after.contains(page), "step {q}: a page moved or changed");
+            }
+        }
+        let cuts: Vec<Vec<usize>> = cache
+            .blocks
+            .iter()
+            .map(|b| b.pages.iter().map(|p| p.len() / b.stride).collect())
+            .collect();
+        assert_eq!(cuts, vec![vec![p0, 1, 4], vec![p0 + 1, 4]]);
+
+        // Retiring ten lanes of the first block makes the pack move ten
+        // lanes of the second, paged differently, into its holes. Pages
+        // stay where they are, and every surviving lane keeps its bits.
+        let columns = lane_columns(&cache);
+        let addresses = |cache: &PredictCache| -> Vec<*const f64> {
+            page_map(cache).into_iter().map(|(a, _)| a).collect()
+        };
+        let before = addresses(&cache);
+        cache.begin_sweep();
+        sweep(&model, &ids[10..], &mut cache);
+        cache.begin_sweep();
+        let shapes: Vec<(usize, usize)> =
+            cache.blocks.iter().map(|b| (b.stride, b.lanes())).collect();
+        assert_eq!(shapes, vec![(200, 200), (50, 40)]);
+        assert_eq!(addresses(&cache), before);
+        for (id, column) in lane_columns(&cache) {
+            assert_eq!(column, columns[&id], "lane {id} changed bits");
+        }
+        sweep(&model, &ids[10..], &mut cache);
     }
 
     #[test]

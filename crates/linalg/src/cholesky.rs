@@ -1,6 +1,6 @@
 use crate::counters;
 use crate::solve::{
-    solve_lower, solve_lower_multi, solve_lower_tail_panel, solve_lower_transposed,
+    solve_lower, solve_lower_multi, solve_lower_tail_pages, solve_lower_transposed,
 };
 use crate::{LinalgError, Matrix, Result};
 
@@ -353,10 +353,11 @@ impl Cholesky {
     }
 
     /// Extends `stride`-wide panels of previously computed `L Z = B`
-    /// solutions by the factor's trailing rows: `z` holds the solved
-    /// prefix rows and `b_tail` the right-hand sides of the remaining
-    /// rows, both row-major with `stride` values per row, of which lanes
-    /// `0..lanes` are solved (see [`solve_lower_tail_panel`]). Because
+    /// solutions by the factor's trailing rows, in place: `pages` hold
+    /// the solved prefix rows in order, and `tail` the right-hand sides of
+    /// the remaining rows, which it holds solved on success. All are
+    /// row-major with `stride` values per row, of which lanes `0..lanes`
+    /// are solved (see [`solve_lower_tail_pages`]). Because
     /// [`Cholesky::extend`] leaves the old factor rows bit-identical,
     /// every lane equals a from-scratch [`Cholesky::solve_lower_only`] of
     /// its column on the extended system, bit for bit, at O(n·q) instead
@@ -366,14 +367,14 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if the panels do not add up
     /// to `self.dim()` rows of `stride` values.
-    pub fn solve_lower_only_tail_panel(
+    pub fn solve_lower_only_tail_pages<P: AsRef<[f64]>>(
         &self,
-        b_tail: &[f64],
-        z: &mut Vec<f64>,
+        pages: &[P],
+        tail: &mut [f64],
         stride: usize,
         lanes: usize,
     ) -> Result<()> {
-        solve_lower_tail_panel(&self.l, b_tail, z, stride, lanes)
+        solve_lower_tail_pages(&self.l, pages, tail, stride, lanes)
     }
 
     /// Extends the factorization in place with `k` appended rows/columns:
@@ -669,7 +670,7 @@ mod tests {
     fn extend_plus_tail_solve_is_bitwise_from_scratch() {
         // The predict-cache law: extend() keeps the old factor rows
         // bit-identical, so a cached prefix z = L₁₁⁻¹ b₁ extended by
-        // solve_lower_only_tail_panel equals solve_lower_only on the
+        // solve_lower_only_tail_pages equals solve_lower_only on the
         // extended factor, bit for bit.
         for &(n, k) in &[(3usize, 1usize), (5, 2), (9, 4)] {
             let a = spd(n + k, (n * 7 + k) as u64);
@@ -681,8 +682,10 @@ mod tests {
                 &a.submatrix(n, n + k, n, n + k),
             )
             .unwrap();
-            inc.solve_lower_only_tail_panel(&b[n..], &mut z, 1, 1)
+            let mut tail = b[n..].to_vec();
+            inc.solve_lower_only_tail_pages(&[&z], &mut tail, 1, 1)
                 .unwrap();
+            z.extend(tail);
             let scratch = inc.solve_lower_only(&b).unwrap();
             assert_eq!(z, scratch, "n={n} k={k}");
         }

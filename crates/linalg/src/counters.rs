@@ -26,7 +26,7 @@ pub static CHOL_PANELS: AtomicU64 = AtomicU64::new(0);
 pub static TRI_SOLVE_RHS: AtomicU64 = AtomicU64::new(0);
 
 /// Rows appended by partial-tail forward substitutions
-/// (`solve_lower_tail_panel`, once per row and lane), i.e. the incremental
+/// (`solve_lower_tail_pages`, once per row and lane), i.e. the incremental
 /// work the predict cache pays instead of a full O(n²) re-solve.
 pub static TRI_SOLVE_TAIL_ROWS: AtomicU64 = AtomicU64::new(0);
 

@@ -134,35 +134,44 @@ pub fn solve_lower_multi(l: &Matrix, b: &mut Matrix) -> Result<()> {
     for start in (0..n).step_by(MULTI_ROWS) {
         let (solved, rest) = x.split_at_mut(start * k);
         let rows = MULTI_ROWS.min(n - start);
-        solve_rows(l, solved, &mut rest[..rows * k], k, k)?;
+        solve_rows(
+            l,
+            start,
+            solved.chunks_exact(k),
+            &mut rest[..rows * k],
+            k,
+            k,
+        )?;
     }
     Ok(())
 }
 
 /// The forward-substitution step shared by [`solve_lower_multi`] and
-/// [`solve_lower_tail_panel`]: `solved` holds the first rows of the
-/// solution panel (row-major, `stride` values per row) and `tail` the
-/// right-hand sides of the rows that follow it (same layout), which are
-/// solved in place in lanes `0..lanes`. Lanes `lanes..stride` of `tail`
-/// are left unread.
+/// [`solve_lower_tail_pages`]: `solved` yields the first `start` rows of
+/// the solution in order, each at least `lanes` values long (they may
+/// come from several buffers), and `tail` holds the right-hand sides of
+/// the rows that follow them (row-major, `stride` values per row), which
+/// are solved in place in lanes `0..lanes`. Lanes `lanes..stride` of
+/// `tail` are left unread.
 ///
 /// Each solved row is read once and applied to every row of `tail`, but
 /// per (row, lane) the subtractions run in ascending column order from
 /// the right-hand side and end with one division by the diagonal — the
-/// recurrence of [`solve_lower`], bit for bit.
+/// recurrence of [`solve_lower`], bit for bit. How the solved rows are
+/// split across buffers does not enter the arithmetic.
 ///
-/// The caller checks shapes: `l` square, both panels whole rows of
-/// `stride`, and the rows fit inside `l`. On a vanishing diagonal `tail`
-/// holds a partly solved panel.
-fn solve_rows(
+/// The caller checks shapes: `l` square, `tail` whole rows of `stride`,
+/// and the rows fit inside `l`. On a vanishing diagonal `tail` holds a
+/// partly solved panel.
+fn solve_rows<'x>(
     l: &Matrix,
-    solved: &[f64],
+    start: usize,
+    solved: impl Iterator<Item = &'x [f64]>,
     tail: &mut [f64],
     stride: usize,
     lanes: usize,
 ) -> Result<()> {
-    let start = solved.len() / stride;
-    for (j, xj) in solved.chunks_exact(stride).enumerate() {
+    for (j, xj) in solved.enumerate() {
         let xj = &xj[..lanes];
         for (r, acc) in tail.chunks_exact_mut(stride).enumerate() {
             let lij = l[(start + r, j)];
@@ -194,12 +203,14 @@ fn solve_rows(
 }
 
 /// Extends `stride`-wide panels of partially solved forward
-/// substitutions `L X = B` by their last rows. `x` is row-major, `stride`
-/// values per row, and holds the solved prefix of every lane (`x.len() /
-/// stride` rows); `b_tail` holds the right-hand sides of the remaining
-/// rows in the same layout. Lanes `0..lanes` are solved; the values of
-/// lanes `lanes..stride` are carried over from `b_tail` unread. On
-/// success `x` has grown to `l.rows()` rows.
+/// substitutions `L X = B` by their last rows, in place. The solved
+/// prefix of every lane is given as `pages`: row-major panels of
+/// `stride` values per row, read in order as one sequence of rows, so a
+/// prefix may be split anywhere between rows. On entry `tail` holds the
+/// right-hand sides of the remaining rows in the same layout; on success
+/// it holds their solution, so `pages` followed by `tail` is the whole
+/// solution and no prefix row is moved or copied. Lanes `0..lanes` are
+/// solved; lanes `lanes..stride` of `tail` are left as they were.
 ///
 /// Row `i` of [`solve_lower`] reads only `x[0..i]` and row `i` of the
 /// lower triangle, with a fixed left-to-right accumulation order. This
@@ -209,22 +220,23 @@ fn solve_rows(
 /// end with the same division. So after a [`crate::Cholesky::extend`]
 /// (which keeps the old factor rows' bits) every lane of prefix +
 /// tail is bit-for-bit a from-scratch `solve_lower` of that column of the
-/// extended system. That identity is what lets a predict cache reuse
-/// `L⁻¹ k(X, x*)` across conditioning steps and only pay for the
-/// appended rows: O(n·q) per cached lane instead of O(n²).
+/// extended system, however the prefix is paged. That identity is what
+/// lets a predict cache reuse `L⁻¹ k(X, x*)` across conditioning steps
+/// and only pay for the appended rows: O(n·q) per cached lane instead of
+/// O(n²).
 ///
 /// # Errors
 ///
 /// - [`LinalgError::NotSquare`] if `l` is not square.
 /// - [`LinalgError::ShapeMismatch`] if `stride` is 0, `lanes > stride`,
-///   either panel is not a whole number of rows, or the two row counts do
-///   not add up to `l.rows()`.
-/// - [`LinalgError::Singular`] if a tail diagonal entry vanishes (`x` is
-///   left unchanged in that case).
-pub fn solve_lower_tail_panel(
+///   a page or the tail is not a whole number of rows, or the row counts
+///   do not add up to `l.rows()`.
+/// - [`LinalgError::Singular`] if a tail diagonal entry vanishes; `tail`
+///   then holds a partly solved panel (`pages` are only read).
+pub fn solve_lower_tail_pages<P: AsRef<[f64]>>(
     l: &Matrix,
-    b_tail: &[f64],
-    x: &mut Vec<f64>,
+    pages: &[P],
+    tail: &mut [f64],
     stride: usize,
     lanes: usize,
 ) -> Result<()> {
@@ -233,22 +245,21 @@ pub fn solve_lower_tail_panel(
     }
     let n = l.rows();
     let whole = |len: usize| stride > 0 && len.is_multiple_of(stride);
+    let prefix: usize = pages.iter().map(|p| p.as_ref().len()).sum();
     if lanes > stride
-        || !whole(x.len())
-        || !whole(b_tail.len())
-        || (x.len() + b_tail.len()) / stride != n
+        || !pages.iter().all(|p| whole(p.as_ref().len()))
+        || !whole(tail.len())
+        || (prefix + tail.len()) / stride != n
     {
         return Err(LinalgError::ShapeMismatch {
-            op: "solve_lower_tail_panel",
+            op: "solve_lower_tail_pages",
             lhs: l.shape(),
-            rhs: ((x.len() + b_tail.len()) / stride.max(1), stride),
+            rhs: ((prefix + tail.len()) / stride.max(1), stride),
         });
     }
-    counters::add_tri_solve_tail_rows((b_tail.len() / stride * lanes) as u64);
-    let mut tail = b_tail.to_vec();
-    solve_rows(l, x, &mut tail, stride, lanes)?;
-    x.extend_from_slice(&tail);
-    Ok(())
+    counters::add_tri_solve_tail_rows((tail.len() / stride * lanes) as u64);
+    let rows = pages.iter().flat_map(|p| p.as_ref().chunks_exact(stride));
+    solve_rows(l, prefix / stride, rows, tail, stride, lanes)
 }
 
 fn check_triangular_args(m: &Matrix, b: &[f64], op: &'static str) -> Result<()> {
@@ -392,6 +403,21 @@ mod tests {
         );
     }
 
+    /// Every way to cut `rows` rows into consecutive non-empty pages.
+    fn pagings(rows: usize) -> Vec<Vec<usize>> {
+        if rows == 0 {
+            return vec![vec![]];
+        }
+        (1..=rows)
+            .flat_map(|first| {
+                pagings(rows - first).into_iter().map(move |mut rest| {
+                    rest.insert(0, first);
+                    rest
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn tail_solve_matches_full_solve_bitwise() {
         let l = Matrix::from_rows(&[
@@ -414,51 +440,66 @@ mod tests {
             rows.flat_map(|i| (0..stride).map(move |c| if c < lanes { src[c][i] } else { 9.0 }))
                 .collect()
         };
+        let mut paged = 0;
         for split in 0..=4 {
-            let mut x = panel(&full, 0..split);
-            solve_lower_tail_panel(&l, &panel(&cols, split..4), &mut x, stride, lanes).unwrap();
-            assert_eq!(x.len(), 4 * stride);
-            for i in 0..4 {
-                for c in 0..lanes {
-                    assert_eq!(
-                        x[i * stride + c].to_bits(),
-                        full[c][i].to_bits(),
-                        "split at {split}, lane {c}, row {i}"
-                    );
+            // The prefix in every paging, e.g. 1 + 2 + 1 rows at split 4.
+            for cut in pagings(split) {
+                let mut pages = Vec::new();
+                let mut row = 0;
+                for &len in &cut {
+                    pages.push(panel(&full, row..row + len));
+                    row += len;
                 }
-                if i >= split {
-                    assert_eq!(x[i * stride + lanes], 9.0, "padding lane is carried over");
+                paged += usize::from(cut.len() >= 3 && cut.contains(&1));
+                let before = pages.clone();
+                let mut tail = panel(&cols, split..4);
+                solve_lower_tail_pages(&l, &pages, &mut tail, stride, lanes).unwrap();
+                assert_eq!(pages, before, "the prefix pages are only read");
+                let x: Vec<f64> = pages.concat().into_iter().chain(tail).collect();
+                assert_eq!(x.len(), 4 * stride);
+                for i in 0..4 {
+                    for c in 0..lanes {
+                        assert_eq!(
+                            x[i * stride + c].to_bits(),
+                            full[c][i].to_bits(),
+                            "split at {split} as {cut:?}, lane {c}, row {i}"
+                        );
+                    }
+                    if i >= split {
+                        assert_eq!(x[i * stride + lanes], 9.0, "padding lane is carried over");
+                    }
                 }
             }
         }
+        assert!(paged > 0, "some prefix spans 3+ pages with a one-row page");
     }
 
     #[test]
     fn tail_solve_rejects_bad_shapes_and_singular() {
         let l = Matrix::from_rows(&[&[2.0, 0.0], &[1.0, 3.0]]).unwrap();
-        let mut x = vec![0.5];
+        let x = [vec![0.5]];
         assert!(matches!(
-            solve_lower_tail_panel(&Matrix::zeros(2, 3), &[1.0], &mut x, 1, 1).unwrap_err(),
+            solve_lower_tail_pages(&Matrix::zeros(2, 3), &x, &mut [1.0], 1, 1).unwrap_err(),
             LinalgError::NotSquare { .. }
         ));
         for (b, stride, lanes) in [(&[1.0, 2.0][..], 1, 1), (&[1.0], 0, 0), (&[1.0], 1, 2)] {
             assert!(matches!(
-                solve_lower_tail_panel(&l, b, &mut x, stride, lanes).unwrap_err(),
+                solve_lower_tail_pages(&l, &x, &mut b.to_vec(), stride, lanes).unwrap_err(),
                 LinalgError::ShapeMismatch { .. }
             ));
         }
-        let mut pair = vec![0.5, 0.25, 1.0];
+        let pair = [vec![0.5, 0.25, 1.0]];
         assert!(matches!(
-            solve_lower_tail_panel(&l, &[1.0], &mut pair, 2, 2).unwrap_err(),
+            solve_lower_tail_pages(&l, &pair, &mut [1.0], 2, 2).unwrap_err(),
             LinalgError::ShapeMismatch { .. }
         ));
         let sing = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.0]]).unwrap();
-        let mut x = vec![1.0];
+        let x = [vec![1.0]];
         assert!(matches!(
-            solve_lower_tail_panel(&sing, &[1.0], &mut x, 1, 1).unwrap_err(),
+            solve_lower_tail_pages(&sing, &x, &mut [1.0], 1, 1).unwrap_err(),
             LinalgError::Singular { pivot: 1 }
         ));
-        assert_eq!(x, vec![1.0], "a failed tail leaves the prefix as it was");
+        assert_eq!(x, [vec![1.0]], "a failed tail leaves the prefix as it was");
     }
 
     #[test]

@@ -10,69 +10,31 @@
 //! `(candidate, attempt)` sequence injects byte-identical faults, which
 //! is what makes chaos tests reproducible and failure traces replayable.
 //!
-//! Injected failures come in two flavours:
+//! A [`FaultDecision`] comes in two flavours:
 //!
-//! - **Flow faults** ([`FlowFault`]): the run produces no QoR at all — a
-//!   crash or a stage timeout. [`FaultyFlow::run_timed`] returns these as
-//!   `Err`.
-//! - **Corruptions**: the run "succeeds" but the reported QoR is garbage
-//!   (NaN from a truncated report, a gross outlier from a unit mix-up).
-//!   These are returned as `Ok` — detecting them is the *consumer's* job,
-//!   exactly as with a real tool.
+//! - **Flow faults** (`Crash`, `Timeout`): the run produces no QoR at
+//!   all. An oracle reports these as errors.
+//! - **Corruptions** (`CorruptNan`, `CorruptOutlier`): the run
+//!   "succeeds" but the reported QoR is garbage (NaN from a truncated
+//!   report, a gross outlier from a unit mix-up). An oracle returns these
+//!   as results — detecting them is the *consumer's* job, exactly as with
+//!   a real tool.
 //!
 //! # Example
 //!
 //! ```
-//! use pdsim::{Design, FaultPlan, FaultyFlow, PdFlow, ToolParams};
+//! use pdsim::{FaultDecision, FaultPlan};
 //!
-//! let plan = FaultPlan { crash_prob: 0.5, ..FaultPlan::default() };
-//! let flow = FaultyFlow::new(PdFlow::new(Design::mac_small(7)), plan);
-//! let p = ToolParams::default();
+//! let plan = FaultPlan { crash_prob: 0.5, flaky_max_failures: 1, ..FaultPlan::default() };
 //! // Deterministic: the same (candidate, attempt) always fails — or
-//! // succeeds — the same way.
-//! assert_eq!(
-//!     flow.run_timed(0, 1, &p).is_err(),
-//!     flow.run_timed(0, 1, &p).is_err()
-//! );
+//! // succeeds — the same way, and attempts past the flaky bound succeed.
+//! assert_eq!(plan.decide(0, 1), plan.decide(0, 1));
+//! assert_eq!(plan.decide(0, 2), FaultDecision::None);
 //! ```
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 use crate::design::{hash_to_range, splitmix64};
-use crate::flow::{PdFlow, StageTimings};
-use crate::params::ToolParams;
-use crate::qor::Qor;
-
-/// A failure that prevented the flow from producing any QoR.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FlowFault {
-    /// The tool process died (license drop, segfault, OOM kill).
-    Crash {
-        /// Human-readable cause.
-        detail: String,
-    },
-    /// The flow exceeded its wall-clock limit inside one stage.
-    Timeout {
-        /// The stage that was running when the limit hit.
-        stage: String,
-        /// Seconds burned before the kill.
-        elapsed_s: f64,
-    },
-}
-
-impl fmt::Display for FlowFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlowFault::Crash { detail } => write!(f, "flow crashed: {detail}"),
-            FlowFault::Timeout { stage, elapsed_s } => {
-                write!(f, "flow timed out in {stage} after {elapsed_s:.1} s")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlowFault {}
 
 /// What the plan injects into one `(candidate, attempt)` run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,86 +176,9 @@ impl FaultPlan {
     }
 }
 
-/// A [`PdFlow`] wrapped with a [`FaultPlan`]: the fallible tool a robust
-/// tuner actually faces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultyFlow {
-    flow: PdFlow,
-    plan: FaultPlan,
-}
-
-impl FaultyFlow {
-    /// Binds a plan to a flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan fails [`FaultPlan::validate`] — a malformed
-    /// plan would silently skew injection rates.
-    pub fn new(flow: PdFlow, plan: FaultPlan) -> Self {
-        if let Err(e) = plan.validate() {
-            panic!("invalid fault plan: {e}");
-        }
-        FaultyFlow { flow, plan }
-    }
-
-    /// The wrapped fault-free flow.
-    pub fn flow(&self) -> &PdFlow {
-        &self.flow
-    }
-
-    /// The injection recipe.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Runs attempt `attempt` (1-based) of `candidate`, injecting
-    /// whatever the plan decides. Corrupted QoR comes back as `Ok` — the
-    /// caller's sanitization is part of what is under test.
-    pub fn run_timed(
-        &self,
-        candidate: usize,
-        attempt: usize,
-        params: &ToolParams,
-    ) -> Result<(Qor, StageTimings), FlowFault> {
-        match self.plan.decide(candidate, attempt) {
-            FaultDecision::Crash => Err(FlowFault::Crash {
-                detail: format!("injected crash (candidate {candidate}, attempt {attempt})"),
-            }),
-            FaultDecision::Timeout(stage) => {
-                // The flow ran the completed stages for real before dying.
-                let (_, timings) = self.flow.run_timed(params);
-                let elapsed_s: f64 = timings
-                    .stages()
-                    .iter()
-                    .take(stage + 1)
-                    .map(|(_, s)| s)
-                    .sum();
-                Err(FlowFault::Timeout {
-                    stage: STAGE_NAMES[stage].to_string(),
-                    elapsed_s,
-                })
-            }
-            FaultDecision::CorruptNan => {
-                let (_, timings) = self.flow.run_timed(params);
-                Ok((Qor::new(f64::NAN, f64::NAN, f64::NAN), timings))
-            }
-            FaultDecision::CorruptOutlier => {
-                let (q, timings) = self.flow.run_timed(params);
-                let f = self.plan.outlier_factor;
-                Ok((
-                    Qor::new(q.area_um2 * f, q.power_mw * f, q.delay_ns * f),
-                    timings,
-                ))
-            }
-            FaultDecision::None => Ok(self.flow.run_timed(params)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::Design;
 
     fn chaos_plan() -> FaultPlan {
         FaultPlan {
@@ -354,55 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_flow_injects_and_recovers() {
-        let plan = FaultPlan {
-            seed: 2,
-            crash_prob: 0.5,
-            timeout_prob: 0.3,
-            flaky_max_failures: 1,
-            ..FaultPlan::default()
-        };
-        let flow = FaultyFlow::new(PdFlow::new(Design::mac_small(7)), plan);
-        let p = ToolParams::default();
-        let clean = flow.flow().run(&p);
-        let mut saw_fault = false;
-        for c in 0..20 {
-            match flow.run_timed(c, 1, &p) {
-                Ok((q, _)) => assert!(q.is_valid()),
-                Err(e) => {
-                    saw_fault = true;
-                    assert!(!e.to_string().is_empty());
-                }
-            }
-            // Attempt 2 is past the flaky bound: always the clean QoR.
-            let (q, _) = flow.run_timed(c, 2, &p).expect("bounded flakiness");
-            assert_eq!(q, clean);
-        }
-        assert!(saw_fault, "a 0.8 failure rate must trip within 20 runs");
-    }
-
-    #[test]
-    fn corruptions_come_back_as_ok() {
-        let nan_only = FaultPlan {
-            nan_prob: 1.0,
-            ..FaultPlan::default()
-        };
-        let flow = FaultyFlow::new(PdFlow::new(Design::mac_small(7)), nan_only);
-        let (q, _) = flow.run_timed(0, 1, &ToolParams::default()).unwrap();
-        assert!(q.area_um2.is_nan());
-
-        let outlier_only = FaultPlan {
-            outlier_prob: 1.0,
-            outlier_factor: 1e3,
-            ..FaultPlan::default()
-        };
-        let flow = FaultyFlow::new(PdFlow::new(Design::mac_small(7)), outlier_only);
-        let clean = flow.flow().run(&ToolParams::default());
-        let (q, _) = flow.run_timed(0, 1, &ToolParams::default()).unwrap();
-        assert!((q.delay_ns / clean.delay_ns - 1e3).abs() < 1e-6);
-    }
-
-    #[test]
     fn plan_round_trips_through_json() {
         let plan = chaos_plan();
         let json = serde_json::to_string(&plan).unwrap();
@@ -432,17 +268,5 @@ mod tests {
         .validate()
         .is_err());
         assert!(chaos_plan().validate().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid fault plan")]
-    fn faulty_flow_rejects_invalid_plans() {
-        let _ = FaultyFlow::new(
-            PdFlow::new(Design::mac_small(1)),
-            FaultPlan {
-                crash_prob: 2.0,
-                ..FaultPlan::default()
-            },
-        );
     }
 }

@@ -62,43 +62,13 @@ impl PdFlow {
 
     /// Runs the flow for one parameter configuration and reports QoR.
     pub fn run(&self, params: &ToolParams) -> Qor {
-        self.run_timed(params).0
-    }
-
-    /// Runs the flow and additionally stamps per-stage wall-clock timings
-    /// (synthesis, placement, CTS, routing, signoff). The QoR is identical
-    /// to [`PdFlow::run`]; the timings measure this process, so they vary
-    /// run to run.
-    pub fn run_timed(&self, params: &ToolParams) -> (Qor, StageTimings) {
-        let t0 = std::time::Instant::now();
         let syn = stages::synthesize(&self.design, params);
-        let t_synth = t0.elapsed().as_secs_f64();
-
-        let t0 = std::time::Instant::now();
         let pl = stages::place(&self.design, params, &syn);
-        let t_place = t0.elapsed().as_secs_f64();
-
-        let t0 = std::time::Instant::now();
         let ct = stages::cts(&self.design, params, &pl);
-        let t_cts = t0.elapsed().as_secs_f64();
-
-        let t0 = std::time::Instant::now();
         let rt = stages::route(&self.design, params, &pl);
-        let t_route = t0.elapsed().as_secs_f64();
-
-        let t0 = std::time::Instant::now();
         let delay_ns = stages::sta(&self.design, params, &syn, &pl, &ct, &rt);
         let power_mw = stages::power(&self.design, params, &syn, &ct, &rt);
         let area_um2 = stages::area(&self.design, params, &syn, &rt);
-        let t_signoff = t0.elapsed().as_secs_f64();
-
-        let timings = StageTimings {
-            synth_s: t_synth,
-            place_s: t_place,
-            cts_s: t_cts,
-            route_s: t_route,
-            signoff_s: t_signoff,
-        };
 
         // Deterministic per-configuration jitter.
         let base = self
@@ -109,46 +79,11 @@ impl PdFlow {
         let j = |salt: u64| {
             1.0 + self.jitter * hash_to_range(splitmix64(base.wrapping_add(salt)), -1.0, 1.0)
         };
-        let qor = Qor {
+        Qor {
             area_um2: area_um2 * j(1),
             power_mw: power_mw * j(2),
             delay_ns: delay_ns * j(3),
-        };
-        (qor, timings)
-    }
-}
-
-/// Wall-clock seconds each flow stage spent in one [`PdFlow::run_timed`]
-/// call.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct StageTimings {
-    /// Logic synthesis.
-    pub synth_s: f64,
-    /// Placement.
-    pub place_s: f64,
-    /// Clock-tree synthesis.
-    pub cts_s: f64,
-    /// Routing.
-    pub route_s: f64,
-    /// Signoff (STA + power + area extraction).
-    pub signoff_s: f64,
-}
-
-impl StageTimings {
-    /// Total seconds across all stages.
-    pub fn total_s(&self) -> f64 {
-        self.synth_s + self.place_s + self.cts_s + self.route_s + self.signoff_s
-    }
-
-    /// `(name, seconds)` pairs in flow order, for sinks and reports.
-    pub fn stages(&self) -> [(&'static str, f64); 5] {
-        [
-            ("synth", self.synth_s),
-            ("place", self.place_s),
-            ("cts", self.cts_s),
-            ("route", self.route_s),
-            ("signoff", self.signoff_s),
-        ]
+        }
     }
 }
 
@@ -172,19 +107,6 @@ mod tests {
     fn qor_is_valid() {
         let q = flow().run(&ToolParams::default());
         assert!(q.is_valid(), "{q}");
-    }
-
-    #[test]
-    fn run_timed_matches_run_and_times_stages() {
-        let f = flow();
-        let p = ToolParams::default();
-        let (q, t) = f.run_timed(&p);
-        assert_eq!(q, f.run(&p));
-        for (name, secs) in t.stages() {
-            assert!(secs >= 0.0, "{name} {secs}");
-        }
-        let total: f64 = t.stages().iter().map(|(_, s)| s).sum();
-        assert!((t.total_s() - total).abs() < 1e-15);
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub mod sta;
 pub mod stages;
 
 pub use design::Design;
-pub use faults::{FaultDecision, FaultPlan, FaultyFlow, FlowFault};
-pub use flow::{PdFlow, StageTimings};
+pub use faults::{FaultDecision, FaultPlan};
+pub use flow::PdFlow;
 pub use library::{CellKind, CellLibrary, Drive};
 pub use netlist::{MacConfig, Netlist, NetlistStats};
 pub use params::{CongEffort, FlowEffort, TimingEffort, ToolParams};

@@ -216,8 +216,8 @@ impl<F> std::fmt::Debug for CountingOracle<F> {
 }
 
 /// Decorator that adds run counting to a *fallible* closure-based oracle
-/// — the bridge for live flows that can crash or time out (for example
-/// `pdsim::faults::FaultyFlow`).
+/// — the bridge for live flows that can crash or time out (for example a
+/// `pdsim::PdFlow` run under a `pdsim::FaultPlan`).
 pub struct FallibleOracle<F> {
     f: F,
     runs: usize,

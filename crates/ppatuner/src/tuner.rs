@@ -1823,9 +1823,9 @@ impl<'a, 'o> RunState<'a, 'o> {
                 .filter(|&i| self.statuses[i] == Status::Undecided && !self.evaluated_flag[i])
                 .collect();
             if !undecided.is_empty() {
-                let queries: Vec<Vec<f64>> = undecided
+                let queries: Vec<&[f64]> = undecided
                     .iter()
-                    .map(|&i| self.candidates[i].clone())
+                    .map(|&i| self.candidates[i].as_slice())
                     .collect();
                 let ids: Vec<u64> = undecided.iter().map(|&i| i as u64).collect();
                 let mut mus: Vec<Vec<f64>> = vec![Vec::with_capacity(self.n_obj); undecided.len()];
@@ -2182,7 +2182,7 @@ fn predict_boxes(
 ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
     let n_obj = models.len();
     let scale = tau.sqrt();
-    let queries: Vec<Vec<f64>> = active.iter().map(|&i| candidates[i].clone()).collect();
+    let queries: Vec<&[f64]> = active.iter().map(|&i| candidates[i].as_slice()).collect();
     // Candidate indices are stable (pool refinement only appends), so
     // they double as cache keys across iterations.
     let ids: Vec<u64> = active.iter().map(|&i| i as u64).collect();

@@ -2,9 +2,8 @@
 //! injection, for exercising the tuner's retry / quarantine / sanitize
 //! machinery end to end.
 //!
-//! [`FaultyVecOracle`] is to [`ppatuner::VecOracle`] what
-//! [`pdsim::FaultyFlow`] is to [`pdsim::PdFlow`]: the same golden QoR
-//! table, wrapped in a [`pdsim::FaultPlan`] that decides — purely from
+//! [`FaultyVecOracle`] is [`ppatuner::VecOracle`]'s golden QoR table,
+//! wrapped in a [`pdsim::FaultPlan`] that decides — purely from
 //! `(candidate, attempt)` hashes — which attempts crash, time out, or
 //! come back corrupted. Because both halves are deterministic, a chaos
 //! run is exactly as reproducible as a clean one, and the *same plan* can

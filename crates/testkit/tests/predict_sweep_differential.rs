@@ -8,7 +8,7 @@
 //!
 //! - **Correctness (1e-9 vs the dense reference)**: the cached sweep —
 //!   before *and after* incremental conditioning, i.e. through the
-//!   `Cholesky::extend` + `solve_lower_only_tail_panel` path — agrees with a
+//!   `Cholesky::extend` + `solve_lower_only_tail_pages` path — agrees with a
 //!   from-scratch dense-inverse posterior of the same (conditioned)
 //!   training set within [`testkit::diff::DIFF_TOL`].
 //! - **Bitwise equivalence**: the cached sweep and the parallel sweep
@@ -20,7 +20,9 @@
 //!   conditioning, retirements (block compaction), appended ids, second
 //!   calls within a sweep and a refit still answers every query with the
 //!   scalar path's bits, and holds exactly the candidates the
-//!   invalidation laws keep.
+//!   invalidation laws keep. Conditioning steps of different sizes give
+//!   blocks different page boundaries, and compaction packs them
+//!   together.
 //!
 //! Each case re-seeds its own generator from the shared
 //! [`testkit::test_seed`] and the case index, so a failure message alone
@@ -221,7 +223,11 @@ fn assert_scalar_bits(
 /// a new epoch), retires random candidates, queries the survivors in a
 /// random order (sometimes with a repeated id), then makes a second call
 /// within the sweep with appended ids, some candidates retired in this
-/// sweep and some already answered. Every answer must carry the scalar
+/// sweep and some already answered. Sweeps 1 and 2 condition on 1 and 4
+/// points and sweeps 0–2 append ids, so blocks started in different
+/// sweeps carry different page boundaries (pages of n, 1 and 4 rows
+/// against n + 1 and 4, or one of n + 5) when the retirements chosen in
+/// sweep 2 pack them together at sweep 3. Every answer must carry the scalar
 /// path's bits, and the cache must hold exactly the candidates the
 /// previous sweep queried plus those queried since (all of them dropped
 /// at a refit).
@@ -245,10 +251,11 @@ fn lane_panel_driver(cases: u64, sweeps: usize) {
         let mut now = BTreeSet::new();
         let mut epoch = model.fit_epoch();
         for sweep in 0..sweeps {
-            let q = if sweep == 0 {
-                0
-            } else {
-                rng.gen_range(0..=5usize)
+            let q = match sweep {
+                0 => 0,
+                1 => 1,
+                2 => 4,
+                _ => rng.gen_range(0..=5usize),
             };
             let new_x: Vec<Vec<f64>> = (0..q)
                 .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
@@ -274,7 +281,7 @@ fn lane_panel_driver(cases: u64, sweeps: usize) {
                 cached.len(),
                 "case {case} sweep {sweep}: retained"
             );
-            let fresh = rng.gen_range(0..=9usize);
+            let fresh = rng.gen_range(usize::from(sweep < 3)..=9);
             let base = xs.len() as u64;
             xs.extend(gen::gp_queries(&mut rng, &target, dim, fresh));
             let mut call = |ids: &[u64], what: &str, cache: &mut PredictCache| {
@@ -298,7 +305,7 @@ fn lane_panel_driver(cases: u64, sweeps: usize) {
             };
 
             // Retire a random share, then query the rest in random order.
-            let retire = rng.gen_range(0.0..0.3);
+            let retire = rng.gen_range(if sweep == 2 { 0.1 } else { 0.0 }..0.3);
             let (kept, retired): (Vec<u64>, Vec<u64>) =
                 active.iter().partition(|_| !rng.gen_bool(retire));
             active = kept;
