@@ -9,8 +9,7 @@
 //! grown candidates included — through `PdFlow`):
 //!
 //! - **Fixed reference**: a dense LHS pool (5000 candidates full mode,
-//!   the largest size in `BENCH_gp.json`'s sweep; 1000 in smoke), exact
-//!   posterior everywhere.
+//!   Table 2's target size; 1000 in smoke), exact posterior everywhere.
 //! - **Adaptive**: a 10×-smaller starting pool over the same box, cell
 //!   refinement on, subset-of-data predict above a small threshold.
 //!
@@ -37,25 +36,19 @@
 //! 6. **Determinism**: re-running the adaptive config reproduces its
 //!    canonical trace byte for byte.
 //!
-//! Usage: `cargo run --release -p bench --bin pool_scale -- [--smoke]
-//! [--bench <path>]`. On a pass the run appends a [`bench::gate::PoolEntry`]
-//! to the `pool_history` array of `BENCH_gp.json` (other keys preserved);
-//! on a violation it exits non-zero listing every failed gate and leaves
-//! the file untouched.
+//! Usage: `cargo run --release -p bench --bin pool_scale -- [--smoke]`.
+//! Exits non-zero listing every violated gate.
 
-use bench::gate::{append_pool_history, PoolEntry};
 use obs::{Event, RecordingSink};
 use pareto::hypervolume::{hypervolume_error, reference_point};
 use pareto::metrics::adrs;
 use pdsim::ObjectiveSpace;
 use ppatuner::{FnOracle, PpaTuner, PpaTunerConfig, SourceData, TuneResult};
-use serde_json::Value;
 use testkit::trace::canonical_jsonl;
 
 const SPACE: ObjectiveSpace = ObjectiveSpace::PowerDelay;
 
 struct Sizes {
-    mode: &'static str,
     /// Fixed-pool reference candidate count.
     fixed_pool: usize,
     /// Adaptive run's starting candidate count.
@@ -80,7 +73,6 @@ impl Sizes {
     fn new(smoke: bool) -> Self {
         if smoke {
             Sizes {
-                mode: "smoke",
                 fixed_pool: 1000,
                 adaptive_start: 200,
                 iterations: 30,
@@ -90,7 +82,6 @@ impl Sizes {
             }
         } else {
             Sizes {
-                mode: "full",
                 fixed_pool: 5000,
                 adaptive_start: 2500,
                 iterations: 40,
@@ -215,20 +206,7 @@ fn score_front(run: &PoolRun, golden: &[Vec<f64>], reference: &[f64]) -> (f64, f
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut bench_path = String::from("BENCH_gp.json");
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--bench" => {
-                if let Some(p) = argv.next() {
-                    bench_path = p;
-                }
-            }
-            _ => {}
-        }
-    }
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let sizes = Sizes::new(smoke);
     let seeds: &[u64] = &[
         testkit::test_seed(),
@@ -439,17 +417,6 @@ fn main() {
 
     if violations.is_empty() {
         println!("pool_scale PASSED");
-        record_history(
-            &bench_path,
-            &sizes,
-            final_pool,
-            peak_effective,
-            iter_ratio,
-            (
-                adaptive_hv / fixed_hv.max(1e-12),
-                adaptive_adrs / fixed_adrs.max(1e-12),
-            ),
-        );
     } else {
         eprintln!("pool_scale FAILED:");
         for v in &violations {
@@ -457,69 +424,4 @@ fn main() {
         }
         std::process::exit(1);
     }
-}
-
-/// Appends a [`PoolEntry`] to the `pool_history` key of the benchmark
-/// file, preserving every other key (`perf` owns `sizes`, `perf_gate`
-/// owns `history`). A missing file is tolerated: the sweep then only
-/// prints its numbers.
-fn record_history(
-    bench_path: &str,
-    sizes: &Sizes,
-    final_pool: usize,
-    peak_effective: f64,
-    iter_ratio: f64,
-    (hv_ratio, adrs_ratio): (f64, f64),
-) {
-    let Ok(text) = std::fs::read_to_string(bench_path) else {
-        eprintln!("pool_scale: no {bench_path}; skipping history append");
-        return;
-    };
-    let mut file: Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("pool_scale: {bench_path} is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut history: Vec<PoolEntry> = file
-        .get("pool_history")
-        .and_then(|h| h.as_array())
-        .map(|entries| {
-            entries
-                .iter()
-                .filter_map(|v| serde_json::from_value(v).ok())
-                .collect()
-        })
-        .unwrap_or_default();
-    append_pool_history(
-        &mut history,
-        PoolEntry {
-            mode: sizes.mode.to_string(),
-            seed: testkit::test_seed(),
-            fixed_pool: sizes.fixed_pool,
-            adaptive_start: sizes.adaptive_start,
-            final_pool,
-            effective_pool: peak_effective,
-            iter_time_ratio: iter_ratio,
-            hv_ratio,
-            adrs_ratio,
-        },
-    );
-    if let Value::Object(fields) = &mut file {
-        let new_history = serde_json::to_value(&history);
-        match fields
-            .iter_mut()
-            .find(|(k, _)| k.as_str() == "pool_history")
-        {
-            Some((_, slot)) => *slot = new_history,
-            None => fields.push(("pool_history".into(), new_history)),
-        }
-    }
-    let out = serde_json::to_string_pretty(&file).expect("file serializes");
-    if let Err(e) = std::fs::write(bench_path, out) {
-        eprintln!("pool_scale: cannot write {bench_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("pool_scale: appended pool_history entry to {bench_path}");
 }

@@ -3,7 +3,7 @@
 //! sweep must buy it everywhere, and neither may perturb a single bit.
 //!
 //! The pool is a large seeded query table swept by a fitted transfer GP
-//! (the tuner's per-iteration hot loop at Scenario One scale). Four
+//! (the tuner's per-iteration hot loop at Scenario One scale). Five
 //! gates:
 //!
 //! 1. **Worker speedup** (machine-gated): with ≥ 4 available cores, the
@@ -21,14 +21,24 @@
 //! 4. **Trace determinism**: the tuner's canonical trace is
 //!    byte-identical across `workers` budgets (parallel vs serial fits
 //!    and sweeps).
+//! 5. **Cholesky kernel speedup**: the blocked `Cholesky::new` must factor
+//!    an SE kernel matrix as large as the sweep model's joint training
+//!    set (n = 320 smoke, 460 full) ≥ 2× faster than a scalar triple loop,
+//!    best-of-`REPS` each, and agree with it to round-off. Work counts
+//!    (`crates/gp/tests/work_counts.rs`) pin which routines the hot paths
+//!    call; this is the one guard against a constant-factor slowdown
+//!    inside the factorization's tile loop, which counts cannot see.
 //!
 //! Usage: `cargo run --release -p bench --bin predict_scale -- [--smoke]`.
 //! `--smoke` shrinks the pool and trims the trace sweep for CI. Exits
 //! non-zero listing every violated gate.
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use gp::kernel::SquaredExponential;
 use gp::{PredictCache, TaskData, TransferGp, TransferGpConfig};
+use linalg::{Cholesky, Matrix};
 use obs::RecordingSink;
 use pdsim::ObjectiveSpace;
 use ppatuner::{PpaTuner, PpaTunerConfig, SourceData, VecOracle};
@@ -40,16 +50,16 @@ const REPS: usize = 3;
 
 /// Builds the fitted model and query pool for the sweep gates.
 fn fit_pool(smoke: bool, seed: u64) -> (TransferGp, Vec<Vec<f64>>) {
-    // Full mode mirrors the table2 perf size (the tuner's GP late in a
-    // Scenario One run); smoke trims it for CI while keeping the sweep
-    // long enough (hundreds of ms serial) that thread startup is noise.
+    // Full mode is Table 2's scale (the tuner's GP late in a Scenario
+    // One run); smoke trims it for CI while keeping the sweep long
+    // enough (hundreds of ms serial) that thread startup is noise.
     let (n_source, m_target, dim, pool) = if smoke {
         (140, 180, 7, 6_000)
     } else {
         (200, 260, 9, 20_000)
     };
-    let (sx, sy) = bench::perfrun::synth_task(n_source, dim, seed, 0.0);
-    let (tx, ty) = bench::perfrun::synth_task(m_target, dim, seed ^ 0x9e37, 0.3);
+    let (sx, sy) = synth_task(n_source, dim, seed, 0.0);
+    let (tx, ty) = synth_task(m_target, dim, seed ^ 0x9e37, 0.3);
     let model = TransferGp::fit(
         TaskData::new(sx, sy),
         TaskData::new(tx, ty),
@@ -64,6 +74,47 @@ fn fit_pool(smoke: bool, seed: u64) -> (TransferGp, Vec<Vec<f64>>) {
         })
         .collect();
     (model, queries)
+}
+
+/// Deterministic synthetic task data: a seeded quasi-random design over
+/// a sum-of-sines surface, shifted by `phase`.
+fn synth_task(count: usize, dim: usize, seed: u64, phase: f64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let s = (seed % 911) as usize;
+    let x: Vec<Vec<f64>> = (0..count)
+        .map(|i| {
+            (0..dim)
+                .map(|d| ((i * 37 + d * 11 + 7 + s) % 1000) as f64 / 1000.0)
+                .collect()
+        })
+        .collect();
+    let y: Vec<f64> = x
+        .iter()
+        .map(|p| {
+            p.iter()
+                .enumerate()
+                .map(|(j, &v)| ((2.0 + j as f64) * v).sin())
+                .sum::<f64>()
+                + phase
+        })
+        .collect();
+    (x, y)
+}
+
+/// Gate 5's baseline: the textbook row-by-row Cholesky triple loop, one
+/// accumulation chain per entry, reading the lower triangle of `a`.
+fn scalar_cholesky(a: &Matrix) -> Matrix {
+    let n = a.rows();
+    let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut s = a[(i, j)];
+            for k in 0..j {
+                s -= l[(i, k)] * l[(j, k)];
+            }
+            l[(i, j)] = if i == j { s.sqrt() } else { s / l[(j, j)] };
+        }
+    }
+    l
 }
 
 /// Best-of-[`REPS`] wall-clock of `f`, returning its last output too.
@@ -198,7 +249,7 @@ fn main() {
         .predict_latent_batch_cached(&ids, &queries, 1, &mut cache)
         .expect("cache-priming sweep");
     let dim = queries[0].len();
-    let (ax, ay) = bench::perfrun::synth_task(3, dim, seed ^ 0x517c, 0.55);
+    let (ax, ay) = synth_task(3, dim, seed ^ 0x517c, 0.55);
     cached_model
         .condition_on(&ax, &ay)
         .expect("incremental conditioning");
@@ -244,6 +295,36 @@ fn main() {
     }
     if trace_ok {
         println!("gate 4 OK: canonical trace byte-identical across workers {sweep:?}");
+    }
+
+    // ------------------------------------ gate 5: Cholesky kernel speedup
+    let n = if smoke { 320 } else { 460 };
+    let (px, _) = synth_task(n, dim, seed, 0.0);
+    let se = SquaredExponential::new(1.0, vec![0.4; dim]).expect("valid SE kernel");
+    let mut gram = Matrix::from_fn(n, n, |i, j| se.eval(&px[i], &px[j]));
+    gram.add_diag(1e-3);
+    let (blocked_s, blocked) = best_of(|| Cholesky::new(black_box(&gram)).expect("SE gram is SPD"));
+    let (scalar_s, scalar) = best_of(|| scalar_cholesky(black_box(&gram)));
+    let chol_speedup = scalar_s / blocked_s.max(1e-12);
+    println!(
+        "cholesky n={n}: scalar loop {:.2} ms, blocked {:.2} ms ({chol_speedup:.2}x)",
+        scalar_s * 1e3,
+        blocked_s * 1e3
+    );
+    let max_diff = (blocked.factor().as_slice().iter())
+        .zip(scalar.as_slice())
+        .map(|(b, s)| (b - s).abs())
+        .fold(0.0, f64::max);
+    if max_diff > 1e-8 {
+        violations.push(format!(
+            "blocked and scalar Cholesky factors differ by {max_diff:e}"
+        ));
+    } else if chol_speedup < 2.0 {
+        violations.push(format!(
+            "blocked Cholesky speedup is {chol_speedup:.2}x, below the 2x gate"
+        ));
+    } else {
+        println!("gate 5 OK: blocked Cholesky {chol_speedup:.2}x >= 2x the scalar loop");
     }
 
     if violations.is_empty() {

@@ -11,8 +11,6 @@
 
 pub mod cli;
 pub mod fleet;
-pub mod gate;
-pub mod perfrun;
 
 use benchgen::Scenario;
 use gp::optimize::FitBudget;

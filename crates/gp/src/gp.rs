@@ -119,16 +119,6 @@ impl GpRegressor {
         ))
     }
 
-    /// Predicts a batch of points (convenience wrapper over
-    /// [`GpRegressor::predict`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first dimension mismatch.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
     /// Exact log marginal likelihood of the (standardized) training data:
     /// `−½ zᵀα − ½ log|K+σ²I| − (n/2) log 2π`.
     pub fn log_marginal_likelihood(&self) -> f64 {
@@ -255,25 +245,6 @@ mod tests {
         )
         .unwrap();
         assert!(good.log_marginal_likelihood() > bad.log_marginal_likelihood());
-    }
-
-    #[test]
-    fn batch_prediction_matches_pointwise() {
-        let x = grid(8);
-        let y: Vec<f64> = x.iter().map(|p| p[0]).collect();
-        let gp = GpRegressor::fit(
-            x.clone(),
-            y,
-            SquaredExponential::isotropic(1, 1.0, 0.5).unwrap(),
-            1e-6,
-        )
-        .unwrap();
-        let queries = vec![vec![0.25], vec![0.75]];
-        let batch = gp.predict_batch(&queries).unwrap();
-        for (q, b) in queries.iter().zip(&batch) {
-            let single = gp.predict(q).unwrap();
-            assert_eq!(*b, single);
-        }
     }
 
     #[test]

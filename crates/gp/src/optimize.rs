@@ -13,13 +13,13 @@ use crate::Result;
 
 /// Options of the Nelder–Mead simplex minimizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NelderMeadOptions {
+struct NelderMeadOptions {
     /// Maximum objective evaluations.
-    pub max_evals: usize,
+    max_evals: usize,
     /// Convergence tolerance on the simplex's objective spread.
-    pub f_tol: f64,
+    f_tol: f64,
     /// Initial simplex step per coordinate.
-    pub initial_step: f64,
+    initial_step: f64,
 }
 
 impl Default for NelderMeadOptions {
@@ -36,21 +36,7 @@ impl Default for NelderMeadOptions {
 ///
 /// Returns the best point and its objective value. Objective values that
 /// are NaN are treated as `+∞`, so `f` may signal infeasibility that way.
-///
-/// # Example
-///
-/// ```
-/// use gp::optimize::{nelder_mead, NelderMeadOptions};
-///
-/// let (x, fx) = nelder_mead(
-///     |p| (p[0] - 2.0).powi(2) + (p[1] + 1.0).powi(2),
-///     &[0.0, 0.0],
-///     NelderMeadOptions::default(),
-/// );
-/// assert!((x[0] - 2.0).abs() < 1e-3 && (x[1] + 1.0).abs() < 1e-3);
-/// assert!(fx < 1e-6);
-/// ```
-pub fn nelder_mead(
+fn nelder_mead(
     mut f: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     opts: NelderMeadOptions,
@@ -394,7 +380,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// # Panics
 ///
 /// Panics when `starts` is empty.
-pub fn fit_transfer_gp_from_starts(
+fn fit_transfer_gp_from_starts(
     source: &TaskData,
     target: &TaskData,
     dim: usize,

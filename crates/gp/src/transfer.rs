@@ -410,21 +410,6 @@ impl TransferGp {
         self.post.predict_latent(self.rows(), x)
     }
 
-    /// Batch prediction for target-task queries, via the multi-RHS path
-    /// of [`TransferGp::predict_latent_batch`] (on the calling thread)
-    /// plus the observation-noise floor of [`TransferGp::predict`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on any dimension mismatch.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
-        Ok(self
-            .predict_latent_batch(xs, 1)?
-            .into_iter()
-            .map(|pred| self.post.observed(pred))
-            .collect())
-    }
-
     /// Batch form of [`TransferGp::predict_latent`]: assembles the
     /// cross-covariance matrix `K*` for a [`PREDICT_BLOCK`]-column chunk
     /// of queries at a time and runs one multi-RHS triangular solve per
@@ -1403,14 +1388,13 @@ mod tests {
         .unwrap();
         let queries = multi_chunk_queries();
         let latent = tgp.predict_latent_batch(&queries, 1).unwrap();
-        let noisy = tgp.predict_batch(&queries).unwrap();
         for (q, query) in queries.iter().enumerate() {
             let (ms, vs) = tgp.predict_latent(query).unwrap();
             assert_eq!(latent[q].0, ms, "latent mean #{q}");
             assert_eq!(latent[q].1, vs, "latent variance #{q}");
+            // `predict` is the latent prediction plus the noise floor.
             let (mn, vn) = tgp.predict(query).unwrap();
-            assert_eq!(noisy[q].0, mn, "noisy mean #{q}");
-            assert_eq!(noisy[q].1, vn, "noisy variance #{q}");
+            assert_eq!((mn, vn), tgp.post.observed(latent[q]), "noisy #{q}");
         }
         // How callers split the sweep cannot change results.
         let pieces: Vec<(f64, f64)> = queries
@@ -1424,7 +1408,7 @@ mod tests {
             .unwrap()
             .is_empty());
         assert!(tgp.predict_latent_batch(&[vec![0.1, 0.2]], 1).is_err());
-        assert!(tgp.predict_batch(&[vec![0.1, 0.2]]).is_err());
+        assert!(tgp.predict(&[0.1, 0.2]).is_err());
     }
 
     #[test]

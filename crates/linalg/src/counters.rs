@@ -9,7 +9,10 @@
 //!
 //! Being process-global, the counters mix contributions when several
 //! runs share a process (e.g. parallel tests); deltas are exact only for
-//! a single-run process.
+//! a single-run process. `gp`'s `work_counts` integration test
+//! (`crates/gp/tests/work_counts.rs`) runs its tests one at a time, so
+//! its deltas are exact: it pins the factorization, solve and tail-solve
+//! counts of the GP hot paths as equalities.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

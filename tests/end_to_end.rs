@@ -45,6 +45,31 @@ fn benchmarks_feed_the_tuner_end_to_end() {
     }
 }
 
+/// Tool runs are deterministic per seed, so a change in any of the three
+/// counts is a change in the tuner's behaviour. The scenario is large
+/// enough that the loop iterates past a refit and verifies candidates.
+#[test]
+fn tool_runs_are_pinned_on_a_looping_scenario() {
+    let scenario = Scenario::two_with_counts(7, 200, 200).with_source_budget(60);
+    let space = ObjectiveSpace::PowerDelay;
+    let (sx, sy) = scenario.source_xy(space);
+    let source = SourceData::new(sx, sy).expect("consistent source");
+    let mut oracle = VecOracle::new(scenario.target_table(space));
+    let config = PpaTunerConfig {
+        initial_samples: 24,
+        max_iterations: 12,
+        refit_every: 8,
+        seed: 7,
+        ..Default::default()
+    };
+    let result = PpaTuner::new(config)
+        .run(&source, &scenario.target_candidates(), &mut oracle)
+        .expect("tuning succeeds");
+    assert_eq!(result.runs, 36);
+    assert_eq!(result.verification_runs, 9);
+    assert_eq!(result.iterations, 12);
+}
+
 #[test]
 fn tuning_beats_random_search_on_average() {
     let scenario = small_scenario();
