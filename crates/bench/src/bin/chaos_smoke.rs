@@ -144,12 +144,11 @@ fn main() {
     if chaos.eval_failures == 0 {
         violations.push("plan injected no failures at all".into());
     }
-    let mut kinds: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for event in &sink.events() {
-        if let obs::Event::EvalFailed { kind, .. } = event {
-            kinds.insert(kind.clone());
-        }
-    }
+    let kinds: std::collections::BTreeSet<String> =
+        bench::fleet::summarize_run("chaos_smoke", &sink.events())
+            .failures_by_kind
+            .into_keys()
+            .collect();
     println!("failure kinds exercised: {kinds:?}");
     for wanted in ["crash", "invalid_qor"] {
         if !kinds.contains(wanted) {

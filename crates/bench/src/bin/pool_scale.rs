@@ -104,6 +104,8 @@ struct PoolRun {
     peak_effective: f64,
     /// Final candidate count (original + grown).
     final_pool: usize,
+    /// Whether any iteration swept with the subset-of-data backend.
+    subset_used: bool,
 }
 
 fn scenario_with(targets: usize) -> benchgen::Scenario {
@@ -145,34 +147,18 @@ fn run_pool(targets: usize, adaptive: bool, subset: bool, iterations: usize, see
         .run_observed(&source, &candidates, &mut oracle, &sink)
         .expect("pool_scale run succeeds");
     let events = sink.events();
-    let iter_times: Vec<f64> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::IterationEnd { duration_s, .. } => Some(*duration_s),
-            _ => None,
-        })
-        .collect();
-    let mean_iter_s = iter_times.iter().sum::<f64>() / iter_times.len().max(1) as f64;
-    let peak_effective = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::PoolRefine { effective_pool, .. } => Some(*effective_pool),
-            _ => None,
-        })
-        .fold(1.0f64, f64::max);
-    let final_pool = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::PoolRefine { pool_size, .. } => Some(*pool_size),
-            _ => None,
-        })
-        .fold(candidates.len(), usize::max);
+    let summary = bench::fleet::summarize_run("pool_scale", &events);
+    let refines = &summary.pool_refines;
     PoolRun {
         trace: canonical_jsonl(&events),
         events,
-        mean_iter_s,
-        peak_effective,
-        final_pool,
+        mean_iter_s: summary.iteration.seconds / summary.iteration.count.max(1) as f64,
+        peak_effective: refines.iter().map(|p| p.effective_pool).fold(1.0, f64::max),
+        final_pool: refines
+            .iter()
+            .map(|p| p.pool_size)
+            .fold(candidates.len(), usize::max),
+        subset_used: summary.predict_modes.contains_key("subset"),
         result,
     }
 }
@@ -345,13 +331,9 @@ fn main() {
     for (run, &seed) in adaptive.iter().zip(seeds) {
         match testkit::invariants::check_trace(&run.events, None) {
             Ok(report) => {
-                let subset_used = run
-                    .events
-                    .iter()
-                    .any(|e| matches!(e, Event::PredictMode { mode, .. } if mode == "subset"));
                 if report.pool_refines == 0 {
                     violations.push(format!("seed {seed:#x}: no PoolRefine events recorded"));
-                } else if !subset_used {
+                } else if !run.subset_used {
                     violations.push(format!(
                         "seed {seed:#x}: subset predict path never activated"
                     ));

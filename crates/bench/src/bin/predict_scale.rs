@@ -16,8 +16,9 @@
 //! 3. **Cache speedup + equivalence**: after incremental conditioning,
 //!    the cached sweep (which pays only the appended-row tail per
 //!    candidate) must be ≥ 2× faster than the from-scratch serial sweep
-//!    and bit-identical to it. This gate is algorithmic — it does not
-//!    depend on core count.
+//!    and bit-identical to it. Each timed rep starts from a freshly
+//!    primed cache, so every rep pays the tail. This gate is algorithmic
+//!    — it does not depend on core count.
 //! 4. **Trace determinism**: the tuner's canonical trace is
 //!    byte-identical across `workers` budgets (parallel vs serial fits
 //!    and sweeps).
@@ -238,16 +239,13 @@ fn main() {
     }
 
     // ------------------------------- gate 3: cache speedup + equivalence
-    // Prime the cache against the current factor (untimed), append a few
-    // rows incrementally, then race the cached sweep against the
-    // from-scratch serial sweep — the tuner's steady-state iteration.
+    // Append a few rows incrementally, then race the cached sweep against
+    // the from-scratch serial sweep — the tuner's steady-state iteration.
+    // Every timed rep starts from a fresh cache primed (untimed) against
+    // the pre-conditioning factor; `condition_on` keeps the fit epoch, so
+    // each timed sweep pays exactly the appended-row tail.
     let mut cached_model = model.clone();
     let ids: Vec<u64> = (0..pool as u64).collect();
-    let mut cache = PredictCache::new();
-    cache.begin_sweep();
-    let _ = cached_model
-        .predict_latent_batch_cached(&ids, &queries, 1, &mut cache)
-        .expect("cache-priming sweep");
     let dim = queries[0].len();
     let (ax, ay) = synth_task(3, dim, seed ^ 0x517c, 0.55);
     cached_model
@@ -258,12 +256,20 @@ fn main() {
             .predict_latent_batch(&queries, 1)
             .expect("post-conditioning serial sweep")
     });
-    let (cached_s, cached_out) = best_of(|| {
+    let (mut cached_s, mut cached_out) = (f64::INFINITY, Vec::new());
+    for _ in 0..REPS {
+        let mut cache = PredictCache::new();
         cache.begin_sweep();
-        cached_model
+        let _ = model
             .predict_latent_batch_cached(&ids, &queries, 1, &mut cache)
-            .expect("cached sweep")
-    });
+            .expect("cache-priming sweep");
+        cache.begin_sweep();
+        let t = Instant::now();
+        cached_out = cached_model
+            .predict_latent_batch_cached(&ids, &queries, 1, &mut cache)
+            .expect("cached sweep");
+        cached_s = cached_s.min(t.elapsed().as_secs_f64());
+    }
     let cached_speedup = scratch_s / cached_s.max(1e-12);
     println!(
         "cached sweep after +3 rows: from-scratch {scratch_s:.3}s, cached {cached_s:.3}s \

@@ -79,3 +79,55 @@ fn fleet_of_three_recorded_runs_aggregates() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn single_run_view_renders_every_golden() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read golden dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 4, "four golden traces: {files:?}");
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("read golden");
+        let events = parse_jsonl(&text, false).expect("golden parses").events;
+        let run_end = events
+            .iter()
+            .rev()
+            .find(|e| matches!(e, obs::Event::RunEnd { .. }));
+        let Some(obs::Event::RunEnd {
+            iterations,
+            runs,
+            verification_runs,
+            pareto,
+            duration_s,
+        }) = run_end
+        else {
+            panic!("{path:?} has a RunEnd");
+        };
+        let name = path.display().to_string();
+        let report = summarize_run(&name, &events).render();
+        let mut lines = report.lines();
+        assert_eq!(
+            lines.next(),
+            Some(format!("trace report: {name} ({} events)", events.len()).as_str())
+        );
+        assert!(
+            lines.next().is_some_and(|l| l.starts_with("run:   ")),
+            "{report}"
+        );
+        assert_eq!(
+            lines.next(),
+            Some(
+                format!(
+                    "done:  {iterations} iterations, {runs} runs (+{verification_runs} \
+                     verification), {pareto} pareto points, {duration_s:.3} s total"
+                )
+                .as_str()
+            ),
+            "{path:?}"
+        );
+    }
+}

@@ -134,11 +134,6 @@ impl GradientBoosting {
         self.base + self.learning_rate * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
     }
 
-    /// Predicts a batch of points.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
     /// Normalized feature importances (split-gain shares, summing to 1;
     /// all-zero when no split was ever made).
     pub fn feature_importances(&self) -> Vec<f64> {
@@ -248,14 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_pointwise() {
+    fn fitted_model_reports_its_shape() {
         let x: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 29.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| p[0]).collect();
         let model = GradientBoosting::fit(&x, &y, GbmParams::default(), &mut rng()).unwrap();
-        let batch = model.predict_batch(&x);
-        for (xi, b) in x.iter().zip(&batch) {
-            assert_eq!(*b, model.predict(xi));
-        }
         assert_eq!(model.n_trees(), GbmParams::default().n_trees);
         assert_eq!(model.dim(), 1);
     }

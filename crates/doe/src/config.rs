@@ -34,14 +34,6 @@ impl ParamValue {
         }
     }
 
-    /// The contained enum ordinal, or `None` for other kinds.
-    pub fn as_enum(&self) -> Option<usize> {
-        match self {
-            ParamValue::Enum(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The contained boolean, or `None` for other kinds.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -119,16 +111,6 @@ impl Config {
     pub fn values(&self) -> &[ParamValue] {
         &self.values
     }
-
-    /// Consumes the configuration and returns its values.
-    pub fn into_values(self) -> Vec<ParamValue> {
-        self.values
-    }
-
-    /// Numeric view of all coordinates (see [`ParamValue::to_f64`]).
-    pub fn to_f64_vec(&self) -> Vec<f64> {
-        self.values.iter().map(ParamValue::to_f64).collect()
-    }
 }
 
 impl FromIterator<ParamValue> for Config {
@@ -159,7 +141,6 @@ mod tests {
         assert_eq!(ParamValue::Float(1.5).as_float(), Some(1.5));
         assert_eq!(ParamValue::Float(1.5).as_int(), None);
         assert_eq!(ParamValue::Int(3).as_int(), Some(3));
-        assert_eq!(ParamValue::Enum(2).as_enum(), Some(2));
         assert_eq!(ParamValue::Bool(true).as_bool(), Some(true));
     }
 
@@ -180,12 +161,5 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
         assert_eq!(c.to_string(), "(1, false)");
-        assert_eq!(c.to_f64_vec(), vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn into_values_returns_storage() {
-        let c = Config::new(vec![ParamValue::Enum(7)]);
-        assert_eq!(c.into_values(), vec![ParamValue::Enum(7)]);
     }
 }

@@ -254,9 +254,12 @@ impl Cholesky {
     /// `max_tries` times when the factorization fails.
     ///
     /// Kernel matrices are often positive definite only up to rounding; this
-    /// is the standard remedy. Returns the factorization together with the
-    /// jitter that finally succeeded (`0.0` when none was needed and
-    /// `jitter0 <= 0`).
+    /// is the standard remedy. An unjittered factor whose smallest pivot
+    /// lies below `n·ε·max diag(a)` counts as failed too: that pivot is
+    /// rounding noise, as when an exactly singular kernel factors only
+    /// because rounding left a tiny positive remainder. Returns the
+    /// factorization together with the jitter that finally succeeded
+    /// (`0.0` when none was needed and `jitter0 <= 0`).
     ///
     /// # Errors
     ///
@@ -264,11 +267,11 @@ impl Cholesky {
     /// attempts fail, or shape errors immediately.
     pub fn new_with_jitter(a: &Matrix, jitter0: f64, max_tries: usize) -> Result<(Self, f64)> {
         match Cholesky::new(a) {
-            Ok(c) => return Ok((c, 0.0)),
+            Ok(c) if !c.has_rounding_pivot(a) => return Ok((c, 0.0)),
             Err(e @ (LinalgError::NotSquare { .. } | LinalgError::InvalidDimension { .. })) => {
                 return Err(e)
             }
-            Err(_) => {}
+            _ => {}
         }
         let mut jitter = if jitter0 > 0.0 { jitter0 } else { 1e-10 };
         let mut last_err = LinalgError::NotPositiveDefinite {
@@ -285,6 +288,15 @@ impl Cholesky {
             jitter *= 10.0;
         }
         Err(last_err)
+    }
+
+    /// Whether some pivot `L[i][i]²` of this factor of `a` is below
+    /// `n·ε·max diag(a)`, the rounding error of the elimination that
+    /// produced it.
+    fn has_rounding_pivot(&self, a: &Matrix) -> bool {
+        let n = a.rows();
+        let floor = n as f64 * f64::EPSILON * a.diag().into_iter().fold(0.0, f64::max);
+        (0..n).any(|i| self.l[(i, i)] * self.l[(i, i)] < floor)
     }
 
     /// Borrows the lower-triangular factor `L`.
@@ -544,6 +556,20 @@ mod tests {
         let (c, jitter) = Cholesky::new_with_jitter(&a, 1e-10, 12).unwrap();
         assert!(jitter > 0.0);
         assert_eq!(c.dim(), 2);
+    }
+
+    #[test]
+    fn jitter_rescues_a_rounding_pivot() {
+        // SE kernel over the points 0, 0.56, 0.56: exactly singular, yet
+        // rounding leaves the last pivot at about 1e-16 instead of 0.
+        let e = (-0.56f64 * 0.56 / 2.0).exp();
+        let a = Matrix::from_rows(&[&[1.0, e, e], &[e, 1.0, 1.0], &[e, 1.0, 1.0]]).unwrap();
+        let plain = Cholesky::new(&a).expect("rounding lets the plain factor through");
+        let pivot = plain.l[(2, 2)] * plain.l[(2, 2)];
+        assert!(pivot > 0.0 && pivot < 1e-15, "pivot {pivot:e}");
+        let (c, jitter) = Cholesky::new_with_jitter(&a, 1e-10, 12).unwrap();
+        assert!(jitter > 0.0);
+        assert!(c.l[(2, 2)] * c.l[(2, 2)] >= jitter / 2.0);
     }
 
     #[test]

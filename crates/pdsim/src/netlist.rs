@@ -158,16 +158,8 @@ impl Netlist {
         out
     }
 
-    /// Number of sinks listening to `cell`'s output net.
-    pub fn fanout_count(&self, cell: CellId) -> usize {
-        self.net_driver
-            .iter()
-            .position(|&d| d == Some(cell))
-            .map_or(0, |net| self.net_sink_count[net] as usize)
-    }
-
-    /// Sink counts of every cell's output net in one pass (index = cell
-    /// id) — use instead of per-cell [`Netlist::fanout_count`] in loops.
+    /// Number of sinks listening to each cell's output net (index = cell
+    /// id; 0 for a cell that drives no net), in one pass over the nets.
     pub fn fanout_counts(&self) -> Vec<usize> {
         let mut out = vec![0usize; self.cells.len()];
         for (net, &driver) in self.net_driver.iter().enumerate() {

@@ -20,17 +20,6 @@ pub struct TimingReport {
     pub critical_endpoint: Option<usize>,
 }
 
-impl TimingReport {
-    /// The `n` worst endpoint arrival times, descending (for slack
-    /// histograms).
-    pub fn worst_endpoints(&self, n: usize) -> Vec<(usize, f64)> {
-        let mut order: Vec<(usize, f64)> = self.arrival_ps.iter().copied().enumerate().collect();
-        order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        order.truncate(n);
-        order
-    }
-}
-
 /// Propagates arrival times through the netlist.
 ///
 /// Model: each cell contributes its logical-effort stage delay under the
@@ -198,18 +187,5 @@ mod tests {
         let aggregate = stats.comb_depth as f64 * 12.0; // ~nominal stage
         let ratio = structural / aggregate;
         assert!((0.3..3.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn worst_endpoints_are_sorted() {
-        let nl = small();
-        let lib = CellLibrary::sevennm();
-        let r = sta_netlist(&nl, &lib, 0.4);
-        let worst = r.worst_endpoints(5);
-        assert_eq!(worst.len(), 5);
-        for w in worst.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        assert_eq!(worst[0].1, r.critical_path_ps);
     }
 }

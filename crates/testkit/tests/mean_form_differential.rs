@@ -264,7 +264,6 @@ struct Worst {
     dense: [f64; 4],
     jittered: u64,
     refits: u64,
-    singular: u64,
 }
 
 fn mean_form_driver(cases: u64) {
@@ -316,13 +315,15 @@ fn mean_form_driver(cases: u64) {
             ext_target = TaskData::new(x, y);
         }
         worst.jittered += u64::from(fast.jitter() > 0.0);
-        // A duplicated row with zero noise is singular; when rounding let
-        // the factorization through without jitter, the Gauss–Jordan
-        // inverse meets an exact zero pivot, so only the forms compare.
-        let singular = flavour == 1 && fast.jitter() == 0.0;
-        worst.singular += u64::from(singular);
-        let dense = (!singular)
-            .then(|| refgp::ReferenceTransferGp::fit(&source, &ext_target, &config, fast.jitter()));
+        // A duplicated row with zero noise is singular. The jitter ladder
+        // must catch it even where rounding lets a plain factorization
+        // through on a tiny positive pivot (the dense inverse would then
+        // meet an exact zero pivot).
+        assert!(
+            flavour != 1 || fast.jitter() > 0.0,
+            "case {case}: singular kernel factored without jitter; input {input:?}"
+        );
+        let dense = refgp::ReferenceTransferGp::fit(&source, &ext_target, &config, fast.jitter());
         let scale = old.std_target.scale();
         for (q, x) in queries(&mut rng, &source, &ext_target, dim)
             .iter()
@@ -357,7 +358,6 @@ fn mean_form_driver(cases: u64) {
             );
             let f = flavour as usize;
             worst.form[f] = worst.form[f].max(form);
-            let Some(dense) = &dense else { continue };
             let (dense_mean, _) = dense.predict_latent(x);
             let dense_err = (mean - dense_mean).abs() / scale / norm;
             assert!(
@@ -371,13 +371,11 @@ fn mean_form_driver(cases: u64) {
     let show = |xs: &[f64; 4]| xs.map(|x| format!("{x:.1e}")).join(", ");
     println!(
         "mean form: worst normalized error per flavour (plain, jittered, clamped, λ edge): \
-         v·w vs k*·α [{}], vs dense [{}]; {} jittered factors, {} conditioning refits, \
-         {} unjittered singular kernels",
+         v·w vs k*·α [{}], vs dense [{}]; {} jittered factors, {} conditioning refits",
         show(&worst.form),
         show(&worst.dense),
         worst.jittered,
-        worst.refits,
-        worst.singular
+        worst.refits
     );
     assert!(
         worst.jittered * 6 >= cases,
