@@ -11,7 +11,8 @@
 //! trace_report --fleet <dir> [--lenient]
 //! ```
 //!
-//! Malformed lines abort with a nonzero exit and a line number;
+//! A trace file together with `--fleet` is refused with the usage line
+//! (exit 2). Malformed lines abort with a nonzero exit and a line number;
 //! `--lenient` skips and counts them instead. `--fleet <dir>` ingests
 //! every `*.jsonl` in the directory and prints cross-run aggregates
 //! (hv-convergence quantiles, failure/retry/quarantine rates, per-phase
@@ -97,19 +98,22 @@ fn main() {
             }
         }
     }
-    let report = if let Some(dir) = fleet_dir {
-        fleet_text(&dir, lenient)
-    } else {
-        let Some(path) = path else {
+    let report = match (fleet_dir, path) {
+        (Some(dir), None) => fleet_text(&dir, lenient),
+        (None, Some(path)) => {
+            let events = parse_file(&path, lenient);
+            if events.is_empty() {
+                eprintln!("trace {path} contains no events");
+                std::process::exit(1);
+            }
+            fleet::summarize_run(&path, &events).render()
+        }
+        // Neither view, or both: a file given with `--fleet` would be
+        // dropped silently.
+        _ => {
             eprintln!("usage: trace_report <trace.jsonl> [--lenient] | --fleet <dir> [--lenient]");
             std::process::exit(2);
-        };
-        let events = parse_file(&path, lenient);
-        if events.is_empty() {
-            eprintln!("trace {path} contains no events");
-            std::process::exit(1);
         }
-        fleet::summarize_run(&path, &events).render()
     };
     // A reader that stops early (`| head`) closes the pipe; that ends
     // the program quietly.

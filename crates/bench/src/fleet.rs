@@ -209,7 +209,7 @@ pub struct RunSummary {
     lambda: BTreeMap<usize, (f64, f64)>,
     trajectory: Vec<IterationRow>,
     /// Failed attempts (`EvalFailed`) by failure kind.
-    pub failures_by_kind: BTreeMap<String, usize>,
+    failures_by_kind: BTreeMap<String, usize>,
     retries: usize,
     /// Quarantined candidates, in quarantine order.
     quarantined: Vec<usize>,

@@ -131,3 +131,25 @@ fn single_run_view_renders_every_golden() {
         );
     }
 }
+
+/// `trace_report` renders one view: a trace file given together with
+/// `--fleet` is refused with the usage line and exit code 2 instead of
+/// being dropped, while a plain file still renders.
+#[test]
+fn trace_report_refuses_a_file_together_with_fleet() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+    let trace = format!("{golden}/scenario_two_seeded.jsonl");
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_trace_report"))
+            .args(args)
+            .output()
+            .expect("trace_report starts")
+    };
+    let both = run(&[&trace, "--fleet", golden]);
+    assert_eq!(both.status.code(), Some(2));
+    assert!(both.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&both.stderr).starts_with("usage: trace_report"));
+    let plain = run(&[&trace]);
+    assert_eq!(plain.status.code(), Some(0));
+    assert!(!plain.stdout.is_empty());
+}

@@ -1,21 +1,29 @@
 //! Chaos harness: a table-backed oracle with deterministic fault
 //! injection, for exercising the tuner's retry / quarantine / sanitize
-//! machinery end to end.
+//! machinery end to end, plus the helpers the robustness tests share.
 //!
 //! [`FaultyVecOracle`] is [`ppatuner::VecOracle`]'s golden QoR table,
 //! wrapped in a [`pdsim::FaultPlan`] that decides — purely from
 //! `(candidate, attempt)` hashes — which attempts crash, time out, or
 //! come back corrupted. Because both halves are deterministic, a chaos
 //! run is exactly as reproducible as a clean one, and the *same plan* can
-//! be replayed in a proptest, in CI, and at a debugger prompt.
+//! be replayed in a proptest, in a workspace test, and at a debugger
+//! prompt. The two committed plans, `crates/bench/plans/chaos_smoke.json`
+//! (tool faults) and `recovery_smoke.json` (calibration faults), are read
+//! by [`tool_fault_plan`] and [`fit_fault_plan`]; `tests/recovery.rs`
+//! runs both on the golden scenario.
 
+use std::cell::{Ref, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use pdsim::{FaultDecision, FaultPlan};
-use ppatuner::{ConcurrentOracle, EvalError, QorOracle};
+use ppatuner::{
+    Checkpoint, CheckpointError, CheckpointStore, ConcurrentOracle, EvalError, FitFaultPlan,
+    QorOracle, TuneResult,
+};
 
 /// Wall-clock budget reported by injected timeouts (arbitrary but stable,
 /// so traces and goldens do not wobble).
@@ -185,6 +193,124 @@ impl ConcurrentOracle for HangingOracle {
     fn runs(&self) -> usize {
         self.runs.load(Ordering::SeqCst)
     }
+}
+
+/// The committed tool-fault plan, `crates/bench/plans/chaos_smoke.json`:
+/// crashes, timeouts, NaN and outlier QoR, and two always-failing
+/// candidates.
+///
+/// # Panics
+///
+/// Panics when the plan does not parse or validate, or injects less than
+/// a 20 % failure rate.
+pub fn tool_fault_plan() -> FaultPlan {
+    let plan: FaultPlan = serde_json::from_str(include_str!("../../bench/plans/chaos_smoke.json"))
+        .expect("committed tool-fault plan parses");
+    plan.validate().expect("committed tool-fault plan is valid");
+    assert!(
+        plan.failure_rate() >= 0.2,
+        "the tool-fault plan must inject >= 20% failures, has {}",
+        plan.failure_rate()
+    );
+    plan
+}
+
+/// The committed calibration-fault plan,
+/// `crates/bench/plans/recovery_smoke.json`, to arm with
+/// [`ppatuner::inject_fit_faults`].
+///
+/// # Panics
+///
+/// Panics when the plan does not parse or validate, or injects less than
+/// 25 % faults on the refit or the `condition_on` path.
+pub fn fit_fault_plan() -> FitFaultPlan {
+    let plan: FitFaultPlan =
+        serde_json::from_str(include_str!("../../bench/plans/recovery_smoke.json"))
+            .expect("committed fit-fault plan parses");
+    plan.validate().expect("committed fit-fault plan is valid");
+    assert!(
+        plan.refit_fail >= 0.25 && plan.condition_fail >= 0.25,
+        "the fit-fault plan must inject >= 25% faults on both calibration paths, \
+         has refit {} / condition {}",
+        plan.refit_fail,
+        plan.condition_fail
+    );
+    plan
+}
+
+/// A [`CheckpointStore`] that records every save and loads the newest,
+/// so a test can crash a run at any checkpoint boundary, not just the
+/// last one.
+#[derive(Debug, Default)]
+pub struct CaptureStore {
+    all: RefCell<Vec<Checkpoint>>,
+}
+
+impl CaptureStore {
+    /// Every checkpoint saved so far, oldest first.
+    pub fn checkpoints(&self) -> Ref<'_, Vec<Checkpoint>> {
+        self.all.borrow()
+    }
+}
+
+impl CheckpointStore for CaptureStore {
+    fn save(&self, c: &Checkpoint) -> Result<(), CheckpointError> {
+        self.all.borrow_mut().push(c.clone());
+        Ok(())
+    }
+
+    fn load(&self) -> Result<Option<Checkpoint>, CheckpointError> {
+        Ok(self.all.borrow().last().cloned())
+    }
+}
+
+/// Asserts that `resumed` reproduces `full`: front, evaluated set, runs,
+/// verification runs, iterations, δ, quarantine, degraded fits, failure
+/// counters and the structural part of the iteration history (its rows
+/// also carry wall-clock timings). `label` prefixes every message.
+///
+/// # Panics
+///
+/// Panics at the first field that differs.
+pub fn assert_same_outcome(full: &TuneResult, resumed: &TuneResult, label: &str) {
+    assert_eq!(
+        resumed.pareto_indices, full.pareto_indices,
+        "{label}: front"
+    );
+    assert_eq!(resumed.evaluated, full.evaluated, "{label}: evaluated set");
+    assert_eq!(resumed.runs, full.runs, "{label}: runs");
+    assert_eq!(
+        resumed.verification_runs, full.verification_runs,
+        "{label}: verification runs"
+    );
+    assert_eq!(resumed.iterations, full.iterations, "{label}: iterations");
+    assert_eq!(resumed.delta, full.delta, "{label}: final delta");
+    assert_eq!(resumed.quarantined, full.quarantined, "{label}: quarantine");
+    assert_eq!(
+        resumed.degraded_fits, full.degraded_fits,
+        "{label}: degraded fits"
+    );
+    assert_eq!(
+        (resumed.eval_failures, resumed.eval_retries),
+        (full.eval_failures, full.eval_retries),
+        "{label}: failure counters"
+    );
+    let shape = |r: &TuneResult| -> Vec<[usize; 6]> {
+        r.history
+            .iter()
+            .map(|h| {
+                [
+                    h.iteration,
+                    h.undecided,
+                    h.pareto,
+                    h.dropped,
+                    h.quarantined,
+                    h.runs,
+                ]
+            })
+            .collect()
+    };
+    assert_eq!(shape(resumed), shape(full), "{label}: iteration history");
 }
 
 #[cfg(test)]

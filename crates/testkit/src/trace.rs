@@ -50,16 +50,25 @@ pub struct GoldenRun {
 
 /// The reduced Scenario Two every golden run tunes, with the shared
 /// configuration and seed.
-struct GoldenScenario {
-    scenario: benchgen::Scenario,
-    space: pdsim::ObjectiveSpace,
-    source: SourceData,
-    candidates: Vec<Vec<f64>>,
-    table: Vec<Vec<f64>>,
-    config: PpaTunerConfig,
+#[derive(Debug)]
+pub struct GoldenScenario {
+    /// The benchmark scenario, for scoring fronts against its golden front.
+    pub scenario: benchgen::Scenario,
+    /// The objective space tuned.
+    pub space: pdsim::ObjectiveSpace,
+    /// The source-design observations the transfer GP starts from.
+    pub source: SourceData,
+    /// Joint-encoded target candidates.
+    pub candidates: Vec<Vec<f64>>,
+    /// Golden QoR of every candidate (the table oracle's backing data).
+    pub table: Vec<Vec<f64>>,
+    /// The golden configuration: `workers: 1`, the shared seed.
+    pub config: PpaTunerConfig,
 }
 
-fn golden_scenario() -> GoldenScenario {
+/// The golden scenario, unrun: what [`run_golden`] and its variants tune,
+/// for tests that run it under other oracles (fault plans, a watchdog).
+pub fn golden_scenario() -> GoldenScenario {
     let scenario = benchgen::Scenario::two_with_counts(9, 120, 100).with_source_budget(60);
     let space = pdsim::ObjectiveSpace::PowerDelay;
     let (sx, sy) = scenario.source_xy(space);

@@ -5,12 +5,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use obs::{Event, Observer, RecordingSink};
-use pdsim::FaultPlan;
 use ppatuner::{
     inject_fit_faults, FitFaultPlan, MemoryCheckpointStore, PpaTuner, PpaTunerConfig, SourceData,
     VecOracle,
 };
-use testkit::chaos::FaultyVecOracle;
+use testkit::chaos::{tool_fault_plan, FaultyVecOracle};
 
 #[test]
 fn small_run_emits_a_complete_trace() {
@@ -128,16 +127,7 @@ fn a_disabled_observer_receives_no_events() {
     let truth = scenario.target_table(space);
     let (sx, sy) = scenario.source_xy(space);
     let source = SourceData::new(sx, sy).expect("source");
-    let faults = FaultPlan {
-        seed: 1009,
-        crash_prob: 0.12,
-        timeout_prob: 0.06,
-        nan_prob: 0.04,
-        outlier_prob: 0.03,
-        flaky_max_failures: 2,
-        always_fail: vec![27, 56],
-        ..FaultPlan::default()
-    };
+    let faults = tool_fault_plan();
     let fit_faults = FitFaultPlan {
         seed: 77,
         refit_fail: 0.5,

@@ -1,46 +1,36 @@
-//! Workspace integration tests for the degraded-mode run supervisor's
-//! storage and liveness domains: a checkpoint chain damaged at *any* byte
-//! of its newest entry still recovers the last-good checkpoint and
-//! resumes to the fault-free golden result, a crash after any save is a
-//! valid kill point, and a hung oracle worker is converted by the
-//! watchdog into a deterministic timeout whose trace does not depend on
-//! the worker count.
+//! Workspace integration tests for the robustness layer, on the golden
+//! scenario and the committed fault plans: tool faults are retried,
+//! quarantined and kept out of the front within the fault-free run's
+//! hypervolume budget; calibration faults degrade lawfully and resume;
+//! a checkpoint chain damaged at *any* byte of its newest entry still
+//! recovers the last-good checkpoint and resumes to the fault-free golden
+//! result; a crash after any save is a valid kill point; and neither a
+//! hung oracle worker (turned by the watchdog into a deterministic
+//! timeout) nor a degraded fit makes the trace depend on the worker count.
 
-use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use benchgen::Scenario;
+use obs::{Event, RecordingSink};
 use pdsim::ObjectiveSpace;
 use ppatuner::{
-    ChainCheckpointStore, Checkpoint, CheckpointError, CheckpointStore, PpaTuner, PpaTunerConfig,
-    SourceData, TuneResult, VecOracle, WatchdogOracle,
+    inject_fit_faults, ChainCheckpointStore, Checkpoint, CheckpointStore, PpaTuner, PpaTunerConfig,
+    SharedOracle, SourceData, TuneResult, VecOracle, WatchdogOracle,
 };
 use proptest::prelude::*;
-use testkit::chaos::HangingOracle;
-use testkit::trace::canonical_jsonl;
+use testkit::chaos::{
+    assert_same_outcome, fit_fault_plan, tool_fault_plan, CaptureStore, FaultyVecOracle,
+    HangingOracle,
+};
+use testkit::invariants;
+use testkit::trace::{canonical_jsonl, golden_scenario, GoldenScenario};
 
-/// Records every checkpoint the tuner writes, so tests can replay the
-/// save sequence into fresh on-disk chains and crash anywhere.
-#[derive(Default)]
-struct CaptureStore {
-    all: RefCell<Vec<Checkpoint>>,
-}
-
-impl CheckpointStore for CaptureStore {
-    fn save(&self, c: &Checkpoint) -> Result<(), CheckpointError> {
-        self.all.borrow_mut().push(c.clone());
-        Ok(())
-    }
-
-    fn load(&self) -> Result<Option<Checkpoint>, CheckpointError> {
-        Ok(self.all.borrow().last().cloned())
-    }
-}
-
-/// The fault-free reference: one checkpointed run, its golden result, and
-/// every checkpoint it saved, computed once and shared by all tests.
+/// The storage tests' fault-free reference, on a smaller scenario: one
+/// checkpointed run, its golden result, and every checkpoint it saved,
+/// computed once and shared by those tests.
 struct Fixture {
     candidates: Vec<Vec<f64>>,
     truth: Vec<Vec<f64>>,
@@ -71,7 +61,7 @@ fn fixture() -> &'static Fixture {
         let golden = PpaTuner::new(config.clone())
             .run_checkpointed(&source, &candidates, &mut oracle, &obs::NULL_SINK, &store)
             .expect("fault-free run succeeds");
-        let checkpoints = store.all.into_inner();
+        let checkpoints = store.checkpoints().clone();
         assert!(
             checkpoints.len() >= 3,
             "run too short to exercise the chain ({} checkpoints)",
@@ -98,24 +88,165 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ))
 }
 
-fn assert_identical(full: &TuneResult, resumed: &TuneResult, label: &str) {
-    assert_eq!(
-        resumed.pareto_indices, full.pareto_indices,
-        "{label}: front"
+/// The golden scenario's configuration for calibration faults: several
+/// refit sites within the horizon, and enough budget that a 25 % plan
+/// cannot plausibly exhaust it.
+fn fit_fault_config(g: &GoldenScenario) -> PpaTunerConfig {
+    PpaTunerConfig {
+        refit_every: 5,
+        degraded_fit_budget: 64,
+        ..g.config.clone()
+    }
+}
+
+/// A fault-free run of the golden scenario under `config`.
+fn clean_run(g: &GoldenScenario, config: &PpaTunerConfig) -> TuneResult {
+    let mut oracle = VecOracle::new(g.table.clone());
+    PpaTuner::new(config.clone())
+        .run(&g.source, &g.candidates, &mut oracle)
+        .expect("fault-free run succeeds")
+}
+
+/// The hypervolume error of `result`'s front against the golden front.
+fn hv_error(g: &GoldenScenario, result: &TuneResult) -> f64 {
+    bench::score(&g.scenario, g.space, &result.pareto_indices, result.runs).hv_error
+}
+
+/// Whether `faulty`'s hypervolume error is within 1.05× of `clean`'s.
+fn within_hv_budget(faulty: f64, clean: f64) -> bool {
+    faulty.abs() <= clean.abs() * 1.05 + 1e-9
+}
+
+/// The committed tool-fault plan on the golden scenario: the run's trace
+/// is lawful, crashes and invalid QoR both occur, transient faults are
+/// retried, the always-failing candidates never produce an accepted
+/// evaluation, no quarantined candidate reaches the (non-empty) front,
+/// and the hypervolume error stays within 1.05× of the fault-free run's.
+#[test]
+fn committed_tool_fault_plan_is_contained_within_the_hypervolume_budget() {
+    let g = golden_scenario();
+    let plan = tool_fault_plan();
+    let config = PpaTunerConfig {
+        // Exceeds the plan's flaky bound, so transient faults recover
+        // within one selection instead of quarantining half the space.
+        max_eval_attempts: plan.flaky_max_failures + 2,
+        ..g.config.clone()
+    };
+    let clean = clean_run(&g, &config);
+    let sink = RecordingSink::new();
+    let mut oracle = FaultyVecOracle::new(g.table.clone(), plan.clone());
+    let faulty = PpaTuner::new(config)
+        .run_observed(&g.source, &g.candidates, &mut oracle, &sink)
+        .expect("the run completes despite injected failures");
+    let events = sink.events();
+    let report = invariants::check_trace(&events, Some(&g.table))
+        .unwrap_or_else(|e| panic!("tool-fault trace violates an invariant: {e}"));
+    let kinds: BTreeSet<&str> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::EvalFailed { kind, .. } => Some(kind.as_str()),
+            _ => None,
+        })
+        .collect();
+    let (clean_hv, faulty_hv) = (hv_error(&g, &clean), hv_error(&g, &faulty));
+    println!(
+        "tool faults: {} snapshots, {} selects, {} accepted evals, {} failures \
+         ({} retries), {} quarantines; kinds {kinds:?}; hv error clean {clean_hv:.6}, \
+         faulty {faulty_hv:.6}; runs clean {} faulty {}",
+        report.snapshots,
+        report.selects,
+        report.tool_evals,
+        report.eval_failures,
+        faulty.eval_retries,
+        report.quarantines,
+        clean.runs,
+        faulty.runs
     );
-    assert_eq!(resumed.evaluated, full.evaluated, "{label}: evaluated set");
-    assert_eq!(resumed.runs, full.runs, "{label}: runs");
-    assert_eq!(resumed.iterations, full.iterations, "{label}: iterations");
-    assert_eq!(resumed.delta, full.delta, "{label}: final delta");
-    assert_eq!(
-        resumed.degraded_fits, full.degraded_fits,
-        "{label}: degraded fits"
+    for wanted in ["crash", "invalid_qor"] {
+        assert!(kinds.contains(wanted), "no '{wanted}' failure: {kinds:?}");
+    }
+    assert!(faulty.eval_failures > 0, "the plan injected no failure");
+    assert!(
+        faulty.eval_retries > 0,
+        "no retry recovered a transient fault"
     );
-    assert_eq!(
-        (resumed.eval_failures, resumed.eval_retries),
-        (full.eval_failures, full.eval_retries),
-        "{label}: failure counters"
+    for q in &faulty.quarantined {
+        assert!(
+            !faulty.pareto_indices.contains(q),
+            "quarantined candidate {q} reached the front"
+        );
+    }
+    for hard in &plan.always_fail {
+        assert!(
+            faulty.evaluated.iter().all(|(i, _)| i != hard),
+            "always-failing candidate {hard} has an accepted evaluation"
+        );
+    }
+    assert!(
+        !faulty.pareto_indices.is_empty(),
+        "nothing classified Pareto"
     );
+    assert!(
+        within_hv_budget(faulty_hv, clean_hv),
+        "tool-fault hv error {faulty_hv} exceeds 1.05x the fault-free {clean_hv}"
+    );
+}
+
+/// The committed calibration-fault plan on the golden scenario: fits
+/// degrade, the trace stays lawful, the hypervolume error stays within
+/// 1.05× of the fault-free run's, and a restart from the first checkpoint
+/// that recorded a degraded fit, through an on-disk chain with the plan
+/// re-armed, reproduces the run.
+#[test]
+fn committed_fit_fault_plan_degrades_lawfully_and_resumes() {
+    let g = golden_scenario();
+    let config = fit_fault_config(&g);
+    let clean = clean_run(&g, &config);
+    let sink = RecordingSink::new();
+    let store = CaptureStore::default();
+    let degraded = {
+        let _armed = inject_fit_faults(fit_fault_plan());
+        let mut oracle = VecOracle::new(g.table.clone());
+        PpaTuner::new(config.clone())
+            .run_checkpointed(&g.source, &g.candidates, &mut oracle, &sink, &store)
+            .expect("the degraded run completes within budget")
+    };
+    let report = invariants::check_trace(&sink.events(), Some(&g.table))
+        .unwrap_or_else(|e| panic!("degraded trace violates an invariant: {e}"));
+    let (clean_hv, degraded_hv) = (hv_error(&g, &clean), hv_error(&g, &degraded));
+    println!(
+        "fit faults: {} degraded fits, {} snapshots, {} accepted evals; \
+         hv error clean {clean_hv:.6}, degraded {degraded_hv:.6}",
+        degraded.degraded_fits, report.snapshots, report.tool_evals
+    );
+    assert!(degraded.degraded_fits > 0, "the plan injected no fit fault");
+    assert!(
+        within_hv_budget(degraded_hv, clean_hv),
+        "degraded hv error {degraded_hv} exceeds 1.05x the fault-free {clean_hv}"
+    );
+
+    let checkpoints = store.checkpoints();
+    let first = checkpoints
+        .iter()
+        .find(|c| c.snapshot.degraded_fits > 0)
+        .expect("a checkpoint recorded a degraded fit");
+    let dir = scratch_dir("degraded_resume");
+    let chain = ChainCheckpointStore::new(&dir, 2);
+    chain.save(first).expect("chain save");
+    let resumed = {
+        let _armed = inject_fit_faults(fit_fault_plan());
+        let mut oracle = VecOracle::new(g.table.clone());
+        PpaTuner::new(config).resume(
+            &g.source,
+            &g.candidates,
+            &mut oracle,
+            &obs::NULL_SINK,
+            &chain,
+        )
+    };
+    std::fs::remove_dir_all(&dir).ok();
+    let resumed = resumed.expect("resume from the first degraded checkpoint");
+    assert_same_outcome(&degraded, &resumed, "degraded resume");
 }
 
 /// Truncating the newest chain entry at every byte boundary — a torn
@@ -185,7 +316,7 @@ fn chain_resume_from_every_kill_point_matches_the_golden_run() {
                 &chain,
             )
             .unwrap_or_else(|e| panic!("resume from kill point {k} failed: {e}"));
-        assert_identical(&f.golden, &resumed, &format!("kill point {k}"));
+        assert_same_outcome(&f.golden, &resumed, &format!("kill point {k}"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -230,72 +361,85 @@ proptest! {
     }
 }
 
-/// A hung worker becomes a deterministic watchdog timeout: every first
-/// attempt stalls past the deadline, the watchdog converts each stall
-/// into `EvalError::Timeout`, the retry succeeds, and the canonical
-/// trace — watchdog firings included — is byte-identical whether the
-/// loop's fan-outs ran on one worker or four.
+/// Faults inside q = 4 waves leave no trace of the worker count. With
+/// every candidate's first attempt stalled past the watchdog deadline,
+/// each stall becomes a deterministic timeout and the retry succeeds; with
+/// the committed calibration-fault plan armed, fits degrade. Either way
+/// the outcome and the canonical trace, watchdog firings and degraded
+/// fits included, are byte-identical whether the loop's fan-outs ran on
+/// one worker or four.
 #[test]
-fn watchdog_timeouts_are_worker_count_invariant() {
-    // The golden batch scenario — the one configuration the invariant
-    // checker is proven against (`run_golden_batch`) — with every
-    // candidate's first attempt stalled past the deadline.
-    let scenario = Scenario::two_with_counts(9, 120, 100).with_source_budget(60);
-    let space = ObjectiveSpace::PowerDelay;
-    let candidates = scenario.target_candidates();
-    let truth = scenario.target_table(space);
-    let (sx, sy) = scenario.source_xy(space);
-    let source = SourceData::new(sx, sy).expect("golden scenario source data");
-    let run = |workers: usize| {
-        let config = PpaTunerConfig {
-            initial_samples: 10,
-            max_iterations: 20,
-            tau: 3.0, // matches run_golden; see the comment there
-            max_eval_attempts: 3,
-            seed: testkit::test_seed(),
-            batch_size: 4,
-            workers,
-            ..Default::default()
+fn faulty_waves_are_worker_count_invariant() {
+    let g = golden_scenario();
+    for watchdog in [true, false] {
+        let label = if watchdog { "watchdog" } else { "fit faults" };
+        let run = |workers: usize| {
+            let sink = RecordingSink::new();
+            let result = if watchdog {
+                let config = PpaTunerConfig {
+                    max_eval_attempts: 3,
+                    batch_size: 4,
+                    workers,
+                    ..g.config.clone()
+                };
+                let hangs: Vec<(usize, usize)> = (0..g.table.len()).map(|i| (i, 1)).collect();
+                let oracle =
+                    WatchdogOracle::new(HangingOracle::new(g.table.clone(), hangs, 5.0), 0.05);
+                PpaTuner::new(config).run_observed(&g.source, &g.candidates, &oracle, &sink)
+            } else {
+                let config = PpaTunerConfig {
+                    batch_size: 4,
+                    workers,
+                    ..fit_fault_config(&g)
+                };
+                let _armed = inject_fit_faults(fit_fault_plan());
+                let oracle = SharedOracle::new(VecOracle::new(g.table.clone()));
+                PpaTuner::new(config).run_observed(&g.source, &g.candidates, &oracle, &sink)
+            };
+            let result = result.unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
+            (result, sink.events())
         };
-        let hangs: Vec<(usize, usize)> = (0..truth.len()).map(|i| (i, 1)).collect();
-        let oracle = WatchdogOracle::new(HangingOracle::new(truth.clone(), hangs, 5.0), 0.05);
-        let sink = obs::RecordingSink::new();
-        let result = PpaTuner::new(config)
-            .run_observed(&source, &candidates, &oracle, &sink)
-            .expect("watchdogged run completes");
-        (result, sink.events())
-    };
 
-    let (serial, serial_events) = run(1);
-    let (wide, wide_events) = run(4);
-    assert_identical(&serial, &wide, "worker counts");
-    assert!(
-        serial.eval_failures > 0,
-        "every candidate hangs once; failures must be visible"
-    );
-
-    let fired = serial_events
-        .iter()
-        .filter(|e| matches!(e, obs::Event::WatchdogFired { .. }))
-        .count();
-    assert!(fired > 0, "the watchdog never fired");
-    assert_eq!(
-        fired, serial.eval_failures,
-        "each failure here is a watchdog timeout"
-    );
-    for e in &serial_events {
-        if let obs::Event::WatchdogFired { deadline_s, .. } = e {
-            assert_eq!(*deadline_s, 0.05, "deadline is configured, not measured");
+        let (serial, serial_events) = run(1);
+        let (wide, wide_events) = run(4);
+        assert_same_outcome(&serial, &wide, &format!("{label}: worker counts"));
+        assert_eq!(
+            canonical_jsonl(&serial_events),
+            canonical_jsonl(&wide_events),
+            "{label}: canonical traces must not depend on the worker count"
+        );
+        let report = invariants::check_trace(&serial_events, Some(&g.table))
+            .unwrap_or_else(|e| panic!("{label}: trace violates an invariant: {e}"));
+        if !watchdog {
+            println!(
+                "fit faults at q = 4: {} degraded fits",
+                serial.degraded_fits
+            );
+            assert!(serial.degraded_fits > 0, "the plan injected no fit fault");
+            continue;
         }
+        assert!(
+            serial.eval_failures > 0,
+            "every candidate hangs once; failures must be visible"
+        );
+        let fired = serial_events
+            .iter()
+            .filter(|e| matches!(e, Event::WatchdogFired { .. }))
+            .count();
+        println!(
+            "watchdog: {fired} firings over {} failures, {} runs",
+            serial.eval_failures, serial.runs
+        );
+        assert!(fired > 0, "the watchdog never fired");
+        assert_eq!(
+            fired, serial.eval_failures,
+            "each failure here is a watchdog timeout"
+        );
+        for e in &serial_events {
+            if let Event::WatchdogFired { deadline_s, .. } = e {
+                assert_eq!(*deadline_s, 0.05, "deadline is configured, not measured");
+            }
+        }
+        assert_eq!(report.watchdog_firings, fired);
     }
-
-    let report = testkit::invariants::check_trace(&serial_events, Some(&truth))
-        .expect("watchdogged trace is lawful");
-    assert_eq!(report.watchdog_firings, fired);
-
-    assert_eq!(
-        canonical_jsonl(&serial_events),
-        canonical_jsonl(&wide_events),
-        "canonical traces must not depend on the worker count"
-    );
 }

@@ -3,33 +3,13 @@
 //! the same `TuneResult` as the uninterrupted run — fault-free or under
 //! deterministic fault injection with a fresh oracle process.
 
-use std::cell::RefCell;
-
 use benchgen::Scenario;
-use pdsim::{FaultPlan, ObjectiveSpace};
+use pdsim::ObjectiveSpace;
 use ppatuner::{
-    Checkpoint, CheckpointError, CheckpointStore, FileCheckpointStore, OracleRef, PpaTuner,
-    PpaTunerConfig, SharedOracle, SourceData, TuneResult, TunerError, VecOracle,
+    CheckpointStore, FileCheckpointStore, OracleRef, PpaTuner, PpaTunerConfig, SharedOracle,
+    SourceData, TunerError, VecOracle,
 };
-use testkit::chaos::FaultyVecOracle;
-
-/// Records every checkpoint the tuner writes so tests can simulate a crash
-/// at any boundary, not just the last one.
-#[derive(Default)]
-struct CaptureStore {
-    all: RefCell<Vec<Checkpoint>>,
-}
-
-impl CheckpointStore for CaptureStore {
-    fn save(&self, c: &Checkpoint) -> Result<(), CheckpointError> {
-        self.all.borrow_mut().push(c.clone());
-        Ok(())
-    }
-
-    fn load(&self) -> Result<Option<Checkpoint>, CheckpointError> {
-        Ok(self.all.borrow().last().cloned())
-    }
-}
+use testkit::chaos::{assert_same_outcome, tool_fault_plan, CaptureStore, FaultyVecOracle};
 
 struct Setup {
     candidates: Vec<Vec<f64>>,
@@ -73,44 +53,6 @@ fn with_oracle<T>(kind: Kind, truth: &[Vec<f64>], f: impl FnOnce(OracleRef<'_>) 
     }
 }
 
-fn assert_identical(full: &TuneResult, resumed: &TuneResult, label: &str) {
-    assert_eq!(
-        resumed.pareto_indices, full.pareto_indices,
-        "{label}: front"
-    );
-    assert_eq!(resumed.evaluated, full.evaluated, "{label}: evaluated set");
-    assert_eq!(resumed.runs, full.runs, "{label}: runs");
-    assert_eq!(
-        resumed.verification_runs, full.verification_runs,
-        "{label}: verification runs"
-    );
-    assert_eq!(resumed.iterations, full.iterations, "{label}: iterations");
-    assert_eq!(resumed.delta, full.delta, "{label}: final delta");
-    assert_eq!(resumed.quarantined, full.quarantined, "{label}: quarantine");
-    assert_eq!(
-        (resumed.eval_failures, resumed.eval_retries),
-        (full.eval_failures, full.eval_retries),
-        "{label}: failure counters"
-    );
-    // History rows carry wall-clock timings; compare the structural part.
-    let shape = |r: &TuneResult| -> Vec<(usize, usize, usize, usize, usize, usize)> {
-        r.history
-            .iter()
-            .map(|h| {
-                (
-                    h.iteration,
-                    h.undecided,
-                    h.pareto,
-                    h.dropped,
-                    h.quarantined,
-                    h.runs,
-                )
-            })
-            .collect()
-    };
-    assert_eq!(shape(resumed), shape(full), "{label}: iteration history");
-}
-
 /// Every checkpoint of a fault-free run is a valid crash point: resuming
 /// from each — through an on-disk store, like a real restart would — lands
 /// on the identical final result, for either oracle kind and for single
@@ -139,7 +81,7 @@ fn resume_from_every_checkpoint_matches_the_uninterrupted_run() {
             })
             .unwrap_or_else(|e| panic!("{label}: uninterrupted run failed: {e}"));
 
-            let checkpoints = store.all.borrow();
+            let checkpoints = store.checkpoints();
             assert!(
                 checkpoints.len() >= 2,
                 "{label}: run too short to exercise resume ({} checkpoints)",
@@ -158,7 +100,7 @@ fn resume_from_every_checkpoint_matches_the_uninterrupted_run() {
                     )
                 })
                 .unwrap_or_else(|e| panic!("{label}: resume from checkpoint {k} failed: {e}"));
-                assert_identical(&full, &resumed, &format!("{label} checkpoint {k}"));
+                assert_same_outcome(&full, &resumed, &format!("{label} checkpoint {k}"));
             }
         }
     }
@@ -189,7 +131,7 @@ fn tampered_snapshots_are_refused_at_the_first_and_the_last_checkpoint() {
         .expect("uninterrupted run succeeds");
     assert_eq!(full.iterations, 5, "the run must exhaust its budget");
 
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     let last = checkpoints.last().expect("checkpoints written");
     assert_eq!(last.next_iteration, 5);
     for (label, ckpt) in [("first", &checkpoints[0]), ("last", last)] {
@@ -234,7 +176,7 @@ fn resume_refuses_a_checkpoint_whose_regions_digest_differs() {
         )
         .expect("uninterrupted run succeeds");
 
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     let mut tampered = checkpoints[checkpoints.len() / 2].clone();
     tampered.snapshot.regions_digest ^= 1;
     let dir = std::env::temp_dir().join(format!("ppatuner_resume_regions_{}", std::process::id()));
@@ -287,7 +229,7 @@ fn resume_refuses_a_log_that_ends_inside_a_wave() {
         )
         .expect("uninterrupted run succeeds");
 
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     let mut cut = checkpoints[checkpoints.len() / 2].clone();
     let keep = cut.eval_log.len() - 2;
     cut.eval_log.truncate(keep);
@@ -320,16 +262,7 @@ fn resume_refuses_a_log_that_ends_inside_a_wave() {
 #[test]
 fn resume_replays_faithfully_under_fault_injection() {
     let s = setup();
-    let plan = FaultPlan {
-        seed: 1009,
-        crash_prob: 0.12,
-        timeout_prob: 0.06,
-        nan_prob: 0.04,
-        outlier_prob: 0.03,
-        flaky_max_failures: 2,
-        always_fail: vec![27, 56],
-        ..FaultPlan::default()
-    };
+    let plan = tool_fault_plan();
     let config = PpaTunerConfig {
         max_eval_attempts: plan.flaky_max_failures + 2,
         ..s.config.clone()
@@ -348,7 +281,7 @@ fn resume_replays_faithfully_under_fault_injection() {
         .expect("chaotic run completes");
     assert!(full.eval_failures > 0, "the plan should have injected");
 
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     assert!(checkpoints.len() >= 2);
     for k in [0, checkpoints.len() / 2, checkpoints.len() - 1] {
         let crash_point = CaptureStore::default();
@@ -363,7 +296,7 @@ fn resume_replays_faithfully_under_fault_injection() {
                 &crash_point,
             )
             .unwrap_or_else(|e| panic!("faulty resume from checkpoint {k} failed: {e}"));
-        assert_identical(&full, &resumed, &format!("faulty checkpoint {k}"));
+        assert_same_outcome(&full, &resumed, &format!("faulty checkpoint {k}"));
     }
 }
 
@@ -415,7 +348,7 @@ fn concurrent_resume_replays_whole_batches_with_identical_spans() {
         "run never batch-selected: {full_shape:?}"
     );
 
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     assert!(checkpoints.len() >= 2);
     for (k, ckpt) in checkpoints.iter().enumerate() {
         let crash_point = CaptureStore::default();
@@ -462,7 +395,7 @@ fn resume_accepts_another_worker_count_and_refuses_old_versions() {
             &store,
         )
         .expect("uninterrupted run succeeds");
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     let mid = &checkpoints[checkpoints.len() / 2];
     assert_eq!(mid.config.workers, 1);
 
@@ -484,7 +417,7 @@ fn resume_accepts_another_worker_count_and_refuses_old_versions() {
             &file,
         )
         .expect("resume at another worker count succeeds");
-    assert_identical(&full, &resumed, "workers 1 -> 4");
+    assert_same_outcome(&full, &resumed, "workers 1 -> 4");
 
     let v1 = std::fs::read_to_string(file.path())
         .expect("checkpoint file")
