@@ -11,8 +11,9 @@
 //! trace_report --fleet <dir> [--lenient]
 //! ```
 //!
-//! A trace file together with `--fleet` is refused with the usage line
-//! (exit 2). Malformed lines abort with a nonzero exit and a line number;
+//! A trace file together with `--fleet`, or a `--fleet` followed by a
+//! flag or by nothing, is refused with the usage line (exit 2).
+//! Malformed lines abort with a nonzero exit and a line number;
 //! `--lenient` skips and counts them instead. `--fleet <dir>` ingests
 //! every `*.jsonl` in the directory and prints cross-run aggregates
 //! (hv-convergence quantiles, failure/retry/quarantine rates, per-phase
@@ -82,6 +83,14 @@ fn fleet_text(dir: &str, lenient: bool) -> String {
     report.render(FLEET_TOP_K)
 }
 
+const USAGE: &str = "usage: trace_report <trace.jsonl> [--lenient] | --fleet <dir> [--lenient]";
+
+/// Prints the usage line and exits with code 2.
+fn usage() -> ! {
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut lenient = false;
     let mut fleet_dir: Option<String> = None;
@@ -90,7 +99,12 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--lenient" => lenient = true,
-            "--fleet" => fleet_dir = args.next(),
+            // `--fleet` takes the next argument as its directory; a flag
+            // or nothing there is a usage error, not a directory name.
+            "--fleet" => match args.next() {
+                Some(dir) if !dir.starts_with("--") => fleet_dir = Some(dir),
+                _ => usage(),
+            },
             other if path.is_none() => path = Some(other.to_string()),
             other => {
                 eprintln!("error: unexpected argument {other:?}");
@@ -110,10 +124,7 @@ fn main() {
         }
         // Neither view, or both: a file given with `--fleet` would be
         // dropped silently.
-        _ => {
-            eprintln!("usage: trace_report <trace.jsonl> [--lenient] | --fleet <dir> [--lenient]");
-            std::process::exit(2);
-        }
+        _ => usage(),
     };
     // A reader that stops early (`| head`) closes the pipe; that ends
     // the program quietly.

@@ -153,3 +153,40 @@ fn trace_report_refuses_a_file_together_with_fleet() {
     assert_eq!(plain.status.code(), Some(0));
     assert!(!plain.stdout.is_empty());
 }
+
+/// `--fleet` takes the next argument as its directory: followed by a
+/// flag or by nothing, it is refused with the usage line and exit code 2
+/// instead of reading `--lenient` as a directory name, and both views
+/// still accept `--lenient`.
+#[test]
+fn trace_report_refuses_a_fleet_flag_without_a_directory() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+    let trace = format!("{golden}/scenario_two_seeded.jsonl");
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_trace_report"))
+            .args(args)
+            .output()
+            .expect("trace_report starts")
+    };
+    for args in [
+        &["--fleet", "--lenient"][..],
+        &["--fleet"],
+        &["--lenient", "--fleet"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).starts_with("usage: trace_report"),
+            "{args:?}"
+        );
+    }
+    for args in [
+        &["--fleet", golden, "--lenient"][..],
+        &["--lenient", &trace],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(!out.stdout.is_empty(), "{args:?}");
+    }
+}

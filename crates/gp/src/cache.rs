@@ -17,7 +17,16 @@
 //! there costs less than streaming a precomputed `p(p+1)/2 · d` tensor
 //! from memory. The objective assembles only the lower triangle, which is
 //! all [`Cholesky::new`] reads, and takes the source term from the
-//! leading block of the one joint factorization.
+//! leading block of the one joint factorization, solved in place.
+//!
+//! A search evaluates one kernel size over and over, so its two p × p
+//! buffers live in a [`FitWorkspace`] that each restart task owns:
+//! [`FitCache::objective_in`] assembles the kernel into the workspace's
+//! kernel buffer and factors it into the workspace's factor buffer
+//! ([`Cholesky::new_with_jitter_in`]), so an evaluation allocates no
+//! p × p storage and faults in no fresh pages. Every entry either buffer
+//! is read from is written first in the same evaluation, so the bits do
+//! not depend on what an earlier evaluation left there.
 
 use linalg::{Cholesky, Matrix};
 
@@ -46,6 +55,19 @@ pub struct FitCache<'a> {
     x_dims: Vec<f64>,
     /// Standardized joint outputs (θ-independent).
     z_joint: Vec<f64>,
+}
+
+/// The reusable p × p buffers of [`FitCache::objective_in`]: the noisy
+/// joint kernel and its Cholesky factor. Start from `default()` (empty);
+/// the first evaluation sizes them, and later evaluations of the same
+/// [`FitCache`] reuse them. One workspace serves one evaluation at a time,
+/// so each concurrent search task owns its own.
+#[derive(Debug, Default)]
+pub struct FitWorkspace {
+    /// `K̃ + Λ`, lower triangle; the strict upper triangle is never read.
+    kernel: Matrix,
+    /// The storage [`Cholesky::new_with_jitter_in`] factors into.
+    factor: Matrix,
 }
 
 impl<'a> FitCache<'a> {
@@ -129,7 +151,8 @@ impl<'a> FitCache<'a> {
     /// hyper-parameters (the same ranges [`crate::TransferGp::fit`]
     /// enforces through its kernel constructors).
     pub fn joint_kernel(&self, config: &TransferGpConfig) -> Result<Matrix> {
-        let mut k = self.lower_kernel(config)?;
+        let mut k = Matrix::default();
+        self.lower_kernel(config, &mut k)?;
         for i in 0..self.p {
             for j in 0..i {
                 k[(j, i)] = k[(i, j)];
@@ -138,12 +161,14 @@ impl<'a> FitCache<'a> {
         Ok(k)
     }
 
-    /// The lower triangle (`j ≤ i`) of [`FitCache::joint_kernel`]; the
-    /// strict upper triangle is left zero. Each entry sums its weighted
+    /// Writes the lower triangle (`j ≤ i`) of [`FitCache::joint_kernel`]
+    /// into `k`, which is re-made `p × p` (zeroed) unless it already has
+    /// that shape; its strict upper triangle is left as it was. Each row's
+    /// `..=i` prefix is zeroed first, then each entry sums its weighted
     /// terms `(x_i,t − x_j,t)²/ℓ_t²` in ascending dimension order from
-    /// `0.0`, as a per-pair loop would, so the values do not depend on the
-    /// storage layout.
-    fn lower_kernel(&self, config: &TransferGpConfig) -> Result<Matrix> {
+    /// `0.0`, as a per-pair loop would, so the values depend neither on the
+    /// storage layout nor on what `k` held.
+    fn lower_kernel(&self, config: &TransferGpConfig, k: &mut Matrix) -> Result<()> {
         if config.lengthscales.len() != self.dim {
             return Err(GpError::DimensionMismatch {
                 expected: self.dim,
@@ -173,9 +198,12 @@ impl<'a> FitCache<'a> {
         crate::counters::add_kernel_assemblies(1);
         let inv_l2: Vec<f64> = config.lengthscales.iter().map(|&l| 1.0 / (l * l)).collect();
         let (n, p) = (self.n, self.p);
-        let mut k = Matrix::zeros(p, p);
+        if k.shape() != (p, p) {
+            *k = Matrix::zeros(p, p);
+        }
         for i in 0..p {
             let row = &mut k.row_mut(i)[..=i];
+            row.fill(0.0);
             for (x_t, &inv) in self.x_dims.chunks_exact(p).zip(&inv_l2) {
                 let xit = x_t[i];
                 for (s, &xjt) in row.iter_mut().zip(x_t) {
@@ -194,7 +222,7 @@ impl<'a> FitCache<'a> {
                 }
             }
         }
-        Ok(k)
+        Ok(())
     }
 
     /// The search objective at one candidate θ: the **negative** log
@@ -203,15 +231,25 @@ impl<'a> FitCache<'a> {
     /// hyper-parameters are out of range or the kernel cannot be factored
     /// even with jitter escalation — exactly how the clone-per-eval path
     /// treated infeasible candidates.
+    ///
+    /// A one-shot evaluation: [`FitCache::objective_in`] with a fresh
+    /// workspace, so it allocates its buffers and drops them.
     pub fn objective(&self, config: &TransferGpConfig) -> f64 {
+        self.objective_in(config, &mut FitWorkspace::default())
+    }
+
+    /// [`FitCache::objective`] inside `ws`'s buffers: bit-identical, with
+    /// no p × p allocation once `ws` has served one evaluation of this
+    /// cache.
+    pub fn objective_in(&self, config: &TransferGpConfig, ws: &mut FitWorkspace) -> f64 {
         crate::counters::add_fitcache_hits(1);
-        match self.neg_log_conditional(config) {
+        match self.neg_log_conditional(config, ws) {
             Ok(v) if !v.is_nan() => v,
             _ => f64::INFINITY,
         }
     }
 
-    fn neg_log_conditional(&self, config: &TransferGpConfig) -> Result<f64> {
+    fn neg_log_conditional(&self, config: &TransferGpConfig, ws: &mut FitWorkspace) -> Result<f64> {
         for v in [config.noise_source, config.noise_target] {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(GpError::InvalidHyperparameter {
@@ -220,7 +258,8 @@ impl<'a> FitCache<'a> {
                 });
             }
         }
-        let mut k = self.lower_kernel(config)?;
+        let k = &mut ws.kernel;
+        self.lower_kernel(config, k)?;
         let n = self.n;
         for i in 0..self.p {
             let noise = if i < n {
@@ -230,12 +269,24 @@ impl<'a> FitCache<'a> {
             };
             k[(i, i)] += noise;
         }
-        let (chol, jitter) = Cholesky::new_with_jitter(&k, 1e-10, 12)?;
+        let factor = std::mem::take(&mut ws.factor);
+        let (chol, jitter) =
+            Cholesky::new_with_jitter_in(k, 1e-10, 12, factor).map_err(|(e, factor)| {
+                ws.factor = factor;
+                e
+            })?;
+        let value = self.neg_log_conditional_from(k, &chol, jitter);
+        ws.factor = chol.into_factor();
+        value
+    }
+
+    /// The objective from the noisy joint kernel `k` and its factor.
+    fn neg_log_conditional_from(&self, k: &Matrix, chol: &Cholesky, jitter: f64) -> Result<f64> {
         let alpha = chol.solve_vec(&self.z_joint)?;
         let lml = -0.5 * linalg::vecops::dot(&self.z_joint, &alpha)
             - 0.5 * chol.log_det()
             - 0.5 * self.p as f64 * (2.0 * std::f64::consts::PI).ln();
-        let source = source_lml(&k, &chol, jitter, &self.z_joint[..n])?;
+        let source = source_lml(k, chol, jitter, &self.z_joint[..self.n])?;
         Ok(-(lml - source))
     }
 }

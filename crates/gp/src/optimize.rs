@@ -6,7 +6,7 @@ use std::time::Instant;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::FitCache;
+use crate::cache::{FitCache, FitWorkspace};
 use crate::fan_out;
 use crate::transfer::{TaskData, TransferGp, TransferGpConfig};
 use crate::Result;
@@ -264,7 +264,10 @@ pub struct FitJob<'a> {
 ///
 /// Each job's [`FitCache`] is built once and shared by its restarts:
 /// every objective evaluation assembles the kernel from its pre-validated,
-/// dimension-major inputs instead of rebuilding it point by point. A job's winner is the lowest MAP objective in restart order
+/// dimension-major inputs instead of rebuilding it point by point. Each
+/// restart task owns a [`FitWorkspace`], so its evaluations assemble and
+/// factor inside the same two buffers. A job's winner is the lowest MAP
+/// objective in restart order
 /// (ties keep the earlier restart); its final model is fitted from the
 /// raw data. Every task computes what a serial loop would and the merge
 /// is by position, so results are bit-identical at any `workers` value.
@@ -305,19 +308,23 @@ pub fn fit_transfer_gps(
         let (j, r) = tasks[t];
         let cache = caches[j].0.as_ref().expect("tasks only cover built caches");
         timed(|| {
-            let evals = std::cell::Cell::new(0usize);
+            let mut evals = 0usize;
+            // This task's kernel and factor buffers, sized by its first
+            // evaluation and reused by every later one.
+            let mut workspace = FitWorkspace::default();
             let (theta, value) = nelder_mead(
                 |theta| {
-                    evals.set(evals.get() + 1);
+                    evals += 1;
                     let cfg = decode(theta, dim);
                     // MAP objective: a log-normal prior on the lengthscales
                     // keeps the few-shot fit from collapsing onto noise.
-                    cache.objective(&cfg) + lengthscale_penalty(&cfg.lengthscales)
+                    cache.objective_in(&cfg, &mut workspace)
+                        + lengthscale_penalty(&cfg.lengthscales)
                 },
                 &jobs[j].starts[r],
                 opts,
             );
-            (theta, value, evals.get())
+            (theta, value, evals)
         })
     });
 

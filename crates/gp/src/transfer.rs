@@ -782,23 +782,25 @@ fn noisy_gram<'r>(
 /// [`Cholesky::new_with_jitter`] produced for it with `jitter`. Zero when
 /// the source is empty.
 ///
-/// The source block's factor is the joint factor's leading block (see
-/// [`Cholesky::leading`]), so no second factorization runs. A jittered
-/// joint factor carries that jitter on its source block as well, so then
-/// `K_ss` is factored on its own, with its own jitter ladder.
+/// The source block's factor is the joint factor's leading block, so no
+/// second factorization runs and nothing is copied: the solve and the
+/// log-determinant read the joint factor's first rows in place
+/// ([`Cholesky::solve_leading_vec`], [`Cholesky::log_det_leading`]). A
+/// jittered joint factor carries that jitter on its source block as well,
+/// so then `K_ss` is factored on its own, with its own jitter ladder.
 pub(crate) fn source_lml(k: &Matrix, chol: &Cholesky, jitter: f64, z_s: &[f64]) -> Result<f64> {
     let n = z_s.len();
     if n == 0 {
         return Ok(0.0);
     }
-    let chol_s = if jitter == 0.0 {
-        chol.leading(n)
+    let (alpha_s, log_det) = if jitter == 0.0 {
+        (chol.solve_leading_vec(z_s)?, chol.log_det_leading(n))
     } else {
-        Cholesky::new_with_jitter(&k.submatrix(0, n, 0, n), 1e-10, 12)?.0
+        let chol_s = Cholesky::new_with_jitter(&k.submatrix(0, n, 0, n), 1e-10, 12)?.0;
+        (chol_s.solve_vec(z_s)?, chol_s.log_det())
     };
-    let alpha_s = chol_s.solve_vec(z_s)?;
     Ok(-0.5 * linalg::vecops::dot(z_s, &alpha_s)
-        - 0.5 * chol_s.log_det()
+        - 0.5 * log_det
         - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln())
 }
 

@@ -125,6 +125,19 @@ fn fitcache_search_assembles_once_per_evaluation() {
     assert_eq!(d.fitcache_misses, 1, "{d:?}");
     assert_eq!(d.kernel_assemblies, evals + 1, "{d:?}");
     assert_eq!(d.predict_chunks, 0, "{d:?}");
+    // No candidate here needs jitter, so each evaluation factors the
+    // p × p joint kernel once (one panel) and solves four right-hand
+    // sides: `solve_vec` on the joint factor, then the source term's two
+    // solves on its leading rows, in place. The final build factors once
+    // more and solves three (the forward solve for `w` and the source
+    // term's two), and the report's log marginal likelihood back-solves
+    // `w` once. A search whose workspace re-assembled, re-factored or
+    // re-solved would add to these.
+    let p = (source.len() + target.len()) as u64;
+    assert_eq!(report.jitter, 0.0, "{report:?}");
+    assert_eq!(d.linalg.chol_flops, (evals + 1) * chol_flops(p), "{d:?}");
+    assert_eq!(d.linalg.chol_panels, evals + 1, "{d:?}");
+    assert_eq!(d.linalg.tri_solve_rhs, 4 * evals + 4, "{d:?}");
 }
 
 #[test]

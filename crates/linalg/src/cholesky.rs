@@ -1,14 +1,15 @@
 use crate::counters;
 use crate::solve::{
-    solve_lower, solve_lower_multi, solve_lower_tail_pages, solve_lower_transposed,
+    backward_transposed, forward, solve_lower, solve_lower_multi, solve_lower_tail_pages,
+    solve_lower_transposed,
 };
 use crate::{LinalgError, Matrix, Result};
 
 /// Panel width of the blocked factorization: every inner product is
 /// split into segments that start on a multiple of `CHOL_BLOCK` (see
-/// [`Cholesky::new`]), so the full segments have exactly this length,
-/// enough to amortize [`dot_finish`]'s reduction over the accumulator
-/// lanes.
+/// [`Cholesky::factor_in_place`]), so the full segments have exactly
+/// this length, enough to amortize [`dot_finish`]'s reduction over the
+/// accumulator lanes.
 const CHOL_BLOCK: usize = 256;
 
 /// Rows of the left-looking sweep factored together. Each finished row
@@ -129,6 +130,15 @@ fn segments(j: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
 /// factored once per fit and then reused for solves, log-determinants, and
 /// predictive variances.
 ///
+/// Every constructor runs one factorization path: `A`'s lower triangle is
+/// written into a buffer and factored there in place. A caller that
+/// factors many matrices of one size (the hyper-parameter search) hands
+/// the same buffer to [`Cholesky::new_with_jitter_in`] each time and takes
+/// it back with [`Cholesky::into_factor`]. The leading `n × n` block of a
+/// factor is the factor of `A`'s leading block, so
+/// [`Cholesky::solve_leading_vec`] and [`Cholesky::log_det_leading`] serve
+/// that block in place.
+///
 /// # Example
 ///
 /// ```
@@ -165,20 +175,19 @@ impl Cholesky {
     /// - [`LinalgError::NotPositiveDefinite`] if a pivot is ≤ 0 or
     ///   non-finite; the error reports the failing pivot index and value.
     pub fn new(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let n = a.rows();
-        if n == 0 {
-            return Err(LinalgError::InvalidDimension {
-                what: "cholesky of an empty matrix",
-            });
-        }
+        Cholesky::attempt(a, 0.0, Matrix::default()).map_err(|(e, _)| e)
+    }
+
+    /// The factorization core of every [`Cholesky`] constructor: factors,
+    /// in place, the row-major `n × n` matrix in `data`, whose lower
+    /// triangle holds `A`'s and whose strict upper triangle is zero (and
+    /// stays zero). On failure `data` holds a partly factored matrix.
+    fn factor_in_place(data: &mut [f64], n: usize) -> Result<()> {
         // One aggregate counter update per factorization attempt (jitter
         // retries redo the work, so each attempt counts).
         counters::add_chol_flops((n as u64).pow(3) / 3);
         counters::add_chol_panels(n.div_ceil(CHOL_BLOCK) as u64);
-        // Left-looking blocked factorization. `l` starts as the lower
+        // Left-looking blocked factorization. `data` starts as the lower
         // triangle of `a`; entry (i, j), j ≤ i, is finalized as
         //
         //   (((a_ij − d_0) − d_1) … − d_own) / L[j][j]   (sqrt for i = j)
@@ -193,11 +202,6 @@ impl Cholesky {
         // is streamed once per tile through `dot_unrolled_tile`, then
         // the triangle inside the tile is filled row by row, so pivots
         // are checked in row order.
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
-        }
-        let data = l.as_mut_slice();
         let mut i0 = 0;
         while i0 < n {
             let tile = CHOL_TILE.min(n - i0);
@@ -247,7 +251,7 @@ impl Cholesky {
             }
             i0 += tile;
         }
-        Ok(Cholesky { l })
+        Ok(())
     }
 
     /// Factors `a + jitter·I`, retrying with jitter escalated by ×10 up to
@@ -266,28 +270,95 @@ impl Cholesky {
     /// Propagates the last [`LinalgError::NotPositiveDefinite`] when all
     /// attempts fail, or shape errors immediately.
     pub fn new_with_jitter(a: &Matrix, jitter0: f64, max_tries: usize) -> Result<(Self, f64)> {
-        match Cholesky::new(a) {
+        Cholesky::new_with_jitter_in(a, jitter0, max_tries, Matrix::default()).map_err(|(e, _)| e)
+    }
+
+    /// [`Cholesky::new_with_jitter`] inside a caller-owned buffer: the
+    /// factor is written into `buf`'s storage (of any shape and contents;
+    /// it grows only when its capacity is below `n²`), and every jitter
+    /// try re-writes `a`'s lower triangle, plus the jitter on the
+    /// diagonal, into that same storage. The buffer comes back with the
+    /// error on failure, or through [`Cholesky::into_factor`] after
+    /// success, so a search that factors one matrix size many times
+    /// allocates once.
+    ///
+    /// Each try writes every entry of the buffer before it factors, so
+    /// the factor, the jitter and the error are bit-identical to
+    /// [`Cholesky::new_with_jitter`]'s whatever `buf` held.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::new_with_jitter`], each paired with the buffer.
+    pub fn new_with_jitter_in(
+        a: &Matrix,
+        jitter0: f64,
+        max_tries: usize,
+        buf: Matrix,
+    ) -> Result<(Self, f64), (LinalgError, Matrix)> {
+        let buf = match Cholesky::attempt(a, 0.0, buf) {
             Ok(c) if !c.has_rounding_pivot(a) => return Ok((c, 0.0)),
-            Err(e @ (LinalgError::NotSquare { .. } | LinalgError::InvalidDimension { .. })) => {
-                return Err(e)
-            }
-            _ => {}
-        }
-        let mut jitter = if jitter0 > 0.0 { jitter0 } else { 1e-10 };
-        let mut last_err = LinalgError::NotPositiveDefinite {
-            pivot: 0,
-            value: f64::NAN,
+            Ok(c) => c.l,
+            Err((
+                e @ (LinalgError::NotSquare { .. } | LinalgError::InvalidDimension { .. }),
+                buf,
+            )) => return Err((e, buf)),
+            Err((_, buf)) => buf,
         };
+        let mut jitter = if jitter0 > 0.0 { jitter0 } else { 1e-10 };
+        let mut last = (
+            LinalgError::NotPositiveDefinite {
+                pivot: 0,
+                value: f64::NAN,
+            },
+            buf,
+        );
         for _ in 0..max_tries.max(1) {
-            let mut aj = a.clone();
-            aj.add_diag(jitter);
-            match Cholesky::new(&aj) {
+            match Cholesky::attempt(a, jitter, last.1) {
                 Ok(c) => return Ok((c, jitter)),
-                Err(e) => last_err = e,
+                Err(e) => last = e,
             }
             jitter *= 10.0;
         }
-        Err(last_err)
+        Err(last)
+    }
+
+    /// Hands back the factor `L`: the storage a later
+    /// [`Cholesky::new_with_jitter_in`] can reuse.
+    pub fn into_factor(self) -> Matrix {
+        self.l
+    }
+
+    /// One factorization attempt of `a + jitter·I` (`jitter = 0` adds
+    /// nothing) in `buf`'s storage: writes `a`'s lower triangle and zeroes
+    /// above it, then factors in place ([`Cholesky::factor_in_place`]).
+    /// On failure the buffer comes back with the error, holding a partly
+    /// factored matrix.
+    fn attempt(a: &Matrix, jitter: f64, buf: Matrix) -> Result<Self, (LinalgError, Matrix)> {
+        if !a.is_square() {
+            return Err((LinalgError::NotSquare { shape: a.shape() }, buf));
+        }
+        let n = a.rows();
+        if n == 0 {
+            let e = LinalgError::InvalidDimension {
+                what: "cholesky of an empty matrix",
+            };
+            return Err((e, buf));
+        }
+        let mut data = buf.into_vec();
+        data.clear();
+        data.reserve(n * n);
+        for i in 0..n {
+            data.extend_from_slice(&a.row(i)[..=i]);
+            data.resize((i + 1) * n, 0.0);
+            if jitter > 0.0 {
+                data[i * n + i] += jitter;
+            }
+        }
+        let mut l = Matrix::from_vec(n, n, data).expect("the load wrote n × n entries");
+        match Cholesky::factor_in_place(l.as_mut_slice(), n) {
+            Ok(()) => Ok(Cholesky { l }),
+            Err(e) => Err((e, l)),
+        }
     }
 
     /// Whether some pivot `L[i][i]²` of this factor of `a` is below
@@ -295,7 +366,8 @@ impl Cholesky {
     /// produced it.
     fn has_rounding_pivot(&self, a: &Matrix) -> bool {
         let n = a.rows();
-        let floor = n as f64 * f64::EPSILON * a.diag().into_iter().fold(0.0, f64::max);
+        let max_diag = (0..n).map(|i| a[(i, i)]).fold(0.0, f64::max);
+        let floor = n as f64 * f64::EPSILON * max_diag;
         (0..n).any(|i| self.l[(i, i)] * self.l[(i, i)] < floor)
     }
 
@@ -309,26 +381,48 @@ impl Cholesky {
         self.l.rows()
     }
 
-    /// The factor of the leading `n × n` principal block of `A`: a copy of
-    /// the leading `n × n` block of `L`.
+    /// Solves `A₁₁ x = b` for the leading `n × n` principal block `A₁₁`
+    /// of `A`, `n = b.len()`, against the first `n` rows of `L` in place:
+    /// the two triangular solves of [`Cholesky::solve_vec`], restricted
+    /// to those rows, with no copy of the block.
     ///
     /// For a factor produced by [`Cholesky::new`] this is bit-identical to
-    /// `Cholesky::new(&a.submatrix(0, n, 0, n))`. Entry (i, j) reads only
-    /// rows ≤ i, and the segments its inner products are split into
-    /// depend only on j, never on the matrix size or on how the rows fall
-    /// into tiles. So every entry of the leading block goes through the
-    /// same `dot_unrolled` lane sums, over the same segments and in the
-    /// same order, whatever the full matrix's size, across panel
-    /// boundaries too. A factor grown by [`Cholesky::extend`] keeps its
-    /// old rows, so its leading block is the original factor's.
+    /// `Cholesky::new(&a.submatrix(0, n, 0, n))?.solve_vec(b)`. The
+    /// factor's leading block is that prefix factorization, bit for bit:
+    /// entry (i, j) reads only rows ≤ i, and the segments its inner
+    /// products are split into depend only on j, never on the matrix size
+    /// or on how the rows fall into tiles. So every entry of the leading
+    /// block goes through the same `dot_unrolled` lane sums, over the same
+    /// segments and in the same order, whatever the full matrix's size,
+    /// across panel boundaries too. A factor grown by
+    /// [`Cholesky::extend`] keeps its old rows, so its leading block is
+    /// the original factor's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() > self.dim()`.
+    pub fn solve_leading_vec(&self, b: &[f64]) -> Result<Vec<f64>> {
+        if b.len() > self.dim() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "cholesky leading solve",
+                lhs: self.l.shape(),
+                rhs: (b.len(), 1),
+            });
+        }
+        let z = forward(&self.l, b)?;
+        backward_transposed(&self.l, &z)
+    }
+
+    /// Log-determinant of the leading `n × n` principal block of `A`,
+    /// `2 Σ_{i<n} log L[i][i]`: bit-identical to the
+    /// [`Cholesky::log_det`] of a prefix factorization (see
+    /// [`Cholesky::solve_leading_vec`]).
     ///
     /// # Panics
     ///
     /// Panics when `n > self.dim()`.
-    pub fn leading(&self, n: usize) -> Cholesky {
-        Cholesky {
-            l: self.l.submatrix(0, n, 0, n),
-        }
+    pub fn log_det_leading(&self, n: usize) -> f64 {
+        (0..n).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
     /// Solves `A x = b` via the two triangular solves
@@ -482,7 +576,7 @@ impl Cholesky {
 
     /// Log-determinant of `A`: `2 Σ log L[i][i]`.
     pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+        self.log_det_leading(self.dim())
     }
 }
 
@@ -740,32 +834,137 @@ mod tests {
         }
     }
 
+    /// `(n, p)` pairs whose sizes straddle the panel width, so a leading
+    /// `n` block ends before, on and after a panel boundary of the full
+    /// `p × p` factor, and cover every residue mod `CHOL_TILE`, so either
+    /// factorization may end on a short last tile.
+    const PREFIX_SIZES: &[(usize, usize)] = &[
+        (1, 2),
+        (5, 9),
+        (6, 11),
+        (7, 8),
+        (40, 70),
+        (41, 67),
+        (42, 66),
+        (43, 65),
+        (255, 300),
+        (256, 420),
+        (257, 600),
+        (258, 301),
+        (300, 300),
+    ];
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn leading_block_is_bitwise_the_prefix_factorization() {
-        // Sizes straddle the panel width, so the leading block ends
-        // before, on and after a panel boundary of the full factor, and
-        // cover every residue mod `CHOL_TILE`, so either factorization
-        // may end on a short last tile.
-        for &(n, p) in &[
-            (1usize, 2usize),
-            (5, 9),
-            (6, 11),
-            (7, 8),
-            (40, 70),
-            (41, 67),
-            (42, 66),
-            (43, 65),
-            (255, 300),
-            (256, 420),
-            (257, 600),
-            (258, 301),
-            (300, 300),
-        ] {
+        for &(n, p) in PREFIX_SIZES {
             let a = spd(p, (n * 31 + p) as u64);
             let full = Cholesky::new(&a).unwrap();
             let prefix = Cholesky::new(&a.submatrix(0, n, 0, n)).unwrap();
-            assert_eq!(full.leading(n).factor(), prefix.factor(), "n={n} p={p}");
+            assert_eq!(
+                bits(full.factor().submatrix(0, n, 0, n).as_slice()),
+                bits(prefix.factor().as_slice()),
+                "n={n} p={p}"
+            );
+            // The leading-block solve and log-determinant read those rows
+            // in place and match the prefix factorization's, bit for bit.
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() - 0.2).collect();
+            assert_eq!(
+                bits(&full.solve_leading_vec(&b).unwrap()),
+                bits(&prefix.solve_vec(&b).unwrap()),
+                "n={n} p={p}"
+            );
+            assert_eq!(
+                full.log_det_leading(n).to_bits(),
+                prefix.log_det().to_bits(),
+                "n={n} p={p}"
+            );
         }
+        // The whole factor is its own leading block; a longer right-hand
+        // side is refused.
+        let a = spd(9, 3);
+        let c = Cholesky::new(&a).unwrap();
+        let b: Vec<f64> = (0..9).map(|i| i as f64 - 4.0).collect();
+        assert_eq!(
+            bits(&c.solve_leading_vec(&b).unwrap()),
+            bits(&c.solve_vec(&b).unwrap())
+        );
+        assert_eq!(c.log_det_leading(9).to_bits(), c.log_det().to_bits());
+        assert!(matches!(
+            c.solve_leading_vec(&[0.0; 10]).unwrap_err(),
+            LinalgError::ShapeMismatch { .. }
+        ));
+    }
+
+    /// The bits of a factorization outcome: the factor and the jitter, or
+    /// the error.
+    fn outcome_bits(r: Result<(&Matrix, f64), &LinalgError>) -> Result<(Vec<u64>, u64), String> {
+        match r {
+            Ok((l, jitter)) => Ok((bits(l.as_slice()), jitter.to_bits())),
+            Err(LinalgError::NotPositiveDefinite { pivot, value }) => {
+                Err(format!("pivot {pivot} value {:x}", value.to_bits()))
+            }
+            Err(e) => Err(format!("{e:?}")),
+        }
+    }
+
+    #[test]
+    fn buffer_reuse_is_bitwise_the_fresh_factorization() {
+        // One buffer carried through every case, in order. Per size pair:
+        // a `p × p` SPD matrix; the same with a large negative pivot
+        // halfway down, which fails partway through every try and leaves
+        // a partly factored buffer; the leading `n × n` block made exactly
+        // singular (its last row and column copy the first), which only
+        // the jitter ladder factors, in a buffer of another size; then the
+        // plain leading block, in a buffer that held a jittered factor.
+        // Three jitter tries keep the failing cases cheap.
+        let mut cases = Vec::new();
+        for &(n, p) in PREFIX_SIZES {
+            let a = spd(p, (n * 17 + p) as u64);
+            let mut failing = a.clone();
+            failing[(p / 2, p / 2)] = -1e6;
+            let lead = a.submatrix(0, n, 0, n);
+            let mut singular = lead.clone();
+            for j in 0..n {
+                singular[(n - 1, j)] = lead[(0, j)];
+                singular[(j, n - 1)] = lead[(0, j)];
+            }
+            singular[(n - 1, n - 1)] = lead[(0, 0)];
+            cases.extend([a, failing, singular, lead]);
+        }
+        cases.push(Matrix::zeros(2, 3));
+        let (mut jittered, mut failed) = (0, 0);
+        let mut buf = Matrix::default();
+        for (case, a) in cases.iter().enumerate() {
+            let fresh = Cholesky::new_with_jitter(a, 1e-10, 3);
+            let reused = Cholesky::new_with_jitter_in(a, 1e-10, 3, buf);
+            let got = reused
+                .as_ref()
+                .map(|(c, j)| (c.factor(), *j))
+                .map_err(|(e, _)| e);
+            let want = fresh.as_ref().map(|(c, j)| (c.factor(), *j));
+            assert_eq!(outcome_bits(got), outcome_bits(want), "case {case}");
+            match got {
+                Ok((l, 0.0)) => {
+                    let plain = Cholesky::new(a).unwrap();
+                    assert_eq!(bits(l.as_slice()), bits(plain.factor().as_slice()));
+                }
+                Ok(_) => jittered += 1,
+                Err(_) => failed += 1,
+            }
+            buf = match reused {
+                Ok((c, _)) => c.into_factor(),
+                Err((_, back)) => back,
+            };
+        }
+        assert!(
+            jittered >= PREFIX_SIZES.len() / 2,
+            "{jittered} jittered cases"
+        );
+        assert_eq!(failed, PREFIX_SIZES.len() + 1, "failing cases");
     }
 
     #[test]

@@ -24,7 +24,9 @@ use crate::{LinalgError, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq)]
+///
+/// The default is the empty `0 × 0` matrix, which holds no allocation.
+#[derive(Clone, PartialEq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,

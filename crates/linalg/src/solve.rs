@@ -17,8 +17,16 @@ use crate::{LinalgError, Matrix, Result};
 /// - [`LinalgError::Singular`] if a diagonal entry vanishes.
 pub fn solve_lower(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     check_triangular_args(l, b, "solve_lower")?;
+    forward(l, b)
+}
+
+/// [`solve_lower`] on the leading `b.len()` rows of `l`, unchecked: the
+/// caller has checked that `l` is square with at least `b.len()` rows.
+/// Row `i` reads only columns `..=i`, so on the leading `n × n` block of
+/// `l` this is, bit for bit, `solve_lower` of that block copied out.
+pub(crate) fn forward(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     counters::add_tri_solve_rhs(1);
-    let n = l.rows();
+    let n = b.len();
     let mut x = vec![0.0; n];
     for i in 0..n {
         let mut s = b[i];
@@ -70,8 +78,16 @@ pub fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 /// Same conditions as [`solve_lower`].
 pub fn solve_lower_transposed(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     check_triangular_args(l, b, "solve_lower_transposed")?;
+    backward_transposed(l, b)
+}
+
+/// [`solve_lower_transposed`] on the leading `b.len()` rows of `l`,
+/// unchecked like [`forward`]: it reads only entries `(j, i)` with
+/// `i ≤ j < b.len()`, so this is, bit for bit, the solve on the leading
+/// block copied out.
+pub(crate) fn backward_transposed(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     counters::add_tri_solve_rhs(1);
-    let n = l.rows();
+    let n = b.len();
     let mut x = vec![0.0; n];
     for i in (0..n).rev() {
         let mut s = b[i];

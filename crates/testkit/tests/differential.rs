@@ -152,23 +152,43 @@ fn dominant_spd(rng: &mut rand::rngs::StdRng, p: usize) -> linalg::Matrix {
     s
 }
 
-/// The leading-block law of `Cholesky::leading`, bit for bit: the joint
-/// factor's leading `n × n` block is the factorization of the leading
-/// `n × n` block of the matrix.
+/// The leading-block law, bit for bit: the joint factor's leading
+/// `n × n` block is the factorization of the leading `n × n` block of the
+/// matrix, so the in-place leading-block solve and log-determinant
+/// (`Cholesky::solve_leading_vec`, `Cholesky::log_det_leading`) are the
+/// prefix factorization's `solve_vec` and `log_det`.
 fn assert_leading_block_law(case: u64, s: &linalg::Matrix, n: usize) {
     let full = linalg::Cholesky::new(s).expect("SPD full factorization");
     let prefix = linalg::Cholesky::new(&s.submatrix(0, n, 0, n)).expect("SPD prefix");
+    let p = s.rows();
     assert_eq!(
-        full.leading(n).factor(),
+        &full.factor().submatrix(0, n, 0, n),
         prefix.factor(),
-        "leading block case {case}: n={n} of p={}",
-        s.rows()
+        "leading block case {case}: n={n} of p={p}"
+    );
+    let b: Vec<f64> = (0..n).map(|i| s[(i, p - 1)] - 0.5).collect();
+    let bits = |v: Vec<f64>| -> Vec<u64> { v.into_iter().map(f64::to_bits).collect() };
+    assert_eq!(
+        bits(full.solve_leading_vec(&b).expect("leading solve")),
+        bits(prefix.solve_vec(&b).expect("prefix solve")),
+        "leading solve case {case}: n={n} of p={p}"
+    );
+    assert_eq!(
+        full.log_det_leading(n).to_bits(),
+        prefix.log_det().to_bits(),
+        "leading log-det case {case}: n={n} of p={p}"
     );
 }
 
+/// Every case runs its objective through one [`gp::cache::FitWorkspace`]
+/// shared, in order, by all cases (singular, jittered, infinite and
+/// plain, of varying sizes), as a search task shares one across its
+/// evaluations. So a workspace that let one evaluation's kernel or
+/// factor leak into the next fails the bitwise pin against the reference.
 fn cached_kernel_driver(cases: u64) {
     use gp::kernel::{SquaredExponential, Task, TransferKernel};
-    let mut jittered = 0u64;
+    let (mut jittered, mut infinite) = (0u64, 0u64);
+    let mut workspace = gp::cache::FitWorkspace::default();
     for case in 0..cases {
         let mut rng = gen::case_rng(testkit::test_seed(), case);
         use rand::Rng;
@@ -187,8 +207,39 @@ fn cached_kernel_driver(cases: u64) {
             config.noise_source = 0.0;
             config.noise_target = 0.0;
         }
+        // About a tenth have an infinite objective: a lengthscale whose
+        // square underflows makes every diagonal entry `0·∞ = NaN`, so
+        // each jitter try fails and leaves NaN in the workspace.
+        let nan_kernel = !singular && rng.gen_bool(1.0 / 8.0);
+        if nan_kernel {
+            config.lengthscales[0] = 1e-200;
+        }
         let cache = gp::cache::FitCache::new(&source, &target, dim)
             .expect("fuzz gp problem passes fit validation");
+        // The objective reuses the joint factor for the source term, but
+        // its bits must be those of the two-factorization reference, in
+        // the shared workspace and one-shot alike.
+        let (objective, jitter) = reference::fit_objective(&source, &target, &config);
+        let input = (&source, &target, &config);
+        let shared = cache.objective_in(&config, &mut workspace);
+        assert!(
+            shared.to_bits() == objective.to_bits(),
+            "cached objective case {case} (shared workspace): {shared} vs reference \
+             {objective}; input {input:?}"
+        );
+        assert!(
+            cache.objective(&config).to_bits() == objective.to_bits(),
+            "cached objective case {case}: {} vs reference {objective}; input {input:?}",
+            cache.objective(&config)
+        );
+        if jitter > 0.0 {
+            jittered += 1;
+        }
+        if nan_kernel {
+            assert_eq!(objective, f64::INFINITY, "case {case}: {input:?}");
+            infinite += 1;
+            continue;
+        }
         let k = cache
             .joint_kernel(&config)
             .expect("fuzz config is in range");
@@ -226,18 +277,6 @@ fn cached_kernel_driver(cases: u64) {
                 );
             }
         }
-        // The objective reuses the joint factor for the source term, but
-        // its bits must be those of the two-factorization reference.
-        let (objective, jitter) = reference::fit_objective(&source, &target, &config);
-        let input = (&source, &target, &config);
-        assert!(
-            cache.objective(&config).to_bits() == objective.to_bits(),
-            "cached objective case {case}: {} vs reference {objective}; input {input:?}",
-            cache.objective(&config)
-        );
-        if jitter > 0.0 {
-            jittered += 1;
-        }
         if singular {
             // Near a singular kernel the last-bit differences between the
             // cache's and the model's kernel entries are amplified far
@@ -252,14 +291,21 @@ fn cached_kernel_driver(cases: u64) {
             "cached objective",
             case,
             &input,
-            cache.objective(&config),
+            shared,
             -model.log_conditional_likelihood(),
         );
     }
-    println!("cached objective: {jittered} of {cases} cases took the jitter branch");
+    println!(
+        "cached objective: {jittered} of {cases} cases took the jitter branch, \
+         {infinite} were infinite"
+    );
     assert!(
         jittered * 5 >= cases,
         "only {jittered} of {cases} cases took the jitter branch"
+    );
+    assert!(
+        infinite * 20 >= cases,
+        "only {infinite} of {cases} cases were infinite"
     );
 }
 
