@@ -122,13 +122,16 @@ pub struct PoolRow {
     pub effective_pool: f64,
 }
 
-/// How much one predict backend was used (`PredictMode`).
+/// How much one predict regime was used (`PredictMode`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModeUse {
-    /// Iterations that swept with this backend.
+    /// Iterations that swept in this regime.
     pub iterations: usize,
     /// Box queries it answered.
     pub queries: usize,
+    /// Iterations whose sweep dropped training points
+    /// (`subset_size < train_size`); the others ran the exact posterior.
+    pub truncated: usize,
 }
 
 /// The `ResourceSample` counters, summed field by field. The predict
@@ -221,7 +224,7 @@ pub struct RunSummary {
     batch_q: usize,
     /// Adaptive-pool passes, in order; empty for a fixed pool.
     pub pool_refines: Vec<PoolRow>,
-    /// Predict-backend usage from `PredictMode`, by mode.
+    /// Predict-regime usage from `PredictMode`, by mode.
     pub predict_modes: BTreeMap<String, ModeUse>,
     /// `DegradedFit`s by mode, and the longest run of consecutive ones.
     degraded_by_mode: BTreeMap<String, usize>,
@@ -380,8 +383,8 @@ impl RunSummary {
             for (mode, m) in &self.predict_modes {
                 let _ = writeln!(
                     out,
-                    "  {mode:<8} {:>5} iterations, {:>8} box queries",
-                    m.iterations, m.queries
+                    "  {mode:<8} {:>5} iterations, {:>8} box queries, {:>5} truncated",
+                    m.iterations, m.queries, m.truncated
                 );
             }
         }
@@ -675,10 +678,17 @@ pub fn summarize_run(name: &str, events: &[Event]) -> RunSummary {
                 pool_size: *pool_size,
                 effective_pool: *effective_pool,
             }),
-            Event::PredictMode { mode, queries, .. } => {
+            Event::PredictMode {
+                mode,
+                queries,
+                train_size,
+                subset_size,
+                ..
+            } => {
                 let m = s.predict_modes.entry(mode.clone()).or_default();
                 m.iterations += 1;
                 m.queries += queries;
+                m.truncated += usize::from(subset_size < train_size);
             }
             Event::DegradedFit {
                 mode, consecutive, ..
@@ -848,14 +858,19 @@ impl FleetReport {
             );
             let _ = writeln!(out, "  final pool size   {}", spread(&sizes));
             let _ = writeln!(out, "  effective pool    {}", spread(&effs));
-            let mut modes: BTreeMap<&str, usize> = BTreeMap::new();
+            let mut modes: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
             for r in &self.runs {
                 for (mode, m) in &r.predict_modes {
-                    *modes.entry(mode).or_default() += m.iterations;
+                    let (iterations, truncated) = modes.entry(mode).or_default();
+                    *iterations += m.iterations;
+                    *truncated += m.truncated;
                 }
             }
             if !modes.is_empty() {
-                let parts: Vec<String> = modes.iter().map(|(m, n)| format!("{m} {n}")).collect();
+                let parts: Vec<String> = modes
+                    .iter()
+                    .map(|(m, (n, t))| format!("{m} {n} ({t} truncated)"))
+                    .collect();
                 let _ = writeln!(
                     out,
                     "  predict path usage (iterations): {}",
@@ -1190,8 +1205,8 @@ adaptive pool: 2 splits over 1 refinement passes
      2: +2   leaves     10  pool     10  eff         32
 
 predict path usage (posterior backend per iteration):
-  exact        1 iterations,        8 box queries
-  subset       1 iterations,       10 box queries
+  exact        1 iterations,        8 box queries,     0 truncated
+  subset       1 iterations,       10 box queries,     1 truncated
 
 evaluation failures:
   crash            1
@@ -1315,10 +1330,24 @@ predict sweep: cache 6 hits / 2 misses (75.0% hit), 1 evictions, 2 chunks dispat
             queries: 40,
             mode: "subset".into(),
         });
+        events.push(Event::PredictMode {
+            iteration: 1,
+            train_size: 100,
+            subset_size: 100,
+            queries: 30,
+            mode: "subset".into(),
+        });
         let s = summarize_run("pool-run", &events);
         assert_eq!(s.pool_splits(), 3);
         assert_eq!(s.pool_final(), Some((12, 64.0)));
-        assert_eq!(s.predict_modes["subset"].iterations, 1);
+        assert_eq!(
+            s.predict_modes["subset"],
+            ModeUse {
+                iterations: 2,
+                queries: 70,
+                truncated: 1,
+            }
+        );
         let fixed = summarize_run("fixed-run", &mini_run(0.4, 5.0));
         assert_eq!(fixed.pool_final(), None);
         let text = FleetReport {
@@ -1330,7 +1359,7 @@ predict sweep: cache 6 hits / 2 misses (75.0% hit), 1 evictions, 2 chunks dispat
             "{text}"
         );
         assert!(text.contains("effective pool"), "{text}");
-        assert!(text.contains("subset 1"), "{text}");
+        assert!(text.contains("subset 2 (1 truncated)"), "{text}");
     }
 
     #[test]

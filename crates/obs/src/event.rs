@@ -313,8 +313,8 @@ pub enum Event {
         effective_pool: f64,
     },
 
-    /// Which posterior path served this iteration's uncertainty-box
-    /// predictions: the exact Cholesky posterior or the subset-of-data
+    /// Which predict regime this iteration's uncertainty boxes came
+    /// from: the exact Cholesky posterior or the subset-of-data
     /// approximation. Emitted only when a subset-of-data threshold is
     /// configured, so legacy traces are unchanged.
     PredictMode {
@@ -323,12 +323,16 @@ pub enum Event {
         /// Joint (source + target) training-set size behind the
         /// surrogates at predict time.
         train_size: usize,
-        /// Anchor count of the subset-of-data predictor (0 on the exact
-        /// path).
+        /// Anchors the sweep conditioned on: `train_size` on the exact
+        /// path, at most the configured subset size in the subset regime.
+        /// `subset_size < train_size` exactly when training points were
+        /// dropped; a subset regime sweep that drops none is served by
+        /// the exact posterior.
         subset_size: usize,
         /// Query points predicted this iteration.
         queries: usize,
-        /// `"exact"` or `"subset"`.
+        /// `"exact"` or `"subset"`: whether the training set is past the
+        /// subset-of-data threshold.
         mode: String,
     },
 

@@ -217,15 +217,19 @@ pub struct PpaTunerConfig {
     /// to (initial candidates included).
     pub pool_max_size: usize,
     /// Training-set size (source + target observations) above which
-    /// box prediction switches from the exact transfer-GP posterior to
-    /// the subset-of-data path ([`gp::SubsetPredictor`]), whose per-query
-    /// cost is bounded by [`sod_subset`](PpaTunerConfig::sod_subset)
-    /// instead of the full training size. The subset variance dominates
-    /// the exact variance, so ε-PAL's uncertainty boxes stay
-    /// conservative. `usize::MAX` (the default) never switches.
+    /// box prediction enters the subset-of-data regime
+    /// ([`gp::SubsetPredictor`]), whose per-query cost is bounded by
+    /// [`sod_subset`](PpaTunerConfig::sod_subset) instead of the full
+    /// training size. The subset variance dominates the exact variance,
+    /// so ε-PAL's uncertainty boxes stay conservative. `usize::MAX` (the
+    /// default) never switches.
     pub sod_threshold: usize,
-    /// Anchor count of the subset-of-data predictor (ignored while the
-    /// exact path is active).
+    /// Anchor count of the subset-of-data predictor. Only a training set
+    /// larger than both this and `sod_threshold` is predicted from a
+    /// subset; a subset that would keep every point is the exact
+    /// posterior, so those sweeps take the exact path and its predict
+    /// caches (the trace's `PredictMode` still says `"subset"`, with
+    /// `subset_size == train_size`).
     pub sod_subset: usize,
     /// Consecutive iterations the surrogate may run degraded (served by a
     /// last-good model after a numerical calibration failure — see the
@@ -1133,26 +1137,32 @@ impl<'a, 'o> RunState<'a, 'o> {
 
     /// Predicts `μ ± √τ·σ` boxes for the active, unmeasured candidates and
     /// intersects them into the regions — through the exact posterior, or
-    /// the subset-of-data path once the training set outgrows
-    /// `sod_threshold` — then grows the adaptive pool and boxes its new
-    /// candidates. Returns the phase's wall-clock seconds.
+    /// the subset-of-data path once the training set outgrows both
+    /// `sod_threshold` and `sod_subset` — then grows the adaptive pool and
+    /// boxes its new candidates. Returns the phase's wall-clock seconds.
     fn predict(&mut self, t: usize) -> Result<f64> {
         let predict_phase = Instant::now();
         let tracing = self.tracing();
         let models = self.models.as_deref().expect("models exist past fitting");
-        // Subset predictors are rebuilt from the freshly calibrated models
-        // each iteration, so they never lag the exact posterior's data.
+        // Past `sod_threshold` the run is in the subset-of-data regime, but
+        // a subset of `sod_subset >= train_size` anchors keeps every point:
+        // it is the exact posterior re-factored in maximin order, so such
+        // sweeps go through the exact arm and its caches. Subset predictors
+        // are rebuilt from the freshly calibrated models each iteration, so
+        // they never lag the exact posterior's data.
         let train_size = self.source.len() + self.evaluated.len();
-        let sod: Option<Vec<SubsetPredictor>> = if train_size > self.config.sod_threshold {
-            Some(
-                models
-                    .iter()
-                    .map(|m| m.subset_predictor(self.config.sod_subset))
-                    .collect::<gp::Result<_>>()?,
-            )
-        } else {
-            None
-        };
+        let subset_regime = train_size > self.config.sod_threshold;
+        let sod: Option<Vec<SubsetPredictor>> =
+            if subset_regime && self.config.sod_subset < train_size {
+                Some(
+                    models
+                        .iter()
+                        .map(|m| m.subset_predictor(self.config.sod_subset))
+                        .collect::<gp::Result<_>>()?,
+                )
+            } else {
+                None
+            };
         let active: Vec<usize> = (0..self.candidates.len())
             .filter(|&i| self.statuses[i].is_active() && !self.evaluated_flag[i])
             .collect();
@@ -1167,7 +1177,7 @@ impl<'a, 'o> RunState<'a, 'o> {
                     .and_then(|preds| preds.first())
                     .map_or(train_size, SubsetPredictor::subset_size),
                 queries: active.len(),
-                mode: if sod.is_some() { "subset" } else { "exact" }.into(),
+                mode: if subset_regime { "subset" } else { "exact" }.into(),
             });
         }
         // One sweep per iteration: entries untouched since the last sweep
@@ -1807,9 +1817,9 @@ impl<'a, 'o> RunState<'a, 'o> {
     /// The models have not changed since the loop's last predict sweep.
     /// After an exact sweep the predicted means are read from its warm
     /// caches: every undecided candidate was in that sweep, so each is a
-    /// hit with no tail left to solve. After a subset sweep the exact
-    /// means are predicted uncached, so the caches do not grow. Both give
-    /// the same bits.
+    /// hit with no tail left to solve. After a truncating subset sweep
+    /// the exact means are predicted uncached, so the caches do not grow.
+    /// Both give the same bits.
     fn final_candidates(&mut self) -> Result<Vec<usize>> {
         let mut out: Vec<usize> = (0..self.candidates.len())
             .filter(|&i| self.statuses[i] == Status::Pareto)
@@ -2163,9 +2173,10 @@ fn explain_degraded_divergence(err: TunerError, snapshot_degraded: usize) -> Tun
 /// - exact: each objective's transfer GP, with its [`PredictCache`]
 ///   (keyed by the stable candidate indices), so warm sweeps pay only
 ///   the conditioning tail per cached candidate;
-/// - subset-of-data (`sod` given): each objective's [`SubsetPredictor`].
-///   Its anchors are re-chosen every iteration, so a prefix cache could
-///   never hit and it always predicts from scratch.
+/// - subset-of-data (`sod` given, only when the subset drops training
+///   points): each objective's [`SubsetPredictor`]. Its anchors are
+///   re-chosen every iteration, so a prefix cache could never hit and
+///   this arm predicts from scratch.
 ///
 /// The gp layer fans fixed-size query chunks over `workers` threads.
 /// Batch prediction is bit-identical however the queries are chunked or
@@ -3282,6 +3293,110 @@ mod tests {
                 "{arm}: the predicted front must contribute"
             );
         }
+    }
+
+    /// A trace as behaviour: every event but `PredictMode` and the
+    /// `ResourceSample` (its counters are process-global, so concurrent
+    /// tests pollute them), with wall-clock fields zeroed.
+    fn behaviour_jsonl(events: &[Event]) -> String {
+        fn zero_clocks(v: &mut serde_json::Value) {
+            match v {
+                serde_json::Value::Object(fields) => {
+                    for (key, val) in fields {
+                        if ["duration_s", "gp_fit_s", "predict_s"].contains(&key.as_str()) {
+                            *val = serde_json::Value::F64(0.0);
+                        } else {
+                            zero_clocks(val);
+                        }
+                    }
+                }
+                serde_json::Value::Array(items) => items.iter_mut().for_each(zero_clocks),
+                _ => {}
+            }
+        }
+        let mut out = String::new();
+        for e in events {
+            if matches!(e, Event::PredictMode { .. } | Event::ResourceSample { .. }) {
+                continue;
+            }
+            let mut value = serde_json::to_value(e);
+            zero_clocks(&mut value);
+            out.push_str(&serde_json::to_string(&value).unwrap());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// A subset of at least the training set's size keeps every point,
+    /// so the subset-of-data regime serves it from the exact arm and its
+    /// caches: the run is the SoD-off run in everything but its
+    /// `PredictMode` events, which still name the regime.
+    #[test]
+    fn a_subset_that_drops_no_point_takes_the_cached_exact_arm() {
+        let (candidates, truth) = toy(60);
+        let source = shifted_source(&candidates, &truth);
+        let sod_subset = 1000;
+        let run = |sod_threshold| {
+            let config = PpaTunerConfig {
+                max_iterations: 6,
+                include_predicted_front: true,
+                sod_threshold,
+                sod_subset,
+                ..slow_config()
+            };
+            let mut oracle = VecOracle::new(truth.clone());
+            let sink = obs::RecordingSink::new();
+            let mut state = RunState::new(
+                &config,
+                &source,
+                &candidates,
+                OracleRef::from(&mut oracle),
+                &sink,
+                None,
+                None,
+            )
+            .unwrap();
+            state.initialize().unwrap();
+            state.run_loop().unwrap();
+            let cache_lens: Vec<usize> =
+                state.predict_caches.iter().map(PredictCache::len).collect();
+            let exact_sweep = state.exact_sweep;
+            let result = state.verify_front(Instant::now()).unwrap();
+            (result, sink.events(), exact_sweep, cache_lens)
+        };
+        let (routed, routed_events, exact_sweep, cache_lens) = run(10);
+        let (exact, exact_events, ..) = run(usize::MAX);
+
+        assert!(exact_sweep, "the routed run must end on the exact arm");
+        assert!(
+            !cache_lens.is_empty() && cache_lens.iter().all(|&n| n > 0),
+            "the routed run must fill its predict caches: {cache_lens:?}"
+        );
+        let modes: Vec<(usize, usize, &str)> = routed_events
+            .iter()
+            .filter_map(|e| match e {
+                Event::PredictMode {
+                    train_size,
+                    subset_size,
+                    mode,
+                    ..
+                } => Some((*train_size, *subset_size, mode.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(modes.len(), routed.iterations);
+        for &(train_size, subset_size, mode) in &modes {
+            assert!(train_size > 10 && train_size <= sod_subset, "{train_size}");
+            assert_eq!((subset_size, mode), (train_size, "subset"));
+        }
+        assert!(!exact_events
+            .iter()
+            .any(|e| matches!(e, Event::PredictMode { .. })));
+        assert_same_outcome(&routed, &exact);
+        assert_eq!(
+            behaviour_jsonl(&routed_events),
+            behaviour_jsonl(&exact_events)
+        );
     }
 
     #[test]
