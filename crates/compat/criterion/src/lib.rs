@@ -6,6 +6,10 @@
 //! `bench_function` / `bench_with_input`, [`BenchmarkId`], `Bencher::iter`,
 //! `Bencher::iter_batched` with [`BatchSize`], [`black_box`], and the `criterion_group!` / `criterion_main!` macros.
 //!
+//! As upstream, `cargo bench -- <filter>` runs only the benchmarks whose
+//! full id (`group/name`) contains `filter`; flag arguments, such as the
+//! `--bench` that cargo passes, are skipped.
+//!
 //! Instead of criterion's statistical engine, each benchmark is warmed up
 //! briefly and then timed over a fixed wall-clock window; the mean, best,
 //! and worst per-iteration times are printed to stderr. That is enough to
@@ -95,10 +99,19 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
-fn run_one(id: &str, measure_for: Duration, f: impl FnOnce(&mut Bencher)) {
+/// The first positional argument in `args` (flags start with `-`): the
+/// substring filter of upstream's `cargo bench -- <filter>`.
+fn filter_from_args(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
+}
+
+fn run_one(c: &Criterion, id: &str, f: impl FnOnce(&mut Bencher)) {
+    if c.filter.as_ref().is_some_and(|s| !id.contains(s.as_str())) {
+        return;
+    }
     let mut b = Bencher {
         samples: Vec::new(),
-        measure_for,
+        measure_for: c.measure_for,
     };
     f(&mut b);
     let mut line = format!("bench {id:<40}");
@@ -156,21 +169,15 @@ impl BenchmarkGroup<'_> {
     where
         F: FnOnce(&mut Bencher, &I),
     {
-        run_one(
-            &format!("{}/{}", self.name, id.full),
-            self.criterion.measure_for,
-            |b| f(b, input),
-        );
+        run_one(self.criterion, &format!("{}/{}", self.name, id.full), |b| {
+            f(b, input)
+        });
         self
     }
 
     /// Benchmarks `f` under `id` within this group.
     pub fn bench_function<F: FnOnce(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        run_one(
-            &format!("{}/{id}", self.name),
-            self.criterion.measure_for,
-            f,
-        );
+        run_one(self.criterion, &format!("{}/{id}", self.name), f);
         self
     }
 
@@ -182,6 +189,7 @@ impl BenchmarkGroup<'_> {
 #[derive(Debug)]
 pub struct Criterion {
     measure_for: Duration,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -190,6 +198,7 @@ impl Default for Criterion {
             // Short window: these benches run in CI as a smoke test, not
             // for publication-grade statistics.
             measure_for: Duration::from_millis(300),
+            filter: None,
         }
     }
 }
@@ -199,6 +208,21 @@ impl Criterion {
     pub fn measurement_time(mut self, d: Duration) -> Self {
         self.measure_for = d;
         self
+    }
+
+    /// Runs only the benchmarks whose full id contains `filter`.
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
+    }
+
+    /// Reads the filter from the process's command line, as upstream's
+    /// `criterion_group!` does.
+    pub fn configure_from_args(self) -> Self {
+        match filter_from_args(std::env::args().skip(1)) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
     }
 
     /// Starts a named benchmark group.
@@ -211,7 +235,7 @@ impl Criterion {
 
     /// Benchmarks a single function.
     pub fn bench_function<F: FnOnce(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        run_one(id, self.measure_for, f);
+        run_one(self, id, f);
         self
     }
 }
@@ -221,7 +245,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         pub fn $group() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::default().configure_from_args();
             $($target(&mut c);)+
         }
     };
@@ -261,6 +285,38 @@ mod tests {
                 BatchSize::SmallInput,
             )
         });
+    }
+
+    #[test]
+    fn the_filter_is_the_first_positional_argument() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            filter_from_args(args(&["--bench", "classify"])),
+            Some("classify".into())
+        );
+        assert_eq!(filter_from_args(args(&["--bench"])), None);
+        assert_eq!(filter_from_args(args(&[])), None);
+    }
+
+    #[test]
+    fn a_filter_runs_only_matching_ids() {
+        // The filter matches the full `group/name` id, so the group's
+        // name is part of what it matches.
+        let mut c = tiny().with_filter("tuner/cl");
+        let mut ran = Vec::new();
+        let mut g = c.benchmark_group("tuner");
+        for name in ["classify_10_m2", "loop_null_sink"] {
+            g.bench_function(name, |b| {
+                ran.push(name);
+                b.iter(|| 0)
+            });
+        }
+        g.finish();
+        c.bench_function("classify_ungrouped", |b| {
+            ran.push("classify_ungrouped");
+            b.iter(|| 0)
+        });
+        assert_eq!(ran, ["classify_10_m2"]);
     }
 
     #[test]

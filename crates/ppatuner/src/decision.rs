@@ -50,29 +50,35 @@ fn delta_leq(a: &[f64], b: &[f64], delta: &[f64]) -> bool {
 /// pair, so it never filters anything out).
 type Key = [f64; 3];
 
-/// The sweep entries `(j, key)` of the candidates whose status passes
-/// `keep`, where `corner(j, k)` is coordinate `k` of `j`'s corner.
-fn keyed(
+/// The sweep entries `(j, key)` of the active candidates, where
+/// `corner(j, k)` is coordinate `k` of `j`'s corner, sorted on `key[0]`.
+/// A key with a NaN coordinate can satisfy no `≤`, so it is left out:
+/// such a candidate is never a witness and has none, as in the pairwise
+/// rules.
+fn sorted_keys(
     statuses: &[Status],
     m: usize,
-    keep: impl Fn(Status) -> bool,
     corner: impl Fn(usize, usize) -> f64,
 ) -> Vec<(usize, Key)> {
-    (0..statuses.len())
-        .filter(|&j| keep(statuses[j]))
+    let mut keys: Vec<(usize, Key)> = (0..statuses.len())
+        .filter(|&j| statuses[j].is_active())
         .map(|j| {
             (
                 j,
                 std::array::from_fn(|k| if k < m { corner(j, k) } else { 0.0 }),
             )
         })
-        .collect()
+        .filter(|(_, key)| !key.iter().any(|v| v.is_nan()))
+        .collect();
+    keys.sort_unstable_by(|a, b| a.1[0].total_cmp(&b.1[0]));
+    keys
 }
 
-/// The two smallest `(key[2], index)` entries of a point set. Each point
-/// is inserted into the tree once and a prefix query merges disjoint
-/// nodes, so the two entries always carry distinct indices: when the
-/// smallest is the query's own index, the second is its best rival.
+/// The two smallest `(value, index)` entries of a point set, where the
+/// value is the sweep's last key coordinate. Each point is pushed once
+/// and a tree prefix query merges disjoint nodes, so the two entries
+/// always carry distinct indices: when the smallest is the query's own
+/// index, the second is its best rival.
 #[derive(Clone, Copy)]
 struct Min2([(f64, usize); 2]);
 
@@ -122,49 +128,58 @@ impl MinTree {
 /// The orthant sweep both rules share. Returns, in ascending order, every
 /// query `i` with a witness: a point `j ≠ i` for which `holds(i, j)`.
 ///
-/// `holds(i, j)` must imply `point_j ≤ threshold_i` on every coordinate,
-/// so a query with no point in its lower orthant has no witness. The
-/// sweep visits the queries in ascending `threshold[0]`, inserting every
-/// point with `key[0] ≤ threshold[0]` into a [`MinTree`]. Its prefix
-/// query then answers the orthant question on all three key coordinates,
-/// so `holds` runs only for flagged queries: first on the (at most two)
-/// orthant witnesses the tree returns, then, if neither holds, on the
-/// whole coordinate-0 prefix. That prefix contains every `j` with
+/// `points` and `queries` are entries of [`sorted_keys`]: NaN-free and
+/// sorted on `key[0]`. `holds(i, j)` must imply `point_j ≤ threshold_i` on
+/// every coordinate, so a query with no point in its lower orthant has
+/// no witness. The sweep visits the queries in ascending `threshold[0]`,
+/// passing every point with `key[0] ≤ threshold[0]`. With `planar` (the
+/// objective count m ≤ 2, so `key[2]` is padding) it keeps one running
+/// [`Min2`] of `key[1]` over those points; otherwise it inserts them into
+/// a [`MinTree`] whose prefix query covers `key[1]` and `key[2]`. Either
+/// answers the orthant question on every key coordinate, so `holds`
+/// runs only for flagged queries: first on the (at most two) orthant
+/// witnesses returned, then, if neither holds, on the whole
+/// coordinate-0 prefix. That prefix contains every `j` with
 /// `point_j[0] ≤ threshold_i[0]`, so the answer is exact for any `holds`.
-///
-/// A key with a NaN coordinate can satisfy no `≤`: such points are never
-/// inserted and such queries have no witness, as in the pairwise rules.
 fn orthant_witnessed(
-    mut points: Vec<(usize, Key)>,
-    mut queries: Vec<(usize, Key)>,
+    points: &[(usize, Key)],
+    queries: impl IntoIterator<Item = (usize, Key)>,
+    planar: bool,
     holds: impl Fn(usize, usize) -> bool,
 ) -> Vec<usize> {
-    let finite = |e: &(usize, Key)| !e.1.iter().any(|v| v.is_nan());
-    let by_first = |a: &(usize, Key), b: &(usize, Key)| {
-        a.1[0].partial_cmp(&b.1[0]).expect("NaN keys are filtered")
+    let ys: Vec<f64> = if planar {
+        Vec::new()
+    } else {
+        let mut ys: Vec<f64> = points.iter().map(|p| p.1[1]).collect();
+        ys.sort_unstable_by(f64::total_cmp);
+        ys.dedup();
+        ys
     };
-    points.retain(finite);
-    queries.retain(finite);
-    points.sort_unstable_by(by_first);
-    queries.sort_unstable_by(by_first);
-    let mut ys: Vec<f64> = points.iter().map(|p| p.1[1]).collect();
-    ys.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN keys are filtered"));
-    ys.dedup();
+    let last = if planar { 1 } else { 2 };
 
+    let mut running = Min2::EMPTY;
     let mut tree = MinTree(vec![Min2::EMPTY; ys.len()]);
     let mut inserted = 0;
     let mut hits = Vec::new();
-    for &(i, t) in &queries {
+    for (i, t) in queries {
         while inserted < points.len() && points[inserted].1[0] <= t[0] {
             let (j, p) = points[inserted];
-            tree.insert(ys.partition_point(|&y| y < p[1]), (p[2], j));
+            if planar {
+                running.push((p[1], j));
+            } else {
+                tree.insert(ys.partition_point(|&y| y < p[1]), (p[2], j));
+            }
             inserted += 1;
         }
-        let near = tree.prefix(ys.partition_point(|&y| y <= t[1]));
+        let near = if planar {
+            running
+        } else {
+            tree.prefix(ys.partition_point(|&y| y <= t[1]))
+        };
         let mut flagged = false;
         let mut witnessed = false;
         for (v, j) in near.0 {
-            if j != Min2::NONE && j != i && v <= t[2] {
+            if j != Min2::NONE && j != i && v <= t[last] {
                 flagged = true;
                 witnessed = witnessed || holds(i, j);
             }
@@ -180,6 +195,77 @@ fn orthant_witnessed(
     }
     hits.sort_unstable();
     hits
+}
+
+/// Eq. 11's pairwise rule: active `j` drops undecided `i` when
+/// `pess_j ≤ opt_i + δ`, unless the two δ-dominate each other and `i` is
+/// preferred (the smaller pessimistic-corner sum in `sums`, then the
+/// smaller index).
+fn drops(regions: &[UncertaintyRegion], sums: &[f64], delta: &[f64], i: usize, j: usize) -> bool {
+    let prefer = |a: usize, b: usize| match sums[a].partial_cmp(&sums[b]) {
+        Some(std::cmp::Ordering::Less) => true,
+        Some(std::cmp::Ordering::Greater) => false,
+        _ => a < b,
+    };
+    let (ri, rj) = (&regions[i], &regions[j]);
+    delta_leq(rj.pessimistic(), ri.optimistic(), delta)
+        && !(delta_leq(ri.pessimistic(), rj.optimistic(), delta) && prefer(i, j))
+}
+
+/// Eq. 12's pairwise rule: active `j` blocks `i`'s promotion when
+/// `opt_j + δ ≤ pess_i`.
+fn beats(regions: &[UncertaintyRegion], delta: &[f64], i: usize, j: usize) -> bool {
+    regions[j]
+        .optimistic()
+        .iter()
+        .zip(regions[i].pessimistic())
+        .zip(delta)
+        .all(|((&oj, &pi), &d)| oj + d <= pi)
+}
+
+/// The two sweeps of one pass. Marks `Dropped` every undecided `i` with
+/// an active `j` for which `drops(i, j)`, and returns those indices and
+/// then every still-undecided `i` with a post-drop active `j` for which
+/// `beats(i, j)`, each list ascending.
+fn sweep_pass(
+    regions: &[UncertaintyRegion],
+    statuses: &mut [Status],
+    delta: &[f64],
+    drops: impl Fn(usize, usize) -> bool,
+    beats: impl Fn(usize, usize) -> bool,
+) -> (Vec<usize>, Vec<usize>) {
+    let m = delta.len();
+    let planar = m <= 2;
+    let undecided = |s: Status| s == Status::Undecided;
+    // Each corner key is sorted once per pass; both rules filter these
+    // two orders by status.
+    let by_pess = sorted_keys(statuses, m, |j, k| regions[j].pessimistic()[k]);
+    let by_opt = sorted_keys(statuses, m, |j, k| regions[j].optimistic()[k] + delta[k]);
+
+    // Drop (Eq. 11): some active `j` has pess_j ≤ opt_i + δ.
+    let dropped = orthant_witnessed(
+        &by_pess,
+        by_opt.iter().copied().filter(|e| undecided(statuses[e.0])),
+        planar,
+        drops,
+    );
+    for &i in &dropped {
+        statuses[i] = Status::Dropped;
+    }
+
+    // Promote (Eq. 12), against post-drop statuses: blocked when some
+    // active `j` has opt_j + δ ≤ pess_i.
+    let active: Vec<(usize, Key)> = by_opt
+        .into_iter()
+        .filter(|e| statuses[e.0].is_active())
+        .collect();
+    let beaten = orthant_witnessed(
+        &active,
+        by_pess.iter().copied().filter(|e| undecided(statuses[e.0])),
+        planar,
+        beats,
+    );
+    (dropped, beaten)
 }
 
 /// Runs one decision pass over the candidates (Eqs. 11–12), in place.
@@ -209,15 +295,20 @@ fn orthant_witnessed(
 /// # Complexity
 ///
 /// Each rule is an orthant-emptiness query over the active set, answered
-/// by one sweep on the first coordinate with a Fenwick tree over the
-/// second (the maxima-of-vectors sweep of Kung, Luccio and Preparata,
-/// JACM 1975): O(P log P + P·m) for P candidates when m ≤ 3. Promotion
-/// is exact on the sweep. Dropping uses the sweep as a filter and
-/// confirms each flagged candidate with the pairwise rule above on the
-/// sweep's witnesses; only when those are all mutual ties it prefers,
-/// or when m ≥ 4 (the sweep then filters on the first three coordinates),
-/// does it scan the candidates whose first coordinate qualifies, O(P·m)
-/// each. Rules and tie-break match the O(P²·m) pairwise scans exactly.
+/// by one sweep on the first coordinate (the maxima-of-vectors sweep of
+/// Kung, Luccio and Preparata, JACM 1975). For m ≤ 2 the sweep keeps a
+/// running minimum of the second coordinate; for m ≥ 3 it keeps a
+/// Fenwick tree over the rank of the second and the minimum of the third
+/// in each node. Each pass sorts the active set twice, once by
+/// `pess[0]` and once by `opt[0] + δ[0]`, and both rules' points and
+/// queries are filtered from those two orders. Cost: O(P log P + P·m)
+/// for P candidates when m ≤ 3. Promotion is exact on the sweep.
+/// Dropping uses the sweep as a filter and confirms each flagged
+/// candidate with the pairwise rule above on the sweep's witnesses; only
+/// when those are all mutual ties it prefers, or when m ≥ 4 (the sweep
+/// then filters on the first three coordinates), does it scan the
+/// candidates whose first coordinate qualifies, O(P·m) each. Rules and
+/// tie-break match the O(P²·m) pairwise scans exactly.
 ///
 /// # Panics
 ///
@@ -241,52 +332,23 @@ pub fn classify(
             .any(|v| v.is_nan())),
         "classify: NaN region corner"
     );
-    let opt = |j: usize| regions[j].optimistic();
-    let pess = |j: usize| regions[j].pessimistic();
-    let undecided = |s: Status| s == Status::Undecided;
-
-    // Drop (Eq. 11): some active `j` has pess_j ≤ opt_i + δ, unless the
-    // two δ-dominate each other and `i` is preferred.
+    // The tie-break's corner sums, once per pass.
     let sums: Vec<f64> = regions
         .iter()
         .map(|r| r.pessimistic().iter().sum())
         .collect();
-    let prefer = |a: usize, b: usize| match sums[a].partial_cmp(&sums[b]) {
-        Some(std::cmp::Ordering::Less) => true,
-        Some(std::cmp::Ordering::Greater) => false,
-        _ => a < b,
-    };
-    let dropped = orthant_witnessed(
-        keyed(statuses, m, Status::is_active, |j, k| pess(j)[k]),
-        keyed(statuses, m, undecided, |i, k| opt(i)[k] + delta[k]),
-        |i, j| {
-            delta_leq(pess(j), opt(i), delta)
-                && !(delta_leq(pess(i), opt(j), delta) && prefer(i, j))
-        },
-    );
-    for &i in &dropped {
-        statuses[i] = Status::Dropped;
-    }
-
-    // Promote (Eq. 12), against post-drop statuses: no active `j` has
-    // opt_j + δ ≤ pess_i.
-    let queries = keyed(statuses, m, undecided, |i, k| pess(i)[k]);
-    let beaten = orthant_witnessed(
-        keyed(statuses, m, Status::is_active, |j, k| opt(j)[k] + delta[k]),
-        queries.clone(),
-        |i, j| {
-            opt(j)
-                .iter()
-                .zip(pess(i))
-                .zip(delta)
-                .all(|((&oj, &pi), &d)| oj + d <= pi)
-        },
+    let (dropped, beaten) = sweep_pass(
+        regions,
+        statuses,
+        delta,
+        |i, j| drops(regions, &sums, delta, i, j),
+        |i, j| beats(regions, delta, i, j),
     );
     let mut beaten = beaten.into_iter().peekable();
     let mut promoted = Vec::new();
-    for (i, _) in queries {
-        if beaten.next_if_eq(&i).is_none() {
-            statuses[i] = Status::Pareto;
+    for (i, s) in statuses.iter_mut().enumerate() {
+        if *s == Status::Undecided && beaten.next_if_eq(&i).is_none() {
+            *s = Status::Pareto;
             promoted.push(i);
         }
     }
@@ -588,6 +650,100 @@ mod tests {
         let mut statuses = vec![Status::Pareto, Status::Undecided];
         let out = classify(&regions, &mut statuses, &[0.0, 0.0]);
         assert_eq!(out.dropped, vec![1]);
+    }
+
+    /// Runs one pass's sweeps with `classify`'s rules, counting the
+    /// `holds` calls of each query; returns the drop and promote hits and
+    /// the counts (`calls[i]` sums both rules).
+    fn counted_sweeps(
+        regions: &[UncertaintyRegion],
+        statuses: &[Status],
+        delta: &[f64],
+    ) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+        let sums: Vec<f64> = regions
+            .iter()
+            .map(|r| r.pessimistic().iter().sum())
+            .collect();
+        let calls = std::cell::RefCell::new(vec![0; regions.len()]);
+        let (dropped, beaten) = sweep_pass(
+            regions,
+            &mut statuses.to_vec(),
+            delta,
+            |i, j| {
+                calls.borrow_mut()[i] += 1;
+                drops(regions, &sums, delta, i, j)
+            },
+            |i, j| {
+                calls.borrow_mut()[i] += 1;
+                beats(regions, delta, i, j)
+            },
+        );
+        (dropped, beaten, calls.into_inner())
+    }
+
+    #[test]
+    fn tie_free_pool_sweeps_call_holds_at_most_twice_per_query() {
+        use rand::{Rng, SeedableRng};
+        // Pool-sized boxes around a concave front, a tenth of them
+        // points. With δ = 0 two candidates δ-dominate each other only
+        // when both are the same point, which continuous draws never
+        // give, so every sweep witness holds and no query scans its
+        // prefix.
+        for m in 1..=3 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(31 + m as u64);
+            let regions: Vec<UncertaintyRegion> = (0..3000)
+                .map(|_| {
+                    let u: Vec<f64> = (0..m).map(|_| rng.gen_range(0.05..1.0)).collect();
+                    let norm = u.iter().map(|v| v * v).sum::<f64>().sqrt();
+                    let lift = rng.gen_range(0.0..0.4);
+                    let c: Vec<f64> = u.iter().map(|v| v / norm + lift).collect();
+                    if rng.gen_bool(0.1) {
+                        return pt(&c);
+                    }
+                    let h: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0025..0.04)).collect();
+                    let lo: Vec<f64> = c.iter().zip(&h).map(|(c, h)| c - h).collect();
+                    let hi: Vec<f64> = c.iter().zip(&h).map(|(c, h)| c + h).collect();
+                    boxed(&lo, &hi)
+                })
+                .collect();
+            let statuses = vec![Status::Undecided; regions.len()];
+            let (dropped, beaten, calls) = counted_sweeps(&regions, &statuses, &vec![0.0; m]);
+            let worst = calls.iter().max().copied().unwrap_or(0);
+            assert!(worst <= 2, "m={m}: a query made {worst} holds calls");
+            // Not vacuous: both rules flag queries.
+            assert!(dropped.len() > 100, "m={m}: only {} drops", dropped.len());
+            assert!(beaten.len() > 10, "m={m}: only {} beaten", beaten.len());
+        }
+    }
+
+    #[test]
+    fn prefix_scan_finds_a_witness_behind_two_preferred_ties() {
+        // Candidate 0's two nearest sweep witnesses (smallest last key
+        // coordinate) are 1 and 2: each δ-dominates 0 and is δ-dominated
+        // by it, and 0 has the smaller pessimistic sum, so neither drops
+        // it. Candidate 3 lies further along that coordinate but is no
+        // tie, so it drops 0, and only the prefix scan can find it.
+        let cases: [[&[f64]; 4]; 2] = [
+            [&[1.0, 1.0], &[1.06, 0.96], &[1.03, 0.98], &[0.6, 1.09]],
+            [
+                &[1.0, 0.9, 1.0],
+                &[1.06, 0.96, 0.95],
+                &[1.03, 0.98, 0.97],
+                &[0.6, 0.95, 1.05],
+            ],
+        ];
+        for corners in cases {
+            let m = corners[0].len();
+            let regions: Vec<UncertaintyRegion> = corners.iter().map(|c| pt(c)).collect();
+            let mut statuses = vec![Status::Pareto; 4];
+            statuses[0] = Status::Undecided;
+            let delta = vec![0.1; m];
+            let (dropped, _, calls) = counted_sweeps(&regions, &statuses, &delta);
+            assert_eq!(dropped, vec![0], "m={m}");
+            assert_eq!(calls[0], 3, "m={m}: two nearest witnesses, then the scan");
+            let out = classify(&regions, &mut statuses, &delta);
+            assert_eq!(out.dropped, vec![0], "m={m}");
+        }
     }
 
     fn far_points(n: usize) -> Vec<Vec<f64>> {

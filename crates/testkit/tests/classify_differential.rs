@@ -15,7 +15,9 @@
 //! - δ = 0 and zero-width coordinates;
 //! - `Undecided`, `Pareto`, `Dropped` and `Quarantined` inputs.
 //!
-//! The `#[ignore]`d cases run pool-sized problems (P = 2000 and 5000);
+//! The `#[ignore]`d cases run pool-sized problems (P = 2000 and 5000,
+//! m ∈ {1, 2, 3}, so each sweep path has one: the running minimum for
+//! m ≤ 2 and the Fenwick tree for m = 3);
 //! CI runs them with `cargo test --release -p testkit -- --include-ignored`.
 
 use ppatuner::{classify, Status, UncertaintyRegion};
@@ -252,7 +254,7 @@ fn pool_case(rng: &mut StdRng, p: usize, m: usize) -> Case {
 }
 
 fn run_pool_suite(p: usize) {
-    for m in [2, 3] {
+    for m in [1, 2, 3] {
         for case in 0..3u64 {
             let mut rng = case_rng(testkit::test_seed() ^ p as u64, case * 8 + m as u64);
             let c = pool_case(&mut rng, p, m);
