@@ -239,6 +239,17 @@ fn tuner_decision_bench(c: &mut Criterion) {
                 classify(&regions, &mut statuses, &delta)
             })
         });
+        // Every pass after a run's first starts from the statuses the
+        // previous one left: decided candidates leave the active set.
+        let mut carried = vec![Status::Undecided; regions.len()];
+        classify(&regions, &mut carried, &delta);
+        group.bench_function(format!("{name}_carried").as_str(), |b| {
+            b.iter_batched(
+                || carried.clone(),
+                |mut statuses| classify(&regions, &mut statuses, &delta),
+                BatchSize::SmallInput,
+            )
+        });
     }
     group.finish();
 }

@@ -12,22 +12,22 @@
 //! The checkpoint's load-bearing content is the **evaluation-outcome
 //! log**: one [`EvalRecord`] per oracle attempt, successes and failures
 //! alike, in order. Resume re-executes Algorithm 1 from the beginning
-//! with the same seed, but serves oracle calls from the log instead of
-//! the live tool; because every other source of randomness (the
-//! initialization shuffle, the hyper-parameter restart draws) is the
-//! tuner's own seeded RNG replayed over the same data, the loop
-//! deterministically re-reaches the checkpointed state — regions,
-//! statuses, models, and RNG position included — and then switches to
-//! live evaluation. Failed attempts are replayed too: they drive retry
-//! and quarantine control flow, so eliding them would desynchronize the
-//! resumed run.
+//! with the same seed, but reads every wave's attempts back from the log
+//! through the retry loop live attempts take; because every other source
+//! of randomness (the initialization shuffle, the hyper-parameter restart
+//! draws) is the tuner's own seeded RNG replayed over the same data, the
+//! loop deterministically re-reaches the checkpointed state — regions,
+//! statuses, models, and RNG position included — and the oracle takes
+//! over. Failed attempts are replayed too: they drive retry and
+//! quarantine control flow, so eliding them would desynchronize the run.
 //!
 //! The [`StateSnapshot`] carried alongside the log is for *verification*
-//! only: replay must land in the recorded state (statuses, run counts,
-//! RNG position, δ, degraded fits, and a digest of every uncertainty
-//! region are compared before going live; any mismatch aborts with
-//! [`TunerError::Checkpoint`](crate::TunerError::Checkpoint)). Nothing
-//! else is stored, since replay rebuilds the rest.
+//! only: the log must drain at the checkpoint's iteration boundary (an
+//! empty one drains at the run's start and is refused), in the recorded
+//! state (statuses, run counts, RNG position, δ, degraded fits, and a
+//! digest of every uncertainty region are compared before going live; any
+//! mismatch aborts with [`TunerError::Checkpoint`](crate::TunerError::Checkpoint)).
+//! Nothing else is stored, since replay rebuilds the rest.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};

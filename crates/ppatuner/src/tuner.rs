@@ -1,6 +1,5 @@
 //! The PPATuner loop (Algorithm 1 of the paper).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -13,16 +12,16 @@ use gp::{GpCounters, PredictCache, SubsetPredictor, TaskData, TransferGp};
 use obs::{Event, Observer, OpenSpan, Tracer, NULL_SINK};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{
-    digest_matrix, source_digest, Checkpoint, CheckpointStore, EvalOutcome, EvalRecord,
-    StateSnapshot, CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{CheckpointStore, EvalOutcome, EvalRecord};
 use crate::decision::{classify, select_batch, Status};
 use crate::oracle::{EvalError, OracleRef, WATCHDOG_STAGE};
 use crate::pool::AdaptivePool;
 use crate::region::UncertaintyRegion;
 use crate::supervisor;
 use crate::{Result, TunerError};
+
+mod driver;
+use driver::Driver;
 
 /// `DegradedFit.mode` when the failed refit was replaced by a data-only
 /// refit reusing the last-good hyper-parameters.
@@ -496,14 +495,16 @@ impl PpaTuner {
         oracle: impl Into<OracleRef<'o>>,
         observer: &dyn Observer,
     ) -> Result<TuneResult> {
-        self.run_core(source, candidates, oracle.into(), observer, None, None)
+        let state = RunState::new(&self.config, source, candidates, observer)?;
+        Driver::new(oracle.into(), None, candidates, source).drive(state)
     }
 
-    /// Like [`PpaTuner::run_observed`], but persists a [`Checkpoint`] to
-    /// `store` at the end of every iteration, so an interrupted run can
-    /// be continued with [`PpaTuner::resume`]. Checkpoints land at
-    /// iteration boundaries, which are always whole-wave boundaries. Any
-    /// previous checkpoint in the store is overwritten.
+    /// Like [`PpaTuner::run_observed`], but persists a
+    /// [`Checkpoint`](crate::Checkpoint) to `store` at the end of every
+    /// iteration, so an interrupted run can be continued with
+    /// [`PpaTuner::resume`]. Checkpoints land at iteration boundaries,
+    /// which are always whole-wave boundaries. Any previous checkpoint in
+    /// the store is overwritten.
     ///
     /// # Errors
     ///
@@ -517,14 +518,8 @@ impl PpaTuner {
         observer: &dyn Observer,
         store: &dyn CheckpointStore,
     ) -> Result<TuneResult> {
-        self.run_core(
-            source,
-            candidates,
-            oracle.into(),
-            observer,
-            Some(store),
-            None,
-        )
+        let state = RunState::new(&self.config, source, candidates, observer)?;
+        Driver::new(oracle.into(), Some(store), candidates, source).drive(state)
     }
 
     /// Continues an interrupted [`PpaTuner::run_checkpointed`] run from
@@ -532,17 +527,18 @@ impl PpaTuner {
     /// keeps checkpointing as it goes.
     ///
     /// Resume works by deterministic replay: the loop re-executes from
-    /// the start with the same seed, serving oracle calls from the
-    /// checkpoint's evaluation log (failures included, whole waves at a
-    /// time) instead of the live tool, which reproduces the checkpointed
-    /// state exactly — verified against the checkpoint's snapshot before
-    /// live evaluation takes over. Trace events are only emitted for the
-    /// live portion, so concatenating the interrupted run's trace with the
-    /// resumed one yields one seamless run. Given the same `config`,
-    /// `source`, `candidates`, and a fresh oracle over the same ground
-    /// truth, the final [`TuneResult`] is identical to the uninterrupted
-    /// run's (modulo wall-clock timing fields), through either oracle
-    /// kind.
+    /// the start with the same seed, and every wave's attempts are read
+    /// back from the checkpoint's evaluation log (failures included,
+    /// whole waves at a time) through the same retry loop the live tool
+    /// runs through, which reproduces the checkpointed state exactly. The
+    /// log must drain at an iteration boundary, where the re-derived state
+    /// is verified against the checkpoint's snapshot before the oracle
+    /// takes over. Trace events are only emitted from there on, so
+    /// concatenating the interrupted run's trace with the resumed one
+    /// yields one seamless run. Given the same `config`, `source`,
+    /// `candidates`, and a fresh oracle over the same ground truth, the
+    /// final [`TuneResult`] is identical to the uninterrupted run's
+    /// (modulo wall-clock timing fields), through either oracle kind.
     ///
     /// # Errors
     ///
@@ -550,7 +546,8 @@ impl PpaTuner {
     /// [`TunerError::Checkpoint`] when the stored checkpoint has a
     /// different version/configuration/data, or its log diverges from
     /// what the deterministic replay re-derives (including a log that
-    /// ends inside a wave).
+    /// ends inside a wave, or drains anywhere but at the checkpoint's
+    /// iteration boundary — an empty log drains before the first wave).
     pub fn resume<'o>(
         &self,
         source: &SourceData,
@@ -559,88 +556,41 @@ impl PpaTuner {
         observer: &dyn Observer,
         store: &dyn CheckpointStore,
     ) -> Result<TuneResult> {
-        let ckpt = recover_checkpoint(store, observer)?;
-        let snapshot_degraded = ckpt.as_ref().map_or(0, |c| c.snapshot.degraded_fits);
-        self.run_core(
+        driver::resume(
+            &self.config,
             source,
             candidates,
             oracle.into(),
             observer,
-            Some(store),
-            ckpt,
-        )
-        .map_err(|e| explain_degraded_divergence(e, snapshot_degraded))
-    }
-
-    /// The loop: Algorithm 1's phases over one [`RunState`]. `store`
-    /// enables per-iteration checkpointing; `resume_from` replays a
-    /// previous run's evaluation log before going live.
-    fn run_core(
-        &self,
-        source: &SourceData,
-        candidates: &[Vec<f64>],
-        oracle: OracleRef<'_>,
-        observer: &dyn Observer,
-        store: Option<&dyn CheckpointStore>,
-        resume_from: Option<Checkpoint>,
-    ) -> Result<TuneResult> {
-        let run_start = Instant::now();
-        let mut state = RunState::new(
-            &self.config,
-            source,
-            candidates,
-            oracle,
-            observer,
             store,
-            resume_from,
-        )?;
-        state.initialize()?;
-        state.run_loop()?;
-        // A run whose last checkpoint is also its last iteration replays
-        // its whole loop; the snapshot is verified here instead.
-        state.go_live_if_drained(state.iterations)?;
-        state.verify_front(run_start)
+        )
     }
 }
 
-/// Everything one run of Algorithm 1 carries from phase to phase. Each
-/// phase is one method; [`PpaTuner::run_core`] calls them in order.
-///
-/// Resume is deterministic replay: while `live` is false, every wave is
-/// served from the checkpoint's evaluation log instead of the oracle, and
-/// run-structure events and checkpoint writes are suppressed. The log
-/// drains exactly at the checkpoint's iteration boundary, where
-/// [`RunState::go_live_if_drained`] verifies the re-derived state against
-/// the checkpoint's snapshot and switches to live evaluation.
-struct RunState<'a, 'o> {
+/// Everything one run of Algorithm 1 carries from phase to phase: the
+/// loop core, which does no I/O. Each phase is one method. The core gets
+/// every wave's attempts from its [`Driver`] and calls
+/// [`Driver::boundary`] at the end of every iteration; it emits events
+/// whenever its observer is enabled.
+struct RunState<'a> {
     config: &'a PpaTunerConfig,
     source: &'a SourceData,
-    /// Its own lifetime: an `OracleRef` is invariant in it.
-    oracle: OracleRef<'o>,
+    /// The caller's observer, or the null sink while a resume replays
+    /// (the driver hands the caller's over when the log drains).
     observer: &'a dyn Observer,
-    /// The checkpoint store and the digests of the caller's candidates
-    /// and source data, which stay the run's identity however the pool
-    /// grows.
-    store: Option<(&'a dyn CheckpointStore, u64, u64)>,
-    /// The iteration the resumed checkpoint continues at and its
-    /// snapshot, verified once replay drains.
-    resume: Option<(usize, StateSnapshot)>,
-    /// Recorded attempts not yet replayed.
-    replay: VecDeque<EvalRecord>,
-    replayed_runs: usize,
     /// Every attempt so far, replayed or live (the next checkpoint's
     /// replay script, so failures are recorded too).
     log: Vec<EvalRecord>,
-    live: bool,
     /// Wave events of the initialization, held back until `RunStart` can
     /// be emitted (the run is not characterized until the first QoR
     /// arrives); `None` from then on.
     init_events: Option<Vec<Event>>,
-    /// Causal spans. IDs are allocated unconditionally along the run
-    /// structure but emitted only while live, so a resumed run's live
-    /// span IDs continue exactly where the interrupted trace stopped.
+    /// Causal spans. IDs are allocated along the run structure whether a
+    /// wave is replayed or live, so a resumed run's span IDs continue
+    /// exactly where the interrupted trace stopped.
     tracer: Tracer,
     run_span: OpenSpan,
+    run_start: Instant,
     rng: StdRng,
     workers: usize,
     /// The caller's candidates, followed by what the adaptive pool grows.
@@ -691,18 +641,15 @@ struct RunState<'a, 'o> {
     iterations: usize,
 }
 
-impl<'a, 'o> RunState<'a, 'o> {
-    /// Validates the inputs and sets up an empty run (or the replay of
-    /// `resume_from`).
+impl<'a> RunState<'a> {
+    /// Validates the inputs and sets up an empty run.
     fn new(
         config: &'a PpaTunerConfig,
         source: &'a SourceData,
         candidates: &[Vec<f64>],
-        oracle: OracleRef<'o>,
         observer: &'a dyn Observer,
-        store: Option<&'a dyn CheckpointStore>,
-        resume_from: Option<Checkpoint>,
     ) -> Result<Self> {
+        let run_start = Instant::now();
         config.validate()?;
         if candidates.is_empty() {
             return Err(TunerError::InvalidInput {
@@ -725,31 +672,18 @@ impl<'a, 'o> RunState<'a, 'o> {
                 reason: "candidates must be finite (no NaN/inf)",
             });
         }
-        if let Some(ckpt) = &resume_from {
-            ckpt.validate(config, candidates, source)
-                .map_err(|reason| TunerError::Checkpoint { reason })?;
-        }
-        let (resume, replay) = match resume_from {
-            Some(c) => (Some((c.next_iteration, c.snapshot)), c.eval_log.into()),
-            None => (None, VecDeque::new()),
-        };
         let tracer = Tracer::new();
         let run_span = tracer.open("run", None);
         let n = candidates.len();
         Ok(RunState {
             config,
             source,
-            oracle,
             observer,
-            store: store.map(|s| (s, digest_matrix(candidates), source_digest(source))),
-            resume,
-            live: replay.is_empty(),
-            replay,
-            replayed_runs: 0,
             log: Vec::new(),
             init_events: Some(Vec::new()),
             tracer,
             run_span,
+            run_start,
             rng: StdRng::seed_from_u64(config.seed),
             workers: config.fan_out_workers(),
             candidates: candidates.to_vec(),
@@ -781,9 +715,8 @@ impl<'a, 'o> RunState<'a, 'o> {
     /// Algorithm 1's iterations, until no candidate is undecided,
     /// selection finds nothing informative to measure, or
     /// `max_iterations` have run.
-    fn run_loop(&mut self) -> Result<()> {
+    fn run_loop(&mut self, driver: &mut Driver<'a, '_>) -> Result<()> {
         for t in 0..self.config.max_iterations {
-            self.go_live_if_drained(t)?;
             if !self.statuses.contains(&Status::Undecided) {
                 break;
             }
@@ -791,7 +724,10 @@ impl<'a, 'o> RunState<'a, 'o> {
             let iter_start = Instant::now();
             let iter_span = self.tracer.open("iteration", Some(&self.run_span));
             let iter_resources = GpCounters::snapshot();
-            if self.tracing() {
+            // Read once: a resume goes live at an iteration's boundary, and
+            // the iteration's span ends in the trace only if it started.
+            let traced = self.tracing();
+            if traced {
                 self.observer.emit(&iter_span.start_event());
             }
             // Attempts logged before this iteration: whether it logged any
@@ -804,10 +740,13 @@ impl<'a, 'o> RunState<'a, 'o> {
             // measure, the iteration is still recorded and checkpointed
             // like any other before the loop stops, so a resumed run can
             // skip straight past it.
-            let stop = self.classify(t, &iter_span) || !self.select_and_evaluate(t, &iter_span)?;
-            self.record(t, iter_start, &iter_resources, gp_fit_s, predict_s);
-            self.checkpoint(t, log_mark, &iter_span)?;
-            if self.tracing() {
+            let stop =
+                self.classify(t, &iter_span) || !self.select_and_evaluate(driver, t, &iter_span)?;
+            let runs = driver.runs();
+            self.record(t, iter_start, &iter_resources, gp_fit_s, predict_s, runs);
+            let logged = self.log.len() > log_mark;
+            driver.boundary(self, logged.then_some(&iter_span))?;
+            if traced {
                 self.observer.emit(&self.tracer.end_event(&iter_span));
             }
             if stop {
@@ -817,10 +756,9 @@ impl<'a, 'o> RunState<'a, 'o> {
         Ok(())
     }
 
-    /// Whether run-structure events go out: live (not replaying) and
-    /// observed.
+    /// Whether events go out.
     fn tracing(&self) -> bool {
-        self.live && self.observer.enabled()
+        self.observer.enabled()
     }
 
     /// Emits a wave event, or holds it back while initialization runs.
@@ -831,24 +769,17 @@ impl<'a, 'o> RunState<'a, 'o> {
         }
     }
 
-    /// Total tool runs: replayed attempts plus the live oracle's counter.
-    /// Matches the original run's `oracle.runs()` when resume was handed
-    /// a fresh oracle.
-    fn runs(&self) -> usize {
-        self.replayed_runs + self.oracle.runs()
-    }
-
     /// Initialization: a greedy maximin design seeded by a random pick
     /// (the random sampling of the paper with better space coverage for
     /// the same budget), evaluated in batch-sized waves. The accepted
     /// observations fix the objective count, δ, the hypervolume reference
     /// and the per-objective state of the loop.
-    fn initialize(&mut self) -> Result<()> {
+    fn initialize(&mut self, driver: &mut Driver<'a, '_>) -> Result<()> {
         let init_count = self.config.initial_samples.min(self.candidates.len());
         let init_idx = maximin_design(&self.candidates, init_count, &mut self.rng);
         let run_span = self.run_span.clone();
         for chunk in init_idx.chunks(self.config.batch_size) {
-            for (&i, qor) in chunk.iter().zip(self.wave(chunk, 0, &run_span)?) {
+            for (&i, qor) in chunk.iter().zip(self.wave(driver, chunk, 0, &run_span)?) {
                 let Some(y) = qor else { continue };
                 // The first accepted QoR fixes the objective count;
                 // siblings of that same wave were sanitized before it was
@@ -1288,7 +1219,12 @@ impl<'a, 'o> RunState<'a, 'o> {
     /// fallback wave gets its own selection event), so injected faults
     /// cost retries, not iterations. Returns whether anything was
     /// selected.
-    fn select_and_evaluate(&mut self, t: usize, iter_span: &OpenSpan) -> Result<bool> {
+    fn select_and_evaluate(
+        &mut self,
+        driver: &mut Driver<'a, '_>,
+        t: usize,
+        iter_span: &OpenSpan,
+    ) -> Result<bool> {
         let mut want = self.config.batch_size;
         let mut selected_any = false;
         while want > 0 {
@@ -1330,7 +1266,8 @@ impl<'a, 'o> RunState<'a, 'o> {
                 });
                 self.observer.emit(&self.tracer.end_event(&select_span));
             }
-            for (&i, qor) in members.iter().zip(self.wave(&members, t, iter_span)?) {
+            let accepted = self.wave(driver, &members, t, iter_span)?;
+            for (&i, qor) in members.iter().zip(accepted) {
                 if let Some(y) = qor {
                     self.regions[i].collapse_to(&y);
                     self.evaluated_flag[i] = true;
@@ -1349,23 +1286,16 @@ impl<'a, 'o> RunState<'a, 'o> {
     /// failure budget ran out). The only place that counts retries and
     /// failures and quarantines a candidate.
     ///
-    /// - **Replay** (not live): every member's attempts are read back from
-    ///   the checkpoint log. Checkpoints land at iteration — hence
-    ///   whole-wave — boundaries, so a log that ends inside a wave is
-    ///   damaged or foreign and refused.
-    /// - **Live**: members run their full retry sequences against frozen
-    ///   sanitization inputs ([`WaveCtx`]) — each on its own thread
-    ///   through a concurrent oracle ([`gp::fan_out`]; completion order is
-    ///   irrelevant because workers only *evaluate*), one after another
-    ///   through a serial one.
-    ///
-    /// Either way the outcomes are merged in batch order
+    /// The driver runs every member's retry sequence against frozen
+    /// sanitization inputs ([`WaveCtx`]), live or read back from a
+    /// checkpoint log, and the outcomes are merged in batch order
     /// ([`RunState::merge_member`]), so events, span IDs and the log do not
     /// depend on the oracle kind or thread timing. At `batch_size > 1` a
     /// `batch_eval` span (child of `parent`) wraps the members'
     /// `eval_attempt` spans; at 1 they hang directly under `parent`.
     fn wave(
         &mut self,
+        driver: &mut Driver<'a, '_>,
         members: &[usize],
         iteration: usize,
         parent: &OpenSpan,
@@ -1373,21 +1303,20 @@ impl<'a, 'o> RunState<'a, 'o> {
         let batch_span =
             (self.config.batch_size > 1).then(|| self.tracer.open("batch_eval", Some(parent)));
         let tracing = self.tracing();
-        let outcomes: Vec<MemberOutcome> = if self.live {
-            if let Some(span) = batch_span.as_ref().filter(|_| tracing) {
-                self.emit(span.start_event());
-            }
-            self.evaluate_live(members)
-        } else {
-            members
-                .iter()
-                .map(|&candidate| self.replay_member(candidate, iteration))
-                .collect::<Result<_>>()?
+        if let Some(span) = batch_span.as_ref().filter(|_| tracing) {
+            self.emit(span.start_event());
+        }
+        let ctx = WaveCtx {
+            candidates: &self.candidates,
+            n_obj: (self.n_obj > 0).then_some(self.n_obj),
+            gate: (!self.regions.is_empty()).then_some((&self.regions[..], &self.obs_span)),
+            max_attempts: self.config.max_eval_attempts,
         };
+        let outcomes = driver.attempts(members, &ctx, iteration)?;
         let attempt_parent = batch_span.as_ref().unwrap_or(parent);
         let mut accepted = Vec::with_capacity(members.len());
         for (&candidate, member) in members.iter().zip(outcomes) {
-            accepted.push(self.merge_member(member, candidate, iteration, attempt_parent)?);
+            accepted.push(self.merge_member(member, candidate, iteration, attempt_parent));
         }
         if let Some(span) = batch_span.as_ref().filter(|_| tracing) {
             let end = self.tracer.end_event(span);
@@ -1409,70 +1338,10 @@ impl<'a, 'o> RunState<'a, 'o> {
         Ok(accepted)
     }
 
-    /// Runs every member's retry sequence against the oracle.
-    fn evaluate_live(&mut self, members: &[usize]) -> Vec<MemberOutcome> {
-        let ctx = WaveCtx {
-            candidates: &self.candidates,
-            n_obj: (self.n_obj > 0).then_some(self.n_obj),
-            gate: (!self.regions.is_empty()).then_some((&self.regions[..], &self.obs_span)),
-        };
-        let max_attempts = self.config.max_eval_attempts;
-        match &mut self.oracle {
-            OracleRef::Concurrent(oracle) => {
-                let oracle = *oracle;
-                gp::fan_out(members.len(), members.len(), |pos| {
-                    let eval = |i: usize| oracle.evaluate_at(i, &ctx.candidates[i]);
-                    member_attempts(eval, members[pos], &ctx, max_attempts)
-                })
-            }
-            OracleRef::Serial(oracle) => members
-                .iter()
-                .map(|&candidate| {
-                    let eval = |i: usize| oracle.evaluate_at(i, &ctx.candidates[i]);
-                    member_attempts(eval, candidate, &ctx, max_attempts)
-                })
-                .collect(),
-        }
-    }
-
-    /// Reads one member's recorded attempts back from the replay log,
-    /// ending where the live retry policy would have.
-    fn replay_member(&mut self, candidate: usize, iteration: usize) -> Result<MemberOutcome> {
-        let mut attempts = Vec::with_capacity(1);
-        while attempts.len() < self.config.max_eval_attempts {
-            let Some(rec) = self.replay.pop_front() else {
-                return Err(TunerError::Checkpoint {
-                    reason: format!(
-                        "replay divergence: the log ends inside a wave of iteration {iteration}"
-                    ),
-                });
-            };
-            if rec.candidate != candidate {
-                return Err(TunerError::Checkpoint {
-                    reason: format!(
-                        "replay divergence: log holds candidate {}, the run requested {}",
-                        rec.candidate, candidate
-                    ),
-                });
-            }
-            self.replayed_runs += 1;
-            let outcome = match rec.outcome {
-                EvalOutcome::Accepted { qor } => Ok(qor),
-                EvalOutcome::Failed { error } => Err(error),
-            };
-            let last = ends_member(&outcome);
-            attempts.push((outcome, 0.0));
-            if last {
-                break;
-            }
-        }
-        Ok(MemberOutcome { attempts })
-    }
-
     /// Merges one member's attempts into the run, in batch order: allocates
     /// the per-attempt `eval_attempt` span IDs (late, at merge time — so
     /// IDs are worker-count independent and replay re-derives them),
-    /// emits the attempt events while live, counts retries and failures,
+    /// emits the attempt events, counts retries and failures,
     /// and appends every attempt to the log. Returns the accepted QoR.
     fn merge_member(
         &mut self,
@@ -1480,9 +1349,9 @@ impl<'a, 'o> RunState<'a, 'o> {
         candidate: usize,
         iteration: usize,
         parent: &OpenSpan,
-    ) -> Result<Option<Vec<f64>>> {
+    ) -> Option<Vec<f64>> {
         let tracing = self.tracing();
-        for (k, (outcome, duration_s)) in member.attempts.into_iter().enumerate() {
+        for (k, (outcome, duration_s)) in member.into_iter().enumerate() {
             let attempt = k + 1;
             if attempt > 1 {
                 self.eval_retries += 1;
@@ -1498,12 +1367,6 @@ impl<'a, 'o> RunState<'a, 'o> {
             if tracing {
                 self.emit(span.start_event());
             }
-            let outcome = match outcome {
-                // A caller bug (out-of-range index) aborts the run without
-                // being logged as an attempt.
-                Err(e) if !e.is_transient() => return Err(TunerError::Evaluation(e)),
-                outcome => outcome,
-            };
             self.log.push(EvalRecord {
                 candidate,
                 outcome: match &outcome {
@@ -1525,7 +1388,7 @@ impl<'a, 'o> RunState<'a, 'o> {
                         let end = self.tracer.end_event(&span);
                         self.emit(end);
                     }
-                    return Ok(Some(qor));
+                    return Some(qor);
                 }
                 Err(e) => e,
             };
@@ -1556,13 +1419,12 @@ impl<'a, 'o> RunState<'a, 'o> {
                 self.emit(end);
             }
         }
-        Ok(None)
+        None
     }
 
     /// Closes iteration `t`'s bookkeeping: the `ResourceSample`, the
     /// history row, and `IterationEnd` with the incremental hypervolume of
-    /// the evaluated set. Replayed iterations rebuild the history without
-    /// re-emitting events.
+    /// the evaluated set, after `runs` tool runs.
     fn record(
         &mut self,
         t: usize,
@@ -1570,6 +1432,7 @@ impl<'a, 'o> RunState<'a, 'o> {
         iter_resources: &GpCounters,
         gp_fit_s: f64,
         predict_s: f64,
+        runs: usize,
     ) {
         let tracing = self.tracing();
         if tracing {
@@ -1595,7 +1458,7 @@ impl<'a, 'o> RunState<'a, 'o> {
             pareto,
             dropped,
             quarantined,
-            runs: self.runs(),
+            runs,
             duration_s: iter_start.elapsed().as_secs_f64(),
             gp_fit_s,
             predict_s,
@@ -1619,131 +1482,15 @@ impl<'a, 'o> RunState<'a, 'o> {
         self.history.push(row);
     }
 
-    /// Persists the full resumable state at iteration `t`'s boundary —
-    /// live iterations only (replayed ones would rewrite what the
-    /// checkpoint already holds), and only iterations that logged at
-    /// least one attempt: resume replays the eval log, so the log must
-    /// drain exactly at the checkpointed boundary.
-    fn checkpoint(&mut self, t: usize, log_mark: usize, iter_span: &OpenSpan) -> Result<()> {
-        let Some((store, candidates_digest, source_digest)) = self.store else {
-            return Ok(());
-        };
-        if self.log.len() == log_mark {
-            return Ok(());
-        }
-        // Allocated whenever this iteration would checkpoint, replayed or
-        // not, so resumed runs re-derive the same span IDs.
-        let span = self.tracer.open("checkpoint", Some(iter_span));
-        if !self.live {
-            return Ok(());
-        }
-        let checkpoint = Checkpoint {
-            version: CHECKPOINT_VERSION,
-            next_iteration: t + 1,
-            config: self.config.clone(),
-            candidates_digest,
-            source_digest,
-            eval_log: self.log.clone(),
-            snapshot: self.snapshot(),
-        };
-        store
-            .save(&checkpoint)
-            .map_err(|e| TunerError::Checkpoint {
-                reason: e.to_string(),
-            })?;
-        if self.observer.enabled() {
-            self.observer.emit(&span.start_event());
-            self.observer.emit(&Event::Checkpoint {
-                iteration: t,
-                runs: self.runs(),
-                evals_logged: self.log.len(),
-            });
-            self.observer.emit(&self.tracer.end_event(&span));
-        }
-        Ok(())
-    }
-
-    /// The loop state a checkpoint stores, and what resume verifies.
-    fn snapshot(&self) -> StateSnapshot {
-        StateSnapshot {
-            statuses: self.statuses.iter().map(status_char).collect(),
-            evaluated: self.evaluated.len(),
-            runs: self.runs(),
-            rng_state: self.rng.state().to_vec(),
-            delta: self.delta.clone(),
-            regions_digest: digest_matrix(
-                self.regions
-                    .iter()
-                    .flat_map(|r| [r.optimistic(), r.pessimistic()]),
-            ),
-            degraded_fits: self.degraded_total,
-        }
-    }
-
-    /// Switches to live evaluation once replay has consumed the whole log,
-    /// after comparing the re-derived state at iteration `t` against the
-    /// checkpoint's snapshot: any divergence means the checkpoint does not
-    /// belong to this run (or determinism broke), and live evaluation must
-    /// not proceed.
-    fn go_live_if_drained(&mut self, t: usize) -> Result<()> {
-        if self.live || !self.replay.is_empty() {
-            return Ok(());
-        }
-        if let Some((next_iteration, expected)) = &self.resume {
-            let got = self.snapshot();
-            let mismatch = if t != *next_iteration {
-                Some(format!(
-                    "replay drained at iteration {t}, checkpoint expected {next_iteration}"
-                ))
-            } else if got.statuses != expected.statuses {
-                Some("candidate statuses diverged from the checkpoint snapshot".into())
-            } else if got.evaluated != expected.evaluated {
-                Some(format!(
-                    "replay produced {} observations, checkpoint recorded {}",
-                    got.evaluated, expected.evaluated
-                ))
-            } else if got.runs != expected.runs {
-                Some(format!(
-                    "replay produced {} tool runs, checkpoint recorded {} \
-                     (was the oracle fresh?)",
-                    got.runs, expected.runs
-                ))
-            } else if got.rng_state != expected.rng_state {
-                Some("RNG state diverged from the checkpoint snapshot".into())
-            } else if got.delta != expected.delta {
-                Some("δ thresholds diverged from the checkpoint snapshot".into())
-            } else if got.degraded_fits != expected.degraded_fits {
-                Some(format!(
-                    "replay produced {} degraded fits, checkpoint recorded {} \
-                     (was the fit-fault plan re-armed?)",
-                    got.degraded_fits, expected.degraded_fits
-                ))
-            } else if got.regions_digest != expected.regions_digest {
-                Some(format!(
-                    "uncertainty regions diverged from the checkpoint snapshot \
-                     (digest {:#x} != {:#x})",
-                    got.regions_digest, expected.regions_digest
-                ))
-            } else {
-                None
-            };
-            if let Some(reason) = mismatch {
-                return Err(TunerError::Checkpoint { reason });
-            }
-        }
-        self.live = true;
-        Ok(())
-    }
-
     /// Closing step of the paper's flow: the predicted Pareto set — the
     /// classified Pareto members, the surrogate's predicted front when the
     /// loop stopped early, and the measured front — is fed through the PD
     /// tool, and the final answer is its non-dominated subset on golden
     /// values.
-    fn verify_front(mut self, run_start: Instant) -> Result<TuneResult> {
+    fn verify_front(mut self, driver: &mut Driver<'a, '_>) -> Result<TuneResult> {
         // Final classification pass so late evaluations settle the sets.
         classify(&self.regions, &mut self.statuses, &self.delta);
-        let search_runs = self.runs();
+        let search_runs = driver.runs();
         let final_candidates = self.final_candidates()?;
         // Unmeasured members are evaluated in batch-sized waves (same
         // fan-out as the loop); `truth_vals` keeps `final_candidates`
@@ -1765,7 +1512,7 @@ impl<'a, 'o> RunState<'a, 'o> {
             // A member that could not be verified is quarantined by the
             // wave and left out of the reported set rather than vouched
             // for unmeasured.
-            let accepted = self.wave(&members, self.iterations, &run_span)?;
+            let accepted = self.wave(driver, &members, self.iterations, &run_span)?;
             for (&(slot, _), qor) in chunk.iter().zip(accepted) {
                 truth_vals[slot] = qor;
             }
@@ -1781,7 +1528,7 @@ impl<'a, 'o> RunState<'a, 'o> {
             .map(|j| truth[j].0)
             .collect();
 
-        let verification_runs = self.runs() - search_runs;
+        let verification_runs = driver.runs() - search_runs;
         let result = TuneResult {
             pareto_indices,
             runs: search_runs,
@@ -1795,13 +1542,13 @@ impl<'a, 'o> RunState<'a, 'o> {
             eval_retries: self.eval_retries,
             degraded_fits: self.degraded_total,
         };
-        if self.live && self.observer.enabled() {
+        if self.observer.enabled() {
             self.observer.emit(&Event::RunEnd {
                 iterations: result.iterations,
                 runs: result.runs,
                 verification_runs: result.verification_runs,
                 pareto: result.pareto_indices.len(),
-                duration_s: run_start.elapsed().as_secs_f64(),
+                duration_s: self.run_start.elapsed().as_secs_f64(),
             });
             self.observer.emit(&self.tracer.end_event(&self.run_span));
         }
@@ -1955,7 +1702,7 @@ fn status_counts(statuses: &[Status]) -> (usize, usize, usize, usize) {
     (undecided, pareto, dropped, quarantined)
 }
 
-/// Sanitization inputs of one evaluation wave, frozen at wave start.
+/// Inputs of one evaluation wave's retry loops, frozen at wave start.
 ///
 /// Workers must not observe state that other members of the same wave
 /// mutate (the merge updates regions and the observed span only after
@@ -1972,64 +1719,18 @@ struct WaveCtx<'a> {
     /// Outlier-gate inputs (`None` during initialization): all regions
     /// and the observed span.
     gate: Option<(&'a [UncertaintyRegion], &'a ObservedSpan)>,
-}
-
-impl WaveCtx<'_> {
-    fn sanitize(&self, candidate: usize, y: &[f64]) -> std::result::Result<(), String> {
-        sanitize_qor(
-            y,
-            self.n_obj,
-            self.gate.map(|(regions, span)| (&regions[candidate], span)),
-        )
-    }
-}
-
-/// Per-attempt results of one wave member, live or read back from the
-/// replay log: what [`RunState::merge_member`] turns into span IDs,
-/// events and log records.
-struct MemberOutcome {
-    /// `(outcome, duration_s)` per attempt, in attempt order. Ends early
-    /// on the first acceptance or non-transient error.
-    attempts: Vec<(std::result::Result<Vec<f64>, EvalError>, f64)>,
-}
-
-/// Whether an attempt ends its member's retry sequence: an acceptance, or
-/// an error retrying cannot fix.
-fn ends_member(outcome: &std::result::Result<Vec<f64>, EvalError>) -> bool {
-    match outcome {
-        Ok(_) => true,
-        Err(e) => !e.is_transient(),
-    }
-}
-
-/// Runs one member's full retry sequence against `eval`: sanitize
-/// accepted QoR, retry transient failures up to the budget, stop on
-/// acceptance or a non-transient error.
-fn member_attempts(
-    mut eval: impl FnMut(usize) -> std::result::Result<Vec<f64>, EvalError>,
-    candidate: usize,
-    ctx: &WaveCtx<'_>,
+    /// Attempts per member before it counts as failed.
     max_attempts: usize,
-) -> MemberOutcome {
-    let mut attempts = Vec::with_capacity(1);
-    for _ in 0..max_attempts {
-        let start = Instant::now();
-        let outcome = match eval(candidate) {
-            Ok(y) => match ctx.sanitize(candidate, &y) {
-                Ok(()) => Ok(y),
-                Err(detail) => Err(EvalError::InvalidQor { detail }),
-            },
-            Err(e) => Err(e),
-        };
-        let duration_s = start.elapsed().as_secs_f64();
-        let last = ends_member(&outcome);
-        attempts.push((outcome, duration_s));
-        if last {
-            break;
-        }
-    }
-    MemberOutcome { attempts }
 }
+
+/// One attempt's outcome: the accepted QoR, or why there is none.
+type Attempt = std::result::Result<Vec<f64>, EvalError>;
+
+/// One wave member's attempts in attempt order, live or read back from a
+/// checkpoint log, each with its wall-clock seconds: what
+/// [`RunState::merge_member`] turns into span IDs, events and log records.
+/// Ends early on the first acceptance.
+type MemberOutcome = Vec<(Attempt, f64)>;
 
 /// Running per-objective `[min, max]` of accepted observations, the span
 /// floor of the outlier gate.
@@ -2125,48 +1826,6 @@ fn sanitize_qor(
     Ok(())
 }
 
-/// Recovers the checkpoint the resume entry points start from, surfacing
-/// scan-back recoveries (chain stores skipping torn/corrupt entries) as a
-/// `RecoveryScan` trace event. Clean recoveries emit nothing, so existing
-/// resume traces stay byte-identical.
-fn recover_checkpoint(
-    store: &dyn CheckpointStore,
-    observer: &dyn Observer,
-) -> Result<Option<Checkpoint>> {
-    let recovery = store.recover().map_err(|e| TunerError::Checkpoint {
-        reason: e.to_string(),
-    })?;
-    if recovery.skipped > 0 && observer.enabled() {
-        observer.emit(&Event::RecoveryScan {
-            scanned: recovery.scanned,
-            skipped: recovery.skipped,
-            next_iteration: recovery.checkpoint.as_ref().map(|c| c.next_iteration),
-        });
-    }
-    Ok(recovery.checkpoint)
-}
-
-/// A replay that diverges before the drain boundary surfaces as a bare
-/// candidate mismatch, even when the real culprit is a forgotten fault
-/// plan: clean refits produce different models, which select different
-/// candidates. When the checkpoint recorded degraded fits, say so — the
-/// operator needs to re-arm the plan, not debug the selection.
-fn explain_degraded_divergence(err: TunerError, snapshot_degraded: usize) -> TunerError {
-    match err {
-        TunerError::Checkpoint { reason }
-            if snapshot_degraded > 0 && reason.starts_with("replay divergence") =>
-        {
-            TunerError::Checkpoint {
-                reason: format!(
-                    "{reason}; the checkpoint records {snapshot_degraded} degraded fits, \
-                     which replay re-derives only when the original fault plan is re-armed"
-                ),
-            }
-        }
-        other => other,
-    }
-}
-
 /// Predicts `[μ − √τ·σ, μ + √τ·σ]` boxes for the active candidates, one
 /// objective at a time, through one of two arms:
 ///
@@ -2227,6 +1886,7 @@ fn predict_boxes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
     use crate::oracle::VecOracle;
 
     /// A deterministic toy landscape: 1-D configurations, two objectives
@@ -3249,18 +2909,10 @@ mod tests {
                 ..slow_config()
             };
             let mut oracle = VecOracle::new(truth.clone());
-            let mut state = RunState::new(
-                &config,
-                &source,
-                &candidates,
-                OracleRef::from(&mut oracle),
-                &NULL_SINK,
-                None,
-                None,
-            )
-            .unwrap();
-            state.initialize().unwrap();
-            state.run_loop().unwrap();
+            let mut driver = Driver::new(OracleRef::from(&mut oracle), None, &candidates, &source);
+            let mut state = RunState::new(&config, &source, &candidates, &NULL_SINK).unwrap();
+            state.initialize(&mut driver).unwrap();
+            state.run_loop(&mut driver).unwrap();
             assert_eq!(state.iterations, config.max_iterations, "{arm}");
             classify(&state.regions, &mut state.statuses, &state.delta);
             assert!(
@@ -3346,22 +2998,14 @@ mod tests {
             };
             let mut oracle = VecOracle::new(truth.clone());
             let sink = obs::RecordingSink::new();
-            let mut state = RunState::new(
-                &config,
-                &source,
-                &candidates,
-                OracleRef::from(&mut oracle),
-                &sink,
-                None,
-                None,
-            )
-            .unwrap();
-            state.initialize().unwrap();
-            state.run_loop().unwrap();
+            let mut driver = Driver::new(OracleRef::from(&mut oracle), None, &candidates, &source);
+            let mut state = RunState::new(&config, &source, &candidates, &sink).unwrap();
+            state.initialize(&mut driver).unwrap();
+            state.run_loop(&mut driver).unwrap();
             let cache_lens: Vec<usize> =
                 state.predict_caches.iter().map(PredictCache::len).collect();
             let exact_sweep = state.exact_sweep;
-            let result = state.verify_front(Instant::now()).unwrap();
+            let result = state.verify_front(&mut driver).unwrap();
             (result, sink.events(), exact_sweep, cache_lens)
         };
         let (routed, routed_events, exact_sweep, cache_lens) = run(10);

@@ -6,8 +6,8 @@
 use benchgen::Scenario;
 use pdsim::ObjectiveSpace;
 use ppatuner::{
-    CheckpointStore, FileCheckpointStore, OracleRef, PpaTuner, PpaTunerConfig, SharedOracle,
-    SourceData, TunerError, VecOracle,
+    CheckpointStore, FileCheckpointStore, OracleRef, PpaTuner, PpaTunerConfig, QorOracle,
+    SharedOracle, SourceData, TunerError, VecOracle,
 };
 use testkit::chaos::{assert_same_outcome, tool_fault_plan, CaptureStore, FaultyVecOracle};
 
@@ -253,6 +253,57 @@ fn resume_refuses_a_log_that_ends_inside_a_wave() {
             other => panic!("{kind:?}: unexpected error: {other}"),
         }
     }
+}
+
+/// A checkpoint whose log holds no attempt still reaches the drain check:
+/// the log drains before the first wave, at iteration 0, so resume refuses
+/// it before the oracle runs, instead of silently restarting the run live.
+#[test]
+fn resume_refuses_a_checkpoint_with_an_empty_log() {
+    let s = setup();
+    let store = CaptureStore::default();
+    let mut oracle = VecOracle::new(s.truth.clone());
+    PpaTuner::new(s.config.clone())
+        .run_checkpointed(
+            &s.source,
+            &s.candidates,
+            &mut oracle,
+            &obs::NULL_SINK,
+            &store,
+        )
+        .expect("uninterrupted run succeeds");
+
+    let checkpoints = store.checkpoints();
+    let mut emptied = checkpoints[checkpoints.len() / 2].clone();
+    assert!(emptied.next_iteration > 0 && !emptied.eval_log.is_empty());
+    emptied.eval_log.clear();
+    let crash_point = CaptureStore::default();
+    crash_point.save(&emptied).unwrap();
+    let mut fresh = VecOracle::new(s.truth.clone());
+    let err = PpaTuner::new(s.config.clone())
+        .resume(
+            &s.source,
+            &s.candidates,
+            &mut fresh,
+            &obs::NULL_SINK,
+            &crash_point,
+        )
+        .expect_err("a checkpoint with an empty log must be refused");
+    match err {
+        TunerError::Checkpoint { reason } => assert_eq!(
+            reason,
+            format!(
+                "replay drained at iteration 0, checkpoint expected {}",
+                emptied.next_iteration
+            )
+        ),
+        other => panic!("unexpected error: {other}"),
+    }
+    assert_eq!(
+        fresh.runs(),
+        0,
+        "the oracle ran before the checkpoint was verified"
+    );
 }
 
 /// Resume also replays through injected failures: a fresh faulty oracle
