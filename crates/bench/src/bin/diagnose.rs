@@ -4,11 +4,12 @@
 //!
 //! Usage: `cargo run -p bench --release --bin diagnose [target_points]`
 
+use bench::{run_ppatuner, score};
 use benchgen::Scenario;
 use gp::optimize::{fit_transfer_gp, FitBudget};
 use gp::TaskData;
 use pdsim::ObjectiveSpace;
-use ppatuner::{PpaTuner, PpaTunerConfig, SourceData, VecOracle};
+use ppatuner::PpaTunerConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -39,16 +40,16 @@ fn main() {
     let mut idx: Vec<usize> = (0..candidates.len()).collect();
     idx.shuffle(&mut rng);
     let (train_idx, test_idx) = idx.split_at((points / 20).max(30));
+    let budget = FitBudget {
+        restarts: 2,
+        evals_per_restart: evals,
+    };
     for k in 0..space.dim() {
         let source = TaskData::new(sx.clone(), sy.iter().map(|v| v[k]).collect());
         let target = TaskData::new(
             train_idx.iter().map(|&i| candidates[i].clone()).collect(),
             train_idx.iter().map(|&i| table[i][k]).collect(),
         );
-        let budget = FitBudget {
-            restarts: 2,
-            evals_per_restart: evals,
-        };
         let (with_src, _) =
             fit_transfer_gp(&source, &target, candidates[0].len(), budget, &mut rng).unwrap();
         let (no_src, _) = fit_transfer_gp(
@@ -92,22 +93,15 @@ fn main() {
     }
 
     // --- Tuner trajectory.
-    let source = SourceData::new(sx, sy).unwrap();
-    let mut oracle = VecOracle::new(table.clone());
     let config = PpaTunerConfig {
         initial_samples: (points / 20).max(8),
         max_iterations: 30,
         refit_every: 25,
-        fit_budget: FitBudget {
-            restarts: 2,
-            evals_per_restart: evals,
-        },
+        fit_budget: budget,
         seed: 17,
         ..Default::default()
     };
-    let result = PpaTuner::new(config)
-        .run(&source, &candidates, &mut oracle)
-        .unwrap();
+    let result = run_ppatuner(&scenario, space, config, &obs::NULL_SINK);
     println!(
         "tuner: runs={} verify={} iterations={} |P|={}",
         result.runs,
@@ -121,17 +115,11 @@ fn main() {
             rec.iteration, rec.undecided, rec.pareto, rec.dropped, rec.runs
         );
     }
-    let golden = scenario.target().golden_front(space);
-    let predicted: Vec<Vec<f64>> = result
-        .pareto_indices
-        .iter()
-        .map(|&i| table[i].clone())
-        .collect();
-    let reference = pareto::hypervolume::reference_point(&table, 1.1).unwrap();
+    let s = score(&scenario, space, &result.pareto_indices, result.runs);
     println!(
         "HV={:.4} ADRS={:.4} golden |front|={}",
-        pareto::hypervolume::hypervolume_error(&golden, &predicted, &reference).unwrap(),
-        pareto::metrics::adrs(&golden, &predicted).unwrap(),
-        golden.len()
+        s.hv_error,
+        s.adrs,
+        scenario.target().golden_front(space).len()
     );
 }

@@ -8,29 +8,26 @@
 //! Writes `figure_convergence.csv`; the optional JSONL trace feeds
 //! `trace_report`.
 
-use bench::{BinArgs, Sinks};
+use bench::{run_ppatuner, BinArgs, Sinks};
 use benchgen::Scenario;
 use pdsim::ObjectiveSpace;
-use ppatuner::{PpaTuner, PpaTunerConfig, SourceData, VecOracle};
+use ppatuner::PpaTunerConfig;
 
 fn main() {
     let args = BinArgs::parse(17);
     let sinks = Sinks::from_args(&args);
-    let scenario = Scenario::two(args.seed);
-    let space = ObjectiveSpace::PowerDelay;
-    let candidates = scenario.target_candidates();
-    let (sx, sy) = scenario.source_xy(space);
-    let source = SourceData::new(sx, sy).expect("source");
-    let mut oracle = VecOracle::new(scenario.target_table(space));
     let config = PpaTunerConfig {
         initial_samples: 36,
         max_iterations: 60,
         seed: args.seed,
         ..Default::default()
     };
-    let result = PpaTuner::new(config)
-        .run_observed(&source, &candidates, &mut oracle, &sinks.observer())
-        .expect("tuning succeeds");
+    let result = run_ppatuner(
+        &Scenario::two(args.seed),
+        ObjectiveSpace::PowerDelay,
+        config,
+        &sinks.observer(),
+    );
 
     let mut csv = String::from("iteration,undecided,pareto,dropped,runs,duration_s,gp_fit_s\n");
     for rec in &result.history {

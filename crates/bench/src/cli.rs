@@ -7,6 +7,10 @@
 //!   `trace_report` bin);
 //! - `-q` / `--quiet` — only run-level progress on stderr;
 //! - `-v` / `--verbose` — per-fit and per-evaluation progress on stderr.
+//!
+//! Anything else — an unknown flag, a seed that is not an integer, a
+//! second positional argument, `--trace` without a path — prints the
+//! usage line and exits with code 2.
 
 use obs::{JsonlSink, MultiSink, Observer, StderrSink, Verbosity};
 
@@ -22,37 +26,50 @@ pub struct BinArgs {
 }
 
 impl BinArgs {
-    /// Parses `std::env::args()`, falling back to `default_seed`.
-    ///
-    /// Unknown flags are ignored so bins can add their own on top.
+    /// Parses `std::env::args()`, falling back to `default_seed`; a
+    /// command line it does not understand prints the usage line and
+    /// exits with code 2.
     pub fn parse(default_seed: u64) -> Self {
-        Self::parse_from(std::env::args().skip(1), default_seed)
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        Self::parse_from(argv, default_seed).unwrap_or_else(|e| {
+            let name = std::path::Path::new(&bin).file_name().unwrap_or_default();
+            eprintln!(
+                "error: {e}\nusage: {} [seed] [--trace <path>] [-q|-v]",
+                name.display()
+            );
+            std::process::exit(2);
+        })
     }
 
-    fn parse_from(args: impl Iterator<Item = String>, default_seed: u64) -> Self {
-        let mut out = BinArgs {
-            seed: default_seed,
-            trace: None,
-            verbosity: Verbosity::Normal,
-        };
-        let mut args = args.peekable();
-        let mut seed_seen = false;
+    fn parse_from(
+        mut args: impl Iterator<Item = String>,
+        default_seed: u64,
+    ) -> Result<Self, String> {
+        let (mut seed, mut trace, mut verbosity) = (None, None, Verbosity::Normal);
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--trace" => out.trace = args.next(),
-                "-q" | "--quiet" => out.verbosity = Verbosity::Quiet,
-                "-v" | "--verbose" => out.verbosity = Verbosity::Verbose,
-                other => {
-                    if !seed_seen {
-                        if let Ok(s) = other.parse() {
-                            out.seed = s;
-                            seed_seen = true;
-                        }
-                    }
+                "--trace" => match args.next() {
+                    Some(path) if !path.starts_with('-') => trace = Some(path),
+                    _ => return Err("--trace needs a path".into()),
+                },
+                "-q" | "--quiet" => verbosity = Verbosity::Quiet,
+                "-v" | "--verbose" => verbosity = Verbosity::Verbose,
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+                extra if seed.is_some() => return Err(format!("unexpected argument {extra:?}")),
+                s => {
+                    seed = Some(
+                        s.parse()
+                            .map_err(|_| format!("seed {s:?} is not an integer"))?,
+                    )
                 }
             }
         }
-        out
+        Ok(BinArgs {
+            seed: seed.unwrap_or(default_seed),
+            trace,
+            verbosity,
+        })
     }
 }
 
@@ -110,13 +127,13 @@ impl Sinks {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> BinArgs {
+    fn parse(args: &[&str]) -> Result<BinArgs, String> {
         BinArgs::parse_from(args.iter().map(|s| s.to_string()), 17)
     }
 
     #[test]
     fn default_seed_and_flags() {
-        let a = parse(&[]);
+        let a = parse(&[]).unwrap();
         assert_eq!(a.seed, 17);
         assert_eq!(a.trace, None);
         assert_eq!(a.verbosity, Verbosity::Normal);
@@ -124,18 +141,49 @@ mod tests {
 
     #[test]
     fn seed_trace_and_verbosity_in_any_order() {
-        let a = parse(&["--trace", "t.jsonl", "42", "-v"]);
+        let a = parse(&["--trace", "t.jsonl", "42", "-v"]).unwrap();
         assert_eq!(a.seed, 42);
         assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
         assert_eq!(a.verbosity, Verbosity::Verbose);
-        let b = parse(&["7", "--quiet"]);
+        let b = parse(&["7", "--quiet"]).unwrap();
         assert_eq!(b.seed, 7);
         assert_eq!(b.verbosity, Verbosity::Quiet);
     }
 
     #[test]
-    fn only_first_positional_is_the_seed() {
-        let a = parse(&["5", "9"]);
-        assert_eq!(a.seed, 5);
+    fn a_second_positional_is_refused() {
+        assert_eq!(
+            parse(&["5", "9"]),
+            Err("unexpected argument \"9\"".to_string())
+        );
+    }
+
+    #[test]
+    fn unknown_flags_and_non_integer_seeds_are_refused() {
+        assert_eq!(
+            parse(&["--trce", "t.jsonl"]),
+            Err("unknown flag \"--trce\"".to_string())
+        );
+        assert_eq!(
+            parse(&["seventeen"]),
+            Err("seed \"seventeen\" is not an integer".to_string())
+        );
+        assert!(parse(&["-1"]).is_err());
+        assert!(parse(&["17", "-x"]).is_err());
+    }
+
+    #[test]
+    fn trace_without_a_path_is_refused() {
+        for args in [
+            &["--trace"][..],
+            &["--trace", "-q"],
+            &["--trace", "--verbose", "3"],
+        ] {
+            assert_eq!(
+                parse(args),
+                Err("--trace needs a path".to_string()),
+                "{args:?}"
+            );
+        }
     }
 }
