@@ -8,8 +8,7 @@
 //!   front) and uncertain.
 //! - [`Mlcad19`] — *CAD tool design space exploration via Bayesian
 //!   optimization* (Ma et al., MLCAD'19): classical BO with the **lower
-//!   confidence bound** acquisition, scalarized with random weights per
-//!   iteration to sweep the front.
+//!   confidence bound** acquisition, scalarized with fixed equal weights.
 //! - [`Dac19`] — *A learning-based recommender system for autotuning
 //!   design flows* (Kwon et al., DAC'19): **matrix-factorization**
 //!   (latent-factor) prediction over discretized parameter levels with
@@ -19,8 +18,6 @@
 //!   **feature-importance-guided** sampling; importances are learned from
 //!   prior (source-task) data, the only baseline that uses it.
 //! - [`RandomSearch`] — uniform sampling control.
-//! - [`Nsga2`] — an NSGA-II evolutionary control (classical
-//!   non-model-based multi-objective search over the candidate set).
 //!
 //! Every baseline consumes the same interface as the main tuner — a
 //! candidate set, a [`ppatuner::QorOracle`], and a tool-run budget — and
@@ -35,15 +32,13 @@ mod aspdac20;
 mod common;
 mod dac19;
 mod mlcad19;
-mod nsga2;
 mod random;
 mod tcad19;
 
 pub use aspdac20::{Aspdac20, Aspdac20Params};
 pub use common::{BaselineError, BaselineResult};
 pub use dac19::{Dac19, Dac19Params};
-pub use mlcad19::{Mlcad19, Mlcad19Params, WeightStrategy};
-pub use nsga2::{Nsga2, Nsga2Params};
+pub use mlcad19::{Mlcad19, Mlcad19Params};
 pub use random::RandomSearch;
 pub use tcad19::{Tcad19, Tcad19Params};
 

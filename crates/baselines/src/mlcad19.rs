@@ -10,22 +10,9 @@ use gp::GpRegressor;
 use ppatuner::QorOracle;
 
 use crate::common::{
-    check_inputs, distinct_indices, evaluate_all, objective_ranges, random_weights, BaselineResult,
+    check_inputs, distinct_indices, evaluate_all, objective_ranges, BaselineResult,
 };
 use crate::Result;
-
-/// How the multi-objective LCB values are scalarized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeightStrategy {
-    /// Equal fixed weights every iteration — the faithful reading of
-    /// MLCAD'19's *classical* BO-LCB flow (one acquisition, one
-    /// preference). Concentrates the budget on one front region, which is
-    /// why the original underperforms on whole-front metrics.
-    Fixed,
-    /// A fresh random weight vector per iteration (ParEGO-style sweep) —
-    /// a stronger variant kept for ablations.
-    RandomSweep,
-}
 
 /// Options of the [`Mlcad19`] tuner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,8 +29,6 @@ pub struct Mlcad19Params {
     pub screen_size: usize,
     /// Re-select the GP lengthscale every this many iterations.
     pub refit_every: usize,
-    /// Scalarization strategy.
-    pub weights: WeightStrategy,
     /// RNG seed.
     pub seed: u64,
 }
@@ -56,20 +41,20 @@ impl Default for Mlcad19Params {
             kappa: 2.0,
             screen_size: 512,
             refit_every: 20,
-            weights: WeightStrategy::Fixed,
             seed: 0,
         }
     }
 }
 
-/// The MLCAD'19 baseline: per-objective GP surrogates, random-weight
+/// The MLCAD'19 baseline: per-objective GP surrogates, equal-weight
 /// scalarized LCB acquisition, fixed budget.
 ///
-/// Multi-objective handling follows the common BO recipe the paper's
-/// description implies: each iteration draws a fresh positive weight
-/// vector, scalarizes the per-objective normalized LCB values, and
-/// evaluates the screened candidate minimizing the scalarization —
-/// sweeping different regions of the trade-off curve across iterations.
+/// This is the faithful reading of MLCAD'19's *classical* BO-LCB flow:
+/// one acquisition, one preference. Each iteration sums the
+/// per-objective range-normalized LCB values with equal weights and
+/// evaluates the screened candidate minimizing that sum. Concentrating
+/// the budget on one front region is why the original underperforms on
+/// whole-front metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mlcad19 {
     params: Mlcad19Params,
@@ -141,11 +126,8 @@ impl Mlcad19 {
                     .collect()
             };
 
-            // Scalarized, range-normalized LCB.
-            let w = match self.params.weights {
-                WeightStrategy::Fixed => vec![1.0 / n_obj as f64; n_obj],
-                WeightStrategy::RandomSweep => random_weights(n_obj, &mut rng),
-            };
+            // Equal-weight, range-normalized LCB.
+            let w = 1.0 / n_obj as f64;
             let ranges = objective_ranges(&evaluated);
             let mut best: Option<(usize, f64)> = None;
             for &i in &screened {
@@ -154,7 +136,7 @@ impl Mlcad19 {
                     let (mu, var) = gpk.predict(&candidates[i])?;
                     let sd = var.max(0.0).sqrt();
                     let (lo, range) = ranges[k];
-                    acq += w[k] * ((mu - lo) / range - self.params.kappa * sd / range);
+                    acq += w * ((mu - lo) / range - self.params.kappa * sd / range);
                 }
                 match best {
                     Some((_, bv)) if bv <= acq => {}
@@ -219,45 +201,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.runs, 20);
         assert!(!r.pareto_indices.is_empty());
-    }
-
-    #[test]
-    fn sweep_variant_beats_random_on_structured_landscape() {
-        let (candidates, truth) = toy(100);
-        let golden: Vec<Vec<f64>> = pareto::front::pareto_front(&truth)
-            .into_iter()
-            .map(|i| truth[i].clone())
-            .collect();
-        let reference = pareto::hypervolume::reference_point(&truth, 1.1).unwrap();
-
-        let hv_err = |idx: &[usize]| {
-            let pts: Vec<Vec<f64>> = idx.iter().map(|&i| truth[i].clone()).collect();
-            pareto::hypervolume::hypervolume_error(&golden, &pts, &reference).unwrap()
-        };
-
-        let mut o1 = VecOracle::new(truth.clone());
-        let bo = Mlcad19::new(Mlcad19Params {
-            budget: 30,
-            weights: WeightStrategy::RandomSweep,
-            ..quick()
-        })
-        .tune(&candidates, &mut o1)
-        .unwrap();
-        // Average random over a few seeds for a stable comparison.
-        let mut rand_sum = 0.0;
-        for seed in 0..5 {
-            let mut o2 = VecOracle::new(truth.clone());
-            let rs = crate::RandomSearch::new(30, seed)
-                .tune(&candidates, &mut o2)
-                .unwrap();
-            rand_sum += hv_err(&rs.pareto_indices);
-        }
-        assert!(
-            hv_err(&bo.pareto_indices) <= rand_sum / 5.0 + 0.02,
-            "bo {} vs random {}",
-            hv_err(&bo.pareto_indices),
-            rand_sum / 5.0
-        );
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! trajectory, the learned transfer factor, and GP prediction quality on
 //! one scenario.
 //!
-//! Usage: `cargo run -p bench --release --bin diagnose [target_points]`
+//! Usage: `cargo run -p bench --release --bin diagnose [target_points]
+//! [one|two] [evals]` (defaults 400, two, 80). An argument it does not
+//! understand prints the usage line and exits with code 2.
 
 use bench::{run_ppatuner, score};
 use benchgen::Scenario;
@@ -14,17 +16,33 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Parses `[target_points] [one|two] [evals]`: whether the scenario is
+/// Scenario One, the target point count and the fit evaluations.
+fn parse(args: &[String]) -> Result<(bool, usize, usize), String> {
+    let int = |i: usize, default: usize, what: &str| match args.get(i) {
+        None => Ok(default),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("{what} {s:?} is not an integer")),
+    };
+    let one = match args.get(1).map(String::as_str) {
+        None | Some("two") => false,
+        Some("one") => true,
+        Some(s) => return Err(format!("unknown scenario {s:?}")),
+    };
+    if let Some(extra) = args.get(3) {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
+    Ok((one, int(0, 400, "target_points")?, int(2, 80, "evals")?))
+}
+
 fn main() {
-    let points: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(400);
-    let which = std::env::args().nth(2).unwrap_or_else(|| "two".into());
-    let evals: usize = std::env::args()
-        .nth(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(80);
-    let scenario = if which == "one" {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (one, points, evals) = parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: diagnose [target_points] [one|two] [evals]");
+        std::process::exit(2);
+    });
+    let scenario = if one {
         Scenario::one_with_counts(1, 1000, points).with_source_budget(200)
     } else {
         Scenario::two_with_counts(1, 500, points).with_source_budget(200)

@@ -1,7 +1,8 @@
 //! Regenerates **Table 1** of the paper: the statistics (min/max per
 //! benchmark) of the PD-tool parameters.
 //!
-//! Usage: `cargo run -p bench --release --bin table1`
+//! Usage: `cargo run -p bench --release --bin table1` (no arguments; any
+//! argument prints the usage line and exits with code 2).
 
 use benchgen::BenchmarkId;
 use doe::ParamKind;
@@ -42,6 +43,10 @@ fn cell(id: BenchmarkId, name: &str) -> (String, String) {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unexpected argument {arg:?}\nusage: table1");
+        std::process::exit(2);
+    }
     println!("Table 1: The statistics of parameters of the PD tool on benchmarks.");
     print!("{:<20}", "Parameters");
     for id in BenchmarkId::ALL {

@@ -110,19 +110,6 @@ impl Budgets {
             ppatuner_iters: 26,
         }
     }
-
-    /// Scaled-down budgets proportional to a reduced target size (for
-    /// smoke tests of the harness itself).
-    pub fn scaled(target_points: usize, reference_points: usize, reference: Budgets) -> Self {
-        let f = |v: usize| ((v * target_points) / reference_points).max(4);
-        Budgets {
-            fixed: f(reference.fixed),
-            tcad_cap: f(reference.tcad_cap),
-            dac_budget: f(reference.dac_budget),
-            ppatuner_init: f(reference.ppatuner_init).max(4),
-            ppatuner_iters: f(reference.ppatuner_iters).max(4),
-        }
-    }
 }
 
 /// Scores the true QoR values of a predicted Pareto set against the
@@ -408,14 +395,6 @@ pub fn render_table(title: &str, rows: &[(ObjectiveSpace, Vec<MethodScore>)]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budgets_scale_proportionally() {
-        let b = Budgets::scaled(500, 5000, Budgets::scenario_one());
-        assert_eq!(b.fixed, 40);
-        assert_eq!(b.dac_budget, 60);
-        assert!(b.ppatuner_init >= 4);
-    }
 
     #[test]
     fn method_labels_match_paper() {

@@ -10,8 +10,8 @@
 //! - [`Config`]: one concrete parameter configuration, with lossless
 //!   round-tripping through a unit-cube encoding ([`ParamSpace::encode`] /
 //!   [`ParamSpace::decode`]) — the representation surrogate models consume;
-//! - samplers: [`LatinHypercube`] (the paper's benchmark-construction
-//!   scheme, §4.1), [`sample_random`], and [`full_factorial`].
+//! - [`LatinHypercube`]: the paper's benchmark-construction sampler
+//!   (§4.1).
 //!
 //! # Example
 //!
@@ -47,7 +47,7 @@ mod space;
 pub use cells::{CellTree, Split};
 pub use config::{Config, ParamValue};
 pub use error::DoeError;
-pub use sampler::{full_factorial, sample_random, LatinHypercube};
+pub use sampler::LatinHypercube;
 pub use space::{ParamDef, ParamKind, ParamSpace};
 
 /// Convenience alias for results returned by this crate.

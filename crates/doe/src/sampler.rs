@@ -138,56 +138,6 @@ fn config_hash(c: &Config) -> u64 {
     h.finish()
 }
 
-/// Draws `n` i.i.d. uniform configurations from `space`.
-pub fn sample_random<R: Rng + ?Sized>(space: &ParamSpace, n: usize, rng: &mut R) -> Vec<Config> {
-    (0..n)
-        .map(|_| {
-            let unit: Vec<f64> = (0..space.dim()).map(|_| rng.gen::<f64>()).collect();
-            space.decode(&unit).expect("unit point has space dimension")
-        })
-        .collect()
-}
-
-/// Enumerates the full factorial design of a fully discrete space, using
-/// `levels_per_float` equally spaced levels for any continuous parameter.
-///
-/// The result is capped at `max_points` configurations (the cap guards
-/// against accidental combinatorial blow-ups); the enumeration is in
-/// mixed-radix order, so a cap truncates rather than subsamples.
-pub fn full_factorial(
-    space: &ParamSpace,
-    levels_per_float: usize,
-    max_points: usize,
-) -> Vec<Config> {
-    let levels: Vec<usize> = space
-        .iter()
-        .map(|p| p.levels().unwrap_or(levels_per_float.max(2)))
-        .collect();
-    let total: usize = levels
-        .iter()
-        .try_fold(1usize, |acc, &l| acc.checked_mul(l))
-        .unwrap_or(usize::MAX);
-    let n = total.min(max_points);
-    let mut out = Vec::with_capacity(n);
-    let d = space.dim();
-    let mut idx = vec![0usize; d];
-    for _ in 0..n {
-        let unit: Vec<f64> = (0..d)
-            .map(|j| (idx[j] as f64 + 0.5) / levels[j] as f64)
-            .collect();
-        out.push(space.decode(&unit).expect("unit point has space dimension"));
-        // Increment mixed-radix counter.
-        for j in (0..d).rev() {
-            idx[j] += 1;
-            if idx[j] < levels[j] {
-                break;
-            }
-            idx[j] = 0;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,45 +293,5 @@ mod tests {
         let neg = Config::new(vec![ParamValue::Float(-0.0)]);
         assert_eq!(pos, neg);
         assert_eq!(config_hash(&pos), config_hash(&neg));
-    }
-
-    #[test]
-    fn random_sampling_stays_in_domain() {
-        let space = ParamSpace::new(vec![
-            ParamDef::float("x", -5.0, 5.0).unwrap(),
-            ParamDef::int("k", 2, 7).unwrap(),
-        ])
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        for c in sample_random(&space, 50, &mut rng) {
-            assert!(space.validate(&c).is_ok());
-        }
-    }
-
-    #[test]
-    fn full_factorial_enumerates_discrete() {
-        let space = ParamSpace::new(vec![
-            ParamDef::enumeration("e", &["a", "b", "c"]).unwrap(),
-            ParamDef::boolean("f"),
-        ])
-        .unwrap();
-        let pts = full_factorial(&space, 2, 1000);
-        assert_eq!(pts.len(), 6);
-        // First point is (Enum(0), Bool(false)) in mixed-radix order.
-        assert_eq!(pts[0].values()[0], ParamValue::Enum(0));
-        assert_eq!(pts[0].values()[1], ParamValue::Bool(false));
-        // All distinct.
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                assert_ne!(pts[i], pts[j]);
-            }
-        }
-    }
-
-    #[test]
-    fn full_factorial_caps_size() {
-        let space = float_space(4);
-        let pts = full_factorial(&space, 10, 100);
-        assert_eq!(pts.len(), 100);
     }
 }

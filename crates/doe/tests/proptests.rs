@@ -1,7 +1,7 @@
 //! Property-based tests of parameter spaces, samplers, and the
 //! bisection cell tree behind the adaptive candidate pool.
 
-use doe::{full_factorial, sample_random, CellTree, LatinHypercube, ParamDef, ParamSpace};
+use doe::{CellTree, LatinHypercube, ParamDef, ParamSpace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +33,7 @@ proptest! {
     fn encode_decode_roundtrip_is_stable(space in arb_space(), seed in 0u64..1000) {
         // decode(encode(c)) == c for sampled configurations.
         let mut rng = StdRng::seed_from_u64(seed);
-        for c in sample_random(&space, 10, &mut rng) {
+        for c in LatinHypercube::new().sample(&space, 10, &mut rng) {
             let z = space.encode(&c).unwrap();
             prop_assert!(z.iter().all(|&u| (0.0..=1.0).contains(&u)));
             let back = space.decode(&z).unwrap();
@@ -133,22 +133,6 @@ proptest! {
                     Some(c),
                     "rep {} strayed from its leaf", rep
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn full_factorial_is_distinct_and_valid(space in arb_space()) {
-        let pts = full_factorial(&space, 3, 400);
-        for c in &pts {
-            prop_assert!(space.validate(c).is_ok());
-        }
-        if let Some(card) = space.cardinality() {
-            prop_assert_eq!(pts.len(), card.min(400));
-            for i in 0..pts.len() {
-                for j in (i + 1)..pts.len() {
-                    prop_assert_ne!(&pts[i], &pts[j]);
-                }
             }
         }
     }

@@ -14,7 +14,7 @@
 //! - [`Cholesky`]: `A = L·Lᵀ` factorization with solves and
 //!   log-determinant (the workhorse of GP training and inference).
 //! - [`solve`]: forward/backward triangular substitution helpers.
-//! - [`vecops`]: free functions on `&[f64]` (dot, distances, axpy, ...).
+//! - [`vecops`]: dot product and Euclidean distances on `&[f64]`.
 //!
 //! # Example
 //!

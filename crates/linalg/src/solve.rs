@@ -43,32 +43,6 @@ pub(crate) fn forward(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Ok(x)
 }
 
-/// Solves `U x = b` by backward substitution, reading only the upper
-/// triangle (including the diagonal) of `u`.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_lower`].
-pub fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    check_triangular_args(u, b, "solve_upper")?;
-    counters::add_tri_solve_rhs(1);
-    let n = u.rows();
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = b[i];
-        let row = u.row(i);
-        for (j, xj) in x.iter().enumerate().skip(i + 1) {
-            s -= row[j] * xj;
-        }
-        let d = row[i];
-        if d.abs() < f64::MIN_POSITIVE {
-            return Err(LinalgError::Singular { pivot: i });
-        }
-        x[i] = s / d;
-    }
-    Ok(x)
-}
-
 /// Solves `Lᵀ x = b` by backward substitution, reading only the lower
 /// triangle of `l` (useful after a Cholesky factorization, avoiding an
 /// explicit transpose).
@@ -312,22 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn upper_solve_matches_hand_computation() {
-        // U = [[2,1],[0,3]], b = [5, 6] → x = [1.5, 2]
-        let u = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]]).unwrap();
-        let x = solve_upper(&u, &[5.0, 6.0]).unwrap();
-        assert!((x[0] - 1.5).abs() < 1e-15);
-        assert!((x[1] - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn lower_transposed_equals_explicit_transpose() {
         let l =
             Matrix::from_rows(&[&[2.0, 0.0, 0.0], &[1.0, 3.0, 0.0], &[0.5, -1.0, 4.0]]).unwrap();
         let b = [1.0, -2.0, 3.0];
-        let via_t = solve_upper(&l.transpose(), &b).unwrap();
-        let direct = solve_lower_transposed(&l, &b).unwrap();
-        for (a, c) in via_t.iter().zip(&direct) {
+        let x = solve_lower_transposed(&l, &b).unwrap();
+        let back = l.transpose().matvec(&x).unwrap();
+        for (a, c) in back.iter().zip(&b) {
             assert!((a - c).abs() < 1e-14);
         }
     }
@@ -349,7 +314,7 @@ mod tests {
         ));
         let sq = Matrix::identity(2);
         assert!(matches!(
-            solve_upper(&sq, &[1.0]).unwrap_err(),
+            solve_lower_transposed(&sq, &[1.0]).unwrap_err(),
             LinalgError::ShapeMismatch { .. }
         ));
     }

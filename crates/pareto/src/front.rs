@@ -81,44 +81,6 @@ pub fn non_dominated_sort(points: &[Vec<f64>]) -> Vec<Vec<usize>> {
     fronts
 }
 
-/// NSGA-II crowding distance of each point *within one front*.
-///
-/// Boundary points of each objective get `f64::INFINITY`. Used by the
-/// baseline implementations for diversity-aware selection.
-pub fn crowding_distance(points: &[Vec<f64>]) -> Vec<f64> {
-    let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let m = points[0].len();
-    let mut dist = vec![0.0f64; n];
-    if n <= 2 {
-        return vec![f64::INFINITY; n];
-    }
-    #[allow(clippy::needless_range_loop)] // `obj` is a column index, not a row.
-    for obj in 0..m {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            points[a][obj]
-                .partial_cmp(&points[b][obj])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let lo = points[order[0]][obj];
-        let hi = points[order[n - 1]][obj];
-        dist[order[0]] = f64::INFINITY;
-        dist[order[n - 1]] = f64::INFINITY;
-        let range = hi - lo;
-        if range <= 0.0 {
-            continue;
-        }
-        for k in 1..(n - 1) {
-            let gap = points[order[k + 1]][obj] - points[order[k - 1]][obj];
-            dist[order[k]] += gap / range;
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,40 +143,5 @@ mod tests {
     #[test]
     fn nds_empty() {
         assert!(non_dominated_sort(&[]).is_empty());
-    }
-
-    #[test]
-    fn crowding_boundary_is_infinite() {
-        let pts = vec![
-            vec![1.0, 4.0],
-            vec![2.0, 3.0],
-            vec![3.0, 2.0],
-            vec![4.0, 1.0],
-        ];
-        let d = crowding_distance(&pts);
-        assert_eq!(d[0], f64::INFINITY);
-        assert_eq!(d[3], f64::INFINITY);
-        assert!(d[1].is_finite() && d[1] > 0.0);
-        assert!(d[2].is_finite() && d[2] > 0.0);
-    }
-
-    #[test]
-    fn crowding_small_fronts_all_infinite() {
-        assert_eq!(crowding_distance(&[vec![1.0, 1.0]]), vec![f64::INFINITY]);
-        assert_eq!(
-            crowding_distance(&[vec![1.0, 2.0], vec![2.0, 1.0]]),
-            vec![f64::INFINITY, f64::INFINITY]
-        );
-        assert!(crowding_distance(&[]).is_empty());
-    }
-
-    #[test]
-    fn crowding_degenerate_objective_range() {
-        // All equal in objective 0: the range-0 objective contributes
-        // nothing, but boundary markers still apply.
-        let pts = vec![vec![1.0, 1.0], vec![1.0, 2.0], vec![1.0, 3.0]];
-        let d = crowding_distance(&pts);
-        assert_eq!(d[0], f64::INFINITY);
-        assert_eq!(d[2], f64::INFINITY);
     }
 }

@@ -6,8 +6,7 @@
 //!
 //! - [`dominance`]: dominance tests, including the δ-relaxed variants the
 //!   tuner's decision rules need (Eqs. 11–12 of the paper);
-//! - [`front`]: non-dominated filtering, fast non-dominated sorting and
-//!   crowding distance (used by baseline implementations);
+//! - [`front`]: non-dominated filtering and fast non-dominated sorting;
 //! - [`hypervolume`]: exact hypervolume in 2-D (sweep), 3-D (slicing) and
 //!   n-D (WFG-style recursion), plus the hypervolume *error* of Eq. (2);
 //! - [`metrics`]: the ADRS indicator of Eq. (3).

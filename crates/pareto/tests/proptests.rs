@@ -1,7 +1,7 @@
 //! Property-based tests for the multi-objective utilities.
 
 use pareto::dominance::{compare, dominates, Dominance};
-use pareto::front::{crowding_distance, non_dominated_sort, pareto_front};
+use pareto::front::{non_dominated_sort, pareto_front};
 use pareto::hypervolume::{hypervolume, hypervolume_error, reference_point};
 use pareto::metrics::adrs;
 use proptest::prelude::*;
@@ -98,10 +98,5 @@ proptest! {
         let single = vec![pts[0].clone()];
         let v2 = adrs(&golden, &single).unwrap();
         prop_assert!(v2 >= -1e-12);
-    }
-
-    #[test]
-    fn crowding_lengths_match(pts in points_strategy(12, 2)) {
-        prop_assert_eq!(crowding_distance(&pts).len(), pts.len());
     }
 }

@@ -66,8 +66,8 @@ pub use checkpoint::{
 pub use decision::{classify, select_batch, BatchPick, DecisionOutcome, Status};
 pub use error::TunerError;
 pub use oracle::{
-    ConcurrentOracle, CountingOracle, EvalError, FallibleOracle, FnOracle, OracleRef, QorOracle,
-    SharedOracle, VecOracle, WatchdogOracle, WATCHDOG_STAGE,
+    ConcurrentOracle, EvalError, FallibleOracle, FnOracle, OracleRef, QorOracle, SharedOracle,
+    VecOracle, WatchdogOracle, WATCHDOG_STAGE,
 };
 pub use pool::{AdaptivePool, RefineOutcome};
 pub use region::UncertaintyRegion;

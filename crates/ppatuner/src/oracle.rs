@@ -181,43 +181,10 @@ impl QorOracle for VecOracle {
     }
 }
 
-/// Decorator that adds run counting to an infallible closure-based oracle
-/// — useful when the evaluation is a live `pdsim` flow rather than a
-/// table. For closures that can themselves fail, use [`FallibleOracle`].
-pub struct CountingOracle<F> {
-    f: F,
-    runs: usize,
-}
-
-impl<F: FnMut(usize) -> Vec<f64>> CountingOracle<F> {
-    /// Wraps an evaluation closure.
-    pub fn new(f: F) -> Self {
-        CountingOracle { f, runs: 0 }
-    }
-}
-
-impl<F: FnMut(usize) -> Vec<f64>> QorOracle for CountingOracle<F> {
-    fn evaluate(&mut self, index: usize) -> Result<Vec<f64>, EvalError> {
-        self.runs += 1;
-        Ok((self.f)(index))
-    }
-
-    fn runs(&self) -> usize {
-        self.runs
-    }
-}
-
-impl<F> std::fmt::Debug for CountingOracle<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CountingOracle")
-            .field("runs", &self.runs)
-            .finish()
-    }
-}
-
-/// Decorator that adds run counting to a *fallible* closure-based oracle
-/// — the bridge for live flows that can crash or time out (for example a
-/// `pdsim::PdFlow` run under a `pdsim::FaultPlan`).
+/// Decorator that adds run counting to a closure-based oracle — the
+/// bridge for live flows, including those that can crash or time out
+/// (for example a `pdsim::PdFlow` run under a `pdsim::FaultPlan`). A
+/// closure that cannot fail returns `Ok(qor)`.
 pub struct FallibleOracle<F> {
     f: F,
     runs: usize,
@@ -586,14 +553,6 @@ mod tests {
         o.evaluate(0).unwrap();
         assert_eq!(o.runs(), 3);
         assert_eq!(o.table().len(), 2);
-    }
-
-    #[test]
-    fn counting_oracle_wraps_closures() {
-        let mut o = CountingOracle::new(|i| vec![i as f64 * 2.0]);
-        assert_eq!(o.evaluate(3).unwrap(), vec![6.0]);
-        assert_eq!(o.runs(), 1);
-        assert!(format!("{o:?}").contains("runs"));
     }
 
     #[test]

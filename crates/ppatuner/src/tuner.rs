@@ -1667,8 +1667,10 @@ fn gp_fit_event(
         lambda: model.lambda(),
         restarts: report.map_or(0, |r| r.restarts),
         evals: report.map_or(0, |r| r.evals),
-        cached_evals: report.map_or(0, |r| r.cached_evals),
-        fresh_evals: report.map_or(0, |r| r.fresh_evals),
+        // Every search evaluation runs off the fit cache; only the
+        // winning θ is fit from raw data.
+        cached_evals: report.map_or(0, |r| r.evals),
+        fresh_evals: usize::from(report.is_some()),
         log_marginal: model.log_marginal_likelihood(),
         jitter: model.jitter(),
         duration_s,
@@ -2159,7 +2161,7 @@ mod tests {
     // ---------------------------------------------- fault tolerance
 
     use crate::checkpoint::{CheckpointError, MemoryCheckpointStore};
-    use crate::oracle::{CountingOracle, FallibleOracle};
+    use crate::oracle::FallibleOracle;
     use std::cell::RefCell;
     use std::collections::HashMap;
 
@@ -2303,11 +2305,11 @@ mod tests {
         let (candidates, truth) = toy(40);
         let source = shifted_source(&candidates, &truth);
         let bad_truth = truth.clone();
-        let mut oracle = CountingOracle::new(move |i: usize| {
+        let mut oracle = FallibleOracle::new(move |i: usize| {
             if i % 2 == 1 {
-                vec![f64::NAN, f64::INFINITY]
+                Ok(vec![f64::NAN, f64::INFINITY])
             } else {
-                bad_truth[i].clone()
+                Ok(bad_truth[i].clone())
             }
         });
         let result = PpaTuner::new(quick_config())

@@ -1,12 +1,12 @@
 //! Driving the tuner against a **live** PD flow instead of a precomputed
 //! table: define a custom design and parameter space, wrap `pdsim` in a
-//! [`ppatuner::CountingOracle`], and tune.
+//! [`ppatuner::FallibleOracle`], and tune.
 //!
 //! Run with: `cargo run --release --example custom_flow`
 
 use doe::{LatinHypercube, ParamDef, ParamSpace};
 use pdsim::{Design, MacConfig, ObjectiveSpace, PdFlow, ToolParams};
-use ppatuner::{CountingOracle, PpaTuner, PpaTunerConfig, QorOracle, SourceData};
+use ppatuner::{FallibleOracle, PpaTuner, PpaTunerConfig, QorOracle, SourceData};
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,9 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A live oracle: each evaluation actually runs the flow.
     let objective = ObjectiveSpace::AreaPowerDelay;
-    let mut oracle = CountingOracle::new(|i: usize| {
+    let mut oracle = FallibleOracle::new(|i: usize| {
         let params = ToolParams::from_config(&space, &configs[i]).expect("valid config");
-        flow.run(&params).project(objective)
+        Ok(flow.run(&params).project(objective))
     });
 
     let config = PpaTunerConfig {

@@ -200,16 +200,16 @@ fn scenario_candidates_are_jointly_encoded() {
 
 #[test]
 fn live_flow_oracle_counts_runs() {
-    use ppatuner::{CountingOracle, QorOracle};
+    use ppatuner::{FallibleOracle, QorOracle};
     let flow = PdFlow::new(Design::mac_small(3));
     let space = BenchmarkId::Source2.space();
     let bench = Benchmark::generate_with_count(BenchmarkId::Source2, 5);
     let configs: Vec<_> = bench.configs().to_vec();
-    let mut oracle = CountingOracle::new(|i: usize| {
+    let mut oracle = FallibleOracle::new(|i: usize| {
         let params = ToolParams::from_config(&space, &configs[i]).expect("valid");
-        flow.run(&params).project(ObjectiveSpace::AreaPowerDelay)
+        Ok(flow.run(&params).project(ObjectiveSpace::AreaPowerDelay))
     });
-    let y = oracle.evaluate(0).expect("closure oracles are infallible");
+    let y = oracle.evaluate(0).expect("the flow itself never fails");
     assert_eq!(y.len(), 3);
     assert_eq!(oracle.runs(), 1);
 }
