@@ -4,10 +4,10 @@
 //! Usage: `cargo run -p bench --release --bin ablation_delta [seed]
 //!         [--trace <path>] [-q|-v]`
 
-use bench::{run_ppatuner, score, BinArgs, Sinks};
+use bench::{ablation_runs, BinArgs, MethodScore, Sinks};
 use benchgen::Scenario;
 use pdsim::ObjectiveSpace;
-use ppatuner::PpaTunerConfig;
+use ppatuner::{PpaTunerConfig, TuneResult};
 
 fn main() {
     let args = BinArgs::parse(17);
@@ -22,38 +22,27 @@ fn main() {
         "delta", "HV", "ADRS", "runs", "verify", "iters"
     );
     for delta_rel in [0.0, 0.01, 0.02, 0.05, 0.10, 0.20] {
-        let mut hv = 0.0;
-        let mut ad = 0.0;
-        let mut runs = 0.0;
-        let mut verify = 0.0;
-        let mut iters = 0.0;
-        let seeds = [seed, seed + 7, seed + 19];
-        for &sd in &seeds {
-            let config = PpaTunerConfig {
-                initial_samples: 36,
-                // Generous cap: δ controls where classification stops.
-                max_iterations: 60,
-                delta_rel,
-                seed: sd,
-                ..Default::default()
-            };
-            let r = run_ppatuner(&scenario, space, config, &sinks.observer());
-            let s = score(&scenario, space, &r.pareto_indices, r.runs);
-            hv += s.hv_error;
-            ad += s.adrs;
-            runs += r.runs as f64;
-            verify += r.verification_runs as f64;
-            iters += r.iterations as f64;
-        }
-        let n = seeds.len() as f64;
+        let config = |sd| PpaTunerConfig {
+            initial_samples: 36,
+            // Generous cap: δ controls where classification stops.
+            max_iterations: 60,
+            delta_rel,
+            seed: sd,
+            ..Default::default()
+        };
+        let runs = ablation_runs(&scenario, space, seed, config, &sinks);
+        let n = runs.len() as f64;
+        let mean = |f: fn(&(TuneResult, MethodScore)) -> f64| {
+            runs.iter().map(f).fold(0.0, |acc, v| acc + v) / n
+        };
         println!(
             "{:>8.2} {:>8.4} {:>8.4} {:>6.0} {:>8.0} {:>8.0}",
             delta_rel,
-            hv / n,
-            ad / n,
-            runs / n,
-            verify / n,
-            iters / n
+            mean(|(_, s)| s.hv_error),
+            mean(|(_, s)| s.adrs),
+            mean(|(r, _)| r.runs as f64),
+            mean(|(r, _)| r.verification_runs as f64),
+            mean(|(r, _)| r.iterations as f64)
         );
     }
     sinks.flush();

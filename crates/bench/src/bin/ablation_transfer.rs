@@ -4,10 +4,10 @@
 //! Usage: `cargo run -p bench --release --bin ablation_transfer [seed]
 //!         [--trace <path>] [-q|-v]`
 
-use bench::{run_ppatuner, score, BinArgs, Sinks};
+use bench::{ablation_runs, BinArgs, MethodScore, Sinks};
 use benchgen::Scenario;
 use pdsim::ObjectiveSpace;
-use ppatuner::PpaTunerConfig;
+use ppatuner::{PpaTunerConfig, TuneResult};
 
 fn main() {
     let args = BinArgs::parse(17);
@@ -28,29 +28,22 @@ fn main() {
         let no_source = scenario.clone().with_source_budget(0);
         for space in [ObjectiveSpace::PowerDelay, ObjectiveSpace::AreaPowerDelay] {
             for (label, tuned) in [("transfer", &scenario), ("no-transfer", &no_source)] {
-                let mut hv = 0.0;
-                let mut ad = 0.0;
-                let mut runs = 0;
-                let seeds = [seed, seed + 7, seed + 19];
-                for &sd in &seeds {
-                    let config = PpaTunerConfig {
-                        initial_samples: init,
-                        max_iterations: iters,
-                        seed: sd,
-                        ..Default::default()
-                    };
-                    let r = run_ppatuner(tuned, space, config, &sinks.observer());
-                    let s = score(tuned, space, &r.pareto_indices, r.runs);
-                    hv += s.hv_error;
-                    ad += s.adrs;
-                    runs += r.runs;
-                }
-                let n = seeds.len() as f64;
+                let config = |sd| PpaTunerConfig {
+                    initial_samples: init,
+                    max_iterations: iters,
+                    seed: sd,
+                    ..Default::default()
+                };
+                let runs = ablation_runs(tuned, space, seed, config, &sinks);
+                let n = runs.len() as f64;
+                let mean = |f: fn(&(TuneResult, MethodScore)) -> f64| {
+                    runs.iter().map(f).fold(0.0, |acc, v| acc + v) / n
+                };
                 println!(
                     "{name} {space} {label:<12} HV={:.4} ADRS={:.4} runs={:.0}",
-                    hv / n,
-                    ad / n,
-                    runs as f64 / n
+                    mean(|(_, s)| s.hv_error),
+                    mean(|(_, s)| s.adrs),
+                    mean(|(r, _)| r.runs as f64)
                 );
             }
         }

@@ -254,6 +254,32 @@ pub fn run_ppatuner(
         .expect("ppatuner runs")
 }
 
+/// One ablation point: PPATuner with `config(seed)` on one objective
+/// space of a scenario, at each of the ablations' three seeds `seed`,
+/// `seed + 7` and `seed + 19`, each run scored against the golden front.
+/// Returns the runs in seed order; each ablation averages what it
+/// reports.
+///
+/// # Panics
+///
+/// Panics when the tuner errors (see [`run_method_observed`]).
+pub fn ablation_runs(
+    scenario: &Scenario,
+    space: ObjectiveSpace,
+    seed: u64,
+    config: impl Fn(u64) -> PpaTunerConfig,
+    sinks: &Sinks,
+) -> Vec<(TuneResult, MethodScore)> {
+    [seed, seed + 7, seed + 19]
+        .into_iter()
+        .map(|sd| {
+            let r = run_ppatuner(scenario, space, config(sd), &sinks.observer());
+            let s = score(scenario, space, &r.pareto_indices, r.runs);
+            (r, s)
+        })
+        .collect()
+}
+
 fn source_data(scenario: &Scenario, space: ObjectiveSpace) -> SourceData {
     let (sx, sy) = scenario.source_xy(space);
     SourceData::new(sx, sy).expect("source data is consistent")

@@ -31,22 +31,13 @@ use crate::{Config, ParamSpace, ParamValue};
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LatinHypercube {
-    /// When `true`, each sample sits at the center of its stratum instead
-    /// of a uniformly random position inside it.
-    centered: bool,
-}
+pub struct LatinHypercube;
 
 impl LatinHypercube {
-    /// Creates a sampler with random in-stratum jitter (the usual LHS).
+    /// Creates a sampler; each point sits at a uniformly random position
+    /// inside its stratum.
     pub fn new() -> Self {
-        LatinHypercube { centered: false }
-    }
-
-    /// Creates a centered sampler (deterministic given the permutation):
-    /// each point sits at its stratum midpoint.
-    pub fn centered() -> Self {
-        LatinHypercube { centered: true }
+        LatinHypercube
     }
 
     /// Draws `n` configurations from `space`.
@@ -77,8 +68,7 @@ impl LatinHypercube {
                 let unit: Vec<f64> = (0..d)
                     .map(|j| {
                         let stratum = perms[j][i] as f64;
-                        let offset = if self.centered { 0.5 } else { rng.gen::<f64>() };
-                        (stratum + offset) / n as f64
+                        (stratum + rng.gen::<f64>()) / n as f64
                     })
                     .collect();
                 space.decode(&unit).expect("unit point has space dimension")
@@ -170,21 +160,6 @@ mod tests {
                 hits[k] += 1;
             }
             assert!(hits.iter().all(|&h| h == 1), "axis {axis}: {hits:?}");
-        }
-    }
-
-    #[test]
-    fn lhs_centered_hits_midpoints() {
-        let space = float_space(1);
-        let mut rng = StdRng::seed_from_u64(1);
-        let pts = LatinHypercube::centered().sample(&space, 4, &mut rng);
-        let mut vals: Vec<f64> = pts
-            .iter()
-            .map(|c| c.values()[0].as_float().unwrap())
-            .collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (v, want) in vals.iter().zip([0.125, 0.375, 0.625, 0.875]) {
-            assert!((v - want).abs() < 1e-12);
         }
     }
 

@@ -44,15 +44,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows × cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -181,13 +172,6 @@ impl Matrix {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
-    /// Copies the main diagonal into a new vector.
-    pub fn diag(&self) -> Vec<f64> {
-        (0..self.rows.min(self.cols))
-            .map(|i| self[(i, i)])
-            .collect()
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -251,15 +235,6 @@ impl Matrix {
             .collect())
     }
 
-    /// Elementwise sum `self + rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when shapes differ.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "add", |a, b| a + b)
-    }
-
     /// Elementwise difference `self - rhs`.
     ///
     /// # Errors
@@ -267,15 +242,6 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] when shapes differ.
     pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
         self.zip_with(rhs, "sub", |a, b| a - b)
-    }
-
-    /// Returns `self` scaled by `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * s).collect(),
-        }
     }
 
     /// Adds `value` to every diagonal entry in place (jitter/regularizer).
@@ -425,7 +391,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.col(2), vec![3.0, 6.0]);
-        assert_eq!(m.diag(), vec![1.0, 5.0]);
     }
 
     #[test]
@@ -466,21 +431,20 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn sub_is_elementwise() {
         let a = sample();
-        let s = a.add(&a).unwrap();
-        assert_eq!(s[(1, 2)], 12.0);
-        let d = s.sub(&a).unwrap();
-        assert_eq!(d, a);
-        assert_eq!(a.scale(2.0), s);
-        assert!(a.add(&a.transpose()).is_err());
+        let d = a.sub(&Matrix::identity(3).submatrix(0, 2, 0, 3)).unwrap();
+        assert_eq!(d[(0, 0)], 0.0);
+        assert_eq!(d[(1, 1)], 4.0);
+        assert_eq!(d[(1, 2)], 6.0);
+        assert!(a.sub(&a.transpose()).is_err());
     }
 
     #[test]
     fn add_diag_shifts_only_the_diagonal() {
         let mut m = Matrix::from_rows(&[&[1.0, 4.0], &[0.0, 1.0]]).unwrap();
         m.add_diag(1.0);
-        assert_eq!(m.diag(), vec![2.0, 2.0]);
+        assert_eq!((m[(0, 0)], m[(1, 1)]), (2.0, 2.0));
         assert_eq!(m[(0, 1)], 4.0);
     }
 

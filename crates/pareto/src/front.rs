@@ -5,11 +5,10 @@ use crate::dominance::{compare, Dominance};
 /// Indices of the non-dominated points of `points` (minimization), in
 /// ascending index order.
 ///
-/// Duplicate optimal points are all kept (they dominate nothing and are
-/// dominated by nothing). Points with NaN coordinates never enter the
-/// front of a set that contains a finite point dominating them — but since
-/// NaN compares incomparable, callers should filter NaN beforehand if they
-/// want them excluded.
+/// Of equal optimal points only the first is kept. Points with NaN
+/// coordinates never enter the front of a set that contains a finite
+/// point dominating them — but since NaN compares incomparable, callers
+/// should filter NaN beforehand if they want them excluded.
 pub fn pareto_front(points: &[Vec<f64>]) -> Vec<usize> {
     let mut keep = Vec::new();
     'outer: for (i, p) in points.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Deterministic fault injection for surrogate calibration.
 //!
-//! The degraded-mode run supervisor (see `PpaTuner`'s refit loop) only
+//! The degraded-mode run supervisor (the tuner's `Surrogate`) only
 //! exists because real Gaussian-process calibrations blow up: the jitter
 //! ladder runs out on an ill-conditioned joint kernel, or the
 //! hyper-parameter search walks into a NaN. Those failures are rare and

@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use gp::optimize::{fit_transfer_gps, restart_starts, FitBudget, FitJob, FitReport};
-use gp::{GpCounters, PredictCache, SubsetPredictor, TaskData, TransferGp};
+use gp::optimize::FitBudget;
+use gp::{GpCounters, TaskData};
 use obs::{Event, Observer, OpenSpan, Tracer, NULL_SINK};
 use serde::{Deserialize, Serialize};
 
@@ -17,18 +17,12 @@ use crate::decision::{classify, select_batch, Status};
 use crate::oracle::{EvalError, OracleRef, WATCHDOG_STAGE};
 use crate::pool::AdaptivePool;
 use crate::region::UncertaintyRegion;
-use crate::supervisor;
 use crate::{Result, TunerError};
 
 mod driver;
+mod surrogate;
 use driver::Driver;
-
-/// `DegradedFit.mode` when the failed refit was replaced by a data-only
-/// refit reusing the last-good hyper-parameters.
-const DEGRADED_REFIT_REUSED: &str = "refit-reused-hypers";
-/// `DegradedFit.mode` when the last-good model served the iteration
-/// unchanged.
-const DEGRADED_FROZEN: &str = "frozen";
+use surrogate::Surrogate;
 
 /// Diversity penalty strength γ ∈ [0, 1) of the batch selection rule
 /// ([`select_batch`]): a pick's score is `diam · (1 − γ·red)`, where `red`
@@ -571,7 +565,8 @@ impl PpaTuner {
 /// loop core, which does no I/O. Each phase is one method. The core gets
 /// every wave's attempts from its [`Driver`] and calls
 /// [`Driver::boundary`] at the end of every iteration; it emits events
-/// whenever its observer is enabled.
+/// whenever its observer is enabled. The per-objective models are its
+/// [`Surrogate`]'s.
 struct RunState<'a> {
     config: &'a PpaTunerConfig,
     source: &'a SourceData,
@@ -592,7 +587,6 @@ struct RunState<'a> {
     run_span: OpenSpan,
     run_start: Instant,
     rng: StdRng,
-    workers: usize,
     /// The caller's candidates, followed by what the adaptive pool grows.
     candidates: Vec<Vec<f64>>,
     /// Objective count; 0 until the first accepted QoR fixes it.
@@ -607,33 +601,8 @@ struct RunState<'a> {
     delta: Vec<f64>,
     /// Fixed hypervolume reference of the trace's `IterationEnd` events.
     hv_reference: Vec<f64>,
-    source_tasks: Vec<TaskData>,
     pool: Option<AdaptivePool>,
-    /// Per-objective surrogates, persistent across iterations: full
-    /// hyper-parameter refits replace them, warm iterations extend them
-    /// in place (`condition_on`) with the observations made since.
-    models: Option<Vec<TransferGp>>,
-    /// How many entries of `evaluated` each objective's model has seen.
-    /// Per-objective because a degraded (frozen) model lags its peers
-    /// until a later calibration catches it up on everything it missed.
-    conditioned_upto: Vec<usize>,
-    /// Per-objective predict caches, persistent like the models: warm
-    /// iterations only append rows to the joint factor, so each undecided
-    /// candidate's forward-substitution prefix survives and the sweep
-    /// pays only the new tail. Refits invalidate via the fit epoch.
-    /// Results are bit-identical either way.
-    predict_caches: Vec<PredictCache>,
-    /// Whether the last predict sweep ran on the exact arm, whose caches
-    /// then hold every still-undecided candidate at the current models.
-    exact_sweep: bool,
-    /// Degraded-mode supervisor: calibrations served by a last-good model
-    /// in total, and in consecutive iterations (past
-    /// `degraded_fit_budget`, the run aborts). Replay re-derives both, so
-    /// an injected fault plan must be re-armed on resume; the snapshot
-    /// check catches a forgotten one.
-    degraded_total: usize,
-    degraded_streak: usize,
-    last_degraded_cause: String,
+    surrogate: Surrogate<'a>,
     quarantined: Vec<usize>,
     eval_failures: usize,
     eval_retries: usize,
@@ -685,7 +654,6 @@ impl<'a> RunState<'a> {
             run_span,
             run_start,
             rng: StdRng::seed_from_u64(config.seed),
-            workers: config.fan_out_workers(),
             candidates: candidates.to_vec(),
             n_obj: 0,
             evaluated: Vec::new(),
@@ -695,15 +663,8 @@ impl<'a> RunState<'a> {
             obs_span: ObservedSpan::new(0),
             delta: Vec::new(),
             hv_reference: Vec::new(),
-            source_tasks: Vec::new(),
             pool: None,
-            models: None,
-            conditioned_upto: Vec::new(),
-            predict_caches: Vec::new(),
-            exact_sweep: false,
-            degraded_total: 0,
-            degraded_streak: 0,
-            last_degraded_cause: String::new(),
+            surrogate: Surrogate::new(config, source),
             quarantined: Vec::new(),
             eval_failures: 0,
             eval_retries: 0,
@@ -733,7 +694,20 @@ impl<'a> RunState<'a> {
             // Attempts logged before this iteration: whether it logged any
             // decides whether it is a checkpoint boundary.
             let log_mark = self.log.len();
-            let gp_fit_s = self.calibrate(t, &iter_span)?;
+            let fit_span = self.tracer.open("gp_fit", Some(&iter_span));
+            if traced {
+                self.observer.emit(&fit_span.start_event());
+            }
+            let gp_fit_s = self.surrogate.calibrate(
+                t,
+                &self.candidates,
+                &self.evaluated,
+                &mut self.rng,
+                self.observer,
+            )?;
+            if traced {
+                self.observer.emit(&self.tracer.end_event(&fit_span));
+            }
             let predict_s = self.predict(t)?;
             // When classification just settled the last undecided
             // candidate, or selection finds nothing informative to
@@ -861,275 +835,28 @@ impl<'a> RunState<'a> {
             self.regions[*i].collapse_to(y);
             self.obs_span.absorb(y);
         }
-        self.source_tasks = (0..n_obj).map(|k| self.source.task_data(k)).collect();
         // The adaptive pool (when enabled) wraps the candidates in a
         // bisection cell tree; refinement happens inside the loop once
         // uncertainty regions carry evidence.
         if self.config.adaptive_pool {
             self.pool = Some(AdaptivePool::new(&self.candidates)?);
         }
-        self.conditioned_upto = vec![0; n_obj];
-        self.predict_caches = (0..n_obj).map(|_| PredictCache::new()).collect();
         Ok(())
     }
 
-    /// Model calibration (Algorithm 1, lines 4–6): a full hyper-parameter
-    /// refit every `refit_every` iterations, a warm `condition_on`
-    /// extension in between, each with the degraded-mode fallback.
-    /// Returns the phase's wall-clock seconds.
-    fn calibrate(&mut self, t: usize, iter_span: &OpenSpan) -> Result<f64> {
-        let fit_phase = Instant::now();
-        let fit_span = self.tracer.open("gp_fit", Some(iter_span));
-        if self.tracing() {
-            self.observer.emit(&fit_span.start_event());
-        }
-        let degraded_before = self.degraded_total;
-        if self.models.is_none() || t.is_multiple_of(self.config.refit_every.max(1)) {
-            self.refit(t)?;
-        } else {
-            self.condition(t)?;
-        }
-        if self.degraded_total > degraded_before {
-            self.degraded_streak += 1;
-            if self.degraded_streak > self.config.degraded_fit_budget {
-                return Err(TunerError::DegradationBudgetExhausted {
-                    consecutive: self.degraded_streak,
-                    cause: std::mem::take(&mut self.last_degraded_cause),
-                });
-            }
-        } else {
-            self.degraded_streak = 0;
-        }
-        let gp_fit_s = fit_phase.elapsed().as_secs_f64();
-        if self.tracing() {
-            self.observer.emit(&self.tracer.end_event(&fit_span));
-        }
-        Ok(gp_fit_s)
-    }
-
-    /// Replaces every objective's surrogate by a fresh hyper-parameter
-    /// fit. An objective whose fit fails recoverably keeps its last-good
-    /// model instead: refit on the current data with its hyper-parameters,
-    /// or frozen when that fails too.
-    fn refit(&mut self, t: usize) -> Result<()> {
-        let n_obj = self.n_obj;
-        let dim = self.candidates[0].len();
-        // One shared encoded copy of the evaluated configurations; each
-        // objective's task view only materializes its own QoR column.
-        let target_x: Arc<Vec<Vec<f64>>> = Arc::new(
-            self.evaluated
-                .iter()
-                .map(|(i, _)| self.candidates[*i].clone())
-                .collect(),
-        );
-        let target_tasks: Vec<TaskData> = (0..n_obj)
-            .map(|k| {
-                TaskData::from_shared(
-                    Arc::clone(&target_x),
-                    self.evaluated.iter().map(|(_, y)| y[k]).collect(),
-                )
-            })
-            .collect();
-        // Pre-draw every objective's restart starts sequentially
-        // (objective order), then fan the independent (objective ×
-        // restart) searches out: the RNG stream — and therefore the
-        // result — is identical at any worker count.
-        let starts: Vec<Vec<Vec<f64>>> = (0..n_obj)
-            .map(|_| restart_starts(dim, self.config.fit_budget.restarts, &mut self.rng))
-            .collect();
-        // Injected numerical faults (chaos suites) are decided here on the
-        // coordinator thread — a pure hash of (iteration, objective) — so
-        // the fit workers stay oblivious to the thread-local plan and
-        // replay re-derives identical decisions. Faulted objectives are
-        // not fitted.
-        let injected: Vec<Option<gp::GpError>> = (0..n_obj)
-            .map(|k| supervisor::injected_fault(supervisor::FitStage::Refit, t, k))
-            .collect();
-        let jobs: Vec<FitJob<'_>> = (0..n_obj)
-            .filter(|&k| injected[k].is_none())
-            .map(|k| FitJob {
-                source: &self.source_tasks[k],
-                target: &target_tasks[k],
-                starts: &starts[k],
-            })
-            .collect();
-        let mut fitted =
-            fit_transfer_gps(&jobs, dim, self.config.fit_budget, self.workers).into_iter();
-        let outs: Vec<gp::Result<(TransferGp, FitReport)>> = injected
-            .into_iter()
-            .map(|fault| match fault {
-                Some(e) => Err(e),
-                None => fitted.next().expect("one fit per unfaulted objective"),
-            })
-            .collect();
-        // Last-good surrogates, one slot per objective. None before the
-        // bootstrap fit.
-        let mut prev_models: Vec<Option<TransferGp>> = match self.models.take() {
-            Some(v) => v.into_iter().map(Some).collect(),
-            None => (0..n_obj).map(|_| None).collect(),
-        };
-        let mut models: Vec<TransferGp> = Vec::with_capacity(n_obj);
-        for (k, out) in outs.into_iter().enumerate() {
-            match out {
-                Ok((model, report)) => {
-                    if self.tracing() {
-                        let event = gp_fit_event(t, k, &model, Some(&report), report.duration_s);
-                        self.observer.emit(&event);
-                    }
-                    self.conditioned_upto[k] = self.evaluated.len();
-                    models.push(model);
-                }
-                Err(e) if e.is_recoverable() && prev_models[k].is_some() => {
-                    let prev = prev_models[k].take().expect("just checked");
-                    let fallback =
-                        match supervisor::injected_fault(supervisor::FitStage::Fallback, t, k) {
-                            Some(fe) => Err(fe),
-                            None => prev.refit_data_only(
-                                self.source_tasks[k].clone(),
-                                target_tasks[k].clone(),
-                            ),
-                        };
-                    let (model, mode) = match fallback {
-                        Ok(m) => {
-                            self.conditioned_upto[k] = self.evaluated.len();
-                            (m, DEGRADED_REFIT_REUSED)
-                        }
-                        // Frozen: the conditioning mark stays put, so the
-                        // next successful calibration catches this
-                        // objective up on what it missed.
-                        Err(_) => (prev, DEGRADED_FROZEN),
-                    };
-                    self.degrade(t, k, &e, mode);
-                    models.push(model);
-                }
-                // Structural failure, or no last-good model to degrade to
-                // (the bootstrap fit): abort.
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.models = Some(models);
-        Ok(())
-    }
-
-    /// Warm iteration: extends each persistent surrogate with the
-    /// observations made since its factorization — a rank-k Cholesky
-    /// append instead of a from-scratch refit. A numerically rejected
-    /// extension freezes that objective's model for this iteration
-    /// (`condition_on` leaves it untouched on error); its conditioning
-    /// mark stays put so a later calibration catches it up.
-    fn condition(&mut self, t: usize) -> Result<()> {
-        let mut models = self.models.take().expect("warm path follows a refit");
-        for (k, model) in models.iter_mut().enumerate() {
-            let fit_start = Instant::now();
-            let fresh = &self.evaluated[self.conditioned_upto[k]..];
-            let new_x: Vec<Vec<f64>> = fresh
-                .iter()
-                .map(|(i, _)| self.candidates[*i].clone())
-                .collect();
-            let new_y: Vec<f64> = fresh.iter().map(|(_, y)| y[k]).collect();
-            let outcome = match supervisor::injected_fault(supervisor::FitStage::Condition, t, k) {
-                Some(e) => Err(e),
-                None => model.condition_on(&new_x, &new_y),
-            };
-            match outcome {
-                Ok(()) => {
-                    self.conditioned_upto[k] = self.evaluated.len();
-                    if self.tracing() {
-                        let duration_s = fit_start.elapsed().as_secs_f64();
-                        self.observer
-                            .emit(&gp_fit_event(t, k, model, None, duration_s));
-                    }
-                }
-                Err(e) if e.is_recoverable() => self.degrade(t, k, &e, DEGRADED_FROZEN),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.models = Some(models);
-        Ok(())
-    }
-
-    /// Degraded mode: objective `k`'s calibration failed with `cause` and
-    /// a last-good model serves the iteration in `mode`. A `DegradedFit`
-    /// event replaces the objective's `GpFit`, so clean traces are
-    /// untouched.
-    fn degrade(&mut self, t: usize, k: usize, cause: &gp::GpError, mode: &str) {
-        self.degraded_total += 1;
-        self.last_degraded_cause = cause.to_string();
-        if self.tracing() {
-            self.observer.emit(&Event::DegradedFit {
-                iteration: t,
-                objective: k,
-                cause: cause.to_string(),
-                mode: mode.to_string(),
-                consecutive: self.degraded_streak + 1,
-            });
-        }
-    }
-
-    /// Predicts `μ ± √τ·σ` boxes for the active, unmeasured candidates and
-    /// intersects them into the regions — through the exact posterior, or
-    /// the subset-of-data path once the training set outgrows both
-    /// `sod_threshold` and `sod_subset` — then grows the adaptive pool and
-    /// boxes its new candidates. Returns the phase's wall-clock seconds.
+    /// Intersects the surrogate's `μ ± √τ·σ` boxes for the active,
+    /// unmeasured candidates into their regions, then grows the adaptive
+    /// pool and boxes its new candidates in the same sweep. Returns the
+    /// phase's wall-clock seconds.
     fn predict(&mut self, t: usize) -> Result<f64> {
         let predict_phase = Instant::now();
-        let tracing = self.tracing();
-        let models = self.models.as_deref().expect("models exist past fitting");
-        // Past `sod_threshold` the run is in the subset-of-data regime, but
-        // a subset of `sod_subset >= train_size` anchors keeps every point:
-        // it is the exact posterior re-factored in maximin order, so such
-        // sweeps go through the exact arm and its caches. Subset predictors
-        // are rebuilt from the freshly calibrated models each iteration, so
-        // they never lag the exact posterior's data.
-        let train_size = self.source.len() + self.evaluated.len();
-        let subset_regime = train_size > self.config.sod_threshold;
-        let sod: Option<Vec<SubsetPredictor>> =
-            if subset_regime && self.config.sod_subset < train_size {
-                Some(
-                    models
-                        .iter()
-                        .map(|m| m.subset_predictor(self.config.sod_subset))
-                        .collect::<gp::Result<_>>()?,
-                )
-            } else {
-                None
-            };
         let active: Vec<usize> = (0..self.candidates.len())
             .filter(|&i| self.statuses[i].is_active() && !self.evaluated_flag[i])
             .collect();
-        // PredictMode is only in the trace when the SoD feature is
-        // actually configured — legacy traces stay byte-identical.
-        if tracing && self.config.sod_threshold != usize::MAX {
-            self.observer.emit(&Event::PredictMode {
-                iteration: t,
-                train_size,
-                subset_size: sod
-                    .as_ref()
-                    .and_then(|preds| preds.first())
-                    .map_or(train_size, SubsetPredictor::subset_size),
-                queries: active.len(),
-                mode: if subset_regime { "subset" } else { "exact" }.into(),
-            });
-        }
-        // One sweep per iteration: entries untouched since the last sweep
-        // belong to classified/pruned candidates and are evicted; the
-        // active-set and pool-refinement predicts share the new stamp.
-        for cache in &mut self.predict_caches {
-            cache.begin_sweep();
-        }
-        self.exact_sweep = sod.is_none();
-        let (tau, workers) = (self.config.tau, self.workers);
-        let boxes = predict_boxes(
-            models,
-            sod.as_deref(),
-            &self.candidates,
-            &active,
-            tau,
-            workers,
-            &mut self.predict_caches,
-        )?;
-        for (pos, &i) in active.iter().enumerate() {
-            let (lo, hi) = &boxes[pos];
+        let boxes = self
+            .surrogate
+            .boxes(&self.candidates, &active, self.observer)?;
+        for (&i, (lo, hi)) in active.iter().zip(&boxes) {
             self.regions[i].intersect(lo, hi);
         }
 
@@ -1155,21 +882,14 @@ impl<'a> RunState<'a> {
                     self.evaluated_flag.push(false);
                 }
                 let fresh: Vec<usize> = (before..self.candidates.len()).collect();
-                let fresh_boxes = predict_boxes(
-                    models,
-                    sod.as_deref(),
-                    &self.candidates,
-                    &fresh,
-                    tau,
-                    workers,
-                    &mut self.predict_caches,
-                )?;
-                for (pos, &i) in fresh.iter().enumerate() {
-                    let (lo, hi) = &fresh_boxes[pos];
+                let boxes = self
+                    .surrogate
+                    .boxes(&self.candidates, &fresh, self.observer)?;
+                for (&i, (lo, hi)) in fresh.iter().zip(&boxes) {
                     self.regions[i].intersect(lo, hi);
                 }
             }
-            if tracing {
+            if self.tracing() {
                 self.observer.emit(&Event::PoolRefine {
                     iteration: t,
                     splits: outcome.splits,
@@ -1540,7 +1260,7 @@ impl<'a> RunState<'a> {
             quarantined: self.quarantined,
             eval_failures: self.eval_failures,
             eval_retries: self.eval_retries,
-            degraded_fits: self.degraded_total,
+            degraded_fits: self.surrogate.degraded_fits(),
         };
         if self.observer.enabled() {
             self.observer.emit(&Event::RunEnd {
@@ -1560,46 +1280,18 @@ impl<'a> RunState<'a> {
     /// the loop stopped before full classification and
     /// `include_predicted_front` is set) the surrogate's predicted front
     /// over the still-undecided candidates, then the measured front.
-    ///
-    /// The models have not changed since the loop's last predict sweep.
-    /// After an exact sweep the predicted means are read from its warm
-    /// caches: every undecided candidate was in that sweep, so each is a
-    /// hit with no tail left to solve. After a truncating subset sweep
-    /// the exact means are predicted uncached, so the caches do not grow.
-    /// Both give the same bits.
     fn final_candidates(&mut self) -> Result<Vec<usize>> {
         let mut out: Vec<usize> = (0..self.candidates.len())
             .filter(|&i| self.statuses[i] == Status::Pareto)
             .collect();
-        if let Some(models) = self
-            .models
-            .as_ref()
-            .filter(|_| self.config.include_predicted_front)
-        {
+        if self.config.include_predicted_front {
             let undecided: Vec<usize> = (0..self.candidates.len())
                 .filter(|&i| self.statuses[i] == Status::Undecided && !self.evaluated_flag[i])
                 .collect();
-            if !undecided.is_empty() {
-                let queries: Vec<&[f64]> = undecided
-                    .iter()
-                    .map(|&i| self.candidates[i].as_slice())
-                    .collect();
-                let ids: Vec<u64> = undecided.iter().map(|&i| i as u64).collect();
-                let mut mus: Vec<Vec<f64>> = vec![Vec::with_capacity(self.n_obj); undecided.len()];
-                for (model, cache) in models.iter().zip(&mut self.predict_caches) {
-                    let preds = if self.exact_sweep {
-                        model.predict_latent_batch_cached(&ids, &queries, self.workers, cache)?
-                    } else {
-                        model.predict_latent_batch(&queries, self.workers)?
-                    };
-                    for (q, (mu, _)) in preds.into_iter().enumerate() {
-                        mus[q].push(mu);
-                    }
-                }
-                for j in pareto::front::pareto_front(&mus) {
-                    if !out.contains(&undecided[j]) {
-                        out.push(undecided[j]);
-                    }
+            let mus = self.surrogate.means(&self.candidates, &undecided)?;
+            for j in pareto::front::pareto_front(&mus) {
+                if !out.contains(&undecided[j]) {
+                    out.push(undecided[j]);
                 }
             }
         }
@@ -1645,36 +1337,6 @@ fn maximin_design(candidates: &[Vec<f64>], count: usize, rng: &mut StdRng) -> Ve
         is_picked[next] = true;
     }
     picked
-}
-
-/// The `GpFit` event of objective `k`'s calibrated model: a full refit
-/// when `report` is given, a warm `condition_on` extension otherwise.
-fn gp_fit_event(
-    iteration: usize,
-    objective: usize,
-    model: &TransferGp,
-    report: Option<&FitReport>,
-    duration_s: f64,
-) -> Event {
-    let cfg = model.config();
-    Event::GpFit {
-        iteration,
-        objective,
-        refit: report.is_some(),
-        lengthscales: cfg.lengthscales.clone(),
-        signal_var: cfg.signal_var,
-        noise_target: cfg.noise_target,
-        lambda: model.lambda(),
-        restarts: report.map_or(0, |r| r.restarts),
-        evals: report.map_or(0, |r| r.evals),
-        // Every search evaluation runs off the fit cache; only the
-        // winning θ is fit from raw data.
-        cached_evals: report.map_or(0, |r| r.evals),
-        fresh_evals: usize::from(report.is_some()),
-        log_marginal: model.log_marginal_likelihood(),
-        jitter: model.jitter(),
-        duration_s,
-    }
 }
 
 /// The single-character trace encoding of a [`Status`] (see
@@ -1826,63 +1488,6 @@ fn sanitize_qor(
         }
     }
     Ok(())
-}
-
-/// Predicts `[μ − √τ·σ, μ + √τ·σ]` boxes for the active candidates, one
-/// objective at a time, through one of two arms:
-///
-/// - exact: each objective's transfer GP, with its [`PredictCache`]
-///   (keyed by the stable candidate indices), so warm sweeps pay only
-///   the conditioning tail per cached candidate;
-/// - subset-of-data (`sod` given, only when the subset drops training
-///   points): each objective's [`SubsetPredictor`]. Its anchors are
-///   re-chosen every iteration, so a prefix cache could never hit and
-///   this arm predicts from scratch.
-///
-/// The gp layer fans fixed-size query chunks over `workers` threads.
-/// Batch prediction is bit-identical however the queries are chunked or
-/// cached, so the boxes — and everything downstream of them — do not
-/// depend on the worker count or cache state.
-fn predict_boxes(
-    models: &[TransferGp],
-    sod: Option<&[SubsetPredictor]>,
-    candidates: &[Vec<f64>],
-    active: &[usize],
-    tau: f64,
-    workers: usize,
-    caches: &mut [PredictCache],
-) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
-    let n_obj = models.len();
-    let scale = tau.sqrt();
-    let queries: Vec<&[f64]> = active.iter().map(|&i| candidates[i].as_slice()).collect();
-    // Candidate indices are stable (pool refinement only appends), so
-    // they double as cache keys across iterations.
-    let ids: Vec<u64> = active.iter().map(|&i| i as u64).collect();
-    let preds: Vec<Vec<(f64, f64)>> = match sod {
-        Some(preds) => preds
-            .iter()
-            .map(|p| p.predict_latent_batch(&queries, workers))
-            .collect::<gp::Result<_>>()?,
-        None => models
-            .iter()
-            .zip(caches)
-            .map(|(m, cache)| m.predict_latent_batch_cached(&ids, &queries, workers, cache))
-            .collect::<gp::Result<_>>()?,
-    };
-
-    let mut out = Vec::with_capacity(queries.len());
-    for q in 0..queries.len() {
-        let mut lo = Vec::with_capacity(n_obj);
-        let mut hi = Vec::with_capacity(n_obj);
-        for preds_k in &preds {
-            let (mu, var) = preds_k[q];
-            let sd = var.max(0.0).sqrt();
-            lo.push(mu - scale * sd);
-            hi.push(mu + scale * sd);
-        }
-        out.push((lo, hi));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -2893,11 +2498,11 @@ mod tests {
         assert_same_outcome(&full, &resumed);
     }
 
-    /// The final predicted front reads the last sweep's warm caches on the
-    /// exact arm and predicts uncached on the subset arm; either way it
-    /// must name the same candidates as an uncached recomputation. Every
-    /// undecided candidate is a cache hit (no cache grows), and the subset
-    /// arm leaves its caches empty.
+    /// The final predicted front reads the loop's predict caches: on the
+    /// exact arm every undecided candidate is a warm hit (no cache grows),
+    /// on the subset arm a miss. Either way it must name the same
+    /// candidates as an uncached recomputation, the same read with every
+    /// cache dropped first.
     #[test]
     fn final_front_matches_an_uncached_recomputation() {
         let (candidates, truth) = toy(60);
@@ -2911,8 +2516,9 @@ mod tests {
                 ..slow_config()
             };
             let mut oracle = VecOracle::new(truth.clone());
+            let sink = obs::RecordingSink::new();
             let mut driver = Driver::new(OracleRef::from(&mut oracle), None, &candidates, &source);
-            let mut state = RunState::new(&config, &source, &candidates, &NULL_SINK).unwrap();
+            let mut state = RunState::new(&config, &source, &candidates, &sink).unwrap();
             state.initialize(&mut driver).unwrap();
             state.run_loop(&mut driver).unwrap();
             assert_eq!(state.iterations, config.max_iterations, "{arm}");
@@ -2921,20 +2527,24 @@ mod tests {
                 state.statuses.contains(&Status::Undecided),
                 "{arm}: the loop must stop with candidates undecided"
             );
-            assert_eq!(state.exact_sweep, arm == "exact");
-            let lens = |s: &RunState| -> Vec<usize> {
-                s.predict_caches.iter().map(PredictCache::len).collect()
-            };
-            let before = lens(&state);
+            let truncated = sink.events().iter().rev().find_map(|e| match e {
+                Event::PredictMode {
+                    train_size,
+                    subset_size,
+                    ..
+                } => Some(subset_size < train_size),
+                _ => None,
+            });
+            assert_eq!(truncated, (arm == "subset").then_some(true), "{arm}");
+            let before = state.surrogate.cache_lens();
 
             let final_set = state.final_candidates().unwrap();
-            assert_eq!(lens(&state), before, "{arm}: a final-front query missed");
-            if arm == "subset" {
-                assert!(before.iter().all(|&n| n == 0), "{arm}: {before:?}");
-            } else {
+            if arm == "exact" {
                 assert!(before.iter().all(|&n| n > 0), "{arm}: {before:?}");
+                let after = state.surrogate.cache_lens();
+                assert_eq!(after, before, "{arm}: a final-front query missed");
             }
-            state.exact_sweep = false;
+            state.surrogate.drop_caches();
             let uncached = state.final_candidates().unwrap();
             assert_eq!(final_set, uncached, "{arm}");
             assert!(
@@ -3004,16 +2614,13 @@ mod tests {
             let mut state = RunState::new(&config, &source, &candidates, &sink).unwrap();
             state.initialize(&mut driver).unwrap();
             state.run_loop(&mut driver).unwrap();
-            let cache_lens: Vec<usize> =
-                state.predict_caches.iter().map(PredictCache::len).collect();
-            let exact_sweep = state.exact_sweep;
+            let cache_lens = state.surrogate.cache_lens();
             let result = state.verify_front(&mut driver).unwrap();
-            (result, sink.events(), exact_sweep, cache_lens)
+            (result, sink.events(), cache_lens)
         };
-        let (routed, routed_events, exact_sweep, cache_lens) = run(10);
-        let (exact, exact_events, ..) = run(usize::MAX);
+        let (routed, routed_events, cache_lens) = run(10);
+        let (exact, exact_events, _) = run(usize::MAX);
 
-        assert!(exact_sweep, "the routed run must end on the exact arm");
         assert!(
             !cache_lens.is_empty() && cache_lens.iter().all(|&n| n > 0),
             "the routed run must fill its predict caches: {cache_lens:?}"

@@ -329,6 +329,6 @@ fn snapshot(state: &RunState<'_>, runs: usize) -> StateSnapshot {
                 .iter()
                 .flat_map(|r| [r.optimistic(), r.pessimistic()]),
         ),
-        degraded_fits: state.degraded_total,
+        degraded_fits: state.surrogate.degraded_fits(),
     }
 }
