@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the reproduction's building blocks:
 //! GP fit/predict scaling, transfer-GP fitting, the joint-kernel
-//! Cholesky, the cached predict sweep, hypervolume, LHS sampling, one
-//! PD-flow run, and one tuner decision pass.
+//! Cholesky, the cached predict sweep, the thread fan-out, hypervolume,
+//! LHS sampling, one PD-flow run, and one tuner decision pass.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -159,6 +159,16 @@ fn predict_sweep_bench(c: &mut Criterion) {
     group.finish();
 }
 
+fn fanout_bench(c: &mut Criterion) {
+    // What one small fan-out of the loop pays for its threads alone: 16
+    // trivial tasks at the 2-worker budget of a 2-vCPU host.
+    let mut group = c.benchmark_group("fanout");
+    group.bench_function("16_trivial_tasks_2_workers", |b| {
+        b.iter(|| gp::fan_out(16, 2, |i| i * i))
+    });
+    group.finish();
+}
+
 fn hypervolume_bench(c: &mut Criterion) {
     use pareto::hypervolume::hypervolume;
     use rand::SeedableRng;
@@ -306,6 +316,7 @@ criterion_group!(
     transfer_gp_bench,
     cholesky_bench,
     predict_sweep_bench,
+    fanout_bench,
     hypervolume_bench,
     lhs_bench,
     pdsim_bench,

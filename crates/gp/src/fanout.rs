@@ -1,12 +1,12 @@
-//! The workspace's one parallel primitive: hyper-parameter searches,
-//! predict sweeps, and the tuner's oracle waves all run through
-//! [`fan_out`], so threads are spawned in exactly one place.
+//! The workspace's one scoped fan-out: hyper-parameter searches, predict
+//! sweeps and the tuner's oracle waves all run through [`fan_out`] (the
+//! oracle watchdog's detached per-attempt threads are the only other spawn).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Runs `task(0)`, …, `task(n_tasks − 1)` on at most `workers` scoped
-/// threads and returns the results in task order.
+/// Runs `task(0)`, …, `task(n_tasks − 1)` on at most `workers` threads,
+/// the calling thread among them, and returns the results in task order.
 ///
 /// Workers claim task indices from an atomic cursor and write each result
 /// into that task's own slot; the merge is by position. Every task runs
@@ -15,10 +15,10 @@ use std::sync::Mutex;
 /// `(0..n_tasks).map(task)` — independent of the worker count and of how
 /// claims interleave.
 ///
-/// Never spawns more threads than there are tasks; at `workers ≤ 1` (or
-/// a single task) everything runs serially on the calling thread. A
-/// panicking task propagates to the caller once the other workers have
-/// drained the queue.
+/// `workers` counts the caller: the call spawns `min(workers, n_tasks) − 1`
+/// scoped threads and claims tasks on the calling thread too, so at
+/// `workers ≤ 1` (or one task) all tasks run serially there. A panicking
+/// task, on whichever thread, propagates once the others drain the queue.
 ///
 /// # Example
 ///
@@ -32,22 +32,19 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let workers = workers.min(n_tasks);
-    if workers <= 1 {
-        return (0..n_tasks).map(task).collect();
-    }
     let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    break;
-                }
-                let out = task(i);
-                *slots[i].lock().expect("fan-out slot poisoned") = Some(out);
-            });
+    let work = || {
+        let claims = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed));
+        for i in claims.take_while(|&i| i < n_tasks) {
+            *slots[i].lock().expect("fan-out slot poisoned") = Some(task(i));
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
@@ -95,6 +92,40 @@ mod tests {
             let caught = std::panic::catch_unwind(|| {
                 fan_out(16, workers, |i| {
                     assert!(i != 11, "task 11 fails");
+                    i
+                })
+            });
+            assert!(caught.is_err(), "workers={workers}: panic was swallowed");
+        }
+    }
+
+    #[test]
+    fn the_caller_counts_toward_the_thread_budget() {
+        let me = std::thread::current().id();
+        for workers in [2usize, 3, 8] {
+            let mut ids = fan_out(64, workers, |_| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::current().id()
+            });
+            ids.sort_by_key(|id| format!("{id:?}"));
+            ids.dedup();
+            assert!(ids.len() <= workers, "workers={workers}: {ids:?}");
+            let spawned = ids.iter().filter(|&&id| id != me).count();
+            assert!(spawned < workers, "workers={workers}: {spawned} spawned");
+        }
+    }
+
+    #[test]
+    fn a_task_panicking_on_the_callers_thread_propagates() {
+        let me = std::thread::current().id();
+        for workers in [2usize, 3, 8] {
+            // No task passes the barrier until every worker holds one, so
+            // each worker runs exactly one task: the caller runs one too.
+            let all_claimed = std::sync::Barrier::new(workers);
+            let caught = std::panic::catch_unwind(|| {
+                fan_out(workers, workers, |i| {
+                    all_claimed.wait();
+                    assert!(std::thread::current().id() != me, "the caller's task fails");
                     i
                 })
             });

@@ -256,15 +256,15 @@ pub struct FitJob<'a> {
 /// objective — as (job × restart) tasks over `workers` threads
 /// ([`fan_out`]), returning one result per job, in job order.
 ///
-/// Each job's [`FitCache`] is built once and shared by its restarts:
-/// every objective evaluation assembles the kernel from its pre-validated,
-/// dimension-major inputs instead of rebuilding it point by point. Each
-/// restart task owns a [`FitWorkspace`], so its evaluations assemble and
-/// factor inside the same two buffers. A job's winner is the lowest MAP
-/// objective in restart order
-/// (ties keep the earlier restart); its final model is fitted from the
-/// raw data. Every task computes what a serial loop would and the merge
-/// is by position, so results are bit-identical at any `workers` value.
+/// Each job's [`FitCache`] is built once, on the calling thread, and
+/// shared by its restarts: every objective evaluation assembles the kernel
+/// from its pre-validated, dimension-major inputs instead of rebuilding it
+/// point by point. Each restart task owns a [`FitWorkspace`], so its
+/// evaluations assemble and factor inside the same two buffers. A job's
+/// winner is the lowest MAP objective in restart order (ties keep the
+/// earlier restart); its final model is fitted from the raw data. Every
+/// task computes what a serial loop would and the merge is by position,
+/// so results are bit-identical at any `workers`.
 ///
 /// # Errors
 ///
@@ -289,9 +289,10 @@ pub fn fit_transfer_gps(
         max_evals: budget.evals_per_restart,
         ..Default::default()
     };
-    let caches = fan_out(jobs.len(), workers, |j| {
-        timed(|| FitCache::new(jobs[j].source, jobs[j].target, dim))
-    });
+    let caches: Vec<_> = jobs
+        .iter()
+        .map(|job| timed(|| FitCache::new(job.source, job.target, dim)))
+        .collect();
     let tasks: Vec<(usize, usize)> = jobs
         .iter()
         .enumerate()

@@ -162,10 +162,12 @@ pub struct PpaTunerConfig {
     pub seed: u64,
     /// Thread budget of every CPU fan-out of the loop: the
     /// (objective × restart) hyper-parameter searches and the predict
-    /// sweeps. 0 (the default) sizes it to the machine's available
-    /// parallelism; 1 keeps everything on the calling thread. Results are
-    /// bitwise identical at every value — this only trades wall-clock —
-    /// so resume accepts a checkpoint taken at another worker count.
+    /// sweeps. The calling thread counts toward it, so a fan-out spawns
+    /// at most `workers − 1` threads. 0 (the default) sizes it to the
+    /// machine's available parallelism; 1 keeps everything on the calling
+    /// thread. Results are bitwise identical at every value — this only
+    /// trades wall-clock — so resume accepts a checkpoint taken at another
+    /// worker count.
     #[serde(default)]
     pub workers: usize,
     /// When the iteration cap is hit before every candidate is decided,

@@ -120,10 +120,11 @@ impl<'a, 'o> Driver<'a, 'o> {
     /// Every member's attempts of one wave, in batch order: read back from
     /// the log while replaying (checkpoints land at iteration — hence
     /// whole-wave — boundaries, so a log that ends inside a wave is
-    /// damaged or foreign and refused), else from the oracle — each member
-    /// on its own thread through a concurrent one ([`gp::fan_out`];
-    /// completion order is irrelevant because workers only *evaluate*),
-    /// one after another through a serial one.
+    /// damaged or foreign and refused), else from the oracle — all members
+    /// at once through a concurrent one ([`gp::fan_out`] with one worker
+    /// per member, the calling thread among them; completion order is
+    /// irrelevant because workers only *evaluate*), one after another
+    /// through a serial one.
     pub(super) fn attempts(
         &mut self,
         members: &[usize],
