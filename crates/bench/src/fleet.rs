@@ -4,7 +4,7 @@
 //! under `--lenient`); [`summarize_run`] folds its events into a
 //! [`RunSummary`], the one fold both views render. Two renderers
 //! read that summary: [`RunSummary::render`] prints one run (phase and
-//! span times, GP fitting, the classification trajectory, batch, pool,
+//! span times, GP fitting, the classification trajectory, selection, pool,
 //! failure, checkpoint, resilience and resource sections), and
 //! [`FleetReport::render`] aggregates a *fleet*, a directory of traces
 //! such as a seed sweep or a nightly farm: hypervolume convergence
@@ -202,8 +202,6 @@ pub struct RunSummary {
     gp_refits: usize,
     gp_restarts: usize,
     gp_evals: usize,
-    gp_cached_evals: usize,
-    gp_fresh_evals: usize,
     /// Fits whose Cholesky needed jitter.
     gp_jittered: usize,
     /// Summed `IterationEnd::predict_s`.
@@ -219,9 +217,9 @@ pub struct RunSummary {
     /// (iteration, runs) of each checkpoint written.
     checkpoints: Vec<(usize, usize)>,
     /// `BatchSelect` waves, the members they chose and the largest `q`.
-    batch_waves: usize,
-    batch_members: usize,
-    batch_q: usize,
+    select_waves: usize,
+    select_members: usize,
+    select_q: usize,
     /// Adaptive-pool passes, in order; empty for a fixed pool.
     pub pool_refines: Vec<PoolRow>,
     /// Predict-regime usage from `PredictMode`, by mode.
@@ -276,7 +274,7 @@ impl RunSummary {
     }
 
     /// Renders the single-run view as plain text: where the time went,
-    /// GP fitting, the classification trajectory, batch selection, the
+    /// GP fitting, the classification trajectory, selection waves, the
     /// adaptive pool and predict backends, evaluation failures,
     /// checkpoints, resilience, causal spans and resource counters.
     /// Sections with nothing to say are left out.
@@ -310,12 +308,7 @@ impl RunSummary {
                  Cholesky jitter",
                 self.gp_refits, self.gp_restarts, self.gp_evals, self.gp_jittered
             );
-            let _ = writeln!(
-                out,
-                "  objective evals: {} distance-cached, {} fresh model builds; box prediction \
-                 {:.3} s total",
-                self.gp_cached_evals, self.gp_fresh_evals, self.predict_s
-            );
+            let _ = writeln!(out, "  box prediction {:.3} s total", self.predict_s);
             for (k, (first, last)) in &self.lambda {
                 let _ = writeln!(out, "  objective {k}: lambda {first:.3} -> {last:.3}");
             }
@@ -340,14 +333,14 @@ impl RunSummary {
             );
         }
 
-        if self.batch_waves > 0 {
+        if self.select_waves > 0 {
             let _ = writeln!(
                 out,
-                "\nbatch selection: {} waves at q = {}, {} members total (mean {:.1} per wave)",
-                self.batch_waves,
-                self.batch_q,
-                self.batch_members,
-                self.batch_members as f64 / self.batch_waves as f64
+                "\nselection: {} waves at q = {}, {} members total (mean {:.1} per wave)",
+                self.select_waves,
+                self.select_q,
+                self.select_members,
+                self.select_members as f64 / self.select_waves as f64
             );
         }
 
@@ -559,8 +552,6 @@ pub fn summarize_run(name: &str, events: &[Event]) -> RunSummary {
                 lambda,
                 restarts,
                 evals,
-                cached_evals,
-                fresh_evals,
                 jitter,
                 duration_s,
                 ..
@@ -569,8 +560,6 @@ pub fn summarize_run(name: &str, events: &[Event]) -> RunSummary {
                 s.gp_refits += usize::from(*refit);
                 s.gp_restarts += restarts;
                 s.gp_evals += evals;
-                s.gp_cached_evals += cached_evals;
-                s.gp_fresh_evals += fresh_evals;
                 s.gp_jittered += usize::from(*jitter > 0.0);
                 s.lambda
                     .entry(*objective)
@@ -661,9 +650,9 @@ pub fn summarize_run(name: &str, events: &[Event]) -> RunSummary {
                 predict_chunks: *predict_chunks,
             }),
             Event::BatchSelect { q, chosen, .. } => {
-                s.batch_waves += 1;
-                s.batch_members += chosen.len();
-                s.batch_q = s.batch_q.max(*q);
+                s.select_waves += 1;
+                s.select_members += chosen.len();
+                s.select_q = s.select_q.max(*q);
             }
             Event::PoolRefine {
                 iteration,
@@ -703,7 +692,6 @@ pub fn summarize_run(name: &str, events: &[Event]) -> RunSummary {
             Event::WatchdogFired { .. } => s.watchdog_firings += 1,
             Event::Classify { .. }
             | Event::RegionSnapshot { .. }
-            | Event::Select { .. }
             | Event::SpanStart { .. }
             | Event::Message { .. } => {}
         }
@@ -1138,10 +1126,12 @@ mod tests {
                 queries: 10,
                 mode: "subset".into(),
             },
-            Event::Select {
+            Event::BatchSelect {
                 iteration: 2,
+                q: 1,
                 chosen: vec![4],
                 diameters: vec![0.1],
+                scores: vec![0.1],
             },
             Event::ToolEval {
                 iteration: 2,
@@ -1175,7 +1165,7 @@ mod tests {
                     .to_string()
             })
             .collect();
-        assert_eq!(tags.len(), 22, "every Event variant appears: {tags:?}");
+        assert_eq!(tags.len(), 21, "every Event variant appears: {tags:?}");
         let text = summarize_run("every.jsonl", &events).render();
         let expected = r"trace report: every.jsonl (34 events)
 run:   8 candidates, 2 objectives, dim 3, 2 initial samples, cap 5 iters, seed 7
@@ -1188,7 +1178,7 @@ iteration             2        0.100        50.00
 tool-eval             4        0.080        20.00
 
 gp fitting: 1 full refits (3 restarts, 44 objective evals), 1 fits needed Cholesky jitter
-  objective evals: 39 distance-cached, 5 fresh model builds; box prediction 0.010 s total
+  box prediction 0.010 s total
   objective 0: lambda 0.250 -> 0.375
   objective 1: lambda 0.500 -> 0.500
 
@@ -1197,7 +1187,7 @@ classification trajectory (iteration: runs, pareto/dropped/undecided, hv):
      2: runs     4  P    1  D    4  U    2  hv 0.7500
   undecided 4 -> 2, hypervolume 0.5000 -> 0.7500
 
-batch selection: 1 waves at q = 2, 2 members total (mean 2.0 per wave)
+selection: 2 waves at q = 2, 3 members total (mean 1.5 per wave)
 
 adaptive pool: 2 splits over 1 refinement passes
   final: 10 leaves, 10 candidates, effective pool 32

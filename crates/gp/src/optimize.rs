@@ -367,37 +367,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Runs one multi-start search from pre-drawn initial points (see
-/// [`restart_starts`]): [`fit_transfer_gps`] with a single job, its
-/// restarts spread over `workers` threads. Bit-identical for any
-/// `workers` value.
-///
-/// # Errors
-///
-/// Propagates data-validation errors and fitting errors of the final
-/// model (the search treats failed factorizations as infinitely bad).
-///
-/// # Panics
-///
-/// Panics when `starts` is empty.
-fn fit_transfer_gp_from_starts(
-    source: &TaskData,
-    target: &TaskData,
-    dim: usize,
-    budget: FitBudget,
-    starts: &[Vec<f64>],
-    workers: usize,
-) -> Result<(TransferGp, FitReport)> {
-    let job = FitJob {
-        source,
-        target,
-        starts,
-    };
-    fit_transfer_gps(&[job], dim, budget, workers)
-        .pop()
-        .expect("one result per job")
-}
-
 /// Trains a [`TransferGp`] by maximizing the log marginal likelihood of
 /// the **target** data conditioned on the source (the paper's training
 /// objective) over ARD lengthscales, signal variance, cross-task factor
@@ -419,7 +388,14 @@ pub fn fit_transfer_gp<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<(TransferGp, FitReport)> {
     let starts = restart_starts(dim, budget.restarts, rng);
-    fit_transfer_gp_from_starts(source, target, dim, budget, &starts, 1)
+    let job = FitJob {
+        source,
+        target,
+        starts: &starts,
+    };
+    fit_transfer_gps(&[job], dim, budget, 1)
+        .pop()
+        .expect("one result per job")
 }
 
 #[cfg(test)]
@@ -582,11 +558,20 @@ mod tests {
             duration_s: 0.0,
             ..r
         };
-        let (m1, r1) =
-            fit_transfer_gp_from_starts(&source, &target, 1, budget, &starts, 1).unwrap();
+        let job = FitJob {
+            source: &source,
+            target: &target,
+            starts: &starts,
+        };
+        let fit = |workers| {
+            fit_transfer_gps(&[job], 1, budget, workers)
+                .pop()
+                .unwrap()
+                .unwrap()
+        };
+        let (m1, r1) = fit(1);
         for workers in [2, 4, 16] {
-            let (mw, rw) =
-                fit_transfer_gp_from_starts(&source, &target, 1, budget, &starts, workers).unwrap();
+            let (mw, rw) = fit(workers);
             assert_eq!(m1.config(), mw.config(), "workers={workers}");
             assert_eq!(result(r1), result(rw), "workers={workers}");
         }
@@ -635,9 +620,10 @@ mod tests {
             assert_eq!(batched.len(), 3);
             for (k, got) in batched.into_iter().enumerate() {
                 let (mb, rb) = got.unwrap();
-                let (ms, rs) =
-                    fit_transfer_gp_from_starts(&source, &targets[k], 1, budget, &starts[k], 1)
-                        .unwrap();
+                let (ms, rs) = fit_transfer_gps(&jobs[k..=k], 1, budget, 1)
+                    .pop()
+                    .unwrap()
+                    .unwrap();
                 assert_eq!(mb.config(), ms.config(), "job {k} workers={workers}");
                 assert_eq!(rb.evals, rs.evals, "job {k} workers={workers}");
                 assert_eq!(rb.best_objective, rs.best_objective);

@@ -325,23 +325,6 @@ impl TransferGp {
         Ok(())
     }
 
-    /// Refits on `source`/`target` with this model's hyper-parameters
-    /// unchanged — no marginal-likelihood search, just a fresh joint
-    /// factorization (with jitter escalation) over the given data. This is
-    /// the degraded-mode recovery hook: when a full re-optimization fails
-    /// numerically (jitter ladder exhausted, NaN in the hyper-parameter
-    /// search), a run supervisor can fall back to the last-good
-    /// hyper-parameters while still incorporating fresh observations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TransferGp::fit`]. `self` is unchanged — the
-    /// recovered model is returned by value so the caller decides whether
-    /// to adopt it.
-    pub fn refit_data_only(&self, source: TaskData, target: TaskData) -> Result<TransferGp> {
-        TransferGp::fit(source, target, self.config.clone())
-    }
-
     /// Number of source observations.
     pub fn source_len(&self) -> usize {
         self.x_source.len()

@@ -107,21 +107,8 @@ pub enum Event {
         delta: Vec<f64>,
     },
 
-    /// Candidates were selected for evaluation this iteration.
-    Select {
-        /// Refinement iteration.
-        iteration: usize,
-        /// Chosen candidate indices, in selection order.
-        chosen: Vec<usize>,
-        /// Uncertainty-region diameter of each chosen candidate at
-        /// selection time (the selection criterion).
-        diameters: Vec<f64>,
-    },
-
-    /// A diverse top-q batch was selected for concurrent evaluation
-    /// (emitted instead of [`Event::Select`] when the configured batch
-    /// size exceeds 1; single-candidate waves keep the classic event so
-    /// q = 1 traces are byte-identical to historical ones).
+    /// A diverse top-q batch was selected for evaluation as one wave. At
+    /// q = 1 it is Eq. 13's single max-diameter pick.
     BatchSelect {
         /// Refinement iteration.
         iteration: usize,
@@ -405,7 +392,6 @@ impl Event {
             Event::ToolEval { .. } => "ToolEval",
             Event::RegionSnapshot { .. } => "RegionSnapshot",
             Event::Classify { .. } => "Classify",
-            Event::Select { .. } => "Select",
             Event::BatchSelect { .. } => "BatchSelect",
             Event::EvalFailed { .. } => "EvalFailed",
             Event::EvalRetry { .. } => "EvalRetry",
@@ -432,7 +418,6 @@ impl Event {
             | Event::ToolEval { iteration, .. }
             | Event::RegionSnapshot { iteration, .. }
             | Event::Classify { iteration, .. }
-            | Event::Select { iteration, .. }
             | Event::BatchSelect { iteration, .. }
             | Event::EvalFailed { iteration, .. }
             | Event::EvalRetry { iteration, .. }
@@ -645,10 +630,12 @@ mod tests {
 
     #[test]
     fn round_trips_through_json() {
-        let e = Event::Select {
+        let e = Event::BatchSelect {
             iteration: 1,
-            chosen: vec![4, 9],
-            diameters: vec![0.5, 0.25],
+            q: 1,
+            chosen: vec![4],
+            diameters: vec![0.5],
+            scores: vec![0.5],
         };
         let json = serde_json::to_string(&e).unwrap();
         let back: Event = serde_json::from_str(&json).unwrap();

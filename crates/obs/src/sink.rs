@@ -130,9 +130,6 @@ impl StderrSink {
                 "iter {iteration:3}: classify pareto {pareto} dropped {dropped} \
                  undecided {undecided} (delta {delta:.4?})"
             ),
-            Event::Select {
-                iteration, chosen, ..
-            } => format!("iter {iteration:3}: select {chosen:?}"),
             Event::BatchSelect {
                 iteration,
                 q,

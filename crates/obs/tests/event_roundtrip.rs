@@ -42,10 +42,12 @@ fn one_of_each() -> Vec<Event> {
             undecided: 33,
             delta: vec![0.012, 0.02],
         },
-        Event::Select {
+        Event::BatchSelect {
             iteration: 3,
+            q: 2,
             chosen: vec![215, 12],
             diameters: vec![0.31, 0.22],
+            scores: vec![0.31, 0.2],
         },
         Event::IterationEnd {
             iteration: 3,

@@ -474,7 +474,7 @@ impl PpaTuner {
 
     /// Like [`PpaTuner::run`], but streams structured [`Event`]s to
     /// `observer` as the run progresses: one `GpFit` per surrogate per
-    /// iteration, one `ToolEval` per tool run, plus `Classify`, `Select`,
+    /// iteration, one `ToolEval` per tool run, plus `Classify`, `BatchSelect`,
     /// `IterationEnd`, and run-level bookends.
     ///
     /// Event construction is gated on [`Observer::enabled`], so passing
@@ -970,21 +970,12 @@ impl<'a> RunState<'a> {
             let members: Vec<usize> = picks.iter().map(|p| p.index).collect();
             if self.tracing() {
                 self.observer.emit(&select_span.start_event());
-                let diameters = picks.iter().map(|p| p.diameter).collect();
-                self.observer.emit(&if self.config.batch_size > 1 {
-                    Event::BatchSelect {
-                        iteration: t,
-                        q: want,
-                        chosen: members.clone(),
-                        diameters,
-                        scores: picks.iter().map(|p| p.score).collect(),
-                    }
-                } else {
-                    Event::Select {
-                        iteration: t,
-                        chosen: members.clone(),
-                        diameters,
-                    }
+                self.observer.emit(&Event::BatchSelect {
+                    iteration: t,
+                    q: want,
+                    chosen: members.clone(),
+                    diameters: picks.iter().map(|p| p.diameter).collect(),
+                    scores: picks.iter().map(|p| p.score).collect(),
                 });
                 self.observer.emit(&self.tracer.end_event(&select_span));
             }
@@ -1309,7 +1300,7 @@ impl<'a> RunState<'a> {
 }
 
 /// Greedy maximin selection of `count` initial candidates, seeded by a
-/// random pick (pure-random ablation: shuffle and truncate instead).
+/// random pick.
 fn maximin_design(candidates: &[Vec<f64>], count: usize, rng: &mut StdRng) -> Vec<usize> {
     let n = candidates.len();
     let mut order: Vec<usize> = (0..n).collect();

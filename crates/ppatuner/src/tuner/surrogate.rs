@@ -198,8 +198,12 @@ impl<'a> Surrogate<'a> {
                         match supervisor::injected_fault(supervisor::FitStage::Fallback, self.t, k)
                         {
                             Some(fe) => Err(fe),
-                            None => prev
-                                .refit_data_only(source_tasks[k].clone(), target_tasks[k].clone()),
+                            // Last-good hyper-parameters, fresh data.
+                            None => TransferGp::fit(
+                                source_tasks[k].clone(),
+                                target_tasks[k].clone(),
+                                prev.config().clone(),
+                            ),
                         };
                     let (model, mode) = match fallback {
                         Ok(m) => (m, DEGRADED_REFIT_REUSED),

@@ -11,13 +11,11 @@
 //!   `Dropped` never changes class again, and a dropped candidate is
 //!   never evaluated afterwards (no resurrection).
 //! - **Selection is greedy by diameter** (Eq. 13): every
-//!   [`obs::Event::Select`] picks eligible (active, unevaluated)
-//!   candidates in descending diameter order, starting at the maximum.
-//! - **Batch selection is lawful**: every [`obs::Event::BatchSelect`]
-//!   names at most `q` distinct eligible members, its first pick is the
-//!   unpenalized max-diameter candidate (so `q = 1` degenerates to
-//!   Eq. 13), scores are non-increasing along the batch, and no score
-//!   exceeds its member's diameter.
+//!   [`obs::Event::BatchSelect`] names at most `q` distinct eligible
+//!   (active, unevaluated) members whose diameters agree with the
+//!   snapshot, its first pick is the unpenalized max-diameter candidate
+//!   (at `q = 1`, Eq. 13 exactly), scores are non-increasing along the
+//!   batch, and no score exceeds its member's diameter.
 //! - **Classification is δ-accurate** (Eq. 12): every candidate the loop
 //!   classified Pareto is, in golden QoR, at most δ worse than the true
 //!   front in at least one objective. The front is scoped to candidates
@@ -69,10 +67,8 @@ const TOL: f64 = 1e-9;
 pub struct InvariantReport {
     /// `RegionSnapshot` events checked.
     pub snapshots: usize,
-    /// `Select` events checked.
+    /// `BatchSelect` events (selection waves) checked.
     pub selects: usize,
-    /// `BatchSelect` events checked.
-    pub batch_selects: usize,
     /// `ToolEval` events checked.
     pub tool_evals: usize,
     /// `EvalFailed` events counted toward the attempt-conservation law.
@@ -198,13 +194,6 @@ pub fn check_trace(
             } => {
                 check_snapshot(&mut st, *iteration, statuses, diameters)
                     .map_err(|law| fail(&law))?;
-            }
-            Event::Select {
-                iteration,
-                chosen,
-                diameters,
-            } => {
-                check_select(&mut st, *iteration, chosen, diameters).map_err(|law| fail(&law))?;
             }
             Event::BatchSelect {
                 iteration,
@@ -557,74 +546,10 @@ fn check_snapshot(
     Ok(())
 }
 
-fn check_select(
-    st: &mut CheckerState,
-    iteration: usize,
-    chosen: &[usize],
-    diameters: &[f64],
-) -> Result<(), String> {
-    if st.snapshot_iteration != Some(iteration) {
-        return Err(format!(
-            "Select at iteration {iteration} without a same-iteration snapshot"
-        ));
-    }
-    if chosen.is_empty() || chosen.len() != diameters.len() {
-        return Err("Select must name candidates with parallel diameters".into());
-    }
-    for window in diameters.windows(2) {
-        if window[1] > window[0] + TOL {
-            return Err(format!("selection diameters not descending: {diameters:?}"));
-        }
-    }
-    for (&i, &d) in chosen.iter().zip(diameters) {
-        if st.statuses.get(i) == Some(&'d') {
-            return Err(format!("dropped candidate {i} was selected"));
-        }
-        if st.statuses.get(i) == Some(&'q') || st.quarantined.contains(&i) {
-            return Err(format!("quarantined candidate {i} was selected"));
-        }
-        if st.measured.contains_key(&i) {
-            return Err(format!("already-evaluated candidate {i} was selected"));
-        }
-        if d <= 0.0 {
-            return Err(format!("candidate {i} selected with diameter {d}"));
-        }
-        let snap = st.diameters.get(i).copied().unwrap_or(f64::NAN);
-        if (snap - d).abs() > TOL * snap.abs().max(1.0) {
-            return Err(format!(
-                "candidate {i}'s selection diameter {d} disagrees with \
-                 snapshot {snap}"
-            ));
-        }
-    }
-    // Greedy max-diameter rule (Eq. 13): nothing eligible may exceed the
-    // first pick.
-    let best = st
-        .diameters
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| {
-            !matches!(st.statuses[i], 'd' | 'q')
-                && !st.quarantined.contains(&i)
-                && !st.measured.contains_key(&i)
-        })
-        .map(|(_, &d)| d)
-        .fold(f64::NEG_INFINITY, f64::max);
-    if best > diameters[0] + TOL * best.abs().max(1.0) {
-        return Err(format!(
-            "selection skipped the max-diameter candidate: picked {} while \
-             an eligible candidate has diameter {best}",
-            diameters[0]
-        ));
-    }
-    st.report.selects += 1;
-    Ok(())
-}
-
-/// Laws of the diverse top-q batch rule. Diameter/score floats may be
-/// `NaN` after a JSONL round trip (infinities serialize as null), so
-/// every inequality is written to *pass* on `NaN` — same convention as
-/// the snapshot-diameter laws.
+/// Laws of the selection rule: a diverse top-q batch, Eq. 13's argmax at
+/// q = 1. Diameter/score floats may be `NaN` after a JSONL round trip
+/// (infinities serialize as null), so every inequality is written to
+/// *pass* on `NaN` — same convention as the snapshot-diameter laws.
 fn check_batch_select(
     st: &mut CheckerState,
     iteration: usize,
@@ -656,23 +581,21 @@ fn check_batch_select(
             return Err(format!("candidate {i} appears twice in one batch"));
         }
         if st.statuses.get(i) == Some(&'d') {
-            return Err(format!("dropped candidate {i} was batch-selected"));
+            return Err(format!("dropped candidate {i} was selected"));
         }
         if st.statuses.get(i) == Some(&'q') || st.quarantined.contains(&i) {
-            return Err(format!("quarantined candidate {i} was batch-selected"));
+            return Err(format!("quarantined candidate {i} was selected"));
         }
         if st.measured.contains_key(&i) {
-            return Err(format!(
-                "already-evaluated candidate {i} was batch-selected"
-            ));
+            return Err(format!("already-evaluated candidate {i} was selected"));
         }
         if d <= 0.0 {
-            return Err(format!("candidate {i} batch-selected with diameter {d}"));
+            return Err(format!("candidate {i} selected with diameter {d}"));
         }
         let snap = st.diameters.get(i).copied().unwrap_or(f64::NAN);
         if (snap - d).abs() > TOL * snap.abs().max(1.0) {
             return Err(format!(
-                "candidate {i}'s batch diameter {d} disagrees with snapshot {snap}"
+                "candidate {i}'s selection diameter {d} disagrees with snapshot {snap}"
             ));
         }
         if s > d + TOL * d.abs().max(1.0) {
@@ -684,7 +607,7 @@ fn check_batch_select(
     // Scores are non-increasing along the greedy pick order.
     for w in scores.windows(2) {
         if w[1] > w[0] + TOL {
-            return Err(format!("batch scores not descending: {scores:?}"));
+            return Err(format!("selection scores not descending: {scores:?}"));
         }
     }
     // The first pick is unpenalized argmax-diameter — Eq. 13 exactly.
@@ -707,12 +630,12 @@ fn check_batch_select(
         .fold(f64::NEG_INFINITY, f64::max);
     if best > diameters[0] + TOL * best.abs().max(1.0) {
         return Err(format!(
-            "batch skipped the max-diameter candidate: picked {} while an \
-             eligible candidate has diameter {best}",
+            "selection skipped the max-diameter candidate: picked {} while \
+             an eligible candidate has diameter {best}",
             diameters[0]
         ));
     }
-    st.report.batch_selects += 1;
+    st.report.selects += 1;
     Ok(())
 }
 
@@ -847,11 +770,7 @@ mod tests {
                 duration_s: 0.0,
             },
             snapshot(0, "uuu", &[0.0, 2.0, 1.0]),
-            Event::Select {
-                iteration: 0,
-                chosen: vec![1],
-                diameters: vec![2.0],
-            },
+            batch(0, 1, &[1], &[2.0], &[2.0]),
             Event::ToolEval {
                 iteration: 0,
                 candidate: 1,
@@ -914,11 +833,7 @@ mod tests {
     fn non_greedy_selection_is_rejected() {
         let events = vec![
             snapshot(0, "uu", &[2.0, 1.0]),
-            Event::Select {
-                iteration: 0,
-                chosen: vec![1],
-                diameters: vec![1.0],
-            },
+            batch(0, 1, &[1], &[1.0], &[1.0]),
         ];
         let err = check_trace(&events, None).unwrap_err();
         assert!(err.contains("max-diameter"), "{err}");
@@ -974,11 +889,7 @@ mod tests {
                 duration_s: 0.0,
             },
             snapshot(0, "uuu", &[0.0, 2.0, 1.0]),
-            Event::Select {
-                iteration: 0,
-                chosen: vec![1],
-                diameters: vec![2.0],
-            },
+            batch(0, 1, &[1], &[2.0], &[2.0]),
             // Candidate 1: exhausts its budget and is quarantined.
             Event::EvalFailed {
                 iteration: 0,
@@ -1000,11 +911,7 @@ mod tests {
                 attempts: 2,
             },
             // Fallback wave selects the next-longest diameter.
-            Event::Select {
-                iteration: 0,
-                chosen: vec![2],
-                diameters: vec![1.0],
-            },
+            batch(0, 1, &[2], &[1.0], &[1.0]),
             Event::ToolEval {
                 iteration: 0,
                 candidate: 2,
@@ -1049,11 +956,7 @@ mod tests {
                 attempts: 3,
             },
             snapshot(0, "qu", &[2.0, 1.0]),
-            Event::Select {
-                iteration: 0,
-                chosen: vec![0],
-                diameters: vec![2.0],
-            },
+            batch(0, 1, &[0], &[2.0], &[2.0]),
         ];
         let err = check_trace(&events, None).unwrap_err();
         assert!(
@@ -1152,8 +1055,7 @@ mod tests {
             batch(0, 3, &[0, 2, 1], &[3.0, 1.0, 2.0], &[3.0, 0.9, 0.4]),
         ];
         let report = check_trace(&events, None).expect("batch is lawful");
-        assert_eq!(report.batch_selects, 1);
-        assert_eq!(report.selects, 0);
+        assert_eq!(report.selects, 1);
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn batch_faults_never_corrupt_or_starve_siblings() {
         .map(|l| serde_json::from_str(l).expect("canonical line parses"))
         .collect();
     let report = invariants::check_trace(&events, Some(&truth)).expect("trace is lawful");
-    assert!(report.batch_selects >= 1, "no batch exercised: {report:?}");
+    assert!(report.selects >= 1, "no batch exercised: {report:?}");
     // Siblings of failing members got clean, uncorrupted QoR.
     for (i, y) in &result.evaluated {
         assert_eq!(

@@ -71,8 +71,8 @@ fn golden_trace_is_worker_count_invariant() {
 #[test]
 fn batch_q1_trace_is_byte_identical_to_the_serial_golden() {
     // The q = 1 concurrent path must reproduce the committed serial
-    // golden *exactly*: no batch_eval spans, legacy Select events, same
-    // bytes. Compared directly against the in-memory serial run (not via
+    // golden *exactly*: no batch_eval spans, one-member BatchSelect
+    // events, same bytes. Compared directly against the in-memory serial run (not via
     // check_or_bless), so a bless can never paper over a divergence.
     let serial = canonical_jsonl(&run_golden().events);
     let batch = canonical_jsonl(&run_golden_batch(1, 4).events);
@@ -104,11 +104,7 @@ fn golden_batch_q4_trace_is_stable() {
 fn golden_batch_q4_trace_satisfies_invariants() {
     let run = run_golden_batch(4, 4);
     let report = check_trace(&run.events, Some(&run.table)).expect("batch invariants hold");
-    assert!(report.batch_selects >= 1, "no batch checked: {report:?}");
-    assert_eq!(
-        report.selects, 0,
-        "q > 1 must not emit legacy Select events"
-    );
+    assert!(report.selects >= 1, "no selection checked: {report:?}");
     assert!(report.tool_evals >= 10, "too few evaluations: {report:?}");
     assert!(
         report.spans > report.tool_evals,
@@ -176,6 +172,7 @@ fn golden_pool_trace_satisfies_invariants() {
     // append-only growth law.
     assert!(report.pool_refines >= 2, "pool never refined: {report:?}");
     assert!(report.snapshots >= 2, "too few snapshots: {report:?}");
+    assert!(report.selects >= 1, "no selection checked: {report:?}");
     assert!(report.tool_evals >= 10, "too few evaluations: {report:?}");
     assert_eq!(
         report.tool_evals,
@@ -204,22 +201,33 @@ fn golden_pool_run_is_reproducible_within_process() {
 
 #[test]
 fn committed_golden_trace_parses_and_satisfies_invariants() {
-    // The snapshot on disk — not just the freshly recorded stream — must
-    // parse back into events and pass the checker, so the committed
-    // artifact itself is verified (canonicalization must not break the
-    // trace's semantics).
-    let path = testkit::trace::golden_dir().join("scenario_two_seeded.jsonl");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "golden file {} unreadable ({e}); bless with TESTKIT_BLESS=1",
-            path.display()
-        )
-    });
-    let events: Vec<obs::Event> = text
-        .lines()
-        .map(|line| serde_json::from_str(line).expect("golden line parses as Event"))
-        .collect();
-    assert!(!events.is_empty());
-    let report = check_trace(&events, None).expect("committed trace invariants");
-    assert!(report.snapshots >= 2);
+    // The snapshots on disk — not just the freshly recorded streams —
+    // must parse back into events and pass the checker, so the committed
+    // artifacts themselves are verified (canonicalization must not break
+    // the trace's semantics), and every one of them selects at its q.
+    for name in [
+        "scenario_two_seeded.jsonl",
+        "scenario_two_seeded_q2.jsonl",
+        "scenario_two_seeded_q4.jsonl",
+        "scenario_two_seeded_pool.jsonl",
+    ] {
+        let path = testkit::trace::golden_dir().join(name);
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "golden file {} unreadable ({e}); bless with TESTKIT_BLESS=1",
+                path.display()
+            )
+        });
+        let events: Vec<obs::Event> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).expect("golden line parses as Event"))
+            .collect();
+        assert!(!events.is_empty(), "{name}");
+        let report = check_trace(&events, None).expect("committed trace invariants");
+        assert!(report.snapshots >= 2, "{name}: {report:?}");
+        assert!(
+            report.selects >= 1,
+            "{name}: no selection checked: {report:?}"
+        );
+    }
 }

@@ -178,3 +178,38 @@ fn a_disabled_observer_receives_no_events() {
         assert_eq!(traced.runs, full.runs, "q = {q}");
     }
 }
+
+/// A selection is a batch at every q: on the q = 1 golden scenario every
+/// `select` span carries exactly one `BatchSelect`, a one-member wave at
+/// `q: 1` whose score is its diameter (the first pick is unpenalized).
+#[test]
+fn every_q1_selection_is_a_one_member_batch() {
+    let events = testkit::trace::run_golden().events;
+    let sink = RecordingSink::new();
+    for e in &events {
+        sink.emit(e);
+    }
+    let mut waves = 0;
+    for (j, e) in events.iter().enumerate() {
+        if !matches!(e, Event::SpanStart { name, .. } if name == "select") {
+            continue;
+        }
+        waves += 1;
+        match events.get(j + 1) {
+            Some(Event::BatchSelect {
+                q,
+                chosen,
+                diameters,
+                scores,
+                ..
+            }) => {
+                assert_eq!(*q, 1, "wave {waves}");
+                assert_eq!(chosen.len(), 1, "wave {waves}");
+                assert_eq!(scores, diameters, "wave {waves}");
+            }
+            other => panic!("select span {waves} holds {other:?}, not a BatchSelect"),
+        }
+    }
+    assert!(waves >= 1, "the golden run never selected");
+    assert_eq!(sink.count("BatchSelect"), waves);
+}
