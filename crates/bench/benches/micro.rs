@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the reproduction's building blocks:
 //! GP fit/predict scaling, transfer-GP fitting, the joint-kernel
 //! Cholesky, the cached predict sweep, the thread fan-out, hypervolume,
-//! LHS sampling, one PD-flow run, and one tuner decision pass.
+//! LHS sampling, one PD-flow run, one tuner decision pass, and one
+//! adaptive-pool refinement pass.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -99,7 +100,9 @@ fn predict_sweep_bench(c: &mut Criterion) {
     // - `cold`: every candidate is a miss (the sweep after a refit);
     // - `warm_q4`: a cache filled at p = 400, read after conditioning on
     //   a wave of 4 (q new rows per candidate);
-    // - `uncached`: the same queries through the uncached batch predict.
+    // - `uncached`: the same queries through the uncached batch predict;
+    // - `warm_2obj`: `warm_q4` for two objectives' models, one after the
+    //   other on 2 workers, as the tuner sweeps them.
     // Compare builds by best-of over interleaved runs, as for `cholesky`.
     let dim = 12;
     let mut rng = StdRng::seed_from_u64(8);
@@ -118,11 +121,23 @@ fn predict_sweep_bench(c: &mut Criterion) {
     let data = |x: &[Vec<f64>]| TaskData::new(x.to_vec(), x.iter().map(f).collect());
     let mut config = TransferGpConfig::default_for_dim(dim);
     config.lengthscales = vec![0.6; dim];
-    let before = TransferGp::fit(data(&sx), data(&tx), config).unwrap();
+    let before = TransferGp::fit(data(&sx), data(&tx), config.clone()).unwrap();
     let mut after = before.clone();
     let wave_y: Vec<f64> = wave.iter().map(f).collect();
     after.condition_on(&wave, &wave_y).unwrap();
-    let ids: Vec<u64> = (0..xs.len() as u64).collect();
+    let ids: Vec<usize> = (0..xs.len()).collect();
+    // A second objective: the same points, another response surface.
+    let g = |p: &Vec<f64>| -> f64 { p.iter().map(|v| (3.0 * v).cos()).sum() };
+    let data_g = |x: &[Vec<f64>]| TaskData::new(x.to_vec(), x.iter().map(g).collect());
+    let before_2obj = vec![
+        before.clone(),
+        TransferGp::fit(data_g(&sx), data_g(&tx), config).unwrap(),
+    ];
+    let mut after_2obj = before_2obj.clone();
+    after_2obj[1]
+        .condition_on(&wave, &wave.iter().map(g).collect::<Vec<_>>())
+        .unwrap();
+    after_2obj[0] = after.clone();
 
     let mut group = c.benchmark_group("predict_sweep");
     group.bench_function("cold/404", |b| {
@@ -156,7 +171,69 @@ fn predict_sweep_bench(c: &mut Criterion) {
     group.bench_function("uncached/404", |b| {
         b.iter(|| after.predict_latent_batch(&xs, 1).unwrap())
     });
+    group.bench_function("warm_2obj/404", |b| {
+        b.iter_batched(
+            || {
+                let mut caches = vec![PredictCache::new(), PredictCache::new()];
+                for (model, cache) in before_2obj.iter().zip(&mut caches) {
+                    model
+                        .predict_latent_batch_cached(&ids, &xs, 2, cache)
+                        .unwrap();
+                }
+                caches
+            },
+            |mut caches| {
+                let sweep = after_2obj.iter().zip(&mut caches);
+                sweep
+                    .map(|(model, cache)| {
+                        model
+                            .predict_latent_batch_cached(&ids, &xs, 2, cache)
+                            .unwrap()
+                    })
+                    .collect::<Vec<_>>()
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
+}
+
+fn pool_refine_bench(c: &mut Criterion) {
+    use ppatuner::{AdaptivePool, Status, UncertaintyRegion};
+    use rand::SeedableRng;
+    use std::cell::RefCell;
+
+    // One refinement pass at `pool_sod` scale: its scenario's 2,500
+    // Target2 candidates, all undecided (a tree of 5,783 leaves), each
+    // representative's power–delay region wider than its cell, so the
+    // pass makes its full 64 splits. Each sample refines a
+    // fresh copy of the pool; the copy a sample used is dropped in the
+    // next untimed setup, so the time is the pass alone.
+    let mut rng = StdRng::seed_from_u64(10);
+    let candidates = benchgen::Scenario::two_with_counts(21, 120, 2500).target_candidates();
+    let pool = AdaptivePool::new(&candidates).unwrap();
+    let regions: Vec<UncertaintyRegion> = (0..candidates.len())
+        .map(|_| {
+            let half: Vec<f64> = (0..2).map(|_| rng.gen_range(0.1..1.0)).collect();
+            let lo: Vec<f64> = half.iter().map(|h| -h).collect();
+            let mut u = UncertaintyRegion::unbounded(2);
+            u.intersect(&lo, &half);
+            u
+        })
+        .collect();
+    let statuses = vec![Status::Undecided; candidates.len()];
+    let fresh = RefCell::new(None);
+    c.bench_function("pool/refine_pass", |b| {
+        b.iter_batched(
+            || *fresh.borrow_mut() = Some((pool.clone(), candidates.clone())),
+            |()| {
+                let mut fresh = fresh.borrow_mut();
+                let (pool, candidates) = fresh.as_mut().expect("set up");
+                pool.refine(candidates, &regions, &statuses, 0.5, 4.0, 64, usize::MAX)
+            },
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 fn fanout_bench(c: &mut Criterion) {
@@ -321,6 +398,7 @@ criterion_group!(
     lhs_bench,
     pdsim_bench,
     tuner_decision_bench,
-    tuner_observability_bench
+    tuner_observability_bench,
+    pool_refine_bench
 );
 criterion_main!(benches);

@@ -245,7 +245,7 @@ fn main() {
     // the pre-conditioning factor; `condition_on` keeps the fit epoch, so
     // each timed sweep pays exactly the appended-row tail.
     let mut cached_model = model.clone();
-    let ids: Vec<u64> = (0..pool as u64).collect();
+    let ids: Vec<usize> = (0..pool).collect();
     let dim = queries[0].len();
     let (ax, ay) = synth_task(3, dim, seed ^ 0x517c, 0.55);
     cached_model

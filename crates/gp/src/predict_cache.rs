@@ -20,7 +20,11 @@
 //! a row-major *factor row × lane* matrix, so one factor row of every
 //! lane is one contiguous slice, and every lane of a block covers the
 //! same number of factor rows. An index maps each candidate id to its
-//! (block, lane).
+//! (block, lane). Candidate ids are the tuner's pool indices, which are
+//! dense and only ever appended, so the index is a `Vec` indexed by id:
+//! a lookup is one load, and the sweep's planning step marks the ids it
+//! has already found missing in that same `Vec` instead of a per-call
+//! map.
 //!
 //! A block stores its rows as a list of *pages* that only grows by
 //! appending. No stored row is ever moved, copied or reallocated, so a
@@ -71,8 +75,6 @@
 //! identical to the from-scratch batch predict (asserted by the gp unit
 //! tests and `testkit`'s differential suites).
 
-use std::collections::HashMap;
-
 use crate::counters;
 
 /// Up to [`crate::PREDICT_BLOCK`] cached candidates side by side. The
@@ -90,7 +92,7 @@ pub(crate) struct LaneBlock {
     /// appended.
     pub(crate) pages: Vec<Vec<f64>>,
     /// Per lane: the caller's candidate id.
-    pub(crate) ids: Vec<u64>,
+    pub(crate) ids: Vec<usize>,
     /// Per lane: the sweep that last queried it.
     pub(crate) touched: Vec<u64>,
     /// Per lane: `‖v‖²`, summed in row order.
@@ -198,8 +200,10 @@ pub struct PredictCache {
     /// Monotone sweep counter; lanes carry the stamp of their last use.
     sweep: u64,
     pub(crate) blocks: Vec<LaneBlock>,
-    /// Candidate id → (block, lane).
-    index: HashMap<u64, (usize, usize)>,
+    /// Candidate id → its [`Source::Lane`], or `None`. Between calls no
+    /// entry is a [`Source::Miss`]: [`PredictCache::plan`] marks the
+    /// missing ids it meets and clears the marks before it returns.
+    index: Vec<Option<Source>>,
 }
 
 impl PredictCache {
@@ -210,12 +214,12 @@ impl PredictCache {
 
     /// Number of cached candidates.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.blocks.iter().map(LaneBlock::lanes).sum()
     }
 
     /// `true` when no candidate is cached.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.blocks.iter().all(|b| b.lanes() == 0)
     }
 
     /// Starts a new sweep: drops every lane the *previous* sweep did not
@@ -247,8 +251,8 @@ impl PredictCache {
     /// Drops everything, counting the evictions — the epoch-mismatch
     /// (refit) path.
     pub(crate) fn clear_stale(&mut self, new_epoch: u64) {
-        if !self.index.is_empty() {
-            counters::add_predict_cache_evictions(self.index.len() as u64);
+        if !self.is_empty() {
+            counters::add_predict_cache_evictions(self.len() as u64);
         }
         self.blocks.clear();
         self.index.clear();
@@ -258,34 +262,41 @@ impl PredictCache {
     /// Drops every block covering more than `rows` factor rows. None can
     /// exist at a matching epoch; this is a defensive guard.
     pub(crate) fn drop_longer_than(&mut self, rows: usize) {
-        let before = self.index.len();
+        let before = self.len();
         if self.blocks.iter().any(|b| b.rows > rows) {
             self.blocks.retain(|b| b.rows <= rows);
             self.reindex();
-            counters::add_predict_cache_evictions((before - self.index.len()) as u64);
+            counters::add_predict_cache_evictions((before - self.len()) as u64);
         }
     }
 
     /// Looks every query id up: a cached lane, or a miss. A repeated
-    /// missing id shares its first occurrence's miss.
-    pub(crate) fn plan(&self, ids: &[u64]) -> SweepPlan {
+    /// missing id shares its first occurrence's miss, which the index
+    /// holds until the plan is made.
+    pub(crate) fn plan(&mut self, ids: &[usize]) -> SweepPlan {
         let mut read = vec![false; self.blocks.len()];
-        let mut fresh: HashMap<u64, usize> = HashMap::new();
         let mut misses = Vec::new();
+        self.cover(ids);
         let sources = ids
             .iter()
             .enumerate()
-            .map(|(q, id)| match self.index.get(id) {
-                Some(&(b, l)) => {
+            .map(|(q, &id)| match self.index[id] {
+                Some(Source::Lane(b, l)) => {
                     read[b] = true;
                     Source::Lane(b, l)
                 }
-                None => Source::Miss(*fresh.entry(*id).or_insert_with(|| {
+                Some(shared) => shared,
+                None => {
                     misses.push(q);
-                    misses.len() - 1
-                })),
+                    let miss = Source::Miss(misses.len() - 1);
+                    self.index[id] = Some(miss);
+                    miss
+                }
             })
             .collect();
+        for &q in &misses {
+            self.index[ids[q]] = None;
+        }
         SweepPlan {
             sources,
             read_blocks: (0..read.len()).filter(|&b| read[b]).collect(),
@@ -296,10 +307,20 @@ impl PredictCache {
     /// Appends a freshly solved block and indexes its lanes.
     pub(crate) fn push_block(&mut self, block: LaneBlock) {
         let b = self.blocks.len();
+        self.cover(&block.ids);
         for (l, &id) in block.ids.iter().enumerate() {
-            self.index.insert(id, (b, l));
+            self.index[id] = Some(Source::Lane(b, l));
         }
         self.blocks.push(block);
+    }
+
+    /// Grows the index to hold every id in `ids`.
+    fn cover(&mut self, ids: &[usize]) {
+        if let Some(&top) = ids.iter().max() {
+            if top >= self.index.len() {
+                self.index.resize(top + 1, None);
+            }
+        }
     }
 
     /// Marks a lane as queried in the current sweep.
@@ -342,10 +363,10 @@ impl PredictCache {
     }
 
     fn reindex(&mut self) {
-        self.index.clear();
+        self.index.fill(None);
         for (b, block) in self.blocks.iter().enumerate() {
             for (l, &id) in block.ids.iter().enumerate() {
-                self.index.insert(id, (b, l));
+                self.index[id] = Some(Source::Lane(b, l));
             }
         }
     }
@@ -357,7 +378,7 @@ mod tests {
 
     /// A block paged as `cut` (rows per page) whose `v` entry (i, lane)
     /// is `id + i/1000`, so moved lanes are recognizable; holes are NaN.
-    fn paged(cut: &[usize], stride: usize, ids: &[u64], sweep: u64) -> LaneBlock {
+    fn paged(cut: &[usize], stride: usize, ids: &[usize], sweep: u64) -> LaneBlock {
         let mut pages = Vec::new();
         let mut i = 0;
         for &len in cut {
@@ -383,7 +404,7 @@ mod tests {
     }
 
     /// A one-page `rows`-row block.
-    fn block(rows: usize, stride: usize, ids: &[u64], sweep: u64) -> LaneBlock {
+    fn block(rows: usize, stride: usize, ids: &[usize], sweep: u64) -> LaneBlock {
         paged(&[rows], stride, ids, sweep)
     }
 
@@ -397,7 +418,9 @@ mod tests {
             assert!(blk.pages.iter().all(|p| p.len() % blk.stride == 0));
             for (l, &id) in blk.ids.iter().enumerate() {
                 lanes += 1;
-                assert_eq!(cache.index[&id], (b, l));
+                assert!(
+                    matches!(cache.index[id], Some(Source::Lane(ib, il)) if (ib, il) == (b, l))
+                );
                 assert_eq!(blk.vv[l], id as f64);
                 assert_eq!(blk.x(l), &[id as f64, 0.5]);
                 for (i, row) in blk.v_rows().enumerate() {
@@ -425,7 +448,8 @@ mod tests {
         cache.touch(b, l);
         cache.begin_sweep(); // 9 was not queried: evicted
         assert_eq!(cache.len(), 1);
-        assert!(cache.index.contains_key(&7));
+        assert!(cache.index[7].is_some());
+        assert!(cache.index[9].is_none());
         assert_consistent(&cache);
         cache.begin_sweep(); // 7 not queried either: empty again
         assert!(cache.is_empty());
@@ -444,7 +468,9 @@ mod tests {
         // Retire 0 and 2 of the first block, 11 of the second, 31 of the
         // block with another row count.
         for id in [0, 2, 11, 31] {
-            let (b, l) = cache.index[&id];
+            let Some(Source::Lane(b, l)) = cache.index[id] else {
+                panic!("{id} is cached")
+            };
             cache.blocks[b].touched[l] = u64::MAX;
         }
         cache.begin_sweep();
@@ -478,7 +504,9 @@ mod tests {
         };
         let before = addresses(&cache);
         for id in [1, 11, 20] {
-            let (b, l) = cache.index[&id];
+            let Some(Source::Lane(b, l)) = cache.index[id] else {
+                panic!("{id} is cached")
+            };
             cache.blocks[b].touched[l] = u64::MAX;
         }
         cache.begin_sweep();
@@ -503,6 +531,12 @@ mod tests {
         assert!(matches!(plan.sources[2], Source::Miss(0)));
         assert!(matches!(plan.sources[3], Source::Miss(1)));
         assert!(matches!(plan.sources[4], Source::Lane(1, 0)));
+        // No miss mark outlives the plan.
+        assert!(cache
+            .index
+            .iter()
+            .all(|s| !matches!(s, Some(Source::Miss(_)))));
+        assert_eq!(cache.index.len(), 10);
     }
 
     #[test]

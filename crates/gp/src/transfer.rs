@@ -423,11 +423,13 @@ impl TransferGp {
     /// Cached-incremental predict sweep: like
     /// [`TransferGp::predict_latent_batch`], but each candidate's solve
     /// state `v = L⁻¹k(X, x*)` persists in `cache` between sweeps, keyed
-    /// by the caller's stable candidate `ids`. When the
-    /// model has only been *conditioned* since a candidate's last sweep
-    /// (q appended target rows), the candidate pays q new kernel entries
-    /// plus a q-row tail substitution instead of a from-scratch column —
-    /// O(P·n·q) per sweep instead of O(P·n²) over P undecided candidates.
+    /// by the caller's stable candidate `ids`. The cache's index is a
+    /// `Vec` as long as the largest id, so ids should be dense, as pool
+    /// positions are. When the model has only been *conditioned* since a
+    /// candidate's last sweep (q appended target rows), the candidate
+    /// pays q new kernel entries plus a q-row tail substitution instead
+    /// of a from-scratch column — O(P·n·q) per sweep instead of O(P·n²)
+    /// over P undecided candidates.
     /// The cache holds candidates in lane blocks, so that work runs across
     /// a block's candidates at once (see the `predict_cache` module docs).
     ///
@@ -453,7 +455,7 @@ impl TransferGp {
     /// dimension.
     pub fn predict_latent_batch_cached<Q: AsRef<[f64]> + Sync>(
         &self,
-        ids: &[u64],
+        ids: &[usize],
         xs: &[Q],
         workers: usize,
         cache: &mut PredictCache,
@@ -563,10 +565,10 @@ impl TransferGp {
     /// lane layout as the block's first page.
     fn miss_block<'q>(
         &self,
-        queries: impl Iterator<Item = (u64, &'q [f64])>,
+        queries: impl Iterator<Item = (usize, &'q [f64])>,
         sweep: u64,
     ) -> Result<LaneBlock> {
-        let (ids, xs): (Vec<u64>, Vec<&[f64]>) = queries.unzip();
+        let (ids, xs): (Vec<usize>, Vec<&[f64]>) = queries.unzip();
         let v = self.post.solve_block(self.rows(), &xs)?;
         let stride = xs.len();
         let mut vv = vec![0.0; stride];
@@ -585,11 +587,7 @@ impl TransferGp {
 
     /// Predictions for every lane of an up-to-date block.
     fn predict_block(&self, block: &LaneBlock) -> Vec<(f64, f64)> {
-        self.post.predict_lanes(
-            block.v_rows(),
-            &block.vv,
-            (0..block.lanes()).map(|l| block.x(l)),
-        )
+        self.post.predict_lanes(block.v_rows(), &block.vv)
     }
 
     /// Log marginal likelihood of the joint (standardized) data. The
@@ -885,10 +883,13 @@ impl Posterior {
             .eval_task_lanes(xi, ti, xt, Task::Target, stride, out);
     }
 
-    /// Target-task prior variance at `x` minus the explained part `vv`,
-    /// clamped at 0, with the mean and variance de-standardized.
-    fn finish(&self, x: &[f64], mean_z: f64, vv: f64) -> (f64, f64) {
-        let c = self.kernel.eval_task(x, Task::Target, x, Task::Target);
+    /// Target-task prior variance minus the explained part `vv`, clamped
+    /// at 0, with the mean and variance de-standardized. The prior
+    /// variance `k(x, x)` of a finite `x` is exactly σ²: every squared
+    /// difference is 0 and `exp(−0) = 1`, so the signal variance is read
+    /// instead of evaluating the kernel.
+    fn finish(&self, mean_z: f64, vv: f64) -> (f64, f64) {
+        let c = self.kernel.base().signal_var();
         let var_z = (c - vv).max(0.0);
         (
             self.std_target.inverse(mean_z),
@@ -908,7 +909,7 @@ impl Posterior {
         let k_star: Vec<f64> = (0..self.len()).map(|i| self.cross(row, i, x)).collect();
         let v = self.chol.solve_lower_only(&k_star)?;
         let mean_z = linalg::vecops::dot(&v, &self.w);
-        Ok(self.finish(x, mean_z, linalg::vecops::dot(&v, &v)))
+        Ok(self.finish(mean_z, linalg::vecops::dot(&v, &v)))
     }
 
     /// `V = L⁻¹K*` as a row-major `len() × xs.len()` panel, one query per
@@ -935,21 +936,18 @@ impl Posterior {
     /// a row-major panel of `L⁻¹k*` in order, one query per lane; each
     /// lane's mean `v·w` is accumulated row by row, in the scalar path's
     /// index order, and `vv[l]` is lane `l`'s `‖v‖²` (see
-    /// [`add_lane_squares`]). The `lanes = vv.len()` queries are `xs`.
-    fn predict_lanes<'v, 'x>(
-        &self,
-        v: impl Iterator<Item = &'v [f64]>,
-        vv: &[f64],
-        xs: impl Iterator<Item = &'x [f64]>,
-    ) -> Vec<(f64, f64)> {
+    /// [`add_lane_squares`]).
+    fn predict_lanes<'v>(&self, v: impl Iterator<Item = &'v [f64]>, vv: &[f64]) -> Vec<(f64, f64)> {
         let mut mean_z = vec![0.0; vv.len()];
         for (row, &w) in v.zip(&self.w) {
             for (m, &vl) in mean_z.iter_mut().zip(row) {
                 *m += vl * w;
             }
         }
-        xs.zip(mean_z.iter().zip(vv))
-            .map(|(x, (&m, &vv))| self.finish(x, m, vv))
+        mean_z
+            .iter()
+            .zip(vv)
+            .map(|(&m, &vv)| self.finish(m, vv))
             .collect()
     }
 
@@ -972,7 +970,7 @@ impl Posterior {
             let rows = || v.chunks_exact(chunk.len());
             let mut vv = vec![0.0; chunk.len()];
             add_lane_squares(rows(), &mut vv);
-            Ok(self.predict_lanes(rows(), &vv, chunk.iter().map(AsRef::as_ref)))
+            Ok(self.predict_lanes(rows(), &vv))
         };
         let mut out = Vec::with_capacity(xs.len());
         for chunk in fan_out(chunks.len(), workers, |c| block(chunks[c])) {
@@ -1115,6 +1113,41 @@ mod tests {
             pts.iter().map(|&p| vec![p]).collect(),
             pts.iter().map(|&p| f(p) + shift).collect(),
         )
+    }
+
+    /// `Posterior::finish` reads σ² as the prior variance `k(x, x)`; the
+    /// kernel evaluated at `(x, x)` must give those exact bits for any
+    /// finite point and any valid hyper-parameters.
+    #[test]
+    fn target_prior_variance_is_bitwise_the_signal_variance() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(11);
+        let specials = [0.0, -0.0, f64::MIN_POSITIVE, 5e-324, -1e300, f64::MAX];
+        for case in 0..2000 {
+            let dim = rng.gen_range(1..=12usize);
+            let signal_var = rng.gen_range(-30.0f64..30.0).exp();
+            let lengthscales: Vec<f64> = (0..dim)
+                .map(|_| rng.gen_range(-30.0f64..30.0).exp())
+                .collect();
+            let base = SquaredExponential::new(signal_var, lengthscales).unwrap();
+            let lambda = rng.gen_range(-0.99..=1.0);
+            let kernel = TransferKernel::with_lambda(base, lambda).unwrap();
+            let x: Vec<f64> = (0..dim)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => specials[rng.gen_range(0..specials.len())],
+                    1 => rng.gen_range(-1e6..1e6),
+                    _ => rng.gen::<f64>(),
+                })
+                .collect();
+            let k = kernel.eval_task(&x, Task::Target, &x, Task::Target);
+            assert_eq!(
+                k.to_bits(),
+                kernel.base().signal_var().to_bits(),
+                "case {case}: k(x, x) = {k} for σ² = {signal_var}, x = {x:?}"
+            );
+        }
     }
 
     #[test]
@@ -1507,7 +1540,7 @@ mod tests {
         };
         let mut model = TransferGp::fit(source_dense(), target_sparse(0.1), cfg).unwrap();
         let queries = multi_chunk_queries();
-        let ids: Vec<u64> = (0..queries.len() as u64).collect();
+        let ids: Vec<usize> = (0..queries.len()).collect();
         let mut cache = PredictCache::new();
 
         // Sweep 1: all misses. Must match the uncached path bit for bit.
@@ -1538,7 +1571,7 @@ mod tests {
 
         // A subset of candidates (evictions) plus new ones (misses) mixes
         // hit/miss within chunks; still exact.
-        let sub_ids: Vec<u64> = ids.iter().copied().step_by(3).collect();
+        let sub_ids: Vec<usize> = ids.iter().copied().step_by(3).collect();
         let sub_q: Vec<Vec<f64>> = queries.iter().cloned().step_by(3).collect();
         cache.begin_sweep();
         let got = model
@@ -1569,7 +1602,7 @@ mod tests {
     }
 
     /// Every cached lane's `v` column, as bits, by candidate id.
-    fn lane_columns(cache: &PredictCache) -> std::collections::HashMap<u64, Vec<u64>> {
+    fn lane_columns(cache: &PredictCache) -> std::collections::HashMap<usize, Vec<u64>> {
         cache
             .blocks
             .iter()
@@ -1593,13 +1626,10 @@ mod tests {
         };
         let mut model = TransferGp::fit(source_dense(), target_sparse(0.1), cfg).unwrap();
         let queries: Vec<Vec<f64>> = (0..250).map(|i| vec![i as f64 / 249.0]).collect();
-        let ids: Vec<u64> = (0..250).collect();
+        let ids: Vec<usize> = (0..250).collect();
         let mut cache = PredictCache::new();
-        let sweep = |model: &TransferGp, ids: &[u64], cache: &mut PredictCache| {
-            let xs: Vec<&[f64]> = ids
-                .iter()
-                .map(|&i| queries[i as usize].as_slice())
-                .collect();
+        let sweep = |model: &TransferGp, ids: &[usize], cache: &mut PredictCache| {
+            let xs: Vec<&[f64]> = ids.iter().map(|&i| queries[i].as_slice()).collect();
             let got = model
                 .predict_latent_batch_cached(ids, &xs, 2, cache)
                 .unwrap();
@@ -1660,7 +1690,7 @@ mod tests {
         let mut model = TransferGp::fit(source_dense(), target_sparse(0.1), cfg.clone()).unwrap();
         let epoch0 = model.fit_epoch();
         let queries: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0]).collect();
-        let ids: Vec<u64> = (0..9).collect();
+        let ids: Vec<usize> = (0..9).collect();
         let mut cache = PredictCache::new();
         cache.begin_sweep();
         model

@@ -173,7 +173,7 @@ fn warm_cached_sweep_pays_only_the_appended_rows() {
     let xs = queries();
     let count = xs.len() as u64;
     let blocks = xs.len().div_ceil(PREDICT_BLOCK) as u64;
-    let ids: Vec<u64> = (0..count).collect();
+    let ids: Vec<usize> = (0..count as usize).collect();
     let mut cache = PredictCache::new();
 
     cache.begin_sweep();

@@ -69,7 +69,7 @@ pub use oracle::{
     ConcurrentOracle, EvalError, FallibleOracle, FnOracle, OracleRef, QorOracle, SharedOracle,
     VecOracle, WatchdogOracle, WATCHDOG_STAGE,
 };
-pub use pool::{AdaptivePool, RefineOutcome};
+pub use pool::{AdaptivePool, PoolLeaf, RefineOutcome};
 pub use region::UncertaintyRegion;
 pub use supervisor::{inject_fit_faults, FitFaultGuard, FitFaultPlan};
 pub use tuner::{IterationRecord, PpaTuner, PpaTunerConfig, SourceData, TuneResult};

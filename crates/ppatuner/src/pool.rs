@@ -55,12 +55,43 @@ pub struct RefineOutcome {
     pub effective_pool: f64,
 }
 
+/// One live leaf of the pool's tree, as the refinement rule reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PoolLeaf {
+    /// The leaf's arena index in the [`CellTree`].
+    pub cell: usize,
+    /// Its representative candidate, when it has one.
+    pub rep: Option<usize>,
+    /// Its Euclidean diameter, [`CellTree::diameter`].
+    pub diameter: f64,
+}
+
 /// The tuner-facing adaptive pool: a [`CellTree`] plus the refinement
 /// policy. Candidate coordinates stay owned by the tuner; the pool holds
 /// only cell geometry and representative indices.
+///
+/// The pool keeps what a pass reads of the tree up to date from each
+/// split: the live leaves with their representatives and diameters, and
+/// the smallest leaf volume. A pass then costs one walk over the leaves
+/// plus the splits it makes, where rescanning the tree would walk every
+/// cell ever created and recompute each leaf's geometry. Diameters and
+/// volumes use the tree's own expressions, so
+/// [`AdaptivePool::leaf_count`] and [`AdaptivePool::effective_pool`]
+/// equal a rescan bit for bit. A split leaf's children are never larger
+/// than the leaf, so the smallest volume over the new leaves is the old
+/// minimum folded with the two children's.
 #[derive(Debug, Clone)]
 pub struct AdaptivePool {
     tree: CellTree,
+    /// The live leaves, in no particular order.
+    leaves: Vec<PoolLeaf>,
+    /// The smallest leaf volume.
+    min_volume: f64,
+}
+
+/// Volume of the box `[lo, hi]`, multiplied in axis order.
+fn volume((lo, hi): (&[f64], &[f64])) -> f64 {
+    lo.iter().zip(hi).map(|(&l, &h)| h - l).product()
 }
 
 impl AdaptivePool {
@@ -96,18 +127,52 @@ impl AdaptivePool {
         let tree = CellTree::build(&lo, &hi, candidates).map_err(|_| TunerError::InvalidInput {
             reason: "adaptive pool rejected the candidate set",
         })?;
-        Ok(AdaptivePool { tree })
+        let cells = tree.leaf_cells();
+        let leaves = cells.iter().map(|&cell| Self::leaf(&tree, cell)).collect();
+        let min_volume = cells
+            .iter()
+            .map(|&cell| volume(tree.bounds(cell)))
+            .fold(f64::INFINITY, f64::min);
+        Ok(AdaptivePool {
+            tree,
+            leaves,
+            min_volume,
+        })
+    }
+
+    /// The [`PoolLeaf`] record of the tree's leaf `cell`.
+    fn leaf(tree: &CellTree, cell: usize) -> PoolLeaf {
+        PoolLeaf {
+            cell,
+            rep: tree.rep(cell),
+            diameter: tree.diameter(cell),
+        }
+    }
+
+    /// The bisection tree.
+    pub fn tree(&self) -> &CellTree {
+        &self.tree
+    }
+
+    /// The live leaves, in no particular order.
+    pub fn leaves(&self) -> &[PoolLeaf] {
+        &self.leaves
     }
 
     /// Number of leaf cells.
     pub fn leaf_count(&self) -> usize {
-        self.tree.leaf_count()
+        self.leaves.len()
     }
 
     /// Effective pool size: the fixed-pool size whose uniform resolution
-    /// matches the tree's finest leaf (`box volume / min leaf volume`).
+    /// matches the tree's finest leaf (`box volume / min leaf volume`),
+    /// [`CellTree::effective_pool`].
     pub fn effective_pool(&self) -> f64 {
-        self.tree.effective_pool()
+        if self.min_volume > 0.0 && self.min_volume.is_finite() {
+            volume(self.tree.bounds(0)) / self.min_volume
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// One refinement pass. Splits every leaf whose representative is
@@ -131,40 +196,47 @@ impl AdaptivePool {
         max_refines: usize,
         max_size: usize,
     ) -> RefineOutcome {
-        // (region diameter, leaf) of every leaf that wants a split.
-        let mut due: Vec<(f64, usize)> = Vec::new();
-        for leaf in self.tree.leaf_cells() {
-            let Some(rep) = self.tree.rep(leaf) else {
+        // (region diameter, leaf, its position in `leaves`) of every leaf
+        // that wants a split.
+        let mut due: Vec<(f64, usize, usize)> = Vec::new();
+        for (pos, leaf) in self.leaves.iter().enumerate() {
+            let Some(rep) = leaf.rep else {
                 continue;
             };
             if !statuses[rep].is_active() {
                 continue;
             }
             let d = regions[rep].diameter();
-            if d.is_finite() && d > scale * self.tree.diameter(leaf) && d < ceiling {
-                due.push((d, leaf));
+            if d.is_finite() && d > scale * leaf.diameter && d < ceiling {
+                due.push((d, leaf.cell, pos));
             }
         }
         due.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
         let mut splits = 0;
-        for (_, leaf) in due {
+        for (_, cell, pos) in due {
             if splits >= max_refines || candidates.len() >= max_size {
                 break;
             }
-            let rep = self.tree.rep(leaf).expect("due leaves have reps");
-            let Some(split) = self.tree.split(leaf, &candidates[rep]) else {
+            let rep = self.leaves[pos].rep.expect("due leaves have reps");
+            let Some(split) = self.tree.split(cell, &candidates[rep]) else {
                 continue; // depth cap: the cell is as fine as f64 allows
             };
             let index = candidates.len();
             candidates.push(split.new_center);
             self.tree.set_rep(split.new_child, index);
+            for child in [split.kept_child, split.new_child] {
+                let v = volume(self.tree.bounds(child));
+                self.min_volume = self.min_volume.min(v);
+            }
+            self.leaves[pos] = Self::leaf(&self.tree, split.kept_child);
+            self.leaves.push(Self::leaf(&self.tree, split.new_child));
             splits += 1;
         }
         RefineOutcome {
             splits,
-            leaves: self.tree.leaf_count(),
-            effective_pool: self.tree.effective_pool(),
+            leaves: self.leaf_count(),
+            effective_pool: self.effective_pool(),
         }
     }
 }

@@ -855,12 +855,10 @@ impl<'a> RunState<'a> {
         let active: Vec<usize> = (0..self.candidates.len())
             .filter(|&i| self.statuses[i].is_active() && !self.evaluated_flag[i])
             .collect();
-        let boxes = self
+        let (lo, hi) = self
             .surrogate
             .boxes(&self.candidates, &active, self.observer)?;
-        for (&i, (lo, hi)) in active.iter().zip(&boxes) {
-            self.regions[i].intersect(lo, hi);
-        }
+        self.intersect(&active, &lo, &hi);
 
         // Adaptive refinement: split the cells whose representative's
         // region stayed wide relative to the cell itself, then box the new
@@ -884,12 +882,10 @@ impl<'a> RunState<'a> {
                     self.evaluated_flag.push(false);
                 }
                 let fresh: Vec<usize> = (before..self.candidates.len()).collect();
-                let boxes = self
+                let (lo, hi) = self
                     .surrogate
                     .boxes(&self.candidates, &fresh, self.observer)?;
-                for (&i, (lo, hi)) in fresh.iter().zip(&boxes) {
-                    self.regions[i].intersect(lo, hi);
-                }
+                self.intersect(&fresh, &lo, &hi);
             }
             if self.tracing() {
                 self.observer.emit(&Event::PoolRefine {
@@ -902,6 +898,16 @@ impl<'a> RunState<'a> {
             }
         }
         Ok(predict_phase.elapsed().as_secs_f64())
+    }
+
+    /// Intersects candidate `ids[q]`'s region with the `q`-th box of the
+    /// query-major corner arrays `lo` and `hi` ([`Surrogate::boxes`]).
+    fn intersect(&mut self, ids: &[usize], lo: &[f64], hi: &[f64]) {
+        let m = self.n_obj;
+        let boxes = lo.chunks_exact(m).zip(hi.chunks_exact(m));
+        for (&i, (lo, hi)) in ids.iter().zip(boxes) {
+            self.regions[i].intersect(lo, hi);
+        }
     }
 
     /// Decision-making (Algorithm 1, lines 7–9; Eqs. 11–12). Returns

@@ -321,7 +321,9 @@ impl<'a> Surrogate<'a> {
     /// the stable candidate indices, so warm sweeps pay only the
     /// conditioning tail per cached candidate) or subset-of-data. The
     /// iteration's first call starts the sweep; later calls (pool
-    /// refinement) share it.
+    /// refinement) share it. Returns the boxes' lower and upper corners
+    /// as two query-major `ids.len() × m` arrays: query `q`'s corners
+    /// over the `m` objectives are entries `[q·m, (q + 1)·m)`.
     ///
     /// The gp layer fans fixed-size query chunks over the workers. Batch
     /// prediction is bit-identical however the queries are chunked or
@@ -332,7 +334,7 @@ impl<'a> Surrogate<'a> {
         candidates: &[Vec<f64>],
         ids: &[usize],
         observer: &dyn Observer,
-    ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
+    ) -> Result<(Vec<f64>, Vec<f64>)> {
         self.begin_sweep(ids.len(), observer)?;
         let scale = self.config.tau.sqrt();
         let queries: Vec<&[f64]> = ids.iter().map(|&i| candidates[i].as_slice()).collect();
@@ -343,19 +345,17 @@ impl<'a> Surrogate<'a> {
                 .collect::<gp::Result<_>>()?,
             Sweep::Exact | Sweep::Pending(_) => self.predict_cached(ids, &queries)?,
         };
-        let mut out = Vec::with_capacity(queries.len());
+        let len = queries.len() * preds.len();
+        let (mut lo, mut hi) = (Vec::with_capacity(len), Vec::with_capacity(len));
         for q in 0..queries.len() {
-            let mut lo = Vec::with_capacity(preds.len());
-            let mut hi = Vec::with_capacity(preds.len());
             for preds_k in &preds {
                 let (mu, var) = preds_k[q];
                 let sd = var.max(0.0).sqrt();
                 lo.push(mu - scale * sd);
                 hi.push(mu + scale * sd);
             }
-            out.push((lo, hi));
         }
-        Ok(out)
+        Ok((lo, hi))
     }
 
     /// Picks the arm of a pending sweep of `queries` candidates and starts
@@ -405,17 +405,16 @@ impl<'a> Surrogate<'a> {
 
     /// Each objective's exact `(μ, σ²)` of the `queries` (candidates
     /// `ids`), read through its predict cache. Candidate indices are
-    /// stable (pool refinement only appends), so they double as cache
-    /// keys across iterations.
+    /// stable and dense (pool refinement only appends), so they double as
+    /// cache keys across iterations.
     fn predict_cached(
         &mut self,
         ids: &[usize],
         queries: &[&[f64]],
     ) -> Result<Vec<Vec<(f64, f64)>>> {
-        let keys: Vec<u64> = ids.iter().map(|&i| i as u64).collect();
         let caches = self.models.iter().zip(&mut self.predict_caches);
         caches
-            .map(|(m, cache)| m.predict_latent_batch_cached(&keys, queries, self.workers, cache))
+            .map(|(m, cache)| m.predict_latent_batch_cached(ids, queries, self.workers, cache))
             .collect::<gp::Result<_>>()
             .map_err(Into::into)
     }

@@ -2,7 +2,9 @@
 //! grow the pool strictly by appending — it never rewrites existing
 //! candidates and never splits a cell whose representative has already
 //! been decided (so a dropped or quarantined configuration can never be
-//! resurrected by the pool).
+//! resurrected by the pool). The pool's maintained leaf state (live
+//! leaves, their diameters, the count and the effective pool size) must
+//! equal a fresh rescan of its tree after any sequence of passes.
 
 use ppatuner::{AdaptivePool, Status, UncertaintyRegion};
 use proptest::prelude::*;
@@ -21,6 +23,30 @@ fn region(half_width: f64) -> UncertaintyRegion {
     let mut r = UncertaintyRegion::unbounded(2);
     r.intersect(&[-half_width, -half_width], &[half_width, half_width]);
     r
+}
+
+/// Asserts that the pool's maintained leaves, leaf count and effective
+/// pool size equal a rescan of its tree, bit for bit.
+fn assert_matches_rescan(pool: &AdaptivePool) -> Result<(), TestCaseError> {
+    let tree = pool.tree();
+    let mut kept: Vec<(usize, Option<usize>, u64)> = pool
+        .leaves()
+        .iter()
+        .map(|l| (l.cell, l.rep, l.diameter.to_bits()))
+        .collect();
+    kept.sort_unstable();
+    let scanned: Vec<(usize, Option<usize>, u64)> = tree
+        .leaf_cells()
+        .into_iter()
+        .map(|c| (c, tree.rep(c), tree.diameter(c).to_bits()))
+        .collect();
+    prop_assert_eq!(kept, scanned);
+    prop_assert_eq!(pool.leaf_count(), tree.leaf_count());
+    prop_assert_eq!(
+        pool.effective_pool().to_bits(),
+        tree.effective_pool().to_bits()
+    );
+    Ok(())
 }
 
 proptest! {
@@ -106,5 +132,42 @@ proptest! {
             (candidates, out.splits, out.leaves)
         };
         prop_assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn maintained_leaves_match_a_rescan_of_the_tree(
+        dim in 1usize..=4,
+        seeds in prop::collection::vec(0.0f64..1.0, 4..=160),
+        passes in prop::collection::vec(
+            (prop::collection::vec((0u8..8, 0.0f64..30.0), 48), 0.05f64..2.0, 1usize..24),
+            1..=8),
+    ) {
+        let coords: Vec<Vec<f64>> = seeds.chunks_exact(dim).map(<[f64]>::to_vec).collect();
+        let mut candidates = coords;
+        let mut pool = AdaptivePool::new(&candidates).unwrap();
+        assert_matches_rescan(&pool)?;
+        for (draws, scale, max_refines) in passes {
+            // Statuses and region widths for every candidate, appended
+            // ones included, cycled from this pass's draws; most are
+            // undecided so that passes split.
+            let (statuses, regions): (Vec<Status>, Vec<UncertaintyRegion>) = (0..candidates.len())
+                .map(|i| {
+                    let (s, w) = draws[i % draws.len()];
+                    let status = match s {
+                        0 => Status::Pareto,
+                        1 => Status::Dropped,
+                        _ => Status::Undecided,
+                    };
+                    (status, region(w))
+                })
+                .unzip();
+            let before = candidates.len();
+            let out = pool.refine(
+                &mut candidates, &regions, &statuses, scale, 50.0, max_refines, 4000);
+            prop_assert_eq!(candidates.len(), before + out.splits);
+            prop_assert_eq!(out.leaves, pool.tree().leaf_count());
+            prop_assert_eq!(out.effective_pool.to_bits(), pool.tree().effective_pool().to_bits());
+            assert_matches_rescan(&pool)?;
+        }
     }
 }
